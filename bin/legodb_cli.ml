@@ -52,6 +52,29 @@ let workload_arg =
   in
   Arg.(value & opt string "lookup" & info [ "workload" ] ~docv:"SPEC" ~doc)
 
+let scale_arg =
+  let doc =
+    "Scale factor of the generated IMDB corpus relative to the paper's \
+     dataset (1.0 = full)."
+  in
+  Arg.(value & opt float 0.01 & info [ "scale" ] ~docv:"F" ~doc)
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.")
+
+(* integers with a lower bound: a violation is a cmdliner usage error
+   (exit 124) naming the flag, like any other malformed value *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "must be >= %d (got %d)" lo n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1
+let non_negative = int_at_least 0
 let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
 let load_stats schema sample =
@@ -111,6 +134,21 @@ let configuration schema stats kind =
   | "outlined" -> Ok (Init.all_outlined annotated)
   | "ps0" -> Ok (Init.normalize annotated)
   | k -> Error (Printf.sprintf "unknown configuration %S" k)
+
+(* schema → statistics → configuration → relational mapping, the chain
+   serve, sql, shred and publish share.  [stats] is handed the resolved
+   schema, and is only called once it resolved. *)
+let mapping_of ~schema ~config stats =
+  let ( let* ) = Result.bind in
+  let* schema = schema_of_name schema in
+  let* ps = configuration schema (stats schema) config in
+  Result.map_error (String.concat "; ") (Mapping.of_pschema ps)
+
+(* a document with the mapping chosen from its own statistics; the
+   document is parsed or generated only once the schema resolved *)
+let doc_mapping ~schema ~config doc =
+  mapping_of ~schema ~config (fun _ -> Collector.collect (Lazy.force doc))
+  |> Result.map (fun m -> (Lazy.force doc, m))
 
 (* ---------------- design ---------------- *)
 
@@ -266,16 +304,6 @@ let design_cmd =
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let scale =
-    let doc =
-      "Generate a synthetic IMDB corpus at this scale factor (1.0 = the \
-       paper's dataset) when no $(b,--doc) is given."
-    in
-    Arg.(value & opt float 0.01 & info [ "scale" ] ~docv:"F" ~doc)
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.")
-  in
   let served_doc =
     let doc = "Serve this XML document instead of a generated corpus." in
     Arg.(value & opt (some file) None & info [ "doc" ] ~docv:"FILE" ~doc)
@@ -342,11 +370,12 @@ let serve_cmd =
        company before its group's single fsync acknowledges them all (0 \
        still groups appends arriving in the same server loop round)."
     in
-    Arg.(value & opt int 5 & info [ "group-commit-ms" ] ~docv:"MS" ~doc)
+    Arg.(
+      value & opt non_negative 5 & info [ "group-commit-ms" ] ~docv:"MS" ~doc)
   in
   let max_group =
     let doc = "Commit an append group once it holds $(docv) appends." in
-    Arg.(value & opt int 64 & info [ "max-group" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 64 & info [ "max-group" ] ~docv:"N" ~doc)
   in
   let idle_timeout_ms =
     let doc =
@@ -355,7 +384,7 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "idle-timeout-ms" ] ~docv:"MS" ~doc)
   in
   let max_conns =
@@ -364,44 +393,27 @@ let serve_cmd =
        wait in the kernel backlog and are accepted as slots free up \
        (network mode only)."
     in
-    Arg.(value & opt (some int) None & info [ "max-conns" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "max-conns" ] ~docv:"N" ~doc)
   in
-  let run schema_name config workload scale seed served_doc requests jobs
+  let run schema config workload scale seed served_doc requests jobs
       data_dir appends publish_every crash_after timeout_ms listen
       group_commit_ms max_group idle_timeout_ms max_conns =
-    if group_commit_ms < 0 then
-      fail "--group-commit-ms must be >= 0 (got %d)" group_commit_ms
-    else if max_group < 1 then fail "--max-group must be >= 1 (got %d)" max_group
-    else if (match idle_timeout_ms with Some ms -> ms < 1 | None -> false) then
-      fail "--idle-timeout-ms must be >= 1"
-    else if (match max_conns with Some m -> m < 1 | None -> false) then
-      fail "--max-conns must be >= 1"
-    else
     let server =
       match data_dir with
       | Some dir when Sys.file_exists (Wal.snapshot_file dir) ->
           let server, r = Serve.recover ~jobs ~dir () in
           Format.printf "recovered %s: %a@." dir Serve.pp_recovery r;
           Ok server
-      | _ -> (
-          match schema_of_name schema_name with
-          | Error m -> Error m
-          | Ok schema -> (
-              let doc =
-                match served_doc with
-                | Some f -> Xml_parse.parse_file f
-                | None ->
-                    Imdb.Gen.generate
-                      { (Imdb.Gen.scaled scale) with Imdb.Gen.seed }
-              in
-              let stats = Collector.collect doc in
-              match configuration schema stats config with
-              | Error m -> Error m
-              | Ok ps -> (
-                  match Mapping.of_pschema ps with
-                  | Error es -> Error (String.concat "; " es)
-                  | Ok m ->
-                      Ok (Serve.create ~jobs ?data_dir m (Shred.shred m doc)))))
+      | _ ->
+          lazy
+            (match served_doc with
+            | Some f -> Xml_parse.parse_file f
+            | None ->
+                Imdb.Gen.generate
+                  { (Imdb.Gen.scaled scale) with Imdb.Gen.seed })
+          |> doc_mapping ~schema ~config
+          |> Result.map (fun (doc, m) ->
+                 Serve.create ~jobs ?data_dir m (Shred.shred m doc))
     in
     match server with
     | Error m -> fail "%s" m
@@ -478,10 +490,10 @@ let serve_cmd =
   let term =
     Term.(
       ret
-        (const run $ schema_arg $ config_arg $ workload_arg $ scale $ seed
-       $ served_doc $ requests $ jobs $ data_dir $ appends $ publish_every
-       $ crash_after $ timeout_ms $ listen $ group_commit_ms $ max_group
-       $ idle_timeout_ms $ max_conns))
+        (const run $ schema_arg $ config_arg $ workload_arg $ scale_arg
+       $ seed_arg $ served_doc $ requests $ jobs $ data_dir $ appends
+       $ publish_every $ crash_after $ timeout_ms $ listen $ group_commit_ms
+       $ max_group $ idle_timeout_ms $ max_conns))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -510,9 +522,6 @@ let query_cmd =
     in
     Arg.(value & opt int 0 & info [ "appends" ] ~docv:"N" ~doc)
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.")
-  in
   let do_publish =
     Arg.(
       value & flag
@@ -535,7 +544,7 @@ let query_cmd =
        tick and answers them as one shared batch.  A sample of the answers \
        is re-asked sequentially afterwards and checked bit-identical."
     in
-    Arg.(value & opt int 1 & info [ "concurrency" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 1 & info [ "concurrency" ] ~docv:"N" ~doc)
   in
   let depth =
     let doc =
@@ -544,7 +553,7 @@ let query_cmd =
        so shared batches form deterministically instead of depending on \
        scheduler timing.  Only meaningful with $(b,--concurrency)."
     in
-    Arg.(value & opt int 1 & info [ "depth" ] ~docv:"D" ~doc)
+    Arg.(value & opt positive 1 & info [ "depth" ] ~docv:"D" ~doc)
   in
   let corrupt_probe =
     let doc =
@@ -567,11 +576,6 @@ let query_cmd =
       server_stats concurrency depth corrupt_probe query_text =
     match Net.parse_endpoint connect_s with
     | Error m -> fail "%s" m
-    | Ok (host, port) when concurrency < 1 ->
-        ignore host;
-        ignore port;
-        fail "--concurrency must be >= 1 (got %d)" concurrency
-    | Ok _ when depth < 1 -> fail "--depth must be >= 1 (got %d)" depth
     | Ok (host, port) -> (
         if corrupt_probe then begin
           (* a framing error costs the connection, so the probe gets a
@@ -754,7 +758,7 @@ let query_cmd =
   let term =
     Term.(
       ret
-        (const run $ connect $ workload_arg $ ping $ appends $ seed
+        (const run $ connect $ workload_arg $ ping $ appends $ seed_arg
        $ do_publish $ requests $ server_stats $ concurrency $ depth
        $ corrupt_probe $ query_text))
   in
@@ -766,36 +770,30 @@ let query_cmd =
 (* ---------------- sql ---------------- *)
 
 let sql_cmd =
-  let run schema_name sample config workload =
-    match schema_of_name schema_name with
+  let run schema config sample workload =
+    match
+      Result.bind
+        (mapping_of ~schema ~config (fun schema -> load_stats schema sample))
+        (fun m -> Result.map (fun w -> (m, w)) (load_workload workload))
+    with
     | Error m -> fail "%s" m
-    | Ok schema -> (
-        let stats = load_stats schema sample in
-        match configuration schema stats config with
-        | Error m -> fail "%s" m
-        | Ok ps -> (
-            match (Mapping.of_pschema ps, load_workload workload) with
-            | Error es, _ -> fail "%s" (String.concat "; " es)
-            | _, Error m -> fail "%s" m
-            | Ok m, Ok w ->
-                Format.printf "-- schema --@.%s@." (Sql.ddl m.Mapping.catalog);
-                List.iter
-                  (fun ((q : Xq_ast.t), _) ->
-                    match Xq_translate.translate m q with
-                    | lq ->
-                        let _, cost =
-                          Optimizer.query_cost m.Mapping.catalog lq
-                        in
-                        Format.printf "%a@.-- estimated cost: %.1f@.@."
-                          Logical.pp_query lq cost
-                    | exception Xq_translate.Untranslatable msg ->
-                        Format.printf "-- %s: untranslatable (%s)@.@."
-                          q.Xq_ast.name msg)
-                  w;
-                `Ok ()))
+    | Ok (m, w) ->
+        Format.printf "-- schema --@.%s@." (Sql.ddl m.Mapping.catalog);
+        List.iter
+          (fun ((q : Xq_ast.t), _) ->
+            match Xq_translate.translate m q with
+            | lq ->
+                let _, cost = Optimizer.query_cost m.Mapping.catalog lq in
+                Format.printf "%a@.-- estimated cost: %.1f@.@." Logical.pp_query
+                  lq cost
+            | exception Xq_translate.Untranslatable msg ->
+                Format.printf "-- %s: untranslatable (%s)@.@." q.Xq_ast.name
+                  msg)
+          w;
+        `Ok ()
   in
   let term =
-    Term.(ret (const run $ schema_arg $ sample_arg $ config_arg $ workload_arg))
+    Term.(ret (const run $ schema_arg $ config_arg $ sample_arg $ workload_arg))
   in
   Cmd.v
     (Cmd.info "sql" ~doc:"Show the DDL and translated SQL for a configuration")
@@ -808,25 +806,16 @@ let doc_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
 let shred_cmd =
-  let run schema_name config file =
-    match schema_of_name schema_name with
+  let run schema config file =
+    match doc_mapping ~schema ~config (lazy (Xml_parse.parse_file file)) with
     | Error m -> fail "%s" m
-    | Ok schema -> (
-        let doc = Xml_parse.parse_file file in
-        let stats = Collector.collect doc in
-        match configuration schema stats config with
-        | Error m -> fail "%s" m
-        | Ok ps -> (
-            match Mapping.of_pschema ps with
-            | Error es -> fail "%s" (String.concat "; " es)
-            | Ok m -> (
-                match Shred.shred m doc with
-                | db ->
-                    Format.printf "%a@." Storage.pp_summary db;
-                    `Ok ()
-                | exception Shred.Shred_error { path; message } ->
-                    fail "shredding failed at %s: %s" (String.concat "/" path)
-                      message)))
+    | Ok (doc, m) -> (
+        match Shred.shred m doc with
+        | db ->
+            Format.printf "%a@." Storage.pp_summary db;
+            `Ok ()
+        | exception Shred.Shred_error { path; message } ->
+            fail "shredding failed at %s: %s" (String.concat "/" path) message)
   in
   let term = Term.(ret (const run $ schema_arg $ config_arg $ doc_arg)) in
   Cmd.v
@@ -834,24 +823,15 @@ let shred_cmd =
     term
 
 let publish_cmd =
-  let run schema_name config file =
-    match schema_of_name schema_name with
+  let run schema config file =
+    match doc_mapping ~schema ~config (lazy (Xml_parse.parse_file file)) with
     | Error m -> fail "%s" m
-    | Ok schema -> (
-        let doc = Xml_parse.parse_file file in
-        let stats = Collector.collect doc in
-        match configuration schema stats config with
-        | Error m -> fail "%s" m
-        | Ok ps -> (
-            match Mapping.of_pschema ps with
-            | Error es -> fail "%s" (String.concat "; " es)
-            | Ok m ->
-                let db = Shred.shred m doc in
-                let doc' = Publish.document db m in
-                print_endline (Xml.to_string doc');
-                Printf.eprintf "round trip: %s\n"
-                  (if Xml.equal doc doc' then "exact" else "differs");
-                `Ok ()))
+    | Ok (doc, m) ->
+        let doc' = Publish.document (Shred.shred m doc) m in
+        print_endline (Xml.to_string doc');
+        Printf.eprintf "round trip: %s\n"
+          (if Xml.equal doc doc' then "exact" else "differs");
+        `Ok ()
   in
   let term = Term.(ret (const run $ schema_arg $ config_arg $ doc_arg)) in
   Cmd.v
@@ -862,13 +842,6 @@ let publish_cmd =
 (* ---------------- generate / stats / validate / transforms ------------- *)
 
 let generate_cmd =
-  let scale =
-    let doc = "Scale factor relative to the paper's dataset (1.0 = full)." in
-    Arg.(value & opt float 0.01 & info [ "scale" ] ~docv:"F" ~doc)
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.")
-  in
   let out =
     Arg.(
       value
@@ -890,7 +863,7 @@ let generate_cmd =
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic IMDB document")
-    Term.(ret (const run $ scale $ seed $ out))
+    Term.(ret (const run $ scale_arg $ seed_arg $ out))
 
 let stats_cmd =
   let run file =

@@ -26,7 +26,6 @@ module Logical = Legodb_optimizer.Logical
 module Physical = Legodb_optimizer.Physical
 module Estimate = Legodb_optimizer.Estimate
 module Optimizer = Legodb_optimizer.Optimizer
-module Optimizer_reference = Legodb_optimizer.Reference
 module Executor = Legodb_optimizer.Executor
 module Xq_ast = Legodb_xquery.Xq_ast
 module Xq_parse = Legodb_xquery.Xq_parse

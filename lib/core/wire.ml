@@ -120,10 +120,30 @@ let r_opt cur f =
 (* file image: header + checksummed payload                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The header-token rules every framed format shares (see the .mli).
+   Tokens are judged as text because [int_of_string] and hex parsing
+   each accept several spellings of one value, and "any single bit flip
+   is rejected" is a contract the fuzz tests hold every format to. *)
+let len_of_token s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 && String.equal s (string_of_int n) -> Some n
+  | _ -> None
+
+let crc_token payload = Printf.sprintf "%08lx" (crc32 payload)
+
+let checksum_error token payload =
+  let actual = crc_token payload in
+  if String.equal token actual then None
+  else
+    Some
+      (Printf.sprintf "checksum mismatch: header says %s, payload hashes to %s"
+         token actual)
+
+let header_line lead payload =
+  Printf.sprintf "%s %s %d\n" lead (crc_token payload) (String.length payload)
+
 let frame ~magic ~version payload =
-  Printf.sprintf "%s %d %08lx %d\n%s" magic version (crc32 payload)
-    (String.length payload)
-    payload
+  header_line (Printf.sprintf "%s %d" magic version) payload ^ payload
 
 let unframe ~magic ~version ~kind image =
   let header, body =
@@ -145,12 +165,9 @@ let unframe ~magic ~version ~kind image =
       corrupt "unsupported %s version %d (this build reads %d)" kind v version
   | None -> corrupt "malformed header: version %S is not a number" v);
   let len =
-    (* canonical decimal only: [int_of_string] also accepts "0x..",
-       "+5", "1_0" — leaving those re-parseable would let a damaged
-       header alias an undamaged one *)
-    match int_of_string_opt len with
-    | Some n when n >= 0 && String.equal len (string_of_int n) -> n
-    | _ -> corrupt "malformed header: payload length %S" len
+    match len_of_token len with
+    | Some n -> n
+    | None -> corrupt "malformed header: payload length %S" len
   in
   if String.length body < len then
     corrupt "truncated %s: header promises %d payload bytes, found %d" kind len
@@ -158,19 +175,7 @@ let unframe ~magic ~version ~kind image =
   if String.length body > len then
     corrupt "malformed %s: %d bytes beyond the declared payload" kind
       (String.length body - len);
-  let expected =
-    (* canonical lowercase %08lx only: hex parsing is case-insensitive,
-       so without this a flipped case bit in a hex digit would still be
-       accepted — and "any single bit flip is rejected" is a contract
-       the protocol fuzz tests hold us to *)
-    match Int32.of_string_opt ("0x" ^ crc) with
-    | Some c when String.equal crc (Printf.sprintf "%08lx" c) -> c
-    | _ -> corrupt "malformed header: checksum %S is not canonical hex" crc
-  in
-  let actual = crc32 body in
-  if not (Int32.equal expected actual) then
-    corrupt "checksum mismatch: header says %08lx, payload hashes to %08lx"
-      expected actual;
+  Option.iter (corrupt "%s") (checksum_error crc body);
   body
 
 (* ------------------------------------------------------------------ *)

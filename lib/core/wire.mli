@@ -70,6 +70,33 @@ val r_str : cursor -> string
 val r_list : cursor -> (cursor -> 'a) -> 'a list
 val r_opt : cursor -> (cursor -> 'a) -> 'a option
 
+(** {1 Header tokens}
+
+    The one definition of a header's length and checksum tokens.  Every
+    framed format uses these — {!frame}/{!unframe} here, the network
+    frames of {!Legodb_serve.Net}, the records of {!Legodb_serve.Wal} —
+    so a damaged header is judged the same way everywhere. *)
+
+val len_of_token : string -> int option
+(** The payload length a header token declares: [Some n] only when the
+    token is the canonical decimal rendering of [n >= 0].
+    [int_of_string] would also read ["+5"], ["05"], ["0x5"] and ["5_"];
+    accepting those would let a damaged header alias an undamaged
+    one. *)
+
+val checksum_error : string -> string -> string option
+(** [checksum_error token payload] compares [token] {e as text} with
+    the payload's checksum token — its {!crc32} as canonical lowercase
+    [%08lx] — so uppercase, short, or [0x]-prefixed spellings of the
+    right value are rejected too, and returns the one-line diagnosis of
+    a mismatch, or [None]. *)
+
+val header_line : string -> string -> string
+(** [header_line lead payload] — the header line
+    ["<lead> <checksum-token> <payload-bytes>\n"] that precedes
+    [payload]; [lead] is the format's leading tokens (magic and version
+    for {!frame}, a record tag for the WAL). *)
+
 (** {1 Image framing}
 
     A framed image is one header line

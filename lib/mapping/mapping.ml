@@ -403,13 +403,6 @@ let catalog_fingerprint cat =
   String.concat ";"
     (List.sort String.compare (List.map snd (table_fingerprints cat)))
 
-let provenance m =
-  List.map
-    (fun ty ->
-      if is_transparent m.schema ty then (ty, real_parents m.schema ty)
-      else (ty, [ ty ]))
-    (Xschema.reachable m.schema)
-
 let card m ty = (Rschema.table m.catalog ty).Rschema.card
 
 let table_columns m ty =

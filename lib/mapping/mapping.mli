@@ -69,12 +69,6 @@ val catalog_fingerprint : Rschema.t -> string
     transformation orders compare equal.  Used by {!Search.beam} to
     deduplicate configurations. *)
 
-val provenance : t -> (string * string list) list
-(** For every reachable type name, the tables where its content lives:
-    a concrete type maps to its own table; a transparent (collapsed)
-    type maps to the nearest data-bearing ancestors its children
-    attached to. *)
-
 val card : t -> string -> float
 (** Cardinality of a type's table.  @raise Not_found for unknown or
     transparent types. *)

@@ -327,9 +327,6 @@ let translate m (q : Xq_ast.t) =
   in
   { Logical.qname = q.name; blocks }
 
-let translate_workload m w =
-  List.map (fun (q, weight) -> (translate m q, weight)) w
-
 module TSet = Set.Make (String)
 
 let block_tables acc (b : Logical.block) =
@@ -486,9 +483,6 @@ let translate_update m (u : Xq_ast.update) : Logical.update =
       if writes = [] then
         raise (Untranslatable (Printf.sprintf "%s: target path not found" name));
       { Logical.uname = name; writes }
-
-let translate_updates m us =
-  List.map (fun (u, weight) -> (translate_update m u, weight)) us
 
 let update_tables (u : Logical.update) =
   TSet.elements

@@ -33,9 +33,6 @@ exception Untranslatable of string
 val translate : Mapping.t -> Legodb_xquery.Xq_ast.t -> Logical.query
 (** @raise Untranslatable *)
 
-val translate_workload :
-  Mapping.t -> Legodb_xquery.Workload.t -> (Logical.query * float) list
-
 val query_tables : Logical.query -> string list
 (** The distinct tables the query's SPJ blocks reference, sorted.  This
     is the query's read set: its optimizer cost depends only on these
@@ -66,11 +63,6 @@ val translate_update :
     DELETE and SET pair each write with the SPJ block locating the
     affected rows, deletes cascading over the subtree's tables.
     @raise Untranslatable *)
-
-val translate_updates :
-  Mapping.t ->
-  (Legodb_xquery.Xq_ast.update * float) list ->
-  (Logical.update * float) list
 
 val update_tables : Logical.update -> string list
 (** The distinct tables the update writes or reads (written tables plus

@@ -40,7 +40,6 @@ let alias_id env alias =
 
 let table_of env alias = env.tabs.(alias_id env alias)
 let table_at env i = env.tabs.(i)
-let alias_count env = Array.length env.names
 let column_of env (alias, cname) = Rschema.column (table_of env alias) cname
 
 let row_floor = 1.

@@ -15,7 +15,6 @@ val alias_id : env -> string -> int
 (** The alias's position in the block's relation list.
     @raise Invalid_argument on an unknown alias. *)
 
-val alias_count : env -> int
 val table_of : env -> string -> Rschema.table
 
 val table_at : env -> int -> Rschema.table

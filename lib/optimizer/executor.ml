@@ -215,11 +215,6 @@ let rec eval st plan : tuple list =
             [] ltuples
           |> List.rev)
 
-let run_plan db plan =
-  let st = { db; m = zero_measures } in
-  let tuples = eval st plan in
-  (tuples, st.m)
-
 let run_block db plan out =
   let st = { db; m = zero_measures } in
   let tuples = eval st plan in

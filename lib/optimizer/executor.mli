@@ -7,9 +7,6 @@
 
 open Legodb_relational
 
-type tuple = (string * Storage.row) list
-(** A joined tuple: alias -> base row. *)
-
 type measures = {
   tuples_scanned : int;  (** rows fetched by sequential scans *)
   index_probes : int;
@@ -20,14 +17,11 @@ type measures = {
 
 val zero_measures : measures
 
-val run_plan : Storage.t -> Physical.plan -> tuple list * measures
-(** Evaluate a plan bottom-up.  @raise Invalid_argument if the plan
-    references unknown tables or columns. *)
-
 val run_block :
   Storage.t -> Physical.plan -> Logical.col list -> Rtype.value list list * measures
-(** [run_plan] followed by projection ([\[\]] projects every column of
-    every relation, in plan order). *)
+(** Evaluate a plan bottom-up, then project ([\[\]] projects every
+    column of every relation, in plan order).  @raise Invalid_argument
+    if the plan references unknown tables or columns. *)
 
 val run_query :
   Storage.t ->

@@ -17,11 +17,6 @@ type query = { qname : string; blocks : block list }
 let eq_col lhs rhs = { cmp = C_eq; lhs; rhs = O_col rhs }
 let eq_const lhs v = { cmp = C_eq; lhs; rhs = O_const v }
 
-let is_join_pred p =
-  match p.rhs with
-  | O_col (ra, _) -> not (String.equal (fst p.lhs) ra)
-  | O_const _ -> false
-
 let pred_aliases p =
   match p.rhs with
   | O_col (ra, _) -> [ fst p.lhs; ra ]

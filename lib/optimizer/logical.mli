@@ -30,9 +30,6 @@ type query = { qname : string; blocks : block list }
 val eq_col : col -> col -> pred
 val eq_const : col -> Legodb_relational.Rtype.value -> pred
 
-val is_join_pred : pred -> bool
-(** Does the predicate relate two different aliases? *)
-
 val pred_aliases : pred -> string list
 
 val local_preds : pred list -> string -> pred list

@@ -8,11 +8,12 @@ let dp_limit = 10
    sets are int bitmasks, per-split questions (connectivity, spanning
    predicates, subtree widths, subset cardinalities, plan signatures)
    are answered from per-block precomputed arrays, and the DP walks
-   masks by a single ascending scan.  It must stay bit-identical to
-   {!Reference} — same best plan, same cost floats — which pins down
-   every float association order: see the comments on [extend_width]
-   and [optimize_dp].  The differential suite in
-   test/test_optimizer_perf.ml holds the two implementations together. *)
+   masks by a single ascending scan.  It must stay bit-identical to the
+   frozen pre-rewrite code in test/reference/optimizer_reference.ml —
+   same best plan, same cost floats — which pins down every float
+   association order: see the comments on [extend_width] and
+   [optimize_dp].  The differential suite in test/test_optimizer_perf.ml
+   holds the two implementations together. *)
 
 (* ------------------------------------------------------------------ *)
 (* access-path selection                                               *)

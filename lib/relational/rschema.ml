@@ -6,15 +6,6 @@ type col_stats = {
   avg_width : float;
 }
 
-let default_col_stats ctype ~card =
-  {
-    distinct = Float.max 1. (card /. 10.);
-    null_frac = 0.;
-    v_min = None;
-    v_max = None;
-    avg_width = float_of_int (Rtype.width ctype);
-  }
-
 type column = {
   cname : string;
   ctype : Rtype.t;

@@ -9,8 +9,6 @@ type col_stats = {
   avg_width : float;  (** average stored width, bytes *)
 }
 
-val default_col_stats : Rtype.t -> card:float -> col_stats
-
 type column = {
   cname : string;
   ctype : Rtype.t;

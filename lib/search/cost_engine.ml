@@ -346,11 +346,6 @@ let shard_cost ?check sh schema =
   | Ok v -> v
   | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
 
-let shard_cost_opt ?check sh schema =
-  match shard_cost_result ?check sh schema with
-  | Ok c -> Some c
-  | Error _ -> None
-
 let merge t shards =
   t.frozen <- false;
   List.iter

@@ -209,10 +209,6 @@ val shard_cost_result :
   (float, fault) result
 (** [shard_cost] with failures as structured {!fault} records. *)
 
-val shard_cost_opt :
-  ?check:(unit -> unit) -> shard -> Legodb_xtype.Xschema.t -> float option
-(** [shard_cost] with {!Cost_error} mapped to [None]. *)
-
 val shard_snapshot : shard -> snapshot
 (** The shard's private counters (zeroed again by {!merge}). *)
 

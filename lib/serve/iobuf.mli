@@ -26,8 +26,7 @@ val create : int -> t
 (** [create cap] — an empty buffer with [cap] bytes pre-allocated. *)
 
 val of_string : string -> t
-(** A buffer holding exactly [s] — the string-oriented
-    {!Legodb_serve.Net.extract} wrapper's entry point. *)
+(** A buffer holding exactly [s]. *)
 
 val length : t -> int
 (** Live (unconsumed) bytes. *)
@@ -38,7 +37,7 @@ val capacity : t -> int
 (** Allocated bytes — what the shrink policy bounds. *)
 
 val contents : t -> string
-(** Copy of the live bytes (tests and the [extract] wrapper only). *)
+(** Copy of the live bytes (tests only). *)
 
 val sub : t -> pos:int -> len:int -> string
 (** [sub t ~pos ~len] — a copy of live bytes [pos..pos+len-1], [pos]

@@ -93,6 +93,10 @@ type response =
 let net_magic = "LEGODB-NET"
 let net_version = 1
 
+(* the leading header tokens {!Wire.frame} writes for this magic and
+   version, for the server's in-place response framer *)
+let net_lead = Printf.sprintf "%s %d" net_magic net_version
+
 (* a frame header is four short tokens; anything longer without a
    newline is garbage, not a slow sender *)
 let max_header = 128
@@ -268,16 +272,14 @@ let decode_response payload =
 (* ------------------------------------------------------------------ *)
 
 (* Pull one frame off the front of [buf], consuming its bytes on
-   success.  The length field is validated textually (canonical
-   decimal, bounded) before any payload is awaited, so a flipped
-   length digit is caught by the CRC (the frame slice it delimits
-   hashes wrong) or by the bound — never by an unbounded buffer.  The
-   checksum is compared against its canonical lowercase rendering
-   only, same as {!Wire.unframe}: hex parsing is case-insensitive, so
-   anything laxer would let a flipped case bit alias the same
-   checksum.  [`Partial] means the bytes so far are a legal prefix:
-   keep reading (and [Iobuf.find_newline]'s watermark makes the
-   re-poll O(1), not a rescan). *)
+   success.  The length token is validated ({!Wire.len_of_token}, then
+   bounded) before any payload is awaited, so a flipped length digit is
+   caught by the CRC (the frame slice it delimits hashes wrong) or by
+   the bound — never by an unbounded buffer.  The checksum token is
+   judged by {!Wire.checksum_error} once the payload is in, exactly as
+   every other framed format judges it.  [`Partial] means the bytes so
+   far are a legal prefix: keep reading (and [Iobuf.find_newline]'s
+   watermark makes the re-poll O(1), not a rescan). *)
 let extract_frame buf =
   match Iobuf.find_newline buf with
   | None ->
@@ -293,11 +295,9 @@ let extract_frame buf =
         `Broken (Printf.sprintf "malformed frame header %S" shown)
       in
       match String.split_on_char ' ' line with
-      | [ m; v; crc_s; len_s ] when String.equal m net_magic -> (
-          match int_of_string_opt len_s with
-          | Some n
-            when n >= 0 && n <= max_payload
-                 && String.equal len_s (string_of_int n) -> (
+      | [ m; v; crc; len ] when String.equal m net_magic -> (
+          match Wire.len_of_token len with
+          | Some n when n <= max_payload -> (
               let total = nl + 1 + n in
               if Iobuf.length buf < total then `Partial
               else
@@ -313,43 +313,14 @@ let extract_frame buf =
                           reads %d)"
                          ver net_version)
                 | Some _ -> (
-                    let expected =
-                      match Int32.of_string_opt ("0x" ^ crc_s) with
-                      | Some c
-                        when String.equal crc_s (Printf.sprintf "%08lx" c) ->
-                          Some c
-                      | _ -> None
-                    in
-                    match expected with
+                    let payload = Iobuf.sub buf ~pos:(nl + 1) ~len:n in
+                    match Wire.checksum_error crc payload with
                     | None ->
-                        `Broken
-                          (Printf.sprintf
-                             "malformed header: checksum %S is not canonical \
-                              hex"
-                             crc_s)
-                    | Some expected ->
-                        let payload = Iobuf.sub buf ~pos:(nl + 1) ~len:n in
-                        let actual = Wire.crc32 payload in
-                        if Int32.equal expected actual then begin
-                          Iobuf.consume buf total;
-                          `Frame payload
-                        end
-                        else
-                          `Broken
-                            (Printf.sprintf
-                               "checksum mismatch: header says %08lx, \
-                                payload hashes to %08lx"
-                               expected actual)))
+                        Iobuf.consume buf total;
+                        `Frame payload
+                    | Some m -> `Broken m))
           | _ -> broken ())
       | _ -> broken ())
-
-(* string-oriented wrapper over the same parser, kept so the
-   protocol-fuzz tests exercise exactly the production path *)
-let extract data =
-  let buf = Iobuf.of_string data in
-  match extract_frame buf with
-  | `Frame payload -> `Frame (payload, Iobuf.contents buf)
-  | (`Partial | `Broken _) as r -> r
 
 (* ------------------------------------------------------------------ *)
 (* shared plumbing                                                     *)
@@ -660,9 +631,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         Buffer.clear scratch;
         write_response_payload scratch resp;
         let payload = Buffer.contents scratch in
-        Iobuf.add_string out
-          (Printf.sprintf "%s %d %08lx %d\n" net_magic net_version
-             (Wire.crc32 payload) (String.length payload));
+        Iobuf.add_string out (Wire.header_line net_lead payload);
         Iobuf.add_string out payload
       in
       let drain c =
@@ -847,258 +816,6 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
         !conns;
       snapshot_stats st)
-
-(* ------------------------------------------------------------------ *)
-(* reference server: the pre-batching-rework loop                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The front door as PR 9 shipped it, kept verbatim (modulo the shared
-   message codec) as the measurement baseline the serve_perf bench
-   compares the reworked loop against on the same machine in the same
-   run — the same role [Optimizer_reference] plays for the optimizer.
-   Known costs, by design: a fresh 64 KiB read buffer per read call,
-   quadratic [pend]/[out] string rebuilds, a full-frame copy per
-   extract, and responses written only when the fd showed up in the
-   {e previous} tick's writable set (one extra select round per
-   response).  Do not "fix" it. *)
-type rconn = {
-  rfd : Unix.file_descr;
-  mutable rpend : string;
-  mutable rout : string;
-  mutable routpos : int;
-  rq : response option ref Queue.t;
-  mutable rclosing : bool;
-}
-
-let serve_reference ?(host = "127.0.0.1") ?(group_commit_ms = 5)
-    ?(max_group = 64) ?timeout_ms ?stop ?on_listen ~port t =
-  if group_commit_ms < 0 then
-    invalid_arg "Net.serve_reference: group_commit_ms must be >= 0";
-  if max_group < 1 then invalid_arg "Net.serve_reference: max_group must be >= 1";
-  ignore_sigpipe ();
-  let lfd = listen_socket ~host ~port ?on_listen () in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let conns = ref [] in
-      let dead = ref [] in
-      let drop c =
-        if not (List.memq c !dead) then begin
-          dead := c :: !dead;
-          (try Unix.close c.rfd with Unix.Unix_error _ -> ())
-        end
-      in
-      let queries = ref [] in
-      let appends = Queue.create () in
-      let group_opened = ref None in
-      let flush_appends () =
-        if not (Queue.is_empty appends) then begin
-          let items = List.of_seq (Queue.to_seq appends) in
-          Queue.clear appends;
-          group_opened := None;
-          match Serve.append_group t (List.map snd items) with
-          | results ->
-              List.iter2
-                (fun (cell, _) res ->
-                  cell :=
-                    Some
-                      (match res with
-                      | Ok () -> Acked
-                      | Error m -> Error_reply m))
-                items results
-          | exception e ->
-              let m = Printexc.to_string e in
-              List.iter (fun (cell, _) -> cell := Some (Error_reply m)) items
-        end
-      in
-      let enqueue_cell c =
-        let cell = ref None in
-        Queue.push cell c.rq;
-        cell
-      in
-      let handle c req =
-        let cell = enqueue_cell c in
-        match req with
-        | Ping -> cell := Some Pong
-        | Stats ->
-            cell :=
-              Some (Stats_reply { serve = Serve.stats t; net = net_stats_zero })
-        | Publish -> (
-            flush_appends ();
-            match Serve.publish t with
-            | () -> cell := Some Published
-            | exception e -> cell := Some (Error_reply (Printexc.to_string e)))
-        | Query text -> (
-            match Xq_parse.parse ~name:"net" text with
-            | ast -> queries := (cell, ast) :: !queries
-            | exception Xq_parse.Parse_error { position; message } ->
-                cell :=
-                  Some
-                    (Error_reply
-                       (Printf.sprintf "query parse error at offset %d: %s"
-                          position message)))
-        | Append text -> (
-            match Xml_parse.parse_string text with
-            | doc ->
-                if Queue.is_empty appends then
-                  group_opened := Some (Unix.gettimeofday ());
-                Queue.push (cell, doc) appends;
-                if Queue.length appends >= max_group then flush_appends ()
-            | exception Xml_parse.Parse_error { position; message } ->
-                cell :=
-                  Some
-                    (Error_reply
-                       (Printf.sprintf "XML parse error at offset %d: %s"
-                          position message)))
-      in
-      let protocol_error c m =
-        enqueue_cell c := Some (Error_reply m);
-        c.rclosing <- true
-      in
-      let read_conn c =
-        let buf = Bytes.create 65536 in
-        match Unix.read c.rfd buf 0 (Bytes.length buf) with
-        | 0 -> c.rclosing <- true
-        | n ->
-            c.rpend <- c.rpend ^ Bytes.sub_string buf 0 n;
-            let continue = ref true in
-            while !continue && not c.rclosing do
-              match extract c.rpend with
-              | `Partial -> continue := false
-              | `Broken m ->
-                  protocol_error c m;
-                  continue := false
-              | `Frame (payload, rest) -> (
-                  c.rpend <- rest;
-                  match decode_request payload with
-                  | req -> handle c req
-                  | exception Wire.Corrupt m -> protocol_error c m)
-            done
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-            ()
-        | exception Unix.Unix_error _ -> drop c
-      in
-      let drain c =
-        let b = Buffer.create 256 in
-        let continue = ref true in
-        while !continue && not (Queue.is_empty c.rq) do
-          match !(Queue.peek c.rq) with
-          | Some resp ->
-              ignore (Queue.pop c.rq);
-              Buffer.add_string b (encode_response resp)
-          | None -> continue := false
-        done;
-        if Buffer.length b > 0 then begin
-          let rest =
-            String.sub c.rout c.routpos (String.length c.rout - c.routpos)
-          in
-          c.rout <- rest ^ Buffer.contents b;
-          c.routpos <- 0
-        end
-      in
-      let write_conn c =
-        match
-          Unix.write_substring c.rfd c.rout c.routpos
-            (String.length c.rout - c.routpos)
-        with
-        | n ->
-            c.routpos <- c.routpos + n;
-            if c.routpos >= String.length c.rout then begin
-              c.rout <- "";
-              c.routpos <- 0
-            end
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-            ()
-        | exception Unix.Unix_error _ -> drop c
-      in
-      let stopped () = match stop with Some r -> !r | None -> false in
-      while not (stopped ()) do
-        let timeout =
-          match !group_opened with
-          | None -> 0.25
-          | Some t0 ->
-              let d =
-                t0 +. (float_of_int group_commit_ms /. 1000.)
-                -. Unix.gettimeofday ()
-              in
-              Float.max 0. (Float.min 0.25 d)
-        in
-        let readable = List.filter (fun c -> not c.rclosing) !conns in
-        let writable =
-          List.filter (fun c -> String.length c.rout > c.routpos) !conns
-        in
-        let rs, ws, _ =
-          try
-            Unix.select
-              (lfd :: List.map (fun c -> c.rfd) readable)
-              (List.map (fun c -> c.rfd) writable)
-              [] timeout
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        if List.memq lfd rs then begin
-          let accepting = ref true in
-          while !accepting do
-            match Unix.accept lfd with
-            | fd, _ ->
-                Unix.set_nonblock fd;
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                conns :=
-                  {
-                    rfd = fd;
-                    rpend = "";
-                    rout = "";
-                    routpos = 0;
-                    rq = Queue.create ();
-                    rclosing = false;
-                  }
-                  :: !conns
-            | exception
-                Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                accepting := false
-            | exception Unix.Unix_error _ -> accepting := false
-          done
-        end;
-        List.iter (fun c -> if List.memq c.rfd rs then read_conn c) readable;
-        (match List.rev !queries with
-        | [] -> ()
-        | qs ->
-            queries := [];
-            let arr = Array.of_list (List.map snd qs) in
-            let res = Serve.run_batch ?timeout_ms t arr in
-            List.iteri
-              (fun i (cell, _) ->
-                cell :=
-                  Some
-                    (match res.(i) with
-                    | Ok (r : Serve.reply) ->
-                        Rows { rows = r.Serve.rows; cached = r.Serve.cached }
-                    | Error m -> Error_reply m))
-              qs);
-        (match !group_opened with
-        | Some t0
-          when Unix.gettimeofday ()
-               >= t0 +. (float_of_int group_commit_ms /. 1000.) ->
-            flush_appends ()
-        | _ -> ());
-        List.iter
-          (fun c ->
-            drain c;
-            if String.length c.rout > c.routpos && List.memq c.rfd ws then
-              write_conn c;
-            if
-              c.rclosing && Queue.is_empty c.rq
-              && String.length c.rout <= c.routpos
-            then drop c)
-          !conns;
-        if !dead <> [] then begin
-          conns := List.filter (fun c -> not (List.memq c !dead)) !conns;
-          dead := []
-        end
-      done;
-      List.iter
-        (fun c -> try Unix.close c.rfd with Unix.Unix_error _ -> ())
-        !conns)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

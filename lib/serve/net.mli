@@ -97,9 +97,7 @@ type response =
   | Acked  (** the append's group fsync returned; it is durable *)
   | Published
   | Stats_reply of { serve : Serve.stats; net : net_stats }
-      (** engine counters plus the serving loop's own ({!net_stats} is
-          all zeros when the answering loop predates the counters,
-          e.g. {!serve_reference}) *)
+      (** engine counters plus the serving loop's own *)
   | Pong
   | Error_reply of string
       (** a structured failure: parse error, untranslatable query,
@@ -125,12 +123,8 @@ val extract_frame : Iobuf.t -> [ `Frame of string | `Partial | `Broken of string
     bytes so far are a legal prefix (keep reading — the buffer's scan
     watermark makes the re-poll O(1)); [`Broken] is a framing defect —
     bad magic, impossible length, checksum mismatch — with a one-line
-    diagnosis. *)
-
-val extract : string -> [ `Frame of string * string | `Partial | `Broken of string ]
-(** String-oriented wrapper over {!extract_frame} ([`Frame (payload,
-    rest)] carries the bytes after the frame), kept so the
-    protocol-fuzz tests exercise exactly the production parser. *)
+    diagnosis.  The length and checksum tokens are judged by the
+    {!Legodb_wire.Wire} header rules the WAL and snapshot files share. *)
 
 (** {1 Server} *)
 
@@ -170,24 +164,6 @@ val serve :
     [idle_timeout_ms < 1], [max_conns < 1], or [max_write < 1]
     @raise Unix.Unix_error e.g. when the port is already bound
     ([EADDRINUSE] — the CLI maps this family to exit code 9). *)
-
-val serve_reference :
-  ?host:string ->
-  ?group_commit_ms:int ->
-  ?max_group:int ->
-  ?timeout_ms:int ->
-  ?stop:bool ref ->
-  ?on_listen:(int -> unit) ->
-  port:int ->
-  Serve.t ->
-  unit
-(** The front door as PR 9 shipped it — fresh 64 KiB read buffer per
-    read, quadratic string rebuilds, responses written one select
-    round late — kept as the adjacent same-machine baseline the
-    serve_perf bench measures the reworked loop against (the role
-    [Optimizer_reference] plays for the optimizer).  Same protocol,
-    same answers; its [Stats_reply] carries {!net_stats_zero}.  Not
-    for production use. *)
 
 (** {1 Client} *)
 

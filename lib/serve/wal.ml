@@ -54,10 +54,8 @@ let decode_payload payload =
    a ['\n'] terminator.  The whole thing goes to the kernel in a single
    [write], so the only artifact a crash (or short write) can leave is
    a strict prefix — exactly what replay classifies as a torn tail. *)
-let encode_record r =
-  let payload = encode_payload r in
-  Printf.sprintf "R %08lx %d\n%s\n" (Wire.crc32 payload)
-    (String.length payload) payload
+let encode_unit tag payload = Wire.header_line tag payload ^ payload ^ "\n"
+let encode_record r = encode_unit "R" (encode_payload r)
 
 (* A group commit unit: [G <crc32> <len>], then a payload carrying the
    first member's sequence number, the member count, and each member's
@@ -82,10 +80,7 @@ let encode_group_payload = function
 
 let encode_group = function
   | [ r ] -> encode_record r
-  | members ->
-      let payload = encode_group_payload members in
-      Printf.sprintf "G %08lx %d\n%s\n" (Wire.crc32 payload)
-        (String.length payload) payload
+  | members -> encode_unit "G" (encode_group_payload members)
 
 let decode_group_payload payload =
   wrap_corrupt
@@ -183,18 +178,16 @@ let replay_string s =
            | Some nl -> (
                let line = String.sub s !pos (nl - !pos) in
                (* the line is complete (it has its newline), so a shape
-                  failure is corruption, not a torn write.  Fields are
-                  validated textually — canonical length, exact CRC hex
-                  — so no bit flip survives by parsing to the same
-                  values (hex case, leading zeros) *)
+                  failure is corruption, not a torn write.  The tokens
+                  are judged by the Wire header rules, so no bit flip
+                  survives by parsing to the same values (hex case,
+                  leading zeros) *)
                match String.split_on_char ' ' line with
-               | [ (("R" | "G") as tag); crc_hex; len_s ] ->
+               | [ (("R" | "G") as tag); crc; len_s ] ->
                    let plen =
-                     match int_of_string_opt len_s with
-                     | Some n when n >= 0 && String.equal len_s (string_of_int n)
-                       ->
-                         n
-                     | _ -> corrupt "malformed WAL record header %S" line
+                     match Wire.len_of_token len_s with
+                     | Some n -> n
+                     | None -> corrupt "malformed WAL record header %S" line
                    in
                    if nl + 1 + plen + 1 > len then stop "torn record payload"
                    else begin
@@ -203,12 +196,8 @@ let replay_string s =
                        corrupt
                          "malformed WAL record: missing terminator after \
                           payload";
-                     let actual = Printf.sprintf "%08lx" (Wire.crc32 payload) in
-                     if not (String.equal actual crc_hex) then
-                       corrupt
-                         "checksum mismatch: WAL record header says %s, \
-                          payload hashes to %s"
-                         crc_hex actual;
+                     Option.iter (corrupt "WAL record %s")
+                       (Wire.checksum_error crc payload);
                      let members =
                        if String.equal tag "R" then [ decode_payload payload ]
                        else decode_group_payload payload

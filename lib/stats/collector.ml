@@ -93,8 +93,3 @@ let collect ?(distinct_cap = 1_000_000) doc =
             Pathstat.add stats path (Pathstat.STbase (lo, hi, distinct))
         | _ -> Pathstat.add stats path (Pathstat.STdistinct distinct))
     table Pathstat.empty
-
-let collect_all ?distinct_cap docs =
-  List.fold_left
-    (fun stats doc -> Pathstat.merge stats (collect ?distinct_cap doc))
-    Pathstat.empty docs

@@ -9,6 +9,3 @@ val collect : ?distinct_cap:int -> Legodb_xml.Xml.t -> Pathstat.t
     integer-valued text additionally the min and max.  Attribute values
     are treated like text-only children (the attribute name is the
     final path step). *)
-
-val collect_all : ?distinct_cap:int -> Legodb_xml.Xml.t list -> Pathstat.t
-(** {!collect} over several documents, merged. *)

@@ -142,9 +142,6 @@ type update =
       value : const;
     }
 
-let update_name = function
-  | U_insert { name; _ } | U_delete { name; _ } | U_set { name; _ } -> name
-
 let check_update u =
   match u with
   | U_insert { target = []; _ } -> Error [ "INSERT with an empty path" ]

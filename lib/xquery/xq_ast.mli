@@ -67,8 +67,6 @@ type update =
       value : const;
     }  (** [FOR $v IN ... WHERE ... SET $v/path = c] *)
 
-val update_name : update -> string
-
 val check_update : update -> (unit, string list) result
 (** Variable scoping, like {!check}. *)
 

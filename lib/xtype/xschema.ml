@@ -42,8 +42,6 @@ let remove s name =
     index = SMap.remove name s.index;
   }
 
-let set_root s name = { s with root = name }
-
 let fresh_name s base =
   let rec go candidate =
     if SMap.mem candidate s.index then go (candidate ^ "'") else candidate

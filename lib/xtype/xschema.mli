@@ -32,7 +32,6 @@ val update : t -> string -> Xtype.t -> t
     @raise Not_found if absent. *)
 
 val remove : t -> string -> t
-val set_root : t -> string -> t
 
 val fresh_name : t -> string -> string
 (** [fresh_name s base] returns [base] if unused, else [base'], [base''],

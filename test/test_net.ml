@@ -697,10 +697,16 @@ let flip_bit s pos bit =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
   Bytes.to_string b
 
-(* decode one frame through the streaming extractor, as the peer does *)
+(* the streaming extractor over a buffer holding exactly [bytes], as
+   the server's and the client's read paths drive it *)
+let extract bytes = Net.extract_frame (Iobuf.of_string bytes)
+
+(* decode one frame as the peer does: the frame must be whole, and
+   extracting it must leave nothing behind in the buffer *)
 let decode_frame decode bytes =
-  match Net.extract bytes with
-  | `Frame (payload, "") -> Some (decode payload)
+  let buf = Iobuf.of_string bytes in
+  match Net.extract_frame buf with
+  | `Frame payload when Iobuf.is_empty buf -> Some (decode payload)
   | _ -> None
 
 let prop_request_roundtrip =
@@ -726,7 +732,7 @@ let prop_bit_flip =
     (fun (r, pos, bit) ->
       let bytes = Net.encode_request r in
       let flipped = flip_bit bytes (pos mod String.length bytes) bit in
-      match Net.extract flipped with
+      match extract flipped with
       | `Broken _ -> true
       | `Partial -> true (* a grown length field: the peer times out *)
       | `Frame _ -> false)
@@ -738,13 +744,13 @@ let prop_truncation =
     (fun (r, cut) ->
       let bytes = Net.encode_request r in
       let prefix = String.sub bytes 0 (cut mod String.length bytes) in
-      match Net.extract prefix with `Partial -> true | _ -> false)
+      match extract prefix with `Partial -> true | _ -> false)
 
 let prop_garbage_prefix =
   prop "a garbage prefix never yields a parsed frame" ~count:100
     QCheck2.Gen.(pair (string_size ~gen:char (int_range 1 40)) gen_request)
     (fun (garbage, r) ->
-      match Net.extract (garbage ^ Net.encode_request r) with
+      match extract (garbage ^ Net.encode_request r) with
       | `Broken _ | `Partial -> true
       | `Frame _ -> false)
 

@@ -606,6 +606,66 @@ let suite =
         (* no fault: the whole group is acked and survives *)
         scenario ~name:"committed" ~crash_at:max_int ~short_write_at:0
           ~expect_seq:4 ~expect_torn:false ());
+    case "non-canonical header tokens are rejected by all three parsers"
+      (fun () ->
+        (* a 5-byte WAL record payload (a seq, zero tables) whose
+           checksum has a leading zero and a hex letter, so the 7-digit
+           and the uppercase spellings below name the very same CRC
+           value — the aliasing a numeric comparison would let through *)
+        let payload, crc =
+          List.init 90 (fun i -> Printf.sprintf "%d\n0\n" (i + 10))
+          |> List.map (fun p -> (p, Printf.sprintf "%08lx" (Wire.crc32 p)))
+          |> List.find (fun (_, c) ->
+                 c.[0] = '0' && String.exists (fun ch -> ch >= 'a') c)
+        in
+        (* the full payload is always present, so the only thing any
+           parser can object to is the header token under test *)
+        let verdicts ~crc ~len =
+          [
+            ( "Wire.unframe",
+              match
+                Wire.unframe ~magic:"LEGODB-TEST" ~version:1 ~kind:"test"
+                  (Printf.sprintf "LEGODB-TEST 1 %s %s\n%s" crc len payload)
+              with
+              | _ -> "parsed"
+              | exception Wire.Corrupt _ -> "rejected" );
+            ( "Net.extract_frame",
+              match
+                Net.extract_frame
+                  (Iobuf.of_string
+                     (Printf.sprintf "LEGODB-NET 1 %s %s\n%s" crc len payload))
+              with
+              | `Frame _ -> "parsed"
+              | `Partial -> "partial"
+              | `Broken _ -> "rejected" );
+            ( "Wal.replay_string",
+              match
+                Wal.replay_string
+                  (Printf.sprintf "LEGODB-WAL 1\nR %s %s\n%s\n" crc len payload)
+              with
+              | { Wal.torn = None; records = [ _ ]; _ } -> "parsed"
+              | _ -> "torn"
+              | exception Wal.Corrupt _ -> "rejected" );
+          ]
+        in
+        List.iter
+          (fun (who, v) -> check_string (who ^ ", canonical header") "parsed" v)
+          (verdicts ~crc ~len:"5");
+        List.iter
+          (fun (what, crc, len) ->
+            List.iter
+              (fun (who, v) ->
+                check_string (Printf.sprintf "%s, %s" who what) "rejected" v)
+              (verdicts ~crc ~len))
+          [
+            ("length +5", crc, "+5");
+            ("length 05", crc, "05");
+            ("length 0x5", crc, "0x5");
+            ("length 5_", crc, "5_");
+            ("uppercase CRC", String.uppercase_ascii crc, "5");
+            ("7-digit CRC", String.sub crc 1 7, "5");
+            ("0x-prefixed CRC", "0x" ^ crc, "5");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
