@@ -704,9 +704,11 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
    frozen pre-rewrite [Optimizer_reference], after asserting that the
    two return bit-identical plans, row estimates, and costs on every
    block.  The stage breakdown (t_mapping / t_translate / t_optimize)
-   localizes where a candidate evaluation spends its time.  [--smoke]
-   runs one repetition and skips the JSON, keeping the divergence
-   check for CI. *)
+   localizes where a candidate evaluation spends its time, and the
+   minor words one costing allocates on each path (a count that repeats
+   exactly, unlike the timings) shows the mechanism.  [--smoke] runs
+   one repetition and skips the JSON and the timing gate, keeping the
+   divergence check and the allocation gate for CI. *)
 let optimizer_perf ?(smoke = false) () =
   print_endline
     "\nPer-candidate optimizer: mask-indexed DP vs frozen reference\n\
@@ -733,6 +735,12 @@ let optimizer_perf ?(smoke = false) () =
   (* per-workload fast/reference optimize time, summed over configs —
      the >= 2x gate below reads these *)
   let gate : (string, float * float) Hashtbl.t = Hashtbl.create 4 in
+  (* words allocated by one call, on this domain's minor heap *)
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
   List.iter
     (fun (cname, config) ->
       let t0 = Unix.gettimeofday () in
@@ -806,16 +814,34 @@ let optimizer_perf ?(smoke = false) () =
             time_path (fun () ->
                 Optimizer_reference.workload_cost ~params catalog queries)
           in
+          let w_fast =
+            minor_words (fun () ->
+                Optimizer.workload_cost ~params catalog queries)
+          in
+          let w_ref =
+            minor_words (fun () ->
+                Optimizer_reference.workload_cost ~params catalog queries)
+          in
           let fa, ra =
             Option.value ~default:(0., 0.) (Hashtbl.find_opt gate wname)
           in
           Hashtbl.replace gate wname (fa +. t_fast, ra +. t_ref);
           Printf.printf
             "%-9s %-7s  %3d blocks (<= %d rels)  optimize %8.2f ms  reference \
-             %8.2f ms  speedup %5.2fx\n\
+             %8.2f ms  speedup %5.2fx  minor words %8.0f / %8.0f (%.2fx)\n\
              %!"
             cname wname blocks max_rels (1e3 *. t_fast) (1e3 *. t_ref)
-            (t_ref /. t_fast);
+            (t_ref /. t_fast) w_fast w_ref (w_fast /. w_ref);
+          (* the allocation claim: the join DP allocates only for each
+             mask's winner.  Word counts repeat exactly, so this gate
+             holds in --smoke too *)
+          if (wname = "lookup" || wname = "mixed") && w_fast > 0.25 *. w_ref
+          then
+            failwith
+              (Printf.sprintf
+                 "optimizer_perf: %s/%s allocates %.0f minor words, > 0.25x \
+                  the reference's %.0f"
+                 cname wname w_fast w_ref);
           if not !first_row then Buffer.add_string buf ",";
           first_row := false;
           Buffer.add_string buf
@@ -825,9 +851,10 @@ let optimizer_perf ?(smoke = false) () =
                 %d, \"blocks\": %d, \"max_rels\": %d,\n\
                 \   \"t_mapping_s\": %.5f, \"t_translate_s\": %.5f, \
                 \"t_optimize_fast_s\": %.5f, \"t_optimize_ref_s\": %.5f,\n\
-                \   \"speedup\": %.2f}"
+                \   \"speedup\": %.2f, \"minor_words_fast\": %.0f, \
+                \"minor_words_ref\": %.0f}"
                cname wname (List.length queries) blocks max_rels t_mapping
-               t_translate t_fast t_ref (t_ref /. t_fast)))
+               t_translate t_fast t_ref (t_ref /. t_fast) w_fast w_ref))
         workloads)
     configs;
   Buffer.add_string buf "\n]\n";

@@ -6,21 +6,21 @@ let dp_limit = 10
 
 (* The join-ordering core below is the mask-indexed fast path: alias
    sets are int bitmasks, per-split questions (connectivity, spanning
-   predicates, subtree widths, subset cardinalities, plan signatures)
-   are answered from per-block precomputed arrays, and the DP walks
-   masks by a single ascending scan.  It must stay bit-identical to the
-   frozen pre-rewrite code in test/reference/optimizer_reference.ml —
-   same best plan, same cost floats — which pins down every float
-   association order: see the comments on [extend_width] and
-   [optimize_dp].  The differential suite in test/test_optimizer_perf.ml
-   holds the two implementations together. *)
+   predicates, index probes, subtree widths, subset cardinalities) are
+   answered from per-block precomputed arrays, and the DP walks masks
+   by a single ascending scan.  Each (mask, split) step compares the
+   join methods by cost alone and allocates nothing for a loser; the
+   plan node, entry and signature are built once per mask, for its
+   winner.  It must stay bit-identical to the frozen pre-rewrite code in
+   test/reference/optimizer_reference.ml — same best plan, same cost
+   floats — which pins down every float association order: see the
+   comments on [offer] and [optimize_dp].  The differential suite in
+   test/test_optimizer_perf.ml holds the two implementations
+   together. *)
 
 (* ------------------------------------------------------------------ *)
-(* access-path selection                                               *)
+(* shared sub-plans                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let table_pages params (tbl : Rschema.table) =
-  Cost.pages params (tbl.card *. Rschema.row_width tbl)
 
 (* Signature of a base-table access, for common-subexpression sharing
    across the blocks of one query: a table read with identical local
@@ -52,48 +52,32 @@ let access_signature (rel : Logical.relation) filters access =
   String.concat "|"
     (rel.table :: access_sig :: List.sort String.compare (List.map pred_sig filters))
 
-(* Canonical, alias-free signature of a whole sub-plan, so identical
-   join subtrees across blocks (e.g. the actor⋈played⋈director⋈directed
-   core repeated per partition) are also recognized as shared.  This
-   recursive form is the specification; the DP never calls it per
-   candidate — each [entry] interns its signature and a join's
-   signature is assembled in O(children) from the children's interned
-   strings (see [join_signature]). *)
-let rec plan_signature plan =
-  match plan with
-  | Physical.Scan { rel; access; filters } ->
-      access_signature rel filters access
-  | Physical.Join { left; right; conds; extra; _ } ->
-      let table_of =
-        let map =
-          List.map
-            (fun (r : Logical.relation) -> (r.alias, r.table))
-            (Physical.relations plan)
-        in
-        fun alias -> Option.value ~default:alias (List.assoc_opt alias map)
-      in
-      let cond_sig ((la, lc), (ra, rc)) =
-        let a = table_of la ^ "." ^ lc and b = table_of ra ^ "." ^ rc in
-        if a <= b then a ^ "=" ^ b else b ^ "=" ^ a
-      in
-      let extra_sig (p : Logical.pred) =
-        table_of (fst p.lhs) ^ "." ^ snd p.lhs
-      in
-      let subs = List.sort compare [ plan_signature left; plan_signature right ] in
-      "join("
-      ^ String.concat ";" subs
-      ^ "|"
-      ^ String.concat ","
-          (List.sort compare (List.map cond_sig conds @ List.map extra_sig extra))
-      ^ ")"
+(* A sub-plan's signature is an interned int, so identical subtrees
+   across blocks (e.g. the actor⋈played⋈director⋈directed core repeated
+   per partition) are recognized as shared without building strings.
+   A scan's id interns its [access_signature]; a join's interns its
+   children's ids (smaller first) with the sorted ids of its condition
+   strings (see [context]).  The reference compares canonical strings
+   built from exactly these parts — the two child signatures sorted,
+   then the sorted condition strings — and, constants being quoted,
+   those strings parse back uniquely, so two sub-plans share an id
+   exactly when their reference signatures are equal. *)
+type part = Text of string | Join of int * int * int list
 
-let rec register_accesses shared plan =
-  Hashtbl.replace shared (plan_signature plan) ();
-  match plan with
-  | Physical.Scan _ -> ()
-  | Physical.Join { left; right; _ } ->
-      register_accesses shared left;
-      register_accesses shared right
+type shared = {
+  ids : (part, int) Hashtbl.t;
+  read : (int, unit) Hashtbl.t;  (* sub-plans of the plans chosen so far *)
+}
+
+let shared () = { ids = Hashtbl.create 64; read = Hashtbl.create 16 }
+
+let intern sh part =
+  match Hashtbl.find_opt sh.ids part with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length sh.ids in
+      Hashtbl.add sh.ids part id;
+      id
 
 (* ------------------------------------------------------------------ *)
 (* per-block context: aliases as integer ids, preds as bitmasks        *)
@@ -108,29 +92,46 @@ let top_bit m =
   let rec go m n = if m <= 1 then n else go (m lsr 1) (n + 1) in
   go m 0
 
+(* One column of a join predicate, as the index-nested-loops branch
+   reads it when that column's alias is the join's right input. *)
+type side = {
+  s_col : Logical.col;
+  s_alias : int;
+  s_probe : bool;  (* a column equality, and this column is indexed *)
+  s_clustered : bool;  (* the column is the table's key *)
+  s_fetch : float;  (* tuples per probe, card / distinct (if [s_probe]) *)
+}
+
+(* A predicate spanning two distinct aliases. *)
+type jpred = {
+  j_pred : Logical.pred;
+  j_mask : int;  (* its two alias bits *)
+  j_eq : bool;  (* a column equality: a join condition, else an extra *)
+  j_lhs : side;
+  j_rhs : side;
+  j_cond : int;  (* interned condition string; -1 without a shared cache *)
+}
+
 (* Everything the inner DP loop consults per split, computed once per
    block: an alias's id is its position in the relation list, each
-   predicate carries the bitmask of the aliases it mentions (its
-   left/right bit pair for a join predicate) and its memoized
-   selectivity, and each alias its clamped cardinality and carried
-   width.  With these, connectivity and spanning-predicate selection
-   are O(1) bit tests per predicate instead of alias-list membership
-   walks. *)
+   predicate carries the bitmask of the aliases it mentions and its
+   memoized selectivity, each join predicate what the index-nested-
+   loops branch needs of its two columns, and each alias its clamped
+   cardinality and widths.  With these, connectivity, spanning
+   predicates and index probes are bit tests and array reads. *)
 type ctx = {
   c_params : Cost.params;
   c_env : Estimate.env;
   c_block : Logical.block;
-  c_names : string array;  (* alias by id *)
-  c_tnames : string array;  (* logical table name by id, for signatures *)
-  c_preds : Logical.pred array;  (* block.preds, in block order *)
-  c_pmask : int array;  (* alias bitmask of each pred *)
-  c_pjoin : bool array;  (* pred spans two distinct aliases *)
+  c_pmask : int array;  (* alias bitmask of each pred, in block order *)
   c_psel : float array;  (* memoized selectivity of each pred *)
+  c_joins : jpred array;  (* the join predicates, in block order *)
   c_card : float array;  (* max(row_floor, card) per alias *)
-  c_carry : float array;  (* per-alias carried width (see extend_width) *)
+  c_carry : float array;  (* per-alias carried width (see [winner]) *)
+  c_rwidth : float array;  (* full row width per alias *)
 }
 
-let context params env (block : Logical.block) =
+let context sh params env (block : Logical.block) =
   let names =
     Array.of_list
       (List.map (fun (r : Logical.relation) -> r.alias) block.relations)
@@ -149,8 +150,56 @@ let context params env (block : Logical.block) =
           0 (Logical.pred_aliases p))
       preds
   in
-  let pjoin = Array.map (fun pm -> popcount pm = 2) pmask in
   let psel = Array.map (Estimate.pred_selectivity env) preds in
+  let side eq ((a, c) as col) =
+    let id = Estimate.alias_id env a in
+    let tbl = Estimate.table_at env id in
+    let probe = eq && Rschema.has_index tbl c in
+    {
+      s_col = col;
+      s_alias = id;
+      s_probe = probe;
+      s_clustered = String.equal c tbl.key;
+      s_fetch =
+        (if probe then
+           tbl.card
+           /. Float.max 1. (Rschema.column tbl c).Rschema.stats.distinct
+         else 0.);
+    }
+  in
+  (* a join predicate's condition string, as the reference's signature
+     spells it: tables, not aliases, and an equality's two sides in
+     string order *)
+  let cond_text eq lhs rhs =
+    let at s = tnames.(s.s_alias) ^ "." ^ snd s.s_col in
+    if eq then
+      let a = at lhs and b = at rhs in
+      if a <= b then a ^ "=" ^ b else b ^ "=" ^ a
+    else at lhs
+  in
+  let joins =
+    Array.of_list
+      (List.filter_map
+         (fun ((p : Logical.pred), pm) ->
+           match p.rhs with
+           | Logical.O_col rc when popcount pm = 2 ->
+               let eq = p.cmp = Logical.C_eq in
+               let lhs = side eq p.lhs and rhs = side eq rc in
+               Some
+                 {
+                   j_pred = p;
+                   j_mask = pm;
+                   j_eq = eq;
+                   j_lhs = lhs;
+                   j_rhs = rhs;
+                   j_cond =
+                     (match sh with
+                     | Some sh -> intern sh (Text (cond_text eq lhs rhs))
+                     | None -> -1);
+                 }
+           | _ -> None)
+         (List.combine block.preds (Array.to_list pmask)))
+  in
   let card =
     Array.init n (fun i ->
         Float.max Estimate.row_floor (Estimate.table_at env i).Rschema.card)
@@ -188,18 +237,17 @@ let context params env (block : Logical.block) =
     c_params = params;
     c_env = env;
     c_block = block;
-    c_names = names;
-    c_tnames = tnames;
-    c_preds = preds;
     c_pmask = pmask;
-    c_pjoin = pjoin;
     c_psel = psel;
+    c_joins = joins;
     c_card = card;
     c_carry = carry;
+    c_rwidth =
+      Array.init n (fun i -> Rschema.row_width (Estimate.table_at env i));
   }
 
 (* ------------------------------------------------------------------ *)
-(* join costing                                                        *)
+(* access paths                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type entry = {
@@ -208,105 +256,43 @@ type entry = {
   e_cost : Cost.t;
   e_mask : int;  (* the subtree's aliases, as a bitmask *)
   e_width : float;  (* subtree width, fold-accumulated in plan order *)
-  e_sig : string Lazy.t;  (* interned signature; forced only with ?shared *)
+  e_pages : float;  (* pages of its result, as a hash join's input *)
+  e_id : int;  (* interned signature; -1 without a shared cache *)
+  e_read : bool;  (* [e_id] was read by an earlier block *)
+  e_kids : entry list;  (* a join's two inputs *)
 }
 
-let plan_aliases plan =
-  List.map (fun (r : Logical.relation) -> r.alias) (Physical.relations plan)
-
-(* Subtree width of [w0]'s plan extended by [plan]'s relations.  The
-   reference folds [fun w a -> w +. carry a +. 8.] over the joined
-   plan's aliases in plan order; since a join's relation list is
-   [relations left @ relations right], continuing the fold from the
-   left entry's stored width over the right side's relations
-   reproduces the reference float exactly (fold over a concatenation
-   is the fold over the suffix started from the fold over the
-   prefix). *)
-let extend_width ctx w0 plan =
-  List.fold_left
-    (fun w (r : Logical.relation) ->
-      w +. ctx.c_carry.(Estimate.alias_id ctx.c_env r.alias) +. 8.)
-    w0 (Physical.relations plan)
-
-(* spanning predicates between two disjoint alias masks, in block
-   order: a join predicate's own mask is its (left-bit, right-bit)
-   pair, so membership is two bit tests *)
-let spanning_preds ctx lmask rmask =
-  let out = ref [] in
-  for i = Array.length ctx.c_preds - 1 downto 0 do
-    if
-      ctx.c_pjoin.(i)
-      && ctx.c_pmask.(i) land lmask <> 0
-      && ctx.c_pmask.(i) land rmask <> 0
-    then out := ctx.c_preds.(i) :: !out
-  done;
-  !out
-
-let connected ctx lmask rmask =
-  let n = Array.length ctx.c_preds in
-  let rec go i =
-    i < n
-    && ((ctx.c_pjoin.(i)
-        && ctx.c_pmask.(i) land lmask <> 0
-        && ctx.c_pmask.(i) land rmask <> 0)
-       || go (i + 1))
-  in
-  go 0
-
-let split_conds ctx lmask preds =
-  (* equality column pairs oriented left-first; everything else extra *)
-  List.fold_left
-    (fun (conds, extra) (p : Logical.pred) ->
-      match (p.cmp, p.rhs) with
-      | Logical.C_eq, Logical.O_col rc ->
-          if lmask land (1 lsl Estimate.alias_id ctx.c_env (fst p.lhs)) <> 0
-          then ((p.lhs, rc) :: conds, extra)
-          else ((rc, p.lhs) :: conds, extra)
-      | _ -> (conds, p :: extra))
-    ([], []) preds
-
-(* A join's signature assembled in O(children) from the children's
-   interned signatures — string-identical to [plan_signature] of the
-   corresponding [Physical.Join], because a join signature depends
-   only on the two child signatures and the (alias-resolved) conds
-   and extra predicates. *)
-let join_signature ctx lsig rsig conds extra =
-  let table_of a = ctx.c_tnames.(Estimate.alias_id ctx.c_env a) in
-  let cond_sig ((la, lc), (ra, rc)) =
-    let a = table_of la ^ "." ^ lc and b = table_of ra ^ "." ^ rc in
-    if a <= b then a ^ "=" ^ b else b ^ "=" ^ a
-  in
-  let extra_sig (p : Logical.pred) = table_of (fst p.lhs) ^ "." ^ snd p.lhs in
-  let subs = List.sort compare [ lsig; rsig ] in
-  "join("
-  ^ String.concat ";" subs
-  ^ "|"
-  ^ String.concat ","
-      (List.sort compare (List.map cond_sig conds @ List.map extra_sig extra))
-  ^ ")"
-
-let access_plan ?shared ctx (rel : Logical.relation) =
+let access_plan sh ctx i (rel : Logical.relation) =
   let params = ctx.c_params and env = ctx.c_env in
-  let id = Estimate.alias_id env rel.alias in
-  let tbl = Estimate.table_at env id in
+  let tbl = Estimate.table_at env i in
   let filters = Logical.local_preds ctx.c_block.preds rel.alias in
   let rows = Estimate.base_rows env rel.alias in
-  let width = Rschema.row_width tbl in
-  let tpages = table_pages params tbl in
-  let buffered access cpu =
-    match shared with
-    | Some cache when Hashtbl.mem cache (access_signature rel filters access) ->
-        Some { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
-    | _ -> None
+  let width = ctx.c_rwidth.(i) in
+  let tpages = Cost.pages params (tbl.card *. width) in
+  (* each access path's signature is interned once; a path already read
+     by an earlier block costs CPU but no I/O *)
+  let path access cpu io =
+    let id, read =
+      match sh with
+      | Some sh ->
+          let id = intern sh (Text (access_signature rel filters access)) in
+          (id, Hashtbl.mem sh.read id)
+      | None -> (-1, false)
+    in
+    let cost =
+      if read then { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
+      else io ()
+    in
+    (Physical.Scan { rel; access; filters }, cost, id, read)
   in
   let seq =
-    let cost =
-      match buffered Physical.Seq_scan tbl.card with
-      | Some c -> c
-      | None ->
-          { Cost.seeks = 1.; pages_read = tpages; pages_written = 0.; cpu = tbl.card }
-    in
-    (Physical.Scan { rel; access = Physical.Seq_scan; filters }, cost)
+    path Physical.Seq_scan tbl.card (fun () ->
+        {
+          Cost.seeks = 1.;
+          pages_read = tpages;
+          pages_written = 0.;
+          cpu = tbl.card;
+        })
   in
   let probes =
     List.filter_map
@@ -318,203 +304,279 @@ let access_plan ?shared ctx (rel : Logical.relation) =
               Float.max 1. (tbl.card *. Estimate.pred_selectivity env p)
             in
             let clustered = String.equal (snd p.lhs) tbl.key in
-            let access = Physical.Index_probe { column = snd p.lhs } in
-            let cost =
-              match buffered access matches with
-              | Some c -> c
-              | None ->
-                  if clustered then
-                    {
-                      Cost.seeks = 3.;
-                      pages_read = Cost.pages params (matches *. width);
-                      pages_written = 0.;
-                      cpu = matches;
-                    }
-                  else
-                    {
-                      Cost.seeks = 3. +. Float.min matches tpages;
-                      pages_read = Float.min matches tpages;
-                      pages_written = 0.;
-                      cpu = matches;
-                    }
-            in
             Some
-              ( Physical.Scan
-                  {
-                    rel;
-                    access = Physical.Index_probe { column = snd p.lhs };
-                    filters;
-                  },
-                cost )
+              (path (Physical.Index_probe { column = snd p.lhs }) matches
+                 (fun () ->
+                   if clustered then
+                     {
+                       Cost.seeks = 3.;
+                       pages_read = Cost.pages params (matches *. width);
+                       pages_written = 0.;
+                       cpu = matches;
+                     }
+                   else
+                     {
+                       Cost.seeks = 3. +. Float.min matches tpages;
+                       pages_read = Float.min matches tpages;
+                       pages_written = 0.;
+                       cpu = matches;
+                     }))
         | _ -> None)
       filters
   in
-  let plan, cost =
+  let plan, cost, id, read =
     List.fold_left
-      (fun (bp, bc) (p, c) ->
-        if Cost.total params c < Cost.total params bc then (p, c) else (bp, bc))
+      (fun ((_, bc, _, _) as best) ((_, c, _, _) as cand) ->
+        if Cost.total params c < Cost.total params bc then cand else best)
       seq probes
   in
+  let e_width = 0. +. ctx.c_carry.(i) +. 8. in
   {
     e_plan = plan;
     e_rows = rows;
     e_cost = cost;
-    e_mask = 1 lsl id;
-    e_width = extend_width ctx 0. plan;
-    e_sig = lazy (plan_signature plan);
+    e_mask = 1 lsl i;
+    e_width;
+    e_pages = Cost.pages params (rows *. e_width);
+    e_id = id;
+    e_read = read;
+    e_kids = [];
   }
 
-let join_candidates ?shared ctx left right rows_out =
-  let params = ctx.c_params in
-  let preds = spanning_preds ctx left.e_mask right.e_mask in
-  let conds, extra = split_conds ctx left.e_mask preds in
-  let jmask = left.e_mask lor right.e_mask in
-  let jwidth = extend_width ctx left.e_width right.e_plan in
-  (* one signature per split, shared by every join method (the
-     signature ignores the method); with a cache it is needed for the
-     probe anyway, without one it stays an unforced suspension *)
-  let jsig =
-    match shared with
-    | Some _ ->
-        Lazy.from_val
-          (join_signature ctx (Lazy.force left.e_sig) (Lazy.force right.e_sig)
-             conds extra)
-    | None ->
-        lazy
-          (join_signature ctx (Lazy.force left.e_sig) (Lazy.force right.e_sig)
-             conds extra)
-  in
-  let out = ref [] in
-  let push jm cost =
-    out :=
-      {
-        e_plan =
-          Physical.Join
-            { jm; left = left.e_plan; right = right.e_plan; conds; extra };
-        e_rows = rows_out;
-        e_cost = cost;
-        e_mask = jmask;
-        e_width = jwidth;
-        e_sig = jsig;
-      }
-      :: !out
-  in
-  (* a join subtree already computed by an earlier block of the same
-     query is reused from the buffer pool: CPU to re-emit, no I/O *)
-  (match shared with
-  | Some cache when Hashtbl.mem cache (Lazy.force jsig) ->
-      push Physical.Hash_join
-        { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu = rows_out }
-  | _ -> ());
-  (* hash join: build the right input, probe with the left *)
-  let build_pages = Cost.pages params (right.e_rows *. right.e_width) in
-  let spill =
-    if build_pages > params.Cost.memory_pages then
-      let probe_pages = Cost.pages params (left.e_rows *. left.e_width) in
-      {
-        Cost.seeks = 2.;
-        pages_read = build_pages +. probe_pages;
-        pages_written = build_pages +. probe_pages;
-        cpu = 0.;
-      }
-    else Cost.zero
-  in
-  push Physical.Hash_join
-    (Cost.add (Cost.add left.e_cost right.e_cost)
-       (Cost.add spill
-          {
-            Cost.seeks = 0.;
-            pages_read = 0.;
-            pages_written = 0.;
-            cpu = left.e_rows +. right.e_rows +. rows_out;
-          }));
-  (* index nested loops: right must be a single base relation with an
-     index on a join column *)
-  (if popcount right.e_mask = 1 && conds <> [] then begin
-     let rid = top_bit right.e_mask in
-     let ralias = ctx.c_names.(rid) in
-     let tbl = Estimate.table_at ctx.c_env rid in
-     let indexed_cond =
-       List.find_opt
-         (fun ((_, _), (ra2, rc)) ->
-           String.equal ra2 ralias && Rschema.has_index tbl rc)
-         conds
-     in
-     match indexed_cond with
-     | Some (_, (_, rcol)) ->
-         (* tuples fetched per probe are governed by the join key's
-            distinct count — local filters are applied only after the
-            fetch *)
-         let m =
-           tbl.card
-           /. Float.max 1. (Rschema.column tbl rcol).Rschema.stats.distinct
-         in
-         let clustered = String.equal rcol tbl.key in
-         let per_probe =
-           if clustered then
-             {
-               Cost.seeks = 1.;
-               pages_read =
-                 Float.max 1.
-                   (ceil (m *. Rschema.row_width tbl /. params.Cost.page_size));
-               pages_written = 0.;
-               cpu = 1. +. m;
-             }
-           else
-             {
-               Cost.seeks = 1. +. Float.max 0. (m -. 1.);
-               pages_read = Float.max 1. m;
-               pages_written = 0.;
-               cpu = 1. +. m;
-             }
-         in
-         push
-           (Physical.Index_nl { column = rcol })
-           (Cost.add left.e_cost
-              (Cost.add
-                 (Cost.scale left.e_rows per_probe)
-                 {
-                   Cost.seeks = 0.;
-                   pages_read = 0.;
-                   pages_written = 0.;
-                   cpu = rows_out;
-                 }))
-     | None -> ()
-   end);
-  (* naive nested loops *)
-  push Physical.Nl_join
-    (Cost.add left.e_cost
-       (Cost.add
-          (Cost.scale left.e_rows right.e_cost)
-          {
-            Cost.seeks = 0.;
-            pages_read = 0.;
-            pages_written = 0.;
-            cpu = left.e_rows *. right.e_rows;
-          }));
-  !out
+(* ------------------------------------------------------------------ *)
+(* join costing                                                        *)
+(* ------------------------------------------------------------------ *)
 
-let best_of params entries =
-  match entries with
-  | [] -> None
-  | e :: rest ->
-      Some
-        (List.fold_left
-           (fun best e ->
-             if Cost.total params e.e_cost < Cost.total params best.e_cost then e
-             else best)
-           e rest)
+type meth = Nl | Index_nl | Hash | Shared_hash
+
+(* The running best join of one mask (or one greedy step), as plain
+   data: the floats sit in a flat float record, so offering a candidate
+   stores without allocating, and the winner's plan is built from it
+   once. *)
+type costs = {
+  mutable rows_out : float;  (* rows of the join being costed *)
+  mutable b_rows : float;
+  mutable b_seeks : float;
+  mutable b_read : float;
+  mutable b_written : float;
+  mutable b_cpu : float;
+  mutable b_total : float;
+}
+
+type best = {
+  f : costs;
+  mutable found : bool;
+  mutable meth : meth;
+  mutable right : int;  (* alias id of the right input *)
+  mutable probe : int;  (* [c_joins] index of the index-nested-loops probe *)
+}
+
+let new_best () =
+  {
+    f =
+      {
+        rows_out = 0.;
+        b_rows = 0.;
+        b_seeks = 0.;
+        b_read = 0.;
+        b_written = 0.;
+        b_cpu = 0.;
+        b_total = 0.;
+      };
+    found = false;
+    meth = Nl;
+    right = 0;
+    probe = -1;
+  }
+
+(* Offer one join method's cost components.  The callers compute each
+   component in the association [Cost.add]/[Cost.scale] would, and the
+   total here is [Cost.total]'s, so the floats are the reference's;
+   the first candidate offered wins a tie, as in the reference's
+   [consider]. *)
+let[@inline] offer (p : Cost.params) b meth right probe seeks read written cpu =
+  let total =
+    (p.seek_weight *. seeks)
+    +. (p.read_weight *. read)
+    +. (p.write_weight *. written)
+    +. (p.cpu_weight *. cpu)
+  in
+  if not (b.found && b.f.b_total <= total) then begin
+    b.found <- true;
+    b.meth <- meth;
+    b.right <- right;
+    b.probe <- probe;
+    b.f.b_rows <- b.f.rows_out;
+    b.f.b_seeks <- seeks;
+    b.f.b_read <- read;
+    b.f.b_written <- written;
+    b.f.b_cpu <- cpu;
+    b.f.b_total <- total
+  end
+
+let side_on i j = if j.j_lhs.s_alias = i then j.j_lhs else j.j_rhs
+
+(* sorted condition ids of the predicates spanning [lmask] and [rmask] *)
+let cond_ids ctx lmask rmask =
+  let ids = ref [] in
+  Array.iter
+    (fun j ->
+      if j.j_mask land lmask <> 0 && j.j_mask land rmask <> 0 then
+        ids := j.j_cond :: !ids)
+    ctx.c_joins;
+  List.sort Int.compare !ids
+
+let join_part ctx left right =
+  Join
+    ( Int.min left.e_id right.e_id,
+      Int.max left.e_id right.e_id,
+      cond_ids ctx left.e_mask right.e_mask )
+
+(* Offer every join method of [left] ⋈ [right] (base relation [i]) to
+   [b], in the reference's order: nested loops, index nested loops,
+   hash, then the shared hash of a subtree an earlier block already
+   read.  The rows of the join are [b.f.rows_out].  With
+   [connected_only], a split no predicate spans offers nothing. *)
+let offer_split ctx sh b ~connected_only left i right =
+  let p = ctx.c_params in
+  let lmask = left.e_mask and rbit = right.e_mask in
+  (* the index-nested-loops probe is the last spanning equality (in
+     block order) whose right column is indexed — the first the
+     reference finds in its reversed condition list *)
+  let spans = ref false and probe = ref (-1) in
+  for k = 0 to Array.length ctx.c_joins - 1 do
+    let j = ctx.c_joins.(k) in
+    if j.j_mask land rbit <> 0 && j.j_mask land lmask <> 0 then begin
+      spans := true;
+      if j.j_eq && (side_on i j).s_probe then probe := k
+    end
+  done;
+  if !spans || not connected_only then begin
+    let lc = left.e_cost and rc = right.e_cost in
+    let lrows = left.e_rows and rrows = right.e_rows in
+    let rows_out = b.f.rows_out in
+    offer p b Nl i (-1)
+      (lc.seeks +. ((lrows *. rc.seeks) +. 0.))
+      (lc.pages_read +. ((lrows *. rc.pages_read) +. 0.))
+      (lc.pages_written +. ((lrows *. rc.pages_written) +. 0.))
+      (lc.cpu +. ((lrows *. rc.cpu) +. (lrows *. rrows)));
+    if !probe >= 0 then begin
+      (* tuples fetched per probe are governed by the join key's
+         distinct count — local filters are applied only after the
+         fetch *)
+      let s = side_on i ctx.c_joins.(!probe) in
+      let m = s.s_fetch in
+      let pp_seeks =
+        if s.s_clustered then 1. else 1. +. Float.max 0. (m -. 1.)
+      in
+      let pp_read =
+        if s.s_clustered then
+          Float.max 1. (ceil (m *. ctx.c_rwidth.(i) /. p.page_size))
+        else Float.max 1. m
+      in
+      offer p b Index_nl i !probe
+        (lc.seeks +. ((lrows *. pp_seeks) +. 0.))
+        (lc.pages_read +. ((lrows *. pp_read) +. 0.))
+        (lc.pages_written +. ((lrows *. 0.) +. 0.))
+        (lc.cpu +. ((lrows *. (1. +. m)) +. rows_out))
+    end;
+    (* hash join: build the right input, probe with the left *)
+    let spill = right.e_pages > p.memory_pages in
+    let spill_pages = if spill then right.e_pages +. left.e_pages else 0. in
+    offer p b Hash i (-1)
+      ((lc.seeks +. rc.seeks) +. ((if spill then 2. else 0.) +. 0.))
+      ((lc.pages_read +. rc.pages_read) +. (spill_pages +. 0.))
+      ((lc.pages_written +. rc.pages_written) +. (spill_pages +. 0.))
+      ((lc.cpu +. rc.cpu) +. (0. +. (lrows +. rrows +. rows_out)));
+    (* a join subtree already computed by an earlier block of the same
+       query is reused from the buffer pool: CPU to re-emit, no I/O.
+       Every sub-plan of a read plan was registered with it, so only a
+       split of two read inputs can be read. *)
+    match sh with
+    | Some sh when left.e_read && right.e_read -> (
+        match Hashtbl.find_opt sh.ids (join_part ctx left right) with
+        | Some id when Hashtbl.mem sh.read id ->
+            offer p b Shared_hash i (-1) 0. 0. 0. rows_out
+        | _ -> ())
+    | _ -> ()
+  end
+
+(* The plan node and entry of [b]'s winner, whose left input is [left].
+   Its width continues [left]'s fold over the right relation: the
+   reference folds [fun w a -> w +. carry a +. 8.] over the joined
+   plan's aliases in plan order, and a join's relation list is
+   [relations left @ relations right]. *)
+let winner ctx sh b left right =
+  let i = b.right in
+  (* conditions oriented left-first and extras, each in the reverse
+     block order of the reference's consing fold *)
+  let conds = ref [] and extra = ref [] in
+  Array.iter
+    (fun j ->
+      if j.j_mask land right.e_mask <> 0 && j.j_mask land left.e_mask <> 0 then
+        if j.j_eq then
+          let l, r =
+            if j.j_lhs.s_alias = i then (j.j_rhs, j.j_lhs)
+            else (j.j_lhs, j.j_rhs)
+          in
+          conds := (l.s_col, r.s_col) :: !conds
+        else extra := j.j_pred :: !extra)
+    ctx.c_joins;
+  let jm =
+    match b.meth with
+    | Nl -> Physical.Nl_join
+    | Index_nl ->
+        let s = side_on i ctx.c_joins.(b.probe) in
+        Physical.Index_nl { column = snd s.s_col }
+    | Hash | Shared_hash -> Physical.Hash_join
+  in
+  let id, read =
+    match sh with
+    | Some sh ->
+        let id = intern sh (join_part ctx left right) in
+        (id, Hashtbl.mem sh.read id)
+    | None -> (-1, false)
+  in
+  let e_width = left.e_width +. ctx.c_carry.(i) +. 8. in
+  {
+    e_plan =
+      Physical.Join
+        {
+          jm;
+          left = left.e_plan;
+          right = right.e_plan;
+          conds = !conds;
+          extra = !extra;
+        };
+    e_rows = b.f.b_rows;
+    e_cost =
+      {
+        Cost.seeks = b.f.b_seeks;
+        pages_read = b.f.b_read;
+        pages_written = b.f.b_written;
+        cpu = b.f.b_cpu;
+      };
+    e_mask = left.e_mask lor right.e_mask;
+    e_width;
+    e_pages = Cost.pages ctx.c_params (b.f.b_rows *. e_width);
+    e_id = id;
+    e_read = read;
+    e_kids = [ left; right ];
+  }
+
+let rec register sh e =
+  Hashtbl.replace sh.read e.e_id ();
+  List.iter (register sh) e.e_kids
 
 (* ------------------------------------------------------------------ *)
 (* join ordering                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let optimize_dp ?shared ctx base_entries =
-  let params = ctx.c_params in
-  let n = Array.length ctx.c_names in
+let optimize_dp sh ctx base =
+  let n = Array.length base in
   let full = (1 lsl n) - 1 in
   let table = Array.make (full + 1) None in
-  List.iter (fun e -> table.(e.e_mask) <- Some e) base_entries;
+  Array.iter (fun e -> table.(e.e_mask) <- Some e) base;
   (* memoized Estimate.subset_rows, split into its two folds.  The
      clamped-card product over a mask's aliases in block order equals
      the product over the mask minus its top bit extended by the top
@@ -525,58 +587,51 @@ let optimize_dp ?shared ctx base_entries =
     let top = top_bit m in
     cards.(m) <- cards.(m land lnot (1 lsl top)) *. ctx.c_card.(top)
   done;
-  let rows = Array.make (full + 1) Estimate.row_floor in
-  let rows_of m =
-    (* selectivities multiplied in block pred order, exactly like the
-       reference's fold over the predicates whose aliases all fall
-       inside the subset *)
-    let s = ref 1. in
-    Array.iteri
-      (fun i pm -> if pm land m = pm then s := !s *. ctx.c_psel.(i))
-      ctx.c_pmask;
-    Float.max Estimate.row_floor (cards.(m) *. !s)
-  in
+  let b = new_best () in
   (* left-deep enumeration: the right input of every join is a single
-     base relation, which is where index-nested-loops applies anyway.
-     Every strict submask of [mask] is numerically smaller, so a
-     single ascending scan visits masks in a valid DP order — the
+     base relation, which is where index-nested-loops applies anyway *)
+  let splits mask connected_only =
+    for i = 0 to n - 1 do
+      let r = 1 lsl i in
+      if mask land r <> 0 then
+        match table.(mask lxor r) with
+        | Some left -> offer_split ctx sh b ~connected_only left i base.(i)
+        | None -> ()
+    done
+  in
+  (* Every strict submask of [mask] is numerically smaller, so a single
+     ascending scan visits masks in a valid DP order — the
      popcount-sorted work list of the reference, without materializing
      or sorting 2^n masks. *)
   for mask = 1 to full do
     if popcount mask >= 2 then begin
-      rows.(mask) <- rows_of mask;
-      let best = ref None in
-      let consider entry =
-        match !best with
-        | Some b when Cost.total params b.e_cost <= Cost.total params entry.e_cost
-          ->
-            ()
-        | _ -> best := Some entry
-      in
-      let try_split require_connected =
-        for i = 0 to n - 1 do
-          let r = 1 lsl i in
-          if mask land r <> 0 then begin
-            let l = mask land lnot r in
-            match (table.(l), table.(r)) with
-            | Some le, Some re ->
-                if (not require_connected) || connected ctx l r then
-                  List.iter consider
-                    (join_candidates ?shared ctx le re rows.(mask))
-            | _ -> ()
-          end
-        done
-      in
-      try_split true;
-      if Option.is_none !best then try_split false;
-      match !best with Some _ as b -> table.(mask) <- b | None -> ()
+      (* selectivities multiplied in block pred order, exactly like the
+         reference's fold over the predicates whose aliases all fall
+         inside the subset *)
+      let s = ref 1. in
+      for k = 0 to Array.length ctx.c_pmask - 1 do
+        let pm = ctx.c_pmask.(k) in
+        if pm land mask = pm then s := !s *. ctx.c_psel.(k)
+      done;
+      b.f.rows_out <- Float.max Estimate.row_floor (cards.(mask) *. !s);
+      b.found <- false;
+      splits mask true;
+      if not b.found then splits mask false;
+      let left = Option.get table.(mask lxor (1 lsl b.right)) in
+      table.(mask) <- Some (winner ctx sh b left base.(b.right))
     end
   done;
   match table.(full) with Some e -> e | None -> raise Not_found
 
-let optimize_greedy ?shared ctx base_entries =
+let plan_aliases plan =
+  List.map (fun (r : Logical.relation) -> r.alias) (Physical.relations plan)
+
+let optimize_greedy sh ctx base =
   (* left-deep: start from the cheapest entry, repeatedly add the
      relation that yields the cheapest join, preferring connected ones.
+     One chain of [offer]s over every (relation, method) keeps the first
+     cheapest, as the reference's per-relation best-of followed by a
+     strict comparison across relations does.
      Cardinalities still go through the list-based
      [Estimate.subset_rows]: the greedy accumulator's aliases are in
      plan order, not block order, and the reference multiplies them in
@@ -586,50 +641,32 @@ let optimize_greedy ?shared ctx base_entries =
     List.sort
       (fun a b ->
         Float.compare (Cost.total params a.e_cost) (Cost.total params b.e_cost))
-      base_entries
+      (Array.to_list base)
+  in
+  let b = new_best () in
+  let rec go acc remaining =
+    match remaining with
+    | [] -> acc
+    | _ ->
+        let acc_aliases = plan_aliases acc.e_plan in
+        let splits connected_only =
+          List.iter
+            (fun r ->
+              b.f.rows_out <-
+                Estimate.subset_rows ctx.c_env
+                  (acc_aliases @ plan_aliases r.e_plan);
+              offer_split ctx sh b ~connected_only acc (top_bit r.e_mask) r)
+            remaining
+        in
+        b.found <- false;
+        splits true;
+        if not b.found then splits false;
+        let r = base.(b.right) in
+        go (winner ctx sh b acc r) (List.filter (fun x -> x != r) remaining)
   in
   match by_cost with
   | [] -> invalid_arg "optimize_greedy: empty block"
-  | first :: rest ->
-      let rec go acc remaining =
-        match remaining with
-        | [] -> acc
-        | _ ->
-            let acc_aliases = plan_aliases acc.e_plan in
-            let candidates =
-              List.map
-                (fun r ->
-                  let rows =
-                    Estimate.subset_rows ctx.c_env
-                      (acc_aliases @ plan_aliases r.e_plan)
-                  in
-                  (r, join_candidates ?shared ctx acc r rows))
-                remaining
-            in
-            let connected_first =
-              List.filter
-                (fun (r, _) -> connected ctx acc.e_mask r.e_mask)
-                candidates
-            in
-            let pool = if connected_first <> [] then connected_first else candidates in
-            let best =
-              List.fold_left
-                (fun best (r, cands) ->
-                  match (best, best_of params cands) with
-                  | None, Some e -> Some (r, e)
-                  | Some (_, be), Some e
-                    when Cost.total params e.e_cost < Cost.total params be.e_cost
-                    ->
-                      Some (r, e)
-                  | best, _ -> best)
-                None pool
-            in
-            (match best with
-            | Some (r, e) ->
-                go e (List.filter (fun x -> x != r) remaining)
-            | None -> acc)
-      in
-      go first rest
+  | first :: rest -> go first rest
 
 let optimize_block ?(params = Cost.default_params) ?shared cat
     (block : Logical.block) =
@@ -639,15 +676,16 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
   | Error es ->
       invalid_arg ("optimize_block: " ^ String.concat "; " es));
   let env = Estimate.env cat block in
-  let ctx = context params env block in
+  let ctx = context shared params env block in
   let aliases = List.map (fun (r : Logical.relation) -> r.alias) block.relations in
-  let base_entries = List.map (access_plan ?shared ctx) block.relations in
+  let base =
+    Array.of_list (List.mapi (access_plan shared ctx) block.relations)
+  in
   let joined =
-    match base_entries with
-    | [ single ] -> single
-    | _ when List.length aliases <= dp_limit ->
-        optimize_dp ?shared ctx base_entries
-    | _ -> optimize_greedy ?shared ctx base_entries
+    match base with
+    | [| single |] -> single
+    | _ when Array.length base <= dp_limit -> optimize_dp shared ctx base
+    | _ -> optimize_greedy shared ctx base
   in
   (* result output: write the projected rows out *)
   let out_width = Estimate.output_width env block.out aliases in
@@ -659,9 +697,7 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
       cpu = joined.e_rows;
     }
   in
-  (match shared with
-  | Some cache -> register_accesses cache joined.e_plan
-  | None -> ());
+  (match shared with Some sh -> register sh joined | None -> ());
   {
     plan = joined.e_plan;
     rows = joined.e_rows;
@@ -671,7 +707,7 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
 let query_cost ?(params = Cost.default_params) cat (q : Logical.query) =
   (* the blocks of one query share base-table accesses (outer-union
      decomposition reads the same tables repeatedly) *)
-  let shared = Hashtbl.create 16 in
+  let shared = shared () in
   let results = List.map (optimize_block ~params ~shared cat) q.blocks in
   let total =
     List.fold_left (fun t r -> t +. Cost.total params r.cost) 0. results
@@ -690,7 +726,7 @@ let workload_cost ?params cat workload =
 (* ------------------------------------------------------------------ *)
 
 let write_cost ?(params = Cost.default_params) cat (u : Logical.update) =
-  let shared = Hashtbl.create 8 in
+  let shared = shared () in
   List.fold_left
     (fun acc (w : Logical.write) ->
       let tbl = Rschema.table cat w.Logical.w_table in

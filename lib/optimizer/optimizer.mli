@@ -21,21 +21,25 @@ type result = {
 val dp_limit : int
 (** Maximum number of relations optimized with exact DP (10). *)
 
+type shared
+(** The common-subexpression cache of one query's blocks: the sub-plans
+    (base-table accesses and join subtrees) of the plans chosen so far,
+    under canonical alias-free signatures interned as integers. *)
+
+val shared : unit -> shared
+(** An empty cache. *)
+
 val optimize_block :
-  ?params:Cost.params ->
-  ?shared:(string, unit) Hashtbl.t ->
-  Rschema.t ->
-  Logical.block ->
-  result
+  ?params:Cost.params -> ?shared:shared -> Rschema.t -> Logical.block -> result
 (** @raise Invalid_argument on an ill-formed block (unknown tables or
     columns, empty relation list).
 
     [?shared] is the common-subexpression cache used by {!query_cost}:
-    a base-table access whose signature is already in the cache is
-    charged CPU but no I/O (the table was just read by an earlier block
-    of the same query and sits in the buffer pool — the sharing a
-    multi-query-optimizing Volcano performs); the accesses of the
-    chosen plan are added to the cache. *)
+    a sub-plan whose signature is already in the cache is charged CPU
+    but no I/O (it was just computed by an earlier block of the same
+    query and sits in the buffer pool — the sharing a
+    multi-query-optimizing Volcano performs); every sub-plan of the
+    chosen plan is added to the cache. *)
 
 val query_cost :
   ?params:Cost.params -> Rschema.t -> Logical.query -> result list * float

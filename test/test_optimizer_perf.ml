@@ -2,7 +2,8 @@
    to the frozen reference implementation (Optimizer_reference): same
    best plan, same row estimate, same cost — to the last float bit —
    on random catalogs and blocks, with and without the shared
-   common-subexpression cache. *)
+   common-subexpression cache, on update write costs, and on the IMDB
+   catalogs the design search visits. *)
 
 open Legodb
 
@@ -105,7 +106,10 @@ let gen_col alias = QCheck2.Gen.(map (fun c -> (alias, c)) (oneofl data_cols))
    ~7/8, so disconnected cross-product fallbacks are exercised too),
    plus a few local constant predicates and stray column-column
    comparisons *)
-let gen_block (cat : Rschema.t) nrels =
+let gen_int_const =
+  QCheck2.Gen.map (fun v -> Rtype.V_int v) (QCheck2.Gen.int_range 0 100)
+
+let gen_block ?(const = gen_int_const) (cat : Rschema.t) nrels =
   QCheck2.Gen.(
     let tnames = List.map (fun (t : Rschema.table) -> t.tname) cat.tables in
     let aliases = List.init nrels (fun i -> Printf.sprintf "r%d" i) in
@@ -135,8 +139,8 @@ let gen_block (cat : Rschema.t) nrels =
         (let* a = oneofl aliases in
          let* lhs = gen_col a in
          let* cmp = gen_cmp in
-         let* v = int_range 0 100 in
-         return { Logical.cmp; lhs; rhs = Logical.O_const (Rtype.V_int v) })
+         let* v = const in
+         return { Logical.cmp; lhs; rhs = Logical.O_const v })
     in
     let* nout = int_range 0 3 in
     let* out =
@@ -160,6 +164,65 @@ let gen_shared_case =
     let+ blocks = flatten_l (List.map (gen_block cat) sizes) in
     (cat, blocks))
 
+(* the largest masks the DP enumerates (9 and 10 relations), and the
+   greedy fallback just beyond dp_limit on random join graphs *)
+let gen_large_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let* nrels = int_range 9 (Optimizer.dp_limit + 3) in
+    let+ block = gen_block cat nrels in
+    (cat, block))
+
+(* Scan signatures embed constant text.  Quotes and the separators of
+   the reference's signature strings ('|' between scan parts, ';'
+   between join children, ',' between conditions) must not make two
+   different sub-plans look alike, nor hide equal ones; a small pool
+   makes repeats across blocks, and so cache hits, likely. *)
+let gen_text_const =
+  QCheck2.Gen.oneofl
+    Rtype.
+      [
+        V_string "it's";
+        V_string "a|b";
+        V_string "x;y";
+        V_string "p,q";
+        V_string "';|,";
+        V_string "t0|scan";
+        V_string "join(";
+        V_string "";
+        V_int 7;
+      ]
+
+let gen_text_shared_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let* sizes = list_size (int_range 2 4) (int_range 1 5) in
+    let+ blocks =
+      flatten_l (List.map (gen_block ~const:gen_text_const cat) sizes)
+    in
+    (cat, blocks))
+
+(* an update whose writes locate rows through a small pool of blocks,
+   so later writes hit the update's shared cache *)
+let gen_update_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let tnames = List.map (fun (t : Rschema.table) -> t.tname) cat.tables in
+    let* sizes = list_size (int_range 1 3) (int_range 1 5) in
+    let* pool =
+      flatten_l (List.map (gen_block ~const:gen_text_const cat) sizes)
+    in
+    let* nwrites = int_range 1 5 in
+    let+ writes =
+      list_repeat nwrites
+        (let* w_table = oneofl tnames in
+         let* w_kind = oneofl Logical.[ W_insert; W_delete; W_update ] in
+         let* w_locate = oneofl (None :: List.map Option.some pool) in
+         let+ w_per_row = oneofl [ 1.; 2.5; 40. ] in
+         { Logical.w_table; w_kind; w_locate; w_per_row })
+    in
+    (cat, { Logical.uname = "u"; writes }))
+
 let print_case (cat, block) =
   Format.asprintf "%a@.%a" Rschema.pp cat Logical.pp_block block
 
@@ -167,6 +230,9 @@ let print_shared_case (cat, blocks) =
   Format.asprintf "%a@.%a" Rschema.pp cat
     (Format.pp_print_list Logical.pp_block)
     blocks
+
+let print_update_case (cat, u) =
+  Format.asprintf "%a@.%a" Rschema.pp cat Logical.pp_update u
 
 (* ---------- properties ---------- *)
 
@@ -181,20 +247,46 @@ let prop_block_identical =
 (* the blocks of one query flow through a shared signature cache; the
    interned signatures must hit and miss exactly like the reference's
    recursive plan_signature strings *)
+let shared_sequence_identical (cat, blocks) =
+  let shared_fast = Optimizer.shared () in
+  let shared_ref = Hashtbl.create 16 in
+  List.iteri
+    (fun i block ->
+      let fast =
+        Optimizer.optimize_block ~params ~shared:shared_fast cat block
+      in
+      let ref_ =
+        Optimizer_reference.optimize_block ~params ~shared:shared_ref cat block
+      in
+      same_result (Printf.sprintf "shared block %d" i) fast ref_)
+    blocks;
+  true
+
 let prop_shared_identical =
   QCheck2.Test.make ~name:"shared-cache sequence bit-identical to reference"
-    ~count:150 ~print:print_shared_case gen_shared_case (fun (cat, blocks) ->
-      let shared_fast = Hashtbl.create 16 in
-      let shared_ref = Hashtbl.create 16 in
-      List.iteri
-        (fun i block ->
-          let fast = Optimizer.optimize_block ~params ~shared:shared_fast cat block in
-          let ref_ =
-            Optimizer_reference.optimize_block ~params ~shared:shared_ref cat
-              block
-          in
-          same_result (Printf.sprintf "shared block %d" i) fast ref_)
-        blocks;
+    ~count:150 ~print:print_shared_case gen_shared_case
+    shared_sequence_identical
+
+let prop_large_block_identical =
+  QCheck2.Test.make ~name:"9-13 relation blocks bit-identical to reference"
+    ~count:50 ~print:print_case gen_large_case (fun (cat, block) ->
+      same_result "large block"
+        (Optimizer.optimize_block ~params cat block)
+        (Optimizer_reference.optimize_block ~params cat block);
+      true)
+
+let prop_text_shared_identical =
+  QCheck2.Test.make
+    ~name:"shared cache with string constants bit-identical to reference"
+    ~count:150 ~print:print_shared_case gen_text_shared_case
+    shared_sequence_identical
+
+let prop_write_identical =
+  QCheck2.Test.make ~name:"write_cost bit-identical to reference" ~count:100
+    ~print:print_update_case gen_update_case (fun (cat, u) ->
+      same_float "write cost"
+        (Optimizer.write_cost ~params cat u)
+        (Optimizer_reference.write_cost ~params cat u);
       true)
 
 let prop_query_identical =
@@ -262,7 +354,7 @@ let greedy_fallback () =
   let fast = Optimizer.optimize_block ~params cat block in
   let ref_ = Optimizer_reference.optimize_block ~params cat block in
   same_result "greedy chain" fast ref_;
-  let shared_fast = Hashtbl.create 16 and shared_ref = Hashtbl.create 16 in
+  let shared_fast = Optimizer.shared () and shared_ref = Hashtbl.create 16 in
   let fast2 = Optimizer.optimize_block ~params ~shared:shared_fast cat block in
   let ref2 =
     Optimizer_reference.optimize_block ~params ~shared:shared_ref cat block
@@ -275,10 +367,51 @@ let greedy_fallback () =
   in
   same_result "greedy chain, cached shared pass" fast3 ref3
 
+(* ---------- the catalogs the search visits ---------- *)
+
+(* the all-inlined and normalized IMDB configurations and every
+   one-step neighbour of each, with all twenty Appendix C queries *)
+let imdb_catalogs () =
+  let schema = Annotate.schema Imdb.Stats.full Imdb.Schema.schema in
+  let configs =
+    List.concat_map
+      (fun start -> start :: List.map snd (Space.neighbors start))
+      [ Init.all_inlined schema; Init.normalize schema ]
+  in
+  Alcotest.(check int) "configurations" 48 (List.length configs);
+  List.iteri
+    (fun ci config ->
+      let m =
+        match Mapping.of_pschema config with
+        | Ok m -> m
+        | Error es -> Alcotest.failf "config %d: %s" ci (String.concat "; " es)
+      in
+      let cat = m.Mapping.catalog in
+      List.iteri
+        (fun qi xq ->
+          let what = Printf.sprintf "config %d Q%d" ci (qi + 1) in
+          let q = Xq_translate.translate m xq in
+          let fast, ft = Optimizer.query_cost ~params cat q in
+          let refr, rt = Optimizer_reference.query_cost ~params cat q in
+          same_float (what ^ " total") ft rt;
+          Alcotest.(check int)
+            (what ^ " blocks") (List.length refr) (List.length fast);
+          List.iteri
+            (fun bi (f, r) ->
+              same_result (Printf.sprintf "%s block %d" what bi) f r)
+            (List.combine fast refr))
+        Imdb.Queries.all)
+    configs
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_block_identical;
     QCheck_alcotest.to_alcotest prop_shared_identical;
     QCheck_alcotest.to_alcotest prop_query_identical;
+    QCheck_alcotest.to_alcotest prop_large_block_identical;
+    QCheck_alcotest.to_alcotest prop_text_shared_identical;
+    QCheck_alcotest.to_alcotest prop_write_identical;
     Alcotest.test_case "greedy fallback beyond dp_limit" `Quick greedy_fallback;
+    Alcotest.test_case "IMDB configurations and neighbours match reference"
+      `Quick imdb_catalogs;
   ]
