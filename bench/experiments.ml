@@ -1129,13 +1129,15 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
 (* Stand up `Serve` on a scaled synthetic IMDB corpus (>= 100k rows in
    the full run) and replay a parameterized point-lookup workload:
 
-     cold      first batch, the plan cache compiling every distinct
-               statement on the way
+     cold      first batch, the plan cache compiling each of the 4
+               statement templates once on the way (gated: exactly 4
+               compilations)
      warm      the same batch again, all plan-cache hits
      nocache   the same requests with the cache bypassed (translate +
                optimize every time), the baseline the cache must beat
      post-pub  the warm batch after an append + publish, against the
-               new snapshot (fresh fingerprints, plans recompiled)
+               new snapshot (its plans start empty: each template
+               recompiles once)
 
    Requests are point lookups in the paper's "selections can be
    pushed" setting: the workload's equality columns get indexes (the
@@ -1187,6 +1189,7 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
        $v/title, $v/year"
       s
   in
+  let n_templates = 4 in
   let m =
     let base =
       match Mapping.of_pschema ps with
@@ -1281,27 +1284,28 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
       s.Serve.p99_ms;
     s
   in
-  let batch ?(rounds = 1) srv label =
-    (* a 2000-request batch is ~30ms of wall time, so gated passes run
-       a few rounds and keep the fastest — the measurement least
-       disturbed by whatever else the machine was doing *)
-    let run () =
-      let replies, wall_s = time (fun () -> Serve.run_batch srv reqs) in
-      let latencies =
-        Array.map
-          (function
-            | Ok (r : Serve.reply) -> r.Serve.latency_s
-            | Error e -> failwith ("serve_perf: " ^ e))
-          replies
-      in
-      (wall_s, latencies)
+  (* one timed batch: its wall clock and per-request latencies *)
+  let run_once srv =
+    let replies, wall_s = time (fun () -> Serve.run_batch srv reqs) in
+    let latencies =
+      Array.map
+        (function
+          | Ok (r : Serve.reply) -> r.Serve.latency_s
+          | Error e -> failwith ("serve_perf: " ^ e))
+        replies
     in
+    (wall_s, latencies)
+  in
+  let batch ?(rounds = 1) srv label =
+    (* a 2000-request batch is 10-30ms of wall time, so gated passes
+       run a few rounds and keep the fastest — the measurement least
+       disturbed by whatever else the machine was doing *)
     let best =
       List.fold_left
         (fun (bw, bl) _ ->
-          let w, l = run () in
+          let w, l = run_once srv in
           if w < bw then (w, l) else (bw, bl))
-        (run ())
+        (run_once srv)
         (List.init (rounds - 1) Fun.id)
     in
     summary_of label (fst best) (snd best)
@@ -1314,6 +1318,13 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
     (Format.asprintf "%a" Serve.pp_stats stats_after);
   if stats_after.Serve.cache_hits <= 0 then
     failwith "serve_perf: no plan-cache hits";
+  (* plans are per template, and only the worker whose plan is stored
+     counts a miss, so the count is exact at any -j *)
+  if stats_after.Serve.cache_misses <> n_templates then
+    failwith
+      (Printf.sprintf
+         "serve_perf: %d compilations for a batch of %d templates"
+         stats_after.Serve.cache_misses n_templates);
   if warm.Serve.qps <= 0. then failwith "serve_perf: zero warm qps";
   (* cache on vs cache off over the same requests, sequentially, so
      the comparison isolates exactly what the cache saves *)
@@ -1387,20 +1398,21 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   let final = Serve.stats server in
   emit
     "{\"kind\": \"serve\", \"scale\": %.3f, \"rows\": %d, \"rows_after\": %d, \
-     \"jobs\": %d, \"requests\": %d, \"cold_qps\": %.1f, \"warm_qps\": %.1f, \
-     \"cached_qps\": %.1f, \"nocache_qps\": %.1f, \"post_publish_qps\": %.1f, \
-     \"publish_s\": %.4f, \"hits\": %d, \"misses\": %d, \"served\": %d, \
-     \"publishes\": %d}"
-    scale total rows_after jobs n_req cold.Serve.qps warm.Serve.qps
-    cached.Serve.qps nocache.Serve.qps post.Serve.qps t_publish
+     \"jobs\": %d, \"cores\": %d, \"requests\": %d, \"cold_qps\": %.1f, \
+     \"warm_qps\": %.1f, \"cached_qps\": %.1f, \"nocache_qps\": %.1f, \
+     \"post_publish_qps\": %.1f, \"publish_s\": %.4f, \"hits\": %d, \
+     \"misses\": %d, \"served\": %d, \"publishes\": %d}"
+    scale total rows_after jobs (Par.default_jobs ()) n_req cold.Serve.qps
+    warm.Serve.qps cached.Serve.qps nocache.Serve.qps post.Serve.qps t_publish
     final.Serve.cache_hits final.Serve.cache_misses final.Serve.served
     final.Serve.snapshots_published;
   (* ------------------------------------------------------------------
      durability: the same corpus served with a write-ahead log.  Three
      things are measured and recorded: the read path must not regress
-     (WAL-on warm throughput gated at >= 0.85x the WAL-off server — a
-     read never touches the log, so a bigger gap would mean the
-     durability state leaks into the serving path), the write path's
+     (WAL-on warm throughput gated at >= 0.85x the WAL-off server, the
+     median rounds of the two interleaved — a read never touches the
+     log, so a bigger gap would mean the durability state leaks into
+     the serving path), the write path's
      log+snapshot overhead, and recovery: crash after acked appends,
      recover, and require bit-identical answers. *)
   print_endline "\ndurability (write-ahead log + snapshot):";
@@ -1418,17 +1430,44 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   Printf.printf "standing store: %s (initial snapshot %.2fs)\n%!" dur_dir
     t_attach;
   let _wal_cold = batch dur "wal-cold" in
-  let wal_warm = batch ~rounds:gate_rounds dur "wal-warm" in
-  (* re-measure the WAL-off server adjacent in time: the "warm" pass
-     above ran seconds ago under a smaller heap, and comparing across
-     that drift fails the gate on days the machine is busy even though
-     the read paths are identical *)
-  let warm_ref = batch ~rounds:gate_rounds server "warm-ref" in
+  (* The WAL-on and WAL-off servers take turns, one batch each per
+     round, and the gate compares their median rounds.  A batch lasts
+     10-25ms, so best-of-3 taken one server after the other measures
+     when each batch ran as much as the read path: the machine's drift
+     over a few hundred milliseconds, not the durability state. *)
+  let wal_rounds = if smoke then 1 else 20 in
+  let wal_runs = Array.make wal_rounds (0., [||])
+  and ref_runs = Array.make wal_rounds (0., [||]) in
+  for i = 0 to wal_rounds - 1 do
+    wal_runs.(i) <- run_once dur;
+    ref_runs.(i) <- run_once server
+  done;
+  let median_of label runs =
+    let sorted = Array.copy runs in
+    Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
+    let qps (w, _) = float_of_int n_req /. w in
+    let q i = qps sorted.(i * (wal_rounds - 1) / 4) in
+    Printf.printf
+      "%-9s %d interleaved rounds: qps min %.0f, quartiles %.0f / %.0f / \
+       %.0f, max %.0f\n%!"
+      label wal_rounds (q 4) (q 3) (q 2) (q 1) (q 0);
+    let w, l = sorted.((wal_rounds - 1) / 2) in
+    summary_of label w l
+  in
+  let wal_warm = median_of "wal-warm" wal_runs in
+  let warm_ref = median_of "warm-ref" ref_runs in
   if (not smoke) && wal_warm.Serve.qps < 0.85 *. warm_ref.Serve.qps then
     failwith
       (Printf.sprintf
-         "serve_perf: WAL-on warm qps %.0f below 0.85x the WAL-off %.0f"
+         "serve_perf: WAL-on median warm qps %.0f below 0.85x the WAL-off \
+          %.0f"
          wal_warm.Serve.qps warm_ref.Serve.qps);
+  (* the network gates below judge the front door, itself timed
+     best-of-rounds, against the fastest WAL-off round *)
+  let warm_ref_best =
+    float_of_int n_req
+    /. Array.fold_left (fun b (w, _) -> min b w) infinity ref_runs
+  in
   let extra_docs =
     Array.init 4 (fun i ->
         Imdb.Gen.generate { (Imdb.Gen.scaled 0.002) with Imdb.Gen.seed = 200 + i })
@@ -1472,13 +1511,13 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
      %!"
     n_sample_dur;
   emit
-    "{\"kind\": \"durability\", \"wal_warm_qps\": %.1f, \"wal_off_qps\": \
-     %.1f, \"qps_ratio\": %.3f, \"initial_snapshot_s\": %.4f, \
-     \"append_fsync_s\": %.4f, \"durable_publish_s\": %.4f, \"recover_s\": \
-     %.4f, \"snapshot_rows\": %d, \"snapshot_seq\": %d, \"replayed\": %d, \
-     \"skipped\": %d, \"recovered_seq\": %d, \"dropped_bytes\": %d, \
-     \"torn\": %s}"
-    wal_warm.Serve.qps warm_ref.Serve.qps
+    "{\"kind\": \"durability\", \"rounds\": %d, \"wal_warm_qps\": %.1f, \
+     \"wal_off_qps\": %.1f, \"qps_ratio\": %.3f, \"initial_snapshot_s\": \
+     %.4f, \"append_fsync_s\": %.4f, \"durable_publish_s\": %.4f, \
+     \"recover_s\": %.4f, \"snapshot_rows\": %d, \"snapshot_seq\": %d, \
+     \"replayed\": %d, \"skipped\": %d, \"recovered_seq\": %d, \
+     \"dropped_bytes\": %d, \"torn\": %s}"
+    wal_rounds wal_warm.Serve.qps warm_ref.Serve.qps
     (wal_warm.Serve.qps /. warm_ref.Serve.qps)
     t_attach t_dur_append t_dur_publish t_recover rinfo.Serve.r_snapshot_rows
     rinfo.Serve.r_snapshot_seq rinfo.Serve.r_replayed rinfo.Serve.r_skipped
@@ -1685,12 +1724,12 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
        pass of this same run rather than a number from some other day:
        the pre-batching loop ran at 0.145x of it, the batching loop at
        0.46x (EXPERIMENTS.md, network section) *)
-    if net.Serve.qps < 0.25 *. warm_ref.Serve.qps then
+    if net.Serve.qps < 0.25 *. warm_ref_best then
       failwith
         (Printf.sprintf
            "serve_perf: single-connection net-warm qps %.0f below 0.25x the \
             in-process warm-ref %.0f"
-           net.Serve.qps warm_ref.Serve.qps);
+           net.Serve.qps warm_ref_best);
     if net16.Serve.qps < 2.5 *. net.Serve.qps then
       failwith
         (Printf.sprintf
@@ -1703,7 +1742,7 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
      %.1f, \"p99_ms\": %.4f, \"sampled_identical\": %d, \
      \"qps_vs_warm_ref\": %.3f}"
     n_req net_rounds net.Serve.qps net.Serve.p99_ms (2 * n_sample)
-    (net.Serve.qps /. warm_ref.Serve.qps);
+    (net.Serve.qps /. warm_ref_best);
   List.iter
     (fun (conc, s, _, netstats) ->
       emit

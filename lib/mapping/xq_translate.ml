@@ -213,6 +213,9 @@ let apply_pred m alts (p : Xq_ast.pred) =
              match p.right with
              | Xq_ast.O_const c ->
                  [ (env, add_pred bctx (Logical.eq_const lcol (const_value c))) ]
+             | Xq_ast.O_param k ->
+                 let p = { Logical.cmp = C_eq; lhs = lcol; rhs = O_param k } in
+                 [ (env, add_pred bctx p) ]
              | Xq_ast.O_path (w, path) ->
                  List.map
                    (fun (bctx, rcol) ->
@@ -352,7 +355,7 @@ let equality_columns queries =
           List.fold_left
             (fun acc (p : Logical.pred) ->
               match (p.cmp, p.rhs) with
-              | Logical.C_eq, Logical.O_const _ ->
+              | Logical.C_eq, (Logical.O_const _ | Logical.O_param _) ->
                   let alias = fst p.lhs in
                   (match
                      List.find_opt

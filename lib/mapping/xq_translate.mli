@@ -31,7 +31,18 @@ exception Untranslatable of string
     through no known element, or a comparison of whole subtrees). *)
 
 val translate : Mapping.t -> Legodb_xquery.Xq_ast.t -> Logical.query
-(** @raise Untranslatable *)
+(** A WHERE constant becomes an equality against {!const_value} of it,
+    and a template's {!Legodb_xquery.Xq_ast.O_param}[ k] the same
+    equality against {!Logical.O_param}[ k]: translation never reads a
+    constant's value, so a statement and its {!Legodb_xquery.Xq_ast.lift}ed
+    template translate to the same blocks up to those operands.
+    @raise Untranslatable *)
+
+val const_value : Legodb_xquery.Xq_ast.const -> Legodb_relational.Rtype.value
+(** The relational value a WHERE constant compares as: [C_int] as
+    [V_int], [C_string] as [V_string].  Binding a lifted parameter
+    vector through it gives a template's plan the statement's own
+    constants. *)
 
 val query_tables : Logical.query -> string list
 (** The distinct tables the query's SPJ blocks reference, sorted.  This

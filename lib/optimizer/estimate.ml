@@ -56,13 +56,18 @@ let pred_selectivity env (p : Logical.pred) =
   let lhs = column_of env p.lhs in
   let nn = 1. -. lhs.stats.null_frac in
   match (p.cmp, p.rhs) with
-  | Logical.C_eq, Logical.O_const _ -> nn /. Float.max 1. lhs.stats.distinct
-  | Logical.C_ne, Logical.O_const _ ->
+  | Logical.C_eq, (Logical.O_const _ | Logical.O_param _) ->
+      nn /. Float.max 1. lhs.stats.distinct
+  | Logical.C_ne, (Logical.O_const _ | Logical.O_param _) ->
       nn *. (1. -. (1. /. Float.max 1. lhs.stats.distinct))
   | Logical.C_lt, Logical.O_const c | Logical.C_le, Logical.O_const c ->
       nn *. range_fraction lhs.stats c ~upper:true
   | Logical.C_gt, Logical.O_const c | Logical.C_ge, Logical.O_const c ->
       nn *. range_fraction lhs.stats c ~upper:false
+  | ( (Logical.C_lt | Logical.C_le | Logical.C_gt | Logical.C_ge),
+      Logical.O_param _ ) ->
+      (* the value is unknown when planning: [range_fraction]'s default *)
+      nn *. (1. /. 3.)
   | Logical.C_eq, Logical.O_col rc ->
       let rhs = column_of env rc in
       nn

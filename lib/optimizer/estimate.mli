@@ -32,7 +32,10 @@ val pred_selectivity : env -> Logical.pred -> float
 (** Textbook System-R rules: equality with a constant selects
     [(1 - null_frac) / distinct]; ranges interpolate with min/max when
     known (1/3 otherwise); column-column equality selects
-    [1 / max(d1, d2)] discounted by null fractions. *)
+    [1 / max(d1, d2)] discounted by null fractions.  A parameter slot
+    ({!Logical.O_param}) is a constant whose value is unknown:
+    (in)equality reads only [distinct], so it selects exactly what any
+    constant would; a range against it takes the 1/3 default. *)
 
 val base_rows : env -> string -> float
 (** Rows of an alias after its local predicates (never below a small

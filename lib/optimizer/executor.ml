@@ -21,6 +21,7 @@ let zero_measures =
 
 type state = {
   db : Storage.t;
+  params : Rtype.value array;  (* slot k binds [Logical.O_param k] *)
   mutable m : measures;
 }
 
@@ -50,11 +51,17 @@ let eval_cmp cmp l r =
     | Logical.C_gt -> c > 0
     | Logical.C_ge -> c >= 0
 
+let param st k =
+  if k < 0 || k >= Array.length st.params then
+    invalid_arg (Printf.sprintf "Executor: parameter slot %d is unbound" k)
+  else st.params.(k)
+
 let eval_pred st plan_tables tuple (p : Logical.pred) =
   let l = value_of st tuple plan_tables p.lhs in
   let r =
     match p.rhs with
     | Logical.O_const v -> v
+    | Logical.O_param k -> param st k
     | Logical.O_col c -> value_of st tuple plan_tables c
   in
   eval_cmp p.cmp l r
@@ -93,12 +100,15 @@ let rec eval st plan : tuple list =
                 | Logical.C_eq, Logical.O_const v
                   when String.equal (snd p.lhs) column ->
                     Some v
+                | Logical.C_eq, Logical.O_param k
+                  when String.equal (snd p.lhs) column ->
+                    Some (param st k)
                 | _ -> None)
               filters
           in
           (match const with
           | None ->
-              invalid_arg "Executor: index probe without a constant filter"
+              invalid_arg "Executor: index probe without an equality filter"
           | Some v ->
               st.m <- { st.m with index_probes = st.m.index_probes + 1 };
               let rows = Storage.lookup st.db ~table:rel.Logical.table ~column v in
@@ -215,8 +225,8 @@ let rec eval st plan : tuple list =
             [] ltuples
           |> List.rev)
 
-let run_block db plan out =
-  let st = { db; m = zero_measures } in
+let run_block ?(params = [||]) db plan out =
+  let st = { db; params; m = zero_measures } in
   let tuples = eval st plan in
   let tables = plan_tables plan in
   let project tuple =

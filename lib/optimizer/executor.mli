@@ -18,10 +18,19 @@ type measures = {
 val zero_measures : measures
 
 val run_block :
-  Storage.t -> Physical.plan -> Logical.col list -> Rtype.value list list * measures
+  ?params:Rtype.value array ->
+  Storage.t ->
+  Physical.plan ->
+  Logical.col list ->
+  Rtype.value list list * measures
 (** Evaluate a plan bottom-up, then project ([\[\]] projects every
-    column of every relation, in plan order).  @raise Invalid_argument
-    if the plan references unknown tables or columns. *)
+    column of every relation, in plan order).  [?params] (default
+    empty) binds a template's plan: element [k] is read wherever the
+    plan holds {!Logical.O_param}[ k] — in scan filters, join extras and
+    as an index probe's key — so a plan compiled once per template runs
+    for any constants, exactly as the statement's own plan would.
+    @raise Invalid_argument if the plan references unknown tables or
+    columns, or a slot [params] does not have. *)
 
 val run_query :
   Storage.t ->

@@ -1,7 +1,7 @@
 open Legodb_relational
 
 type col = string * string
-type operand = O_const of Rtype.value | O_col of col
+type operand = O_const of Rtype.value | O_col of col | O_param of int
 type cmp = C_eq | C_ne | C_lt | C_le | C_gt | C_ge
 type pred = { cmp : cmp; lhs : col; rhs : operand }
 type relation = { alias : string; table : string }
@@ -20,7 +20,7 @@ let eq_const lhs v = { cmp = C_eq; lhs; rhs = O_const v }
 let pred_aliases p =
   match p.rhs with
   | O_col (ra, _) -> [ fst p.lhs; ra ]
-  | O_const _ -> [ fst p.lhs ]
+  | O_const _ | O_param _ -> [ fst p.lhs ]
 
 let local_preds preds alias =
   List.filter
@@ -50,7 +50,7 @@ let block_wellformed cat block =
   List.iter
     (fun p ->
       resolve p.lhs;
-      match p.rhs with O_col c -> resolve c | O_const _ -> ())
+      match p.rhs with O_col c -> resolve c | O_const _ | O_param _ -> ())
     block.preds;
   List.iter resolve block.out;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
@@ -61,6 +61,7 @@ let to_sql block =
     | O_const (Rtype.V_string s) -> Sql.Str s
     | O_const Rtype.V_null -> Sql.Str "NULL"
     | O_col (a, c) -> Sql.Col (Sql.col a c)
+    | O_param k -> Sql.Param k
   in
   let op = function
     | C_eq -> Sql.Eq

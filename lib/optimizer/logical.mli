@@ -11,7 +11,15 @@
 type col = string * string
 (** (alias, column) *)
 
-type operand = O_const of Legodb_relational.Rtype.value | O_col of col
+type operand =
+  | O_const of Legodb_relational.Rtype.value
+  | O_col of col
+  | O_param of int
+      (** slot [k] of the parameter vector the plan is executed with
+          ({!Executor.run_block}[ ~params]): a template's constant.
+          Estimation and access-path choice treat it exactly like an
+          [O_const] under the same comparison, since an equality
+          constant is seen only through the column's [distinct]. *)
 
 type cmp = C_eq | C_ne | C_lt | C_le | C_gt | C_ge
 

@@ -26,7 +26,8 @@ let dp_limit = 10
    across the blocks of one query: a table read with identical local
    predicates in a later block of the same query comes from the buffer
    pool (the multi-query-optimizing Volcano of [16] shares such common
-   subexpressions), so it costs CPU but no I/O. *)
+   subexpressions), so it costs CPU but no I/O.  A parameter slot reads
+   [?k]: two template scans share only when they read the same slot. *)
 let access_signature (rel : Logical.relation) filters access =
   let pred_sig (p : Logical.pred) =
     let op =
@@ -41,6 +42,7 @@ let access_signature (rel : Logical.relation) filters access =
     let operand = function
       | Logical.O_const v -> Legodb_relational.Rtype.value_to_sql v
       | Logical.O_col (_, c) -> "col:" ^ c
+      | Logical.O_param k -> "?" ^ string_of_int k
     in
     snd p.lhs ^ op ^ operand p.rhs
   in
@@ -298,7 +300,7 @@ let access_plan sh ctx i (rel : Logical.relation) =
     List.filter_map
       (fun (p : Logical.pred) ->
         match (p.cmp, p.rhs) with
-        | Logical.C_eq, Logical.O_const _
+        | Logical.C_eq, (Logical.O_const _ | Logical.O_param _)
           when Rschema.has_index tbl (snd p.lhs) ->
             let matches =
               Float.max 1. (tbl.card *. Estimate.pred_selectivity env p)

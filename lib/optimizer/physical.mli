@@ -3,7 +3,8 @@
 type access =
   | Seq_scan
   | Index_probe of { column : string }
-      (** equality probe with a constant taken from the scan's filters *)
+      (** equality probe with a constant (or a bound parameter slot)
+          taken from the scan's filters *)
 
 type join_method =
   | Hash_join  (** build on the right input, probe with the left *)

@@ -1,6 +1,6 @@
 type table_ref = { table : string; alias : string }
 type col_ref = { calias : string; col : string }
-type operand = Col of col_ref | Int of int | Str of string
+type operand = Col of col_ref | Int of int | Str of string | Param of int
 type op = Eq | Ne | Lt | Le | Gt | Ge
 type cond = { op : op; lhs : operand; rhs : operand }
 
@@ -23,6 +23,7 @@ let pp_operand fmt = function
   | Col c -> pp_col fmt c
   | Int n -> Format.pp_print_int fmt n
   | Str s -> Format.pp_print_string fmt (Rtype.value_to_sql (Rtype.V_string s))
+  | Param k -> Format.fprintf fmt "?%d" k
 
 let op_string = function
   | Eq -> "="

@@ -6,7 +6,11 @@
 type table_ref = { table : string; alias : string }
 type col_ref = { calias : string; col : string }
 
-type operand = Col of col_ref | Int of int | Str of string
+type operand =
+  | Col of col_ref
+  | Int of int
+  | Str of string
+  | Param of int  (** a prepared statement's slot [k], printed [?k] *)
 
 type op = Eq | Ne | Lt | Le | Gt | Ge
 

@@ -119,11 +119,6 @@ let key ~kind ~index fps tables =
   Printf.sprintf "%c%d|%s" kind index
     (String.concat "\x00" (List.sort String.compare (List.map fp tables)))
 
-(* the same keying, exported: the serve plan cache reuses it so a
-   compiled physical plan is invalidated exactly when a cached cost
-   would be — when a touched table's fingerprint changed *)
-let statement_key = key
-
 (* One costing pass, generic over where cache lookups/insertions and
    counter bumps land: the engine itself ([cost]) or a worker shard
    ([shard_cost]).  Keeping a single body is what guarantees the

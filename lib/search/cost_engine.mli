@@ -101,22 +101,6 @@ val create :
     including from inside in-flight parallel chunks, which notice at
     their next candidate and stop promptly. *)
 
-val statement_key :
-  kind:char ->
-  index:int ->
-  (string, string) Hashtbl.t ->
-  string list ->
-  string
-(** The engine's cache key for one statement: [kind] (['q'] query /
-    ['u'] update, or any caller-chosen discriminator), the statement's
-    index, and the sorted fingerprints of the tables it touches, looked
-    up in a {!Mapping.fingerprint_index} hashtable (unknown tables
-    fingerprint as their name).  Exported so other statement-keyed
-    caches — notably the query server's compiled-plan cache — share the
-    engine's invalidation semantics: an entry is reusable exactly when
-    every touched table is structurally unchanged (columns, statistics,
-    indexes, cardinality, parents). *)
-
 val cost : ?check:(unit -> unit) -> t -> Legodb_xtype.Xschema.t -> float
 (** Cost one configuration: derive the catalog, translate the
     workload, and sum per-statement costs, serving structurally

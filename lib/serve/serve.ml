@@ -11,27 +11,36 @@ module Optimizer = Legodb_optimizer.Optimizer
 module Cost = Legodb_optimizer.Cost
 module Executor = Legodb_optimizer.Executor
 module Xq_ast = Legodb_xquery.Xq_ast
-module Cost_engine = Legodb_search.Cost_engine
 module Par = Legodb_search.Par
 
-(* One serving snapshot: the frozen store plus the fingerprint index
-   of its catalog, computed once per publish so every request's
-   plan-cache key costs O(touched tables) hashtable probes. *)
+type compiled = (Physical.plan * (string * string) list) list
+
+(* One serving snapshot: the frozen store plus the plans compiled on
+   its statistics, by template id (guarded by the server lock).  A
+   publish swaps in a fresh snap, so the old plans are dropped with the
+   old snapshot and each template recompiles once, on first use. *)
 type snap = {
   db : Storage.t;
-  fps : (string, string) Hashtbl.t;
+  plans : (int, compiled) Hashtbl.t;
 }
 
-(* per-statement translation, done once ever (it depends only on the
-   mapping, which never changes); plans are per (statement, snapshot
-   fingerprints) *)
-type translation = {
-  id : int;  (* statement index for the cache key *)
-  lq : Logical.query;
-  tables : string list;  (* the statement's read set *)
-}
+(* A statement template: the FLWR body with its WHERE constants lifted
+   into parameter slots, translated once for the server's lifetime
+   (translation depends only on the mapping, which never changes).
+   [id] numbers templates in insertion order. *)
+type template = { id : int; lq : Logical.query }
 
-type compiled = (Physical.plan * (string * string) list) list
+(* Templates are keyed on the lifted body itself, by structural
+   equality: no request prints its statement, and statements differing
+   only in their constants (values or kinds) share one entry.  The
+   hash looks deep enough that templates differing past their first
+   few paths still land in different buckets. *)
+module Templates = Hashtbl.Make (struct
+  type t = Xq_ast.flwr
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
 
 type reply = {
   rows : Rtype.value list list;
@@ -72,9 +81,7 @@ type t = {
   snap : snap Atomic.t;
   lock : Serve_lock.t;
   (* guarded by [lock]: *)
-  translations : (string, translation) Hashtbl.t;  (* structural text -> t *)
-  plans : (string, compiled) Hashtbl.t;  (* statement_key -> plans *)
-  mutable next_id : int;
+  templates : template Templates.t;
   mutable served : int;
   mutable hits : int;
   mutable misses : int;
@@ -88,11 +95,12 @@ type t = {
   mutable dur : durable option;
 }
 
-(* compiled plans for dropped snapshots accumulate under their
-   unreachable keys; a long-lived server publishing many snapshots
-   would otherwise leak, so the cache is simply emptied when it
-   exceeds this many entries (recompiling is cheap and rare) *)
-let max_cached_plans = 4096
+(* The template table never shrinks, so it is capped: a statement
+   whose template does not fit is compiled like [~use_cache:false].
+   Nothing is ever flushed — the templates already in keep hitting. *)
+let max_templates = 4096
+
+let fresh_snap db = { db; plans = Hashtbl.create 16 }
 
 let make ?(jobs = 0) ?(params = Cost.default_params)
     ?(clock = Unix.gettimeofday) mapping db =
@@ -104,13 +112,9 @@ let make ?(jobs = 0) ?(params = Cost.default_params)
   {
     mapping;
     working = db;
-    snap =
-      Atomic.make
-        { db = frozen; fps = Mapping.fingerprint_index (Storage.catalog frozen) };
+    snap = Atomic.make (fresh_snap frozen);
     lock = Serve_lock.create ();
-    translations = Hashtbl.create 64;
-    plans = Hashtbl.create 256;
-    next_id = 0;
+    templates = Templates.create 64;
     served = 0;
     hits = 0;
     misses = 0;
@@ -150,62 +154,56 @@ let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
 let jobs t = t.jobs
 let snapshot t = (Atomic.get t.snap).db
 
-(* structural statement identity: the FLWR body, not the query name,
-   so identically-shaped requests share one cache line whatever their
-   callers named them *)
-let statement_text (q : Xq_ast.t) =
-  Format.asprintf "%a" Xq_ast.pp_flwr q.Xq_ast.body
-
 let compile_blocks ~params cat (lq : Logical.query) : compiled =
   List.map
     (fun (b : Logical.block) ->
       ((Optimizer.optimize_block ~params cat b).Optimizer.plan, b.Logical.out))
     lq.Logical.blocks
 
-(* translate once per distinct statement; Untranslatable escapes to
-   the caller before anything is cached *)
-let translation t q =
-  let text = statement_text q in
-  match
-    Serve_lock.with_lock t.lock (fun () -> Hashtbl.find_opt t.translations text)
-  with
-  | Some tr -> tr
-  | None ->
-      let lq, tables = Xq_translate.translate_with_tables t.mapping q in
-      Serve_lock.with_lock t.lock (fun () ->
-          match Hashtbl.find_opt t.translations text with
-          | Some tr -> tr  (* another worker won the race *)
-          | None ->
-              let tr = { id = t.next_id; lq; tables } in
-              t.next_id <- t.next_id + 1;
-              Hashtbl.replace t.translations text tr;
-              tr)
-
-let plans_for t (snap : snap) (tr : translation) =
-  let key =
-    Cost_engine.statement_key ~kind:'q' ~index:tr.id snap.fps tr.tables
+(* the template of [q], whose lifted body is [body]: translated once,
+   or [None] when the table is full without it.  Untranslatable
+   escapes to the caller before anything is cached. *)
+let template t (q : Xq_ast.t) body =
+  let known, room =
+    Serve_lock.with_lock t.lock (fun () ->
+        ( Templates.find_opt t.templates body,
+          Templates.length t.templates < max_templates ))
   in
+  match known with
+  | Some _ -> known
+  | None when not room -> None
+  | None ->
+      let lq = Xq_translate.translate t.mapping { q with Xq_ast.body } in
+      Serve_lock.with_lock t.lock (fun () ->
+          match Templates.find_opt t.templates body with
+          | Some _ as won -> won  (* another worker won the race *)
+          | None when Templates.length t.templates >= max_templates -> None
+          | None ->
+              let tr = { id = Templates.length t.templates; lq } in
+              Templates.add t.templates body tr;
+              Some tr)
+
+let plans_for t (snap : snap) tr =
   match
     Serve_lock.with_lock t.lock (fun () ->
-        match Hashtbl.find_opt t.plans key with
-        | Some p ->
+        match Hashtbl.find_opt snap.plans tr.id with
+        | Some _ as hit ->
             t.hits <- t.hits + 1;
-            Some p
+            hit
         | None -> None)
   with
   | Some p -> (p, true)
   | None ->
       (* compile outside the lock: join ordering is the expensive part
-         and must not serialize the whole batch; first writer wins *)
+         and must not serialize the whole batch; first writer wins, and
+         only it counts the miss *)
       let compiled = compile_blocks ~params:t.params (Storage.catalog snap.db) tr.lq in
       let p =
         Serve_lock.with_lock t.lock (fun () ->
-            match Hashtbl.find_opt t.plans key with
+            match Hashtbl.find_opt snap.plans tr.id with
             | Some p -> p
             | None ->
-                if Hashtbl.length t.plans >= max_cached_plans then
-                  Hashtbl.reset t.plans;
-                Hashtbl.replace t.plans key compiled;
+                Hashtbl.replace snap.plans tr.id compiled;
                 t.misses <- t.misses + 1;
                 compiled)
       in
@@ -218,24 +216,37 @@ exception Timed_out
    to a structured [Error] slot at the next block boundary instead of
    wedging its worker forever (a block itself is never interrupted —
    granularity is one block's execution) *)
-let run_blocks t db ~deadline plans =
+let run_blocks t db ~deadline ~args plans =
   List.concat_map
     (fun (plan, out) ->
       (match deadline with
       | Some d when t.clock () >= d -> raise Timed_out
       | _ -> ());
-      fst (Executor.run_block db plan out))
+      fst (Executor.run_block ~params:args db plan out))
     plans
 
-let query_on t (snap : snap) ?(use_cache = true) ?deadline q =
+let query_on t (snap : snap) ?(use_cache = true) ?deadline (q : Xq_ast.t) =
   let t0 = t.clock () in
-  let plans, cached =
-    if use_cache then plans_for t snap (translation t q)
-    else
-      let lq = Xq_translate.translate t.mapping q in
-      (compile_blocks ~params:t.params (Storage.catalog snap.db) lq, false)
+  let uncached () =
+    let lq = Xq_translate.translate t.mapping q in
+    (compile_blocks ~params:t.params (Storage.catalog snap.db) lq, [||], false)
   in
-  let rows = run_blocks t snap.db ~deadline plans in
+  let plans, args, cached =
+    if not use_cache then uncached ()
+    else
+      let body, consts = Xq_ast.lift q.Xq_ast.body in
+      match template t q body with
+      | Some tr ->
+          let plans, hit = plans_for t snap tr in
+          (plans, Array.map Xq_translate.const_value consts, hit)
+      | None ->
+          (* over the template cap: the reference path, counted as a
+             miss since it compiled *)
+          let r = uncached () in
+          Serve_lock.with_lock t.lock (fun () -> t.misses <- t.misses + 1);
+          r
+  in
+  let rows = run_blocks t snap.db ~deadline ~args plans in
   Serve_lock.with_lock t.lock (fun () -> t.served <- t.served + 1);
   { rows; cached; latency_s = t.clock () -. t0 }
 
@@ -375,8 +386,7 @@ let publish t =
           write_snapshot_of t ~fs:d.dfs ~dir:d.dir
             ~last_seq:(Wal.next_seq d.wal - 1) frozen;
           Wal.reset d.wal);
-      Atomic.set t.snap
-        { db = frozen; fps = Mapping.fingerprint_index (Storage.catalog frozen) };
+      Atomic.set t.snap (fresh_snap frozen);
       t.published <- t.published + 1;
       t.pending <- 0)
 

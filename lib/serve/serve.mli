@@ -25,24 +25,40 @@
     {2 Compiled-plan cache}
 
     Translating a request and join-ordering its blocks costs orders of
-    magnitude more than executing a selective plan, so compiled
-    physical plans are cached.  The key is
-    {!Legodb_search.Cost_engine.statement_key} — statement identity
-    (structural, name-independent) x the fingerprints of the tables the
-    statement touches under the {e current snapshot's} catalog — so the
-    cache has exactly the cost engine's invalidation semantics: a
-    publish that leaves a statement's tables structurally unchanged
-    keeps its plan warm, and one that changes their statistics makes
-    the old key unreachable (the plan is recompiled under the new
-    statistics, never reused stale).
+    magnitude more than executing a selective plan, so the server plans
+    once per statement {e template}, as a prepared-statement engine
+    does.  {!Legodb_xquery.Xq_ast.lift} turns a request's WHERE
+    constants into parameter slots; the lifted body (structural, so
+    name-independent) keys a table of translations, and each snapshot
+    keeps the plans compiled on its statistics, one per template.  The
+    constants are bound when the plan executes
+    ({!Legodb_optimizer.Executor.run_block}[ ~params]).
+
+    Constants stay out of the key because no planning step reads them:
+    the XQuery fragment compares by equality only, translation never
+    looks at a constant's value, the estimator sees an equality
+    constant only through the column's [distinct] count, and plans are
+    compiled without cross-block sharing.  So the template's plan is
+    the plan each of its statements would get, and a request's answer
+    equals [~use_cache:false]'s whatever was served before it — the
+    constant's kind ([1990] against ["1990"]) travels in the parameter
+    vector, not in the key.
+
+    The template table holds at most 4096 templates and is never
+    flushed: a statement whose template does not fit is compiled like
+    [~use_cache:false] (and counted as a miss) while the templates
+    already in keep hitting.  A {!publish} drops the old snapshot's
+    plans with it; each template recompiles once, on first use, under
+    the new statistics.
 
     {2 Concurrency}
 
     {!run_batch} fans a batch out on {!Legodb_search.Par.run_tasks}'s
     persistent domain pool (sequential on an OCaml 4.14 build — same
-    answers, no overlap).  Shared mutable state (plan cache, counters,
-    working store) is guarded by one lock; execution — the bulk of a
-    request — runs lock-free against the immutable snapshot.
+    answers, no overlap).  Shared mutable state (template table, the
+    snapshot's plans, counters, working store) is guarded by one lock;
+    execution — the bulk of a request — runs lock-free against the
+    immutable snapshot.
 
     {2 Durability}
 
@@ -76,7 +92,9 @@ type reply = {
 type stats = {
   served : int;  (** requests answered (cache-bypassing ones included) *)
   cache_hits : int;
-  cache_misses : int;  (** compilations performed *)
+  cache_misses : int;
+      (** compilations performed: one per (snapshot, template) plus one
+          per request over the template cap *)
   snapshot_rows : int;  (** total rows of the current serving snapshot *)
   snapshots_published : int;  (** {!publish} barriers, initial freeze excluded *)
   pending_appends : int;  (** documents appended since the last publish *)
@@ -174,8 +192,9 @@ val append_group : t -> Legodb_xml.Xml.t list -> (unit, string) result list
 val publish : t -> unit
 (** The batched-append barrier: freeze the working store (statistics
     refreshed) into a fresh snapshot and swap it in for subsequent
-    requests.  Plans whose tables' statistics changed are recompiled
-    on next use; plans over untouched tables stay warm. *)
+    requests.  Compiled plans belong to the snapshot, so they are
+    dropped with the old one: each template recompiles once, on its
+    next request, under the new statistics (translations are kept). *)
 
 val stats : t -> stats
 

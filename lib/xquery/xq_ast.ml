@@ -1,7 +1,7 @@
 type path = string list
 type const = C_int of int | C_string of string
 type source = Doc of path | Var_path of string * path
-type operand = O_path of string * path | O_const of const
+type operand = O_path of string * path | O_const of const | O_param of int
 type pred = { left : string * path; right : operand }
 
 type ret =
@@ -52,7 +52,7 @@ let check q =
         match p.right with
         | O_path (v, _) ->
             if not (List.mem v scope) then err "unbound variable $%s" v
-        | O_const _ -> ())
+        | O_const _ | O_param _ -> ())
       flwr.where;
     let rec ret = function
       | R_path (v, _) | R_var v ->
@@ -102,7 +102,8 @@ let rec pp_flwr fmt f =
         Format.fprintf fmt "$%s/%a = " (fst p.left) pp_path (snd p.left);
         match p.right with
         | O_path (v, path) -> Format.fprintf fmt "$%s/%a" v pp_path path
-        | O_const c -> pp_const fmt c)
+        | O_const c -> pp_const fmt c
+        | O_param k -> Format.fprintf fmt "?%d" k)
       f.where;
     Format.pp_print_cut fmt ()
   end;
@@ -127,6 +128,36 @@ and pp_ret fmt = function
       Format.fprintf fmt "@]@,</%s>" tag
 
 let pp fmt q = Format.fprintf fmt "@[<v>(: %s :)@,%a@]" q.name pp_flwr q.body
+
+(* Slot order: the outer WHERE clause left to right, then each nested
+   FLWR of the return clause in return order, recursively.  [List.map]
+   applies its function front to back, and [where] is mapped before
+   [return], so the counter below numbers the constants in exactly that
+   order. *)
+let lift flwr =
+  let consts = ref [] and n = ref 0 in
+  let slot c =
+    consts := c :: !consts;
+    incr n;
+    O_param (!n - 1)
+  in
+  let rec go f =
+    let where =
+      List.map
+        (fun p ->
+          match p.right with
+          | O_const c -> { p with right = slot c }
+          | O_path _ | O_param _ -> p)
+        f.where
+    in
+    { f with where; return = List.map ret f.return }
+  and ret = function
+    | R_nested f -> R_nested (go f)
+    | R_elem (tag, rs) -> R_elem (tag, List.map ret rs)
+    | (R_path _ | R_var _) as r -> r
+  in
+  let body = go flwr in
+  (body, Array.of_list (List.rev !consts))
 
 (* ------------------------------------------------------------------ *)
 (* update statements (the paper's future-work extension)               *)

@@ -15,7 +15,15 @@ type source =
   | Doc of path  (** [document("...")/imdb/show] or bare [imdb/show] *)
   | Var_path of string * path  (** [$v/episode] *)
 
-type operand = O_path of string * path | O_const of const
+type operand =
+  | O_path of string * path
+  | O_const of const
+  | O_param of int
+      (** slot [k] of a statement's parameter vector: what {!lift} puts
+          where the [k]-th WHERE constant stood.  A flwr holding one is
+          a statement {e template}; it is translated, estimated and
+          planned like an equality constant whose value arrives only
+          at execution. *)
 
 type pred = { left : string * path; right : operand }
 (** Equality only — the workload queries use no other comparison. *)
@@ -41,11 +49,23 @@ val check : t -> (unit, string list) result
 (** Every variable used is bound (in scope), binding names are unique,
     and at least one binding is rooted in the document. *)
 
+val lift : flwr -> flwr * const array
+(** [lift f] is [f]'s template and its parameter vector: the [k]-th
+    WHERE constant becomes [O_param k] and is element [k] of the
+    array.  Constants are numbered in the outer WHERE clause first,
+    left to right, then in each nested FLWR in return order
+    (recursively); this is the only place slot order is defined.  Two
+    statements that differ only in their WHERE constants (values or
+    kinds) lift to equal templates; the kinds travel in the vector. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_flwr : Format.formatter -> flwr -> unit
 val pp_path : Format.formatter -> path -> unit
 val pp_source : Format.formatter -> source -> unit
 val pp_const : Format.formatter -> const -> unit
+(** Strings print without quotes, so [C_int 1990] and
+    [C_string "1990"] print alike: never use the printed text as a
+    statement's identity. *)
 
 (** {1 Updates}
 

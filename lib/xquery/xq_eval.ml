@@ -61,6 +61,8 @@ let pred_holds tuple (p : Xq_ast.pred) =
       let rights =
         match p.right with
         | Xq_ast.O_const c -> [ const_string c ]
+        | Xq_ast.O_param _ ->
+            invalid_arg "Xq_eval: a template's parameter slot has no value"
         | Xq_ast.O_path (w, path) -> (
             match List.assoc_opt w tuple with
             | Some n -> path_values n path

@@ -18,7 +18,8 @@ val path_values : Legodb_xml.Xml.t -> string list -> string list
 val count_bindings : Legodb_xml.Xml.t -> Xq_ast.t -> int
 (** Number of FOR-binding tuples of the outer FLWR that satisfy the
     WHERE clause (existential semantics for multi-valued predicate
-    paths). *)
+    paths).  Statements only: @raise Invalid_argument on a template's
+    {!Xq_ast.O_param} (as does {!eval_strings}). *)
 
 val eval_strings : Legodb_xml.Xml.t -> Xq_ast.t -> string list list
 (** Full naive evaluation: one row of strings per satisfying binding

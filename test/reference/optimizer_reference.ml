@@ -56,6 +56,7 @@ let access_signature (rel : Logical.relation) filters access =
     let operand = function
       | Logical.O_const v -> Legodb_relational.Rtype.value_to_sql v
       | Logical.O_col (_, c) -> "col:" ^ c
+      | Logical.O_param k -> "?" ^ string_of_int k
     in
     snd p.lhs ^ op ^ operand p.rhs
   in

@@ -18,6 +18,12 @@ let q_titles =
     "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = 1990 RETURN \
      $v/title, $v/year"
 
+(* the same template as [q_titles], another constant *)
+let q_titles_1991 =
+  Xq_parse.parse ~name:"titles_1991"
+    "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = 1991 RETURN \
+     $v/title, $v/year"
+
 let q_actors =
   Xq_parse.parse ~name:"actors"
     "FOR $v IN document(\"x\")/imdb/actor RETURN $v/name"
@@ -44,9 +50,16 @@ let suite =
         let renamed = { q_titles with Xq_ast.name = "other_name" } in
         check_bool "renamed query hits" true
           (Serve.query s renamed).Serve.cached;
+        (* plans are per template: another constant hits too, and binds
+           its own value *)
+        let r3 = Serve.query s q_titles_1991 in
+        check_bool "another constant hits" true r3.Serve.cached;
+        check_bool "bound to its own constant" true
+          (r3.Serve.rows
+          = (Serve.query ~use_cache:false s q_titles_1991).Serve.rows);
         let st = Serve.stats s in
         check_int "one compilation" 1 st.Serve.cache_misses;
-        check_int "two hits" 2 st.Serve.cache_hits);
+        check_int "three hits" 3 st.Serve.cache_hits);
     case "run_batch equals sequential queries" (fun () ->
         let _, m, db = setup () in
         let s = Serve.create ~jobs:4 m db in
@@ -147,6 +160,98 @@ let suite =
         check_bool "p99" true (Float.equal s.Serve.p99_ms 99.);
         let empty = Serve.summarize ~wall_s:0. [||] in
         check_int "empty n" 0 empty.Serve.n);
+    case "int and string constants answer by their own kind" (fun () ->
+        (* both forms lift to one template; the constant's kind travels
+           in the parameter vector, so whichever form is served first,
+           each answers as its own uncached compile does *)
+        let doc, _, _ = setup () in
+        let year = List.hd (Xq_eval.path_values doc [ "show"; "year" ]) in
+        let form c =
+          Xq_parse.parse ~name:"year"
+            (Printf.sprintf
+               "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = %s \
+                RETURN $v/title, $v/year"
+               c)
+        in
+        let as_int = form year
+        and as_string = form (Printf.sprintf "%S" year) in
+        List.iter
+          (fun order ->
+            let _, m, db = setup () in
+            let s = Serve.create ~jobs:1 m db in
+            List.iter
+              (fun (q : Xq_ast.t) ->
+                let want = (Serve.query ~use_cache:false s q).Serve.rows in
+                check_bool "answer equals use_cache:false" true
+                  ((Serve.query s q).Serve.rows = want))
+              order;
+            check_int "one compilation" 1 (Serve.stats s).Serve.cache_misses)
+          [ [ as_int; as_string ]; [ as_string; as_int ] ];
+        (* the two forms do answer differently: an int column matches
+           only the int *)
+        let _, m, db = setup () in
+        let s = Serve.create ~jobs:1 m db in
+        check_bool "int form matches" true
+          ((Serve.query ~use_cache:false s as_int).Serve.rows <> []);
+        check_bool "string form matches nothing" true
+          ((Serve.query ~use_cache:false s as_string).Serve.rows = []));
+    case "a publish recompiles each template once" (fun () ->
+        let doc, m, db = setup () in
+        let s = Serve.create ~jobs:2 m db in
+        let reqs = [| q_titles; q_actors; q_titles_1991; q_join; q_titles |] in
+        let serve () =
+          Array.iter
+            (fun r ->
+              match r with
+              | Ok (_ : Serve.reply) -> ()
+              | Error e -> Alcotest.failf "request failed: %s" e)
+            (Serve.run_batch s reqs)
+        in
+        serve ();
+        check_int "three templates, three compilations" 3
+          (Serve.stats s).Serve.cache_misses;
+        Serve.append s doc;
+        Serve.publish s;
+        serve ();
+        serve ();
+        check_int "one recompilation per template" 6
+          (Serve.stats s).Serve.cache_misses;
+        Array.iter
+          (fun q ->
+            check_bool "answer equals use_cache:false" true
+              ((Serve.query s q).Serve.rows
+              = (Serve.query ~use_cache:false s q).Serve.rows))
+          reqs);
+    case "the template table is capped, never flushed" (fun () ->
+        let _, m, db = setup () in
+        let s = Serve.create ~jobs:1 m db in
+        (* element tags differ, so every statement is its own template *)
+        let tagged k =
+          Xq_parse.parse ~name:"tagged"
+            (Printf.sprintf
+               "FOR $v IN document(\"x\")/imdb/show RETURN <t%d> $v/title \
+                </t%d>"
+               k k)
+        in
+        for k = 1 to 4096 do
+          ignore (Serve.query s (tagged k))
+        done;
+        check_int "4096 compilations" 4096 (Serve.stats s).Serve.cache_misses;
+        let over = tagged 4097 in
+        let want = (Serve.query ~use_cache:false s over).Serve.rows in
+        List.iter
+          (fun what ->
+            let r = Serve.query s over in
+            check_bool (what ^ " is not cached") false r.Serve.cached;
+            check_bool (what ^ " answers like use_cache:false") true
+              (r.Serve.rows = want))
+          [ "first"; "repeat" ];
+        check_bool "the first template still hits" true
+          (Serve.query s (tagged 1)).Serve.cached;
+        let st = Serve.stats s in
+        check_int "over the cap, each request compiles" 4098
+          st.Serve.cache_misses;
+        check_int "one hit" 1 st.Serve.cache_hits);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -156,4 +156,49 @@ let suite =
                RETURN $b/title |}
         in
         check_int "one match" 1 (Xq_eval.count_bindings books_doc q));
+    case "lift numbers outer slots first, then nested in return order"
+      (fun () ->
+        let q =
+          parse
+            {| FOR $v IN imdb/show WHERE $v/title = "a" AND $v/year = 1990
+               RETURN <r> $v/title
+                 FOR $v/episodes $e WHERE $e/guest_director = "b"
+                 RETURN $e/name </r>,
+               FOR $v/reviews $w WHERE $w/nyt = 7 RETURN $w/nyt |}
+        in
+        let body, consts = Xq_ast.lift q.Xq_ast.body in
+        check_bool "constants in slot order" true
+          (consts
+          = [| Xq_ast.C_string "a"; C_int 1990; C_string "b"; C_int 7 |]);
+        let slots (f : Xq_ast.flwr) =
+          List.map (fun (p : Xq_ast.pred) -> p.right) f.where
+        in
+        (match body.return with
+        | [
+            Xq_ast.R_elem (_, [ _; Xq_ast.R_nested inner ]);
+            Xq_ast.R_nested last;
+          ] ->
+            check_bool "outer" true
+              (slots body = [ Xq_ast.O_param 0; O_param 1 ]);
+            check_bool "nested, in return order" true
+              (slots inner = [ Xq_ast.O_param 2 ] && slots last = [ O_param 3 ])
+        | _ -> Alcotest.fail "bad template shape");
+        (* the constant's kind lives in the vector, not the template *)
+        let string_year =
+          parse
+            {| FOR $v IN imdb/show WHERE $v/title = "a" AND $v/year = "1990"
+               RETURN <r> $v/title
+                 FOR $v/episodes $e WHERE $e/guest_director = "b"
+                 RETURN $e/name </r>,
+               FOR $v/reviews $w WHERE $w/nyt = 7 RETURN $w/nyt |}
+        in
+        check_bool "same template" true
+          (fst (Xq_ast.lift string_year.Xq_ast.body) = body);
+        (* templates are not statements: the tree evaluator refuses one *)
+        match
+          Xq_eval.count_bindings (Lazy.force small_imdb_doc)
+            { q with Xq_ast.body }
+        with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
   ]
