@@ -3,6 +3,8 @@
    and EXPERIMENTS.md for recorded results). *)
 
 open Legodb
+open Harness
+module Inputs = Perfbench.Inputs
 
 let params = Cost.default_params
 
@@ -469,8 +471,10 @@ let ablation () =
    hold (domains backend, 4+ recommended cores, sweep reaching 4
    jobs).  Smoke mode (CI, any core count): -j 2 wall time must stay
    within 1.15x of -j 1 — the parallel seam must cost ~nothing even
-   when it cannot win; timed best-of-2 to damp scheduler noise.  On an
-   OCaml 5 compiler the sweep additionally fails outright if the build
+   when it cannot win; after one untimed warm-up run per side (the
+   first -j 2 search spawns the worker pool), the two sides take turns
+   for 5 rounds and the gate compares their medians.  On an OCaml 5
+   compiler the sweep additionally fails outright if the build
    selected the sequential backend, so a dune [select] regression
    cannot silently turn the sweep into a no-op. *)
 
@@ -491,19 +495,17 @@ let same_trace a b =
               x.Search.step y.Search.step)
        a b
 
+(* the -j values a sweep runs: 1 and [jobs], plus [full] outside
+   --smoke *)
+let jobs_sweep ~smoke ~full jobs =
+  List.sort_uniq compare
+    (List.filter (fun j -> j >= 1) ((if smoke then [ 1 ] else full) @ [ jobs ]))
+
 let search_perf ?(jobs = 1) ?(smoke = false) () =
-  print_endline
-    "\nSearch wall-clock vs. cost-engine caching\n\
-     =========================================";
+  header "Search wall-clock vs. cost-engine caching";
   let schema = annotated Imdb.Stats.full in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  let first_row = ref true in
+  let rows = ref [] in
+  let emit row = rows := row :: !rows in
   let row ~strategy ~wname ~(workload : Workload.t) run =
     let cold, t_cold = time (fun () -> run ~engine:None ~memoize:(Some false)) in
     let eng = Cost_engine.create ~params ~workload () in
@@ -527,26 +529,26 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
       (t_cold /. t_first) t_rerun
       (100. *. Cost_engine.hit_rate e2)
       (t_cold /. t_rerun);
-    if not !first_row then Buffer.add_string buf ",";
-    first_row := false;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "\n\
-          \  {\"kind\": \"cache\", \"strategy\": \"%s\", \"workload\": \
-          \"%s\", \"cost\": %.1f,\n\
-          \   \"configs_costed\": %d, \"hits\": %d, \"misses\": %d, \
-          \"hit_rate\": %.3f,\n\
-          \   \"cold_s\": %.4f, \"first_s\": %.4f, \"rerun_s\": %.4f,\n\
-          \   \"cold_t_mapping\": %.4f, \"cold_t_translate\": %.4f, \
-          \"cold_t_optimize\": %.4f,\n\
-          \   \"first_speedup\": %.2f, \"rerun_speedup\": %.2f, \
-          \"rerun_hit_rate\": %.3f}"
-         strategy wname cold.Search.cost e1.Cost_engine.evaluations
-         e1.Cost_engine.hits e1.Cost_engine.misses (Cost_engine.hit_rate e1)
-         t_cold t_first t_rerun e0.Cost_engine.t_mapping
-         e0.Cost_engine.t_translate e0.Cost_engine.t_optimize
-         (t_cold /. t_first) (t_cold /. t_rerun)
-         (Cost_engine.hit_rate e2))
+    emit
+      [
+        ("kind", Str "cache");
+        ("strategy", Str strategy);
+        ("workload", Str wname);
+        ("cost", Num cold.Search.cost);
+        ("configs_costed", Int e1.Cost_engine.evaluations);
+        ("hits", Int e1.Cost_engine.hits);
+        ("misses", Int e1.Cost_engine.misses);
+        ("hit_rate", Num (Cost_engine.hit_rate e1));
+        ("cold_s", Num t_cold);
+        ("first_s", Num t_first);
+        ("rerun_s", Num t_rerun);
+        ("cold_t_mapping", Num e0.Cost_engine.t_mapping);
+        ("cold_t_translate", Num e0.Cost_engine.t_translate);
+        ("cold_t_optimize", Num e0.Cost_engine.t_optimize);
+        ("first_speedup", Num (t_cold /. t_first));
+        ("rerun_speedup", Num (t_cold /. t_rerun));
+        ("rerun_hit_rate", Num (Cost_engine.hit_rate e2));
+      ]
   in
   if not smoke then
     List.iter
@@ -560,14 +562,10 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
         ("lookup", Imdb.Workloads.lookup);
         ("publish", Imdb.Workloads.publish);
         ("mixed", Imdb.Workloads.mixed 0.5);
-      ]
-  else ignore row;
+      ];
 
   (* ---- parallel neighbor costing: the jobs sweep ---- *)
-  let sweep =
-    List.sort_uniq compare
-      (List.filter (fun j -> j >= 1) (if smoke then [ 1; jobs ] else [ 1; 2; 4; jobs ]))
-  in
+  let sweep = jobs_sweep ~smoke ~full:[ 1; 2; 4 ] jobs in
   Printf.printf
     "\nParallel neighbor costing on the cold mixed workload (backend %s, %d \
      recommended cores)\n"
@@ -598,44 +596,47 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
              Search.beam ~params ~jobs:j ~workload (Init.all_inlined schema) );
        ])
   in
+  (* the full sweep times one run per -j value *)
+  let n_rounds = if smoke then 5 else 1 in
+  let wall (_, t, _) = t in
   List.iter
     (fun (sname, run) ->
+      let once j () =
+        Search.seam_reset ();
+        let r, t = time (fun () -> run j) in
+        (r, t, Search.seam_stats ())
+      in
+      if smoke then List.iter (fun j -> ignore (once j ())) sweep;
       let results =
-        List.map
-          (fun j ->
-            Search.seam_reset ();
-            let r, t = time (fun () -> run j) in
-            let seam = Search.seam_stats () in
-            (* smoke runs are short enough for scheduler noise to
-               matter; the -j 2 gate compares best-of-2 walls *)
-            let t =
-              if smoke then min t (snd (time (fun () -> run j))) else t
-            in
-            (j, r, t, seam))
-          sweep
+        List.combine sweep (rounds n_rounds (List.map once sweep))
       in
-      let _, base, t1, _ =
-        List.find (fun (j, _, _, _) -> j = 1) results
-      in
+      let median j = pick 50. wall (List.assoc j results) in
+      let base, t1, _ = median 1 in
       List.iter
-        (fun (j, (r : Search.result), t, (seam : Search.seam_stats)) ->
-          if not (Float.equal r.Search.cost base.Search.cost) then
-            failwith
-              (Printf.sprintf
-                 "search_perf: %s -j %d cost diverges from -j 1 (%h vs %h)"
-                 sname j r.Search.cost base.Search.cost);
-          if
-            not
-              (String.equal
-                 (Xschema.to_string r.Search.schema)
-                 (Xschema.to_string base.Search.schema))
-          then
-            failwith
-              (Printf.sprintf
-                 "search_perf: %s -j %d selects a different schema" sname j);
-          if not (same_trace r.Search.trace base.Search.trace) then
-            failwith
-              (Printf.sprintf "search_perf: %s -j %d trace diverges" sname j);
+        (fun (j, samples) ->
+          Array.iter
+            (fun ((r : Search.result), _, _) ->
+              if not (Float.equal r.Search.cost base.Search.cost) then
+                failwith
+                  (Printf.sprintf
+                     "search_perf: %s -j %d cost diverges from -j 1 (%h vs %h)"
+                     sname j r.Search.cost base.Search.cost);
+              if
+                not
+                  (String.equal
+                     (Xschema.to_string r.Search.schema)
+                     (Xschema.to_string base.Search.schema))
+              then
+                failwith
+                  (Printf.sprintf
+                     "search_perf: %s -j %d selects a different schema" sname
+                     j);
+              if not (same_trace r.Search.trace base.Search.trace) then
+                failwith
+                  (Printf.sprintf "search_perf: %s -j %d trace diverges" sname
+                     j))
+            samples;
+          let r, t, (seam : Search.seam_stats) = median j in
           let sp = t1 /. t in
           Printf.printf
             "%-9s -j %-3d  %7.3fs  speedup %5.2fx  (fanouts %3d, fanout \
@@ -644,26 +645,30 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
             sname j t sp seam.Search.s_fanouts seam.Search.s_t_fanout
             seam.Search.s_t_merge seam.Search.s_t_barrier_idle
             (if j = 1 then " (baseline)" else "");
-          if not !first_row then Buffer.add_string buf ",";
-          first_row := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n\
-                \  {\"kind\": \"jobs_sweep\", \"strategy\": \"%s\", \
-                \"workload\": \"mixed\", \"backend\": \"%s\", \"jobs\": %d, \
-                \"cost\": %.1f, \"wall_s\": %.4f, \"speedup_vs_j1\": %.2f,\n\
-                \   \"fanouts\": %d, \"t_fanout\": %.4f, \"t_merge\": %.4f, \
-                \"t_barrier_idle\": %.4f}"
-               sname Par.backend j r.Search.cost t sp seam.Search.s_fanouts
-               seam.Search.s_t_fanout seam.Search.s_t_merge
-               seam.Search.s_t_barrier_idle))
+          if n_rounds > 1 then
+            Printf.printf "  wall over %d rounds: %s\n%!" n_rounds
+              (spread (Array.map wall samples));
+          emit
+            [
+              ("kind", Str "jobs_sweep");
+              ("strategy", Str sname);
+              ("workload", Str "mixed");
+              ("jobs", Int j);
+              ("cost", Num r.Search.cost);
+              ("wall_s", Num t);
+              ("speedup_vs_j1", Num sp);
+              ("fanouts", Int seam.Search.s_fanouts);
+              ("t_fanout", Num seam.Search.s_t_fanout);
+              ("t_merge", Num seam.Search.s_t_merge);
+              ("t_barrier_idle", Num seam.Search.s_t_barrier_idle);
+            ])
         results;
       let jmax = List.fold_left max 1 sweep in
       (* the wall-clock claim, asserted where it can physically hold:
          >= 2x at -j 4 for every swept strategy *)
       if (not smoke) && Par.available && Par.default_jobs () >= 4 && jmax >= 4
       then begin
-        let _, _, tmax, _ = List.find (fun (j, _, _, _) -> j = jmax) results in
+        let _, tmax, _ = median jmax in
         let sp = t1 /. tmax in
         if sp < 2.0 then
           failwith
@@ -675,24 +680,17 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
          runs (CI included): even when extra jobs cannot win — one
          core, oversubscription — the seam must not cost wall time *)
       if smoke && Par.available && List.mem 2 sweep then begin
-        let _, _, t2, _ = List.find (fun (j, _, _, _) -> j = 2) results in
+        let _, t2, _ = median 2 in
         if t2 > t1 *. 1.15 then
           failwith
             (Printf.sprintf
                "search_perf: %s -j 2 wall %.3fs exceeds 1.15x of -j 1 \
-                (%.3fs): the parallel seam is taxing the search"
-               sname t2 t1)
+                (%.3fs), medians of %d rounds: the parallel seam is taxing \
+                the search"
+               sname t2 t1 n_rounds)
       end)
     strategies;
-  Buffer.add_string buf "\n]\n";
-  print_newline ();
-  print_string (Buffer.contents buf);
-  if not smoke then begin
-    let oc = open_out "BENCH_search_perf.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "[wrote BENCH_search_perf.json]"
-  end
+  record ~smoke ~jobs "search_perf" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* optimizer_perf: mask-indexed join DP vs the frozen reference        *)
@@ -706,13 +704,12 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
    block.  The stage breakdown (t_mapping / t_translate / t_optimize)
    localizes where a candidate evaluation spends its time, and the
    minor words one costing allocates on each path (a count that repeats
-   exactly, unlike the timings) shows the mechanism.  [--smoke] runs
-   one repetition and skips the JSON and the timing gate, keeping the
+   exactly, unlike the timings) shows the mechanism.  Each path's time
+   is its best of 7 rounds, the two paths taking turns.  [--smoke] runs
+   one round and skips the JSON and the timing gate, keeping the
    divergence check and the allocation gate for CI. *)
-let optimizer_perf ?(smoke = false) () =
-  print_endline
-    "\nPer-candidate optimizer: mask-indexed DP vs frozen reference\n\
-     ============================================================";
+let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
+  header "Per-candidate optimizer: mask-indexed DP vs frozen reference";
   let schema = annotated Imdb.Stats.full in
   let configs =
     [
@@ -729,9 +726,7 @@ let optimizer_perf ?(smoke = false) () =
   in
   let reps = if smoke then 1 else 7 in
   let bits = Int64.bits_of_float in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "[";
-  let first_row = ref true in
+  let rows = ref [] in
   (* per-workload fast/reference optimize time, summed over configs —
      the >= 2x gate below reads these *)
   let gate : (string, float * float) Hashtbl.t = Hashtbl.create 4 in
@@ -743,21 +738,21 @@ let optimizer_perf ?(smoke = false) () =
   in
   List.iter
     (fun (cname, config) ->
-      let t0 = Unix.gettimeofday () in
-      let m =
-        match Mapping.of_pschema config with
-        | Ok m -> m
-        | Error es -> failwith (String.concat "; " es)
+      let m, t_mapping =
+        time (fun () ->
+            match Mapping.of_pschema config with
+            | Ok m -> m
+            | Error es -> failwith (String.concat "; " es))
       in
-      let t_mapping = Unix.gettimeofday () -. t0 in
       let catalog = m.Mapping.catalog in
       List.iter
         (fun (wname, workload) ->
-          let t1 = Unix.gettimeofday () in
-          let queries =
-            List.map (fun (q, w) -> (Xq_translate.translate m q, w)) workload
+          let queries, t_translate =
+            time (fun () ->
+                List.map
+                  (fun (q, w) -> (Xq_translate.translate m q, w))
+                  workload)
           in
-          let t_translate = Unix.gettimeofday () -. t1 in
           let blocks =
             List.fold_left
               (fun n (q, _) -> n + List.length q.Logical.blocks)
@@ -798,30 +793,17 @@ let optimizer_perf ?(smoke = false) () =
                          cname wname q.Logical.qname))
                 fast refr)
             queries;
-          let time_path f =
-            let t = ref infinity in
-            for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
-              ignore (f ());
-              t := Float.min !t (Unix.gettimeofday () -. t0)
-            done;
-            !t
+          let fast () = Optimizer.workload_cost ~params catalog queries in
+          let refr () =
+            Optimizer_reference.workload_cost ~params catalog queries
           in
-          let t_fast =
-            time_path (fun () -> Optimizer.workload_cost ~params catalog queries)
+          let timed f () = snd (time f) in
+          let t_fast, t_ref =
+            match rounds reps [ timed fast; timed refr ] with
+            | [ f; r ] -> (pick 0. Fun.id f, pick 0. Fun.id r)
+            | _ -> assert false
           in
-          let t_ref =
-            time_path (fun () ->
-                Optimizer_reference.workload_cost ~params catalog queries)
-          in
-          let w_fast =
-            minor_words (fun () ->
-                Optimizer.workload_cost ~params catalog queries)
-          in
-          let w_ref =
-            minor_words (fun () ->
-                Optimizer_reference.workload_cost ~params catalog queries)
-          in
+          let w_fast = minor_words fast and w_ref = minor_words refr in
           let fa, ra =
             Option.value ~default:(0., 0.) (Hashtbl.find_opt gate wname)
           in
@@ -842,31 +824,28 @@ let optimizer_perf ?(smoke = false) () =
                  "optimizer_perf: %s/%s allocates %.0f minor words, > 0.25x \
                   the reference's %.0f"
                  cname wname w_fast w_ref);
-          if not !first_row then Buffer.add_string buf ",";
-          first_row := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n\
-                \  {\"config\": \"%s\", \"workload\": \"%s\", \"queries\": \
-                %d, \"blocks\": %d, \"max_rels\": %d,\n\
-                \   \"t_mapping_s\": %.5f, \"t_translate_s\": %.5f, \
-                \"t_optimize_fast_s\": %.5f, \"t_optimize_ref_s\": %.5f,\n\
-                \   \"speedup\": %.2f, \"minor_words_fast\": %.0f, \
-                \"minor_words_ref\": %.0f}"
-               cname wname (List.length queries) blocks max_rels t_mapping
-               t_translate t_fast t_ref (t_ref /. t_fast) w_fast w_ref))
+          rows :=
+            [
+              ("config", Str cname);
+              ("workload", Str wname);
+              ("queries", Int (List.length queries));
+              ("blocks", Int blocks);
+              ("max_rels", Int max_rels);
+              ("t_mapping_s", Num t_mapping);
+              ("t_translate_s", Num t_translate);
+              ("t_optimize_fast_s", Num t_fast);
+              ("t_optimize_ref_s", Num t_ref);
+              ("speedup", Num (t_ref /. t_fast));
+              ("minor_words_fast", Int (int_of_float w_fast));
+              ("minor_words_ref", Int (int_of_float w_ref));
+            ]
+            :: !rows)
         workloads)
     configs;
-  Buffer.add_string buf "\n]\n";
-  print_newline ();
-  print_string (Buffer.contents buf);
-  if not smoke then begin
-    let oc = open_out "BENCH_optimizer_perf.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "[wrote BENCH_optimizer_perf.json]";
-    (* the tentpole claim: the optimize stage on the per-candidate hot
-       workloads is at least twice as fast as the frozen reference *)
+  record ~smoke ~jobs "optimizer_perf" (List.rev !rows);
+  (* the tentpole claim: the optimize stage on the per-candidate hot
+     workloads is at least twice as fast as the frozen reference *)
+  if not smoke then
     List.iter
       (fun wname ->
         match Hashtbl.find_opt gate wname with
@@ -877,7 +856,6 @@ let optimizer_perf ?(smoke = false) () =
                  wname (refr /. fast))
         | _ -> ())
       [ "lookup"; "mixed" ]
-  end
 
 (* ------------------------------------------------------------------ *)
 (* budget_sweep: anytime search — every budgeted run is a prefix       *)
@@ -892,9 +870,7 @@ let optimizer_perf ?(smoke = false) () =
    a deterministic injected fault and records the per-candidate
    failure records the search now surfaces. *)
 let budget_sweep ?(jobs = 1) ?(smoke = false) () =
-  print_endline
-    "\nAnytime search: budgeted runs are prefixes of the full run\n\
-     ==========================================================";
+  header "Anytime search: budgeted runs are prefixes of the full run";
   let schema = annotated Imdb.Stats.full in
   let workload = Imdb.Workloads.mixed 0.5 in
   let tickets = Budget.create () in
@@ -909,21 +885,8 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
   Printf.printf "full run: cost %.1f, %d iterations, %d evaluations\n%!"
     full.Search.cost total_iters total_evals;
   let prefix n l = List.filteri (fun i _ -> i < n) l in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "[";
-  let first_row = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun row ->
-        if not !first_row then Buffer.add_string buf ",";
-        first_row := false;
-        Buffer.add_string buf row)
-      fmt
-  in
-  let jobs_sweep =
-    List.sort_uniq compare
-      (List.filter (fun j -> j >= 1) (if smoke then [ 1; jobs ] else [ 1; 2; jobs ]))
-  in
+  let rows = ref [] in
+  let emit row = rows := row :: !rows in
   let check ~label ~budget_of ~expect j =
     let r =
       Search.greedy_si ~params ~jobs:j ~budget:(budget_of ()) ~workload schema
@@ -933,25 +896,24 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
       failwith
         (Printf.sprintf "budget_sweep: %s -j %d is not a prefix of the full trace"
            label j);
-    (match expect with
-    | Some e when r.Search.stopped <> e ->
-        failwith
-          (Printf.sprintf "budget_sweep: %s -j %d stopped %s, expected %s" label
-             j
-             (Search.stopped_string r.Search.stopped)
-             (Search.stopped_string e))
-    | _ -> ());
+    if r.Search.stopped <> expect then
+      failwith
+        (Printf.sprintf "budget_sweep: %s -j %d stopped %s, expected %s" label j
+           (Search.stopped_string r.Search.stopped)
+           (Search.stopped_string expect));
     Printf.printf "%-16s -j %-3d  %2d iterations  cost %12.1f  (%s)\n%!" label j
       (n - 1) r.Search.cost
       (Search.stopped_string r.Search.stopped);
     emit
-      "\n\
-       \  {\"kind\": \"budget_sweep\", \"budget\": \"%s\", \"jobs\": %d, \
-       \"iterations\": %d, \"cost\": %.1f, \"stopped\": \"%s\", \"failures\": \
-       %d}"
-      label j (n - 1) r.Search.cost
-      (Search.stopped_string r.Search.stopped)
-      (List.length r.Search.failures)
+      [
+        ("kind", Str "budget_sweep");
+        ("budget", Str label);
+        ("jobs", Int j);
+        ("iterations", Int (n - 1));
+        ("cost", Num r.Search.cost);
+        ("stopped", Str (Search.stopped_string r.Search.stopped));
+        ("failures", Int (List.length r.Search.failures));
+      ]
   in
   List.iter
     (fun j ->
@@ -959,7 +921,7 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
         (fun frac ->
           let limit = max 1 (int_of_float (frac *. float_of_int total_evals)) in
           let expect =
-            if limit >= total_evals then Some `Converged else Some `Cost_budget
+            if limit >= total_evals then `Converged else `Cost_budget
           in
           check
             ~label:(Printf.sprintf "evals<=%d" limit)
@@ -971,7 +933,7 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
           (* an [iters = total_iters] cap trips at the barrier before
              the would-be converging pass, so it reports [iterations] *)
           let expect =
-            if iters > total_iters then Some `Converged else Some `Iterations
+            if iters > total_iters then `Converged else `Iterations
           in
           check
             ~label:(Printf.sprintf "iters<=%d" iters)
@@ -982,8 +944,8 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
          configuration *)
       check ~label:"deadline 0ms"
         ~budget_of:(fun () -> Budget.create ~wall_ms:0. ())
-        ~expect:(Some `Deadline) j)
-    jobs_sweep;
+        ~expect:`Deadline j)
+    (jobs_sweep ~smoke ~full:[ 1; 2 ] jobs);
 
   (* ---- fault accounting under deterministic injection ---- *)
   let init_s = Xschema.to_string (Init.all_inlined schema) in
@@ -998,22 +960,16 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
   List.iter
     (fun (f : Search.failure) ->
       emit
-        "\n\
-         \  {\"kind\": \"fault\", \"iteration\": %d, \"step\": \"%s\", \
-         \"stage\": \"%s\", \"class\": \"%s\", \"message\": \"%s\"}"
-        f.Search.f_iteration
-        (Format.asprintf "%a" Space.pp_step f.Search.f_step)
-        f.Search.f_stage f.Search.f_class f.Search.f_message)
+        [
+          ("kind", Str "fault");
+          ("iteration", Int f.Search.f_iteration);
+          ("step", Str (Format.asprintf "%a" Space.pp_step f.Search.f_step));
+          ("stage", Str f.Search.f_stage);
+          ("class", Str f.Search.f_class);
+          ("message", Str f.Search.f_message);
+        ])
     faulty.Search.failures;
-  Buffer.add_string buf "\n]\n";
-  print_newline ();
-  print_string (Buffer.contents buf);
-  if not smoke then begin
-    let oc = open_out "BENCH_budget_sweep.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "[wrote BENCH_budget_sweep.json]"
-  end
+  record ~smoke ~jobs "budget_sweep" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint_resume: kill a search, resume the snapshot, same answer  *)
@@ -1027,30 +983,14 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
    jobs value.  Each row also records how much costing work the warm
    snapshot saved the resumed process. *)
 let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
-  print_endline
-    "\nDurable checkpoints: kill-and-resume matches the uninterrupted run\n\
-     ==================================================================";
+  header "Durable checkpoints: kill-and-resume matches the uninterrupted run";
   let schema = annotated Imdb.Stats.full in
   let workload = Imdb.Workloads.mixed 0.5 in
   let full = Search.greedy_si ~params ~workload schema in
   let total_iters = List.length full.Search.trace - 1 in
   Printf.printf "uninterrupted: cost %.1f, %d iterations, %d configs costed\n%!"
     full.Search.cost total_iters full.Search.engine.Cost_engine.evaluations;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "[";
-  let first_row = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun row ->
-        if not !first_row then Buffer.add_string buf ",";
-        first_row := false;
-        Buffer.add_string buf row)
-      fmt
-  in
-  let jobs_sweep =
-    List.sort_uniq compare
-      (List.filter (fun j -> j >= 1) (if smoke then [ 1; jobs ] else [ 1; 2; jobs ]))
-  in
+  let rows = ref [] in
   let check ~label ~budget_of ~warm j =
     let path = Filename.temp_file "legodb_bench" ".ckpt" in
     let stopped =
@@ -1078,24 +1018,28 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
       fail "resumed stopped %s <> %s"
         (Search.stopped_string resumed.Search.stopped)
         (Search.stopped_string full.Search.stopped);
+    let stopped_iters = List.length stopped.Search.trace - 1 in
+    let resumed_evals = resumed.Search.engine.Cost_engine.evaluations in
+    let full_evals = full.Search.engine.Cost_engine.evaluations in
     Printf.printf
       "%-12s -j %-3d %s  stopped after %d iters, resumed to cost %12.1f \
        (costed %d of %d configs)\n\
        %!"
       label j
       (if warm then "warm" else "cold")
-      (List.length stopped.Search.trace - 1)
-      resumed.Search.cost resumed.Search.engine.Cost_engine.evaluations
-      full.Search.engine.Cost_engine.evaluations;
-    emit
-      "\n\
-       \  {\"kind\": \"checkpoint_resume\", \"stop\": \"%s\", \"jobs\": %d, \
-       \"warm\": %b, \"stopped_iters\": %d, \"resumed_cost\": %.1f, \
-       \"resumed_evals\": %d, \"full_evals\": %d}"
-      label j warm
-      (List.length stopped.Search.trace - 1)
-      resumed.Search.cost resumed.Search.engine.Cost_engine.evaluations
-      full.Search.engine.Cost_engine.evaluations
+      stopped_iters resumed.Search.cost resumed_evals full_evals;
+    rows :=
+      [
+        ("kind", Str "checkpoint_resume");
+        ("stop", Str label);
+        ("jobs", Int j);
+        ("warm", Bool warm);
+        ("stopped_iters", Int stopped_iters);
+        ("resumed_cost", Num resumed.Search.cost);
+        ("resumed_evals", Int resumed_evals);
+        ("full_evals", Int full_evals);
+      ]
+      :: !rows
   in
   List.iter
     (fun j ->
@@ -1111,16 +1055,8 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
         check ~label:"evals<=20"
           ~budget_of:(fun () -> Budget.create ~max_evaluations:20 ())
           ~warm:false j)
-    jobs_sweep;
-  Buffer.add_string buf "\n]\n";
-  print_newline ();
-  print_string (Buffer.contents buf);
-  if not smoke then begin
-    let oc = open_out "BENCH_checkpoint_resume.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "[wrote BENCH_checkpoint_resume.json]"
-  end
+    (jobs_sweep ~smoke ~full:[ 1; 2 ] jobs);
+  record ~smoke ~jobs "checkpoint_resume" (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* serve_perf: the query server over a frozen snapshot                 *)
@@ -1150,14 +1086,7 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
    pipeline on the same snapshot, and row counts must match the naive
    tree evaluator on the source document. *)
 let serve_perf ?(jobs = 1) ?(smoke = false) () =
-  print_endline
-    "\nServing throughput over frozen snapshots\n\
-     ========================================";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+  header "Serving throughput over frozen snapshots";
   let scale = if smoke then 0.002 else 0.12 in
   let doc, t_gen =
     time (fun () ->
@@ -1165,30 +1094,6 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   in
   let stats = Collector.collect doc in
   let ps = Init.all_inlined (Annotate.schema stats Imdb.Schema.schema) in
-  let t_year y =
-    Printf.sprintf
-      "FOR $v IN document(\"imdb\")/imdb/show WHERE $v/year = %s RETURN \
-       $v/title, $v/year, $v/type"
-      y
-  in
-  let t_name n =
-    Printf.sprintf
-      "FOR $a IN document(\"imdb\")/imdb/actor WHERE $a/name = \"%s\" RETURN \
-       $a/name"
-      n
-  in
-  let t_join n =
-    Printf.sprintf
-      "FOR $i IN document(\"imdb\")/imdb $a in $i/actor, $m1 in $a/played \
-       WHERE $a/name = \"%s\" RETURN $a/name, $m1/title, $m1/year"
-      n
-  in
-  let t_title s =
-    Printf.sprintf
-      "FOR $v IN document(\"imdb\")/imdb/show WHERE $v/title = \"%s\" RETURN \
-       $v/title, $v/year"
-      s
-  in
   let n_templates = 4 in
   let m =
     let base =
@@ -1196,14 +1101,11 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
       | Ok m -> m
       | Error es -> failwith (String.concat "; " es)
     in
-    let representatives =
-      List.map
-        (Xq_parse.parse ~name:"rep")
-        [ t_year "1900"; t_name "x"; t_join "x"; t_title "x" ]
-    in
     let equality =
       Xq_translate.equality_columns
-        (List.map (Xq_translate.translate base) representatives)
+        (List.map
+           (fun t -> Xq_translate.translate base (Xq_parse.parse ~name:"rep" t))
+           Inputs.representatives)
     in
     { base with Mapping.catalog = Rschema.add_indexes base.Mapping.catalog equality }
   in
@@ -1227,65 +1129,64 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
      request has a chance of matching rows; large pools keep most
      requests structurally distinct, which is what makes the cold
      batch pay for compilation *)
-  let pool ?(limit = 2000) path =
-    let seen = Hashtbl.create 64 in
-    let vs =
-      List.filter
-        (fun v ->
-          if Hashtbl.mem seen v then false
-          else begin
-            Hashtbl.replace seen v ();
-            true
-          end)
-        (Xq_eval.path_values doc path)
-    in
-    let arr = Array.of_list vs in
-    if Array.length arr = 0 then failwith "serve_perf: empty constant pool";
-    Array.sub arr 0 (min limit (Array.length arr))
+  let pool path =
+    match Array.of_list (Inputs.distinct (Xq_eval.path_values doc path)) with
+    | [||] -> failwith "serve_perf: empty constant pool"
+    | arr -> Array.sub arr 0 (min 2000 (Array.length arr))
   in
   let years = pool [ "show"; "year" ] in
   let names = pool [ "actor"; "name" ] in
   let titles = pool [ "show"; "title" ] in
   let n_req = if smoke then 120 else 2000 in
   let rng = Random.State.make [| 20260808 |] in
-  let pick arr = arr.(Random.State.int rng (Array.length arr)) in
+  let draw arr = arr.(Random.State.int rng (Array.length arr)) in
   let req_texts =
     Array.init n_req (fun _ ->
         match Random.State.int rng 4 with
-        | 0 -> t_year (pick years)
-        | 1 -> t_name (pick names)
-        | 2 -> t_join (pick names)
-        | _ -> t_title (pick titles))
+        | 0 -> Inputs.t_year (draw years)
+        | 1 -> Inputs.t_name (draw names)
+        | 2 -> Inputs.t_join (draw names)
+        | _ -> Inputs.t_title (draw titles))
   in
   let reqs =
     Array.mapi
       (fun i text -> Xq_parse.parse ~name:(Printf.sprintf "req%d" i) text)
       req_texts
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "[";
-  let first_row = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if not !first_row then Buffer.add_string buf ",";
-        first_row := false;
-        Buffer.add_string buf ("\n  " ^ s))
-      fmt
-  in
+  let rows = ref [] in
+  let emit row = rows := row :: !rows in
   let summary_of label wall_s latencies =
     let s = Serve.summarize ~wall_s latencies in
     Printf.printf "%-9s %s\n%!" label
       (Format.asprintf "%a" Serve.pp_summary s);
     emit
-      "{\"kind\": \"pass\", \"pass\": \"%s\", \"n\": %d, \"wall_s\": %.4f, \
-       \"qps\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}"
-      label s.Serve.n s.Serve.wall_s s.Serve.qps s.Serve.p50_ms s.Serve.p95_ms
-      s.Serve.p99_ms;
+      [
+        ("kind", Str "pass");
+        ("pass", Str label);
+        ("n", Int s.Serve.n);
+        ("wall_s", Num s.Serve.wall_s);
+        ("qps", Num s.Serve.qps);
+        ("p50_ms", Num s.Serve.p50_ms);
+        ("p95_ms", Num s.Serve.p95_ms);
+        ("p99_ms", Num s.Serve.p99_ms);
+      ];
+    s
+  in
+  (* A repeated pass is an array of rounds, each its wall clock and
+     per-request latencies.  [report p] reports the round at the [p]th
+     percentile of wall time, the best (p = 0) for the best-of gates
+     and the median (p = 50) for the gates that compare interleaved
+     rounds, and prints the spread of all the rounds. *)
+  let report p label samples =
+    let w, l = pick p fst samples in
+    let s = summary_of label w l in
+    if Array.length samples > 1 then
+      Printf.printf "%-9s %d rounds: qps %s\n%!" label (Array.length samples)
+        (spread (Array.map (fun (w, _) -> float_of_int n_req /. w) samples));
     s
   in
   (* one timed batch: its wall clock and per-request latencies *)
-  let run_once srv =
+  let run_once srv () =
     let replies, wall_s = time (fun () -> Serve.run_batch srv reqs) in
     let latencies =
       Array.map
@@ -1296,23 +1197,14 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
     in
     (wall_s, latencies)
   in
-  let batch ?(rounds = 1) srv label =
-    (* a 2000-request batch is 10-30ms of wall time, so gated passes
-       run a few rounds and keep the fastest — the measurement least
-       disturbed by whatever else the machine was doing *)
-    let best =
-      List.fold_left
-        (fun (bw, bl) _ ->
-          let w, l = run_once srv in
-          if w < bw then (w, l) else (bw, bl))
-        (run_once srv)
-        (List.init (rounds - 1) Fun.id)
-    in
-    summary_of label (fst best) (snd best)
+  (* a 2000-request batch is 10-30ms of wall time, so gated passes run
+     a few rounds and keep the fastest — the measurement least
+     disturbed by whatever else the machine was doing *)
+  let batch n srv label =
+    report 0. label (List.hd (rounds n [ run_once srv ]))
   in
-  let gate_rounds = if smoke then 1 else 3 in
-  let cold = batch server "cold" in
-  let warm = batch ~rounds:gate_rounds server "warm" in
+  let cold = batch 1 server "cold" in
+  let warm = batch (if smoke then 1 else 3) server "warm" in
   let stats_after = Serve.stats server in
   Printf.printf "%s\n%!"
     (Format.asprintf "%a" Serve.pp_stats stats_after);
@@ -1394,27 +1286,36 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
     failwith "serve_perf: publish did not grow the snapshot";
   Printf.printf "publish: %d -> %d rows in %.3fs\n%!" rows_before rows_after
     t_publish;
-  let post = batch server "post-pub" in
+  let post = batch 1 server "post-pub" in
   let final = Serve.stats server in
   emit
-    "{\"kind\": \"serve\", \"scale\": %.3f, \"rows\": %d, \"rows_after\": %d, \
-     \"jobs\": %d, \"cores\": %d, \"requests\": %d, \"cold_qps\": %.1f, \
-     \"warm_qps\": %.1f, \"cached_qps\": %.1f, \"nocache_qps\": %.1f, \
-     \"post_publish_qps\": %.1f, \"publish_s\": %.4f, \"hits\": %d, \
-     \"misses\": %d, \"served\": %d, \"publishes\": %d}"
-    scale total rows_after jobs (Par.default_jobs ()) n_req cold.Serve.qps
-    warm.Serve.qps cached.Serve.qps nocache.Serve.qps post.Serve.qps t_publish
-    final.Serve.cache_hits final.Serve.cache_misses final.Serve.served
-    final.Serve.snapshots_published;
+    [
+      ("kind", Str "serve");
+      ("scale", Num scale);
+      ("rows", Int total);
+      ("rows_after", Int rows_after);
+      ("jobs", Int jobs);
+      ("requests", Int n_req);
+      ("cold_qps", Num cold.Serve.qps);
+      ("warm_qps", Num warm.Serve.qps);
+      ("cached_qps", Num cached.Serve.qps);
+      ("nocache_qps", Num nocache.Serve.qps);
+      ("post_publish_qps", Num post.Serve.qps);
+      ("publish_s", Num t_publish);
+      ("hits", Int final.Serve.cache_hits);
+      ("misses", Int final.Serve.cache_misses);
+      ("served", Int final.Serve.served);
+      ("publishes", Int final.Serve.snapshots_published);
+    ];
   (* ------------------------------------------------------------------
      durability: the same corpus served with a write-ahead log.  Three
      things are measured and recorded: the read path must not regress
      (WAL-on warm throughput gated at >= 0.85x the WAL-off server, the
      median rounds of the two interleaved — a read never touches the
      log, so a bigger gap would mean the durability state leaks into
-     the serving path), the write path's
-     log+snapshot overhead, and recovery: crash after acked appends,
-     recover, and require bit-identical answers. *)
+     the serving path), the write path's log+snapshot overhead, and
+     recovery: crash after acked appends, recover, and require
+     bit-identical answers. *)
   print_endline "\ndurability (write-ahead log + snapshot):";
   let dur_dir =
     let d = Filename.temp_file "legodb_bench" ".d" in
@@ -1429,45 +1330,29 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   in
   Printf.printf "standing store: %s (initial snapshot %.2fs)\n%!" dur_dir
     t_attach;
-  let _wal_cold = batch dur "wal-cold" in
+  let _wal_cold = batch 1 dur "wal-cold" in
   (* The WAL-on and WAL-off servers take turns, one batch each per
      round, and the gate compares their median rounds.  A batch lasts
      10-25ms, so best-of-3 taken one server after the other measures
      when each batch ran as much as the read path: the machine's drift
      over a few hundred milliseconds, not the durability state. *)
   let wal_rounds = if smoke then 1 else 20 in
-  let wal_runs = Array.make wal_rounds (0., [||])
-  and ref_runs = Array.make wal_rounds (0., [||]) in
-  for i = 0 to wal_rounds - 1 do
-    wal_runs.(i) <- run_once dur;
-    ref_runs.(i) <- run_once server
-  done;
-  let median_of label runs =
-    let sorted = Array.copy runs in
-    Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
-    let qps (w, _) = float_of_int n_req /. w in
-    let q i = qps sorted.(i * (wal_rounds - 1) / 4) in
-    Printf.printf
-      "%-9s %d interleaved rounds: qps min %.0f, quartiles %.0f / %.0f / \
-       %.0f, max %.0f\n%!"
-      label wal_rounds (q 4) (q 3) (q 2) (q 1) (q 0);
-    let w, l = sorted.((wal_rounds - 1) / 2) in
-    summary_of label w l
+  let wal_runs, ref_runs =
+    match rounds wal_rounds [ run_once dur; run_once server ] with
+    | [ w; r ] -> (w, r)
+    | _ -> assert false
   in
-  let wal_warm = median_of "wal-warm" wal_runs in
-  let warm_ref = median_of "warm-ref" ref_runs in
+  let wal_warm = report 50. "wal-warm" wal_runs in
+  let warm_ref = report 50. "warm-ref" ref_runs in
   if (not smoke) && wal_warm.Serve.qps < 0.85 *. warm_ref.Serve.qps then
     failwith
       (Printf.sprintf
          "serve_perf: WAL-on median warm qps %.0f below 0.85x the WAL-off \
           %.0f"
          wal_warm.Serve.qps warm_ref.Serve.qps);
-  (* the network gates below judge the front door, itself timed
+  (* the net-warm gate below judges the front door, itself timed
      best-of-rounds, against the fastest WAL-off round *)
-  let warm_ref_best =
-    float_of_int n_req
-    /. Array.fold_left (fun b (w, _) -> min b w) infinity ref_runs
-  in
+  let warm_ref_best = float_of_int n_req /. fst (pick 0. fst ref_runs) in
   let extra_docs =
     Array.init 4 (fun i ->
         Imdb.Gen.generate { (Imdb.Gen.scaled 0.002) with Imdb.Gen.seed = 200 + i })
@@ -1511,30 +1396,37 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
      %!"
     n_sample_dur;
   emit
-    "{\"kind\": \"durability\", \"rounds\": %d, \"wal_warm_qps\": %.1f, \
-     \"wal_off_qps\": %.1f, \"qps_ratio\": %.3f, \"initial_snapshot_s\": \
-     %.4f, \"append_fsync_s\": %.4f, \"durable_publish_s\": %.4f, \
-     \"recover_s\": %.4f, \"snapshot_rows\": %d, \"snapshot_seq\": %d, \
-     \"replayed\": %d, \"skipped\": %d, \"recovered_seq\": %d, \
-     \"dropped_bytes\": %d, \"torn\": %s}"
-    wal_rounds wal_warm.Serve.qps warm_ref.Serve.qps
-    (wal_warm.Serve.qps /. warm_ref.Serve.qps)
-    t_attach t_dur_append t_dur_publish t_recover rinfo.Serve.r_snapshot_rows
-    rinfo.Serve.r_snapshot_seq rinfo.Serve.r_replayed rinfo.Serve.r_skipped
-    rinfo.Serve.r_recovered_seq rinfo.Serve.r_dropped_bytes
-    (match rinfo.Serve.r_torn with
-    | None -> "null"
-    | Some w -> Printf.sprintf "\"%s\"" (String.escaped w));
+    [
+      ("kind", Str "durability");
+      ("rounds", Int wal_rounds);
+      ("wal_warm_qps", Num wal_warm.Serve.qps);
+      ("wal_off_qps", Num warm_ref.Serve.qps);
+      ("qps_ratio", Num (wal_warm.Serve.qps /. warm_ref.Serve.qps));
+      ("initial_snapshot_s", Num t_attach);
+      ("append_fsync_s", Num t_dur_append);
+      ("durable_publish_s", Num t_dur_publish);
+      ("recover_s", Num t_recover);
+      ("snapshot_rows", Int rinfo.Serve.r_snapshot_rows);
+      ("snapshot_seq", Int rinfo.Serve.r_snapshot_seq);
+      ("replayed", Int rinfo.Serve.r_replayed);
+      ("skipped", Int rinfo.Serve.r_skipped);
+      ("recovered_seq", Int rinfo.Serve.r_recovered_seq);
+      ("dropped_bytes", Int rinfo.Serve.r_dropped_bytes);
+      ( "torn",
+        match rinfo.Serve.r_torn with None -> Null | Some w -> Str w );
+    ];
   (* ------------------------------------------------------------------
      network pass: the warm workload again, but through the TCP front
      door — queries travel as source text, get parsed and batched
      server-side, and the sampled answers must be bit-identical to the
-     in-process path (compared after the server thread is joined, so
+     in-process path (compared after the server threads are joined, so
      the two paths never overlap). *)
   print_endline "\nnetwork (TCP front door):";
-  let run_netserver ?group_commit_ms srv f =
-    let stop = ref false in
-    let port_cell = ref None in
+  (* a tick loop over [srv] on its own thread: the port it listens on,
+     and a function that stops it, wakes it with [close] (which closes
+     its clients) and returns the loop's counters *)
+  let start_loop ?group_commit_ms srv =
+    let stop = ref false and port_cell = ref None in
     let net_cell = ref Net.net_stats_zero in
     let th =
       Thread.create
@@ -1555,16 +1447,21 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
             await (n + 1)
           end
     in
-    let r = f (await 0) in
-    stop := true;
-    Thread.join th;
-    (r, !net_cell)
+    let port = await 0 in
+    ( port,
+      fun close ->
+        stop := true;
+        close ();
+        Thread.join th;
+        !net_cell )
   in
-  (* every pass replays the warm workload [net_rounds] times against a
-     fresh server loop and keeps the best round — the best round's
-     latencies and sampled rows are the ones reported *)
-  let net_rounds = if smoke then 1 else 3 in
-  let net_lat = Array.make n_req 0. in
+  (* A client's round runs on [conc] connections to a fresh loop over
+     the server: an untimed pass fills the loop's replay cache, then
+     the timed pass replays the warm workload.  The round returns the
+     timed pass's wall clock, per-request latencies and sampled rows,
+     and the loop's counters over both passes.  The clients take turns
+     for [net_rounds] rounds. *)
+  let net_rounds = if smoke then 1 else 5 in
   let loop_line netstats =
     Printf.printf
       "  loop: %d ticks, %d batches (%d shared, max %d), %d replayed, \
@@ -1575,40 +1472,31 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
       netstats.Net.max_batch netstats.Net.replayed netstats.Net.select_s
       netstats.Net.work_s netstats.Net.bytes_in netstats.Net.bytes_out
   in
+  let client ~conc play () =
+    let port, stop = start_loop server in
+    let peers = Array.init conc (fun _ -> Net.connect ~port ()) in
+    let pass () =
+      let lat = Array.make n_req 0. in
+      let rows = Array.make n_sample [] in
+      let (), wall = time (fun () -> play peers lat rows) in
+      (wall, lat, rows)
+    in
+    ignore (pass ());
+    let wall, lat, rows = pass () in
+    (wall, (lat, rows, stop (fun () -> Array.iter Net.close peers)))
+  in
   (* the strict-RPC client: one request in flight, every response
      decoded — the methodology every earlier serve_perf reported *)
-  let rpc_pass label =
-    let rows_out = Array.make n_sample [] in
-    let best = ref infinity in
-    let (), netstats =
-      run_netserver server (fun port ->
-          let c = Net.connect ~port () in
-          let lat_round = Array.make n_req 0. in
-          let rows_round = Array.make n_sample [] in
-          for _ = 1 to net_rounds do
-            let t0 = Unix.gettimeofday () in
-            Array.iteri
-              (fun i text ->
-                let t1 = Unix.gettimeofday () in
-                (match Net.rpc c (Net.Query text) with
-                | Net.Rows { rows; _ } ->
-                    if i < n_sample then rows_round.(i) <- rows
-                | Net.Error_reply e -> failwith ("serve_perf: network: " ^ e)
-                | _ -> failwith "serve_perf: unexpected network response");
-                lat_round.(i) <- Unix.gettimeofday () -. t1)
-              req_texts;
-            let wall = Unix.gettimeofday () -. t0 in
-            if wall < !best then begin
-              best := wall;
-              Array.blit lat_round 0 net_lat 0 n_req;
-              Array.blit rows_round 0 rows_out 0 n_sample
-            end
-          done;
-          Net.close c)
-    in
-    let s = summary_of label !best net_lat in
-    loop_line netstats;
-    (s, rows_out, netstats)
+  let rpc peers lat rows =
+    Array.iteri
+      (fun i text ->
+        let reply, dt = time (fun () -> Net.rpc peers.(0) (Net.Query text)) in
+        lat.(i) <- dt;
+        match reply with
+        | Net.Rows { rows = r; _ } -> if i < n_sample then rows.(i) <- r
+        | Net.Error_reply e -> failwith ("serve_perf: network: " ^ e)
+        | _ -> failwith "serve_perf: unexpected network response")
+      req_texts
   in
   (* the load-generator client: [conc] connections, [depth] requests in
      flight per connection (each connection's frames corked into one
@@ -1616,87 +1504,102 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
      the sampled differential — the redis-benchmark -P discipline.
      Request [base+t] rides connection [t mod conc], so per-connection
      response order is exercised across the whole sweep. *)
-  let loadgen_pass ~conc ~depth label =
-    let rows_out = Array.make n_sample [] in
-    let best = ref infinity in
-    let cork = Buffer.create 4096 in
-    let (), netstats =
-      run_netserver server (fun port ->
-          let peers = Array.init conc (fun _ -> Net.connect ~port ()) in
-          let lat_round = Array.make n_req 0. in
-          let rows_round = Array.make n_sample [] in
-          let one_round () =
-            let t0 = Unix.gettimeofday () in
-            let i = ref 0 in
-            while !i < n_req do
-              let base = !i in
-              let k = min (conc * depth) (n_req - base) in
-              let sent = Unix.gettimeofday () in
-              for j = 0 to conc - 1 do
-                Buffer.clear cork;
-                let t = ref j in
-                while !t < k do
-                  Buffer.add_string cork
-                    (Net.encode_request (Net.Query req_texts.(base + !t)));
-                  t := !t + conc
-                done;
-                if Buffer.length cork > 0 then
-                  Net.send_raw peers.(j) (Buffer.contents cork)
-              done;
-              for j = 0 to conc - 1 do
-                let t = ref j in
-                while !t < k do
-                  let idx = base + !t in
-                  (if idx < n_sample then
-                     match Net.recv peers.(j) with
-                     | Net.Rows { rows; _ } -> rows_round.(idx) <- rows
-                     | Net.Error_reply e ->
-                         failwith ("serve_perf: network: " ^ e)
-                     | _ ->
-                         failwith "serve_perf: unexpected network response"
-                   else
-                     let p = Net.recv_raw peers.(j) in
-                     if String.length p < 4 || p.[0] <> 'r' || p.[1] <> 'o'
-                     then failwith "serve_perf: unexpected network response");
-                  lat_round.(idx) <- Unix.gettimeofday () -. sent;
-                  t := !t + conc
-                done
-              done;
-              i := base + k
-            done;
-            Unix.gettimeofday () -. t0
-          in
-          for _ = 1 to net_rounds do
-            let wall = one_round () in
-            if wall < !best then begin
-              best := wall;
-              Array.blit lat_round 0 net_lat 0 n_req;
-              Array.blit rows_round 0 rows_out 0 n_sample
-            end
-          done;
-          Array.iter Net.close peers)
-    in
-    let s = summary_of label !best net_lat in
-    loop_line netstats;
-    (s, rows_out, netstats)
-  in
-  let net, net_rows, _ = rpc_pass "net-warm" in
   let depth = 16 in
+  let cork = Buffer.create 4096 in
+  let loadgen peers lat rows =
+    let conc = Array.length peers in
+    let i = ref 0 in
+    while !i < n_req do
+      let base = !i in
+      let k = min (conc * depth) (n_req - base) in
+      let sent = Unix.gettimeofday () in
+      for j = 0 to conc - 1 do
+        Buffer.clear cork;
+        let t = ref j in
+        while !t < k do
+          Buffer.add_string cork
+            (Net.encode_request (Net.Query req_texts.(base + !t)));
+          t := !t + conc
+        done;
+        if Buffer.length cork > 0 then
+          Net.send_raw peers.(j) (Buffer.contents cork)
+      done;
+      for j = 0 to conc - 1 do
+        let t = ref j in
+        while !t < k do
+          let idx = base + !t in
+          (if idx < n_sample then
+             match Net.recv peers.(j) with
+             | Net.Rows { rows = r; _ } -> rows.(idx) <- r
+             | Net.Error_reply e -> failwith ("serve_perf: network: " ^ e)
+             | _ -> failwith "serve_perf: unexpected network response"
+           else
+             let p = Net.recv_raw peers.(j) in
+             if String.length p < 4 || p.[0] <> 'r' || p.[1] <> 'o' then
+               failwith "serve_perf: unexpected network response");
+          lat.(idx) <- Unix.gettimeofday () -. sent;
+          t := !t + conc
+        done
+      done;
+      i := base + k
+    done
+  in
   let concs = [ 1; 4; 16; 64 ] in
+  let samples =
+    rounds net_rounds
+      (client ~conc:1 rpc :: List.map (fun conc -> client ~conc loadgen) concs)
+  in
+  let rpc_samples = List.hd samples in
+  (* the net-warm gate reads the best strict-RPC round; the
+     16-connection gate compares median rounds *)
+  let latencies = Array.map (fun (w, (l, _, _)) -> (w, l)) in
+  let net = report 0. "net-warm" (latencies rpc_samples) in
+  let _, (_, net_rows, rpc_stats) = pick 0. fst rpc_samples in
+  loop_line rpc_stats;
+  emit
+    [
+      ("kind", Str "network");
+      ("requests", Int n_req);
+      ("rounds", Int net_rounds);
+      ("qps", Num net.Serve.qps);
+      ("p99_ms", Num net.Serve.p99_ms);
+      ("sampled_identical", Int (2 * n_sample));
+      ("qps_vs_warm_ref", Num (net.Serve.qps /. warm_ref_best));
+    ];
+  let rpc_median = float_of_int n_req /. fst (pick 50. fst rpc_samples) in
   let sweep =
-    List.map
-      (fun conc ->
-        let s, rows, netstats =
-          loadgen_pass ~conc ~depth (Printf.sprintf "net x%-2d d%d" conc depth)
-        in
-        (conc, s, rows, netstats))
-      concs
+    List.map2
+      (fun conc samples ->
+        let label = Printf.sprintf "net x%-2d d%d" conc depth in
+        let s = report 50. label (latencies samples) in
+        let _, (_, rows, netstats) = pick 50. fst samples in
+        loop_line netstats;
+        emit
+          [
+            ("kind", Str "network_sweep");
+            ("conns", Int conc);
+            ("depth", Int depth);
+            ("requests", Int n_req);
+            ("qps", Num s.Serve.qps);
+            ("p99_ms", Num s.Serve.p99_ms);
+            ("qps_vs_rpc", Num (s.Serve.qps /. rpc_median));
+            ("ticks", Int netstats.Net.ticks);
+            ("batches", Int netstats.Net.batches);
+            ("shared_batches", Int (Net.shared_batches netstats));
+            ("max_batch", Int netstats.Net.max_batch);
+            ("replayed", Int netstats.Net.replayed);
+            ("batch_hist", Ints (Array.to_list netstats.Net.batch_hist));
+            ("bytes_in", Int netstats.Net.bytes_in);
+            ("bytes_out", Int netstats.Net.bytes_out);
+            ("select_s", Num netstats.Net.select_s);
+            ("work_s", Num netstats.Net.work_s);
+          ];
+        (conc, (s, rows, netstats)))
+      concs (List.tl samples)
   in
-  let _, net16, net16_rows, net16_stats =
-    List.find (fun (c, _, _, _) -> c = 16) sweep
-  in
-  (* sampled answers from the strict-RPC and the 16-connection loadgen
-     passes, both checked bit-identical to the in-process path after
+  let net16, net16_rows, net16_stats = List.assoc 16 sweep in
+  (* sampled answers from the reported strict-RPC and 16-connection
+     rounds, both checked bit-identical to the in-process path after
      the server threads are joined *)
   let check_sample what rows_out =
     Array.iteri
@@ -1730,38 +1633,13 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
            "serve_perf: single-connection net-warm qps %.0f below 0.25x the \
             in-process warm-ref %.0f"
            net.Serve.qps warm_ref_best);
-    if net16.Serve.qps < 2.5 *. net.Serve.qps then
+    if net16.Serve.qps < 2.5 *. rpc_median then
       failwith
         (Printf.sprintf
            "serve_perf: 16-connection aggregate qps %.0f below 2.5x the \
-            single-connection net-warm %.0f"
-           net16.Serve.qps net.Serve.qps)
+            single-connection net-warm %.0f (medians of %d rounds)"
+           net16.Serve.qps rpc_median net_rounds)
   end;
-  emit
-    "{\"kind\": \"network\", \"requests\": %d, \"rounds\": %d, \"qps\": \
-     %.1f, \"p99_ms\": %.4f, \"sampled_identical\": %d, \
-     \"qps_vs_warm_ref\": %.3f}"
-    n_req net_rounds net.Serve.qps net.Serve.p99_ms (2 * n_sample)
-    (net.Serve.qps /. warm_ref_best);
-  List.iter
-    (fun (conc, s, _, netstats) ->
-      emit
-        "{\"kind\": \"network_sweep\", \"conns\": %d, \"depth\": %d, \
-         \"requests\": %d, \"qps\": %.1f, \"p99_ms\": %.4f, \
-         \"qps_vs_rpc\": %.3f, \"ticks\": %d, \"batches\": %d, \
-         \"shared_batches\": %d, \"max_batch\": %d, \"replayed\": %d, \
-         \"batch_hist\": [%s], \"bytes_in\": %d, \"bytes_out\": %d, \
-         \"select_s\": %.4f, \"work_s\": %.4f}"
-        conc depth n_req s.Serve.qps s.Serve.p99_ms
-        (s.Serve.qps /. net.Serve.qps)
-        netstats.Net.ticks netstats.Net.batches
-        (Net.shared_batches netstats)
-        netstats.Net.max_batch netstats.Net.replayed
-        (String.concat ", "
-           (Array.to_list (Array.map string_of_int netstats.Net.batch_hist)))
-        netstats.Net.bytes_in netstats.Net.bytes_out netstats.Net.select_s
-        netstats.Net.work_s)
-    sweep;
   (* ------------------------------------------------------------------
      group commit: append throughput on the recovered WAL-on server.
      The k=1 pass is the PR 8 discipline (one fsync per append); the
@@ -1776,68 +1654,81 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   in
   let n_app = if smoke then 16 else 128 in
   (* each round is only tens of milliseconds of wall time, so one slow
-     fsync (the disk is shared) can swing a single measurement by 30%;
-     run a few rounds and report the best, which is the run least
-     disturbed by the machine rather than the commit discipline *)
-  let rounds = if smoke then 1 else 5 in
-  let sweep k =
+     fsync (the disk is shared) can swing a single measurement by 30%:
+     after one untimed round per group size, the sizes take turns for
+     [gc_rounds] rounds and each reports its median round *)
+  let gc_rounds = if smoke then 1 else 9 in
+  (* one round of [n_app] appends in groups of [k]: its wall clock,
+     then its fsyncs per append and each commit's latency *)
+  let commit_round k () =
     let s0 = Serve.stats recovered in
     let commits = ref [] in
-    let one_round () =
-      let (), wall =
-        time (fun () ->
-            let rec go left =
-              if left > 0 then begin
-                let chunk = min k left in
-                let (), t_commit =
-                  time (fun () ->
-                      if chunk = 1 then Serve.append recovered tiny
-                      else
-                        List.iter
-                          (function
-                            | Ok () -> ()
-                            | Error e -> failwith ("serve_perf: " ^ e))
-                          (Serve.append_group recovered
-                             (List.init chunk (fun _ -> tiny))))
-                in
-                commits := t_commit :: !commits;
-                go (left - chunk)
-              end
-            in
-            go n_app)
-      in
-      wall
+    let rec go left =
+      if left > 0 then begin
+        let chunk = min k left in
+        let (), t_commit =
+          time (fun () ->
+              if chunk = 1 then Serve.append recovered tiny
+              else
+                List.iter
+                  (function
+                    | Ok () -> () | Error e -> failwith ("serve_perf: " ^ e))
+                  (Serve.append_group recovered
+                     (List.init chunk (fun _ -> tiny))))
+        in
+        commits := t_commit :: !commits;
+        go (left - chunk)
+      end
     in
-    let wall =
-      List.fold_left
-        (fun best _ -> min best (one_round ()))
-        (one_round ())
-        (List.init (rounds - 1) Fun.id)
-    in
+    let (), wall = time (fun () -> go n_app) in
     let s1 = Serve.stats recovered in
-    let appends = s1.Serve.wal_appends - s0.Serve.wal_appends in
-    let fsyncs = s1.Serve.wal_fsyncs - s0.Serve.wal_fsyncs in
-    let qps = float_of_int n_app /. wall in
-    let ratio = float_of_int fsyncs /. float_of_int appends in
-    let p99_commit_ms =
-      let a = Array.of_list !commits in
-      Array.sort compare a;
-      1000. *. a.(Array.length a - 1 - (Array.length a / 100))
-    in
-    Printf.printf
-      "group=%-3d %d appends (best of %d) in %.3fs: %7.0f appends/s, %.3f \
-       fsyncs/append, p99 commit %.2fms\n\
-       %!"
-      k n_app rounds wall qps ratio p99_commit_ms;
-    emit
-      "{\"kind\": \"group_commit\", \"group\": %d, \"appends\": %d, \
-       \"rounds\": %d, \"wall_s\": %.4f, \"append_qps\": %.1f, \
-       \"fsyncs_per_append\": %.4f, \"p99_commit_ms\": %.4f}"
-      k n_app rounds wall qps ratio p99_commit_ms;
-    (qps, ratio)
+    ( wall,
+      ( float_of_int (s1.Serve.wal_fsyncs - s0.Serve.wal_fsyncs)
+        /. float_of_int (s1.Serve.wal_appends - s0.Serve.wal_appends),
+        Array.of_list !commits ) )
   in
-  let base_qps, base_ratio = sweep 1 in
-  let grouped = List.map (fun k -> (k, sweep k)) [ 2; 4; 8; 16 ] in
+  let groups = [ 1; 2; 4; 8; 16 ] in
+  List.iter (fun k -> ignore (commit_round k ())) groups;
+  let grouped =
+    List.map2
+      (fun k samples ->
+        let wall = fst (pick 50. fst samples) in
+        let qps = float_of_int n_app /. wall in
+        (* every round logs [n_app] appends, so the mean of the rounds'
+           ratios is the ratio over all of them *)
+        let ratio =
+          Array.fold_left (fun a (_, (r, _)) -> a +. r) 0. samples
+          /. float_of_int gc_rounds
+        in
+        let commits = Array.map (fun (_, (_, c)) -> c) samples in
+        let p99_commit_ms =
+          1000. *. Bstat.percentile 99. (Array.concat (Array.to_list commits))
+        in
+        Printf.printf
+          "group=%-3d %d appends (median of %d) in %.3fs: %7.0f appends/s, \
+           %.3f fsyncs/append, p99 commit %.2fms\n\
+           %!"
+          k n_app gc_rounds wall qps ratio p99_commit_ms;
+        let rates = Array.map (fun (w, _) -> float_of_int n_app /. w) samples in
+        if gc_rounds > 1 then
+          Printf.printf "  appends/s over %d rounds: %s\n%!" gc_rounds
+            (spread rates);
+        emit
+          [
+            ("kind", Str "group_commit");
+            ("group", Int k);
+            ("appends", Int n_app);
+            ("rounds", Int gc_rounds);
+            ("wall_s", Num wall);
+            ("append_qps", Num qps);
+            ("fsyncs_per_append", Num ratio);
+            ("p99_commit_ms", Num p99_commit_ms);
+          ];
+        (k, (qps, ratio)))
+      groups
+      (rounds gc_rounds (List.map commit_round groups))
+  in
+  let base_qps, base_ratio = List.assoc 1 grouped in
   if not smoke then begin
     if base_ratio < 0.999 then
       failwith "serve_perf: fsync-per-append baseline ratio below 1.0";
@@ -1848,8 +1739,8 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
             failwith
               (Printf.sprintf
                  "serve_perf: group=%d append qps %.0f below 1.5x the \
-                  fsync-per-append baseline %.0f"
-                 k qps base_qps);
+                  fsync-per-append baseline %.0f (medians of %d rounds)"
+                 k qps base_qps gc_rounds);
           if ratio >= 0.25 then
             failwith
               (Printf.sprintf
@@ -1866,10 +1757,10 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
       let sends = Array.make n_app 0. in
       let acks = Array.make n_app 0. in
       let text = Xml.to_string tiny in
-      let wall, _net =
-        run_netserver ~group_commit_ms:gc_ms recovered (fun port ->
-            let c = Net.connect ~port () in
-            let t0 = Unix.gettimeofday () in
+      let port, stop = start_loop ~group_commit_ms:gc_ms recovered in
+      let c = Net.connect ~port () in
+      let (), wall =
+        time (fun () ->
             for i = 0 to n_app - 1 do
               sends.(i) <- Unix.gettimeofday ();
               Net.send c (Net.Append text)
@@ -1880,11 +1771,9 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
               | Net.Error_reply e -> failwith ("serve_perf: network: " ^ e)
               | _ -> failwith "serve_perf: unexpected append response");
               acks.(i) <- Unix.gettimeofday ()
-            done;
-            let wall = Unix.gettimeofday () -. t0 in
-            Net.close c;
-            wall)
+            done)
       in
+      ignore (stop (fun () -> Net.close c));
       let s1 = Serve.stats recovered in
       let appends = s1.Serve.wal_appends - s0.Serve.wal_appends in
       let fsyncs = s1.Serve.wal_fsyncs - s0.Serve.wal_fsyncs in
@@ -1898,22 +1787,18 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
          %!"
         gc_ms n_app qps ratio s.Serve.p99_ms;
       emit
-        "{\"kind\": \"group_commit_net\", \"group_commit_ms\": %d, \
-         \"appends\": %d, \"append_qps\": %.1f, \"fsyncs_per_append\": %.4f, \
-         \"ack_p99_ms\": %.4f}"
-        gc_ms n_app qps ratio s.Serve.p99_ms)
+        [
+          ("kind", Str "group_commit_net");
+          ("group_commit_ms", Int gc_ms);
+          ("appends", Int n_app);
+          ("append_qps", Num qps);
+          ("fsyncs_per_append", Num ratio);
+          ("ack_p99_ms", Num s.Serve.p99_ms);
+        ])
     [ 0; 5; 20 ];
   (* the recovered server is disposable: drop its files *)
   Array.iter
     (fun f -> Sys.remove (Filename.concat dur_dir f))
     (Sys.readdir dur_dir);
   Unix.rmdir dur_dir;
-  Buffer.add_string buf "\n]\n";
-  print_newline ();
-  print_string (Buffer.contents buf);
-  if not smoke then begin
-    let oc = open_out "BENCH_serve_perf.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    print_endline "[wrote BENCH_serve_perf.json]"
-  end
+  record ~smoke ~jobs "serve_perf" (List.rev !rows)

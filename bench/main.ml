@@ -1,7 +1,11 @@
-(* Benchmark harness: `dune exec bench/main.exe` runs every experiment
-   of the paper's evaluation (Figures 6/10/11/13/14, Table 2) and a
-   Bechamel micro-benchmark suite.  Pass experiment names to run a
-   subset: fig6 fig10 fig11 fig13 fig14 table2 micro. *)
+(* Benchmark driver: `dune exec bench/main.exe -- [-j N] [--smoke]
+   [experiment ...]` runs the named experiments, or all of them: the
+   paper's evaluation (fig6 fig10 fig11 fig13 fig14 table2), ablation,
+   the gated perf experiments (search_perf optimizer_perf budget_sweep
+   checkpoint_resume serve_perf) and micro, a Bechamel suite.  [-j N]
+   sets their parallel jobs; [--smoke] trims each perf experiment to
+   its CI check, which writes no BENCH_*.json.  An unknown name exits
+   2 before any experiment runs. *)
 
 open Legodb
 
@@ -96,29 +100,18 @@ let experiments ~jobs ~smoke =
     ("table2", Experiments.table2);
     ("ablation", Experiments.ablation);
     ("search_perf", fun () -> Experiments.search_perf ~jobs ~smoke ());
-    ("optimizer_perf", fun () -> Experiments.optimizer_perf ~smoke ());
+    ("optimizer_perf", fun () -> Experiments.optimizer_perf ~jobs ~smoke ());
     ("budget_sweep", fun () -> Experiments.budget_sweep ~jobs ~smoke ());
     ("checkpoint_resume", fun () -> Experiments.checkpoint_resume ~jobs ~smoke ());
     ("serve_perf", fun () -> Experiments.serve_perf ~jobs ~smoke ());
     ("micro", micro);
   ]
 
-let usage = "usage: main.exe [-j N] [--smoke] [experiment ...]"
-
 let () =
-  (* flags: [-j N] sets the parallel jobs for search_perf's sweep,
-     [--smoke] trims search_perf to the CI determinism check *)
   let rec parse (names, jobs, smoke) = function
     | [] -> (List.rev names, jobs, smoke)
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j -> parse (names, j, smoke) rest
-        | None ->
-            Printf.eprintf "-j needs an integer, got %s\n%s\n" n usage;
-            exit 2)
-    | [ "-j" ] ->
-        Printf.eprintf "-j needs an integer\n%s\n" usage;
-        exit 2
+    | "-j" :: n :: rest when int_of_string_opt n <> None ->
+        parse (names, int_of_string n, smoke) rest
     | "--smoke" :: rest -> parse (names, jobs, true) rest
     | x :: rest -> parse (x :: names, jobs, smoke) rest
   in
@@ -126,16 +119,19 @@ let () =
     parse ([], 1, false) (List.tl (Array.to_list Sys.argv))
   in
   let experiments = experiments ~jobs ~smoke in
-  let to_run = match names with [] -> List.map fst experiments | names -> names in
+  let usage =
+    Printf.sprintf
+      "usage: main.exe [-j N] [--smoke] [experiment ...]\nexperiments: %s"
+      (String.concat " " (List.map fst experiments))
+  in
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) names with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf "unknown experiment %s\n%s\n" (String.concat ", " bad)
+        usage;
+      exit 2);
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          let t0 = Unix.gettimeofday () in
-          f ();
-          Printf.printf "[%s finished in %.1fs]\n%!" name
-            (Unix.gettimeofday () -. t0)
-      | None ->
-          Printf.eprintf "unknown experiment %s (have: %s)\n" name
-            (String.concat ", " (List.map fst experiments)))
-    to_run
+      let (), t = Harness.time (List.assoc name experiments) in
+      Printf.printf "[%s finished in %.1fs]\n%!" name t)
+    (if names = [] then List.map fst experiments else names)

@@ -93,11 +93,6 @@ let design ?(strategy = Greedy_si) ?params ?threshold ?jobs ?budget ~schema
         ("Legodb.design: selected schema failed to map: "
         ^ String.concat "; " es)
 
-let design_of_xml ?strategy ?params ?threshold ?jobs ?budget ~schema ~document
-    ~workload () =
-  let stats = Collector.collect document in
-  design ?strategy ?params ?threshold ?jobs ?budget ~schema ~stats ~workload ()
-
 let report fmt d =
   Format.fprintf fmt "-- LegoDB storage design --@.";
   Format.fprintf fmt "estimated workload cost: %.1f@." d.cost;

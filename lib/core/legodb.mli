@@ -113,19 +113,6 @@ val design :
     @raise Search.Cost_error if no configuration can be costed.
     @raise Invalid_argument on internal mapping failure. *)
 
-val design_of_xml :
-  ?strategy:strategy ->
-  ?params:Cost.params ->
-  ?threshold:float ->
-  ?jobs:int ->
-  ?budget:Budget.t ->
-  schema:Xschema.t ->
-  document:Xml.t ->
-  workload:Workload.t ->
-  unit ->
-  design
-(** Like {!design} but collecting statistics from a sample document. *)
-
 val report : Format.formatter -> design -> unit
 (** Human-readable summary: cost, greedy trace, selected p-schema, and
     the relational configuration. *)

@@ -37,6 +37,8 @@ let default =
     year_range = (1800, 2100);
   }
 
+(* Appendix A proportions at full scale (34798 shows, 165786 actors,
+   26251 directors); [scaled] shrinks these *)
 let paper_scale =
   {
     default with

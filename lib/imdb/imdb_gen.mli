@@ -33,13 +33,9 @@ val default : params
 (** A small instance (200 shows, 150 actors, 50 directors) suitable
     for unit and integration tests. *)
 
-val paper_scale : params
-(** Appendix A proportions at full scale (34798 shows, 165786 actors,
-    26251 directors) — large; meant for benchmarks only. *)
-
 val scaled : float -> params
-(** [scaled f] shrinks {!paper_scale} populations by factor [f]
-    (averages stay put). *)
+(** [scaled f] shrinks the Appendix A full-scale populations by
+    factor [f] (averages stay put). *)
 
 val generate : params -> Legodb_xml.Xml.t
 (** Deterministic for a given [seed]. *)

@@ -10,6 +10,7 @@ type t = {
   ordered : bool;
 }
 
+(* table cardinality assumed when no statistics are annotated *)
 let default_card = 1000.
 
 let rec has_content t =
@@ -372,6 +373,11 @@ let table_shape (t : Rschema.table) =
     (String.concat ";" (List.sort String.compare (List.map col_sig t.Rschema.columns)))
     t.Rschema.card
 
+(* [(type name, fingerprint)] for every table: its {!table_shape}
+   extended with one Weisfeiler–Leman round over its parents' shapes,
+   so the join topology is part of the fingerprint.  A query's cached
+   cost is reusable exactly when the fingerprints of the tables it
+   touches are unchanged. *)
 let table_fingerprints (cat : Rschema.t) =
   let shapes = Hashtbl.create (2 * List.length cat.Rschema.tables) in
   List.iter

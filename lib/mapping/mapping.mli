@@ -24,9 +24,6 @@ type t = {
   ordered : bool;  (** tables carry a {!Naming.order_col} column *)
 }
 
-val default_card : float
-(** Table cardinality assumed when no statistics are annotated. *)
-
 val of_pschema : ?order_columns:bool -> Xschema.t -> (t, string list) result
 (** Fails with the stratification violations if the schema is not a
     p-schema, or with catalog-consistency errors (which indicate a bug
@@ -39,29 +36,17 @@ val of_pschema : ?order_columns:bool -> Xschema.t -> (t, string list) result
     per row and slightly wider scans. *)
 
 val is_transparent : Xschema.t -> string -> bool
-val real_parents : Xschema.t -> string -> string list
-
-val table_shape : Rschema.table -> string
-(** Name-independent structural serialization of one table: every
-    column with its complete statistics (floats hex-printed, so the
-    serialization is exact), nullability, index membership, and the
-    table cardinality.  Key and foreign-key columns are anonymized
-    because their names embed (possibly fresh) type names.  Two tables
-    with equal shapes produce identical optimizer estimates. *)
-
-val table_fingerprints : Rschema.t -> (string * string) list
-(** [(type name, fingerprint)] for every table of the catalog.  A
-    fingerprint is the table's {!table_shape} extended with one
-    Weisfeiler–Leman round over its parents' shapes, so the join
-    topology is part of the fingerprint.  This is the invalidation key
-    of the incremental cost engine: a query's cached cost is reusable
-    exactly when the fingerprints of the tables it touches are
-    unchanged. *)
 
 val fingerprint_index : Rschema.t -> (string, string) Hashtbl.t
-(** {!table_fingerprints} as a hashtable keyed by type name — built
-    once per costing pass so per-statement key construction does O(1)
-    lookups per touched table instead of an assoc-list walk. *)
+(** Every table's fingerprint, keyed by type name.  A fingerprint is a
+    name-independent structural serialization of the table (columns
+    with their complete statistics, nullability, index membership,
+    cardinality; key and foreign-key columns anonymized) extended with
+    one Weisfeiler–Leman round over its parents' serializations, so the
+    join topology is part of it.  Two tables with equal fingerprints
+    produce identical optimizer estimates.  Built once per costing
+    pass so per-statement key construction does O(1) lookups per
+    touched table instead of an assoc-list walk. *)
 
 val catalog_fingerprint : Rschema.t -> string
 (** Order-independent fingerprint of the whole catalog (the sorted

@@ -4,6 +4,8 @@ open Legodb_relational
 
 exception Untranslatable of string
 
+(* bound on the cross-product of storage alternatives explored per
+   query: a safety valve, far above anything the workloads need *)
 let max_alternatives = 256
 
 (* ------------------------------------------------------------------ *)
@@ -337,6 +339,9 @@ let block_tables acc (b : Logical.block) =
     (fun acc (r : Logical.relation) -> TSet.add r.Logical.table acc)
     acc b.Logical.relations
 
+(* the query's read set: its optimizer cost depends only on these
+   tables, which is what lets the cost engine reuse a cached cost when
+   none of them changed *)
 let query_tables (q : Logical.query) =
   TSet.elements (List.fold_left block_tables TSet.empty q.Logical.blocks)
 
@@ -487,6 +492,8 @@ let translate_update m (u : Xq_ast.update) : Logical.update =
         raise (Untranslatable (Printf.sprintf "%s: target path not found" name));
       { Logical.uname = name; writes }
 
+(* written tables plus the relations of every locating block: the
+   invalidation set for cached write costs *)
 let update_tables (u : Logical.update) =
   TSet.elements
     (List.fold_left

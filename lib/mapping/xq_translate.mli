@@ -44,26 +44,16 @@ val const_value : Legodb_xquery.Xq_ast.const -> Legodb_relational.Rtype.value
     vector through it gives a template's plan the statement's own
     constants. *)
 
-val query_tables : Logical.query -> string list
-(** The distinct tables the query's SPJ blocks reference, sorted.  This
-    is the query's read set: its optimizer cost depends only on these
-    tables (their statistics and indexes), which is what lets the
-    incremental cost engine reuse a cached cost when none of them
-    changed. *)
-
 val translate_with_tables :
   Mapping.t -> Legodb_xquery.Xq_ast.t -> Logical.query * string list
-(** {!translate} paired with {!query_tables} of the result.
+(** {!translate} paired with the query's read set: the distinct tables
+    its SPJ blocks reference, sorted.
     @raise Untranslatable *)
 
 val equality_columns : Logical.query list -> (string * string) list
 (** The (table, column) pairs compared to constants anywhere in the
     queries — the columns a tuned installation would index (the paper's
     "in the presence of appropriate indexes"). *)
-
-val max_alternatives : int
-(** Bound on the cross-product of storage alternatives explored per
-    query (safety valve; far above anything the workloads need). *)
 
 val translate_update :
   Mapping.t -> Legodb_xquery.Xq_ast.update -> Logical.update
@@ -75,12 +65,8 @@ val translate_update :
     affected rows, deletes cascading over the subtree's tables.
     @raise Untranslatable *)
 
-val update_tables : Logical.update -> string list
-(** The distinct tables the update writes or reads (written tables plus
-    the relations of every locating block), sorted — the invalidation
-    set for cached write costs. *)
-
 val translate_update_with_tables :
   Mapping.t -> Legodb_xquery.Xq_ast.update -> Logical.update * string list
-(** {!translate_update} paired with {!update_tables} of the result.
+(** {!translate_update} paired with the distinct tables the update
+    writes or reads, sorted.
     @raise Untranslatable *)

@@ -20,8 +20,6 @@ val table_of : env -> string -> Rschema.table
 val table_at : env -> int -> Rschema.table
 (** [table_at env i = table_of env alias] when [alias] has id [i]. *)
 
-val column_of : env -> Logical.col -> Rschema.column
-
 val row_floor : float
 (** Lower bound every row estimate is clamped to (1.0). *)
 

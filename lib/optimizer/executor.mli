@@ -15,8 +15,6 @@ type measures = {
   output_rows : int;
 }
 
-val zero_measures : measures
-
 val run_block :
   ?params:Rtype.value array ->
   Storage.t ->

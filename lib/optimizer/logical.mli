@@ -77,5 +77,4 @@ type write = {
 
 type update = { uname : string; writes : write list }
 
-val pp_write : Format.formatter -> write -> unit
 val pp_update : Format.formatter -> update -> unit

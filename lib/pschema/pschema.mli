@@ -28,7 +28,3 @@ val check : Xschema.t -> (unit, violation list) result
     {!Xschema.check} well-formedness. *)
 
 val is_pschema : Xschema.t -> bool
-
-val violations_of_body : Xschema.t -> string -> Xtype.t -> violation list
-(** Violations of a single definition body (exposed so rewritings can
-    target exactly the offending locations when normalizing to PS0). *)

@@ -42,7 +42,6 @@ val row_width : table -> float
 (** Average stored row width: sum of column average widths. *)
 
 val has_index : table -> string -> bool
-val with_index : table -> string -> table
 
 val add_indexes : t -> (string * string) list -> t
 (** Add an index on every listed (table, column) that exists. *)
@@ -54,5 +53,3 @@ val validate : t -> (unit, string list) result
 val pp : Format.formatter -> t -> unit
 (** DDL-like rendering as in Figures 3/4:
     [TABLE Show ( Show_id INT, type STRING, ... )]. *)
-
-val pp_table : Format.formatter -> table -> unit

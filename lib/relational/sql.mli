@@ -30,7 +30,6 @@ type statement =
 val col : string -> string -> col_ref
 val eq : operand -> operand -> cond
 val pp_select : Format.formatter -> select -> unit
-val pp_statement : Format.formatter -> statement -> unit
 val to_string : statement -> string
 
 val ddl : Rschema.t -> string

@@ -5,7 +5,7 @@
     leaves most queries' plans untouched.  The engine exploits this:
     it memoizes each statement's optimizer cost under the key
     [(statement index, fingerprints of the tables it touches)], where
-    the fingerprints come from {!Mapping.table_fingerprints}.  A cached
+    the fingerprints come from {!Mapping.fingerprint_index}.  A cached
     cost is reused exactly when every table the statement reads or
     writes is structurally unchanged (columns, statistics, indexes,
     cardinality, and parents) — in which case the optimizer would

@@ -58,12 +58,6 @@ let add_substring t s ~pos ~len =
 
 let add_string t s = add_substring t s ~pos:0 ~len:(String.length s)
 
-let add_buffer t b =
-  let n = Buffer.length b in
-  reserve t n;
-  Buffer.blit b 0 t.data (t.off + t.len) n;
-  t.len <- t.len + n
-
 let reset_storage t =
   if Bytes.length t.data > shrink_capacity then t.data <- Bytes.create min_capacity
 

@@ -13,7 +13,7 @@
       ever examined twice.
     - output: [out <- unsent_tail ^ fresh] re-copied the unsent tail on
       every partial write.  Here {!write_to} advances the same offset
-      and {!add_buffer}/{!add_string} append encoded frames in place.
+      and {!add_string} appends encoded frames in place.
 
     Buffers compact (blit live bytes to the front) only when a reserve
     would otherwise grow the array, and shrink back to a bounded
@@ -45,11 +45,6 @@ val sub : t -> pos:int -> len:int -> string
     @raise Invalid_argument when the range leaves the live window. *)
 
 val add_string : t -> string -> unit
-val add_substring : t -> string -> pos:int -> len:int -> unit
-
-val add_buffer : t -> Buffer.t -> unit
-(** Append a [Buffer]'s contents with one blit — no intermediate
-    string. *)
 
 val consume : t -> int -> unit
 (** Drop [n] bytes off the front (offset arithmetic, no copying).  A

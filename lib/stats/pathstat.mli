@@ -24,8 +24,6 @@ type entry = {
   distinct : int option;
 }
 
-val empty_entry : entry
-
 type t
 (** Immutable map from paths to entries. *)
 

@@ -18,18 +18,6 @@ and flwr = {
 
 type t = { name : string; body : flwr }
 
-let rec vars flwr =
-  List.map fst flwr.bindings
-  @ List.concat_map
-      (fun r ->
-        let rec go = function
-          | R_nested f -> vars f
-          | R_elem (_, rs) -> List.concat_map go rs
-          | R_path _ | R_var _ -> []
-        in
-        go r)
-      flwr.return
-
 let check q =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun m -> errors := m :: !errors) fmt in

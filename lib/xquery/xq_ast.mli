@@ -42,9 +42,6 @@ and flwr = {
 
 type t = { name : string; body : flwr }
 
-val vars : flwr -> string list
-(** Bound variables in order, including nested FLWRs. *)
-
 val check : t -> (unit, string list) result
 (** Every variable used is bound (in scope), binding names are unique,
     and at least one binding is rooted in the document. *)
@@ -59,11 +56,7 @@ val lift : flwr -> flwr * const array
     kinds) lift to equal templates; the kinds travel in the vector. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_flwr : Format.formatter -> flwr -> unit
-val pp_path : Format.formatter -> path -> unit
-val pp_source : Format.formatter -> source -> unit
-val pp_const : Format.formatter -> const -> unit
-(** Strings print without quotes, so [C_int 1990] and
+(** String constants print without quotes, so [C_int 1990] and
     [C_string "1990"] print alike: never use the printed text as a
     statement's identity. *)
 

@@ -181,6 +181,8 @@ and group_def env g =
               env.defs;
           def)
 
+(* a parsed [<schema>] document; the root type is the first global
+   element declaration *)
 let schema_of_xml doc =
   if not (is_tag "schema" doc) then fail "document root is not <schema>";
   let tops = Xml.element_children doc in

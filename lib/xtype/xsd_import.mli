@@ -19,10 +19,6 @@
 
 exception Import_error of string
 
-val schema_of_xml : Legodb_xml.Xml.t -> Xschema.t
-(** Import a parsed [<schema>] document.  The root type is the first
-    global element declaration.  @raise Import_error *)
-
 val schema_of_string : string -> Xschema.t
 (** Parse and import.  @raise Import_error on unsupported constructs,
     {!Legodb_xml.Xml_parse.Parse_error} on malformed XML. *)

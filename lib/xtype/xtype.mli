@@ -30,7 +30,6 @@ val plus : occurs  (** [{1,*}] *)
 val once : occurs  (** [{1,1}] *)
 
 val occurs_equal : occurs -> occurs -> bool
-val pp_occurs : Format.formatter -> occurs -> unit
 
 (** {1 Scalars} *)
 
@@ -42,8 +41,6 @@ type scalar_stats = {
   s_max : int option;  (** maximum value, integers only *)
   distinct : int option;  (** number of distinct values *)
 }
-
-val scalar_kind_equal : scalar_kind -> scalar_kind -> bool
 
 val default_width : scalar_kind -> int
 (** Width assumed when no statistics are available. *)
