@@ -557,9 +557,11 @@ let query_cmd =
   in
   let corrupt_probe =
     let doc =
-      "Protocol check: send a deliberately bit-flipped request frame and \
-       report whether the server answers with a structured error and closes \
-       this connection cleanly (it must keep serving others)."
+      "Protocol check: append a document holding a surrogate character \
+       reference and report whether the server rejects it with a structured \
+       error, then send a deliberately bit-flipped request frame and report \
+       whether the server answers with a structured error and closes this \
+       connection cleanly (it must keep serving others)."
     in
     Arg.(value & flag & info [ "corrupt-probe" ] ~doc)
   in
@@ -581,6 +583,12 @@ let query_cmd =
           (* a framing error costs the connection, so the probe gets a
              connection of its own *)
           let c = Net.connect ~host ~port () in
+          (* malformed XML must cost only its own request *)
+          (match Net.rpc c (Net.Append "<imdb>&#xD800;</imdb>") with
+          | Net.Error_reply m ->
+              Format.printf "malformed append: rejected (%s)@." m
+          | _ ->
+              Format.printf "malformed append: UNEXPECTED non-error reply@.");
           let frame =
             Bytes.of_string
               (Net.encode_request (Net.Query "FOR $v in imdb/show RETURN $v"))

@@ -17,8 +17,42 @@ let element_children node =
   List.filter (function Element _ -> true | Text _ -> false) (children node)
 
 let rec text_content = function
-  | Text s -> s
+  | Text s | Element (_, _, [ Text s ]) -> s
   | Element (_, _, c) -> String.concat "" (List.map text_content c)
+
+(* the digits s.[i..n-1] as a number, or -1 at the first non-digit *)
+let rec decimal s i n v =
+  if i = n then v
+  else
+    match s.[i] with
+    | '0' .. '9' as c -> decimal s (i + 1) n ((v * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* a byte [int_of_string] can accept (a digit of some base, a sign, a
+   base prefix or '_'), or one the pipeline below removes first *)
+let rec maybe_int s i =
+  i = String.length s
+  ||
+  match s.[i] with
+  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' | 'x' | 'X' | 'o' | 'O' | 'u' | 'U'
+  | '_' | '+' | '-' | ',' | ' ' | '\012' | '\n' | '\r' | '\t' ->
+      maybe_int s (i + 1)
+  | _ -> false
+
+(* Plain decimal text (an optional '-' and at most 18 digits, which
+   cannot overflow) is read in place, and text with a byte no integer
+   can contain is rejected in place; anything else goes through the
+   general pipeline: trim, drop ',', [int_of_string_opt]. *)
+let int_of_text s =
+  let n = String.length s in
+  let first = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let v = if n > first && n - first <= 18 then decimal s first n 0 else -1 in
+  if v >= 0 then Some (if first = 1 then -v else v)
+  else if not (maybe_int s 0) then None
+  else
+    String.to_seq (String.trim s)
+    |> Seq.filter (fun c -> c <> ',')
+    |> String.of_seq |> int_of_string_opt
 
 let child_elements name node =
   List.filter

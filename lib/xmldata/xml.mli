@@ -40,7 +40,17 @@ val element_children : t -> t list
 (** Children that are elements, in document order. *)
 
 val text_content : t -> string
-(** Concatenation of every text descendant, in document order. *)
+(** Concatenation of every text descendant, in document order.  An
+    element whose only child is a text node returns that node's string
+    itself, uncopied. *)
+
+val int_of_text : string -> int option
+(** The integer an element's text denotes, if any: the text with
+    surrounding whitespace trimmed and every [','] dropped, read by
+    [int_of_string_opt] (so ["1,024"] and [" 7 "] are integers).  The
+    one reading shared by statistics gathering, shredding, validation
+    and query evaluation, so an integer path's values always load as
+    integers.  Plain decimal text is read without allocating a copy. *)
 
 val child_elements : string -> t -> t list
 (** [child_elements tag node] returns the element children named [tag]. *)

@@ -1,21 +1,52 @@
 exception Parse_error of { position : int; message : string }
 
-type state = { input : string; mutable pos : int }
+(* The scanner compares literals in place and scans runs of bytes.  A
+   text run is kept as a slice of the input ([t0], [t1]) and copied
+   once, when it is flushed; [buf] is used only when the text spans a
+   reference, a CDATA section, a comment or a processing instruction,
+   and for attribute values.  Text never spans a child element, and an
+   element's attribute values are read before its content, so one
+   buffer serves the whole parse.  Tag and
+   attribute names are interned in [names] (open addressing over a
+   power-of-two table, [""] marks a free slot): each distinct name is
+   one string per parse. *)
+type state = {
+  input : string;
+  len : int;
+  mutable pos : int;
+  buf : Buffer.t;
+  mutable buffered : bool;  (* the pending text is in [buf] *)
+  mutable t0 : int;  (* the pending slice, when [t0 >= 0] *)
+  mutable t1 : int;
+  mutable names : string array;
+  mutable n_names : int;
+}
 
 let fail st message = raise (Parse_error { position = st.pos; message })
 
-let eof st = st.pos >= String.length st.input
+let eof st = st.pos >= st.len
 let peek st = st.input.[st.pos]
 let advance st = st.pos <- st.pos + 1
 
-let looking_at st s =
+let rec same input i s k n =
+  k = n || (input.[i + k] = s.[k] && same input i s (k + 1) n)
+
+(* [s] occurs in the input at [i] *)
+let occurs_at st i s =
   let n = String.length s in
-  st.pos + n <= String.length st.input
-  && String.equal (String.sub st.input st.pos n) s
+  i + n <= st.len && same st.input i s 0 n
+
+let looking_at st s = occurs_at st st.pos s
 
 let expect st s =
   if looking_at st s then st.pos <- st.pos + String.length s
   else fail st (Printf.sprintf "expected %S" s)
+
+(* the first occurrence of [s] at or after [i], or -1 *)
+let rec find st s i =
+  if i + String.length s > st.len then -1
+  else if occurs_at st i s then i
+  else find st s (i + 1)
 
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
@@ -30,59 +61,164 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
-let parse_name st =
+let hash s a b =
+  let h = ref 0 in
+  for i = a to b - 1 do
+    h := (!h * 31) + Char.code s.[i]
+  done;
+  !h land max_int
+
+(* the slot holding the name input[a, a + n), or the free slot it goes in *)
+let rec slot st a n i =
+  let s = st.names.(i) in
+  if String.length s = 0 || (String.length s = n && occurs_at st a s) then i
+  else slot st a n ((i + 1) land (Array.length st.names - 1))
+
+let grow st =
+  let old = st.names in
+  let names = Array.make (2 * Array.length old) "" in
+  let mask = Array.length names - 1 in
+  Array.iter
+    (fun s ->
+      if String.length s > 0 then begin
+        let i = ref (hash s 0 (String.length s) land mask) in
+        while String.length names.(!i) > 0 do
+          i := (!i + 1) land mask
+        done;
+        names.(!i) <- s
+      end)
+    old;
+  st.names <- names
+
+let rec intern st a b =
+  let i =
+    slot st a (b - a) (hash st.input a b land (Array.length st.names - 1))
+  in
+  let s = st.names.(i) in
+  if String.length s > 0 then s
+  else if 2 * (st.n_names + 1) > Array.length st.names then begin
+    grow st;
+    intern st a b
+  end
+  else begin
+    let s = String.sub st.input a (b - a) in
+    st.names.(i) <- s;
+    st.n_names <- st.n_names + 1;
+    s
+  end
+
+(* move past the name at [st.pos] *)
+let scan_name st =
   if eof st || not (is_name_start (peek st)) then fail st "expected a name";
-  let start = st.pos in
   while (not (eof st)) && is_name_char (peek st) do
     advance st
-  done;
-  String.sub st.input start (st.pos - start)
+  done
 
-(* Decode an entity/character reference; [st.pos] is just past '&'. *)
+let parse_name st =
+  let start = st.pos in
+  scan_name st;
+  intern st start st.pos
+
+(* ---------- pending text ---------- *)
+
+(* move the pending slice into the buffer *)
+let spill st =
+  if not st.buffered then begin
+    st.buffered <- true;
+    if st.t0 >= 0 then begin
+      Buffer.add_substring st.buf st.input st.t0 (st.t1 - st.t0);
+      st.t0 <- -1
+    end
+  end
+
+(* the input bytes [a, b) continue the pending text *)
+let add_slice st a b =
+  if (not st.buffered) && st.t0 < 0 then begin
+    st.t0 <- a;
+    st.t1 <- b
+  end
+  else begin
+    spill st;
+    Buffer.add_substring st.buf st.input a (b - a)
+  end
+
+(* s[a, b) is all [String.trim] whitespace *)
+let rec blank s a b =
+  a >= b
+  ||
+  match s.[a] with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> blank s (a + 1) b
+  | _ -> false
+
+(* End the pending text: a text node unless it is whitespace only. *)
+let flush_text st acc =
+  if st.buffered then begin
+    let s = Buffer.contents st.buf in
+    Buffer.clear st.buf;
+    st.buffered <- false;
+    if blank s 0 (String.length s) then acc else Xml.Text s :: acc
+  end
+  else if st.t0 >= 0 then begin
+    let a = st.t0 and b = st.t1 in
+    st.t0 <- -1;
+    if blank st.input a b then acc
+    else Xml.Text (String.sub st.input a (b - a)) :: acc
+  end
+  else acc
+
+(* ---------- markup ---------- *)
+
+(* Decode an entity/character reference into the buffer; [st.pos] is
+   just past '&'.  Character references are XML 1.0's: [&#] decimal
+   digits [;] or [&#x] hex digits [;], naming a Unicode scalar value. *)
 let parse_reference st =
   let start = st.pos in
   let upto =
-    match String.index_from_opt st.input st.pos ';' with
-    | Some i -> i
-    | None -> fail st "unterminated entity reference"
+    match String.index_from st.input start ';' with
+    | i -> i
+    | exception Not_found -> fail st "unterminated entity reference"
   in
-  let body = String.sub st.input start (upto - start) in
   st.pos <- upto + 1;
-  match body with
-  | "amp" -> "&"
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "quot" -> "\""
-  | "apos" -> "'"
-  | _ ->
-      let code =
-        if String.length body > 2 && body.[0] = '#' && body.[1] = 'x' then
-          int_of_string_opt ("0x" ^ String.sub body 2 (String.length body - 2))
-        else if String.length body > 1 && body.[0] = '#' then
-          int_of_string_opt (String.sub body 1 (String.length body - 1))
-        else None
+  let n = upto - start in
+  let is lit = n = String.length lit && occurs_at st start lit in
+  let unknown () =
+    fail st
+      (Printf.sprintf "unknown entity &%s;" (String.sub st.input start n))
+  in
+  if is "amp" then Buffer.add_char st.buf '&'
+  else if is "lt" then Buffer.add_char st.buf '<'
+  else if is "gt" then Buffer.add_char st.buf '>'
+  else if is "quot" then Buffer.add_char st.buf '"'
+  else if is "apos" then Buffer.add_char st.buf '\''
+  else if n < 2 || st.input.[start] <> '#' then unknown ()
+  else begin
+    let hex = st.input.[start + 1] = 'x' in
+    let first = if hex then start + 2 else start + 1 in
+    if first >= upto then unknown ();
+    (* saturates just past the last code point, so it cannot overflow *)
+    let code = ref 0 in
+    for i = first to upto - 1 do
+      let d =
+        match st.input.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | ('a' .. 'f' as c) when hex -> Char.code c - Char.code 'a' + 10
+        | ('A' .. 'F' as c) when hex -> Char.code c - Char.code 'A' + 10
+        | _ -> unknown ()
       in
-      (match code with
-      | Some c when c >= 0 && c < 128 -> String.make 1 (Char.chr c)
-      | Some c ->
-          (* encode as UTF-8 *)
-          let b = Buffer.create 4 in
-          Buffer.add_utf_8_uchar b (Uchar.of_int c);
-          Buffer.contents b
-      | None -> fail st (Printf.sprintf "unknown entity &%s;" body))
+      code := min 0x110000 ((!code * if hex then 16 else 10) + d)
+    done;
+    if not (Uchar.is_valid !code) then
+      fail st
+        (Printf.sprintf "character reference &%s; is not a Unicode scalar value"
+           (String.sub st.input start n));
+    Buffer.add_utf_8_uchar st.buf (Uchar.of_int !code)
+  end
 
 let skip_comment st =
   expect st "<!--";
-  match
-    let rec find i =
-      if i + 3 > String.length st.input then None
-      else if String.equal (String.sub st.input i 3) "-->" then Some i
-      else find (i + 1)
-    in
-    find st.pos
-  with
-  | Some i -> st.pos <- i + 3
-  | None -> fail st "unterminated comment"
+  match find st "-->" st.pos with
+  | -1 -> fail st "unterminated comment"
+  | i -> st.pos <- i + 3
 
 let skip_doctype st =
   (* skip until matching '>' , allowing one level of [...] *)
@@ -99,75 +235,77 @@ let skip_doctype st =
 
 let skip_pi st =
   expect st "<?";
-  match
-    let rec find i =
-      if i + 2 > String.length st.input then None
-      else if String.equal (String.sub st.input i 2) "?>" then Some i
-      else find (i + 1)
-    in
-    find st.pos
-  with
-  | Some i -> st.pos <- i + 2
-  | None -> fail st "unterminated processing instruction"
+  match find st "?>" st.pos with
+  | -1 -> fail st "unterminated processing instruction"
+  | i -> st.pos <- i + 2
 
 let parse_attr_value st =
+  if eof st then fail st "expected quoted value";
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then fail st "expected quoted value";
   advance st;
-  let buf = Buffer.create 16 in
   let rec go () =
+    let start = st.pos in
+    while (not (eof st)) && peek st <> quote && peek st <> '&' do
+      advance st
+    done;
+    Buffer.add_substring st.buf st.input start (st.pos - start);
     if eof st then fail st "unterminated attribute value"
-    else
-      match peek st with
-      | c when c = quote -> advance st
-      | '&' ->
-          advance st;
-          Buffer.add_string buf (parse_reference st);
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance st;
-          go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_attributes st =
-  let rec go acc =
-    skip_space st;
-    if eof st then fail st "unterminated start tag"
-    else if peek st = '>' || peek st = '/' then List.rev acc
+    else if peek st = quote then advance st
     else begin
-      let name = parse_name st in
-      skip_space st;
-      expect st "=";
-      skip_space st;
-      let value = parse_attr_value st in
-      go ((name, value) :: acc)
+      advance st;
+      parse_reference st;
+      go ()
     end
   in
-  go []
+  go ();
+  let s = Buffer.contents st.buf in
+  Buffer.clear st.buf;
+  s
 
+let rec parse_attributes st acc =
+  skip_space st;
+  if eof st then fail st "unterminated start tag"
+  else if peek st = '>' || peek st = '/' then List.rev acc
+  else begin
+    let name = parse_name st in
+    skip_space st;
+    expect st "=";
+    skip_space st;
+    let value = parse_attr_value st in
+    parse_attributes st ((name, value) :: acc)
+  end
+
+(* the CDATA section's bytes continue the pending text *)
 let parse_cdata st =
   expect st "<![CDATA[";
-  match
-    let rec find i =
-      if i + 3 > String.length st.input then None
-      else if String.equal (String.sub st.input i 3) "]]>" then Some i
-      else find (i + 1)
-    in
-    find st.pos
-  with
-  | Some i ->
-      let s = String.sub st.input st.pos (i - st.pos) in
-      st.pos <- i + 3;
-      s
-  | None -> fail st "unterminated CDATA section"
+  match find st "]]>" st.pos with
+  | -1 -> fail st "unterminated CDATA section"
+  | i ->
+      add_slice st st.pos i;
+      st.pos <- i + 3
+
+(* The close tag's name, [st.pos] just past "</": compared with the
+   open tag's in place, extracted only for the mismatch error. *)
+let close_tag st name =
+  let n = String.length name in
+  if
+    occurs_at st st.pos name
+    && not (st.pos + n < st.len && is_name_char st.input.[st.pos + n])
+  then st.pos <- st.pos + n
+  else begin
+    let start = st.pos in
+    scan_name st;
+    fail st
+      (Printf.sprintf "mismatched close tag </%s> for <%s>"
+         (String.sub st.input start (st.pos - start))
+         name)
+  end
 
 let rec parse_element st =
   expect st "<";
   let name = parse_name st in
-  let attrs = parse_attributes st in
+  let attrs = parse_attributes st [] in
   skip_space st;
   if looking_at st "/>" then begin
     expect st "/>";
@@ -177,53 +315,38 @@ let rec parse_element st =
     expect st ">";
     let children = parse_content st in
     expect st "</";
-    let close = parse_name st in
-    if not (String.equal close name) then
-      fail st (Printf.sprintf "mismatched close tag </%s> for <%s>" close name);
+    close_tag st name;
     skip_space st;
     expect st ">";
     Xml.Element (name, attrs, children)
   end
 
 and parse_content st =
-  let buf = Buffer.create 64 in
-  let flush_text acc =
-    let s = Buffer.contents buf in
-    Buffer.clear buf;
-    if String.equal (String.trim s) "" then acc else Xml.Text s :: acc
-  in
-  let rec go acc =
-    if eof st then fail st "unexpected end of input inside element"
-    else if looking_at st "</" then List.rev (flush_text acc)
-    else if looking_at st "<!--" then begin
-      skip_comment st;
-      go acc
-    end
-    else if looking_at st "<![CDATA[" then begin
-      Buffer.add_string buf (parse_cdata st);
-      go acc
-    end
-    else if looking_at st "<?" then begin
-      skip_pi st;
-      go acc
-    end
-    else if peek st = '<' then begin
-      let acc = flush_text acc in
-      let child = parse_element st in
-      go (child :: acc)
-    end
-    else if peek st = '&' then begin
-      advance st;
-      Buffer.add_string buf (parse_reference st);
-      go acc
-    end
-    else begin
-      Buffer.add_char buf (peek st);
-      advance st;
-      go acc
-    end
-  in
-  go []
+  let acc = ref [] and closed = ref false in
+  while not !closed do
+    if eof st then fail st "unexpected end of input inside element";
+    match peek st with
+    | '<' ->
+        if looking_at st "</" then closed := true
+        else if looking_at st "<!--" then skip_comment st
+        else if looking_at st "<![CDATA[" then parse_cdata st
+        else if looking_at st "<?" then skip_pi st
+        else begin
+          acc := flush_text st !acc;
+          acc := parse_element st :: !acc
+        end
+    | '&' ->
+        advance st;
+        spill st;
+        parse_reference st
+    | _ ->
+        let start = st.pos in
+        while (not (eof st)) && peek st <> '<' && peek st <> '&' do
+          advance st
+        done;
+        add_slice st start st.pos
+  done;
+  List.rev (flush_text st !acc)
 
 let parse_prolog st =
   let rec go () =
@@ -244,7 +367,19 @@ let parse_prolog st =
   go ()
 
 let parse_string input =
-  let st = { input; pos = 0 } in
+  let st =
+    {
+      input;
+      len = String.length input;
+      pos = 0;
+      buf = Buffer.create 256;
+      buffered = false;
+      t0 = -1;
+      t1 = -1;
+      names = Array.make 64 "";
+      n_names = 0;
+    }
+  in
   parse_prolog st;
   if eof st || peek st <> '<' then fail st "expected a root element";
   let root = parse_element st in

@@ -1,14 +1,22 @@
-(** A small, dependency-free XML parser.
+(** A small, dependency-free XML parser: the loader behind every path
+    that reads a document (statistics gathering, shredding, validation,
+    the server's appends).
 
-    Supports the XML subset needed for LegoDB test and benchmark data:
-    elements, attributes (single- or double-quoted), character data, the
-    five predefined entities plus decimal/hex character references,
-    comments, CDATA sections, and an optional XML declaration /
-    DOCTYPE (both skipped).  Namespaces are not interpreted (prefixes
-    are kept as part of the tag name). *)
+    Supports the XML subset LegoDB needs: elements, attributes (single-
+    or double-quoted), character data, the five predefined entities
+    plus XML 1.0 character references ([&#]decimal[;], [&#x]hex[;])
+    naming Unicode scalar values, comments, CDATA sections, and an
+    optional XML declaration / DOCTYPE (both skipped).  Namespaces are
+    not interpreted (prefixes are kept as part of the tag name).
+
+    The scanner compares literals in place and copies each text run
+    once, and each distinct tag or attribute name is one string per
+    parse, shared by every element that carries it. *)
 
 exception Parse_error of { position : int; message : string }
-(** Raised on malformed input; [position] is a byte offset. *)
+(** Raised on malformed input, including a character reference of any
+    other form or naming a surrogate or a code point past U+10FFFF;
+    [position] is a byte offset. *)
 
 val parse_string : string -> Xml.t
 (** Parse a complete document from a string.  Whitespace-only text

@@ -16,10 +16,7 @@ let path_values node path =
   List.map Xml.text_content (select node path)
 
 let normalize v =
-  let cleaned =
-    String.to_seq (String.trim v) |> Seq.filter (fun c -> c <> ',') |> String.of_seq
-  in
-  match int_of_string_opt cleaned with
+  match Xml.int_of_text v with
   | Some n -> string_of_int n
   | None -> String.trim v
 

@@ -43,13 +43,7 @@ let default_width = function String_t -> 32 | Integer_t -> 4
 let scalar_ok kind text =
   match kind with
   | String_t -> true
-  | Integer_t ->
-      let cleaned =
-        String.to_seq (String.trim text)
-        |> Seq.filter (fun c -> c <> ',')
-        |> String.of_seq
-      in
-      cleaned <> "" && Option.is_some (int_of_string_opt cleaned)
+  | Integer_t -> Option.is_some (Legodb_xml.Xml.int_of_text text)
 
 type ann = { count : float option; labels : (string * float) list }
 

@@ -47,7 +47,8 @@ val default_width : scalar_kind -> int
 
 val scalar_ok : scalar_kind -> string -> bool
 (** Does a document text value inhabit the scalar type?  Integers allow
-    surrounding whitespace and grouping commas ("183,752,965"). *)
+    surrounding whitespace and grouping commas ("183,752,965"): the
+    reading of {!Legodb_xml.Xml.int_of_text}. *)
 
 (** {1 The type AST} *)
 

@@ -114,6 +114,29 @@ let with_client port f =
   let c = Net.connect ~port () in
   Fun.protect ~finally:(fun () -> Net.close c) (fun () -> f c)
 
+(* [f ()] on a thread of its own, failing the test unless it returns
+   within [seconds]: a server thread that dies leaves its sockets open,
+   so a client awaiting its answer would otherwise block forever *)
+let within seconds f =
+  let result = ref None in
+  ignore
+    (Thread.create
+       (fun () ->
+         result := Some (match f () with r -> Ok r | exception e -> Error e))
+       ());
+  let rec wait n =
+    match !result with
+    | Some (Ok r) -> r
+    | Some (Error e) -> raise e
+    | None ->
+        if n = 0 then Alcotest.failf "no answer within %gs" seconds
+        else begin
+          Thread.delay 0.01;
+          wait (n - 1)
+        end
+  in
+  wait (int_of_float (seconds *. 100.))
+
 let expect_rows name = function
   | Net.Rows { rows; _ } -> rows
   | Net.Error_reply m -> Alcotest.failf "%s: error reply: %s" name m
@@ -278,28 +301,39 @@ let suite =
         let doc, m = setup () in
         let server = Serve.create ~jobs:2 m (Shred.shred m doc) in
         run_server server (fun port ->
+            within 20. (fun () ->
+                with_client port (fun c ->
+                    (* one pipelined round: good, unparsable, untranslatable,
+                       bad XML, a surrogate character reference, good —
+                       answered positionally *)
+                    Net.send c (Net.Query (List.hd q_texts));
+                    Net.send c (Net.Query "THIS IS NOT XQUERY ((");
+                    Net.send c (Net.Query "FOR $v in imdb/nothing RETURN $v");
+                    Net.send c (Net.Append "<unclosed");
+                    Net.send c (Net.Append "<imdb>&#xD800;</imdb>");
+                    Net.send c (Net.Query (List.hd q_texts));
+                    let r1 = Net.recv c in
+                    let e2 = expect_error "unparsable" (Net.recv c) in
+                    let e3 = expect_error "untranslatable" (Net.recv c) in
+                    let e4 = expect_error "bad xml" (Net.recv c) in
+                    let e5 = expect_error "surrogate reference" (Net.recv c) in
+                    let r6 = Net.recv c in
+                    check_bool "parse error named" true (contains e2 "parse");
+                    check_bool "untranslatable named" true
+                      (contains e3 "untranslatable");
+                    check_bool "XML error named" true (contains e4 "XML");
+                    check_bool "reference error named" true
+                      (contains e5 "XML" && contains e5 "&#xD800;");
+                    let rows1 = expect_rows "first" r1 in
+                    let rows6 = expect_rows "last" r6 in
+                    check_bool "answer non-trivial" true (rows1 <> []);
+                    check_bool "neighbors answered identically" true
+                      (rows1 = rows6)));
+            (* the same server still serves a new connection *)
             with_client port (fun c ->
-                (* one pipelined round: good, unparsable, untranslatable,
-                   bad XML, good — answered positionally *)
-                Net.send c (Net.Query (List.hd q_texts));
-                Net.send c (Net.Query "THIS IS NOT XQUERY ((");
-                Net.send c (Net.Query "FOR $v in imdb/nothing RETURN $v");
-                Net.send c (Net.Append "<unclosed");
-                Net.send c (Net.Query (List.hd q_texts));
-                let r1 = Net.recv c in
-                let e2 = expect_error "unparsable" (Net.recv c) in
-                let e3 = expect_error "untranslatable" (Net.recv c) in
-                let e4 = expect_error "bad xml" (Net.recv c) in
-                let r5 = Net.recv c in
-                check_bool "parse error named" true (contains e2 "parse");
-                check_bool "untranslatable named" true
-                  (contains e3 "untranslatable");
-                check_bool "XML error named" true (contains e4 "XML");
-                let rows1 = expect_rows "first" r1 in
-                let rows5 = expect_rows "last" r5 in
-                check_bool "answer non-trivial" true (rows1 <> []);
-                check_bool "neighbors answered identically" true
-                  (rows1 = rows5))));
+                match Net.rpc c Net.Ping with
+                | Net.Pong -> ()
+                | _ -> Alcotest.fail "expected pong after the bad append")));
     case "a corrupt frame: one error reply, clean close, server survives"
       (fun () ->
         let doc, m = setup () in

@@ -290,9 +290,22 @@ let extra =
         match Navigate.navigate m { Navigate.ty; prefix = [] } step with
         | _ -> true);
     prop "xml parser never crashes on mutated documents" ~count:200
-      QCheck2.Gen.(pair (int_range 0 500) (int_range 0 255))
-      (fun (pos, byte) ->
+      QCheck2.Gen.(
+        pair
+          (pair (int_range 0 500) (int_range 0 255))
+          (pair (int_range 0 500)
+             (oneofl
+                [ ""; "&#65;"; "&#x42;"; "&#xD800;"; "&#xDFFF;"; "&#-5;";
+                  "&#x110000;"; "&#99999999999999999999;"; "&#0x41;";
+                  "&#1_0;"; "&#x;"; "&#;" ])))
+      (fun ((pos, byte), (at, reference)) ->
         let doc = Xml.to_string Test_util.books_doc in
+        let doc =
+          (* a character reference, well-formed or not, spliced in *)
+          let at = min at (String.length doc) in
+          String.sub doc 0 at ^ reference
+          ^ String.sub doc at (String.length doc - at)
+        in
         let mutated =
           if pos < String.length doc then
             String.mapi (fun i c -> if i = pos then Char.chr byte else c) doc

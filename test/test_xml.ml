@@ -9,6 +9,12 @@ let roundtrip name input =
       let doc' = parse (Xml.to_string doc) in
       check_bool "round trip" true (Xml.equal doc doc'))
 
+(* the reading of integer text before [Xml.int_of_text] owned it *)
+let old_int_of_text s =
+  String.to_seq (String.trim s)
+  |> Seq.filter (fun c -> c <> ',')
+  |> String.of_seq |> int_of_string_opt
+
 let parse_error name input =
   case name (fun () ->
       match parse input with
@@ -93,4 +99,44 @@ let suite =
               (String.length s > 0
               && Option.is_some
                    (String.index_opt s '3'))));
+    (* character references are XML 1.0's and name Unicode scalar
+       values; anything else is a Parse_error, never an exception of
+       another kind *)
+    parse_error "surrogate character reference" "<a>&#xD800;</a>";
+    parse_error "negative character reference" "<a>&#-5;</a>";
+    parse_error "character reference past U+10FFFF" "<a>&#x110000;</a>";
+    parse_error "base-prefixed character reference" "<a>&#0x41;</a>";
+    parse_error "underscored character reference" "<a>&#1_0;</a>";
+    parse_error "signed character reference" "<a>&#+5;</a>";
+    parse_error "surrogate reference in an attribute" {|<a x="&#xDFFF;"/>|};
+    case "largest code point decodes" (fun () ->
+        check_string "U+10FFFF" "\xf4\x8f\xbf\xbf"
+          (Xml.text_content (parse "<a>&#x10FFFF;</a>")));
+    parse_error "start tag cut off after =" "<a x=";
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:"int_of_text is trim, drop commas, int_of_string_opt"
+         ~print:(Printf.sprintf "%S")
+         QCheck2.Gen.(
+           string_size (int_range 0 12)
+             ~gen:
+               (oneofl
+                  [ '0'; '1'; '7'; '9'; ','; '_'; '+'; '-'; 'x'; 'o'; 'b';
+                    'a'; 'F'; ' '; '\t'; '\n'; '\r'; '\012' ]))
+         (fun s -> Xml.int_of_text s = old_int_of_text s));
+    case "int_of_text fixed cases" (fun () ->
+        let max_int_plus_1 =
+          Printf.sprintf "%d%d" (max_int / 10) ((max_int mod 10) + 1)
+        in
+        List.iter
+          (fun s ->
+            check_bool s true (Xml.int_of_text s = old_int_of_text s))
+          [ ""; "-0"; string_of_int max_int; string_of_int min_int;
+            max_int_plus_1; "1,024"; " 7 "; "0x1F"; "-"; "12a" ];
+        check_bool "max_int" true
+          (Xml.int_of_text (string_of_int max_int) = Some max_int);
+        check_bool "min_int" true
+          (Xml.int_of_text (string_of_int min_int) = Some min_int);
+        check_bool "max_int + 1" true (Xml.int_of_text max_int_plus_1 = None);
+        check_bool "-0" true (Xml.int_of_text "-0" = Some 0));
   ]
