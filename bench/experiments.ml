@@ -447,6 +447,14 @@ let ablation () =
       Printf.printf "%-14.0f %-12.1f %-10d\n%!" weight r.Search.cost tables)
     [ 0.; 5.; 20.; 80. ]
 
+(* words allocated by one call, on this domain's minor heap: a count
+   that repeats exactly, unlike a timing, so gates on it hold in
+   --smoke too *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
 (* ------------------------------------------------------------------ *)
 (* search_perf: cost-engine caching effect on the search wall-clock    *)
 (* ------------------------------------------------------------------ *)
@@ -476,7 +484,14 @@ let ablation () =
    for 5 rounds and the gate compares their medians.  On an OCaml 5
    compiler the sweep additionally fails outright if the build
    selected the sequential backend, so a dune [select] regression
-   cannot silently turn the sweep into a no-op. *)
+   cannot silently turn the sweep into a no-op.
+
+   A third gate keeps fingerprinting cheap: the catalogs of the
+   all-inlined and the normalized configuration and of every one-step
+   neighbour of each are fingerprinted through [Mapping] and through
+   the frozen text reference, and [Mapping]'s minor words must stay
+   within 0.25x the reference's (counts repeat exactly, so this holds
+   in --smoke). *)
 
 (* trace equality up to engine counters: wall-clock timers (and, with
    jobs > 1, hit/miss splits) legitimately differ between runs *)
@@ -563,6 +578,46 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
         ("publish", Imdb.Workloads.publish);
         ("mixed", Imdb.Workloads.mixed 0.5);
       ];
+
+  (* ---- fingerprinting: an allocation gate ---- *)
+  let catalogs =
+    let starts = [ Init.all_inlined schema; Init.normalize schema ] in
+    List.filter_map
+      (fun s ->
+        match Mapping.of_pschema s with
+        | Ok m -> Some m.Mapping.catalog
+        | Error _ -> None)
+      (starts
+      @ List.concat_map (fun s -> List.map snd (Space.neighbors s)) starts)
+  in
+  let fingerprint_all f () = List.map f catalogs in
+  let w_bytes =
+    minor_words
+      (fingerprint_all (fun c ->
+           Mapping.catalog_fingerprint (Mapping.table_fingerprints c)))
+  in
+  let w_text =
+    minor_words (fingerprint_all Fingerprint_reference.catalog_fingerprint)
+  in
+  Printf.printf
+    "\nFingerprinting %d catalogs (two starts and their neighbours): %.0f \
+     minor words (bytes) vs %.0f (frozen text), %.2fx\n\
+     %!"
+    (List.length catalogs) w_bytes w_text (w_bytes /. w_text);
+  emit
+    [
+      ("kind", Str "fingerprint");
+      ("catalogs", Int (List.length catalogs));
+      ("minor_words_bytes", Int (int_of_float w_bytes));
+      ("minor_words_text", Int (int_of_float w_text));
+      ("ratio", Num (w_bytes /. w_text));
+    ];
+  if w_bytes > 0.25 *. w_text then
+    failwith
+      (Printf.sprintf
+         "search_perf: fingerprinting allocates %.0f minor words, more than \
+          0.25x the frozen reference's %.0f"
+         w_bytes w_text);
 
   (* ---- parallel neighbor costing: the jobs sweep ---- *)
   let sweep = jobs_sweep ~smoke ~full:[ 1; 2; 4 ] jobs in
@@ -730,12 +785,6 @@ let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
   (* per-workload fast/reference optimize time, summed over configs —
      the >= 2x gate below reads these *)
   let gate : (string, float * float) Hashtbl.t = Hashtbl.create 4 in
-  (* words allocated by one call, on this domain's minor heap *)
-  let minor_words f =
-    let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (f ()));
-    Gc.minor_words () -. w0
-  in
   List.iter
     (fun (cname, config) ->
       let m, t_mapping =

@@ -342,36 +342,85 @@ let of_pschema ?(order_columns = false) schema =
 (* structural fingerprints                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Name-independent serialization of one table, complete enough that
-   two tables with equal shapes are costed identically by the
-   optimizer: every column with its full statistics (hex-printed floats
-   so the serialization is exact), nullability, index membership and
-   the table cardinality.  Key and foreign-key columns are anonymized
-   ([#key]/[#fk]) because their names embed type names, and fresh type
-   names differ between transformation orders that reach the same
-   configuration. *)
-let table_shape (t : Rschema.table) =
-  let stats_sig (s : Rschema.col_stats) =
-    Printf.sprintf "%h,%h,%s,%s,%h" s.Rschema.distinct s.Rschema.null_frac
-      (match s.Rschema.v_min with Some v -> string_of_int v | None -> "")
-      (match s.Rschema.v_max with Some v -> string_of_int v | None -> "")
-      s.Rschema.avg_width
+(* Fingerprints are exact byte strings: every field opens with a tag
+   byte, a float is its IEEE bits (8 bytes little-endian), an integer
+   8 bytes, and every variable-length field carries its length and
+   every list its count (4 bytes little-endian each).  The framing is
+   injective, so two fingerprints are equal exactly when the fields
+   they frame are; no byte a column name contains can make two shapes
+   collide.  A catalog's fingerprints are written through one [Buffer]
+   and each is copied out of it once. *)
+
+let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+
+let add_float b tag f =
+  Buffer.add_char b tag;
+  Buffer.add_int64_le b (Int64.bits_of_float f)
+
+let add_string b s =
+  add_u32 b (String.length s);
+  Buffer.add_string b s
+
+let add_frame b parts =
+  add_u32 b (List.length parts);
+  List.iter (add_string b) parts
+
+(* the buffer's contents, leaving it empty for the next fingerprint *)
+let take b =
+  let s = Buffer.contents b in
+  Buffer.clear b;
+  s
+
+(* One column, name-independent where names embed type names: the key
+   and foreign-key columns are anonymized (tags [K] and [F]) because
+   fresh type names differ between transformation orders that reach the
+   same configuration; any other column keeps its name (tag [N]).  Then
+   the type, nullability, the complete statistics and index
+   membership. *)
+let add_column_sig b (t : Rschema.table) (c : Rschema.column) =
+  let s = c.Rschema.stats in
+  if String.equal c.Rschema.cname t.Rschema.key then Buffer.add_char b 'K'
+  else if List.mem_assoc c.Rschema.cname t.Rschema.fks then
+    Buffer.add_char b 'F'
+  else begin
+    Buffer.add_char b 'N';
+    add_string b c.Rschema.cname
+  end;
+  (match c.Rschema.ctype with
+  | Rtype.R_int -> Buffer.add_char b 'I'
+  | Rtype.R_string None -> Buffer.add_char b 'S'
+  | Rtype.R_string (Some w) ->
+      Buffer.add_char b 'C';
+      add_int b w);
+  Buffer.add_char b (if c.Rschema.nullable then '?' else '=');
+  add_float b 'd' s.Rschema.distinct;
+  add_float b 'z' s.Rschema.null_frac;
+  let add_opt = function
+    | Some v ->
+        Buffer.add_char b '+';
+        add_int b v
+    | None -> Buffer.add_char b '-'
   in
-  let col_sig (c : Rschema.column) =
-    let name =
-      if String.equal c.Rschema.cname t.Rschema.key then "#key"
-      else if List.mem_assoc c.Rschema.cname t.Rschema.fks then "#fk"
-      else c.Rschema.cname
-    in
-    Printf.sprintf "%s:%s%s{%s}%s" name
-      (Rtype.to_sql c.Rschema.ctype)
-      (if c.Rschema.nullable then "?" else "")
-      (stats_sig c.Rschema.stats)
-      (if Rschema.has_index t c.Rschema.cname then "!" else "")
+  add_opt s.Rschema.v_min;
+  add_opt s.Rschema.v_max;
+  add_float b 'w' s.Rschema.avg_width;
+  Buffer.add_char b (if Rschema.has_index t c.Rschema.cname then '!' else '.')
+
+(* A table's shape, complete enough that two tables with equal shapes
+   are costed identically by the optimizer: the cardinality, then every
+   column's signature, sorted so column order does not matter. *)
+let table_shape b (t : Rschema.table) =
+  let columns =
+    List.map
+      (fun c ->
+        add_column_sig b t c;
+        take b)
+      t.Rschema.columns
   in
-  Printf.sprintf "[%s|%h]"
-    (String.concat ";" (List.sort String.compare (List.map col_sig t.Rschema.columns)))
-    t.Rschema.card
+  add_float b 'T' t.Rschema.card;
+  add_frame b (List.sort String.compare columns);
+  take b
 
 (* [(type name, fingerprint)] for every table: its {!table_shape}
    extended with one Weisfeiler–Leman round over its parents' shapes,
@@ -379,10 +428,11 @@ let table_shape (t : Rschema.table) =
    cost is reusable exactly when the fingerprints of the tables it
    touches are unchanged. *)
 let table_fingerprints (cat : Rschema.t) =
+  let b = Buffer.create 1024 in
   let shapes = Hashtbl.create (2 * List.length cat.Rschema.tables) in
   List.iter
     (fun (t : Rschema.table) ->
-      Hashtbl.replace shapes t.Rschema.tname (table_shape t))
+      Hashtbl.replace shapes t.Rschema.tname (table_shape b t))
     cat.Rschema.tables;
   (* one Weisfeiler–Leman round: a table's fingerprint includes its
      parents' shapes, so the join topology between tables is part of
@@ -393,21 +443,26 @@ let table_fingerprints (cat : Rschema.t) =
       let parents =
         List.filter_map (fun (_, p) -> Hashtbl.find_opt shapes p) t.Rschema.fks
       in
-      ( t.Rschema.tname,
-        Hashtbl.find shapes t.Rschema.tname
-        ^ "<"
-        ^ String.concat "," (List.sort String.compare parents)
-        ^ ">" ))
+      Buffer.add_char b 'W';
+      add_frame b
+        (Hashtbl.find shapes t.Rschema.tname
+        :: List.sort String.compare parents);
+      (t.Rschema.tname, take b))
     cat.Rschema.tables
 
-let fingerprint_index cat =
-  let index = Hashtbl.create 64 in
-  List.iter (fun (name, fp) -> Hashtbl.replace index name fp) (table_fingerprints cat);
+let fingerprint_index fps =
+  let index = Hashtbl.create (2 * List.length fps) in
+  List.iter (fun (name, fp) -> Hashtbl.replace index name fp) fps;
   index
 
-let catalog_fingerprint cat =
-  String.concat ";"
-    (List.sort String.compare (List.map snd (table_fingerprints cat)))
+let catalog_fingerprint fps =
+  let fps = List.sort String.compare (List.map snd fps) in
+  let b =
+    Buffer.create (List.fold_left (fun n f -> n + 4 + String.length f) 5 fps)
+  in
+  Buffer.add_char b 'C';
+  add_frame b fps;
+  Buffer.contents b
 
 let card m ty = (Rschema.table m.catalog ty).Rschema.card
 

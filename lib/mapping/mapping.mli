@@ -37,22 +37,43 @@ val of_pschema : ?order_columns:bool -> Xschema.t -> (t, string list) result
 
 val is_transparent : Xschema.t -> string -> bool
 
-val fingerprint_index : Rschema.t -> (string, string) Hashtbl.t
-(** Every table's fingerprint, keyed by type name.  A fingerprint is a
-    name-independent structural serialization of the table (columns
-    with their complete statistics, nullability, index membership,
-    cardinality; key and foreign-key columns anonymized) extended with
-    one Weisfeiler–Leman round over its parents' serializations, so the
-    join topology is part of it.  Two tables with equal fingerprints
-    produce identical optimizer estimates.  Built once per costing
-    pass so per-statement key construction does O(1) lookups per
-    touched table instead of an assoc-list walk. *)
+(** {1 Structural fingerprints}
 
-val catalog_fingerprint : Rschema.t -> string
-(** Order-independent fingerprint of the whole catalog (the sorted
-    table fingerprints joined); configurations reached by different
-    transformation orders compare equal.  Used by {!Search.beam} to
-    deduplicate configurations. *)
+    A fingerprint is an exact, name-independent byte string.  A table's
+    {e shape} frames its cardinality and every column — type,
+    nullability, complete statistics, index membership — with key and
+    foreign-key columns anonymized, because their names embed type
+    names that differ between transformation orders reaching the same
+    configuration.  Every field opens with a tag byte, floats are their
+    IEEE bits, and every variable-length field and list is length- or
+    count-prefixed, so the encoding is injective: two fingerprints are
+    equal exactly when what they frame is.  No [Printf] or [Format] is
+    involved. *)
+
+val table_fingerprints : Rschema.t -> (string * string) list
+(** [(type name, fingerprint)] for every table, in catalog order: the
+    table's shape extended with one Weisfeiler–Leman round over its
+    parents' shapes, so the join topology is part of it.  Two tables
+    with equal fingerprints produce identical optimizer estimates.
+    Compute it once per catalog: {!fingerprint_index} and
+    {!catalog_fingerprint} both derive from this list. *)
+
+val fingerprint_index : (string * string) list -> (string, string) Hashtbl.t
+(** The {!table_fingerprints} keyed by type name, so per-statement key
+    construction does O(1) lookups per touched table. *)
+
+val catalog_fingerprint : (string * string) list -> string
+(** Order-independent fingerprint of the whole catalog (tag byte [C],
+    then the sorted table fingerprints, framed); configurations reached
+    by different transformation orders compare equal.  Used by
+    {!Search.beam} to deduplicate configurations. *)
+
+val add_frame : Buffer.t -> string list -> unit
+(** [add_frame b parts] appends the count of [parts], then each part
+    length-prefixed, in the given order (4-byte little-endian counts
+    and lengths).  Injective in [parts] after a fixed-length prefix:
+    the framing of every fingerprint above and of {!Cost_engine}'s
+    statement keys. *)
 
 val card : t -> string -> float
 (** Cardinality of a type's table.  @raise Not_found for unknown or

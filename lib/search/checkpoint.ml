@@ -467,7 +467,7 @@ let r_state cur =
 (* ------------------------------------------------------------------ *)
 
 let magic = "LEGODB-CKPT"
-let version = 1
+let version = 2
 
 (* the search-term writers/readers above raise Wire.Corrupt; the public
    boundary rewraps it so callers keep matching Checkpoint.Corrupt *)

@@ -21,7 +21,12 @@
 
     {v LEGODB-CKPT <version> <crc32-hex> <payload-bytes> v}
 
-    followed by exactly [<payload-bytes>] of payload.  The payload is a
+    followed by exactly [<payload-bytes>] of payload.  This build
+    writes and reads version 2: version 1 persisted beam's seen set and
+    the memo keys as text fingerprints, which never equal today's byte
+    fingerprints, so a version-1 file is refused rather than resumed
+    into a search that would re-keep configurations it had
+    blacklisted.  The payload is a
     portable line/length-prefixed text encoding (floats travel as [%h]
     hex literals, so costs and statistics round-trip bit-exactly); the
     CRC-32 (IEEE) of the payload guards against torn or corrupted

@@ -1,4 +1,5 @@
 module Mapping = Legodb_mapping.Mapping
+module Xschema = Legodb_xtype.Xschema
 module Xq_translate = Legodb_mapping.Xq_translate
 module Rschema = Legodb_relational.Rschema
 module Optimizer = Legodb_optimizer.Optimizer
@@ -104,37 +105,75 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
     pool = [||];
   }
 
-(* The cache key of one statement: its position in the workload plus
-   the sorted fingerprints of the tables it touches.  Sorting the
-   fingerprints (not the table names) keeps the key independent of the
-   fresh type names a transformation order happens to generate, so
-   structurally identical configurations reached by different step
-   orders hit the same entry.  [fps] is the per-pass
-   {!Mapping.fingerprint_index} hashtable, so each touched table costs
-   one O(1) probe rather than an assoc-list walk over the catalog. *)
+(* The cache key of one statement: its kind and position in the
+   workload, then the sorted fingerprints of the tables it touches,
+   framed like the fingerprints themselves ({!Mapping.add_frame}) in
+   one buffer sized to fit.  Sorting the fingerprints (not the table
+   names) keeps the key independent of the fresh type names a
+   transformation order happens to generate, so structurally identical
+   configurations reached by different step orders hit the same entry.
+   [fps] is the per-pass {!Mapping.fingerprint_index} hashtable, so
+   each touched table costs one O(1) probe.  A table without a
+   fingerprint is named with tag [?], which no fingerprint (tag [W])
+   begins with. *)
 let key ~kind ~index fps tables =
   let fp t =
     match Hashtbl.find_opt fps t with Some f -> f | None -> "?" ^ t
   in
-  Printf.sprintf "%c%d|%s" kind index
-    (String.concat "\x00" (List.sort String.compare (List.map fp tables)))
+  let fps = List.sort String.compare (List.map fp tables) in
+  let b =
+    Buffer.create (List.fold_left (fun n f -> n + 4 + String.length f) 9 fps)
+  in
+  Buffer.add_char b kind;
+  Buffer.add_int32_le b (Int32.of_int index);
+  Mapping.add_frame b fps;
+  Buffer.contents b
 
-(* One costing pass, generic over where cache lookups/insertions and
-   counter bumps land: the engine itself ([cost]) or a worker shard
-   ([shard_cost]).  Keeping a single body is what guarantees the
-   sequential and sharded paths price a configuration identically.
+(* A candidate prepared once: mapped, its tables fingerprinted and the
+   catalog fingerprint derived from them.  Beam's dedupe pass prepares
+   every raw neighbour and hands the survivors to the costing pass, so
+   nothing is mapped or fingerprinted twice. *)
+type prepared = {
+  schema : Xschema.t;
+  mapped : (Mapping.t * (string * string) list, string list) result;
+  fingerprint : string;
+}
+
+let fingerprint p = p.fingerprint
+
+(* Map the candidate, fingerprint its tables and derive the catalog
+   fingerprint, charged to [c.t_mapping].  An unmappable schema's
+   fingerprint is its text under tag [X], which no catalog fingerprint
+   (tag [C]) begins with. *)
+let prepare_into (t : t) (c : counters) schema =
+  let t0 = t.clock () in
+  let mapped, fingerprint =
+    match Mapping.of_pschema schema with
+    | Error es -> (Error es, "X" ^ Xschema.to_string schema)
+    | Ok m ->
+        let fps = Mapping.table_fingerprints m.Mapping.catalog in
+        (Ok (m, fps), Mapping.catalog_fingerprint fps)
+  in
+  c.t_mapping <- c.t_mapping +. (t.clock () -. t0);
+  { schema; mapped; fingerprint }
+
+(* One costing pass over a prepared candidate, generic over where
+   cache lookups/insertions and counter bumps land: the engine itself
+   ([cost]) or a worker shard ([shard_cost]).  Keeping a single body is
+   what guarantees the sequential and sharded paths price a
+   configuration identically.
 
    [check] is the cooperative cancellation point (see Budget): it runs
-   before any work — and before the evaluation is counted — so an
-   exhausted budget abandons the configuration without charging it.
-   Failures leave as [Fault] records naming the pipeline stage and the
-   exception class, so the search can account each skipped candidate
-   instead of silently dropping it. *)
-let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
+   before the evaluation is counted, so an exhausted budget abandons
+   the configuration without charging it.  Failures leave as [Fault]
+   records naming the pipeline stage and the exception class, so the
+   search can account each skipped candidate instead of silently
+   dropping it. *)
+let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
   check ();
   c.evaluations <- c.evaluations + 1;
   (match t.inject with
-  | Some p when p (Legodb_xtype.Xschema.to_string schema) ->
+  | Some inject when inject (Xschema.to_string p.schema) ->
       raise
         (Fault
            {
@@ -144,9 +183,8 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
            })
   | _ -> ());
   let now = t.clock in
-  let t0 = now () in
-  let m =
-    match Mapping.of_pschema schema with
+  let m, table_fps =
+    match p.mapped with
     | Error es ->
         raise
           (Fault
@@ -155,9 +193,8 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
                exn_class = "Mapping_error";
                message = String.concat "; " es;
              })
-    | Ok m -> m
+    | Ok r -> r
   in
-  c.t_mapping <- c.t_mapping +. (now () -. t0);
   let t1 = now () in
   let queries, updates =
     match
@@ -186,9 +223,19 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
            (Array.to_list (Array.map (fun ((q, _), _) -> q) queries)))
     else m.Mapping.catalog
   in
-  (* fingerprints are computed on the catalog the optimizer sees, so
+  (* fingerprints are those of the catalog the optimizer sees, so
      workload-granted indexes are part of the invalidation key *)
-  let fps = lazy (Mapping.fingerprint_index catalog) in
+  let fps =
+    lazy
+      (let t0 = now () in
+       let fps =
+         Mapping.fingerprint_index
+           (if t.workload_indexes then Mapping.table_fingerprints catalog
+            else table_fps)
+       in
+       c.t_mapping <- c.t_mapping +. (now () -. t0);
+       fps)
+  in
   let costed kind index tables fresh =
     let compute () =
       let t2 = now () in
@@ -259,22 +306,35 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
     updates;
   !total +. !wtotal
 
-let engine_cost ?check t schema =
+let check_thawed t =
   if t.frozen then
     invalid_arg
       "Cost_engine: engine is frozen (parallel fan-out in flight); cost \
-       through its worker shards instead";
-  cost_into ?check
-    ~find:(fun k -> Hashtbl.find_opt t.cache k)
-    ~add:(fun k v -> Hashtbl.replace t.cache k v)
-    t t.c schema
+       through its worker shards instead"
 
-let cost_result ?check t schema =
-  match engine_cost ?check t schema with
+let prepare t schema =
+  check_thawed t;
+  prepare_into t t.c schema
+
+let cost_prepared ?check t p =
+  check_thawed t;
+  match
+    cost_into ?check
+      ~find:(fun k -> Hashtbl.find_opt t.cache k)
+      ~add:(fun k v -> Hashtbl.replace t.cache k v)
+      t t.c p
+  with
   | v -> Ok v
   | exception Fault f ->
       t.c.faults <- t.c.faults + 1;
       Error f
+
+(* the schema-taking entry points poll [check] before preparing, so an
+   exhausted budget abandons the candidate before any work *)
+let cost_result ?(check = ignore) t schema =
+  check_thawed t;
+  check ();
+  cost_prepared t (prepare t schema)
 
 let cost ?check t schema =
   match cost_result ?check t schema with
@@ -321,7 +381,9 @@ let discard_shards t =
   Array.iter reset_shard t.pool;
   t.frozen <- false
 
-let shard_cost_result ?check sh schema =
+let shard_prepare sh schema = prepare_into sh.base sh.sc schema
+
+let shard_cost_prepared ?check sh p =
   match
     cost_into ?check
       ~find:(fun k ->
@@ -329,12 +391,16 @@ let shard_cost_result ?check sh schema =
         | Some _ as r -> r
         | None -> Hashtbl.find_opt sh.base.cache k)
       ~add:(fun k v -> Hashtbl.replace sh.fresh k v)
-      sh.base sh.sc schema
+      sh.base sh.sc p
   with
   | v -> Ok v
   | exception Fault f ->
       sh.sc.faults <- sh.sc.faults + 1;
       Error f
+
+let shard_cost_result ?(check = ignore) sh schema =
+  check ();
+  shard_cost_prepared sh (shard_prepare sh schema)
 
 let shard_cost ?check sh schema =
   match shard_cost_result ?check sh schema with
@@ -342,11 +408,14 @@ let shard_cost ?check sh schema =
   | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
 
 let merge t shards =
+  (* every owner is checked before anything is touched, so a rejected
+     merge leaves the engine — cache, counters, frozen state — as it
+     was *)
+  if List.exists (fun sh -> sh.base != t) shards then
+    invalid_arg "Cost_engine.merge: shard belongs to a different engine";
   t.frozen <- false;
   List.iter
     (fun sh ->
-      if sh.base != t then
-        invalid_arg "Cost_engine.merge: shard belongs to a different engine";
       Hashtbl.iter
         (fun k v -> if not (Hashtbl.mem t.cache k) then Hashtbl.add t.cache k v)
         sh.fresh;

@@ -4,19 +4,26 @@
     a single inline/outline step perturbs only a handful of tables and
     leaves most queries' plans untouched.  The engine exploits this:
     it memoizes each statement's optimizer cost under the key
-    [(statement index, fingerprints of the tables it touches)], where
-    the fingerprints come from {!Mapping.fingerprint_index}.  A cached
-    cost is reused exactly when every table the statement reads or
-    writes is structurally unchanged (columns, statistics, indexes,
-    cardinality, and parents) — in which case the optimizer would
-    recompute the identical float, so cached and cold costs are
-    bit-identical: the cache is a pure memoization, not an
+    [(statement kind and index, fingerprints of the tables it
+    touches)], where the fingerprints are {!Mapping.table_fingerprints}
+    — exact bytes, framed as {!Mapping.add_frame} frames the key
+    itself.  A cached cost is reused exactly when every table the
+    statement reads or writes is structurally unchanged (columns,
+    statistics, indexes, cardinality, and parents) — in which case the
+    optimizer would recompute the identical float, so cached and cold
+    costs are bit-identical: the cache is a pure memoization, not an
     approximation.
 
     The fingerprints anonymize type-name-derived identifiers, so
     structurally identical configurations reached by different
     transformation orders (which generate different fresh names) also
-    hit. *)
+    hit.
+
+    A candidate is mapped and fingerprinted once: {!prepare} does both
+    and derives the catalog fingerprint {!Search.beam} deduplicates on,
+    and {!cost_prepared} costs the prepared candidate without mapping
+    it again.  The schema-taking entry points ({!cost} and friends)
+    are {!prepare} then {!cost_prepared}. *)
 
 exception Cost_error of string
 (** Raised when a configuration cannot be costed (mapping or
@@ -41,7 +48,10 @@ type snapshot = {
   hits : int;  (** statement costings answered from the cache *)
   misses : int;  (** statement costings computed by the optimizer *)
   faults : int;  (** configurations the pipeline failed to cost *)
-  t_mapping : float;  (** seconds deriving relational catalogs *)
+  t_mapping : float;
+      (** seconds deriving relational catalogs and fingerprinting them
+          (the {!prepare} step), and with [~workload_indexes]
+          fingerprinting the indexed catalog too *)
   t_translate : float;  (** seconds translating the workload *)
   t_optimize : float;  (** seconds in the relational optimizer *)
 }
@@ -95,7 +105,8 @@ val create :
     drive the timeout deterministically with a fake clock. *)
 
 (** Every costing entry point takes an optional [?check] hook, called
-    once at entry before any work: a cooperative cancellation point.
+    once at entry before any work ({!cost_prepared}: before any work
+    beyond the preparing): a cooperative cancellation point.
     The search passes {!Budget.tick}, so an exhausted budget (or a
     tripped interrupt) raises {!Budget.Exhausted} out of the costing —
     including from inside in-flight parallel chunks, which notice at
@@ -120,6 +131,31 @@ val cost_result :
 val cost_opt :
   ?check:(unit -> unit) -> t -> Legodb_xtype.Xschema.t -> float option
 (** [cost] with {!Cost_error} mapped to [None]. *)
+
+(** {1 Prepared candidates} *)
+
+type prepared
+(** A candidate mapped and fingerprinted once.  Preparing never fails:
+    an unmappable schema carries its mapping errors, which costing it
+    reports as the same ["mapping"] fault {!cost_result} would. *)
+
+val prepare : t -> Legodb_xtype.Xschema.t -> prepared
+(** Map the schema, fingerprint every table and derive the catalog
+    fingerprint, charging the time to the engine's [t_mapping].
+    @raise Invalid_argument while the engine is frozen. *)
+
+val fingerprint : prepared -> string
+(** The {!Mapping.catalog_fingerprint} of the prepared catalog; for an
+    unmappable schema, its {!Legodb_xtype.Xschema.to_string} under a
+    tag byte no catalog fingerprint starts with. *)
+
+val cost_prepared :
+  ?check:(unit -> unit) -> t -> prepared -> (float, fault) result
+(** Cost a prepared candidate, reusing its mapping and, without
+    [~workload_indexes], its table fingerprints (with it, the indexed
+    catalog the optimizer sees is fingerprinted).  {!cost_result} is
+    [prepare] then [cost_prepared]: counts, cache traffic and the
+    float are the same either way. *)
 
 (** {1 Worker shards}
 
@@ -193,6 +229,13 @@ val shard_cost_result :
   (float, fault) result
 (** [shard_cost] with failures as structured {!fault} records. *)
 
+val shard_prepare : shard -> Legodb_xtype.Xschema.t -> prepared
+(** {!prepare}, charging the shard's [t_mapping]. *)
+
+val shard_cost_prepared :
+  ?check:(unit -> unit) -> shard -> prepared -> (float, fault) result
+(** {!cost_prepared} against the shard's view. *)
+
 val shard_snapshot : shard -> snapshot
 (** The shard's private counters (zeroed again by {!merge}). *)
 
@@ -207,7 +250,9 @@ val merge : t -> shard list -> unit
     scheduling-independent regardless).  Resets each merged shard so a
     double [merge] cannot double-count and pool shards are ready for
     the next fan-out; un-freezes the engine.
-    @raise Invalid_argument on a shard of a different engine. *)
+    @raise Invalid_argument on a shard of a different engine, before
+    anything is merged: the engine's cache, counters and frozen state
+    are left as they were. *)
 
 val snapshot : t -> snapshot
 (** Cumulative counters since [create]. *)

@@ -65,7 +65,7 @@ let chunk_list n l =
    concurrent searches would interleave their timings, which the bench
    — one search at a time — never does. *)
 type seam_stats = {
-  s_fanouts : int;  (** parallel fan-outs (costing + fingerprint passes) *)
+  s_fanouts : int;  (** parallel fan-outs (costing + prepare passes) *)
   s_t_fanout : float;  (** seconds inside [Par.run_tasks] *)
   s_t_merge : float;  (** seconds publishing shard deltas at barriers *)
   s_t_barrier_idle : float;
@@ -97,49 +97,28 @@ let seam_add ~fanout ~merge ~idle =
    pure function of [(jobs, list)]. *)
 let chunk_factor = 8
 
-(* order-preserving map, fanned out as self-scheduled chunks *)
-let par_map ~jobs f l =
-  if jobs <= 1 || not Par.available then List.map f l
-  else begin
-    let chunks = Array.of_list (chunk_list (jobs * chunk_factor) l) in
-    let nchunks = Array.length chunks in
-    if nchunks = 0 then []
-    else begin
-      let out = Array.make nchunks [] in
-      let t0 = Unix.gettimeofday () in
-      let idle =
-        Par.run_tasks ~jobs nchunks (fun ~worker:_ i ->
-            out.(i) <- List.map f chunks.(i))
-      in
-      seam_add ~fanout:(Unix.gettimeofday () -. t0) ~merge:0. ~idle;
-      List.concat (Array.to_list out)
-    end
-  end
-
-(* Cost every candidate, returning [(candidate, cost-or-fault)] in
-   input order.  With [jobs > 1] the engine is frozen into a read-only
-   memo view, the candidates are split into fine-grained chunks
-   (chunk_factor per worker) self-scheduled onto the persistent worker
-   pool, and every worker slot costs its chunks on the engine's
-   persistent shard for that slot — probing the frozen cache, recording
-   new entries privately.  At the barrier the shards publish back in
+(* Run one pass over the candidates, returning its results in input
+   order: [seq c] on the engine itself, or with [jobs > 1] [par shard c]
+   on the engine's persistent worker shards.  The engine is frozen into
+   a read-only memo view, the candidates are split into fine-grained
+   chunks (chunk_factor per worker) self-scheduled onto the persistent
+   worker pool, and every worker slot runs its chunks on the shard for
+   that slot — probing the frozen cache, recording new entries and
+   counters privately.  At the barrier the shards publish back in
    worker-slot order.  Costs are pure memoization, results are keyed
    by chunk index, and the merged cache contents depend only on the
    candidate list, so cost/schema/trace stay bit-identical to a
    sequential run whatever the scheduling; only the hit/miss split
    (and wall clock) varies.
 
-   [check] (Budget.tick) runs before each candidate on every path; if
-   it raises, the fan-out lets every in-flight chunk settle (they hit
-   the same exhausted budget at their next candidate, so work stops
-   promptly), discards the shards wholesale, and re-raises the
-   lowest-index failure — the iteration is abandoned all-or-nothing
-   and the engine is left bit-identical to its barrier state. *)
-let par_cost eng ~check ~jobs ~schema_of candidates =
-  if jobs <= 1 || not Par.available then
-    List.map
-      (fun c -> (c, Cost_engine.cost_result ~check eng (schema_of c)))
-      candidates
+   If a candidate raises (the budget polls), the fan-out lets every
+   in-flight chunk settle (they hit the same exhausted budget at their
+   next candidate, so work stops promptly), discards the shards
+   wholesale, and re-raises the lowest-index failure — the pass is
+   abandoned all-or-nothing and the engine is left bit-identical to
+   its barrier state. *)
+let fan_out eng ~jobs ~seq ~par candidates =
+  if jobs <= 1 || not Par.available then List.map seq candidates
   else begin
     let chunks = Array.of_list (chunk_list (jobs * chunk_factor) candidates) in
     let nchunks = Array.length chunks in
@@ -152,12 +131,7 @@ let par_cost eng ~check ~jobs ~schema_of candidates =
       let idle =
         try
           Par.run_tasks ~jobs nchunks (fun ~worker ci ->
-              let sh = shards.(worker) in
-              results.(ci) <-
-                List.map
-                  (fun c ->
-                    (c, Cost_engine.shard_cost_result ~check sh (schema_of c)))
-                  chunks.(ci))
+              results.(ci) <- List.map (par shards.(worker)) chunks.(ci))
         with e ->
           let bt = Printexc.get_raw_backtrace () in
           Cost_engine.discard_shards eng;
@@ -169,6 +143,16 @@ let par_cost eng ~check ~jobs ~schema_of candidates =
       List.concat (Array.to_list results)
     end
   end
+
+(* Cost every candidate, returning [(candidate, cost-or-fault)] in
+   input order.  [check] (Budget.tick) runs before each candidate on
+   every path. *)
+let par_cost eng ~check ~jobs ~schema_of candidates =
+  fan_out eng ~jobs
+    ~seq:(fun c -> (c, Cost_engine.cost_result ~check eng (schema_of c)))
+    ~par:(fun sh c ->
+      (c, Cost_engine.shard_cost_result ~check sh (schema_of c)))
+    candidates
 
 type stopped =
   [ `Converged | `Deadline | `Iterations | `Cost_budget | `Interrupted ]
@@ -451,16 +435,6 @@ let pp_trace fmt trace =
 (* beam search (the "dynamic programming search strategies" of §7)     *)
 (* ------------------------------------------------------------------ *)
 
-(* A name-independent fingerprint of the relational configuration a
-   schema maps to, used to prune transformation sequences that reach the
-   same design through different step orders.  Fresh type names differ
-   between paths, so the fingerprint uses column shapes (with their full
-   statistics), not names — see Mapping.catalog_fingerprint. *)
-let fingerprint schema =
-  match Mapping.of_pschema schema with
-  | Error _ -> Xschema.to_string schema
-  | Ok m -> Mapping.catalog_fingerprint m.Mapping.catalog
-
 (* the beam loop, shared by fresh and resumed searches just like
    [greedy_core] *)
 let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
@@ -524,35 +498,47 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
              blocks the path that needs the same configuration one
              level later *)
           let level_seen = Hashtbl.create 32 in
-          (* fingerprinting and costing are the two expensive
-             per-candidate passes; both fan out over [jobs] chunks,
-             with the sequential dedupe (first occurrence wins, in
-             discovery order) in between so the level is bit-identical
-             to a sequential one.  Both passes poll the budget, so an
-             exhausted budget abandons the level wholesale and the
-             result is the best-so-far over completed levels. *)
+          (* preparing (map and fingerprint) and costing are the two
+             expensive per-candidate passes; both fan out over [jobs]
+             chunks, with the sequential dedupe (first occurrence wins,
+             in discovery order) in between so the level is
+             bit-identical to a sequential one.  Each candidate is
+             prepared once: the costing pass reuses the mapping and
+             fingerprints the dedupe pass made.  Both passes poll the
+             budget, so an exhausted budget abandons the level
+             wholesale and the result is the best-so-far over completed
+             levels. *)
           let raw =
             List.concat_map (fun (s, _) -> Space.neighbors ~kinds s) frontier
           in
           match
-            let fingerprinted =
-              par_map ~jobs
-                (fun (step, s') ->
+            let prepared =
+              fan_out eng ~jobs
+                ~seq:(fun (step, s') ->
                   Budget.poll ctl;
-                  (step, s', fingerprint s'))
+                  (step, s', Cost_engine.prepare eng s'))
+                ~par:(fun sh (step, s') ->
+                  Budget.poll ctl;
+                  (step, s', Cost_engine.shard_prepare sh s'))
                 raw
             in
             let deduped =
               List.filter
-                (fun (_, _, fp) ->
+                (fun (_, _, p) ->
+                  let fp = Cost_engine.fingerprint p in
                   if Hashtbl.mem seen fp || Hashtbl.mem level_seen fp then false
                   else begin
                     Hashtbl.replace level_seen fp ();
                     true
                   end)
-                fingerprinted
+                prepared
             in
-            par_cost eng ~check ~jobs ~schema_of:(fun (_, s', _) -> s') deduped
+            fan_out eng ~jobs
+              ~seq:(fun ((_, _, p) as c) ->
+                (c, Cost_engine.cost_prepared ~check eng p))
+              ~par:(fun sh ((_, _, p) as c) ->
+                (c, Cost_engine.shard_cost_prepared ~check sh p))
+              deduped
           with
           | exception Budget.Exhausted r ->
               snap ();
@@ -567,9 +553,9 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
                 all_failures := level_failures :: !all_failures;
               let candidates =
                 List.filter_map
-                  (fun ((step, s', fp), costed) ->
+                  (fun ((step, s', p), costed) ->
                     match costed with
-                    | Ok c -> Some (step, s', c, fp)
+                    | Ok c -> Some (step, s', c, Cost_engine.fingerprint p)
                     | Error _ -> None)
                   costed
               in
@@ -638,10 +624,11 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
   let start = Cost_engine.snapshot eng in
   (* the initial configuration is exempt from the budget (no ticket,
      no cancellation): anytime search always has a result to return *)
+  let p0 = Cost_engine.prepare eng schema in
   let initial_cost =
-    match Cost_engine.cost_opt eng schema with
-    | Some c -> c
-    | None -> raise (Cost_error "initial configuration cannot be costed")
+    match Cost_engine.cost_prepared eng p0 with
+    | Ok c -> c
+    | Error _ -> raise (Cost_error "initial configuration cannot be costed")
   in
   let trace0 =
     [
@@ -659,7 +646,7 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
     ~ctl ~eng ~checkpoint ~start ~iteration0:0 ~barren0:0
     ~frontier0:[ (schema, initial_cost) ]
     ~best0:(schema, initial_cost)
-    ~seen0:[ fingerprint schema ]
+    ~seen0:[ Cost_engine.fingerprint p0 ]
     ~trace0 ~failures0:[]
 
 (* ------------------------------------------------------------------ *)

@@ -91,7 +91,7 @@ val chunk_list : int -> 'a list -> 'a list list
     yields one chunk; an empty [l] yields no chunks. *)
 
 type seam_stats = {
-  s_fanouts : int;  (** parallel fan-outs (costing + fingerprint passes) *)
+  s_fanouts : int;  (** parallel fan-outs (costing + prepare passes) *)
   s_t_fanout : float;  (** seconds inside [Par.run_tasks] *)
   s_t_merge : float;  (** seconds publishing shard deltas at barriers *)
   s_t_barrier_idle : float;

@@ -521,4 +521,15 @@ let suite =
           (List.length r.Search.failures)
           r.Search.engine.Cost_engine.faults;
         check_bool "budget barely touched" true (Budget.evaluations b < 100));
+    case "version-1 images are refused" (fun () ->
+        (* version 1 persisted text fingerprints (beam's blacklist, the
+           memo keys) that never match the byte ones: resuming one would
+           re-keep blacklisted configurations *)
+        let img = Lazy.force image in
+        let nl = String.index img '\n' in
+        let payload = String.sub img (nl + 1) (String.length img - nl - 1) in
+        check_bool "version 1" true
+          (rejects ~expect:"version"
+             (Printf.sprintf "LEGODB-CKPT 1 %08lx %d\n%s"
+                (Checkpoint.crc32 payload) (String.length payload) payload)));
   ]

@@ -133,4 +133,22 @@ let suite =
             (Lazy.force annotated_imdb)
         in
         check_int "no inlining happened" 1 (List.length r.Search.trace));
+    case "oracle mode accepts a full beam run" (fun () ->
+        (* beam costs prepared candidates: every hit is recomputed from
+           the prepared mapping, with and without workload indexes
+           (which fingerprint the indexed catalog instead) *)
+        let workload = Imdb.Workloads.mixed 0.5 in
+        let start = Init.all_inlined (Lazy.force annotated_imdb) in
+        List.iter
+          (fun workload_indexes ->
+            let eng =
+              Cost_engine.create ~oracle:true ~workload_indexes ~workload ()
+            in
+            let r = Search.beam ~engine:eng ~workload start in
+            check_bool "cache was exercised" true
+              (Cost_engine.hit_rate r.Search.engine > 0.5);
+            if not workload_indexes then
+              check_string "the pinned design cost" "0x1.9b56cd166e35ep+13"
+                (Printf.sprintf "%h" r.Search.cost))
+          [ false; true ]);
   ]

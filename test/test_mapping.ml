@@ -6,6 +6,179 @@ let m_inlined = lazy (mapping_of (Lazy.force inlined))
 
 let table m ty = Rschema.table m.Mapping.catalog ty
 
+(* ---- byte fingerprints against the frozen text ones ---- *)
+
+(* [pairs] relates two fingerprints of the same things; the relation
+   must be a bijection, i.e. each side is equal exactly when the other
+   is *)
+let check_same_partition what pairs =
+  let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
+  let bind tbl k v =
+    match Hashtbl.find_opt tbl k with
+    | None -> Hashtbl.replace tbl k v
+    | Some v' ->
+        if not (String.equal v v') then
+          Alcotest.failf "%s: the fingerprints partition differently" what
+  in
+  List.iter
+    (fun (fp, ref_fp) ->
+      bind fwd fp ref_fp;
+      bind bwd ref_fp fp)
+    pairs
+
+(* all-inlined, normalized and every one-step neighbour of each: 48
+   configurations *)
+let imdb_configurations () =
+  let base = Lazy.force annotated_imdb in
+  let starts = [ Init.all_inlined base; Init.normalize base ] in
+  starts @ List.concat_map (fun s -> List.map snd (Space.neighbors s)) starts
+
+let edge_floats =
+  [|
+    0.;
+    -0.;
+    1.;
+    0.1;
+    1e300;
+    5e-324;
+    -5e-324;
+    2.2250738585072009e-308;
+    infinity;
+    neg_infinity;
+    nan;
+    Int64.float_of_bits 0x7FF0000000000001L;
+    Int64.float_of_bits 0xFFF8000000000003L;
+  |]
+
+(* column names drawn from the separators the text fingerprints used *)
+let name_chars = ":;,{}|<>!?#\x00a"
+
+let gen_float =
+  QCheck2.Gen.(
+    map (Array.get edge_floats) (int_bound (Array.length edge_floats - 1)))
+
+let gen_column =
+  QCheck2.Gen.(
+    let f = gen_float in
+    let bound = oneofl [ None; Some 0; Some (-1); Some max_int ] in
+    let* cname =
+      string_size
+        ~gen:
+          (map (String.get name_chars)
+             (int_bound (String.length name_chars - 1)))
+        (int_range 0 3)
+    and* ctype =
+      oneofl
+        [ Rtype.R_int; Rtype.R_string None; Rtype.R_string (Some 1);
+          Rtype.R_string (Some 2) ]
+    and* nullable = bool
+    and* distinct = f
+    and* null_frac = f
+    and* avg_width = f
+    and* v_min = bound
+    and* v_max = bound in
+    return
+      {
+        Rschema.cname;
+        ctype;
+        nullable;
+        stats = { Rschema.distinct; null_frac; v_min; v_max; avg_width };
+      })
+
+let gen_table =
+  QCheck2.Gen.(
+    let* columns = list_size (int_range 1 4) gen_column in
+    let* key_first = bool
+    and* roles = list_repeat (List.length columns) (pair bool bool)
+    and* card = gen_float in
+    let named = List.combine columns roles in
+    let names p =
+      List.filter_map
+        (fun ((c : Rschema.column), r) ->
+          if p r then Some c.Rschema.cname else None)
+        named
+    in
+    return
+      {
+        Rschema.tname = "t";
+        key = (if key_first then (List.hd columns).Rschema.cname else "~none");
+        columns;
+        fks = List.map (fun n -> (n, "P")) (names fst);
+        indexed = names snd;
+        card;
+      })
+
+(* a second table derived from the first: columns shuffled, key and
+   foreign-key columns maybe renamed, maybe one column or the
+   cardinality redrawn, maybe one column's index membership flipped *)
+let gen_variant (t : Rschema.table) =
+  QCheck2.Gen.(
+    let* columns = shuffle_l t.Rschema.columns
+    and* rename = bool
+    and* redraw = int_range 0 (2 * List.length t.Rschema.columns + 1)
+    and* flip = int_range 0 (2 * List.length t.Rschema.columns)
+    and* fresh = gen_column
+    and* card = gen_float in
+    let n = List.length columns in
+    let columns =
+      List.mapi (fun i c -> if i = redraw then fresh else c) columns
+    in
+    let card = if redraw = n then card else t.Rschema.card in
+    let indexed =
+      match List.nth_opt columns flip with
+      | Some c when Rschema.has_index t c.Rschema.cname ->
+          List.filter
+            (fun n -> not (String.equal n c.Rschema.cname))
+            t.Rschema.indexed
+      | Some c -> c.Rschema.cname :: t.Rschema.indexed
+      | None -> t.Rschema.indexed
+    in
+    let t = { t with Rschema.columns; card; indexed } in
+    if not rename then return t
+    else
+      let fk_names =
+        List.mapi (fun i (f, _) -> (f, "~fk" ^ string_of_int i)) t.Rschema.fks
+      in
+      let renamed n =
+        if String.equal n t.Rschema.key then "~key"
+        else Option.value (List.assoc_opt n fk_names) ~default:n
+      in
+      return
+        {
+          t with
+          Rschema.key = renamed t.Rschema.key;
+          columns =
+            List.map
+              (fun (c : Rschema.column) ->
+                { c with Rschema.cname = renamed c.Rschema.cname })
+              t.Rschema.columns;
+          fks = List.map (fun (f, p) -> (renamed f, p)) t.Rschema.fks;
+          indexed = List.map renamed t.Rschema.indexed;
+        })
+
+(* what a shape may depend on: key and foreign-key columns anonymized,
+   columns as a multiset, floats as their bits *)
+let normalized (t : Rschema.table) =
+  let col (c : Rschema.column) =
+    let s = c.Rschema.stats in
+    ( (if String.equal c.Rschema.cname t.Rschema.key then `Key
+       else if List.mem_assoc c.Rschema.cname t.Rschema.fks then `Fk
+       else `Name c.Rschema.cname),
+      c.Rschema.ctype,
+      c.Rschema.nullable,
+      List.map Int64.bits_of_float
+        [ s.Rschema.distinct; s.Rschema.null_frac; s.Rschema.avg_width ],
+      (s.Rschema.v_min, s.Rschema.v_max),
+      Rschema.has_index t c.Rschema.cname )
+  in
+  ( List.sort compare (List.map col t.Rschema.columns),
+    Int64.bits_of_float t.Rschema.card )
+
+let table_fp t =
+  match Mapping.table_fingerprints { Rschema.tables = [ t ] } with
+  | [ (_, fp) ] -> fp
+  | _ -> Alcotest.fail "one table, one fingerprint"
+
 let suite =
   [
     case "one table per concrete type" (fun () ->
@@ -179,4 +352,124 @@ let suite =
         check_int "two targets" 2
           (List.length
              (Navigate.navigate m { Navigate.ty = "IMDB"; prefix = [] } "show")));
+    case "byte fingerprints partition like the frozen text ones" (fun () ->
+        let configurations =
+          imdb_configurations ()
+          @ List.concat_map
+              (fun (_, (_, visited)) -> visited)
+              (Lazy.force reference_beams)
+        in
+        let catalogs =
+          List.filter_map
+            (fun s ->
+              match Mapping.of_pschema s with
+              | Ok m -> Some m.Mapping.catalog
+              | Error _ -> None)
+            configurations
+        in
+        check_bool "the corpus is the searched space" true
+          (List.length catalogs > 1000);
+        let per_catalog =
+          List.map
+            (fun cat ->
+              let fps = Mapping.table_fingerprints cat in
+              let refs = Fingerprint_reference.table_fingerprints cat in
+              check_bool "same tables, same order" true
+                (List.map fst fps = List.map fst refs);
+              ( (Mapping.catalog_fingerprint fps,
+                 Fingerprint_reference.catalog_fingerprint cat),
+                List.combine (List.map snd fps) (List.map snd refs) ))
+            catalogs
+        in
+        check_same_partition "catalogs" (List.map fst per_catalog);
+        check_same_partition "tables" (List.concat_map snd per_catalog));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:"table fingerprints are equal exactly when shapes are"
+         QCheck2.Gen.(
+           let* t = gen_table in
+           let* t' = oneof [ gen_variant t; gen_table ] in
+           return (t, t'))
+         (fun (t, t') ->
+           Bool.equal
+             (String.equal (table_fp t) (table_fp t'))
+             (normalized t = normalized t')));
+    case "fingerprint edge cases: separators, signed zeros, NaN payloads"
+      (fun () ->
+        let col cname distinct =
+          {
+            Rschema.cname;
+            ctype = Rtype.R_int;
+            nullable = false;
+            stats =
+              {
+                Rschema.distinct;
+                null_frac = 0.;
+                v_min = None;
+                v_max = None;
+                avg_width = 4.;
+              };
+          }
+        in
+        let tbl ?(key = "k") columns =
+          {
+            Rschema.tname = "t";
+            key;
+            columns;
+            fks = [];
+            indexed = [];
+            card = 1.;
+          }
+        in
+        let text_fp t =
+          let cat = { Rschema.tables = [ t ] } in
+          snd (List.hd (Fingerprint_reference.table_fingerprints cat))
+        in
+        (* [a] and [b] differ; the text fingerprints aliased them when
+           [aliased] *)
+        let differ ?(aliased = false) what a b =
+          check_bool (what ^ ": text") aliased
+            (String.equal (text_fp a) (text_fp b));
+          check_bool (what ^ ": bytes") false
+            (String.equal (table_fp a) (table_fp b))
+        in
+        (* the text joined sorted column signatures with ';' *)
+        let sig_x = "x:INT{0x1p+0,0x0p+0,,,0x1p+2}" in
+        differ ~aliased:true "separator in a name"
+          (tbl [ col "x" 1.; col "y" 1. ])
+          (tbl [ col (sig_x ^ ";y") 1. ]);
+        differ ~aliased:true "a column named like the key's tag"
+          (tbl [ col "k" 1. ])
+          (tbl [ col "#key" 1. ]);
+        differ ~aliased:true "NaN payload"
+          (tbl [ col "a" nan ])
+          (tbl [ col "a" (Int64.float_of_bits 0x7FF0000000000001L) ]);
+        differ "signed zero" (tbl [ col "a" 0. ]) (tbl [ col "a" (-0.) ]);
+        (* without its length prefix a name could spell the fields
+           after it: "a", then a distinct count whose three high bytes
+           are the tags I, = and d, against a longer name that carries
+           on into them *)
+        let bits = Int64.float_of_bits in
+        let with_stats (c : Rschema.column) null_frac v_min =
+          {
+            c with
+            Rschema.stats = { c.Rschema.stats with Rschema.null_frac; v_min };
+          }
+        in
+        differ "a name spelling the fields after it"
+          (tbl
+             [
+               with_stats
+                 (col "a" (bits 0x643D490000000000L))
+                 (bits 0x7A00000000000000L) (Some 0x2D00000000000000);
+             ])
+          (tbl
+             [
+               with_stats
+                 (col "aI=d\000\000\000\000\000" (bits 0x7AL))
+                 (bits 0x2BL) None;
+             ]);
+        check_string "key renamed, columns reordered"
+          (table_fp (tbl [ col "k" 1.; col "a" 2. ]))
+          (table_fp (tbl ~key:"id" [ col "a" 2.; col "id" 1. ])));
   ]

@@ -370,4 +370,27 @@ let suite =
         check_bit_identical "j4" r1 (run ~jobs:4));
     prop "greedy/beam are bit-identical for jobs=1 and jobs=4" ~count:6
       gen_workload run_determinism;
+    case "a rejected merge publishes nothing" (fun () ->
+        (* the foreign shard sits behind one that would publish cache
+           entries and counters: the owner check must come first *)
+        let workload = Imdb.Workloads.lookup in
+        let a = Cost_engine.create ~workload () in
+        let b = Cost_engine.create ~workload () in
+        let s = Init.all_inlined (Lazy.force annotated_imdb) in
+        let own = Cost_engine.shard a in
+        ignore (Cost_engine.shard_cost own s);
+        check_bool "own shard has entries" true
+          ((Cost_engine.shard_snapshot own).Cost_engine.misses > 0);
+        Cost_engine.freeze a;
+        let entries = Cost_engine.cache_entries a in
+        let snap = Cost_engine.snapshot a in
+        (match Cost_engine.merge a [ own; Cost_engine.shard b ] with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
+        check_bool "cache unchanged" true
+          (Cost_engine.cache_entries a = entries);
+        check_bool "counters unchanged" true (Cost_engine.snapshot a = snap);
+        match Cost_engine.cost a s with
+        | _ -> Alcotest.fail "the engine must still be frozen"
+        | exception Invalid_argument _ -> ());
   ]

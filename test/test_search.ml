@@ -118,4 +118,45 @@ let beam_suite =
         in
         check_bool "p-schema" true (Pschema.is_pschema b.Search.schema);
         check_bool "cost sane" true (b.Search.cost > 0.));
+    case "beam pins on the full statistics (-j 1 and -j 2)" (fun () ->
+        (* the designs, cost bits and counts beam read before candidates
+           were prepared once; the hit/miss split depends on scheduling
+           at -j 2, so it is pinned at -j 1 only, where the frozen beam
+           loop must also agree *)
+        let start = Init.all_inlined (Lazy.force annotated_imdb) in
+        List.iter
+          (fun (name, cost, bits, configurations, hits, misses) ->
+            let workload = List.assoc name builtin_workloads in
+            let (ref_schema, ref_cost), visited =
+              List.assoc name (Lazy.force reference_beams)
+            in
+            List.iter
+              (fun jobs ->
+                let what = Printf.sprintf "%s -j %d" name jobs in
+                let r = Search.beam ~jobs ~workload start in
+                let e = r.Search.engine in
+                check_string (what ^ ": cost") cost
+                  (Printf.sprintf "%.1f" r.Search.cost);
+                check_string (what ^ ": cost bits") bits
+                  (Printf.sprintf "%h" r.Search.cost);
+                check_int (what ^ ": configurations") configurations
+                  e.Cost_engine.evaluations;
+                if jobs = 1 then begin
+                  check_int (what ^ ": hits") hits e.Cost_engine.hits;
+                  check_int (what ^ ": misses") misses e.Cost_engine.misses;
+                  check_string (what ^ ": the frozen loop's cost")
+                    (Printf.sprintf "%h" ref_cost)
+                    (Printf.sprintf "%h" r.Search.cost);
+                  check_string (what ^ ": the frozen loop's design")
+                    (Xschema.to_string ref_schema)
+                    (Xschema.to_string r.Search.schema);
+                  check_int (what ^ ": the frozen loop's configurations")
+                    (List.length visited) e.Cost_engine.evaluations
+                end)
+              [ 1; 2 ])
+          [
+            ("lookup", "8009.2", "0x1.f493fde9abf0cp+12", 1342, 5832, 878);
+            ("publish", "16160.4", "0x1.f9036de8ca11cp+13", 556, 1550, 118);
+            ("mixed 0.5", "13162.9", "0x1.9b56cd166e35ep+13", 556, 3836, 612);
+          ]);
   ]

@@ -154,3 +154,24 @@ let contains s sub =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
+
+(* The built-in workloads, and what the frozen beam loop makes of each
+   from all-inlined on the full statistics: its result and every
+   configuration it costed.  Shared by the beam pins and the
+   fingerprint differential. *)
+let builtin_workloads =
+  [
+    ("lookup", Imdb.Workloads.lookup);
+    ("publish", Imdb.Workloads.publish);
+    ("mixed 0.5", Imdb.Workloads.mixed 0.5);
+  ]
+
+let reference_beams =
+  lazy
+    (List.map
+       (fun (name, workload) ->
+         ( name,
+           Beam_reference.beam
+             (Cost_engine.create ~workload ())
+             (Init.all_inlined (Lazy.force annotated_imdb)) ))
+       builtin_workloads)
