@@ -9,31 +9,62 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3), table-driven                                   *)
+(* CRC-32 (IEEE 802.3), slicing-by-8                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* computed in native ints (CRC-32 fits in OCaml's 63-bit int with room
-   to spare): the boxed-Int32 version allocated three boxes per input
-   byte, which made checksumming the dominant cost of the network
-   serving path.  Only the final result is boxed, so the public
-   signature keeps its Int32. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = 0 to String.length s - 1 do
-    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-         lxor (!c lsr 8)
+(* Computed in native ints (CRC-32 fits in OCaml's 63-bit int with room
+   to spare); only the final result is boxed, so the public signature
+   keeps its Int32.  [tables.(k * 256 + b)] is the CRC of byte [b]
+   followed by [k] zero bytes: table 0 is the classic byte-at-a-time
+   table, and eight of them fold eight input bytes per step — two
+   little-endian 32-bit reads, eight lookups — into the same value the
+   byte loop computes. *)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
   done;
-  Int32.of_int (!c lxor 0xFFFFFFFF)
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+let crc32_int s =
+  let t = tables in
+  let n = String.length s in
+  let c = ref 0xFFFFFFFF in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let lo =
+      !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF)
+    and hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.((7 * 256) + (lo land 0xff))
+      lxor t.((6 * 256) + ((lo lsr 8) land 0xff))
+      lxor t.((5 * 256) + ((lo lsr 16) land 0xff))
+      lxor t.((4 * 256) + (lo lsr 24))
+      lxor t.((3 * 256) + (hi land 0xff))
+      lxor t.((2 * 256) + ((hi lsr 8) land 0xff))
+      lxor t.(256 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < n do
+    c :=
+      t.((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
+      lxor (!c lsr 8);
+    incr i
+  done;
+  !c lxor 0xFFFFFFFF
+
+let crc32 s = Int32.of_int (crc32_int s)
 
 (* ------------------------------------------------------------------ *)
 (* payload writers                                                     *)
@@ -46,7 +77,21 @@ let w_line b s =
   Buffer.add_string b s;
   Buffer.add_char b '\n'
 
-let w_int b n = w_line b (string_of_int n)
+(* the digits of [n <= 0], most significant first: negative remainders
+   keep [min_int] in range *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+(* [string_of_int n]'s bytes, without the string *)
+let w_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n);
+  Buffer.add_char b '\n'
+
 let w_float b f = w_line b (Printf.sprintf "%h" f)
 
 let w_str b s =
@@ -124,26 +169,81 @@ let r_opt cur f =
    Tokens are judged as text because [int_of_string] and hex parsing
    each accept several spellings of one value, and "any single bit flip
    is rejected" is a contract the fuzz tests hold every format to. *)
-let len_of_token s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 && String.equal s (string_of_int n) -> Some n
-  | _ -> None
+let rec decimal_from get i stop acc =
+  if i = stop then Some acc
+  else
+    let c = get i in
+    if c < '0' || c > '9' then None
+    else
+      let d = Char.code c - Char.code '0' in
+      if acc > (max_int - d) / 10 then None
+      else decimal_from get (i + 1) stop ((acc * 10) + d)
 
-let crc_token payload = Printf.sprintf "%08lx" (crc32 payload)
+(* [string_of_int n]'s spelling for some [n >= 0], and nothing else:
+   digits only, no leading zero but "0" itself, within [max_int] *)
+let len_at get ~pos ~len =
+  if len = 0 || (len > 1 && Char.equal (get pos) '0') then None
+  else decimal_from get pos (pos + len) 0
 
-let checksum_error token payload =
-  let actual = crc_token payload in
-  if String.equal token actual then None
+let len_of_token s = len_at (String.get s) ~pos:0 ~len:(String.length s)
+
+(* character [i] of the checksum token, [%08lx] of the CRC: lowercase
+   and zero-padded *)
+let token_char crc i = "0123456789abcdef".[(crc lsr (4 * (7 - i))) land 0xf]
+
+let crc_token_of crc = String.init 8 (token_char crc)
+
+let rec token_from crc get pos i =
+  i = 8
+  || Char.equal (get (pos + i)) (token_char crc i)
+     && token_from crc get pos (i + 1)
+
+(* the token is judged in place against the computed CRC; only a
+   mismatch copies it out, for the message *)
+let checksum_error_at get ~pos ~len payload =
+  let crc = crc32_int payload in
+  if len = 8 && token_from crc get pos 0 then None
   else
     Some
       (Printf.sprintf "checksum mismatch: header says %s, payload hashes to %s"
-         token actual)
+         (String.init len (fun i -> get (pos + i)))
+         (crc_token_of crc))
 
-let header_line lead payload =
-  Printf.sprintf "%s %s %d\n" lead (crc_token payload) (String.length payload)
+let checksum_error token payload =
+  checksum_error_at (String.get token) ~pos:0 ~len:(String.length token)
+    payload
+
+let decimal_width n =
+  let rec go w n = if n < 10 then w else go (w + 1) (n / 10) in
+  go 1 n
+
+(* [n >= 0]'s decimal digits into [b], ending just before [stop] *)
+let rec blit_decimal b stop n =
+  Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then blit_decimal b (stop - 1) (n / 10)
+
+(* "<lead> <crc-token> <len>\n" and then [body] (the payload, or
+   nothing), written straight into one string *)
+let framed lead payload body =
+  let crc = crc32_int payload and len = String.length payload in
+  let ll = String.length lead and lw = decimal_width len in
+  let header = ll + 1 + 8 + 1 + lw + 1 in
+  let b = Bytes.create (header + String.length body) in
+  Bytes.blit_string lead 0 b 0 ll;
+  Bytes.unsafe_set b ll ' ';
+  for i = 0 to 7 do
+    Bytes.unsafe_set b (ll + 1 + i) (token_char crc i)
+  done;
+  Bytes.unsafe_set b (ll + 9) ' ';
+  blit_decimal b (header - 1) len;
+  Bytes.unsafe_set b (header - 1) '\n';
+  Bytes.blit_string body 0 b header (String.length body);
+  Bytes.unsafe_to_string b
+
+let header_line lead payload = framed lead payload ""
 
 let frame ~magic ~version payload =
-  header_line (Printf.sprintf "%s %d" magic version) payload ^ payload
+  framed (magic ^ " " ^ string_of_int version) payload payload
 
 let unframe ~magic ~version ~kind image =
   let header, body =

@@ -16,7 +16,7 @@ type operand =
   | O_col of col
   | O_param of int
       (** slot [k] of the parameter vector the plan is executed with
-          ({!Executor.run_block}[ ~params]): a template's constant.
+          ({!Executor.run}[ ~params]): a template's constant.
           Estimation and access-path choice treat it exactly like an
           [O_const] under the same comparison, since an equality
           constant is seen only through the column's [distinct]. *)

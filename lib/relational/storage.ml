@@ -113,32 +113,34 @@ let row_count db name = Vec.length (table_data db name).rows
 let scan db name = Vec.to_seq (table_data db name).rows
 let get db name i = Vec.get (table_data db name).rows i
 
-let lookup db ~table ~column value =
+(* staged: applied to [db ~table ~column] it resolves the table and its
+   index (or the scan column) once, and returns the probe *)
+let lookup db ~table ~column =
   let td = table_data db table in
   (* SQL equality: NULL matches nothing.  The index compares keys
      structurally (V_null = V_null) and the scan fallback used
      value_equal, so both paths would otherwise return NULL-keyed rows
      the executor's joins reject through eval_cmp. *)
-  if Rtype.is_null value then
-    if
-      Hashtbl.mem td.indexes column
-      || List.mem_assoc column td.positions
-    then []
-    else invalid_arg "Storage.lookup: unknown column"
-  else
-    match Hashtbl.find_opt td.indexes column with
-    | Some idx ->
-        let positions = Option.value ~default:[] (Hashtbl.find_opt idx value) in
-        List.rev_map (Vec.get td.rows) positions
-    | None -> (
-        match List.assoc_opt column td.positions with
-        | Some i ->
-            Seq.fold_left
-              (fun acc row ->
-                if Rtype.value_equal row.(i) value then row :: acc else acc)
-              [] (Vec.to_seq td.rows)
-            |> List.rev
-        | None -> invalid_arg "Storage.lookup: unknown column")
+  match Hashtbl.find_opt td.indexes column with
+  | Some idx ->
+      fun value ->
+        if Rtype.is_null value then []
+        else
+          (match Hashtbl.find_opt idx value with
+          | Some positions -> List.rev_map (Vec.get td.rows) positions
+          | None -> [])
+  | None -> (
+      match List.assoc_opt column td.positions with
+      | Some i ->
+          fun value ->
+            if Rtype.is_null value then []
+            else
+              Seq.fold_left
+                (fun acc row ->
+                  if Rtype.value_equal row.(i) value then row :: acc else acc)
+                [] (Vec.to_seq td.rows)
+              |> List.rev
+      | None -> invalid_arg "Storage.lookup: unknown column")
 
 let total_rows db =
   Hashtbl.fold (fun _ td n -> n + Vec.length td.rows) db.tables 0

@@ -66,8 +66,13 @@ val get : t -> string -> int -> row
 val lookup : t -> table:string -> column:string -> Rtype.value -> row list
 (** Index lookup; falls back to a scan when the column has no index.
     A [V_null] probe returns [[]] on either path — SQL equality, the
-    same semantics the executor's join methods enforce.
-    @raise Invalid_argument on an unknown column. *)
+    same semantics the executor's join methods enforce.  Staged: the
+    partial application [lookup db ~table ~column] resolves the table
+    and its index once and returns the probe, which a compiled plan
+    ({!Legodb_optimizer.Executor.compile}) keeps; later inserts into
+    [db] stay visible to it.
+    @raise Invalid_argument on an unknown table or column, when the
+    labels are applied. *)
 
 val column_position : t -> table:string -> column:string -> int
 (** @raise Not_found *)

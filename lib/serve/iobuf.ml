@@ -51,6 +51,10 @@ let reserve t n =
       t.off <- 0
     end
 
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Iobuf.get: outside the live window";
+  Bytes.unsafe_get t.data (t.off + i)
+
 let add_substring t s ~pos ~len =
   reserve t len;
   Bytes.blit_string s pos t.data (t.off + t.len) len;

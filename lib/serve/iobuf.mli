@@ -44,6 +44,11 @@ val sub : t -> pos:int -> len:int -> string
     relative to the first live byte.
     @raise Invalid_argument when the range leaves the live window. *)
 
+val get : t -> int -> char
+(** [get t i] — live byte [i], relative to the first live byte, read in
+    place (the frame-header parser reads its tokens this way).
+    @raise Invalid_argument outside the live window. *)
+
 val add_string : t -> string -> unit
 
 val consume : t -> int -> unit

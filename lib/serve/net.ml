@@ -271,12 +271,29 @@ let decode_response payload =
 (* stream framing                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* the first ' ' of [buf] in [i, stop), or [stop] *)
+let rec next_space buf i stop =
+  if i >= stop || Char.equal (Iobuf.get buf i) ' ' then i
+  else next_space buf (i + 1) stop
+
+let rec same_from buf pos s i =
+  i = String.length s
+  || Char.equal (Iobuf.get buf (pos + i)) s.[i]
+     && same_from buf pos s (i + 1)
+
+(* [buf]'s bytes [pos, pos + len) are exactly [s] *)
+let same buf ~pos ~len s = len = String.length s && same_from buf pos s 0
+
+let net_version_token = string_of_int net_version
+
 (* Pull one frame off the front of [buf], consuming its bytes on
-   success.  The length token is validated ({!Wire.len_of_token}, then
+   success.  The header is parsed in place — its four tokens are
+   located and judged inside [buf], so a frame costs one copy, its
+   payload.  The length token is validated ({!Wire.len_at}, then
    bounded) before any payload is awaited, so a flipped length digit is
    caught by the CRC (the frame slice it delimits hashes wrong) or by
    the bound — never by an unbounded buffer.  The checksum token is
-   judged by {!Wire.checksum_error} once the payload is in, exactly as
+   judged by {!Wire.checksum_error_at} once the payload is in, exactly as
    every other framed format judges it.  [`Partial] means the bytes so
    far are a legal prefix: keep reading (and [Iobuf.find_newline]'s
    watermark makes the re-poll O(1), not a rescan). *)
@@ -287,40 +304,57 @@ let extract_frame buf =
         `Broken "malformed frame: no header line"
       else `Partial
   | Some nl -> (
-      let line = Iobuf.sub buf ~pos:0 ~len:nl in
       let broken () =
-        let shown =
-          if String.length line <= 64 then line else String.sub line 0 64
-        in
-        `Broken (Printf.sprintf "malformed frame header %S" shown)
+        `Broken
+          (Printf.sprintf "malformed frame header %S"
+             (Iobuf.sub buf ~pos:0 ~len:(min nl 64)))
       in
-      match String.split_on_char ' ' line with
-      | [ m; v; crc; len ] when String.equal m net_magic -> (
-          match Wire.len_of_token len with
-          | Some n when n <= max_payload -> (
-              let total = nl + 1 + n in
-              if Iobuf.length buf < total then `Partial
-              else
-                match int_of_string_opt v with
-                | None ->
-                    `Broken
-                      (Printf.sprintf
-                         "malformed header: version %S is not a number" v)
-                | Some ver when ver <> net_version ->
-                    `Broken
-                      (Printf.sprintf
-                         "unsupported network frame version %d (this build \
-                          reads %d)"
-                         ver net_version)
-                | Some _ -> (
-                    let payload = Iobuf.sub buf ~pos:(nl + 1) ~len:n in
-                    match Wire.checksum_error crc payload with
-                    | None ->
-                        Iobuf.consume buf total;
-                        `Frame payload
-                    | Some m -> `Broken m))
-          | _ -> broken ())
-      | _ -> broken ())
+      (* four tokens at the first three spaces; a fourth space would
+         sit in the length token, which then fails as not a number *)
+      let s1 = next_space buf 0 nl in
+      let s2 = next_space buf (s1 + 1) nl in
+      let s3 = next_space buf (s2 + 1) nl in
+      if s3 >= nl || not (same buf ~pos:0 ~len:s1 net_magic) then broken ()
+      else
+        let get = Iobuf.get buf in
+        match Wire.len_at get ~pos:(s3 + 1) ~len:(nl - s3 - 1) with
+        | Some n when n <= max_payload -> (
+            let total = nl + 1 + n in
+            if Iobuf.length buf < total then `Partial
+            else
+              let v_pos = s1 + 1 and v_len = s2 - s1 - 1 in
+              let version =
+                if same buf ~pos:v_pos ~len:v_len net_version_token then
+                  Ok net_version
+                else
+                  (* another spelling of a number is read as text *)
+                  let v = Iobuf.sub buf ~pos:v_pos ~len:v_len in
+                  match int_of_string_opt v with
+                  | Some ver -> Ok ver
+                  | None -> Error v
+              in
+              match version with
+              | Error v ->
+                  `Broken
+                    (Printf.sprintf
+                       "malformed header: version %S is not a number" v)
+              | Ok ver when ver <> net_version ->
+                  `Broken
+                    (Printf.sprintf
+                       "unsupported network frame version %d (this build \
+                        reads %d)"
+                       ver net_version)
+              | Ok _ -> (
+                  let payload = Iobuf.sub buf ~pos:(nl + 1) ~len:n in
+                  match
+                    Wire.checksum_error_at get ~pos:(s2 + 1)
+                      ~len:(s3 - s2 - 1) payload
+                  with
+                  | None ->
+                      Iobuf.consume buf total;
+                      `Frame payload
+                  | Some m -> `Broken m))
+        | _ -> broken ())
 
 (* ------------------------------------------------------------------ *)
 (* shared plumbing                                                     *)
@@ -387,10 +421,11 @@ let listen_socket ~host ~port ?on_listen () =
    frame extraction consumes its front by offset arithmetic, encoded
    responses append to [outbuf] and partial writes consume its front —
    no byte is ever re-copied or re-scanned. *)
-(* a filled cell holds either a response still to encode, or — for a
-   query replayed from the front-door cache — the finished frame,
-   appended to the output buffer as one blit *)
-type answer = Resp of response | Replay of string
+(* a filled cell holds either a response still to encode, or a
+   finished frame — a query replayed from the front-door cache, or a
+   fresh answer whose frame the cache now shares — appended to the
+   output buffer as one blit *)
+type answer = Resp of response | Framed of string
 
 type conn = {
   fd : Unix.file_descr;
@@ -540,6 +575,41 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         Queue.push cell c.q;
         cell
       in
+      (* answer the queries collected so far — across every connection —
+         as one shared batch on the pool *)
+      let answer_queries () =
+        match List.rev !queries with
+        | [] -> ()
+        | qs ->
+            queries := [];
+            let arr = Array.of_list (List.map (fun (_, _, ast) -> ast) qs) in
+            let k = Array.length arr in
+            st.l_batches <- st.l_batches + 1;
+            st.l_batched_queries <- st.l_batched_queries + k;
+            st.l_max_batch <- max st.l_max_batch k;
+            st.l_hist.(hist_slot k) <- st.l_hist.(hist_slot k) + 1;
+            let res = Serve.run_batch ?timeout_ms t arr in
+            List.iteri
+              (fun i (cell, text, _) ->
+                match res.(i) with
+                | Ok (r : Serve.reply) ->
+                    let rows = r.Serve.rows in
+                    let fresh = Resp (Rows { rows; cached = r.Serve.cached }) in
+                    cell :=
+                      Some
+                        (if Hashtbl.length replay >= replay_cap then fresh
+                         else
+                           let frame =
+                             encode_response (Rows { rows; cached = true })
+                           in
+                           Hashtbl.replace replay text frame;
+                           (* an answer from a cached plan is the
+                              replayed frame, byte for byte: frame it
+                              once *)
+                           if r.Serve.cached then Framed frame else fresh)
+                | Error m -> cell := Some (Resp (Error_reply m)))
+              qs
+      in
       let handle c req =
         let cell = enqueue_cell c in
         match req with
@@ -551,9 +621,11 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
                    (Stats_reply
                       { serve = Serve.stats t; net = snapshot_stats st }))
         | Publish -> (
-            (* the publish barrier covers every append acknowledged
-               before it on this connection: commit the open group
-               first so its documents make the snapshot *)
+            (* the publish barrier orders everything before it: queries
+               already queued are answered on the snapshot they were
+               sent against, and the open group commits first so its
+               documents make the new one *)
+            answer_queries ();
             flush_appends ();
             match Serve.publish t with
             | () ->
@@ -565,7 +637,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             match Hashtbl.find_opt replay text with
             | Some frame ->
                 st.l_replayed <- st.l_replayed + 1;
-                cell := Some (Replay frame)
+                cell := Some (Framed frame)
             | None -> (
                 match Xq_parse.parse ~name:"net" text with
                 | ast -> queries := (cell, text, ast) :: !queries
@@ -641,7 +713,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
           | Some (Resp resp) ->
               ignore (Queue.pop c.q);
               add_response_frame c.outbuf resp
-          | Some (Replay frame) ->
+          | Some (Framed frame) ->
               ignore (Queue.pop c.q);
               Iobuf.add_string c.outbuf frame
           | None -> continue := false
@@ -740,34 +812,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         List.iter
           (fun c -> if List.memq c.fd rs then read_conn ~now:t1 c)
           readable;
-        (* answer this tick's queries — across every connection — as
-           one shared batch on the pool *)
-        (match List.rev !queries with
-        | [] -> ()
-        | qs ->
-            queries := [];
-            let arr = Array.of_list (List.map (fun (_, _, ast) -> ast) qs) in
-            let k = Array.length arr in
-            st.l_batches <- st.l_batches + 1;
-            st.l_batched_queries <- st.l_batched_queries + k;
-            st.l_max_batch <- max st.l_max_batch k;
-            st.l_hist.(hist_slot k) <- st.l_hist.(hist_slot k) + 1;
-            let res = Serve.run_batch ?timeout_ms t arr in
-            List.iteri
-              (fun i (cell, text, _) ->
-                match res.(i) with
-                | Ok (r : Serve.reply) ->
-                    cell :=
-                      Some
-                        (Resp
-                           (Rows
-                              { rows = r.Serve.rows; cached = r.Serve.cached }));
-                    if Hashtbl.length replay < replay_cap then
-                      Hashtbl.replace replay text
-                        (encode_response
-                           (Rows { rows = r.Serve.rows; cached = true }))
-                | Error m -> cell := Some (Resp (Error_reply m)))
-              qs);
+        answer_queries ();
         (* commit the open group once its oldest member has waited out
            the window *)
         (match !group_opened with

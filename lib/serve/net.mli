@@ -43,8 +43,12 @@
     into each connection's persistent output buffer and written
     optimistically in the same tick; a partial write just advances an
     offset.  Responses are delivered per connection in request order
-    (a pipelined client can match them positionally), and the loop
-    publishes its own observability counters as {!net_stats}. *)
+    (a pipelined client can match them positionally), and each answer
+    is the one a sequential server would give: a {!Publish} first
+    answers the queries queued before it, on the snapshot they were
+    sent against, then commits the open append group, then swaps the
+    snapshot.  The loop publishes its own observability counters as
+    {!net_stats}. *)
 
 (** {1 Messages} *)
 
@@ -123,8 +127,11 @@ val extract_frame : Iobuf.t -> [ `Frame of string | `Partial | `Broken of string
     bytes so far are a legal prefix (keep reading — the buffer's scan
     watermark makes the re-poll O(1)); [`Broken] is a framing defect —
     bad magic, impossible length, checksum mismatch — with a one-line
-    diagnosis.  The length and checksum tokens are judged by the
-    {!Legodb_wire.Wire} header rules the WAL and snapshot files share. *)
+    diagnosis.  The header is parsed in place, inside the buffer, so a
+    frame costs one copy — its payload; the length and checksum tokens
+    are judged by the {!Legodb_wire.Wire} header rules the WAL and
+    snapshot files share ({!Legodb_wire.Wire.len_at},
+    {!Legodb_wire.Wire.checksum_error_at}). *)
 
 (** {1 Server} *)
 

@@ -6,19 +6,21 @@ module Mapping = Legodb_mapping.Mapping
 module Xq_translate = Legodb_mapping.Xq_translate
 module Shred = Legodb_mapping.Shred
 module Logical = Legodb_optimizer.Logical
-module Physical = Legodb_optimizer.Physical
 module Optimizer = Legodb_optimizer.Optimizer
 module Cost = Legodb_optimizer.Cost
 module Executor = Legodb_optimizer.Executor
 module Xq_ast = Legodb_xquery.Xq_ast
 module Par = Legodb_search.Par
 
-type compiled = (Physical.plan * (string * string) list) list
+(* a statement's blocks, each planned on a snapshot's statistics and
+   compiled against its store *)
+type compiled = Executor.compiled list
 
 (* One serving snapshot: the frozen store plus the plans compiled on
-   its statistics, by template id (guarded by the server lock).  A
-   publish swaps in a fresh snap, so the old plans are dropped with the
-   old snapshot and each template recompiles once, on first use. *)
+   its statistics and against its rows, by template id (guarded by the
+   server lock).  A publish swaps in a fresh snap, so the old plans are
+   dropped with the old snapshot and each template recompiles once, on
+   first use. *)
 type snap = {
   db : Storage.t;
   plans : (int, compiled) Hashtbl.t;
@@ -154,10 +156,13 @@ let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
 let jobs t = t.jobs
 let snapshot t = (Atomic.get t.snap).db
 
-let compile_blocks ~params cat (lq : Logical.query) : compiled =
+let compile_blocks ~params db (lq : Logical.query) : compiled =
+  let cat = Storage.catalog db in
   List.map
     (fun (b : Logical.block) ->
-      ((Optimizer.optimize_block ~params cat b).Optimizer.plan, b.Logical.out))
+      Executor.compile db
+        (Optimizer.optimize_block ~params cat b).Optimizer.plan
+        b.Logical.out)
     lq.Logical.blocks
 
 (* the template of [q], whose lifted body is [body]: translated once,
@@ -197,7 +202,7 @@ let plans_for t (snap : snap) tr =
       (* compile outside the lock: join ordering is the expensive part
          and must not serialize the whole batch; first writer wins, and
          only it counts the miss *)
-      let compiled = compile_blocks ~params:t.params (Storage.catalog snap.db) tr.lq in
+      let compiled = compile_blocks ~params:t.params snap.db tr.lq in
       let p =
         Serve_lock.with_lock t.lock (fun () ->
             match Hashtbl.find_opt snap.plans tr.id with
@@ -216,20 +221,20 @@ exception Timed_out
    to a structured [Error] slot at the next block boundary instead of
    wedging its worker forever (a block itself is never interrupted —
    granularity is one block's execution) *)
-let run_blocks t db ~deadline ~args plans =
+let run_blocks t ~deadline ~args plans =
   List.concat_map
-    (fun (plan, out) ->
+    (fun block ->
       (match deadline with
       | Some d when t.clock () >= d -> raise Timed_out
       | _ -> ());
-      fst (Executor.run_block ~params:args db plan out))
+      fst (Executor.run ~params:args block))
     plans
 
 let query_on t (snap : snap) ?(use_cache = true) ?deadline (q : Xq_ast.t) =
   let t0 = t.clock () in
   let uncached () =
     let lq = Xq_translate.translate t.mapping q in
-    (compile_blocks ~params:t.params (Storage.catalog snap.db) lq, [||], false)
+    (compile_blocks ~params:t.params snap.db lq, [||], false)
   in
   let plans, args, cached =
     if not use_cache then uncached ()
@@ -246,7 +251,7 @@ let query_on t (snap : snap) ?(use_cache = true) ?deadline (q : Xq_ast.t) =
           Serve_lock.with_lock t.lock (fun () -> t.misses <- t.misses + 1);
           r
   in
-  let rows = run_blocks t snap.db ~deadline ~args plans in
+  let rows = run_blocks t ~deadline ~args plans in
   Serve_lock.with_lock t.lock (fun () -> t.served <- t.served + 1);
   { rows; cached; latency_s = t.clock () -. t0 }
 

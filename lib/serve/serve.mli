@@ -30,9 +30,14 @@
     does.  {!Legodb_xquery.Xq_ast.lift} turns a request's WHERE
     constants into parameter slots; the lifted body (structural, so
     name-independent) keys a table of translations, and each snapshot
-    keeps the plans compiled on its statistics, one per template.  The
-    constants are bound when the plan executes
-    ({!Legodb_optimizer.Executor.run_block}[ ~params]).
+    keeps one compiled plan per template: its blocks planned on the
+    snapshot's statistics and compiled against the snapshot's rows
+    ({!Legodb_optimizer.Executor.compile}), so aliases, columns and
+    index probes are resolved once per (snapshot, template), not per
+    request.  The constants are bound when the compiled plan runs
+    ({!Legodb_optimizer.Executor.run}[ ~params]); compiled plans are
+    immutable closures over the frozen snapshot, so a batch's workers
+    run them concurrently.
 
     Constants stay out of the key because no planning step reads them:
     the XQuery fragment compares by equality only, translation never

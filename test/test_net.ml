@@ -626,6 +626,81 @@ let suite =
                                | _ -> false)
                              s)
                          conns scripts)))));
+    case "a pipelined query is answered before a later publish" (fun () ->
+        (* one write of [query q; append d; publish; query q], where d
+           adds the only actor q names: the first answer precedes the
+           append, so it is empty — whether the replay cache has seen q
+           (warm) or not (cold) — and the second follows the publish *)
+        let name = "Zed Pipelined" in
+        let q =
+          Printf.sprintf
+            "FOR $a IN document(\"imdb\")/imdb/actor WHERE $a/name = \"%s\" \
+             RETURN $a/name"
+            name
+        in
+        let d =
+          Xml.to_string
+            (Xml.elem "imdb" [ Xml.elem "actor" [ Xml.leaf "name" name ] ])
+        in
+        List.iter
+          (fun warm ->
+            let what = if warm then "warm" else "cold" in
+            let doc, m = setup () in
+            let server = Serve.create ~jobs:1 m (Shred.shred m doc) in
+            run_server server (fun port ->
+                with_client port (fun c ->
+                    if warm then
+                      check_int (what ^ ": before") 0
+                        (List.length
+                           (expect_rows "warm-up" (Net.rpc c (Net.Query q))));
+                    Net.send_raw c
+                      (String.concat ""
+                         (List.map Net.encode_request
+                            [
+                              Net.Query q;
+                              Net.Append d;
+                              Net.Publish;
+                              Net.Query q;
+                            ]));
+                    let first = expect_rows "first" (Net.recv c) in
+                    (match (Net.recv c, Net.recv c) with
+                    | Net.Acked, Net.Published -> ()
+                    | _ -> Alcotest.failf "%s: expected acked, published" what);
+                    let second = expect_rows "second" (Net.recv c) in
+                    check_int (what ^ ": the query before the append") 0
+                      (List.length first);
+                    check_int (what ^ ": the query after the publish") 1
+                      (List.length second))))
+          [ false; true ]);
+    case "a fresh answer's frame is the frame replayed for its text"
+      (fun () ->
+        (* the first statement of a template compiles its plan; the
+           second, another constant, runs the cached plan (cached =
+           true) and is fresh to the replay cache, which then answers
+           its repeat: the client must receive the same bytes *)
+        let doc, m = setup () in
+        let server = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        let year k =
+          Printf.sprintf
+            "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = %d RETURN \
+             $v/title, $v/year"
+            k
+        in
+        run_server server (fun port ->
+            with_client port (fun c ->
+                ignore
+                  (expect_rows "compile" (Net.rpc c (Net.Query (year 1990))));
+                Net.send c (Net.Query (year 1991));
+                let fresh = Net.recv_raw c in
+                (match Net.decode_response fresh with
+                | Net.Rows { cached = true; _ } -> ()
+                | _ -> Alcotest.fail "expected rows from the cached plan");
+                Net.send c (Net.Query (year 1991));
+                let replayed = Net.recv_raw c in
+                check_string "the same payload, so the same frame" fresh
+                  replayed;
+                let net = expect_net_stats "stats" (Net.rpc c Net.Stats) in
+                check_int "the repeat was replayed" 1 net.Net.replayed)));
   ]
 
 (* ------------------------------------------------------------------ *)
