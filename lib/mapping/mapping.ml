@@ -27,7 +27,10 @@ let is_transparent schema ty =
 
 module SSet = Set.Make (String)
 
-let real_parents schema ty =
+(* The nearest data-bearing ancestors of [ty], climbing through
+   transparent referrers, as a sorted set; [referrers] is
+   [Xschema.referrers schema]. *)
+let real_parents schema referrers ty =
   let rec up seen d acc =
     if SSet.mem d seen then acc
     else
@@ -36,7 +39,7 @@ let real_parents schema ty =
         (fun acc referrer ->
           if is_transparent schema referrer then up seen referrer acc
           else SSet.add referrer acc)
-        acc (Xschema.parents schema d)
+        acc (referrers d)
   in
   SSet.elements (up SSet.empty ty SSet.empty)
 
@@ -229,7 +232,7 @@ let dedupe_names specs =
           { spec with s_name = Printf.sprintf "%s_%d" spec.s_name (n + 1) })
     specs
 
-let table_of_type ?(order_columns = false) schema ty =
+let table_of_type ~order_columns schema referrers ty =
   let body = Xschema.find schema ty in
   let card =
     Option.value ~default:default_card (Rewrite.card_of_def schema ty)
@@ -280,7 +283,7 @@ let table_of_type ?(order_columns = false) schema ty =
     |> dedupe_names
     |> List.map (column_of_spec ~card)
   in
-  let parents = real_parents schema ty in
+  let parents = real_parents schema referrers ty in
   let multi = List.length parents > 1 in
   let fk_columns =
     List.map
@@ -320,22 +323,16 @@ let of_pschema ?(order_columns = false) schema =
   | Error vs ->
       Error (List.map (Format.asprintf "%a" Pschema.pp_violation) vs)
   | Ok () ->
-      let live = Xschema.reachable schema in
-      let concrete =
-        List.filter (fun ty -> not (is_transparent schema ty)) live
+      let transparent, concrete =
+        List.partition (is_transparent schema) (Xschema.reachable schema)
       in
-      let tables = List.map (table_of_type ~order_columns schema) concrete in
+      let referrers = Xschema.referrers schema in
+      let tables =
+        List.map (table_of_type ~order_columns schema referrers) concrete
+      in
       let catalog = { Rschema.tables } in
       (match Rschema.validate catalog with
-      | Ok () ->
-          Ok
-            {
-              schema;
-              catalog;
-              transparent =
-                List.filter (fun ty -> is_transparent schema ty) live;
-              ordered = order_columns;
-            }
+      | Ok () -> Ok { schema; catalog; transparent; ordered = order_columns }
       | Error es -> Error es)
 
 (* ------------------------------------------------------------------ *)

@@ -9,9 +9,11 @@ let dp_limit = 10
    predicates, index probes, subtree widths, subset cardinalities) are
    answered from per-block precomputed arrays, and the DP walks masks
    by a single ascending scan.  Each (mask, split) step compares the
-   join methods by cost alone and allocates nothing for a loser; the
-   plan node, entry and signature are built once per mask, for its
-   winner.  It must stay bit-identical to the frozen pre-rewrite code in
+   join methods by cost alone and allocates nothing for a loser; a
+   mask's winner is one flat entry (its costs, method, right alias and
+   probe).  The block's [Physical.plan] is built once, for the chosen
+   tree, and only then are its sub-plans' signatures interned.  It must
+   stay bit-identical to the frozen pre-rewrite code in
    test/reference/optimizer_reference.ml — same best plan, same cost
    floats — which pins down every float association order: see the
    comments on [offer] and [optimize_dp].  The differential suite in
@@ -59,27 +61,32 @@ let access_signature (rel : Logical.relation) filters access =
    per partition) are recognized as shared without building strings.
    A scan's id interns its [access_signature]; a join's interns its
    children's ids (smaller first) with the sorted ids of its condition
-   strings (see [context]).  The reference compares canonical strings
+   strings (see [cond_id]).  The reference compares canonical strings
    built from exactly these parts — the two child signatures sorted,
    then the sorted condition strings — and, constants being quoted,
    those strings parse back uniquely, so two sub-plans share an id
-   exactly when their reference signatures are equal. *)
-type part = Text of string | Join of int * int * int list
+   exactly when their reference signatures are equal.
 
-type shared = {
-  ids : (part, int) Hashtbl.t;
-  read : (int, unit) Hashtbl.t;  (* sub-plans of the plans chosen so far *)
-}
+   Sub-plan signatures are interned only when a block registers its
+   chosen plan, so an [Access] or [Join] present in the table is a
+   sub-plan an earlier block read; condition strings are interned the
+   first time a lookup or a registration needs them. *)
+type part = Access of string | Cond of string | Join of int * int * int list
+type shared = (part, int) Hashtbl.t
 
-let shared () = { ids = Hashtbl.create 64; read = Hashtbl.create 16 }
+let shared () = Hashtbl.create 64
 
 let intern sh part =
-  match Hashtbl.find_opt sh.ids part with
+  match Hashtbl.find_opt sh part with
   | Some id -> id
   | None ->
-      let id = Hashtbl.length sh.ids in
-      Hashtbl.add sh.ids part id;
+      let id = Hashtbl.length sh in
+      Hashtbl.add sh part id;
       id
+
+(* the id of a sub-plan an earlier block read, else -1 *)
+let lookup sh part =
+  match Hashtbl.find_opt sh part with Some id -> id | None -> -1
 
 (* ------------------------------------------------------------------ *)
 (* per-block context: aliases as integer ids, preds as bitmasks        *)
@@ -111,7 +118,7 @@ type jpred = {
   j_eq : bool;  (* a column equality: a join condition, else an extra *)
   j_lhs : side;
   j_rhs : side;
-  j_cond : int;  (* interned condition string; -1 without a shared cache *)
+  mutable j_cond : int;  (* interned condition string, once needed; else -1 *)
 }
 
 (* Everything the inner DP loop consults per split, computed once per
@@ -119,21 +126,27 @@ type jpred = {
    predicate carries the bitmask of the aliases it mentions and its
    memoized selectivity, each join predicate what the index-nested-
    loops branch needs of its two columns, and each alias its clamped
-   cardinality and widths.  With these, connectivity, spanning
+   cardinality, widths, the aliases a join predicate links it to and
+   its indexed join columns.  With these, connectivity, spanning
    predicates and index probes are bit tests and array reads. *)
 type ctx = {
   c_params : Cost.params;
   c_env : Estimate.env;
   c_block : Logical.block;
+  c_tables : string array;  (* table name per alias *)
   c_pmask : int array;  (* alias bitmask of each pred, in block order *)
   c_psel : float array;  (* memoized selectivity of each pred *)
   c_joins : jpred array;  (* the join predicates, in block order *)
+  c_adj : int array;  (* per alias, the aliases its join predicates reach *)
+  c_probes : int list array;
+      (* per alias, the [c_joins] indexes of the equalities whose column
+         on it is indexed, in reverse block order *)
   c_card : float array;  (* max(row_floor, card) per alias *)
-  c_carry : float array;  (* per-alias carried width (see [winner]) *)
+  c_carry : float array;  (* per-alias carried width (see [entry_of]) *)
   c_rwidth : float array;  (* full row width per alias *)
 }
 
-let context sh params env (block : Logical.block) =
+let context params env (block : Logical.block) =
   let names =
     Array.of_list
       (List.map (fun (r : Logical.relation) -> r.alias) block.relations)
@@ -169,16 +182,6 @@ let context sh params env (block : Logical.block) =
          else 0.);
     }
   in
-  (* a join predicate's condition string, as the reference's signature
-     spells it: tables, not aliases, and an equality's two sides in
-     string order *)
-  let cond_text eq lhs rhs =
-    let at s = tnames.(s.s_alias) ^ "." ^ snd s.s_col in
-    if eq then
-      let a = at lhs and b = at rhs in
-      if a <= b then a ^ "=" ^ b else b ^ "=" ^ a
-    else at lhs
-  in
   let joins =
     Array.of_list
       (List.filter_map
@@ -186,22 +189,27 @@ let context sh params env (block : Logical.block) =
            match p.rhs with
            | Logical.O_col rc when popcount pm = 2 ->
                let eq = p.cmp = Logical.C_eq in
-               let lhs = side eq p.lhs and rhs = side eq rc in
                Some
                  {
                    j_pred = p;
                    j_mask = pm;
                    j_eq = eq;
-                   j_lhs = lhs;
-                   j_rhs = rhs;
-                   j_cond =
-                     (match sh with
-                     | Some sh -> intern sh (Text (cond_text eq lhs rhs))
-                     | None -> -1);
+                   j_lhs = side eq p.lhs;
+                   j_rhs = side eq rc;
+                   j_cond = -1;
                  }
            | _ -> None)
          (List.combine block.preds (Array.to_list pmask)))
   in
+  let adj = Array.make n 0 and probes = Array.make n [] in
+  Array.iteri
+    (fun k j ->
+      let a = j.j_lhs.s_alias and b = j.j_rhs.s_alias in
+      adj.(a) <- adj.(a) lor (1 lsl b);
+      adj.(b) <- adj.(b) lor (1 lsl a);
+      if j.j_lhs.s_probe then probes.(a) <- k :: probes.(a);
+      if j.j_rhs.s_probe then probes.(b) <- k :: probes.(b))
+    joins;
   let card =
     Array.init n (fun i ->
         Float.max Estimate.row_floor (Estimate.table_at env i).Rschema.card)
@@ -239,9 +247,12 @@ let context sh params env (block : Logical.block) =
     c_params = params;
     c_env = env;
     c_block = block;
+    c_tables = tnames;
     c_pmask = pmask;
     c_psel = psel;
     c_joins = joins;
+    c_adj = adj;
+    c_probes = probes;
     c_card = card;
     c_carry = carry;
     c_rwidth =
@@ -252,18 +263,27 @@ let context sh params env (block : Logical.block) =
 (* access paths                                                        *)
 (* ------------------------------------------------------------------ *)
 
+type meth = Nl | Index_nl | Hash | Shared_hash
+
+(* A sub-plan as the DP compares it: its estimates, and for a join the
+   winning method, right alias and probe, from which [build] makes the
+   plan node once the block's tree is chosen. *)
 type entry = {
-  e_plan : Physical.plan;
   e_rows : float;
   e_cost : Cost.t;
   e_mask : int;  (* the subtree's aliases, as a bitmask *)
   e_width : float;  (* subtree width, fold-accumulated in plan order *)
   e_pages : float;  (* pages of its result, as a hash join's input *)
-  e_id : int;  (* interned signature; -1 without a shared cache *)
-  e_read : bool;  (* [e_id] was read by an earlier block *)
-  e_kids : entry list;  (* a join's two inputs *)
+  e_id : int;  (* interned signature if an earlier block read it, else -1 *)
+  e_meth : meth;  (* a join's method *)
+  e_right : int;  (* a join's right alias; a base access's own alias *)
+  e_probe : int;  (* [c_joins] index of an index-nested-loops probe *)
 }
 
+(* The cheapest access path of relation [i], as its scan node and its
+   entry.  A path an earlier block read costs CPU but no I/O; while the
+   cache holds nothing, no path can have been read, so none is looked
+   up. *)
 let access_plan sh ctx i (rel : Logical.relation) =
   let params = ctx.c_params and env = ctx.c_env in
   let tbl = Estimate.table_at env i in
@@ -271,21 +291,19 @@ let access_plan sh ctx i (rel : Logical.relation) =
   let rows = Estimate.base_rows env rel.alias in
   let width = ctx.c_rwidth.(i) in
   let tpages = Cost.pages params (tbl.card *. width) in
-  (* each access path's signature is interned once; a path already read
-     by an earlier block costs CPU but no I/O *)
   let path access cpu io =
-    let id, read =
+    let id =
       match sh with
-      | Some sh ->
-          let id = intern sh (Text (access_signature rel filters access)) in
-          (id, Hashtbl.mem sh.read id)
-      | None -> (-1, false)
+      | Some sh when Hashtbl.length sh > 0 ->
+          lookup sh (Access (access_signature rel filters access))
+      | _ -> -1
     in
     let cost =
-      if read then { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
+      if id >= 0 then
+        { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
       else io ()
     in
-    (Physical.Scan { rel; access; filters }, cost, id, read)
+    (Physical.Scan { rel; access; filters }, cost, id)
   in
   let seq =
     path Physical.Seq_scan tbl.card (fun () ->
@@ -326,34 +344,33 @@ let access_plan sh ctx i (rel : Logical.relation) =
         | _ -> None)
       filters
   in
-  let plan, cost, id, read =
+  let plan, cost, id =
     List.fold_left
-      (fun ((_, bc, _, _) as best) ((_, c, _, _) as cand) ->
+      (fun ((_, bc, _) as best) ((_, c, _) as cand) ->
         if Cost.total params c < Cost.total params bc then cand else best)
       seq probes
   in
   let e_width = 0. +. ctx.c_carry.(i) +. 8. in
-  {
-    e_plan = plan;
-    e_rows = rows;
-    e_cost = cost;
-    e_mask = 1 lsl i;
-    e_width;
-    e_pages = Cost.pages params (rows *. e_width);
-    e_id = id;
-    e_read = read;
-    e_kids = [];
-  }
+  ( plan,
+    {
+      e_rows = rows;
+      e_cost = cost;
+      e_mask = 1 lsl i;
+      e_width;
+      e_pages = Cost.pages params (rows *. e_width);
+      e_id = id;
+      e_meth = Nl;
+      e_right = i;
+      e_probe = -1;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* join costing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type meth = Nl | Index_nl | Hash | Shared_hash
-
 (* The running best join of one mask (or one greedy step), as plain
    data: the floats sit in a flat float record, so offering a candidate
-   stores without allocating, and the winner's plan is built from it
+   stores without allocating, and the winner's entry is built from it
    once. *)
 type costs = {
   mutable rows_out : float;  (* rows of the join being costed *)
@@ -418,21 +435,52 @@ let[@inline] offer (p : Cost.params) b meth right probe seeks read written cpu =
 
 let side_on i j = if j.j_lhs.s_alias = i then j.j_lhs else j.j_rhs
 
-(* sorted condition ids of the predicates spanning [lmask] and [rmask] *)
-let cond_ids ctx lmask rmask =
+(* The index-nested-loops probe of [left] ⋈ [i]: the last spanning
+   equality (in block order) whose column on [i] is indexed — the first
+   the reference finds in its reversed condition list — or -1. *)
+let probe_on ctx i lmask =
+  let rec first = function
+    | [] -> -1
+    | k :: rest ->
+        if ctx.c_joins.(k).j_mask land lmask <> 0 then k else first rest
+  in
+  first ctx.c_probes.(i)
+
+(* a join predicate's condition id: its string, as the reference's
+   signature spells it (tables, not aliases, and an equality's two sides
+   in string order), interned the first time it is needed *)
+let cond_id ctx sh j =
+  if j.j_cond < 0 then begin
+    let at s = ctx.c_tables.(s.s_alias) ^ "." ^ snd s.s_col in
+    let text =
+      if j.j_eq then
+        let a = at j.j_lhs and b = at j.j_rhs in
+        if a <= b then a ^ "=" ^ b else b ^ "=" ^ a
+      else at j.j_lhs
+    in
+    j.j_cond <- intern sh (Cond text)
+  end;
+  j.j_cond
+
+(* the signature part of a join of [lid] and [rid] over the predicates
+   spanning [lmask] and [rmask] *)
+let join_part ctx sh lid rid lmask rmask =
   let ids = ref [] in
   Array.iter
     (fun j ->
       if j.j_mask land lmask <> 0 && j.j_mask land rmask <> 0 then
-        ids := j.j_cond :: !ids)
+        ids := cond_id ctx sh j :: !ids)
     ctx.c_joins;
-  List.sort Int.compare !ids
+  Join (Int.min lid rid, Int.max lid rid, List.sort Int.compare !ids)
 
-let join_part ctx left right =
-  Join
-    ( Int.min left.e_id right.e_id,
-      Int.max left.e_id right.e_id,
-      cond_ids ctx left.e_mask right.e_mask )
+(* The id of [left] ⋈ [right] if an earlier block read it, else -1.
+   Every sub-plan of a read plan was registered with it, so only a join
+   of two read inputs can have been read; no other is looked up. *)
+let read_join ctx sh left right =
+  match sh with
+  | Some sh when left.e_id >= 0 && right.e_id >= 0 ->
+      lookup sh (join_part ctx sh left.e_id right.e_id left.e_mask right.e_mask)
+  | _ -> -1
 
 (* Offer every join method of [left] ⋈ [right] (base relation [i]) to
    [b], in the reference's order: nested loops, index nested loops,
@@ -441,19 +489,7 @@ let join_part ctx left right =
    [connected_only], a split no predicate spans offers nothing. *)
 let offer_split ctx sh b ~connected_only left i right =
   let p = ctx.c_params in
-  let lmask = left.e_mask and rbit = right.e_mask in
-  (* the index-nested-loops probe is the last spanning equality (in
-     block order) whose right column is indexed — the first the
-     reference finds in its reversed condition list *)
-  let spans = ref false and probe = ref (-1) in
-  for k = 0 to Array.length ctx.c_joins - 1 do
-    let j = ctx.c_joins.(k) in
-    if j.j_mask land rbit <> 0 && j.j_mask land lmask <> 0 then begin
-      spans := true;
-      if j.j_eq && (side_on i j).s_probe then probe := k
-    end
-  done;
-  if !spans || not connected_only then begin
+  if (not connected_only) || ctx.c_adj.(i) land left.e_mask <> 0 then begin
     let lc = left.e_cost and rc = right.e_cost in
     let lrows = left.e_rows and rrows = right.e_rows in
     let rows_out = b.f.rows_out in
@@ -462,11 +498,12 @@ let offer_split ctx sh b ~connected_only left i right =
       (lc.pages_read +. ((lrows *. rc.pages_read) +. 0.))
       (lc.pages_written +. ((lrows *. rc.pages_written) +. 0.))
       (lc.cpu +. ((lrows *. rc.cpu) +. (lrows *. rrows)));
-    if !probe >= 0 then begin
+    let probe = probe_on ctx i left.e_mask in
+    if probe >= 0 then begin
       (* tuples fetched per probe are governed by the join key's
          distinct count — local filters are applied only after the
          fetch *)
-      let s = side_on i ctx.c_joins.(!probe) in
+      let s = side_on i ctx.c_joins.(probe) in
       let m = s.s_fetch in
       let pp_seeks =
         if s.s_clustered then 1. else 1. +. Float.max 0. (m -. 1.)
@@ -476,7 +513,7 @@ let offer_split ctx sh b ~connected_only left i right =
           Float.max 1. (ceil (m *. ctx.c_rwidth.(i) /. p.page_size))
         else Float.max 1. m
       in
-      offer p b Index_nl i !probe
+      offer p b Index_nl i probe
         (lc.seeks +. ((lrows *. pp_seeks) +. 0.))
         (lc.pages_read +. ((lrows *. pp_read) +. 0.))
         (lc.pages_written +. ((lrows *. 0.) +. 0.))
@@ -491,65 +528,19 @@ let offer_split ctx sh b ~connected_only left i right =
       ((lc.pages_written +. rc.pages_written) +. (spill_pages +. 0.))
       ((lc.cpu +. rc.cpu) +. (0. +. (lrows +. rrows +. rows_out)));
     (* a join subtree already computed by an earlier block of the same
-       query is reused from the buffer pool: CPU to re-emit, no I/O.
-       Every sub-plan of a read plan was registered with it, so only a
-       split of two read inputs can be read. *)
-    match sh with
-    | Some sh when left.e_read && right.e_read -> (
-        match Hashtbl.find_opt sh.ids (join_part ctx left right) with
-        | Some id when Hashtbl.mem sh.read id ->
-            offer p b Shared_hash i (-1) 0. 0. 0. rows_out
-        | _ -> ())
-    | _ -> ()
+       query is reused from the buffer pool: CPU to re-emit, no I/O *)
+    if read_join ctx sh left right >= 0 then
+      offer p b Shared_hash i (-1) 0. 0. 0. rows_out
   end
 
-(* The plan node and entry of [b]'s winner, whose left input is [left].
-   Its width continues [left]'s fold over the right relation: the
-   reference folds [fun w a -> w +. carry a +. 8.] over the joined
-   plan's aliases in plan order, and a join's relation list is
+(* The entry of [b]'s winner, whose left input is [left].  Its width
+   continues [left]'s fold over the right relation: the reference folds
+   [fun w a -> w +. carry a +. 8.] over the joined plan's aliases in
+   plan order, and a join's relation list is
    [relations left @ relations right]. *)
-let winner ctx sh b left right =
-  let i = b.right in
-  (* conditions oriented left-first and extras, each in the reverse
-     block order of the reference's consing fold *)
-  let conds = ref [] and extra = ref [] in
-  Array.iter
-    (fun j ->
-      if j.j_mask land right.e_mask <> 0 && j.j_mask land left.e_mask <> 0 then
-        if j.j_eq then
-          let l, r =
-            if j.j_lhs.s_alias = i then (j.j_rhs, j.j_lhs)
-            else (j.j_lhs, j.j_rhs)
-          in
-          conds := (l.s_col, r.s_col) :: !conds
-        else extra := j.j_pred :: !extra)
-    ctx.c_joins;
-  let jm =
-    match b.meth with
-    | Nl -> Physical.Nl_join
-    | Index_nl ->
-        let s = side_on i ctx.c_joins.(b.probe) in
-        Physical.Index_nl { column = snd s.s_col }
-    | Hash | Shared_hash -> Physical.Hash_join
-  in
-  let id, read =
-    match sh with
-    | Some sh ->
-        let id = intern sh (join_part ctx left right) in
-        (id, Hashtbl.mem sh.read id)
-    | None -> (-1, false)
-  in
-  let e_width = left.e_width +. ctx.c_carry.(i) +. 8. in
+let entry_of ctx sh b left right =
+  let e_width = left.e_width +. ctx.c_carry.(b.right) +. 8. in
   {
-    e_plan =
-      Physical.Join
-        {
-          jm;
-          left = left.e_plan;
-          right = right.e_plan;
-          conds = !conds;
-          extra = !extra;
-        };
     e_rows = b.f.b_rows;
     e_cost =
       {
@@ -561,24 +552,76 @@ let winner ctx sh b left right =
     e_mask = left.e_mask lor right.e_mask;
     e_width;
     e_pages = Cost.pages ctx.c_params (b.f.b_rows *. e_width);
-    e_id = id;
-    e_read = read;
-    e_kids = [ left; right ];
+    e_id = read_join ctx sh left right;
+    e_meth = b.meth;
+    e_right = b.right;
+    e_probe = b.probe;
   }
 
-let rec register sh e =
-  Hashtbl.replace sh.read e.e_id ();
-  List.iter (register sh) e.e_kids
+(* The plan of the chosen tree over [mask], built once per block, and
+   its signature id (-1 without a cache).  A single bit is a base
+   access; [at] gives the entry of a join's mask.  A join's conditions
+   are oriented left-first and, with its extras, listed in the reverse
+   block order of the reference's consing fold.  With a cache, every
+   sub-plan is registered bottom-up; one an earlier block read was
+   registered then, with all of its own. *)
+let rec build ctx sh scans base at mask =
+  if mask land (mask - 1) = 0 then
+    let i = top_bit mask in
+    let e = base.(i) in
+    let id =
+      match (sh, scans.(i)) with
+      | Some sh, Physical.Scan { rel; access; filters } when e.e_id < 0 ->
+          intern sh (Access (access_signature rel filters access))
+      | _ -> e.e_id
+    in
+    (scans.(i), id)
+  else
+    let e = at mask in
+    let i = e.e_right in
+    let rbit = 1 lsl i in
+    let lmask = mask lxor rbit in
+    let left, lid = build ctx sh scans base at lmask in
+    let right, rid = build ctx sh scans base at rbit in
+    let conds = ref [] and extra = ref [] in
+    Array.iter
+      (fun j ->
+        if j.j_mask land rbit <> 0 && j.j_mask land lmask <> 0 then
+          if j.j_eq then
+            let l, r =
+              if j.j_lhs.s_alias = i then (j.j_rhs, j.j_lhs)
+              else (j.j_lhs, j.j_rhs)
+            in
+            conds := (l.s_col, r.s_col) :: !conds
+          else extra := j.j_pred :: !extra)
+      ctx.c_joins;
+    let jm =
+      match e.e_meth with
+      | Nl -> Physical.Nl_join
+      | Index_nl ->
+          Physical.Index_nl
+            { column = snd (side_on i ctx.c_joins.(e.e_probe)).s_col }
+      | Hash | Shared_hash -> Physical.Hash_join
+    in
+    let id =
+      match sh with
+      | Some sh when e.e_id < 0 ->
+          intern sh (join_part ctx sh lid rid lmask rbit)
+      | _ -> e.e_id
+    in
+    (Physical.Join { jm; left; right; conds = !conds; extra = !extra }, id)
 
 (* ------------------------------------------------------------------ *)
 (* join ordering                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The DP table: the winning entry of every mask, a base entry at each
+   single bit. *)
 let optimize_dp sh ctx base =
   let n = Array.length base in
   let full = (1 lsl n) - 1 in
-  let table = Array.make (full + 1) None in
-  Array.iter (fun e -> table.(e.e_mask) <- Some e) base;
+  let table = Array.make (full + 1) base.(0) in
+  Array.iter (fun e -> table.(e.e_mask) <- e) base;
   (* memoized Estimate.subset_rows, split into its two folds.  The
      clamped-card product over a mask's aliases in block order equals
      the product over the mask minus its top bit extended by the top
@@ -596,9 +639,7 @@ let optimize_dp sh ctx base =
     for i = 0 to n - 1 do
       let r = 1 lsl i in
       if mask land r <> 0 then
-        match table.(mask lxor r) with
-        | Some left -> offer_split ctx sh b ~connected_only left i base.(i)
-        | None -> ()
+        offer_split ctx sh b ~connected_only table.(mask lxor r) i base.(i)
     done
   in
   (* Every strict submask of [mask] is numerically smaller, so a single
@@ -619,14 +660,11 @@ let optimize_dp sh ctx base =
       b.found <- false;
       splits mask true;
       if not b.found then splits mask false;
-      let left = Option.get table.(mask lxor (1 lsl b.right)) in
-      table.(mask) <- Some (winner ctx sh b left base.(b.right))
+      table.(mask) <-
+        entry_of ctx sh b table.(mask lxor (1 lsl b.right)) base.(b.right)
     end
   done;
-  match table.(full) with Some e -> e | None -> raise Not_found
-
-let plan_aliases plan =
-  List.map (fun (r : Logical.relation) -> r.alias) (Physical.relations plan)
+  table
 
 let optimize_greedy sh ctx base =
   (* left-deep: start from the cheapest entry, repeatedly add the
@@ -637,8 +675,12 @@ let optimize_greedy sh ctx base =
      Cardinalities still go through the list-based
      [Estimate.subset_rows]: the greedy accumulator's aliases are in
      plan order, not block order, and the reference multiplies them in
-     that order. *)
+     that order.  Returns the entry of each mask the chain joined. *)
   let params = ctx.c_params in
+  let names =
+    Array.of_list
+      (List.map (fun (r : Logical.relation) -> r.alias) ctx.c_block.relations)
+  in
   let by_cost =
     List.sort
       (fun a b ->
@@ -646,29 +688,35 @@ let optimize_greedy sh ctx base =
       (Array.to_list base)
   in
   let b = new_best () in
-  let rec go acc remaining =
+  let rec go chain acc_aliases remaining =
     match remaining with
-    | [] -> acc
+    | [] -> chain
     | _ ->
-        let acc_aliases = plan_aliases acc.e_plan in
+        let acc = List.hd chain in
         let splits connected_only =
           List.iter
             (fun r ->
               b.f.rows_out <-
                 Estimate.subset_rows ctx.c_env
-                  (acc_aliases @ plan_aliases r.e_plan);
-              offer_split ctx sh b ~connected_only acc (top_bit r.e_mask) r)
+                  (acc_aliases @ [ names.(r.e_right) ]);
+              offer_split ctx sh b ~connected_only acc r.e_right r)
             remaining
         in
         b.found <- false;
         splits true;
         if not b.found then splits false;
         let r = base.(b.right) in
-        go (winner ctx sh b acc r) (List.filter (fun x -> x != r) remaining)
+        go
+          (entry_of ctx sh b acc r :: chain)
+          (acc_aliases @ [ names.(b.right) ])
+          (List.filter (fun x -> x != r) remaining)
   in
-  match by_cost with
-  | [] -> invalid_arg "optimize_greedy: empty block"
-  | first :: rest -> go first rest
+  let chain =
+    match by_cost with
+    | [] -> invalid_arg "optimize_greedy: empty block"
+    | first :: rest -> go [ first ] [ names.(first.e_right) ] rest
+  in
+  fun mask -> List.find (fun e -> e.e_mask = mask) chain
 
 let optimize_block ?(params = Cost.default_params) ?shared cat
     (block : Logical.block) =
@@ -678,17 +726,20 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
   | Error es ->
       invalid_arg ("optimize_block: " ^ String.concat "; " es));
   let env = Estimate.env cat block in
-  let ctx = context shared params env block in
+  let ctx = context params env block in
   let aliases = List.map (fun (r : Logical.relation) -> r.alias) block.relations in
-  let base =
-    Array.of_list (List.mapi (access_plan shared ctx) block.relations)
+  let scans, base =
+    Array.split
+      (Array.of_list (List.mapi (access_plan shared ctx) block.relations))
   in
-  let joined =
-    match base with
-    | [| single |] -> single
-    | _ when Array.length base <= dp_limit -> optimize_dp shared ctx base
-    | _ -> optimize_greedy shared ctx base
+  let n = Array.length base in
+  let at =
+    if n = 1 then fun _ -> base.(0)
+    else if n <= dp_limit then Array.get (optimize_dp shared ctx base)
+    else optimize_greedy shared ctx base
   in
+  let joined = at ((1 lsl n) - 1) in
+  let plan, _ = build ctx shared scans base at joined.e_mask in
   (* result output: write the projected rows out *)
   let out_width = Estimate.output_width env block.out aliases in
   let output_cost =
@@ -699,12 +750,7 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
       cpu = joined.e_rows;
     }
   in
-  (match shared with Some sh -> register sh joined | None -> ());
-  {
-    plan = joined.e_plan;
-    rows = joined.e_rows;
-    cost = Cost.add joined.e_cost output_cost;
-  }
+  { plan; rows = joined.e_rows; cost = Cost.add joined.e_cost output_cost }
 
 let query_cost ?(params = Cost.default_params) cat (q : Logical.query) =
   (* the blocks of one query share base-table accesses (outer-union

@@ -5,10 +5,15 @@
     paths (sequential scan vs. clustered/unclustered index probe) and
     join methods (hash join, index nested loops, nested loops) are
     chosen by estimated cost, and the join order is found with
-    System-R-style dynamic programming over connected sub-plans (a
-    greedy left-deep fallback kicks in beyond {!dp_limit} relations).
-    The final cost adds the cost of writing the result out, which is
-    what makes publishing workloads sensitive to row widths. *)
+    System-R-style dynamic programming over left-deep plans: every
+    subset of the block's relations gets its cheapest plan, joining a
+    smaller subset with one more base relation.  Splits that some join
+    predicate spans are preferred; a subset no such split reaches is
+    joined by cross product, so cross-product lefts such as
+    [(a × c) ⋈ b] are in the plan space.  A greedy left-deep fallback
+    kicks in beyond {!dp_limit} relations.  The final cost adds the
+    cost of writing the result out, which is what makes publishing
+    workloads sensitive to row widths. *)
 
 open Legodb_relational
 
@@ -24,7 +29,9 @@ val dp_limit : int
 type shared
 (** The common-subexpression cache of one query's blocks: the sub-plans
     (base-table accesses and join subtrees) of the plans chosen so far,
-    under canonical alias-free signatures interned as integers. *)
+    under canonical alias-free signatures interned as integers.  A
+    signature is interned when a block registers its chosen plan, not
+    while the block's candidates are costed. *)
 
 val shared : unit -> shared
 (** An empty cache. *)

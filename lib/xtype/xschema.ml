@@ -81,11 +81,22 @@ let use_count s name =
       + List.length (List.filter (String.equal name) (Xtype.refs body)))
     0 live
 
-let parents s name =
-  List.filter
+let referrers s =
+  (* one pass over the bodies, last definition first, so each name's
+     list comes out in definition order; a body that references a name
+     twice is consed once, and its own name is then the list's head *)
+  let index = Hashtbl.create (2 * SMap.cardinal s.index) in
+  List.iter
     (fun def_name ->
-      List.exists (String.equal name) (Xtype.refs (SMap.find def_name s.index)))
-    s.order
+      List.iter
+        (fun r ->
+          match Hashtbl.find_opt index r with
+          | Some (d :: _) when String.equal d def_name -> ()
+          | Some l -> Hashtbl.replace index r (def_name :: l)
+          | None -> Hashtbl.replace index r [ def_name ])
+        (Xtype.refs (SMap.find def_name s.index)))
+    (List.rev s.order);
+  fun name -> Option.value ~default:[] (Hashtbl.find_opt index name)
 
 let recursive s name =
   (* is there a cycle through [name] in the ref graph? *)

@@ -56,8 +56,11 @@ val use_count : t -> string -> int
 (** Number of [Ref] occurrences of a name across reachable definitions
     (sharing detector: inlining requires a use count of 1). *)
 
-val parents : t -> string -> string list
-(** The defined types whose bodies reference the given name directly. *)
+val referrers : t -> string -> string list
+(** [referrers s name]: the defined types whose bodies reference [name]
+    directly, in definition order.  [referrers s] indexes every
+    definition's referrers in one pass over the bodies; apply it once
+    per schema and query the result per name. *)
 
 val recursive : t -> string -> bool
 (** Is the type part of a reference cycle? *)

@@ -179,6 +179,97 @@ let table_fp t =
   | [ (_, fp) ] -> fp
   | _ -> Alcotest.fail "one table, one fingerprint"
 
+(* ---- one-pass referrers against the per-table walk ---- *)
+
+(* The spec of a table's foreign keys: its parents found by scanning
+   every definition's body for the table and for each transparent
+   ancestor, collected into a sorted set.  [of_pschema] answers the
+   same question from one [Xschema.referrers] index per schema. *)
+let spec_parents schema name =
+  List.filter_map
+    (fun (d : Xschema.defn) ->
+      if List.exists (String.equal name) (Xtype.refs d.Xschema.body) then
+        Some d.Xschema.name
+      else None)
+    (Xschema.defs schema)
+
+let spec_real_parents schema ty =
+  let module S = Set.Make (String) in
+  let rec up seen d acc =
+    if S.mem d seen then acc
+    else
+      let seen = S.add d seen in
+      List.fold_left
+        (fun acc referrer ->
+          if Mapping.is_transparent schema referrer then up seen referrer acc
+          else S.add referrer acc)
+        acc (spec_parents schema d)
+  in
+  S.elements (up S.empty ty S.empty)
+
+(* A random walk of every rewriting kind from all-inlined or
+   all-outlined.  Half the steps are union distributions or repetition
+   splits when one applies: those make the transparent types the climb
+   goes through.  Every visited configuration's index must give the
+   spec's referrers and, when it is a p-schema (no other maps), its
+   tables the spec's foreign keys; the walk goes on from p-schemas
+   only. *)
+let referrers_match_walk (outlined, seed, steps) =
+  let base = Lazy.force annotated_imdb in
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let check schema =
+    let referrers = Xschema.referrers schema in
+    List.iter
+      (fun (d : Xschema.defn) ->
+        if referrers d.Xschema.name <> spec_parents schema d.Xschema.name then
+          QCheck2.Test.fail_reportf "%s: referrers differ" d.Xschema.name)
+      (Xschema.defs schema);
+    match Pschema.check schema with
+    | Error _ -> false
+    | Ok () ->
+        let m = mapping_of schema in
+        List.iter
+          (fun (t : Rschema.table) ->
+            let want =
+              List.map
+                (fun p -> (Naming.fk_col p, p))
+                (spec_real_parents schema t.Rschema.tname)
+            in
+            if t.Rschema.fks <> want then
+              QCheck2.Test.fail_reportf "%s: foreign keys differ from the walk"
+                t.Rschema.tname)
+          m.Mapping.catalog.Rschema.tables;
+        true
+  in
+  let rec walk schema n =
+    if n > 0 then
+      let steps = Space.applicable ~kinds:Space.all_kinds schema in
+      let splitting =
+        List.filter
+          (fun st ->
+            match Space.kind_of_step st with
+            | Space.K_union_dist | Space.K_rep_split -> true
+            | _ -> false)
+          steps
+      in
+      let steps =
+        if splitting <> [] && Random.State.bool rng then splitting else steps
+      in
+      match steps with
+      | [] -> ()
+      | _ -> (
+          match Space.apply schema (pick steps) with
+          | next -> walk (if check next then next else schema) (n - 1)
+          | exception Rewrite.Not_applicable _ -> walk schema (n - 1))
+  in
+  let start =
+    if outlined then Init.all_outlined base else Init.all_inlined base
+  in
+  ignore (check start);
+  walk start steps;
+  true
+
 let suite =
   [
     case "one table per concrete type" (fun () ->
@@ -472,4 +563,9 @@ let suite =
         check_string "key renamed, columns reordered"
           (table_fp (tbl [ col "k" 1.; col "a" 2. ]))
           (table_fp (tbl ~key:"id" [ col "a" 2.; col "id" 1. ])));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60
+         ~name:"one-pass referrers give the per-table walk's foreign keys"
+         QCheck2.Gen.(triple bool (int_range 0 0xFFFF) (int_range 1 8))
+         referrers_match_walk);
   ]

@@ -157,12 +157,21 @@ let gen_case =
     let+ block = gen_block cat nrels in
     (cat, block))
 
+(* two to four blocks of one query, mostly of 2-6 relations; one block
+   in four has 7 to dp_limit + 3, and one query in three repeats one of
+   its blocks last, so the cache's lookups and registrations also meet
+   the DP's largest masks and the greedy path *)
 let gen_shared_case =
   QCheck2.Gen.(
     let* cat = gen_catalog in
-    let* sizes = list_size (int_range 2 4) (int_range 2 6) in
-    let+ blocks = flatten_l (List.map (gen_block cat) sizes) in
-    (cat, blocks))
+    let* sizes =
+      list_size (int_range 2 4)
+        (frequency
+           [ (3, int_range 2 6); (1, int_range 7 (Optimizer.dp_limit + 3)) ])
+    in
+    let* blocks = flatten_l (List.map (gen_block cat) sizes) in
+    let* repeat = int_range 0 2 and* k = int_bound (List.length blocks - 1) in
+    return (cat, if repeat = 0 then blocks @ [ List.nth blocks k ] else blocks))
 
 (* the largest masks the DP enumerates (9 and 10 relations), and the
    greedy fallback just beyond dp_limit on random join graphs *)

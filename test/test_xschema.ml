@@ -62,7 +62,21 @@ let suite =
             "A"
         in
         check_int "use_count" 2 (Xschema.use_count s "B");
-        Alcotest.(check (list string)) "parents" [ "A" ] (Xschema.parents s "B"));
+        Alcotest.(check (list string)) "parents" [ "A" ] (Xschema.referrers s "B");
+        (* one index answers every name: definition order, each once *)
+        let s =
+          mk
+            [
+              d "C" (Xtype.named_elem "c" (Xtype.seq [ Xtype.ref_ "B"; Xtype.ref_ "A" ]));
+              d "A" (Xtype.named_elem "a" (Xtype.seq [ Xtype.ref_ "B"; Xtype.ref_ "B" ]));
+              d "B" (Xtype.named_elem "b" Xtype.string_);
+            ]
+            "C"
+        in
+        let referrers = Xschema.referrers s in
+        Alcotest.(check (list string)) "B's" [ "C"; "A" ] (referrers "B");
+        Alcotest.(check (list string)) "A's" [ "C" ] (referrers "A");
+        Alcotest.(check (list string)) "the root's" [] (referrers "C"));
     case "recursive detection" (fun () ->
         let s =
           mk
