@@ -3,11 +3,14 @@ module Pschema = Legodb_pschema.Pschema
 module Rewrite = Legodb_transform.Rewrite
 open Legodb_relational
 
+type position = Scalar of string list | Tag of string list | Wild of string list
+
 type t = {
   schema : Xschema.t;
   catalog : Rschema.t;
   transparent : string list;
   ordered : bool;
+  renamed : ((string * position) * string) list;
 }
 
 (* table cardinality assumed when no statistics are annotated *)
@@ -43,14 +46,62 @@ let real_parents schema referrers ty =
   in
   SSet.elements (up SSet.empty ty SSet.empty)
 
-let root_tag schema ty =
+(* ------------------------------------------------------------------ *)
+(* column names                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let rec scalar_content = function
+  | Xtype.Scalar _ -> true
+  | Xtype.Choice ts -> ts <> [] && List.for_all scalar_content ts
+  | Xtype.Empty | Xtype.Attr _ | Xtype.Elem _ | Xtype.Seq _ | Xtype.Rep _
+  | Xtype.Ref _ ->
+      false
+
+let rec drop_last = function
+  | [] | [ _ ] -> []
+  | x :: rest -> x :: drop_last rest
+
+(* The naming rule, given the label of the table's root element: a
+   position's path joined with '_', below a leading "tilde" step when
+   the root is a wildcard; the root element's own scalar takes its tag
+   ("data" without a root element).  A wildcard's value column takes the
+   scalar name of the wildcard's parent (the paper's Reviews table keeps
+   the tag in "tilde" and the value in "reviews"), or the tag column's
+   name plus "_data" when the two would coincide. *)
+let rule root position =
+  let full path =
+    match root with
+    | Some (Label.Any | Label.Any_except _) -> "tilde" :: path
+    | Some (Label.Name _) | None -> path
+  in
+  let scalar = function
+    | [] -> ( match root with Some l -> Label.column_name l | None -> "data")
+    | path -> String.concat "_" path
+  in
+  match position with
+  | Scalar path -> scalar (full path)
+  | Tag path -> String.concat "_" (full path)
+  | Wild path ->
+      let path = full path in
+      let value = scalar (drop_last path) in
+      if String.equal value (String.concat "_" path) then value ^ "_data"
+      else value
+
+let root_label schema ty =
   match Xschema.find_opt schema ty with
-  | Some (Xtype.Elem e) -> Some (Label.column_name e.label)
+  | Some (Xtype.Elem e) -> Some e.Xtype.label
   | Some _ | None -> None
 
-(* A Choice of literal scalars maps to one string column (references to
-   scalar-bodied types are NOT followed: those are stored in their own
-   tables, matching the paper's AnyScalar example). *)
+let column m ~ty position =
+  let renamed =
+    match m.renamed with
+    | [] -> None
+    | renamed -> List.assoc_opt (ty, position) renamed
+  in
+  match renamed with
+  | Some c -> c
+  | None -> rule (root_label m.schema ty) position
+
 let scalar_choice_width ts =
   List.fold_left
     (fun w t ->
@@ -65,11 +116,9 @@ let scalar_choice_width ts =
       | _ -> w)
     0 ts
 
-let all_scalars ts =
-  List.for_all (function Xtype.Scalar _ -> true | _ -> false) ts
-
 (* pre-aggregated info about one data column *)
 type col_spec = {
+  s_pos : position;
   s_name : string;
   s_type : Rtype.t;
   s_nullable : bool;
@@ -80,7 +129,20 @@ type col_spec = {
   s_width : float;  (* width of the value when present *)
 }
 
-let scalar_spec ~name ~nullable ~count kind (st : Xtype.scalar_stats option) =
+(* The column of scalar content [t] at [pos].  A Choice of literal
+   scalars maps to one string column (references to scalar-bodied types
+   are NOT followed: those are stored in their own tables, matching the
+   paper's AnyScalar example). *)
+let value_spec root pos ~nullable ~count t =
+  let kind, (st : Xtype.scalar_stats option) =
+    match t with
+    | Xtype.Scalar (kind, st) -> (kind, st)
+    | Xtype.Choice ts ->
+        let width = max 1 (scalar_choice_width ts) in
+        ( Xtype.String_t,
+          Some { Xtype.width; s_min = None; s_max = None; distinct = None } )
+    | _ -> invalid_arg "Mapping.value_spec: not scalar content"
+  in
   let width =
     match st with Some s -> s.Xtype.width | None -> Xtype.default_width kind
   in
@@ -90,7 +152,8 @@ let scalar_spec ~name ~nullable ~count kind (st : Xtype.scalar_stats option) =
     | Xtype.Integer_t -> Rtype.R_int
   in
   {
-    s_name = name;
+    s_pos = pos;
+    s_name = rule root pos;
     s_type = ctype;
     s_nullable = nullable;
     s_count = count;
@@ -102,24 +165,18 @@ let scalar_spec ~name ~nullable ~count kind (st : Xtype.scalar_stats option) =
   }
 
 (* Walk the physical layer of a type body collecting column specs. *)
-let columns_of_body ~root_tag ~card body =
+let columns_of_body ~card body =
+  let root = match body with Xtype.Elem e -> Some e.Xtype.label | _ -> None in
   let out = ref [] in
   let emit spec = out := spec :: !out in
   let rec walk ~nullable ~prefix ~count t =
     match t with
     | Xtype.Empty | Xtype.Ref _ -> ()
-    | Xtype.Scalar (kind, st) ->
-        emit
-          (scalar_spec
-             ~name:(Naming.data_col prefix ~root_tag)
-             ~nullable ~count kind st)
-    | Xtype.Choice ts when all_scalars ts ->
-        let width = max 1 (scalar_choice_width ts) in
-        emit
-          (scalar_spec
-             ~name:(Naming.data_col prefix ~root_tag)
-             ~nullable ~count Xtype.String_t
-             (Some { Xtype.width; s_min = None; s_max = None; distinct = None }))
+    | Xtype.Choice _ when not (scalar_content t) ->
+        (* a union of type names: contributes no columns *)
+        ()
+    | Xtype.Scalar _ | Xtype.Choice _ ->
+        emit (value_spec root (Scalar prefix) ~nullable ~count t)
     | Xtype.Attr (n, content) -> walk ~nullable ~prefix:(prefix @ [ n ]) ~count content
     | Xtype.Elem e -> (
         let count = Option.value ~default:count e.ann.count in
@@ -127,64 +184,38 @@ let columns_of_body ~root_tag ~card body =
         | Label.Name n ->
             walk ~nullable ~prefix:(prefix @ [ n ]) ~count e.content
         | Label.Any | Label.Any_except _ ->
-            let n_labels = List.length e.ann.labels in
-            emit
-              {
-                s_name = Naming.tilde_col prefix ~root_tag;
-                s_type = Rtype.R_string (Some 24);
-                s_nullable = nullable;
-                s_count = count;
-                s_distinct =
-                  (if n_labels > 0 then Some (float_of_int n_labels) else None);
-                s_vmin = None;
-                s_vmax = None;
-                s_width = 16.;
-              };
-            let value_prefix = prefix @ [ "tilde" ] in
-            (match e.content with
-            | Xtype.Scalar (kind, st) ->
-                emit
-                  (scalar_spec
-                     ~name:(Naming.tilde_data_col prefix ~root_tag)
-                     ~nullable ~count kind st)
-            | content -> walk ~nullable ~prefix:value_prefix ~count content))
+            wildcard ~nullable ~count (prefix @ [ "tilde" ]) e)
     | Xtype.Seq ts -> List.iter (walk ~nullable ~prefix ~count) ts
-    | Xtype.Choice _ ->
-        (* a union of type names: contributes no columns *)
-        ()
     | Xtype.Rep (u, o) ->
         if o.Xtype.lo = 0 && o.Xtype.hi = Xtype.Bounded 1 then
           walk ~nullable:true ~prefix ~count u
         else (* multi-occurrence: type names only, no columns *) ()
+  (* a wildcard element at [path]: a tag column, then its content *)
+  and wildcard ~nullable ~count path (e : Xtype.elem) =
+    let n_labels = List.length e.ann.labels in
+    emit
+      {
+        s_pos = Tag path;
+        s_name = rule root (Tag path);
+        s_type = Rtype.R_string (Some 24);
+        s_nullable = nullable;
+        s_count = count;
+        s_distinct =
+          (if n_labels > 0 then Some (float_of_int n_labels) else None);
+        s_vmin = None;
+        s_vmax = None;
+        s_width = 16.;
+      };
+    if scalar_content e.content then
+      emit (value_spec root (Wild path) ~nullable ~count e.content)
+    else walk ~nullable ~prefix:path ~count e.content
   in
   (match body with
-  | Xtype.Elem e ->
+  | Xtype.Elem e -> (
       let count = Option.value ~default:card e.ann.count in
-      (match e.label with
+      match e.label with
       | Label.Name _ -> walk ~nullable:false ~prefix:[] ~count e.content
-      | Label.Any | Label.Any_except _ ->
-          (* wildcard root element: tag column plus content *)
-          emit
-            {
-              s_name = Naming.tilde_col [] ~root_tag;
-              s_type = Rtype.R_string (Some 24);
-              s_nullable = false;
-              s_count = count;
-              s_distinct =
-                (match e.ann.labels with
-                | [] -> None
-                | ls -> Some (float_of_int (List.length ls)));
-              s_vmin = None;
-              s_vmax = None;
-              s_width = 16.;
-            };
-          (match e.content with
-          | Xtype.Scalar (kind, st) ->
-              emit
-                (scalar_spec
-                   ~name:(Naming.tilde_data_col [] ~root_tag)
-                   ~nullable:false ~count kind st)
-          | content -> walk ~nullable:false ~prefix:[ "tilde" ] ~count content))
+      | Label.Any | Label.Any_except _ -> wildcard ~nullable:false ~count [] e)
   | body -> walk ~nullable:false ~prefix:[] ~count:card body);
   List.rev !out
 
@@ -219,8 +250,17 @@ let column_of_spec ~card spec =
       };
   }
 
-let dedupe_names specs =
+(* A repeated name [x] becomes [x_2], [x_3], ...; each renamed
+   position of table [ty] is added to [renamed], except a position that
+   repeats an earlier one (a repeated sibling tag, an attribute beside a
+   child of the same name): its key cannot tell the two apart, so it
+   keeps the first one's column. *)
+let dedupe_names ty renamed specs =
   let seen = Hashtbl.create 16 in
+  let rec repeats spec = function
+    | s :: rest when s != spec -> s.s_pos = spec.s_pos || repeats spec rest
+    | _ -> false
+  in
   List.map
     (fun spec ->
       match Hashtbl.find_opt seen spec.s_name with
@@ -229,20 +269,18 @@ let dedupe_names specs =
           spec
       | Some n ->
           Hashtbl.replace seen spec.s_name (n + 1);
-          { spec with s_name = Printf.sprintf "%s_%d" spec.s_name (n + 1) })
+          let s_name = Printf.sprintf "%s_%d" spec.s_name (n + 1) in
+          if not (repeats spec specs) then
+            renamed := ((ty, spec.s_pos), s_name) :: !renamed;
+          { spec with s_name })
     specs
 
-let table_of_type ~order_columns schema referrers ty =
+let table_of_type ~order_columns schema referrers renamed ty =
   let body = Xschema.find schema ty in
   let card =
     Option.value ~default:default_card (Rewrite.card_of_def schema ty)
   in
   let card = Float.max 1. card in
-  let root_tag =
-    match body with
-    | Xtype.Elem e -> Label.column_name e.Xtype.label
-    | _ -> ""
-  in
   let key = Naming.key_col ty in
   let key_column =
     {
@@ -279,8 +317,8 @@ let table_of_type ~order_columns schema referrers ty =
     else []
   in
   let data_columns =
-    columns_of_body ~root_tag ~card body
-    |> dedupe_names
+    columns_of_body ~card body
+    |> dedupe_names ty renamed
     |> List.map (column_of_spec ~card)
   in
   let parents = real_parents schema referrers ty in
@@ -327,12 +365,23 @@ let of_pschema ?(order_columns = false) schema =
         List.partition (is_transparent schema) (Xschema.reachable schema)
       in
       let referrers = Xschema.referrers schema in
+      let renamed = ref [] in
       let tables =
-        List.map (table_of_type ~order_columns schema referrers) concrete
+        List.map
+          (table_of_type ~order_columns schema referrers renamed)
+          concrete
       in
       let catalog = { Rschema.tables } in
       (match Rschema.validate catalog with
-      | Ok () -> Ok { schema; catalog; transparent; ordered = order_columns }
+      | Ok () ->
+          Ok
+            {
+              schema;
+              catalog;
+              transparent;
+              ordered = order_columns;
+              renamed = !renamed;
+            }
       | Error es -> Error es)
 
 (* ------------------------------------------------------------------ *)

@@ -12,16 +12,37 @@
     (nearest non-transparent) parent type [P]; one column per scalar in
     the physical layer of the type's body (nullable when it sits under
     an optional); and for each wildcard element a tag column plus a
-    value column.  Keys and foreign keys are indexed. *)
+    value column.  Keys and foreign keys are indexed.
+
+    This module is the only one that names a data column: {!Navigate}
+    (and through it translation and shredding), {!Shred} and {!Publish}
+    ask {!column} for the column of a stored position.  {!Naming} names
+    the columns derived from a type name: keys, foreign keys and the
+    document-order column. *)
 
 open Legodb_xtype
 open Legodb_relational
+
+(** A stored position of a table, by its element path below the
+    definition's root element; a wildcard step is ["tilde"] (the
+    convention of {!Navigate.place}). *)
+type position =
+  | Scalar of string list
+      (** the scalar content of the element or attribute at the path;
+          [Scalar []] is the root element's own *)
+  | Tag of string list  (** the concrete tag of the wildcard at the path *)
+  | Wild of string list  (** the scalar content of the wildcard at the path *)
 
 type t = {
   schema : Xschema.t;  (** the p-schema this catalog was derived from *)
   catalog : Rschema.t;
   transparent : string list;  (** collapsed type names *)
   ordered : bool;  (** tables carry a {!Naming.order_col} column *)
+  renamed : ((string * position) * string) list;
+      (** each position whose rule name an earlier position of the same
+          table already took, keyed by table, with the [_2], [_3], ...
+          column it got instead; empty unless two paths of one table
+          join to the same name *)
 }
 
 val of_pschema : ?order_columns:bool -> Xschema.t -> (t, string list) result
@@ -79,9 +100,19 @@ val card : t -> string -> float
 (** Cardinality of a type's table.  @raise Not_found for unknown or
     transparent types. *)
 
-val root_tag : Xschema.t -> string -> string option
-(** The tag of a definition's root element, when its body is a single
-    element ([Label.column_name] for wildcard roots). *)
+val column : t -> ty:string -> position -> string
+(** The column of [ty]'s table that stores a position.  The naming
+    rule joins the path with ['_'] (below a leading ["tilde"] step when
+    the root element is a wildcard); the root element's own scalar takes
+    its tag (["data"] for a body without a root element); a wildcard's
+    value takes its parent's scalar name, or the tag column's name plus
+    ["_data"] when the two coincide.  A position in [renamed] gets its
+    recorded column.  A position the table does not store gets the name
+    it would have had. *)
+
+val scalar_content : Xtype.t -> bool
+(** Content stored in one column: a scalar, or a union of literal
+    scalars. *)
 
 val table_columns : t -> string -> string list
 (** Column names of a type's table, in order. *)

@@ -1,22 +1,5 @@
 let key_col ty = ty ^ "_id"
 let fk_col parent = "parent_" ^ parent
 
-let data_col prefix ~root_tag =
-  match prefix with
-  | [] -> if root_tag = "" then "data" else root_tag
-  | _ -> String.concat "_" prefix
-
-let tilde_col prefix ~root_tag:_ = String.concat "_" (prefix @ [ "tilde" ])
-
-(* The wildcard's value column follows the ordinary scalar rule at the
-   wildcard's position: the paper's Reviews table stores the tag in
-   "tilde" and the value in "reviews" (the root element's tag).  When
-   the wildcard is itself the definition's root element the ordinary
-   rule would collide with the tag column, so the value gets
-   "tilde_data". *)
-let tilde_data_col prefix ~root_tag =
-  let c = data_col prefix ~root_tag in
-  if String.equal c (tilde_col prefix ~root_tag) then c ^ "_data" else c
-
 (* global document-order column (opt-in, see Mapping.of_pschema) *)
 let order_col = "doc_order"

@@ -1,9 +1,9 @@
-(** The deterministic naming conventions of the fixed mapping.
+(** The names of the columns derived from a type name: keys, foreign
+    keys and the document-order column.
 
-    Shared by catalog generation ({!Mapping}), path navigation
-    ({!Navigate}), shredding ({!Shred}) and publishing ({!Publish}), so
-    that a column computed from a schema position always matches the
-    column generated for it. *)
+    Data columns are named by {!Mapping.column} alone, so a column
+    computed from a schema position always matches the column generated
+    for it. *)
 
 val key_col : string -> string
 (** [key_col "Show"] is ["Show_id"]. *)
@@ -11,20 +11,6 @@ val key_col : string -> string
 val fk_col : string -> string
 (** [fk_col "Show"] is ["parent_Show"] — the foreign key a child table
     holds towards parent type [Show]. *)
-
-val data_col : string list -> root_tag:string -> string
-(** Column name for a scalar at element path [prefix] below a
-    definition's root element: the path joined with ['_'], or the root
-    element's own tag when the path is empty (the [TABLE Aka (aka ...)]
-    convention), or ["data"] when there is no root element either. *)
-
-val tilde_col : string list -> root_tag:string -> string
-(** Column holding a wildcard element's concrete tag: the wildcard's
-    path with a final ["tilde"] step. *)
-
-val tilde_data_col : string list -> root_tag:string -> string
-(** Column holding a wildcard element's scalar value: the wildcard's
-    path with a final ["data"] step. *)
 
 val order_col : string
 (** ["doc_order"] — the global document-order column added to every

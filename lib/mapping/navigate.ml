@@ -13,17 +13,10 @@ type found =
       tag : string;
     }
 
-let rec scalar_only = function
-  | Xtype.Scalar _ -> true
-  | Xtype.Choice ts -> ts <> [] && List.for_all scalar_only ts
-  | Xtype.Empty | Xtype.Attr _ | Xtype.Elem _ | Xtype.Seq _ | Xtype.Rep _
-  | Xtype.Ref _ ->
-      false
-
-let prefix_step_matches (label : Label.t) step =
-  match label with
-  | Label.Name n -> String.equal n step
-  | Label.Any | Label.Any_except _ -> String.equal step "tilde"
+(* an element's step in a place's prefix: its tag, or "tilde" for a
+   wildcard *)
+let prefix_step (label : Label.t) =
+  match label with Label.Name n -> n | Label.Any | Label.Any_except _ -> "tilde"
 
 (* Content types of the inline element at [prefix] within [ty]'s body. *)
 let content_at schema ty prefix =
@@ -37,7 +30,7 @@ let content_at schema ty prefix =
         | s :: rest ->
             let rec scan t acc =
               match t with
-              | Xtype.Elem e when prefix_step_matches e.label s ->
+              | Xtype.Elem e when String.equal (prefix_step e.label) s ->
                   e.content :: acc
               | Xtype.Elem _ | Xtype.Empty | Xtype.Scalar _ | Xtype.Attr _
               | Xtype.Ref _ ->
@@ -50,53 +43,40 @@ let content_at schema ty prefix =
       in
       descend start prefix
 
-let body_root_tag body =
-  match body with
-  | Xtype.Elem e -> Label.column_name e.Xtype.label
-  | _ -> ""
+(* The element [e] at [path] of [ty], matched by [step]: a column when
+   its content is scalar, else an element position (a structured
+   wildcard's tag lives in its tag column). *)
+let found_elem m ~hops ~ty path step (e : Xtype.elem) =
+  if not (Mapping.scalar_content e.content) then
+    F_elem { hops; place = { ty; prefix = path } }
+  else
+    match e.label with
+    | Label.Name _ ->
+        F_column { hops; ty; column = Mapping.column m ~ty (Scalar path) }
+    | Label.Any | Label.Any_except _ ->
+        F_wild
+          {
+            hops;
+            ty;
+            tilde = Mapping.column m ~ty (Tag path);
+            data = Mapping.column m ~ty (Wild path);
+            tag = step;
+          }
 
-let rec find_in m ~visited ~hops ~ty ~prefix ~root_tag step content acc =
+let rec find_in m ~visited ~hops ~ty ~prefix step content acc =
   match content with
-  | Xtype.Elem e -> (
-      match e.label with
-      | Label.Name n when String.equal n step ->
-          if scalar_only e.content then
-            F_column
-              {
-                hops;
-                ty;
-                column = Naming.data_col (prefix @ [ n ]) ~root_tag;
-              }
-            :: acc
-          else F_elem { hops; place = { ty; prefix = prefix @ [ n ] } } :: acc
-      | Label.Name _ -> acc
-      | (Label.Any | Label.Any_except _) as wild ->
-          if Label.matches wild step then
-            if scalar_only e.content then
-              F_wild
-                {
-                  hops;
-                  ty;
-                  tilde = Naming.tilde_col prefix ~root_tag;
-                  data = Naming.tilde_data_col prefix ~root_tag;
-                  tag = step;
-                }
-              :: acc
-            else
-              (* structured wildcard content (the AnyElement pattern):
-                 an element position whose tag lives in the tilde column *)
-              F_elem { hops; place = { ty; prefix = prefix @ [ "tilde" ] } }
-              :: acc
-          else acc)
-  | Xtype.Attr (n, _) when String.equal n step ->
-      F_column { hops; ty; column = Naming.data_col (prefix @ [ n ]) ~root_tag }
+  | Xtype.Elem e when Label.matches e.label step ->
+      found_elem m ~hops ~ty (prefix @ [ prefix_step e.label ]) step e
       :: acc
-  | Xtype.Attr _ | Xtype.Scalar _ | Xtype.Empty -> acc
+  | Xtype.Attr (n, _) when String.equal n step ->
+      let column = Mapping.column m ~ty (Scalar (prefix @ [ n ])) in
+      F_column { hops; ty; column } :: acc
+  | Xtype.Elem _ | Xtype.Attr _ | Xtype.Scalar _ | Xtype.Empty -> acc
   | Xtype.Seq ts | Xtype.Choice ts ->
       List.fold_left
-        (fun acc t -> find_in m ~visited ~hops ~ty ~prefix ~root_tag step t acc)
+        (fun acc t -> find_in m ~visited ~hops ~ty ~prefix step t acc)
         acc ts
-  | Xtype.Rep (u, _) -> find_in m ~visited ~hops ~ty ~prefix ~root_tag step u acc
+  | Xtype.Rep (u, _) -> find_in m ~visited ~hops ~ty ~prefix step u acc
   | Xtype.Ref n -> enter m ~visited ~hops step n acc
 
 and enter (m : Mapping.t) ~visited ~hops step n acc =
@@ -105,41 +85,20 @@ and enter (m : Mapping.t) ~visited ~hops step n acc =
     let visited = n :: visited in
     match Xschema.find_opt m.schema n with
     | None -> acc
-    | Some body ->
+    | Some body -> (
         if Mapping.is_transparent m.schema n then
           (* no table of its own: look through to its references *)
-          find_in m ~visited ~hops ~ty:n ~prefix:[] ~root_tag:"" step body acc
+          find_in m ~visited ~hops ~ty:n ~prefix:[] step body acc
         else
           let hops = hops @ [ n ] in
-          let root_tag = body_root_tag body in
-          (match body with
-          | Xtype.Elem e -> (
-              match e.label with
-              | Label.Name tag when String.equal tag step ->
-                  if scalar_only e.content then
-                    F_column
-                      { hops; ty = n; column = Naming.data_col [] ~root_tag }
-                    :: acc
-                  else F_elem { hops; place = { ty = n; prefix = [] } } :: acc
-              | Label.Name _ -> acc
-              | (Label.Any | Label.Any_except _) as wild ->
-                  if Label.matches wild step then
-                    if scalar_only e.content then
-                      F_wild
-                        {
-                          hops;
-                          ty = n;
-                          tilde = Naming.tilde_col [] ~root_tag;
-                          data = Naming.tilde_data_col [] ~root_tag;
-                          tag = step;
-                        }
-                      :: acc
-                    else F_elem { hops; place = { ty = n; prefix = [] } } :: acc
-                  else acc)
+          match body with
+          | Xtype.Elem e when Label.matches e.label step ->
+              found_elem m ~hops ~ty:n [] step e :: acc
+          | Xtype.Elem _ -> acc
           | body ->
               (* a type without a root element splices its content into
                  the parent's element: match inside it *)
-              find_in m ~visited ~hops ~ty:n ~prefix:[] ~root_tag step body acc)
+              find_in m ~visited ~hops ~ty:n ~prefix:[] step body acc)
 
 (* When a step matches both a concretely named element and a wildcard at
    the same content level, prefer the named element (the unique-particle
@@ -152,24 +111,18 @@ let prefer_named founds =
   if named <> [] then named else founds
 
 let navigate (m : Mapping.t) place step =
-  let root_tag =
-    match Xschema.find_opt m.schema place.ty with
-    | Some body -> body_root_tag body
-    | None -> ""
-  in
   prefer_named
     (List.concat_map
        (fun content ->
          List.rev
            (find_in m ~visited:[] ~hops:[] ~ty:place.ty ~prefix:place.prefix
-              ~root_tag step content []))
+              step content []))
        (content_at m.schema place.ty place.prefix))
 
 let enter_root (m : Mapping.t) step =
   prefer_named (List.rev (enter m ~visited:[] ~hops:[] step (Xschema.root m.schema) []))
 
-let navigate_path m place path =
-  let start = [ F_elem { hops = []; place } ] in
+let navigate_path m founds path =
   List.fold_left
     (fun frontier step ->
       List.concat_map
@@ -183,7 +136,7 @@ let navigate_path m place path =
                 (navigate m place step)
           | F_column _ | F_wild _ -> [])
         frontier)
-    start path
+    founds path
 
 let descendant_tables (m : Mapping.t) place =
   let out = ref [] in

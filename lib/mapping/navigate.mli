@@ -9,7 +9,8 @@
     ancestor.
 
     This is what both the XQuery translator and the shredder use, so
-    query translation and data placement can never disagree. *)
+    query translation and data placement can never disagree.  Every
+    column it answers is {!Mapping.column}'s for the position. *)
 
 type place = { ty : string; prefix : string list }
 (** "At an element": inside table [ty]'s type, at inline element path
@@ -35,9 +36,10 @@ val enter_root : Mapping.t -> string -> found list
 val navigate : Mapping.t -> place -> string -> found list
 (** All resolutions of one child step from a place. *)
 
-val navigate_path : Mapping.t -> place -> string list -> found list
-(** Multi-step resolution; intermediate steps must land on elements,
-    and hops accumulate. *)
+val navigate_path : Mapping.t -> found list -> string list -> found list
+(** Multi-step resolution from the given answers (from a place [p]:
+    [[F_elem { hops = []; place = p }]]); intermediate steps must land
+    on elements, and hops accumulate. *)
 
 val descendant_tables : Mapping.t -> place -> string list list
 (** Join chains (as in [found.hops], always non-empty) to every

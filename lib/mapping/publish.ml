@@ -14,12 +14,9 @@ let text_of_value = function
   | Rtype.V_string s -> Some s
   | Rtype.V_null -> None
 
-let rec scalar_only = function
-  | Xtype.Scalar _ -> true
-  | Xtype.Choice ts -> ts <> [] && List.for_all scalar_only ts
-  | Xtype.Empty | Xtype.Attr _ | Xtype.Elem _ | Xtype.Seq _ | Xtype.Rep _
-  | Xtype.Ref _ ->
-      false
+(* the text stored at a position of [ty]'s row *)
+let text st ty row position =
+  text_of_value (col_value st ty row (Mapping.column st.m ~ty position))
 
 let key_value st ty row =
   match col_value st ty row (Naming.key_col ty) with
@@ -75,104 +72,72 @@ and expand_pairs st (parent_ty, parent_row) n :
             | Xtype.Elem e -> (attrs, pairs @ [ (o, build_elem st (n, row) e) ])
             | body ->
                 (* spliced type: its content belongs to the parent element *)
-                let root_tag = "" in
-                let a, k = process st (n, row) ~root_tag ~prefix:[] body in
+                let a, k = process st (n, row) ~prefix:[] body in
                 (attrs @ a, pairs @ List.map (fun node -> (o, node)) k))
           ([], []) rows
 
-and process ?(optional = false) st (ty, row) ~root_tag ~prefix t :
+and process ?(optional = false) st (ty, row) ~prefix t :
     (string * string) list * Xml.t list =
   match t with
   | Xtype.Empty | Xtype.Scalar _ -> ([], [])
-  | Xtype.Choice ts when scalar_only (Xtype.Choice ts) -> ([], [])
+  | Xtype.Choice _ when Mapping.scalar_content t -> ([], [])
   | Xtype.Attr (n, _) -> (
-      match
-        text_of_value (col_value st ty row (Naming.data_col (prefix @ [ n ]) ~root_tag))
-      with
+      match text st ty row (Scalar (prefix @ [ n ])) with
       | Some v -> ([ (n, v) ], [])
       | None -> ([], []))
   | Xtype.Elem e -> (
       match e.label with
       | Label.Name n ->
-          if scalar_only e.content then (
-            match
-              text_of_value
-                (col_value st ty row (Naming.data_col (prefix @ [ n ]) ~root_tag))
-            with
+          if Mapping.scalar_content e.content then (
+            match text st ty row (Scalar (prefix @ [ n ])) with
             | Some v -> ([], [ Xml.leaf n v ])
             | None -> ([], []))
           else
             let attrs, kids =
-              process st (ty, row) ~root_tag ~prefix:(prefix @ [ n ]) e.content
+              process st (ty, row) ~prefix:(prefix @ [ n ]) e.content
             in
             (* an optional element whose content is entirely NULL was
                absent from the original document *)
             if optional && attrs = [] && kids = [] then ([], [])
             else ([], [ Xml.Element (n, attrs, kids) ])
       | Label.Any | Label.Any_except _ -> (
-          match
-            text_of_value (col_value st ty row (Naming.tilde_col prefix ~root_tag))
-          with
+          let path = prefix @ [ "tilde" ] in
+          match text st ty row (Tag path) with
           | None -> ([], [])
-          | Some tag ->
-              if scalar_only e.content then
-                let v =
-                  text_of_value
-                    (col_value st ty row
-                       (Naming.tilde_data_col prefix ~root_tag))
-                in
-                ( [],
-                  [
-                    Xml.Element
-                      (tag, [], match v with Some v -> [ Xml.Text v ] | None -> []);
-                  ] )
-              else
-                let attrs, kids =
-                  process st (ty, row) ~root_tag
-                    ~prefix:(prefix @ [ "tilde" ])
-                    e.content
-                in
-                ([], [ Xml.Element (tag, attrs, kids) ])))
+          | Some tag -> ([], [ element_at st (ty, row) path tag e ])))
   | Xtype.Seq ts | Xtype.Choice ts ->
       List.fold_left
         (fun (attrs, nodes) u ->
-          let a, k = process ~optional st (ty, row) ~root_tag ~prefix u in
+          let a, k = process ~optional st (ty, row) ~prefix u in
           (attrs @ a, nodes @ k))
         ([], []) ts
   | Xtype.Rep (u, o) ->
       let optional = optional || o.Xtype.lo = 0 in
-      process ~optional st (ty, row) ~root_tag ~prefix u
+      process ~optional st (ty, row) ~prefix u
   | Xtype.Ref n -> expand st (ty, row) n
 
+(* the element [e] at [path] of [ty]'s row, under its concrete tag *)
+and element_at st (ty, row) path tag (e : Xtype.elem) =
+  if Mapping.scalar_content e.content then
+    let value =
+      match e.label with
+      | Label.Name _ -> text st ty row (Scalar path)
+      | Label.Any | Label.Any_except _ -> text st ty row (Wild path)
+    in
+    Xml.Element
+      (tag, [], match value with Some v -> [ Xml.Text v ] | None -> [])
+  else
+    let attrs, kids = process st (ty, row) ~prefix:path e.content in
+    Xml.Element (tag, attrs, kids)
+
 and build_elem st (ty, row) (e : Xtype.elem) =
-  let root_tag = Label.column_name e.label in
   let tag =
     match e.label with
     | Label.Name n -> n
-    | Label.Any | Label.Any_except _ -> (
-        match
-          text_of_value (col_value st ty row (Naming.tilde_col [] ~root_tag))
-        with
-        | Some t -> t
-        | None -> "unknown")
+    | Label.Any | Label.Any_except _ ->
+        Option.value ~default:"unknown" (text st ty row (Tag []))
   in
-  if scalar_only e.content then
-    let value_col =
-      match e.label with
-      | Label.Name _ -> Naming.data_col [] ~root_tag
-      | Label.Any | Label.Any_except _ -> Naming.tilde_data_col [] ~root_tag
-    in
-    let v = text_of_value (col_value st ty row value_col) in
-    Xml.Element (tag, [], match v with Some v -> [ Xml.Text v ] | None -> [])
-  else
-    let prefix =
-      (* a wildcard root element's content columns live under "tilde" *)
-      match e.label with
-      | Label.Name _ -> []
-      | Label.Any | Label.Any_except _ -> [ "tilde" ]
-    in
-    let attrs, kids = process st (ty, row) ~root_tag ~prefix e.content in
-    Xml.Element (tag, attrs, kids)
+  element_at st (ty, row) [] tag e
 
 let element db m ~ty ~id =
   let st = { db; m } in

@@ -161,19 +161,12 @@ let wildcard_rooted st ty =
   | Some (Xtype.Elem { label = Label.Any | Label.Any_except _; _ }) -> true
   | Some _ | None -> false
 
-let root_tag st ty =
-  match Xschema.find_opt st.m.Mapping.schema ty with
-  | Some (Xtype.Elem e) -> Label.column_name e.Xtype.label
-  | _ -> ""
-
 let pnode st place =
   match Hashtbl.find st.places place with
   | pn -> pn
   | exception Not_found ->
-      let text_col =
-        Naming.data_col place.Navigate.prefix
-          ~root_tag:(root_tag st place.Navigate.ty)
-      in
+      let { Navigate.ty; prefix } = place in
+      let text_col = Mapping.column st.m ~ty (Scalar prefix) in
       let pn = { place; steps = Hashtbl.create 8; text_col } in
       Hashtbl.add st.places place pn;
       pn
@@ -187,19 +180,16 @@ let resolve_found st (found : Navigate.found) =
       S_column { hops; fresh_last = fresh_last hops; column }
   | Navigate.F_wild { hops; tilde; data; tag; _ } ->
       S_wild { hops; fresh_last = fresh_last hops; tilde; data; tag }
-  | Navigate.F_elem { hops; place } ->
-      (* a structured wildcard element stores its concrete tag in the
-         tilde column *)
+  | Navigate.F_elem { hops; place = { ty; prefix } as place } ->
+      (* a structured wildcard element stores its concrete tag in its
+         tag column *)
       let tag_col =
         if hops = [] then
-          match List.rev place.Navigate.prefix with
-          | "tilde" :: rev_parent ->
-              Some
-                (Naming.tilde_col (List.rev rev_parent)
-                   ~root_tag:(root_tag st place.Navigate.ty))
+          match List.rev prefix with
+          | "tilde" :: _ -> Some (Mapping.column st.m ~ty (Tag prefix))
           | _ -> None
-        else if wildcard_rooted st (List.nth hops (List.length hops - 1)) then
-          Some (Naming.tilde_col [] ~root_tag:"tilde")
+        else if wildcard_rooted st ty then
+          Some (Mapping.column st.m ~ty (Tag []))
         else None
       in
       S_elem
@@ -319,7 +309,7 @@ let shred_into db m doc =
   | [] -> fail rpath "document root <%s> does not match the schema" root_tag
   | steps -> (
       match pick_candidate st rpath steps doc with
-      | S_elem { hops; next; _ } -> (
+      | S_elem { hops; tag_col; next; _ } -> (
           (* materialize the chain from nothing: first hop has no parent *)
           let rec build parent created hops =
             match hops with
@@ -330,10 +320,7 @@ let shred_into db m doc =
           in
           match build None [] hops with
           | Some o, created ->
-              if wildcard_rooted st o.lay.ty then
-                set_col st rpath o
-                  (Naming.tilde_col [] ~root_tag:"tilde")
-                  root_tag;
+              Option.iter (fun c -> set_col st rpath o c root_tag) tag_col;
               fill st rpath o next doc;
               List.iter (insert st) created
           | None, _ -> fail rpath "empty storage chain for the root")

@@ -96,26 +96,14 @@ let lookup_var env v =
 let resolve_doc m path =
   match path with
   | [] -> raise (Untranslatable "empty document path")
-  | first :: rest ->
-      List.concat_map
-        (function
-          | Navigate.F_elem { hops; place } ->
-              List.map
-                (function
-                  | Navigate.F_elem f ->
-                      Navigate.F_elem { f with hops = hops @ f.hops }
-                  | Navigate.F_column f ->
-                      Navigate.F_column { f with hops = hops @ f.hops }
-                  | Navigate.F_wild f ->
-                      Navigate.F_wild { f with hops = hops @ f.hops })
-                (Navigate.navigate_path m place rest)
-          | found -> if rest = [] then [ found ] else [])
-        (Navigate.enter_root m first)
+  | first :: rest -> Navigate.navigate_path m (Navigate.enter_root m first) rest
 
 let resolve_from m env (v, path) =
   let r = lookup_var env v in
   match r.v_kind with
-  | V_elem place -> (r, Navigate.navigate_path m place path)
+  | V_elem place ->
+      let start = [ Navigate.F_elem { hops = []; place } ] in
+      (r, Navigate.navigate_path m start path)
   | V_scalar _ ->
       if path = [] then (r, [])
       else

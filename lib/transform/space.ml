@@ -70,7 +70,12 @@ let apply schema step =
   | Inline { tname; loc; _ } -> Rewrite.inline schema ~tname ~loc
   | Outline { tname; loc; _ } -> fst (Rewrite.outline schema ~tname ~loc)
   | Union_dist { tname; loc } -> Rewrite.distribute_union schema ~tname ~loc
-  | Union_factor { tname; loc } -> Rewrite.factor_union schema ~tname ~loc
+  | Union_factor { tname; loc } ->
+      (* merged branches that spell a shared child differently leave an
+         element under the union, which no mapping stores *)
+      let schema' = Rewrite.factor_union schema ~tname ~loc in
+      if Legodb_pschema.Pschema.is_pschema schema' then schema'
+      else raise (Rewrite.Not_applicable "factored union is not a p-schema")
   | Rep_split { tname; loc; _ } -> Rewrite.split_repetition schema ~tname ~loc
   | Rep_merge { tname; loc } -> Rewrite.merge_repetition schema ~tname ~loc
   | Wildcard { tname; loc; tag } ->

@@ -1,10 +1,25 @@
 (* Frozen reference: the shredder as it was before resolving each step
-   once, kept verbatim apart from this comment and the [open].  The
-   differential suite in test/test_load.ml holds {!Shred} to the same
-   stored rows ([Storage.write_rows] bytes) or the same [Shred_error]
-   on every document.  Do not "improve" this file. *)
+   once, kept verbatim apart from this comment, the [open] and the
+   [Naming] module below.  The differential suite in test/test_load.ml
+   holds {!Shred} to the same stored rows ([Storage.write_rows] bytes)
+   or the same [Shred_error] on every document.  Do not "improve" this
+   file. *)
 
 open Legodb_mapping
+
+(* The two column-name rules this file calls, copied verbatim from
+   [Naming] as it was when the file was frozen; [Mapping.column] now
+   names every data column and [Naming] no longer exports them. *)
+module Naming = struct
+  include Naming
+
+  let data_col prefix ~root_tag =
+    match prefix with
+    | [] -> if root_tag = "" then "data" else root_tag
+    | _ -> String.concat "_" prefix
+
+  let tilde_col prefix ~root_tag:_ = String.concat "_" (prefix @ [ "tilde" ])
+end
 
 open Legodb_xml
 open Legodb_xtype

@@ -86,7 +86,13 @@ let suite =
         check_int "path through scalar" 0
           (List.length
              (Navigate.navigate_path m
-                { Navigate.ty = "Show"; prefix = [] }
+                [
+                  Navigate.F_elem
+                    {
+                      hops = [];
+                      place = { Navigate.ty = "Show"; prefix = [] };
+                    };
+                ]
                 [ "title"; "deeper" ])));
     case "attribute pipeline end to end (section 2 schema)" (fun () ->
         (* @type is an attribute in the section-2 schema: it must flow

@@ -393,7 +393,10 @@ let suite =
         let m = Lazy.force m_inlined in
         match
           Navigate.navigate_path m
-            { Navigate.ty = "IMDB"; prefix = [] }
+            [
+              Navigate.F_elem
+                { hops = []; place = { Navigate.ty = "IMDB"; prefix = [] } };
+            ]
             [ "actor"; "played"; "title" ]
         with
         | [ Navigate.F_column { hops = [ "Actor"; "Played" ]; column = "title"; _ } ] -> ()
@@ -568,4 +571,94 @@ let suite =
          ~name:"one-pass referrers give the per-table walk's foreign keys"
          QCheck2.Gen.(triple bool (int_range 0 0xFFFF) (int_range 1 8))
          referrers_match_walk);
+    case "paths that join to one column name keep their own columns"
+      (fun () ->
+        (* a/b_c and a_b/c both join to a_b_c: the catalog renames the
+           second, and translation, shredding and publishing must all
+           use the renamed column *)
+        let schema =
+          Xtype_parse.schema_of_string
+            {|type R = r [ T{0,*} ]
+              type T = t [ a [ b_c [ String ] ], a_b [ c [ String ] ] ]|}
+        in
+        let doc =
+          Xml_parse.parse_string
+            "<r><t><a><b_c>X</b_c></a><a_b><c>Y</c></a_b></t></r>"
+        in
+        let m =
+          mapping_of (Init.all_inlined (Annotate.schema Pathstat.empty schema))
+        in
+        Alcotest.(check (list string))
+          "catalog" [ "T_id"; "a_b_c"; "a_b_c_2"; "parent_R" ]
+          (Mapping.table_columns m "T");
+        let db = Shred.shred m doc in
+        check_bool "round trip" true (Xml.equal doc (Publish.document db m));
+        let answer path =
+          let q =
+            Xq_parse.parse ~name:path
+              ("FOR $t IN document(\"x\")/r/t RETURN $t/" ^ path)
+          in
+          let lq = Xq_translate.translate m q in
+          let plans, columns =
+            List.split
+              (List.map
+                 (fun (b : Logical.block) ->
+                   let opt = Optimizer.optimize_block (Storage.catalog db) b in
+                   ( (opt.Optimizer.plan, b.Logical.out),
+                     List.map snd b.Logical.out ))
+                 lq.Logical.blocks)
+          in
+          (List.concat columns, fst (Executor.run_query db plans))
+        in
+        let x_cols, x_rows = answer "a/b_c" in
+        let y_cols, y_rows = answer "a_b/c" in
+        Alcotest.(check (list string)) "a/b_c column" [ "a_b_c" ] x_cols;
+        Alcotest.(check (list string)) "a_b/c column" [ "a_b_c_2" ] y_cols;
+        check_bool "a/b_c answers X" true (x_rows = [ [ Rtype.V_string "X" ] ]);
+        check_bool "a_b/c answers Y" true
+          (y_rows = [ [ Rtype.V_string "Y" ] ]);
+        (* a repeated sibling tag repeats its position: the key cannot
+           tell the two apart, so it keeps the first one's column *)
+        let repeated =
+          Xtype_parse.schema_of_string
+            {|type R = r [ T{0,*} ]
+              type T = t [ a [ String ], a [ String ] ]|}
+        in
+        let m =
+          mapping_of
+            (Init.all_inlined (Annotate.schema Pathstat.empty repeated))
+        in
+        Alcotest.(check (list string))
+          "repeated catalog" [ "T_id"; "a"; "a_2"; "parent_R" ]
+          (Mapping.table_columns m "T");
+        check_string "repeated position" "a"
+          (Mapping.column m ~ty:"T" (Scalar [ "a" ])));
+    case "wildcard positions use the columns the catalog declares"
+      (fun () ->
+        (* a wildcard root's content sits below its "tilde" step, and a
+           wildcard over a union of scalars keeps its value in the
+           wildcard's value column *)
+        List.iter
+          (fun (types, columns, text) ->
+            let schema =
+              Xtype_parse.schema_of_string ("type R = r [ T{0,*} ] " ^ types)
+            in
+            let m =
+              mapping_of
+                (Init.all_inlined (Annotate.schema Pathstat.empty schema))
+            in
+            Alcotest.(check (list string))
+              (types ^ " catalog") columns
+              (Mapping.table_columns m "T");
+            let doc = Xml_parse.parse_string text in
+            check_bool (types ^ " round trip") true
+              (Xml.equal doc (Publish.document (Shred.shred m doc) m)))
+          [
+            ( "type T = ~[ name [ String ] ]",
+              [ "T_id"; "tilde"; "tilde_name"; "parent_R" ],
+              "<r><u><name>N</name></u></r>" );
+            ( "type T = t [ x [ ~[ String | Integer ] ] ]",
+              [ "T_id"; "x_tilde"; "x"; "parent_R" ],
+              "<r><t><x><u>V</u></x></t></r>" );
+          ]);
   ]

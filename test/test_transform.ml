@@ -283,4 +283,29 @@ let suite =
           List.map Space.kind_of_step (Space.applicable ~kinds:Space.default_kinds s')
         in
         check_bool "inline after outline" true (List.mem Space.K_inline kinds'));
+    case "space: union factoring offers only p-schemas" (fun () ->
+        (* the branches spell [b] and [c] as type names but share an
+           inlined [a]: merging them leaves [a] under the union *)
+        let s =
+          Xtype_parse.schema_of_string
+            {|type R = r [ S{0,*} ]
+              type S = (S1 | S2)
+              type S1 = s [ a [ String ], B ]
+              type S2 = s [ a [ String ], C ]
+              type B = b [ String ]
+              type C = c [ String ]|}
+        in
+        check_bool "starts as a p-schema" true (Pschema.is_pschema s);
+        check_bool "factoring S is refused" true
+          (match
+             Space.apply s (Space.Union_factor { tname = "S"; loc = [] })
+           with
+          | _ -> false
+          | exception Rewrite.Not_applicable _ -> true);
+        List.iter
+          (fun (step, s') ->
+            if not (Pschema.is_pschema s') then
+              Alcotest.failf "not a p-schema after %s"
+                (Format.asprintf "%a" Space.pp_step step))
+          (Space.neighbors ~kinds:[ Space.K_union_factor ] s));
   ]
