@@ -107,16 +107,19 @@ let texts =
 
 let cache = Array.make (Array.length texts) None
 
-let q n =
+let text n =
   if n < 1 || n > Array.length texts then
     invalid_arg (Printf.sprintf "Imdb_queries.q: no query Q%d" n)
-  else
-    match cache.(n - 1) with
-    | Some q -> q
-    | None ->
-        let parsed = parse (Printf.sprintf "Q%d" n) texts.(n - 1) in
-        cache.(n - 1) <- Some parsed;
-        parsed
+  else texts.(n - 1)
+
+let q n =
+  let text = text n in
+  match cache.(n - 1) with
+  | Some q -> q
+  | None ->
+      let parsed = parse (Printf.sprintf "Q%d" n) text in
+      cache.(n - 1) <- Some parsed;
+      parsed
 
 let all = List.init (Array.length texts) (fun i -> q (i + 1))
 

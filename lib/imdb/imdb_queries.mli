@@ -9,6 +9,10 @@
 val q : int -> Legodb_xquery.Xq_ast.t
 (** [q n] returns Qn for n in 1..20. @raise Invalid_argument otherwise. *)
 
+val text : int -> string
+(** [text n] is Qn's concrete syntax, as [q n] parses it.
+    @raise Invalid_argument unless n is in 1..20. *)
+
 val lookup_queries : Legodb_xquery.Xq_ast.t list
 (** {Q8, Q9, Q11, Q12, Q13} — the lookup workload of Section 5.2. *)
 

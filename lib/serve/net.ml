@@ -2,7 +2,6 @@ module Wire = Legodb_wire.Wire
 module Rtype = Legodb_relational.Rtype
 module Storage = Legodb_relational.Storage
 module Xml_parse = Legodb_xml.Xml_parse
-module Xq_parse = Legodb_xquery.Xq_parse
 
 (* ------------------------------------------------------------------ *)
 (* messages                                                            *)
@@ -521,7 +520,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         end
       in
       (* queries collected this tick across every ready connection,
-         answered by one shared run_batch *)
+         answered by one shared run_texts *)
       let queries = ref [] in
       (* front-door replay cache: query text -> the finished response
          frame, valid for one published-snapshot generation.  Queries
@@ -582,15 +581,15 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         | [] -> ()
         | qs ->
             queries := [];
-            let arr = Array.of_list (List.map (fun (_, _, ast) -> ast) qs) in
+            let arr = Array.of_list (List.map snd qs) in
             let k = Array.length arr in
             st.l_batches <- st.l_batches + 1;
             st.l_batched_queries <- st.l_batched_queries + k;
             st.l_max_batch <- max st.l_max_batch k;
             st.l_hist.(hist_slot k) <- st.l_hist.(hist_slot k) + 1;
-            let res = Serve.run_batch ?timeout_ms t arr in
+            let res = Serve.run_texts ?timeout_ms t arr in
             List.iteri
-              (fun i (cell, text, _) ->
+              (fun i (cell, text) ->
                 match res.(i) with
                 | Ok (r : Serve.reply) ->
                     let rows = r.Serve.rows in
@@ -638,17 +637,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             | Some frame ->
                 st.l_replayed <- st.l_replayed + 1;
                 cell := Some (Framed frame)
-            | None -> (
-                match Xq_parse.parse ~name:"net" text with
-                | ast -> queries := (cell, text, ast) :: !queries
-                | exception Xq_parse.Parse_error { position; message } ->
-                    cell :=
-                      Some
-                        (Resp
-                           (Error_reply
-                              (Printf.sprintf
-                                 "query parse error at offset %d: %s" position
-                                 message)))))
+            | None -> queries := (cell, text) :: !queries)
         | Append text -> (
             match Xml_parse.parse_string text with
             | doc ->

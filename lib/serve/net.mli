@@ -1,7 +1,7 @@
 (** The query server's network front door: a TCP request/response
     protocol in the {!Legodb_wire.Wire} frame format, a single-threaded
     [select] tick loop that batches concurrently-arriving work into
-    shared {!Serve.run_batch} calls and group-commits appends, and the
+    shared {!Serve.run_texts} calls and group-commits appends, and the
     small blocking client the CLI's [legodb query --connect] uses.
 
     {2 The protocol}
@@ -32,9 +32,13 @@
     persistent input buffer, frame extraction by offset arithmetic
     (never re-scanning or re-copying buffered bytes — see {!Iobuf}),
     then {e all} decodable queries from {e all} connections this tick
-    are answered by one shared {!Serve.run_batch} (one pinned
+    are answered by one shared {!Serve.run_texts} (one pinned
     snapshot, one pool fan-out per tick instead of one per
-    connection).  Appends accumulate into a group committed by one
+    connection).  The loop hands the server query texts and never
+    parses them itself: a text whose statement shape the server knows
+    reaches its compiled plan without being parsed, and a text that
+    does not parse comes back as its batch slot's error.  Appends
+    accumulate into a group committed by one
     {!Serve.append_group} (one WAL write + one fsync for the whole
     group) when the group reaches [max_group] appends or its oldest
     member has waited [group_commit_ms]; an append is acknowledged
@@ -61,9 +65,10 @@ type request =
 
 (** What the event loop itself did — engine-side counters live in
     {!Serve.stats}.  [batch_hist.(k)] counts select ticks whose shared
-    query batch held [k] queries, the last bucket absorbing everything
-    at or above it; mass at index ≥ 2 proves cross-connection (or
-    pipelined) batching actually formed.  [select_s]/[work_s] split
+    query batch held [k] queries (texts that do not parse included),
+    the last bucket absorbing everything at or above it; mass at index
+    ≥ 2 proves cross-connection (or pipelined) batching actually
+    formed.  [select_s]/[work_s] split
     wall time into waiting-for-readiness vs processing. *)
 type net_stats = {
   ticks : int;
@@ -162,7 +167,7 @@ val serve :
     (default: never).  [?max_conns] parks the listener while that many
     connections are open — pending peers wait in the kernel backlog
     and are accepted as slots free up (default: unbounded).
-    [?timeout_ms] is handed to {!Serve.run_batch} as each query's
+    [?timeout_ms] is handed to {!Serve.run_texts} as each query's
     budget.  [?max_write] caps the bytes any single [write] may move —
     the tests' short-write injection seam, not for production use.
     Appends still waiting for a group at stop time were never

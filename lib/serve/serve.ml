@@ -10,6 +10,7 @@ module Optimizer = Legodb_optimizer.Optimizer
 module Cost = Legodb_optimizer.Cost
 module Executor = Legodb_optimizer.Executor
 module Xq_ast = Legodb_xquery.Xq_ast
+module Xq_parse = Legodb_xquery.Xq_parse
 module Par = Legodb_search.Par
 
 (* a statement's blocks, each planned on a snapshot's statistics and
@@ -42,6 +43,17 @@ module Templates = Hashtbl.Make (struct
 
   let equal = ( = )
   let hash = Hashtbl.hash_param 64 256
+end)
+
+(* In front of them, texts find their template by shape key
+   ({!Xq_parse.shape}): the text with its WHERE constants masked.  Equal
+   keys lift to equal bodies, so a key maps to one template; two
+   spellings of one statement may hold two keys, never two templates. *)
+module Shapes = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
 end)
 
 type reply = {
@@ -84,6 +96,8 @@ type t = {
   lock : Serve_lock.t;
   (* guarded by [lock]: *)
   templates : template Templates.t;
+  shapes : template Shapes.t;
+  mutable shape_bytes : int;  (* the keys' total length *)
   mutable served : int;
   mutable hits : int;
   mutable misses : int;
@@ -102,6 +116,11 @@ type t = {
    Nothing is ever flushed — the templates already in keep hitting. *)
 let max_templates = 4096
 
+(* The shape table never shrinks either: at most one entry per
+   template's worth of room and 1 MiB of keys.  A text whose shape does
+   not fit takes the parse path. *)
+let max_shape_bytes = 1 lsl 20
+
 let fresh_snap db = { db; plans = Hashtbl.create 16 }
 
 let make ?(jobs = 0) ?(params = Cost.default_params)
@@ -117,6 +136,8 @@ let make ?(jobs = 0) ?(params = Cost.default_params)
     snap = Atomic.make (fresh_snap frozen);
     lock = Serve_lock.create ();
     templates = Templates.create 64;
+    shapes = Shapes.create 64;
+    shape_bytes = 0;
     served = 0;
     hits = 0;
     misses = 0;
@@ -165,14 +186,25 @@ let compile_blocks ~params db (lq : Logical.query) : compiled =
         b.Logical.out)
     lq.Logical.blocks
 
-(* the template of [q], whose lifted body is [body]: translated once,
-   or [None] when the table is full without it.  Untranslatable
-   escapes to the caller before anything is cached. *)
-let template t (q : Xq_ast.t) body =
+(* Caller holds the lock: [tr] with its plans on [snap] when they are
+   compiled (a hit, counted), or with [None]. *)
+let probe t (snap : snap) tr =
+  match Hashtbl.find_opt snap.plans tr.id with
+  | Some _ as hit ->
+      t.hits <- t.hits + 1;
+      (tr, hit)
+  | None -> (tr, None)
+
+(* the template of [q], whose lifted body is [body], probed on [snap]
+   in the same lock acquisition: translated once, or [None] when the
+   table is full without it.  Untranslatable escapes to the caller
+   before anything is cached. *)
+let template t snap (q : Xq_ast.t) body =
   let known, room =
     Serve_lock.with_lock t.lock (fun () ->
-        ( Templates.find_opt t.templates body,
-          Templates.length t.templates < max_templates ))
+        match Templates.find_opt t.templates body with
+        | Some tr -> (Some (probe t snap tr), true)
+        | None -> (None, Templates.length t.templates < max_templates))
   in
   match known with
   | Some _ -> known
@@ -181,22 +213,16 @@ let template t (q : Xq_ast.t) body =
       let lq = Xq_translate.translate t.mapping { q with Xq_ast.body } in
       Serve_lock.with_lock t.lock (fun () ->
           match Templates.find_opt t.templates body with
-          | Some _ as won -> won  (* another worker won the race *)
+          | Some tr -> Some (probe t snap tr)  (* another worker won the race *)
           | None when Templates.length t.templates >= max_templates -> None
           | None ->
               let tr = { id = Templates.length t.templates; lq } in
               Templates.add t.templates body tr;
-              Some tr)
+              Some (tr, None))
 
-let plans_for t (snap : snap) tr =
-  match
-    Serve_lock.with_lock t.lock (fun () ->
-        match Hashtbl.find_opt snap.plans tr.id with
-        | Some _ as hit ->
-            t.hits <- t.hits + 1;
-            hit
-        | None -> None)
-  with
+(* the plans a probe found, or compiled now *)
+let plans_for t (snap : snap) (tr, hit) =
+  match hit with
   | Some p -> (p, true)
   | None ->
       (* compile outside the lock: join ordering is the expensive part
@@ -230,35 +256,92 @@ let run_blocks t ~deadline ~args plans =
       fst (Executor.run ~params:args block))
     plans
 
-let query_on t (snap : snap) ?(use_cache = true) ?deadline (q : Xq_ast.t) =
-  let t0 = t.clock () in
-  let uncached () =
-    let lq = Xq_translate.translate t.mapping q in
-    (compile_blocks ~params:t.params snap.db lq, [||], false)
-  in
-  let plans, args, cached =
-    if not use_cache then uncached ()
-    else
-      let body, consts = Xq_ast.lift q.Xq_ast.body in
-      match template t q body with
-      | Some tr ->
-          let plans, hit = plans_for t snap tr in
-          (plans, Array.map Xq_translate.const_value consts, hit)
-      | None ->
-          (* over the template cap: the reference path, counted as a
-             miss since it compiled *)
-          let r = uncached () in
-          Serve_lock.with_lock t.lock (fun () -> t.misses <- t.misses + 1);
-          r
-  in
+(* [found]'s plans, [consts] bound, and whether the plans were cached *)
+let bind t snap found consts =
+  let plans, hit = plans_for t snap found in
+  (plans, Array.map Xq_translate.const_value consts, hit)
+
+(* the reference path: [q] translated and compiled afresh *)
+let uncached t (snap : snap) q =
+  let lq = Xq_translate.translate t.mapping q in
+  (compile_blocks ~params:t.params snap.db lq, [||], false)
+
+(* over the template cap: the reference path, counted as a miss since
+   it compiled *)
+let over_cap t snap q =
+  let r = uncached t snap q in
+  Serve_lock.with_lock t.lock (fun () -> t.misses <- t.misses + 1);
+  r
+
+(* run the prepared plans and reply, counting the request *)
+let execute t ~t0 ~deadline (plans, args, cached) =
   let rows = run_blocks t ~deadline ~args plans in
   Serve_lock.with_lock t.lock (fun () -> t.served <- t.served + 1);
   { rows; cached; latency_s = t.clock () -. t0 }
 
+let query_on t (snap : snap) ?(use_cache = true) ?deadline (q : Xq_ast.t) =
+  let t0 = t.clock () in
+  let prepared =
+    if not use_cache then uncached t snap q
+    else
+      let body, consts = Xq_ast.lift q.Xq_ast.body in
+      match template t snap q body with
+      | Some found -> bind t snap found consts
+      | None -> over_cap t snap q
+  in
+  execute t ~t0 ~deadline prepared
+
+(* Statements by text are parsed under this name, the one untranslatable
+   messages quote. *)
+let text_name = "net"
+
+(* Caller holds the lock: remember that texts of shape [key] have
+   template [tr], if the table has room. *)
+let add_shape t key tr =
+  let bytes = t.shape_bytes + String.length key in
+  if
+    Shapes.length t.shapes < max_templates
+    && bytes <= max_shape_bytes
+    && not (Shapes.mem t.shapes key)
+  then begin
+    Shapes.add t.shapes key tr;
+    t.shape_bytes <- bytes
+  end
+
+let text_on t (snap : snap) ?deadline text =
+  let t0 = t.clock () in
+  let shape = Xq_parse.shape text in
+  let known =
+    match shape with
+    | None -> None
+    | Some (key, consts) ->
+        Serve_lock.with_lock t.lock (fun () ->
+            match Shapes.find_opt t.shapes key with
+            | Some tr -> Some (probe t snap tr, consts)
+            | None -> None)
+  in
+  let prepared =
+    match known with
+    | Some (found, consts) -> bind t snap found consts
+    | None -> (
+        let q = Xq_parse.parse ~name:text_name text in
+        let body, consts = Xq_ast.lift q.Xq_ast.body in
+        match template t snap q body with
+        | Some ((tr, _) as found) ->
+            (match shape with
+            | Some (key, lexed) when lexed = consts ->
+                Serve_lock.with_lock t.lock (fun () -> add_shape t key tr)
+            | _ -> ());
+            bind t snap found consts
+        | None -> over_cap t snap q)
+  in
+  execute t ~t0 ~deadline prepared
+
 let query ?use_cache t q = query_on t (Atomic.get t.snap) ?use_cache q
 
-let run_batch ?timeout_ms t qs =
-  let n = Array.length qs in
+(* The one batch loop: [answer snap ?deadline i] answers request [i]
+   of [n] on the batch's snapshot. *)
+let run_requests ?timeout_ms t n answer =
   (* the whole batch reads one snapshot: a publish racing the batch
      swaps the snapshot for *later* batches, it never tears this one *)
   let snap = Atomic.get t.snap in
@@ -273,8 +356,12 @@ let run_batch ?timeout_ms t qs =
            Option.map (fun ms -> t.clock () +. (float_of_int ms /. 1000.)) timeout_ms
          in
          out.(i) <-
-           (match query_on t snap ?deadline qs.(i) with
+           (match answer snap ?deadline i with
            | reply -> Ok reply
+           | exception Xq_parse.Parse_error { position; message } ->
+               Error
+                 (Printf.sprintf "query parse error at offset %d: %s" position
+                    message)
            | exception Xq_translate.Untranslatable m ->
                Error (Printf.sprintf "untranslatable: %s" m)
            | exception Timed_out ->
@@ -282,6 +369,14 @@ let run_batch ?timeout_ms t qs =
                  (Printf.sprintf "timeout: request exceeded %dms"
                     (Option.value ~default:0 timeout_ms)))));
   out
+
+let run_batch ?timeout_ms t qs =
+  run_requests ?timeout_ms t (Array.length qs) (fun snap ?deadline i ->
+      query_on t snap ?deadline qs.(i))
+
+let run_texts ?timeout_ms t texts =
+  run_requests ?timeout_ms t (Array.length texts) (fun snap ?deadline i ->
+      text_on t snap ?deadline texts.(i))
 
 (* run [f] (which inserts into the working store) and stage exactly
    the rows it added in the WAL's open group, so the durable log

@@ -56,12 +56,30 @@
     plans with it; each template recompiles once, on first use, under
     the new statistics.
 
+    Statements that arrive as text ({!run_texts}) reach their template
+    without being parsed when their {e shape} is known.  In front of
+    the lifted-body table sits a table from shape key
+    ({!Legodb_xquery.Xq_parse.shape}: the text with its WHERE
+    constants masked, from one lexer pass) to template.  On a hit the
+    request is never parsed or lifted and its body never hashed: one
+    lock acquisition finds the template and its plans, and the
+    constants the lexer lifted are bound.  On a miss the text is
+    parsed and lifted and goes through the lifted-body table, and its
+    key is recorded when the template fit and the lexer's constants
+    equal the lifted ones.  Equal keys lift to equal bodies, so a key
+    names one template; two spellings of one statement (spacing,
+    keyword case) may take two keys, never a second translation or
+    compile.  The shape table holds at most 4096 keys and 1 MiB of key
+    bytes and is never flushed either: a text whose shape does not fit
+    takes the parse path.
+
     {2 Concurrency}
 
-    {!run_batch} fans a batch out on {!Legodb_search.Par.run_tasks}'s
-    persistent domain pool (sequential on an OCaml 4.14 build — same
-    answers, no overlap).  Shared mutable state (template table, the
-    snapshot's plans, counters, working store) is guarded by one lock;
+    {!run_batch} and {!run_texts} fan a batch out on
+    {!Legodb_search.Par.run_tasks}'s persistent domain pool (sequential
+    on an OCaml 4.14 build — same answers, no overlap).  Shared mutable
+    state (template and shape tables, the snapshot's plans, counters,
+    working store) is guarded by one lock;
     execution — the bulk of a request — runs lock-free against the
     immutable snapshot.
 
@@ -108,7 +126,7 @@ type stats = {
                          is what group commit drives below 1.0 *)
   wal_groups : int;  (** commit units written *)
   wal_max_group : int;  (** largest group one fsync acknowledged *)
-  batches : int;  (** {!run_batch} calls *)
+  batches : int;  (** {!run_batch} and {!run_texts} calls *)
   max_batch : int;  (** largest batch one call fanned out *)
 }
 (** The four [wal_*] counters are all zero when durability is off. *)
@@ -163,13 +181,26 @@ val run_batch :
     {!jobs} at a time), all against the {e same} snapshot — the one
     current when the batch started; a concurrent {!publish} does not
     tear a batch.  Result [i] answers request [i].  A request the
-    translator rejects yields [Error message] for its slot — a bad
-    request never takes the server (or its batch) down.  [?timeout_ms]
+    parser or the translator rejects yields [Error message] for its
+    slot ([Error "query parse error at offset N: ..."] or
+    [Error "untranslatable: ..."]) — a bad request never takes the
+    server (or its batch) down.  [?timeout_ms]
     gives each request its own wall-clock budget (measured by the
     server's clock from that request's start): a request over budget
     degrades to an [Error "timeout: ..."] slot at the next plan-block
     boundary — cooperative, so a block in progress finishes first —
     while the rest of the batch answers normally. *)
+
+val run_texts :
+  ?timeout_ms:int -> t -> string array -> (reply, string) result array
+(** {!run_batch} over query texts, with its contract: the same batch
+    loop, snapshot and error slots; only how a request finds its
+    template differs (by shape key first, see "Compiled-plan cache").
+    Each text answers exactly as {!Legodb_xquery.Xq_parse.parse}
+    [~name:"net"] then {!run_batch} would: a text that does not parse
+    yields [Error "query parse error at offset N: message"], and the
+    statement name ["net"] is the one untranslatable messages quote.
+    This is the network front door's entry point ({!Net}). *)
 
 val append : t -> Legodb_xml.Xml.t -> unit
 (** Shred one document into the working store.  Invisible to readers

@@ -701,6 +701,101 @@ let suite =
                   replayed;
                 let net = expect_net_stats "stats" (Net.rpc c Net.Stats) in
                 check_int "the repeat was replayed" 1 net.Net.replayed)));
+    case "a pipelined round of texts answers with the parse path's bytes"
+      (fun () ->
+        (* one write: a served statement with another constant, a lexer
+           error, a grammar error, a NUL in a comment and one outside,
+           a comment holding [= "x"], and a re-spaced, re-cased spelling
+           of the warm-up statement.  Every frame must be the one the
+           front door sent when it parsed each text itself (frozen
+           parser, then run_batch), and no text may compile again *)
+        let doc, m = setup () in
+        let warm = List.hd q_texts in
+        let round =
+          [
+            "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = 1991 \
+             RETURN $v/title, $v/year";
+            "FOR $v IN document(\"x\")/imdb/show WHERE $v/title = \"open \
+             RETURN $v";
+            "FOR $v IN document(\"x\")/imdb/show WHERE RETURN $v";
+            "FOR $v IN document(\"x\")/imdb/show (: \000 :) WHERE $v/year = \
+             1990 RETURN $v/title, $v/year";
+            "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = 1990 \
+             RETURN $v/title, $v/year\000";
+            "FOR $v IN document(\"x\")/imdb/show (: $v/year = \"x\" :) \
+             WHERE $v/year = 1990 RETURN $v/title, $v/year";
+            "for   $v in document(\"x\")/imdb/show\n  Where $v/year =1990\n\
+            \  return $v/title ,$v/year";
+          ]
+        in
+        let server = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        let frames, misses =
+          run_server server (fun port ->
+              with_client port (fun c ->
+                  ignore (expect_rows "warm-up" (Net.rpc c (Net.Query warm)));
+                  Net.send_raw c
+                    (String.concat ""
+                       (List.map
+                          (fun t -> Net.encode_request (Net.Query t))
+                          round));
+                  let frames = List.map (fun _ -> Net.recv_raw c) round in
+                  let s = expect_stats "stats" (Net.rpc c Net.Stats) in
+                  (frames, s.Serve.cache_misses)))
+        in
+        (* the front door as it was: parse each text, error replies for
+           the unparsable, one run_batch for the rest *)
+        let reference = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        let parsed =
+          List.map
+            (fun t ->
+              match Xq_parse_reference.parse ~name:"net" t with
+              | q -> Ok q
+              | exception Xq_parse_reference.Parse_error { position; message }
+                ->
+                  Error
+                    (Printf.sprintf "query parse error at offset %d: %s"
+                       position message))
+            round
+        in
+        ignore
+          (Serve.run_batch reference [| Xq_parse.parse ~name:"net" warm |]);
+        let answers =
+          ref
+            (Array.to_list
+               (Serve.run_batch reference
+                  (Array.of_list
+                     (List.filter_map Result.to_option parsed))))
+        in
+        let payload frame =
+          match Net.extract_frame (Iobuf.of_string frame) with
+          | `Frame p -> p
+          | _ -> Alcotest.fail "a response did not frame"
+        in
+        let expected =
+          List.map
+            (fun p ->
+              payload @@ Net.encode_response
+                (match p with
+                | Error m -> Net.Error_reply m
+                | Ok _ -> (
+                    let r = List.hd !answers in
+                    answers := List.tl !answers;
+                    match r with
+                    | Ok (r : Serve.reply) ->
+                        Net.Rows
+                          { rows = r.Serve.rows; cached = r.Serve.cached }
+                    | Error m -> Net.Error_reply m)))
+            parsed
+        in
+        check_int "four texts parse" 4
+          (List.length (List.filter Result.is_ok parsed));
+        List.iteri
+          (fun i (want, got) ->
+            check_string (Printf.sprintf "answer %d's bytes" i) want got)
+          (List.combine expected frames);
+        check_int "one compile, at the warm-up" 1 misses;
+        check_int "as the parse path" 1
+          (Serve.stats reference).Serve.cache_misses);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -287,4 +287,100 @@ let prop_frozen_readers =
       Serve.publish s;
       isolated && Storage.total_rows (Serve.snapshot s) > before)
 
-let props = [ QCheck_alcotest.to_alcotest prop_frozen_readers ]
+(* Texts reach their template by shape.  Batches of statement texts —
+   the serving templates in several spellings over the document's own
+   values, and texts that do not lex, parse or translate — answer as
+   the frozen parser then run_batch, reply for reply (a publish between
+   batches makes known shapes compile again), with the same counters. *)
+let prop_texts =
+  QCheck2.Test.make ~name:"run_texts answers as parse then run_batch"
+    ~count:12 QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let doc, m, _ = setup () in
+      let values path = List.sort_uniq compare (Xq_eval.path_values doc path) in
+      let quoted = List.map (Printf.sprintf "\"%s\"") in
+      let pool =
+        Array.of_list
+          (values [ "show"; "year" ]
+          @ quoted (values [ "actor"; "name" ] @ values [ "show"; "title" ])
+          @ [ "c1"; "0"; "\"none\"" ])
+      in
+      let text () =
+        match Random.State.int rng 8 with
+        | 0 ->
+            Test_xquery.pick rng
+              [ "THIS IS NOT XQUERY (("; "FOR $v in imdb/nothing RETURN $v";
+                "FOR $v IN imdb/show WHERE $v/title = \"open RETURN $v";
+                "FOR $v IN imdb/show (: \000 :) RETURN $v/title" ]
+        | _ ->
+            let template = Test_xquery.pick rng Test_xquery.serving_templates in
+            let template =
+              if Random.State.bool rng then Test_xquery.respell rng template
+              else template
+            in
+            Test_xquery.fill template
+              (List.init (Test_xquery.holes template) (fun _ ->
+                   pool.(Random.State.int rng (Array.length pool))))
+      in
+      let batches =
+        List.init 3 (fun _ ->
+            Array.init (1 + Random.State.int rng 12) (fun _ -> text ()))
+      in
+      let by_text = Serve.create ~jobs:1 m (Shred.shred m doc) in
+      let by_ast = Serve.create ~jobs:1 m (Shred.shred m doc) in
+      let reference texts =
+        let parsed =
+          Array.map
+            (fun t ->
+              match Xq_parse_reference.parse ~name:"net" t with
+              | q -> Ok q
+              | exception Xq_parse_reference.Parse_error { position; message }
+                ->
+                  Error
+                    (Printf.sprintf "query parse error at offset %d: %s"
+                       position message))
+            texts
+        in
+        let answers =
+          ref
+            (Array.to_list
+               (Serve.run_batch by_ast
+                  (Array.of_list
+                     (List.filter_map Result.to_option
+                        (Array.to_list parsed)))))
+        in
+        Array.map
+          (function
+            | Error m -> Error m
+            | Ok _ ->
+                let r = List.hd !answers in
+                answers := List.tl !answers;
+                r)
+          parsed
+      in
+      let strip =
+        Array.map (function
+          | Ok (r : Serve.reply) -> Ok (r.Serve.rows, r.Serve.cached)
+          | Error m -> Error m)
+      in
+      let same =
+        List.mapi
+          (fun i texts ->
+            if i = 2 then begin
+              Serve.publish by_text;
+              Serve.publish by_ast
+            end;
+            strip (Serve.run_texts by_text texts) = strip (reference texts))
+          batches
+      in
+      let a = Serve.stats by_text and b = Serve.stats by_ast in
+      List.for_all Fun.id same
+      && a.Serve.served = b.Serve.served
+      && a.Serve.cache_hits = b.Serve.cache_hits
+      && a.Serve.cache_misses = b.Serve.cache_misses)
+
+let props =
+  [
+    QCheck_alcotest.to_alcotest prop_frozen_readers;
+    QCheck_alcotest.to_alcotest prop_texts;
+  ]
