@@ -491,7 +491,8 @@ let minor_words f =
    neighbour of each are fingerprinted through [Mapping] and through
    the frozen text reference, and [Mapping]'s minor words must stay
    within 0.25x the reference's (counts repeat exactly, so this holds
-   in --smoke). *)
+   in --smoke).  A fourth, [reuse_gate], holds pricing a neighbour
+   from its parent to pricing it from scratch. *)
 
 (* trace equality up to engine counters: wall-clock timers (and, with
    jobs > 1, hit/miss splits) legitimately differ between runs *)
@@ -515,6 +516,95 @@ let same_trace a b =
 let jobs_sweep ~smoke ~full jobs =
   List.sort_uniq compare
     (List.filter (fun j -> j >= 1) ((if smoke then [ 1 ] else full) @ [ jobs ]))
+
+(* Every one-step neighbour of the all-inlined and the normalized
+   configuration (the catalogs the fingerprint gate reads) priced on a
+   fresh engine per path: prepared from its start's priced state, and
+   from scratch.  Costs must agree bit for bit and cache traffic count
+   for count.  Each path prices the neighbours twice and counts the
+   minor words of the second pass, where every statement is a memo hit:
+   the optimizer allocates the same on both paths, so leaving it out
+   shows what the parent saves (mapping, fingerprints, translation,
+   memo keys).  The parent path must allocate at most [reuse_bound] of
+   the scratch path's words. *)
+let reuse_bound = 0.75
+
+let reuse_gate () =
+  let schema = annotated Imdb.Stats.full in
+  let workload = Imdb.Workloads.mixed 0.5 in
+  let starts = [ Init.all_inlined schema; Init.normalize schema ] in
+  let path ~from_parent =
+    let eng = Cost_engine.create ~params ~workload () in
+    let parents =
+      List.map
+        (fun s ->
+          match Cost_engine.price_schema eng s with
+          | Ok p -> (s, p)
+          | Error _ -> failwith "search_perf: a start cannot be priced")
+        starts
+    in
+    let before = Cost_engine.snapshot eng in
+    let pass () =
+      List.concat_map
+        (fun (s, parent) ->
+          let parent = if from_parent then Some parent else None in
+          List.map
+            (fun (_, s') ->
+              Result.map Cost_engine.priced_cost
+                (Cost_engine.price_schema ?parent eng s'))
+            (Space.neighbors s))
+        parents
+    in
+    let cold = pass () in
+    let warm = ref [] in
+    let words = minor_words (fun () -> warm := pass ()) in
+    (cold @ !warm, Cost_engine.diff (Cost_engine.snapshot eng) before, words)
+  in
+  let costs_p, e_p, w_p = path ~from_parent:true in
+  let costs_s, e_s, w_s = path ~from_parent:false in
+  let same =
+    List.for_all2
+      (fun a b ->
+        match (a, b) with
+        | Ok a, Ok b -> Float.equal a b
+        | Error _, Error _ -> true
+        | _ -> false)
+      costs_p costs_s
+  in
+  if not same then
+    failwith "search_perf: a neighbour priced from its start costs differently";
+  if
+    e_p.Cost_engine.hits <> e_s.Cost_engine.hits
+    || e_p.Cost_engine.misses <> e_s.Cost_engine.misses
+  then
+    failwith
+      (Printf.sprintf
+         "search_perf: priced from the start, %d hits and %d misses; from \
+          scratch, %d and %d"
+         e_p.Cost_engine.hits e_p.Cost_engine.misses e_s.Cost_engine.hits
+         e_s.Cost_engine.misses);
+  let n = List.length costs_p / 2 in
+  Printf.printf
+    "\nPricing %d neighbours of two starts, memo warm: %.0f minor words from \
+     the start vs %.0f from scratch, %.2fx (%d hits, %d misses over both \
+     passes, on both paths)\n\
+     %!"
+    n w_p w_s (w_p /. w_s) e_p.Cost_engine.hits e_p.Cost_engine.misses;
+  if w_p > reuse_bound *. w_s then
+    failwith
+      (Printf.sprintf
+         "search_perf: pricing from the start allocates %.0f minor words, \
+          more than %.2fx the %.0f from scratch"
+         w_p reuse_bound w_s);
+  [
+    ("kind", Str "reuse");
+    ("neighbours", Int n);
+    ("hits", Int e_p.Cost_engine.hits);
+    ("misses", Int e_p.Cost_engine.misses);
+    ("minor_words_parent", Int (int_of_float w_p));
+    ("minor_words_scratch", Int (int_of_float w_s));
+    ("ratio", Num (w_p /. w_s));
+  ]
 
 let search_perf ?(jobs = 1) ?(smoke = false) () =
   header "Search wall-clock vs. cost-engine caching";
@@ -618,6 +708,9 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
          "search_perf: fingerprinting allocates %.0f minor words, more than \
           0.25x the frozen reference's %.0f"
          w_bytes w_text);
+
+  (* ---- pricing from the parent: a reuse gate ---- *)
+  emit (reuse_gate ());
 
   (* ---- parallel neighbor costing: the jobs sweep ---- *)
   let sweep = jobs_sweep ~smoke ~full:[ 1; 2; 4 ] jobs in

@@ -89,8 +89,17 @@ let render rows =
   in
   "[\n  " ^ String.concat ",\n  " (List.map obj rows) ^ "\n]\n"
 
-(* where the numbers were taken: cores, compiler, parallel backend and
-   the run's -j *)
+(* the checkout's commit, as perfbench prints it: "unavailable"
+   outside a git checkout *)
+let commit () =
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let line = try input_line ic with End_of_file -> "" in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when line <> "" -> line
+  | _ -> "unavailable"
+
+(* where the numbers were taken: cores, compiler, parallel backend,
+   the run's -j and the commit *)
 let env ~jobs =
   [
     ("kind", Str "env");
@@ -98,6 +107,7 @@ let env ~jobs =
     ("ocaml", Str Sys.ocaml_version);
     ("backend", Str Par.backend);
     ("jobs", Int jobs);
+    ("commit", Str (commit ()));
   ]
 
 (* print [rows] behind the env row, and outside --smoke write them to

@@ -58,6 +58,18 @@ let smoke_writes_nothing () =
       Sys.remove "BENCH_harness_test.json");
   Sys.rmdir dir
 
+let env_names_commit () =
+  match List.assoc_opt "commit" (env ~jobs:1) with
+  | Some (Str c) ->
+      Alcotest.(check bool)
+        "a commit hash or \"unavailable\"" true
+        (c = "unavailable"
+        || String.length c >= 40
+           && String.for_all
+                (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+                c)
+  | _ -> Alcotest.fail "the env row has no commit"
+
 let () =
   Alcotest.run "harness"
     [
@@ -67,5 +79,6 @@ let () =
           Alcotest.test_case "non-finite floats" `Quick non_finite_is_null;
           Alcotest.test_case "rounds interleave" `Quick rounds_interleave;
           Alcotest.test_case "smoke writes nothing" `Quick smoke_writes_nothing;
+          Alcotest.test_case "env names its commit" `Quick env_names_commit;
         ] );
     ]

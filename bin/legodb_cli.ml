@@ -77,6 +77,10 @@ let positive = int_at_least 1
 let non_negative = int_at_least 0
 let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
+(* a statement the server answered with an error, and the exit code of
+   its kind *)
+exception Unanswered of int
+
 let load_stats schema sample =
   match sample with
   | Some file -> Collector.collect (Xml_parse.parse_file file)
@@ -635,7 +639,7 @@ let query_cmd =
         end;
         if do_publish then
           Format.printf "publish: %s@." (describe (Net.rpc c Net.Publish));
-        let failed = ref false in
+        let failed = ref false and refused = ref None in
         (match query_text with
         | None -> ()
         | Some text -> (
@@ -646,6 +650,13 @@ let query_cmd =
                   (if cached then " (cached)" else "")
             | r ->
                 failed := true;
+                (match r with
+                | Net.Error_reply m -> (
+                    match Serve.error_kind m with
+                    | Serve.Parse_failure -> refused := Some 5
+                    | Serve.Untranslation -> refused := Some 4
+                    | Serve.Other_failure -> ())
+                | _ -> ());
                 Format.eprintf "query: %s@." (describe r)));
         (if requests > 0 then
            match load_workload workload with
@@ -761,7 +772,10 @@ let query_cmd =
                if net.Net.ticks > 0 then
                  Format.printf "%a@." Net.pp_net_stats net
            | r -> Format.eprintf "stats: %s@." (describe r));
-        if !failed then fail "the query was not answered" else `Ok ())
+        match (!failed, !refused) with
+        | true, Some code -> raise (Unanswered code)
+        | true, None -> fail "the query was not answered"
+        | false, _ -> `Ok ())
   in
   let term =
     Term.(
@@ -930,8 +944,10 @@ let transforms_cmd =
    with a distinct code — no backtraces for expected failure modes.
      2  I/O (missing/unreadable file)
      3  configuration cannot be costed
-     4  untranslatable query
-     5  parse error (schema, query, or XML)
+     4  untranslatable query (also one a server refused to
+        [query --connect])
+     5  parse error (schema, query, or XML; also a query a server
+        could not parse)
      6  shredding failure
      7  corrupt checkpoint snapshot (--resume refuses it; never a
         silent restart)
@@ -973,6 +989,9 @@ let () =
     | Xq_translate.Untranslatable m ->
         oneliner "untranslatable query: %s" m;
         4
+    | Unanswered code ->
+        oneliner "the query was not answered";
+        code
     | Xtype_parse.Parse_error { position; message } ->
         oneliner "schema parse error at offset %d: %s" position message;
         5

@@ -19,8 +19,8 @@ let prefix_step (label : Label.t) =
   match label with Label.Name n -> n | Label.Any | Label.Any_except _ -> "tilde"
 
 (* Content types of the inline element at [prefix] within [ty]'s body. *)
-let content_at schema ty prefix =
-  match Xschema.find_opt schema ty with
+let content_at m ty prefix =
+  match Mapping.find_def m ty with
   | None -> []
   | Some body ->
       let start = match body with Xtype.Elem e -> e.content | b -> b in
@@ -83,22 +83,23 @@ and enter (m : Mapping.t) ~visited ~hops step n acc =
   if List.mem n visited then acc
   else
     let visited = n :: visited in
-    match Xschema.find_opt m.schema n with
-    | None -> acc
-    | Some body -> (
+    (* an element-rooted type is matched by its root element alone (its
+       label, and whether its content is scalar) *)
+    match Mapping.find_root m n with
+    | Mapping.Undefined -> acc
+    | Mapping.Rooted e ->
+        if Label.matches e.label step then
+          found_elem m ~hops:(hops @ [ n ]) ~ty:n [] step e :: acc
+        else acc
+    | Mapping.Unrooted body ->
         if Mapping.is_transparent m.schema n then
           (* no table of its own: look through to its references *)
           find_in m ~visited ~hops ~ty:n ~prefix:[] step body acc
         else
-          let hops = hops @ [ n ] in
-          match body with
-          | Xtype.Elem e when Label.matches e.label step ->
-              found_elem m ~hops ~ty:n [] step e :: acc
-          | Xtype.Elem _ -> acc
-          | body ->
-              (* a type without a root element splices its content into
-                 the parent's element: match inside it *)
-              find_in m ~visited ~hops ~ty:n ~prefix:[] step body acc)
+          (* a type without a root element splices its content into
+             the parent's element: match inside it *)
+          find_in m ~visited ~hops:(hops @ [ n ]) ~ty:n ~prefix:[] step body
+            acc
 
 (* When a step matches both a concretely named element and a wildcard at
    the same content level, prefer the named element (the unique-particle
@@ -110,17 +111,81 @@ let prefer_named founds =
   in
   if named <> [] then named else founds
 
-let navigate (m : Mapping.t) place step =
+let step_from (m : Mapping.t) place step =
   prefer_named
     (List.concat_map
        (fun content ->
          List.rev
            (find_in m ~visited:[] ~hops:[] ~ty:place.ty ~prefix:place.prefix
               step content []))
-       (content_at m.schema place.ty place.prefix))
+       (content_at m place.ty place.prefix))
 
-let enter_root (m : Mapping.t) step =
+let root_step (m : Mapping.t) step =
   prefer_named (List.rev (enter m ~visited:[] ~hops:[] step (Xschema.root m.schema) []))
+
+let descendants (m : Mapping.t) place =
+  let out = ref [] in
+  let rec from_content hops visited content =
+    match content with
+    | Xtype.Elem e -> from_content hops visited e.Xtype.content
+    | Xtype.Seq ts | Xtype.Choice ts ->
+        List.iter (from_content hops visited) ts
+    | Xtype.Rep (u, _) -> from_content hops visited u
+    | Xtype.Ref n -> enter_desc hops visited n
+    | Xtype.Scalar _ | Xtype.Attr _ | Xtype.Empty -> ()
+  and enter_desc hops visited n =
+    if List.mem n visited then ()
+    else
+      let visited = n :: visited in
+      match Mapping.find_def m n with
+      | None -> ()
+      | Some body ->
+          if Mapping.is_transparent m.schema n then
+            from_content hops visited body
+          else begin
+            let hops = hops @ [ n ] in
+            out := hops :: !out;
+            from_content hops visited body
+          end
+  in
+  List.iter
+    (fun content -> from_content [] [] content)
+    (content_at m place.ty place.prefix);
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+(* navigations as reads                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Under a recording view each navigation is logged as one read: the
+   call, its answer, and the reads that answered it.  A derived mapping
+   answers it the same when none of those reads changed, or else when
+   asking again gives the same answer — so a rewriting that changes a
+   body a navigation read, but not what the navigation found, keeps a
+   translation. *)
+type Mapping.call +=
+  | Root_step of string * found list * Mapping.reads
+  | Step of place * string * found list * Mapping.reads
+  | Descendants of place * string list list * Mapping.reads
+
+let logged m ask call =
+  if Mapping.recording m then begin
+    let answer, reads = Mapping.record m ask in
+    Mapping.note_call m (call answer reads);
+    answer
+  end
+  else ask m
+
+let enter_root m step =
+  logged m (fun m -> root_step m step) (fun a r -> Root_step (step, a, r))
+
+let navigate m place step =
+  logged m
+    (fun m -> step_from m place step)
+    (fun a r -> Step (place, step, a, r))
+
+let descendant_tables m place =
+  logged m (fun m -> descendants m place) (fun a r -> Descendants (place, a, r))
 
 let navigate_path m founds path =
   List.fold_left
@@ -138,35 +203,42 @@ let navigate_path m founds path =
         frontier)
     founds path
 
-let descendant_tables (m : Mapping.t) place =
-  let out = ref [] in
-  let rec from_content hops visited content =
-    match content with
-    | Xtype.Elem e -> from_content hops visited e.Xtype.content
-    | Xtype.Seq ts | Xtype.Choice ts ->
-        List.iter (from_content hops visited) ts
-    | Xtype.Rep (u, _) -> from_content hops visited u
-    | Xtype.Ref n -> enter_desc hops visited n
-    | Xtype.Scalar _ | Xtype.Attr _ | Xtype.Empty -> ()
-  and enter_desc hops visited n =
-    if List.mem n visited then ()
+let recheck m reads =
+  let again = ref false in
+  (* a navigation whose own reads changed is asked again; the same
+     answer keeps the call, with the reads that answered it now *)
+  let same call r ask answer renew =
+    if Mapping.unchanged m r then Some call
     else
-      let visited = n :: visited in
-      match Xschema.find_opt m.schema n with
-      | None -> ()
-      | Some body ->
-          if Mapping.is_transparent m.schema n then
-            from_content hops visited body
-          else begin
-            let hops = hops @ [ n ] in
-            out := hops :: !out;
-            from_content hops visited body
-          end
+      let answer', r' = Mapping.record m ask in
+      if answer' = answer then begin
+        again := true;
+        Some (renew r')
+      end
+      else None
   in
-  List.iter
-    (fun content -> from_content [] [] content)
-    (content_at m.schema place.ty place.prefix);
-  List.rev !out
+  if not (Mapping.unchanged m reads) then None
+  else
+    let calls =
+      List.map
+        (fun c ->
+          match c with
+          | Root_step (step, a, r) ->
+              same c r (fun m -> root_step m step) a (fun r ->
+                  Root_step (step, a, r))
+          | Step (place, step, a, r) ->
+              same c r (fun m -> step_from m place step) a (fun r ->
+                  Step (place, step, a, r))
+          | Descendants (place, a, r) ->
+              same c r (fun m -> descendants m place) a (fun r ->
+                  Descendants (place, a, r))
+          | _ -> None)
+        (Mapping.calls reads)
+    in
+    if List.exists Option.is_none calls then None
+    else if !again then
+      Some (Mapping.with_calls reads (List.map Option.get calls))
+    else Some reads
 
 let pp_found fmt = function
   | F_elem { hops; place } ->

@@ -46,4 +46,15 @@ val descendant_tables : Mapping.t -> place -> string list list
     descendant table below a place, depth-first; recursive types are
     expanded one level.  Used to decompose publishing queries. *)
 
+val recheck : Mapping.t -> Mapping.reads -> Mapping.reads option
+(** {!Mapping.unchanged}, extended to the navigations logged in the
+    reads: under a recording view ({!Mapping.record}) {!enter_root},
+    {!navigate} and {!descendant_tables} each log one read — the call,
+    its answer and the reads that answered it — and a mapping made by
+    {!Mapping.derive} answers it the same when none of those reads
+    changed, or when asking it again gives the same answer.  [Some r]
+    when every read answers the same: [r] is the reads given, with
+    each navigation asked again carrying the reads that answered it in
+    the new mapping, so reads kept always hold where they are kept. *)
+
 val pp_found : Format.formatter -> found -> unit

@@ -182,15 +182,14 @@ let resolve_found st (found : Navigate.found) =
       S_wild { hops; fresh_last = fresh_last hops; tilde; data; tag }
   | Navigate.F_elem { hops; place = { ty; prefix } as place } ->
       (* a structured wildcard element stores its concrete tag in its
-         tag column *)
+         tag column, wherever the path reached it from: the element is
+         a wildcard step of its type's body, or the root of a
+         wildcard-rooted type *)
       let tag_col =
-        if hops = [] then
-          match List.rev prefix with
-          | "tilde" :: _ -> Some (Mapping.column st.m ~ty (Tag prefix))
-          | _ -> None
-        else if wildcard_rooted st ty then
-          Some (Mapping.column st.m ~ty (Tag []))
-        else None
+        match List.rev prefix with
+        | "tilde" :: _ -> Some (Mapping.column st.m ~ty (Tag prefix))
+        | [] when wildcard_rooted st ty -> Some (Mapping.column st.m ~ty (Tag []))
+        | _ -> None
       in
       S_elem
         { hops; fresh_last = fresh_last hops; tag_col; next = pnode st place }

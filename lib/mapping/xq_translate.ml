@@ -54,9 +54,13 @@ let realize_chain bctx ~anchor ~hint hops =
             let alias =
               if rest = [] && hint <> "" && not (taken hint) then hint
               else
-                Printf.sprintf "%s_%s%d"
-                  (if hint = "" then "t" else hint)
-                  ty bctx.counter
+                String.concat ""
+                  [
+                    (if hint = "" then "t" else hint);
+                    "_";
+                    ty;
+                    string_of_int bctx.counter;
+                  ]
             in
             let bctx = { bctx with counter = bctx.counter + 1 } in
             let bctx = add_rel bctx alias ty in
@@ -333,10 +337,6 @@ let block_tables acc (b : Logical.block) =
 let query_tables (q : Logical.query) =
   TSet.elements (List.fold_left block_tables TSet.empty q.Logical.blocks)
 
-let translate_with_tables m q =
-  let lq = translate m q in
-  (lq, query_tables lq)
-
 let equality_columns queries =
   let add acc (table, col) =
     if List.mem (table, col) acc then acc else (table, col) :: acc
@@ -492,6 +492,32 @@ let update_tables (u : Logical.update) =
          | None -> acc)
        TSet.empty u.Logical.writes)
 
-let translate_update_with_tables m u =
-  let lu = translate_update m u in
-  (lu, update_tables lu)
+(* ------------------------------------------------------------------ *)
+(* translations carried from a parent configuration                     *)
+(* ------------------------------------------------------------------ *)
+
+type 'a translation = {
+  translated : 'a;
+  tables : string list;
+  reads : Mapping.reads;
+}
+
+(* the parent's translation when the mapping answers every read it made
+   as the parent's did, else a fresh one with its reads *)
+let carried translate tables_of ?parent m x =
+  let fresh () =
+    let translated, reads = Mapping.record m (fun m -> translate m x) in
+    { translated; tables = tables_of translated; reads }
+  in
+  match parent with
+  | None -> fresh ()
+  | Some p -> (
+      match Navigate.recheck m p.reads with
+      | Some reads when reads == p.reads -> p
+      | Some reads -> { p with reads }
+      | None -> fresh ())
+
+let derive ?parent m q = carried translate query_tables ?parent m q
+
+let derive_update ?parent m u =
+  carried translate_update update_tables ?parent m u

@@ -44,12 +44,6 @@ val const_value : Legodb_xquery.Xq_ast.const -> Legodb_relational.Rtype.value
     vector through it gives a template's plan the statement's own
     constants. *)
 
-val translate_with_tables :
-  Mapping.t -> Legodb_xquery.Xq_ast.t -> Logical.query * string list
-(** {!translate} paired with the query's read set: the distinct tables
-    its SPJ blocks reference, sorted.
-    @raise Untranslatable *)
-
 val equality_columns : Logical.query list -> (string * string) list
 (** The (table, column) pairs compared to constants anywhere in the
     queries — the columns a tuned installation would index (the paper's
@@ -65,8 +59,39 @@ val translate_update :
     affected rows, deletes cascading over the subtree's tables.
     @raise Untranslatable *)
 
-val translate_update_with_tables :
-  Mapping.t -> Legodb_xquery.Xq_ast.update -> Logical.update * string list
-(** {!translate_update} paired with the distinct tables the update
-    writes or reads, sorted.
+(** {1 Translations carried from a parent configuration}
+
+    A search prices each candidate one rewriting away from a priced
+    parent.  A statement's translation reads the mapping only through
+    {!Mapping.find_def}, {!Mapping.column}, {!Mapping.card} and
+    {!Mapping.table_columns}; recorded with {!Mapping.record}, those
+    reads decide whether the parent's translation is the child's. *)
+
+type 'a translation = {
+  translated : 'a;
+  tables : string list;
+      (** the read set: the distinct tables the statement's blocks
+          reference (an update's also the tables it writes), sorted *)
+  reads : Mapping.reads;  (** what translating read of the mapping *)
+}
+
+val derive :
+  ?parent:Logical.query translation ->
+  Mapping.t ->
+  Legodb_xquery.Xq_ast.t ->
+  Logical.query translation
+(** [derive ~parent m q] is [parent]'s query and read set when [m] was
+    made by {!Mapping.derive} from the mapping [parent] was translated
+    under and {!Navigate.recheck} finds every read unchanged ([parent]
+    itself when no navigation had to be asked again); otherwise
+    {!translate} under a recording view.  Either way the query, read
+    set and reads equal a fresh recorded translation's.
+    @raise Untranslatable *)
+
+val derive_update :
+  ?parent:Logical.update translation ->
+  Mapping.t ->
+  Legodb_xquery.Xq_ast.update ->
+  Logical.update translation
+(** {!derive} for an update statement.
     @raise Untranslatable *)

@@ -60,7 +60,7 @@ let add_indexes cat pairs =
         cat.tables;
   }
 
-let validate cat =
+let validate ?(valid = fun _ -> false) cat =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun m -> errors := m :: !errors) fmt in
   let names = List.map (fun t -> t.tname) cat.tables in
@@ -68,28 +68,34 @@ let validate cat =
     err "duplicate table names";
   List.iter
     (fun tbl ->
-      let cnames = List.map (fun c -> c.cname) tbl.columns in
-      if
-        List.length (List.sort_uniq String.compare cnames)
-        <> List.length cnames
-      then err "table %s: duplicate column names" tbl.tname;
-      if find_column tbl tbl.key = None then
-        err "table %s: key column %s missing" tbl.tname tbl.key;
+      let own = not (valid tbl) in
+      if own then begin
+        let cnames = List.map (fun c -> c.cname) tbl.columns in
+        if
+          List.length (List.sort_uniq String.compare cnames)
+          <> List.length cnames
+        then err "table %s: duplicate column names" tbl.tname;
+        if find_column tbl tbl.key = None then
+          err "table %s: key column %s missing" tbl.tname tbl.key
+      end;
       List.iter
         (fun (col, parent) ->
-          if find_column tbl col = None then
+          if own && find_column tbl col = None then
             err "table %s: foreign key column %s missing" tbl.tname col;
           if find_table cat parent = None then
             err "table %s: foreign key to unknown table %s" tbl.tname parent)
         tbl.fks;
-      List.iter
-        (fun c ->
-          if c.stats.null_frac < 0. || c.stats.null_frac > 1. then
-            err "table %s: column %s null_frac out of range" tbl.tname c.cname;
-          if c.stats.distinct < 0. then
-            err "table %s: column %s negative distinct" tbl.tname c.cname)
-        tbl.columns;
-      if tbl.card < 0. then err "table %s: negative cardinality" tbl.tname)
+      if own then begin
+        List.iter
+          (fun c ->
+            if c.stats.null_frac < 0. || c.stats.null_frac > 1. then
+              err "table %s: column %s null_frac out of range" tbl.tname
+                c.cname;
+            if c.stats.distinct < 0. then
+              err "table %s: column %s negative distinct" tbl.tname c.cname)
+          tbl.columns;
+        if tbl.card < 0. then err "table %s: negative cardinality" tbl.tname
+      end)
     cat.tables;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 

@@ -46,9 +46,12 @@ val has_index : table -> string -> bool
 val add_indexes : t -> (string * string) list -> t
 (** Add an index on every listed (table, column) that exists. *)
 
-val validate : t -> (unit, string list) result
+val validate : ?valid:(table -> bool) -> t -> (unit, string list) result
 (** Table names unique; column names unique per table; key and FK
-    columns exist; fractions within range. *)
+    columns exist; fractions within range.  A table for which [valid]
+    holds (default: none) is known to pass its own checks, as a table
+    of a catalog that validated does: only its foreign keys' targets
+    are checked. *)
 
 val pp : Format.formatter -> t -> unit
 (** DDL-like rendering as in Figures 3/4:

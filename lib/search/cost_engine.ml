@@ -4,6 +4,7 @@ module Xq_translate = Legodb_mapping.Xq_translate
 module Rschema = Legodb_relational.Rschema
 module Optimizer = Legodb_optimizer.Optimizer
 module Cost = Legodb_optimizer.Cost
+module Logical = Legodb_optimizer.Logical
 
 exception Cost_error of string
 
@@ -58,6 +59,20 @@ let fresh_counters () =
     t_optimize = 0.;
   }
 
+(* A memo key with its hash, taken once: a key runs to kilobytes, and a
+   neighbour that keeps its parent's key probes the memo table with it
+   without hashing it again. *)
+type key = { bytes : string; hash : int }
+
+module Memo = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = a.hash = b.hash && String.equal a.bytes b.bytes
+  let hash k = k.hash
+end)
+
+let key_of_bytes bytes = { bytes; hash = Hashtbl.hash bytes }
+
 type t = {
   params : Cost.params option;
   workload_indexes : bool;
@@ -68,7 +83,7 @@ type t = {
   inject : (string -> bool) option;
   per_query_timeout_ms : float option;
   clock : unit -> float;
-  cache : (string, float) Hashtbl.t;
+  cache : float Memo.t;
   c : counters;
   (* [frozen] marks a parallel fan-out in flight: the engine is then a
      read-mostly view (workers probe [cache], nothing writes it) and
@@ -82,7 +97,7 @@ type t = {
 
 and shard = {
   base : t;
-  fresh : (string, float) Hashtbl.t;
+  fresh : float Memo.t;
   sc : counters;
 }
 
@@ -99,7 +114,7 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
     inject;
     per_query_timeout_ms;
     clock;
-    cache = Hashtbl.create 256;
+    cache = Memo.create 256;
     c = fresh_counters ();
     frozen = false;
     pool = [||];
@@ -107,55 +122,119 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
 
 (* The cache key of one statement: its kind and position in the
    workload, then the sorted fingerprints of the tables it touches,
-   framed like the fingerprints themselves ({!Mapping.add_frame}) in
-   one buffer sized to fit.  Sorting the fingerprints (not the table
+   framed like the fingerprints themselves ({!Mapping.frame_string}) in
+   one string of the exact length.  Sorting the fingerprints (not the table
    names) keeps the key independent of the fresh type names a
    transformation order happens to generate, so structurally identical
    configurations reached by different step orders hit the same entry.
-   [fps] is the per-pass {!Mapping.fingerprint_index} hashtable, so
-   each touched table costs one O(1) probe.  A table without a
+   Each touched table costs one O(1) probe of [fps].  A table without a
    fingerprint is named with tag [?], which no fingerprint (tag [W])
    begins with. *)
 let key ~kind ~index fps tables =
   let fp t =
-    match Hashtbl.find_opt fps t with Some f -> f | None -> "?" ^ t
+    match Mapping.find_fingerprint fps t with Some f -> f | None -> "?" ^ t
   in
-  let fps = List.sort String.compare (List.map fp tables) in
-  let b =
-    Buffer.create (List.fold_left (fun n f -> n + 4 + String.length f) 9 fps)
-  in
-  Buffer.add_char b kind;
-  Buffer.add_int32_le b (Int32.of_int index);
-  Mapping.add_frame b fps;
-  Buffer.contents b
+  key_of_bytes
+    (Mapping.frame_string kind ~index
+       (List.sort String.compare (List.map fp tables)))
+
+(* A costed candidate's derived state: its mapping, the fingerprints
+   of its catalog and of the catalog the optimizer saw (the same
+   without [~workload_indexes]), every statement's translation, and
+   every memo key (none without memoization).  Its neighbours are
+   prepared from it; it is never written after it is made, so workers
+   read it freely. *)
+type priced = {
+  p_mapping : Mapping.t;
+  p_fps : Mapping.fingerprints;
+  p_ofps : Mapping.fingerprints;
+  p_queries : Logical.query Xq_translate.translation array;
+  p_updates : Logical.update Xq_translate.translation array;
+  p_qkeys : key array;
+  p_ukeys : key array;
+  p_cost : float;
+}
+
+let priced_cost p = p.p_cost
 
 (* A candidate prepared once: mapped, its tables fingerprinted and the
-   catalog fingerprint derived from them.  Beam's dedupe pass prepares
-   every raw neighbour and hands the survivors to the costing pass, so
-   nothing is mapped or fingerprinted twice. *)
+   catalog fingerprint derived from them, from its parent's priced
+   state when it has one.  Beam's dedupe pass prepares every raw
+   neighbour and hands the survivors to the costing pass, so nothing is
+   mapped or fingerprinted twice. *)
 type prepared = {
   schema : Xschema.t;
-  mapped : (Mapping.t * (string * string) list, string list) result;
+  mapped : (Mapping.t * Mapping.fingerprints, string list) result;
   fingerprint : string;
+  fingerprint_hash : int;
+  parent : priced option;
 }
 
 let fingerprint p = p.fingerprint
+let fingerprint_hash p = p.fingerprint_hash
+
+let diverged what =
+  invalid_arg
+    ("Cost_engine: derived " ^ what ^ " diverges from a fresh derivation")
+
+(* the oracle's check of a mapping and fingerprints derived from a
+   parent against the from-scratch ones *)
+let check_mapped schema (m, fps) =
+  match Mapping.of_pschema schema with
+  | Error _ -> diverged "mapping (fresh mapping fails)"
+  | Ok m0 ->
+      if
+        not
+          (compare m.Mapping.catalog m0.Mapping.catalog = 0
+          && m.Mapping.transparent = m0.Mapping.transparent
+          && m.Mapping.renamed = m0.Mapping.renamed
+          && m.Mapping.ordered = m0.Mapping.ordered)
+      then diverged "mapping";
+      if
+        Mapping.fingerprint_list fps
+        <> Mapping.table_fingerprints m0.Mapping.catalog
+      then diverged "fingerprints"
 
 (* Map the candidate, fingerprint its tables and derive the catalog
-   fingerprint, charged to [c.t_mapping].  An unmappable schema's
-   fingerprint is its text under tag [X], which no catalog fingerprint
-   (tag [C]) begins with. *)
-let prepare_into (t : t) (c : counters) schema =
+   fingerprint, charged to [c.t_mapping]; from [parent]'s state when
+   given.  An unmappable schema's fingerprint is its text under tag
+   [X], which no catalog fingerprint (tag [C]) begins with.  Only beam
+   deduplicates on the catalog fingerprint; the schema-taking entry
+   points never read it, and prepare with [~catalog:false]. *)
+let prepare_into ?(catalog = true) ?parent (t : t) (c : counters) schema =
   let t0 = t.clock () in
+  let mapping =
+    match parent with
+    | Some p -> Mapping.derive ~parent:p.p_mapping schema
+    | None -> Mapping.of_pschema schema
+  in
   let mapped, fingerprint =
-    match Mapping.of_pschema schema with
+    match mapping with
+    | Error es when not catalog -> (Error es, "")
     | Error es -> (Error es, "X" ^ Xschema.to_string schema)
     | Ok m ->
-        let fps = Mapping.table_fingerprints m.Mapping.catalog in
-        (Ok (m, fps), Mapping.catalog_fingerprint fps)
+        let fps =
+          Mapping.fingerprints
+            ?parent:(Option.map (fun p -> p.p_fps) parent)
+            m.Mapping.catalog
+        in
+        ( Ok (m, fps),
+          if catalog then
+            Mapping.catalog_fingerprint (Mapping.fingerprint_list fps)
+          else "" )
   in
   c.t_mapping <- c.t_mapping +. (t.clock () -. t0);
-  { schema; mapped; fingerprint }
+  (match (t.oracle, parent, mapped) with
+  | true, Some _, Ok mf -> check_mapped schema mf
+  | true, Some _, Error _ -> (
+      match Mapping.of_pschema schema with
+      | Ok _ -> diverged "mapping (derived mapping fails)"
+      | Error _ -> ())
+  | _ -> ());
+  (* hashed here, in the parallel pass, rather than by each probe of the
+     sequential dedupe: a catalog fingerprint runs to kilobytes *)
+  let fingerprint_hash = if catalog then Hashtbl.hash fingerprint else 0 in
+  { schema; mapped; fingerprint; fingerprint_hash; parent }
 
 (* One costing pass over a prepared candidate, generic over where
    cache lookups/insertions and counter bumps land: the engine itself
@@ -168,7 +247,13 @@ let prepare_into (t : t) (c : counters) schema =
    the configuration without charging it.  Failures leave as [Fault]
    records naming the pipeline stage and the exception class, so the
    search can account each skipped candidate instead of silently
-   dropping it. *)
+   dropping it.
+
+   A candidate prepared from a parent takes each statement's
+   translation from the parent's when its reads are unchanged
+   ({!Xq_translate.derive}), and the parent's memo key too when every
+   table the statement touches kept its fingerprint; oracle mode checks
+   both against fresh ones. *)
 let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
   check ();
   c.evaluations <- c.evaluations + 1;
@@ -195,14 +280,22 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
              })
     | Ok r -> r
   in
+  let parent = p.parent in
+  let from arr i =
+    match parent with Some pp -> Some (arr pp).(i) | None -> None
+  in
   let t1 = now () in
   let queries, updates =
     match
-      ( Array.map
-          (fun (q, w) -> (Xq_translate.translate_with_tables m q, w))
+      ( Array.mapi
+          (fun i (q, _) ->
+            Xq_translate.derive ?parent:(from (fun pp -> pp.p_queries) i) m q)
           t.queries,
-        Array.map
-          (fun (u, w) -> (Xq_translate.translate_update_with_tables m u, w))
+        Array.mapi
+          (fun i (u, _) ->
+            Xq_translate.derive_update
+              ?parent:(from (fun pp -> pp.p_updates) i)
+              m u)
           t.updates )
     with
     | qs, us -> (qs, us)
@@ -216,27 +309,68 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
              })
   in
   c.t_translate <- c.t_translate +. (now () -. t1);
+  if t.oracle && parent <> None then begin
+    let agrees tr (tr0 : _ Xq_translate.translation) =
+      if
+        not
+          (compare tr.Xq_translate.translated tr0.translated = 0
+          && tr.Xq_translate.tables = tr0.tables
+          && Mapping.same_reads tr.Xq_translate.reads tr0.reads)
+      then diverged "translation"
+    in
+    Array.iteri
+      (fun i tr -> agrees tr (Xq_translate.derive m (fst t.queries.(i))))
+      queries;
+    Array.iteri
+      (fun i tr -> agrees tr (Xq_translate.derive_update m (fst t.updates.(i))))
+      updates
+  end;
   let catalog =
     if t.workload_indexes then
       Rschema.add_indexes m.Mapping.catalog
         (Xq_translate.equality_columns
-           (Array.to_list (Array.map (fun ((q, _), _) -> q) queries)))
+           (Array.to_list
+              (Array.map (fun q -> q.Xq_translate.translated) queries)))
     else m.Mapping.catalog
   in
   (* fingerprints are those of the catalog the optimizer sees, so
      workload-granted indexes are part of the invalidation key *)
-  let fps =
-    lazy
-      (let t0 = now () in
-       let fps =
-         Mapping.fingerprint_index
-           (if t.workload_indexes then Mapping.table_fingerprints catalog
-            else table_fps)
-       in
-       c.t_mapping <- c.t_mapping +. (now () -. t0);
-       fps)
+  let ofps =
+    if not t.memoize then table_fps
+    else if t.workload_indexes then begin
+      let t0 = now () in
+      let fps =
+        Mapping.fingerprints
+          ?parent:(Option.map (fun pp -> pp.p_ofps) parent)
+          catalog
+      in
+      c.t_mapping <- c.t_mapping +. (now () -. t0);
+      fps
+    end
+    else table_fps
   in
-  let costed kind index tables fresh =
+  (* a statement's key is its parent's when the translation is the
+     parent's and every table it touches kept its fingerprint *)
+  let key_of kind keys_of index (tr : _ Xq_translate.translation) theirs =
+    let k =
+      match (parent, theirs) with
+      | Some pp, Some ptr
+        when tr.Xq_translate.translated == ptr.Xq_translate.translated
+             && Array.length (keys_of pp) > index
+             && List.for_all (Mapping.kept_fingerprint ofps) tr.tables ->
+          (keys_of pp).(index)
+      | _ -> key ~kind ~index ofps tr.Xq_translate.tables
+    in
+    if t.oracle && parent <> None then begin
+      let k0 =
+        key ~kind ~index (Mapping.fingerprints catalog) tr.Xq_translate.tables
+      in
+      if not (String.equal k.bytes k0.bytes && k.hash = k0.hash) then
+        diverged "memo key"
+    end;
+    k
+  in
+  let costed kind index key fresh =
     let compute () =
       let t2 = now () in
       let v = fresh () in
@@ -262,49 +396,70 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
       | _ -> ());
       v
     in
-    if not t.memoize then compute ()
-    else
-      let k = key ~kind ~index (Lazy.force fps) tables in
-      match find k with
-      | Some v ->
-          if t.oracle then begin
-            let fresh_v = compute () in
-            if not (Float.equal v fresh_v) then
-              invalid_arg
-                (Printf.sprintf
-                   "Cost_engine: cache divergence on statement %c%d (cached \
-                    %h, fresh %h)"
-                   kind index v fresh_v)
-          end;
-          c.hits <- c.hits + 1;
-          v
-      | None ->
-          let v = compute () in
-          c.misses <- c.misses + 1;
-          add k v;
-          v
+    match key with
+    | None -> compute ()
+    | Some k -> (
+        match find k with
+        | Some v ->
+            if t.oracle then begin
+              let fresh_v = compute () in
+              if not (Float.equal v fresh_v) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Cost_engine: cache divergence on statement %c%d (cached \
+                      %h, fresh %h)"
+                     kind index v fresh_v)
+            end;
+            c.hits <- c.hits + 1;
+            v
+        | None ->
+            let v = compute () in
+            c.misses <- c.misses + 1;
+            add k v;
+            v)
+  in
+  let keys kind keys_of trs theirs =
+    if not t.memoize then [||]
+    else Array.mapi (fun i tr -> key_of kind keys_of i tr (theirs i)) trs
   in
   (* exactly Optimizer.mixed_workload_cost's summation order, so a warm
      engine and a cold cost agree bit for bit *)
+  let qkeys =
+    keys 'q' (fun pp -> pp.p_qkeys) queries (from (fun pp -> pp.p_queries))
+  in
   let total = ref 0. in
   Array.iteri
-    (fun i ((q, tables), weight) ->
+    (fun i (tr : _ Xq_translate.translation) ->
+      let key = if t.memoize then Some qkeys.(i) else None in
       let v =
-        costed 'q' i tables (fun () ->
-            Optimizer.query_scalar_cost ?params:t.params catalog q)
+        costed 'q' i key (fun () ->
+            Optimizer.query_scalar_cost ?params:t.params catalog tr.translated)
       in
-      total := !total +. (weight *. v))
+      total := !total +. (snd t.queries.(i) *. v))
     queries;
+  let ukeys =
+    keys 'u' (fun pp -> pp.p_ukeys) updates (from (fun pp -> pp.p_updates))
+  in
   let wtotal = ref 0. in
   Array.iteri
-    (fun i ((u, tables), weight) ->
+    (fun i (tr : _ Xq_translate.translation) ->
+      let key = if t.memoize then Some ukeys.(i) else None in
       let v =
-        costed 'u' i tables (fun () ->
-            Optimizer.write_cost ?params:t.params catalog u)
+        costed 'u' i key (fun () ->
+            Optimizer.write_cost ?params:t.params catalog tr.translated)
       in
-      wtotal := !wtotal +. (weight *. v))
+      wtotal := !wtotal +. (snd t.updates.(i) *. v))
     updates;
-  !total +. !wtotal
+  {
+    p_mapping = m;
+    p_fps = table_fps;
+    p_ofps = ofps;
+    p_queries = queries;
+    p_updates = updates;
+    p_qkeys = qkeys;
+    p_ukeys = ukeys;
+    p_cost = !total +. !wtotal;
+  }
 
 let check_thawed t =
   if t.frozen then
@@ -312,16 +467,16 @@ let check_thawed t =
       "Cost_engine: engine is frozen (parallel fan-out in flight); cost \
        through its worker shards instead"
 
-let prepare t schema =
+let prepare ?parent t schema =
   check_thawed t;
-  prepare_into t t.c schema
+  prepare_into ?parent t t.c schema
 
-let cost_prepared ?check t p =
+let price ?check t p =
   check_thawed t;
   match
     cost_into ?check
-      ~find:(fun k -> Hashtbl.find_opt t.cache k)
-      ~add:(fun k v -> Hashtbl.replace t.cache k v)
+      ~find:(fun k -> Memo.find_opt t.cache k)
+      ~add:(fun k v -> Memo.replace t.cache k v)
       t t.c p
   with
   | v -> Ok v
@@ -331,10 +486,13 @@ let cost_prepared ?check t p =
 
 (* the schema-taking entry points poll [check] before preparing, so an
    exhausted budget abandons the candidate before any work *)
-let cost_result ?(check = ignore) t schema =
+let price_schema ?(check = ignore) ?parent t schema =
   check_thawed t;
   check ();
-  cost_prepared t (prepare t schema)
+  price t (prepare_into ~catalog:false ?parent t t.c schema)
+
+let cost_result ?check t schema =
+  Result.map priced_cost (price_schema ?check t schema)
 
 let cost ?check t schema =
   match cost_result ?check t schema with
@@ -348,7 +506,7 @@ let cost_opt ?check t schema =
 (* worker shards                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let shard t = { base = t; fresh = Hashtbl.create 64; sc = fresh_counters () }
+let shard t = { base = t; fresh = Memo.create 64; sc = fresh_counters () }
 
 (* persistent per-worker shards: grown on demand, never shrunk, reused
    across fan-outs (merge resets a shard rather than consuming it) *)
@@ -365,7 +523,7 @@ let freeze t =
   t.frozen <- true
 
 let reset_shard sh =
-  Hashtbl.reset sh.fresh;
+  Memo.reset sh.fresh;
   sh.sc.evaluations <- 0;
   sh.sc.hits <- 0;
   sh.sc.misses <- 0;
@@ -381,16 +539,16 @@ let discard_shards t =
   Array.iter reset_shard t.pool;
   t.frozen <- false
 
-let shard_prepare sh schema = prepare_into sh.base sh.sc schema
+let shard_prepare ?parent sh schema = prepare_into ?parent sh.base sh.sc schema
 
-let shard_cost_prepared ?check sh p =
+let shard_price ?check sh p =
   match
     cost_into ?check
       ~find:(fun k ->
-        match Hashtbl.find_opt sh.fresh k with
+        match Memo.find_opt sh.fresh k with
         | Some _ as r -> r
-        | None -> Hashtbl.find_opt sh.base.cache k)
-      ~add:(fun k v -> Hashtbl.replace sh.fresh k v)
+        | None -> Memo.find_opt sh.base.cache k)
+      ~add:(fun k v -> Memo.replace sh.fresh k v)
       sh.base sh.sc p
   with
   | v -> Ok v
@@ -398,13 +556,13 @@ let shard_cost_prepared ?check sh p =
       sh.sc.faults <- sh.sc.faults + 1;
       Error f
 
-let shard_cost_result ?(check = ignore) sh schema =
+let shard_price_schema ?(check = ignore) ?parent sh schema =
   check ();
-  shard_cost_prepared sh (shard_prepare sh schema)
+  shard_price sh (prepare_into ~catalog:false ?parent sh.base sh.sc schema)
 
 let shard_cost ?check sh schema =
-  match shard_cost_result ?check sh schema with
-  | Ok v -> v
+  match shard_price_schema ?check sh schema with
+  | Ok p -> priced_cost p
   | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
 
 let merge t shards =
@@ -416,8 +574,8 @@ let merge t shards =
   t.frozen <- false;
   List.iter
     (fun sh ->
-      Hashtbl.iter
-        (fun k v -> if not (Hashtbl.mem t.cache k) then Hashtbl.add t.cache k v)
+      Memo.iter
+        (fun k v -> if not (Memo.mem t.cache k) then Memo.add t.cache k v)
         sh.fresh;
       t.c.evaluations <- t.c.evaluations + sh.sc.evaluations;
       t.c.hits <- t.c.hits + sh.sc.hits;
@@ -436,11 +594,11 @@ let merge t shards =
    checkpoint of a given search state is byte-identical regardless of
    hash-table iteration order *)
 let cache_entries t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cache []
+  Memo.fold (fun k v acc -> (k.bytes, v) :: acc) t.cache []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let seed_cache t entries =
-  List.iter (fun (k, v) -> Hashtbl.replace t.cache k v) entries
+  List.iter (fun (k, v) -> Memo.replace t.cache (key_of_bytes k) v) entries
 
 let snapshot_of (c : counters) : snapshot =
   {

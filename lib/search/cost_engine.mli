@@ -5,8 +5,8 @@
     leaves most queries' plans untouched.  The engine exploits this:
     it memoizes each statement's optimizer cost under the key
     [(statement kind and index, fingerprints of the tables it
-    touches)], where the fingerprints are {!Mapping.table_fingerprints}
-    — exact bytes, framed as {!Mapping.add_frame} frames the key
+    touches)], where the fingerprints are {!Mapping.fingerprints}
+    — exact bytes, framed as {!Mapping.frame_string} frames the key
     itself.  A cached cost is reused exactly when every table the
     statement reads or writes is structurally unchanged (columns,
     statistics, indexes, cardinality, and parents) — in which case the
@@ -21,9 +21,13 @@
 
     A candidate is mapped and fingerprinted once: {!prepare} does both
     and derives the catalog fingerprint {!Search.beam} deduplicates on,
-    and {!cost_prepared} costs the prepared candidate without mapping
-    it again.  The schema-taking entry points ({!cost} and friends)
-    are {!prepare} then {!cost_prepared}. *)
+    and {!price} costs the prepared candidate without mapping it again.
+    The schema-taking entry points ({!cost} and friends) are
+    {!prepare} then {!price}.  A candidate prepared from
+    its parent's {!priced} state keeps every item the parent derived
+    whose reads answer the same (see "Prepared candidates"); the
+    snapshot's fields, the memo keys and every cost are the same as
+    without a parent, only the timers move. *)
 
 exception Cost_error of string
 (** Raised when a configuration cannot be costed (mapping or
@@ -105,7 +109,7 @@ val create :
     drive the timeout deterministically with a fake clock. *)
 
 (** Every costing entry point takes an optional [?check] hook, called
-    once at entry before any work ({!cost_prepared}: before any work
+    once at entry before any work ({!price}: before any work
     beyond the preparing): a cooperative cancellation point.
     The search passes {!Budget.tick}, so an exhausted budget (or a
     tripped interrupt) raises {!Budget.Exhausted} out of the costing —
@@ -132,16 +136,37 @@ val cost_opt :
   ?check:(unit -> unit) -> t -> Legodb_xtype.Xschema.t -> float option
 (** [cost] with {!Cost_error} mapped to [None]. *)
 
-(** {1 Prepared candidates} *)
+(** {1 Prepared candidates}
+
+    A search moves by one rewriting at a time, and a neighbour keeps
+    most of what its parent configuration derived: a {!priced}
+    candidate carries its mapping, fingerprints, translations and memo
+    keys, and a neighbour {!prepare}d from it takes each item whose
+    reads are unchanged ({!Legodb_mapping.Mapping.derive},
+    {!Legodb_mapping.Mapping.fingerprints},
+    {!Legodb_mapping.Xq_translate.derive}) and derives the rest.  The
+    items taken equal those derived afresh, so costs, memo keys, hits
+    and misses are the same with or without a parent; oracle mode
+    derives every candidate with a parent afresh too and raises
+    [Invalid_argument] on any difference. *)
 
 type prepared
 (** A candidate mapped and fingerprinted once.  Preparing never fails:
     an unmappable schema carries its mapping errors, which costing it
     reports as the same ["mapping"] fault {!cost_result} would. *)
 
-val prepare : t -> Legodb_xtype.Xschema.t -> prepared
+type priced
+(** A costed candidate's derived state; immutable, so workers may
+    prepare neighbours from one concurrently. *)
+
+val priced_cost : priced -> float
+(** The candidate's cost. *)
+
+val prepare : ?parent:priced -> t -> Legodb_xtype.Xschema.t -> prepared
 (** Map the schema, fingerprint every table and derive the catalog
-    fingerprint, charging the time to the engine's [t_mapping].
+    fingerprint, charging the time to the engine's [t_mapping]; from
+    [parent]'s state when the schema is one rewriting from [parent]'s
+    (any schema is correct, only slower to prepare).
     @raise Invalid_argument while the engine is frozen. *)
 
 val fingerprint : prepared -> string
@@ -149,13 +174,25 @@ val fingerprint : prepared -> string
     unmappable schema, its {!Legodb_xtype.Xschema.to_string} under a
     tag byte no catalog fingerprint starts with. *)
 
-val cost_prepared :
-  ?check:(unit -> unit) -> t -> prepared -> (float, fault) result
+val fingerprint_hash : prepared -> int
+(** [Hashtbl.hash (fingerprint p)], taken once when preparing. *)
+
+val price : ?check:(unit -> unit) -> t -> prepared -> (priced, fault) result
 (** Cost a prepared candidate, reusing its mapping and, without
     [~workload_indexes], its table fingerprints (with it, the indexed
-    catalog the optimizer sees is fingerprinted).  {!cost_result} is
-    [prepare] then [cost_prepared]: counts, cache traffic and the
-    float are the same either way. *)
+    catalog the optimizer sees is fingerprinted), and return the
+    priced state its neighbours are prepared from.  {!cost_result} is
+    [prepare] then [price]: counts, cache traffic and the float are
+    the same either way. *)
+
+val price_schema :
+  ?check:(unit -> unit) ->
+  ?parent:priced ->
+  t ->
+  Legodb_xtype.Xschema.t ->
+  (priced, fault) result
+(** {!cost_result} with a parent: [check], then {!prepare} and
+    {!price}. *)
 
 (** {1 Worker shards}
 
@@ -222,19 +259,21 @@ val shard_cost :
     new entries or the shared cache; misses are recorded privately.
     @raise Cost_error when the configuration cannot be costed. *)
 
-val shard_cost_result :
-  ?check:(unit -> unit) ->
-  shard ->
-  Legodb_xtype.Xschema.t ->
-  (float, fault) result
-(** [shard_cost] with failures as structured {!fault} records. *)
-
-val shard_prepare : shard -> Legodb_xtype.Xschema.t -> prepared
+val shard_prepare :
+  ?parent:priced -> shard -> Legodb_xtype.Xschema.t -> prepared
 (** {!prepare}, charging the shard's [t_mapping]. *)
 
-val shard_cost_prepared :
-  ?check:(unit -> unit) -> shard -> prepared -> (float, fault) result
-(** {!cost_prepared} against the shard's view. *)
+val shard_price :
+  ?check:(unit -> unit) -> shard -> prepared -> (priced, fault) result
+(** {!price} against the shard's view. *)
+
+val shard_price_schema :
+  ?check:(unit -> unit) ->
+  ?parent:priced ->
+  shard ->
+  Legodb_xtype.Xschema.t ->
+  (priced, fault) result
+(** {!price_schema} against the shard's view. *)
 
 val shard_snapshot : shard -> snapshot
 (** The shard's private counters (zeroed again by {!merge}). *)

@@ -144,14 +144,15 @@ let fan_out eng ~jobs ~seq ~par candidates =
     end
   end
 
-(* Cost every candidate, returning [(candidate, cost-or-fault)] in
-   input order.  [check] (Budget.tick) runs before each candidate on
-   every path. *)
-let par_cost eng ~check ~jobs ~schema_of candidates =
+(* Price every candidate, prepared from [parent]'s state, returning
+   [(candidate, priced-or-fault)] in input order.  [check]
+   (Budget.tick) runs before each candidate on every path. *)
+let par_price eng ~check ~jobs ?parent ~schema_of candidates =
   fan_out eng ~jobs
-    ~seq:(fun c -> (c, Cost_engine.cost_result ~check eng (schema_of c)))
+    ~seq:(fun c ->
+      (c, Cost_engine.price_schema ~check ?parent eng (schema_of c)))
     ~par:(fun sh c ->
-      (c, Cost_engine.shard_cost_result ~check sh (schema_of c)))
+      (c, Cost_engine.shard_price_schema ~check ?parent sh (schema_of c)))
     candidates
 
 type stopped =
@@ -199,7 +200,7 @@ type result = {
 }
 
 (* the failure records of one costing pass, in candidate order (which
-   par_cost preserves for every [jobs] value) *)
+   par_price preserves for every [jobs] value) *)
 let failures_of ~iteration ~step_of costed =
   List.filter_map
     (fun (c, r) ->
@@ -267,15 +268,19 @@ let due ~checkpoint ~iteration =
 (* The loop proper, shared by a fresh search and a resumed one: a
    resumed search enters with the snapshot's barrier state and runs
    the very same code, which is the bit-identity argument in one line.
-   [trace0] is newest-first; [failures0] is reversed chunks. *)
+   [trace0] is newest-first; [failures0] is reversed chunks.  [priced0]
+   is the current configuration's priced state, which its neighbours
+   are prepared from; a resumed search starts without it (neighbours
+   are then derived afresh, to the same costs). *)
 let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
-    ~checkpoint ~start ~iteration0 ~schema0 ~cost0 ~trace0 ~failures0 =
+    ~checkpoint ~start ~iteration0 ~schema0 ~cost0 ~priced0 ~trace0 ~failures0
+    =
   let jobs = resolve_jobs jobs in
   (* pre-spawn the worker pool outside the costing loop; it is global
      and persistent, so iterations and later searches reuse it *)
   if jobs > 1 && Par.available then Par.ensure_workers ~jobs;
   let check () = Budget.tick ctl in
-  let rec descend iteration schema cost trace failures =
+  let rec descend iteration schema cost priced trace failures =
     (* barrier: no costing in flight, so the ticket counter is the
        deterministic per-completed-iteration value *)
     let bar_evals = Budget.evaluations ctl in
@@ -298,7 +303,7 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
         else
           let before = Cost_engine.snapshot eng in
           match
-            par_cost eng ~check ~jobs ~schema_of:snd
+            par_price eng ~check ~jobs ?parent:priced ~schema_of:snd
               (Space.neighbors ~kinds schema)
           with
           | exception Budget.Exhausted r ->
@@ -324,15 +329,16 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
                   (fun best ((step, schema'), costed) ->
                     match costed with
                     | Error _ -> best
-                    | Ok cost' -> (
+                    | Ok priced' -> (
+                        let cost' = Cost_engine.priced_cost priced' in
                         match best with
-                        | Some (_, _, bc) when bc <= cost' -> best
-                        | _ -> Some (step, schema', cost')))
+                        | Some (_, _, bc, _) when bc <= cost' -> best
+                        | _ -> Some (step, schema', cost', priced')))
                   None costed
               in
               match best with
-              | Some (step, schema', cost') when cost' < cost *. (1. -. threshold)
-                ->
+              | Some (step, schema', cost', priced')
+                when cost' < cost *. (1. -. threshold) ->
                   let entry =
                     {
                       iteration = iteration + 1;
@@ -343,8 +349,8 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
                       failures = iter_failures;
                     }
                   in
-                  descend (iteration + 1) schema' cost' (entry :: trace)
-                    failures'
+                  descend (iteration + 1) schema' cost' (Some priced')
+                    (entry :: trace) failures'
               | Some _ | None ->
                   (* converged; the snapshot is still the barrier state
                      (without this iteration's failures) — resuming it
@@ -354,7 +360,7 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
                   (schema, cost, trace, failures', `Converged)))
   in
   let schema, cost, trace, failures, stopped =
-    descend iteration0 schema0 cost0 trace0 failures0
+    descend iteration0 schema0 cost0 priced0 trace0 failures0
   in
   {
     schema;
@@ -379,11 +385,12 @@ let greedy_from ~strategy ?params ?workload_indexes ?updates
   let start = Cost_engine.snapshot eng in
   (* the initial configuration is exempt from the budget (no ticket,
      no cancellation): anytime search always has a result to return *)
-  let initial_cost =
-    match Cost_engine.cost_opt eng schema with
-    | Some c -> c
-    | None -> raise (Cost_error "initial configuration cannot be costed")
+  let priced0 =
+    match Cost_engine.price_schema eng schema with
+    | Ok p -> p
+    | Error _ -> raise (Cost_error "initial configuration cannot be costed")
   in
+  let initial_cost = Cost_engine.priced_cost priced0 in
   let trace0 =
     [
       {
@@ -398,7 +405,7 @@ let greedy_from ~strategy ?params ?workload_indexes ?updates
   in
   greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
     ~checkpoint ~start ~iteration0:0 ~schema0:schema ~cost0:initial_cost
-    ~trace0 ~failures0:[]
+    ~priced0:(Some priced0) ~trace0 ~failures0:[]
 
 let greedy ?params ?workload_indexes ?updates ?kinds ?threshold ?max_iterations
     ?jobs ?memoize ?engine ?budget ?checkpoint ~workload schema =
@@ -435,6 +442,15 @@ let pp_trace fmt trace =
 (* beam search (the "dynamic programming search strategies" of §7)     *)
 (* ------------------------------------------------------------------ *)
 
+(* beam's seen sets: catalog fingerprints with their hashes, taken once
+   per candidate (a fingerprint runs to kilobytes) *)
+module Seen = Hashtbl.Make (struct
+  type t = string * int
+
+  let equal (a, h) (b, h') = h = h' && String.equal a b
+  let hash (_, h) = h
+end)
+
 (* the beam loop, shared by fresh and resumed searches just like
    [greedy_core] *)
 let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
@@ -443,8 +459,8 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
   let jobs = resolve_jobs jobs in
   if jobs > 1 && Par.available then Par.ensure_workers ~jobs;
   let check () = Budget.tick ctl in
-  let seen = Hashtbl.create 64 in
-  List.iter (fun fp -> Hashtbl.replace seen fp ()) seen0;
+  let seen = Seen.create 64 in
+  List.iter (fun fp -> Seen.replace seen (fp, Hashtbl.hash fp) ()) seen0;
   let best = ref best0 in
   let trace = ref trace0 in
   let all_failures = ref failures0 in
@@ -460,14 +476,14 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
     let snap () =
       let b_seen =
         List.sort String.compare
-          (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+          (Seen.fold (fun (k, _) () acc -> k :: acc) seen [])
       in
       save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng
         ~iteration:i ~evaluations:bar_evals ~trace:bar_trace
         ~failures:bar_failures
         (Checkpoint.Beam
            {
-             b_frontier = frontier;
+             b_frontier = List.map (fun (s, c, _) -> (s, c)) frontier;
              b_best_schema = fst bar_best;
              b_best_cost = snd bar_best;
              b_seen;
@@ -497,7 +513,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
              the beam actually keeps — otherwise a discarded sibling
              blocks the path that needs the same configuration one
              level later *)
-          let level_seen = Hashtbl.create 32 in
+          let level_seen = Seen.create 32 in
           (* preparing (map and fingerprint) and costing are the two
              expensive per-candidate passes; both fan out over [jobs]
              chunks, with the sequential dedupe (first occurrence wins,
@@ -509,35 +525,41 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
              wholesale and the result is the best-so-far over completed
              levels. *)
           let raw =
-            List.concat_map (fun (s, _) -> Space.neighbors ~kinds s) frontier
+            List.concat_map
+              (fun (s, _, parent) ->
+                List.map
+                  (fun (step, s') -> (step, s', parent))
+                  (Space.neighbors ~kinds s))
+              frontier
           in
           match
             let prepared =
               fan_out eng ~jobs
-                ~seq:(fun (step, s') ->
+                ~seq:(fun (step, s', parent) ->
                   Budget.poll ctl;
-                  (step, s', Cost_engine.prepare eng s'))
-                ~par:(fun sh (step, s') ->
+                  (step, s', Cost_engine.prepare ?parent eng s'))
+                ~par:(fun sh (step, s', parent) ->
                   Budget.poll ctl;
-                  (step, s', Cost_engine.shard_prepare sh s'))
+                  (step, s', Cost_engine.shard_prepare ?parent sh s'))
                 raw
             in
             let deduped =
               List.filter
                 (fun (_, _, p) ->
-                  let fp = Cost_engine.fingerprint p in
-                  if Hashtbl.mem seen fp || Hashtbl.mem level_seen fp then false
+                  let fp =
+                    (Cost_engine.fingerprint p, Cost_engine.fingerprint_hash p)
+                  in
+                  if Seen.mem seen fp || Seen.mem level_seen fp then false
                   else begin
-                    Hashtbl.replace level_seen fp ();
+                    Seen.replace level_seen fp ();
                     true
                   end)
                 prepared
             in
             fan_out eng ~jobs
-              ~seq:(fun ((_, _, p) as c) ->
-                (c, Cost_engine.cost_prepared ~check eng p))
+              ~seq:(fun ((_, _, p) as c) -> (c, Cost_engine.price ~check eng p))
               ~par:(fun sh ((_, _, p) as c) ->
-                (c, Cost_engine.shard_cost_prepared ~check sh p))
+                (c, Cost_engine.shard_price ~check sh p))
               deduped
           with
           | exception Budget.Exhausted r ->
@@ -555,27 +577,34 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
                 List.filter_map
                   (fun ((step, s', p), costed) ->
                     match costed with
-                    | Ok c -> Some (step, s', c, Cost_engine.fingerprint p)
+                    | Ok pr ->
+                        Some
+                          ( step,
+                            s',
+                            Cost_engine.priced_cost pr,
+                            ( Cost_engine.fingerprint p,
+                              Cost_engine.fingerprint_hash p ),
+                            pr )
                     | Error _ -> None)
                   costed
               in
               let sorted =
                 List.sort
-                  (fun (_, _, a, _) (_, _, b, _) -> Float.compare a b)
+                  (fun (_, _, a, _, _) (_, _, b, _, _) -> Float.compare a b)
                   candidates
               in
               let keep =
                 List.filteri (fun j _ -> j < width) sorted
-                |> List.map (fun (step, s, c, fp) ->
-                       Hashtbl.replace seen fp ();
-                       (step, s, c))
+                |> List.map (fun (step, s, c, fp, pr) ->
+                       Seen.replace seen fp ();
+                       (step, s, c, pr))
               in
 
               match keep with
               | [] ->
                   snap ();
                   `Converged
-              | (step, s0, c0) :: _ ->
+              | (step, s0, c0, _) :: _ ->
                   let improved = c0 < snd !best in
                   if improved then begin
                     best := (s0, c0);
@@ -596,7 +625,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
                      up after [patience] barren levels *)
                   level (i + 1)
                     (if improved then 0 else barren + 1)
-                    (List.map (fun (_, s, c) -> (s, c)) keep))
+                    (List.map (fun (_, s, c, pr) -> (s, c, Some pr)) keep))
         end
   in
   let stopped = level iteration0 barren0 frontier0 in
@@ -625,11 +654,12 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
   (* the initial configuration is exempt from the budget (no ticket,
      no cancellation): anytime search always has a result to return *)
   let p0 = Cost_engine.prepare eng schema in
-  let initial_cost =
-    match Cost_engine.cost_prepared eng p0 with
-    | Ok c -> c
+  let priced0 =
+    match Cost_engine.price eng p0 with
+    | Ok pr -> pr
     | Error _ -> raise (Cost_error "initial configuration cannot be costed")
   in
+  let initial_cost = Cost_engine.priced_cost priced0 in
   let trace0 =
     [
       {
@@ -644,7 +674,7 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
   in
   beam_core ~strategy:"beam" ~kinds ~width ~patience ~max_iterations ~jobs
     ~ctl ~eng ~checkpoint ~start ~iteration0:0 ~barren0:0
-    ~frontier0:[ (schema, initial_cost) ]
+    ~frontier0:[ (schema, initial_cost, Some priced0) ]
     ~best0:(schema, initial_cost)
     ~seen0:[ Cost_engine.fingerprint p0 ]
     ~trace0 ~failures0:[]
@@ -686,7 +716,7 @@ let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
       greedy_core ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
         ~threshold:g_threshold ~max_iterations ~jobs ~ctl ~eng ~checkpoint
         ~start ~iteration0:st.Checkpoint.iteration ~schema0:g_schema
-        ~cost0:g_cost ~trace0 ~failures0
+        ~cost0:g_cost ~priced0:None ~trace0 ~failures0
   | Checkpoint.Beam
       {
         b_frontier;
@@ -700,5 +730,6 @@ let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
       beam_core ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
         ~width:b_width ~patience:b_patience ~max_iterations ~jobs ~ctl ~eng
         ~checkpoint ~start ~iteration0:st.Checkpoint.iteration
-        ~barren0:b_barren ~frontier0:b_frontier
+        ~barren0:b_barren
+        ~frontier0:(List.map (fun (s, c) -> (s, c, None)) b_frontier)
         ~best0:(b_best_schema, b_best_cost) ~seen0:b_seen ~trace0 ~failures0

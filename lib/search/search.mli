@@ -264,7 +264,15 @@ val beam :
     independent of the fresh type names a step order generates — and
     can therefore cross small cost hills the greedy descent cannot (it
     stops after [patience] levels without improvement, default 3).
-    Returns the best configuration seen. *)
+    Returns the best configuration seen.
+
+    Both strategies keep the priced state ({!Cost_engine.priced}) of
+    the configurations they continue from — beam's frontier, greedy's
+    current point — and prepare every neighbour from it, so a
+    neighbour keeps each table, fingerprint, translation and memo key
+    its rewriting left untouched.  A resumed search starts without it
+    and derives its first neighbours afresh; the results are the same
+    either way. *)
 
 val resume :
   ?params:Legodb_optimizer.Cost.params ->

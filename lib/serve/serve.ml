@@ -339,6 +339,19 @@ let text_on t (snap : snap) ?deadline text =
 
 let query ?use_cache t q = query_on t (Atomic.get t.snap) ?use_cache q
 
+(* The reply texts of a statement the parser or the translator rejects
+   open with these prefixes; [error_kind] is the one reader of them. *)
+let parse_error_prefix = "query parse error at offset "
+let untranslatable_prefix = "untranslatable: "
+
+type error_kind = Parse_failure | Untranslation | Other_failure
+
+let error_kind text =
+  if String.starts_with ~prefix:parse_error_prefix text then Parse_failure
+  else if String.starts_with ~prefix:untranslatable_prefix text then
+    Untranslation
+  else Other_failure
+
 (* The one batch loop: [answer snap ?deadline i] answers request [i]
    of [n] on the batch's snapshot. *)
 let run_requests ?timeout_ms t n answer =
@@ -360,10 +373,10 @@ let run_requests ?timeout_ms t n answer =
            | reply -> Ok reply
            | exception Xq_parse.Parse_error { position; message } ->
                Error
-                 (Printf.sprintf "query parse error at offset %d: %s" position
+                 (Printf.sprintf "%s%d: %s" parse_error_prefix position
                     message)
            | exception Xq_translate.Untranslatable m ->
-               Error (Printf.sprintf "untranslatable: %s" m)
+               Error (untranslatable_prefix ^ m)
            | exception Timed_out ->
                Error
                  (Printf.sprintf "timeout: request exceeded %dms"

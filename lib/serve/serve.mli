@@ -191,6 +191,16 @@ val run_batch :
     boundary — cooperative, so a block in progress finishes first —
     while the rest of the batch answers normally. *)
 
+(** What an [Error] slot's text says went wrong. *)
+type error_kind =
+  | Parse_failure  (** ["query parse error at offset N: ..."] *)
+  | Untranslation  (** ["untranslatable: ..."] *)
+  | Other_failure  (** a timeout, or any other text *)
+
+val error_kind : string -> error_kind
+(** The kind of an [Error] slot's text, as {!run_batch} and
+    {!run_texts} write it — and as a network client receives it. *)
+
 val run_texts :
   ?timeout_ms:int -> t -> string array -> (reply, string) result array
 (** {!run_batch} over query texts, with its contract: the same batch

@@ -21,25 +21,28 @@ let is_optional (o : Xtype.occurs) =
 
 module SSet = Set.Make (String)
 
-let rec card_of_body schema visiting t =
+let rec card_of_body read schema visiting t =
   match t with
   | Xtype.Elem e -> e.Xtype.ann.count
   | Xtype.Ref n ->
       if SSet.mem n visiting then None
-      else
+      else begin
+        read n;
         Option.bind (Xschema.find_opt schema n)
-          (card_of_body schema (SSet.add n visiting))
+          (card_of_body read schema (SSet.add n visiting))
+      end
   | Xtype.Choice ts ->
-      let cards = List.filter_map (card_of_body schema visiting) ts in
+      let cards = List.filter_map (card_of_body read schema visiting) ts in
       if cards = [] then None else Some (List.fold_left ( +. ) 0. cards)
   | Xtype.Seq ts ->
-      List.find_map (card_of_body schema visiting) ts
-  | Xtype.Rep (u, _) -> card_of_body schema visiting u
+      List.find_map (card_of_body read schema visiting) ts
+  | Xtype.Rep (u, _) -> card_of_body read schema visiting u
   | Xtype.Empty | Xtype.Scalar _ | Xtype.Attr _ -> None
 
-let card_of_def schema name =
+let card_of_def ?(read = ignore) schema name =
+  read name;
   Option.bind (Xschema.find_opt schema name)
-    (card_of_body schema (SSet.singleton name))
+    (card_of_body read schema (SSet.singleton name))
 
 (* Count of the first mandatory element of a type, following refs. *)
 let rec first_count schema visiting t =
@@ -64,7 +67,7 @@ let branch_weights schema branches =
       (fun b ->
         match first_count schema SSet.empty b with
         | Some c -> Some c
-        | None -> card_of_body schema SSet.empty b)
+        | None -> card_of_body ignore schema SSet.empty b)
       branches
   in
   let known = List.filter_map Fun.id raw in

@@ -20,10 +20,11 @@ exception Not_applicable of string
 
 (** {1 Shared helpers} *)
 
-val card_of_def : Xschema.t -> string -> float option
+val card_of_def : ?read:(string -> unit) -> Xschema.t -> string -> float option
 (** Estimated number of instances of a type (the cardinality of its
     table under the fixed mapping): the summed counts of the top-level
-    elements of its body, following references. *)
+    elements of its body, following references.  [read] is called with
+    every name whose definition the estimate looks up. *)
 
 val branch_weights : Xschema.t -> Xtype.t list -> float list
 (** Relative frequency of each branch of a union, normalized to sum

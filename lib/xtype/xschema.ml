@@ -98,6 +98,21 @@ let referrers s =
     (List.rev s.order);
   fun name -> Option.value ~default:[] (Hashtbl.find_opt index name)
 
+let redefined a b =
+  (* one ordered walk over both indexes *)
+  let rec walk acc sa sb =
+    match (sa, sb) with
+    | Seq.Nil, Seq.Nil -> List.rev acc
+    | Seq.Cons ((n, _), ra), Seq.Nil -> walk (n :: acc) (ra ()) Seq.Nil
+    | Seq.Nil, Seq.Cons ((n, _), rb) -> walk (n :: acc) Seq.Nil (rb ())
+    | Seq.Cons ((na, ba), ra), Seq.Cons ((nb, bb), rb) ->
+        let c = String.compare na nb in
+        if c < 0 then walk (na :: acc) (ra ()) sb
+        else if c > 0 then walk (nb :: acc) sa (rb ())
+        else walk (if ba == bb then acc else na :: acc) (ra ()) (rb ())
+  in
+  walk [] (SMap.to_seq a.index ()) (SMap.to_seq b.index ())
+
 let recursive s name =
   (* is there a cycle through [name] in the ref graph? *)
   let rec reaches seen from =

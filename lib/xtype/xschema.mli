@@ -62,6 +62,13 @@ val referrers : t -> string -> string list
     definition's referrers in one pass over the bodies; apply it once
     per schema and query the result per name. *)
 
+val redefined : t -> t -> string list
+(** [redefined a b]: the names whose definition differs between [a] and
+    [b], sorted: defined in only one of them, or bound to bodies that
+    are not physically equal ([==]).  A rewriting rebuilds only the
+    bodies it changes, so this is the handful of definitions one step
+    touched. *)
+
 val recursive : t -> string -> bool
 (** Is the type part of a reference cycle? *)
 

@@ -252,6 +252,27 @@ let suite =
         check_int "over the cap, each request compiles" 4098
           st.Serve.cache_misses;
         check_int "one hit" 1 st.Serve.cache_hits);
+    case "error slots are classified by their kind" (fun () ->
+        let _, m, db = setup () in
+        (* every reading of the clock is a second later, so a zero
+           budget runs out at the first block *)
+        let t = ref 0. in
+        let clock () = t := !t +. 1.; !t in
+        let s = Serve.create ~jobs:1 ~clock m db in
+        let kinds =
+          Array.map
+            (function
+              | Ok _ -> None | Error text -> Some (Serve.error_kind text))
+            (Serve.run_texts ~timeout_ms:0 s
+               [|
+                 "FOR $v IN imdb/show WHERE RETURN $v";
+                 "FOR $v in imdb/nothing RETURN $v";
+                 "FOR $v IN document(\"x\")/imdb/show RETURN $v/title";
+               |])
+        in
+        check_bool "parse error" true (kinds.(0) = Some Serve.Parse_failure);
+        check_bool "untranslatable" true (kinds.(1) = Some Serve.Untranslation);
+        check_bool "timeout" true (kinds.(2) = Some Serve.Other_failure));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -184,8 +184,8 @@ let suite =
     case "touched tables: lookups name their access path" (fun () ->
         let m = Lazy.force m_inlined in
         let touched n =
-          let _, tabs = Xq_translate.translate_with_tables m (Imdb.Queries.q n) in
-          List.sort_uniq compare tabs
+          let tr = Xq_translate.derive m (Imdb.Queries.q n) in
+          List.sort_uniq compare tr.Xq_translate.tables
         in
         Alcotest.(check (list string)) "Q1" [ "IMDB"; "Show" ] (touched 1);
         Alcotest.(check (list string)) "Q8" [ "Actor"; "IMDB" ] (touched 8);
@@ -198,17 +198,17 @@ let suite =
     case "touched tables: updates name the written subtree" (fun () ->
         let m = Lazy.force m_inlined in
         let ins = Xq_parse.parse_update ~name:"ins" "INSERT imdb/actor" in
-        let _, tabs = Xq_translate.translate_update_with_tables m ins in
+        let tr = Xq_translate.derive_update m ins in
         Alcotest.(check (list string)) "INSERT imdb/actor"
           [ "Actor"; "Award"; "Played" ]
-          (List.sort_uniq compare tabs));
+          (List.sort_uniq compare tr.Xq_translate.tables));
     case "touched tables agree with the blocks' relations" (fun () ->
         List.iter
           (fun m ->
             List.iter
               (fun q ->
-                match Xq_translate.translate_with_tables m q with
-                | lq, tabs ->
+                match Xq_translate.derive m q with
+                | { Xq_translate.translated = lq; tables = tabs; _ } ->
                     List.iter
                       (fun b ->
                         List.iter
