@@ -559,9 +559,9 @@ let build ~order_columns ?parent schema =
   match Pschema.check schema with
   | Error vs ->
       Error (List.map (Format.asprintf "%a" Pschema.pp_violation) vs)
-  | Ok () -> (
+  | Ok reachable -> (
       let transparent, concrete =
-        List.partition (is_transparent schema) (Xschema.reachable schema)
+        List.partition (is_transparent schema) reachable
       in
       let referrers = Xschema.referrers schema in
       let fresh = table_of_type ~order_columns schema referrers in

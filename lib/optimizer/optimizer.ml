@@ -809,11 +809,3 @@ let write_cost ?(params = Cost.default_params) cat (u : Logical.update) =
       in
       acc +. locate_cost +. Cost.total params (Cost.scale rows per_row))
     0. u.Logical.writes
-
-let updates_cost ?params cat updates =
-  List.fold_left
-    (fun acc (u, weight) -> acc +. (weight *. write_cost ?params cat u))
-    0. updates
-
-let mixed_workload_cost ?params cat ~queries ~updates =
-  workload_cost ?params cat queries +. updates_cost ?params cat updates

@@ -74,16 +74,3 @@ val write_cost :
     index on the table (a seek and a tuple of CPU each); updates in
     place touch one index. *)
 
-val updates_cost :
-  ?params:Cost.params -> Rschema.t -> (Logical.update * float) list -> float
-(** Weighted sum of {!write_cost} over the update statements. *)
-
-val mixed_workload_cost :
-  ?params:Cost.params ->
-  Rschema.t ->
-  queries:(Logical.query * float) list ->
-  updates:(Logical.update * float) list ->
-  float
-(** Weighted queries plus weighted updates — the objective for
-    update-aware storage design (the paper's future-work extension).
-    Equals [workload_cost + updates_cost]. *)

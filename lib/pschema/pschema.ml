@@ -64,14 +64,15 @@ let check schema =
       Error
         (List.map (fun m -> { tname = Xschema.root schema; loc = []; reason = m }) es)
   | Ok () -> (
+      let reachable = Xschema.reachable schema in
       let vs =
         List.concat_map
           (fun name ->
             match Xschema.find_opt schema name with
             | Some body -> violations_of_body schema name body
             | None -> [])
-          (Xschema.reachable schema)
+          reachable
       in
-      match vs with [] -> Ok () | _ -> Error vs)
+      match vs with [] -> Ok reachable | _ -> Error vs)
 
-let is_pschema schema = match check schema with Ok () -> true | Error _ -> false
+let is_pschema schema = match check schema with Ok _ -> true | Error _ -> false

@@ -22,9 +22,10 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check : Xschema.t -> (unit, violation list) result
+val check : Xschema.t -> (string list, violation list) result
 (** All violations of the stratified grammar across reachable
-    definitions, or [Ok ()] if the schema is a p-schema.  Also requires
+    definitions, or, if the schema is a p-schema, [Ok] of the names it
+    checked: {!Xschema.reachable}, in its order.  Also requires
     {!Xschema.check} well-formedness. *)
 
 val is_pschema : Xschema.t -> bool

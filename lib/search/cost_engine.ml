@@ -36,28 +36,20 @@ let empty_snapshot =
     t_optimize = 0.;
   }
 
-(* the mutable counter block, shared in shape between the engine proper
-   and its worker shards so both feed the same costing code *)
-type counters = {
-  mutable evaluations : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable faults : int;
-  mutable t_mapping : float;
-  mutable t_translate : float;
-  mutable t_optimize : float;
-}
-
-let fresh_counters () =
+(* one field-wise operation over two snapshots: [merge] sums a shard's
+   counters into the engine's, [diff] subtracts *)
+let combine fi ff (a : snapshot) (b : snapshot) : snapshot =
   {
-    evaluations = 0;
-    hits = 0;
-    misses = 0;
-    faults = 0;
-    t_mapping = 0.;
-    t_translate = 0.;
-    t_optimize = 0.;
+    evaluations = fi a.evaluations b.evaluations;
+    hits = fi a.hits b.hits;
+    misses = fi a.misses b.misses;
+    faults = fi a.faults b.faults;
+    t_mapping = ff a.t_mapping b.t_mapping;
+    t_translate = ff a.t_translate b.t_translate;
+    t_optimize = ff a.t_optimize b.t_optimize;
   }
+
+let diff = combine ( - ) ( -. )
 
 (* A memo key with its hash, taken once: a key runs to kilobytes, and a
    neighbour that keeps its parent's key probes the memo table with it
@@ -73,7 +65,8 @@ end)
 
 let key_of_bytes bytes = { bytes; hash = Hashtbl.hash bytes }
 
-type t = {
+(* what every view of one engine shares *)
+type shared = {
   params : Cost.params option;
   workload_indexes : bool;
   queries : (Legodb_xquery.Xq_ast.t * float) array;
@@ -84,41 +77,49 @@ type t = {
   per_query_timeout_ms : float option;
   clock : unit -> float;
   cache : float Memo.t;
-  c : counters;
-  (* [frozen] marks a parallel fan-out in flight: the engine is then a
-     read-mostly view (workers probe [cache], nothing writes it) and
-     direct costing through the engine is a caller bug.  [pool] is the
-     engine's persistent worker shards, one per worker slot, reused
-     across iterations, strategies, and searches — [merge] resets a
-     shard instead of consuming it. *)
+  (* [frozen] marks a fan-out in flight: the shared table is then
+     read-only (the shards probe it, nothing writes it) and costing
+     through the engine's own view is a caller bug.  [pool] is the
+     persistent worker shards, one per worker slot, reused across
+     fan-outs, strategies and searches — [merge] resets a shard instead
+     of consuming it. *)
   mutable frozen : bool;
-  mutable pool : shard array;
+  mutable pool : t array;
 }
 
-and shard = {
-  base : t;
-  fresh : float Memo.t;
-  sc : counters;
-}
+(* A view of the engine: its new memo entries go to [delta], its
+   counters to [snap].  The engine's own view has the shared table as
+   its delta; a worker shard's delta is private until [merge]. *)
+and t = { env : shared; delta : float Memo.t; mutable snap : snapshot }
 
 let create ?params ?(workload_indexes = false) ?(updates = [])
     ?(memoize = true) ?(oracle = false) ?inject ?per_query_timeout_ms
     ?(clock = Unix.gettimeofday) ~workload () =
-  {
-    params;
-    workload_indexes;
-    queries = Array.of_list workload;
-    updates = Array.of_list updates;
-    memoize;
-    oracle;
-    inject;
-    per_query_timeout_ms;
-    clock;
-    cache = Memo.create 256;
-    c = fresh_counters ();
-    frozen = false;
-    pool = [||];
-  }
+  let env =
+    {
+      params;
+      workload_indexes;
+      queries = Array.of_list workload;
+      updates = Array.of_list updates;
+      memoize;
+      oracle;
+      inject;
+      per_query_timeout_ms;
+      clock;
+      cache = Memo.create 256;
+      frozen = false;
+      pool = [||];
+    }
+  in
+  { env; delta = env.cache; snap = empty_snapshot }
+
+let owns v = v.delta == v.env.cache
+
+(* the view's delta, then (for a shard) the shared table *)
+let find v k =
+  match Memo.find_opt v.delta k with
+  | Some _ as r -> r
+  | None -> if owns v then None else Memo.find_opt v.env.cache k
 
 (* The cache key of one statement: its kind and position in the
    workload, then the sorted fingerprints of the tables it touches,
@@ -196,12 +197,13 @@ let check_mapped schema (m, fps) =
       then diverged "fingerprints"
 
 (* Map the candidate, fingerprint its tables and derive the catalog
-   fingerprint, charged to [c.t_mapping]; from [parent]'s state when
-   given.  An unmappable schema's fingerprint is its text under tag
-   [X], which no catalog fingerprint (tag [C]) begins with.  Only beam
-   deduplicates on the catalog fingerprint; the schema-taking entry
-   points never read it, and prepare with [~catalog:false]. *)
-let prepare_into ?(catalog = true) ?parent (t : t) (c : counters) schema =
+   fingerprint, charged to the view's [t_mapping]; from [parent]'s
+   state when given.  An unmappable schema's fingerprint is its text
+   under tag [X], which no catalog fingerprint (tag [C]) begins with.
+   Only beam deduplicates on the catalog fingerprint; the schema-taking
+   entry points never read it, and prepare with [~catalog:false]. *)
+let prepare_into ?(catalog = true) ?parent v schema =
+  let t = v.env in
   let t0 = t.clock () in
   let mapping =
     match parent with
@@ -223,7 +225,7 @@ let prepare_into ?(catalog = true) ?parent (t : t) (c : counters) schema =
             Mapping.catalog_fingerprint (Mapping.fingerprint_list fps)
           else "" )
   in
-  c.t_mapping <- c.t_mapping +. (t.clock () -. t0);
+  v.snap <- { v.snap with t_mapping = v.snap.t_mapping +. (t.clock () -. t0) };
   (match (t.oracle, parent, mapped) with
   | true, Some _, Ok mf -> check_mapped schema mf
   | true, Some _, Error _ -> (
@@ -236,11 +238,9 @@ let prepare_into ?(catalog = true) ?parent (t : t) (c : counters) schema =
   let fingerprint_hash = if catalog then Hashtbl.hash fingerprint else 0 in
   { schema; mapped; fingerprint; fingerprint_hash; parent }
 
-(* One costing pass over a prepared candidate, generic over where
-   cache lookups/insertions and counter bumps land: the engine itself
-   ([cost]) or a worker shard ([shard_cost]).  Keeping a single body is
-   what guarantees the sequential and sharded paths price a
-   configuration identically.
+(* One costing pass over a prepared candidate on a view: its probes
+   go to the view's delta and then the shared table, its new entries
+   and counter bumps to the view.
 
    [check] is the cooperative cancellation point (see Budget): it runs
    before the evaluation is counted, so an exhausted budget abandons
@@ -254,9 +254,10 @@ let prepare_into ?(catalog = true) ?parent (t : t) (c : counters) schema =
    ({!Xq_translate.derive}), and the parent's memo key too when every
    table the statement touches kept its fingerprint; oracle mode checks
    both against fresh ones. *)
-let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
+let cost_into ?(check = ignore) v p =
+  let t = v.env in
   check ();
-  c.evaluations <- c.evaluations + 1;
+  v.snap <- { v.snap with evaluations = v.snap.evaluations + 1 };
   (match t.inject with
   | Some inject when inject (Xschema.to_string p.schema) ->
       raise
@@ -308,7 +309,7 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
                message = msg;
              })
   in
-  c.t_translate <- c.t_translate +. (now () -. t1);
+  v.snap <- { v.snap with t_translate = v.snap.t_translate +. (now () -. t1) };
   if t.oracle && parent <> None then begin
     let agrees tr (tr0 : _ Xq_translate.translation) =
       if
@@ -344,7 +345,7 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
           ?parent:(Option.map (fun pp -> pp.p_ofps) parent)
           catalog
       in
-      c.t_mapping <- c.t_mapping +. (now () -. t0);
+      v.snap <- { v.snap with t_mapping = v.snap.t_mapping +. (now () -. t0) };
       fps
     end
     else table_fps
@@ -373,9 +374,9 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
   let costed kind index key fresh =
     let compute () =
       let t2 = now () in
-      let v = fresh () in
+      let x = fresh () in
       let dt = now () -. t2 in
-      c.t_optimize <- c.t_optimize +. dt;
+      v.snap <- { v.snap with t_optimize = v.snap.t_optimize +. dt };
       (* a statement that overran the per-query bound poisons the whole
          configuration: costing it to completion was unavoidable (the
          optimizer is not preemptible between [?check] polls), but the
@@ -394,36 +395,37 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
                      kind index (dt *. 1000.) limit;
                })
       | _ -> ());
-      v
+      x
     in
     match key with
     | None -> compute ()
     | Some k -> (
-        match find k with
-        | Some v ->
+        match find v k with
+        | Some x ->
             if t.oracle then begin
               let fresh_v = compute () in
-              if not (Float.equal v fresh_v) then
+              if not (Float.equal x fresh_v) then
                 invalid_arg
                   (Printf.sprintf
                      "Cost_engine: cache divergence on statement %c%d (cached \
                       %h, fresh %h)"
-                     kind index v fresh_v)
+                     kind index x fresh_v)
             end;
-            c.hits <- c.hits + 1;
-            v
+            v.snap <- { v.snap with hits = v.snap.hits + 1 };
+            x
         | None ->
-            let v = compute () in
-            c.misses <- c.misses + 1;
-            add k v;
-            v)
+            let x = compute () in
+            v.snap <- { v.snap with misses = v.snap.misses + 1 };
+            Memo.replace v.delta k x;
+            x)
   in
   let keys kind keys_of trs theirs =
     if not t.memoize then [||]
     else Array.mapi (fun i tr -> key_of kind keys_of i tr (theirs i)) trs
   in
-  (* exactly Optimizer.mixed_workload_cost's summation order, so a warm
-     engine and a cold cost agree bit for bit *)
+  (* queries first, then updates, each in workload order and each sum
+     started from zero: one order for memoized and uncached engines, so
+     a warm engine and a cold cost agree bit for bit *)
   let qkeys =
     keys 'q' (fun pp -> pp.p_qkeys) queries (from (fun pp -> pp.p_queries))
   in
@@ -431,11 +433,11 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
   Array.iteri
     (fun i (tr : _ Xq_translate.translation) ->
       let key = if t.memoize then Some qkeys.(i) else None in
-      let v =
+      let x =
         costed 'q' i key (fun () ->
             Optimizer.query_scalar_cost ?params:t.params catalog tr.translated)
       in
-      total := !total +. (snd t.queries.(i) *. v))
+      total := !total +. (snd t.queries.(i) *. x))
     queries;
   let ukeys =
     keys 'u' (fun pp -> pp.p_ukeys) updates (from (fun pp -> pp.p_updates))
@@ -444,11 +446,11 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
   Array.iteri
     (fun i (tr : _ Xq_translate.translation) ->
       let key = if t.memoize then Some ukeys.(i) else None in
-      let v =
+      let x =
         costed 'u' i key (fun () ->
             Optimizer.write_cost ?params:t.params catalog tr.translated)
       in
-      wtotal := !wtotal +. (snd t.updates.(i) *. v))
+      wtotal := !wtotal +. (snd t.updates.(i) *. x))
     updates;
   {
     p_mapping = m;
@@ -461,169 +463,104 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) p =
     p_cost = !total +. !wtotal;
   }
 
-let check_thawed t =
-  if t.frozen then
+let check_thawed v =
+  if owns v && v.env.frozen then
     invalid_arg
-      "Cost_engine: engine is frozen (parallel fan-out in flight); cost \
-       through its worker shards instead"
+      "Cost_engine: engine is frozen (fan-out in flight); cost through its \
+       worker shards instead"
 
-let prepare ?parent t schema =
-  check_thawed t;
-  prepare_into ?parent t t.c schema
+let prepare ?parent v schema =
+  check_thawed v;
+  prepare_into ?parent v schema
 
-let price ?check t p =
-  check_thawed t;
-  match
-    cost_into ?check
-      ~find:(fun k -> Memo.find_opt t.cache k)
-      ~add:(fun k v -> Memo.replace t.cache k v)
-      t t.c p
-  with
-  | v -> Ok v
+let price ?check v p =
+  check_thawed v;
+  match cost_into ?check v p with
+  | r -> Ok r
   | exception Fault f ->
-      t.c.faults <- t.c.faults + 1;
+      v.snap <- { v.snap with faults = v.snap.faults + 1 };
       Error f
 
 (* the schema-taking entry points poll [check] before preparing, so an
    exhausted budget abandons the candidate before any work *)
-let price_schema ?(check = ignore) ?parent t schema =
-  check_thawed t;
+let price_schema ?(check = ignore) ?parent v schema =
+  check_thawed v;
   check ();
-  price t (prepare_into ~catalog:false ?parent t t.c schema)
+  price v (prepare_into ~catalog:false ?parent v schema)
 
-let cost_result ?check t schema =
-  Result.map priced_cost (price_schema ?check t schema)
+let cost_result ?check v schema =
+  Result.map priced_cost (price_schema ?check v schema)
 
-let cost ?check t schema =
-  match cost_result ?check t schema with
-  | Ok v -> v
+let cost ?check v schema =
+  match cost_result ?check v schema with
+  | Ok c -> c
   | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
 
-let cost_opt ?check t schema =
-  match cost_result ?check t schema with Ok c -> Some c | Error _ -> None
+let cost_opt ?check v schema =
+  match cost_result ?check v schema with Ok c -> Some c | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* worker shards                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let shard t = { base = t; fresh = Memo.create 64; sc = fresh_counters () }
-
 (* persistent per-worker shards: grown on demand, never shrunk, reused
    across fan-outs (merge resets a shard rather than consuming it) *)
-let worker_shards t n =
+let worker_shards v n =
+  let e = v.env in
   let n = max n 1 in
-  let have = Array.length t.pool in
+  let have = Array.length e.pool in
   if have < n then
-    t.pool <-
-      Array.init n (fun i -> if i < have then t.pool.(i) else shard t);
-  if Array.length t.pool = n then t.pool else Array.sub t.pool 0 n
+    e.pool <-
+      Array.init n (fun i ->
+          if i < have then e.pool.(i)
+          else { env = e; delta = Memo.create 64; snap = empty_snapshot });
+  if Array.length e.pool = n then e.pool else Array.sub e.pool 0 n
 
-let freeze t =
-  if t.frozen then invalid_arg "Cost_engine: already frozen";
-  t.frozen <- true
+let freeze v =
+  if v.env.frozen then invalid_arg "Cost_engine: already frozen";
+  v.env.frozen <- true
 
-let reset_shard sh =
-  Memo.reset sh.fresh;
-  sh.sc.evaluations <- 0;
-  sh.sc.hits <- 0;
-  sh.sc.misses <- 0;
-  sh.sc.faults <- 0;
-  sh.sc.t_mapping <- 0.;
-  sh.sc.t_translate <- 0.;
-  sh.sc.t_optimize <- 0.
+let reset sh =
+  Memo.reset sh.delta;
+  sh.snap <- empty_snapshot
 
 (* abandon a fan-out wholesale: nothing a worker computed — cache
    entries or counters — reaches the engine, exactly as if the shards
    had been dropped on the floor (but reusable) *)
-let discard_shards t =
-  Array.iter reset_shard t.pool;
-  t.frozen <- false
+let discard_shards v =
+  Array.iter reset v.env.pool;
+  v.env.frozen <- false
 
-let shard_prepare ?parent sh schema = prepare_into ?parent sh.base sh.sc schema
-
-let shard_price ?check sh p =
-  match
-    cost_into ?check
-      ~find:(fun k ->
-        match Memo.find_opt sh.fresh k with
-        | Some _ as r -> r
-        | None -> Memo.find_opt sh.base.cache k)
-      ~add:(fun k v -> Memo.replace sh.fresh k v)
-      sh.base sh.sc p
-  with
-  | v -> Ok v
-  | exception Fault f ->
-      sh.sc.faults <- sh.sc.faults + 1;
-      Error f
-
-let shard_price_schema ?(check = ignore) ?parent sh schema =
-  check ();
-  shard_price sh (prepare_into ~catalog:false ?parent sh.base sh.sc schema)
-
-let shard_cost ?check sh schema =
-  match shard_price_schema ?check sh schema with
-  | Ok p -> priced_cost p
-  | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
-
-let merge t shards =
-  (* every owner is checked before anything is touched, so a rejected
+let merge v shards =
+  (* every view is checked before anything is touched, so a rejected
      merge leaves the engine — cache, counters, frozen state — as it
      was *)
-  if List.exists (fun sh -> sh.base != t) shards then
-    invalid_arg "Cost_engine.merge: shard belongs to a different engine";
-  t.frozen <- false;
+  if (not (owns v)) || List.exists (fun sh -> sh.env != v.env || owns sh) shards
+  then invalid_arg "Cost_engine.merge: not this engine's worker shards";
+  v.env.frozen <- false;
   List.iter
     (fun sh ->
       Memo.iter
-        (fun k v -> if not (Memo.mem t.cache k) then Memo.add t.cache k v)
-        sh.fresh;
-      t.c.evaluations <- t.c.evaluations + sh.sc.evaluations;
-      t.c.hits <- t.c.hits + sh.sc.hits;
-      t.c.misses <- t.c.misses + sh.sc.misses;
-      t.c.faults <- t.c.faults + sh.sc.faults;
-      t.c.t_mapping <- t.c.t_mapping +. sh.sc.t_mapping;
-      t.c.t_translate <- t.c.t_translate +. sh.sc.t_translate;
-      t.c.t_optimize <- t.c.t_optimize +. sh.sc.t_optimize;
+        (fun k x -> if not (Memo.mem v.delta k) then Memo.add v.delta k x)
+        sh.delta;
+      v.snap <- combine ( + ) ( +. ) v.snap sh.snap;
       (* a merged shard must not contribute twice; resetting (not
          consuming) it is what lets the persistent pool shards be
          reused by the next fan-out *)
-      reset_shard sh)
+      reset sh)
     shards
 
 (* sorted so a snapshot of the cache is deterministic: the on-disk
    checkpoint of a given search state is byte-identical regardless of
    hash-table iteration order *)
-let cache_entries t =
-  Memo.fold (fun k v acc -> (k.bytes, v) :: acc) t.cache []
+let cache_entries v =
+  Memo.fold (fun k x acc -> (k.bytes, x) :: acc) v.env.cache []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let seed_cache t entries =
-  List.iter (fun (k, v) -> Memo.replace t.cache (key_of_bytes k) v) entries
+let seed_cache v entries =
+  List.iter (fun (k, x) -> Memo.replace v.env.cache (key_of_bytes k) x) entries
 
-let snapshot_of (c : counters) : snapshot =
-  {
-    evaluations = c.evaluations;
-    hits = c.hits;
-    misses = c.misses;
-    faults = c.faults;
-    t_mapping = c.t_mapping;
-    t_translate = c.t_translate;
-    t_optimize = c.t_optimize;
-  }
-
-let snapshot t = snapshot_of t.c
-let shard_snapshot sh = snapshot_of sh.sc
-
-let diff (a : snapshot) (b : snapshot) : snapshot =
-  {
-    evaluations = a.evaluations - b.evaluations;
-    hits = a.hits - b.hits;
-    misses = a.misses - b.misses;
-    faults = a.faults - b.faults;
-    t_mapping = a.t_mapping -. b.t_mapping;
-    t_translate = a.t_translate -. b.t_translate;
-    t_optimize = a.t_optimize -. b.t_optimize;
-  }
+let snapshot v = v.snap
 
 let hit_rate (s : snapshot) =
   let lookups = s.hits + s.misses in

@@ -63,6 +63,10 @@ type snapshot = {
 val empty_snapshot : snapshot
 
 type t
+(** An engine, or a worker shard of one ({!worker_shards}): views that
+    share the workload, the parameters and the memo table, each with
+    its own new memo entries and counters.  Every entry point below
+    takes either. *)
 
 val create :
   ?params:Legodb_optimizer.Cost.params ->
@@ -129,7 +133,7 @@ val cost_result :
   Legodb_xtype.Xschema.t ->
   (float, fault) result
 (** [cost] with failures as structured {!fault} records instead of a
-    raised {!Cost_error}; the engine's fault counter is bumped either
+    raised {!Cost_error}; the view's fault counter is bumped either
     way. *)
 
 val cost_opt :
@@ -164,10 +168,10 @@ val priced_cost : priced -> float
 
 val prepare : ?parent:priced -> t -> Legodb_xtype.Xschema.t -> prepared
 (** Map the schema, fingerprint every table and derive the catalog
-    fingerprint, charging the time to the engine's [t_mapping]; from
+    fingerprint, charging the time to the view's [t_mapping]; from
     [parent]'s state when the schema is one rewriting from [parent]'s
     (any schema is correct, only slower to prepare).
-    @raise Invalid_argument while the engine is frozen. *)
+    @raise Invalid_argument on a frozen engine (not on its shards). *)
 
 val fingerprint : prepared -> string
 (** The {!Mapping.catalog_fingerprint} of the prepared catalog; for an
@@ -196,105 +200,62 @@ val price_schema :
 
 (** {1 Worker shards}
 
-    Parallel neighbor costing ({!Search.greedy} and friends with
-    [~jobs] > 1) splits the engine into a {e read-mostly frozen view}
-    plus per-worker private deltas.  During a fan-out the engine is
-    {!freeze}-frozen: its memo table is read-only shared state that
-    every worker probes lock-free, and each worker slot costs
-    candidates through its own {!shard} — a view that reads the frozen
-    cache and records new entries and counters privately.  At the
-    iteration barrier {!merge} publishes the deltas back in
-    worker-slot order (a deterministic order; first-wins on duplicate
-    keys).
+    Every search pass ({!Search.greedy}'s neighbour pricing,
+    {!Search.beam}'s prepare and price passes) runs on worker shards,
+    at every [~jobs], one included.  A shard probes its own new entries
+    and then the engine's memo table, and records what it computes and
+    counts privately.  During a pass the engine is {!freeze}-frozen:
+    the memo table is read-only shared state that every worker probes
+    lock-free, and costing through the engine itself raises.  At the
+    pass's barrier {!merge} publishes the shards in worker-slot order
+    (a deterministic order; first-wins on duplicate keys).  A pass
+    that raises (an exhausted budget) ends in {!discard_shards}
+    instead: it publishes nothing, so an abandoned pass leaves the
+    engine at its barrier state whatever [~jobs].
 
     Determinism: because the cache is pure memoization, a probed key's
-    value — and therefore every candidate's cost — is bit-identical to
-    a sequential run's whatever the scheduling, and the post-merge
-    memo {e key set} is exactly the keys the candidate list probes, so
-    the merged cache contents are scheduling-independent too.  Only
-    the hit/miss {e split} (and the wall-clock timers, as always)
-    depends on which worker happened to cost which chunk.
+    value — and therefore every candidate's cost — is the same whatever
+    the scheduling, and the post-merge memo {e key set} is exactly the
+    keys the candidate list probes, so the merged cache contents are
+    scheduling-independent too.  Only the hit/miss {e split} (and the
+    wall-clock timers, as always) depends on which worker happened to
+    cost which chunk; with one worker it is the split of pricing the
+    candidates in order on the engine itself. *)
 
-    Shards are cheap but not free; {!worker_shards} keeps a persistent
-    pool of them on the engine, reused across iterations, strategies,
-    and searches — {!merge} resets a shard instead of consuming it,
-    and {!discard_shards} abandons a fan-out without publishing
-    anything. *)
-
-type shard
-
-val shard : t -> shard
-(** A fresh shard of [t].  Between creating a batch of shards and
-    {!merge}-ing them, cost configurations only through the shards (or
-    concurrently reading [t] via {!snapshot}); do not call {!cost} on
-    [t] itself, which would write the shared cache under the readers.
-    (Fan-outs that also {!freeze} the engine get that misuse detected
-    instead of relying on discipline.) *)
-
-val worker_shards : t -> int -> shard array
+val worker_shards : t -> int -> t array
 (** [worker_shards t n] — the engine's persistent worker shards,
     [max n 1] of them (slot-indexed, for {!Par.run_tasks}'s [~worker]
     argument).  Grown on demand, never shrunk; the same shard objects
     are returned on every call, so state {e not} yet published must be
-    {!merge}d or {!discard_shards}-discarded before the next fan-out
+    {!merge}d or {!discard_shards}-discarded before the next pass
     starts. *)
 
 val freeze : t -> unit
-(** Mark a parallel fan-out in flight: until {!merge} or
-    {!discard_shards}, the engine is a read-mostly view and {!cost}
-    (and friends) on [t] itself raise [Invalid_argument] — costing
-    must go through the shards.  @raise Invalid_argument if already
+(** Mark a pass in flight: until {!merge} or {!discard_shards}, the
+    engine's own entry points raise [Invalid_argument] — costing must
+    go through the shards.  @raise Invalid_argument if already
     frozen. *)
 
 val discard_shards : t -> unit
-(** Abandon an in-flight fan-out wholesale: reset every pool shard
-    (cache deltas {e and} counters are dropped, nothing reaches the
-    engine) and un-freeze.  What the budget-exhausted iteration path
-    uses so an abandoned iteration leaves the engine bit-identical to
-    its barrier state. *)
+(** Abandon a pass wholesale: reset every pool shard (cache deltas
+    {e and} counters are dropped, nothing reaches the engine) and
+    un-freeze. *)
 
-val shard_cost :
-  ?check:(unit -> unit) -> shard -> Legodb_xtype.Xschema.t -> float
-(** {!cost} against the shard's view: hits come from the shard's own
-    new entries or the shared cache; misses are recorded privately.
-    @raise Cost_error when the configuration cannot be costed. *)
-
-val shard_prepare :
-  ?parent:priced -> shard -> Legodb_xtype.Xschema.t -> prepared
-(** {!prepare}, charging the shard's [t_mapping]. *)
-
-val shard_price :
-  ?check:(unit -> unit) -> shard -> prepared -> (priced, fault) result
-(** {!price} against the shard's view. *)
-
-val shard_price_schema :
-  ?check:(unit -> unit) ->
-  ?parent:priced ->
-  shard ->
-  Legodb_xtype.Xschema.t ->
-  (priced, fault) result
-(** {!price_schema} against the shard's view. *)
-
-val shard_snapshot : shard -> snapshot
-(** The shard's private counters (zeroed again by {!merge}). *)
-
-val merge : t -> shard list -> unit
+val merge : t -> t list -> unit
 (** Publish the shards' new cache entries and counters into the
     engine, in list order: entries already present (seeded by an
     earlier shard in the list) keep their first value — the floats are
-    identical anyway — and counters are summed left to right.  The
-    search passes the worker shards in slot order, so the publication
-    order is deterministic even though each shard's contents depend on
-    scheduling (see the section comment: the merged cache is
-    scheduling-independent regardless).  Resets each merged shard so a
-    double [merge] cannot double-count and pool shards are ready for
-    the next fan-out; un-freezes the engine.
-    @raise Invalid_argument on a shard of a different engine, before
-    anything is merged: the engine's cache, counters and frozen state
-    are left as they were. *)
+    identical anyway — and counters are summed left to right.  Resets
+    each merged shard, so a double [merge] cannot double-count and pool
+    shards are ready for the next pass; un-freezes the engine.
+    @raise Invalid_argument unless the first argument is an engine and
+    every shard is one of its worker shards, before anything is merged:
+    the engine's cache, counters and frozen state are left as they
+    were. *)
 
 val snapshot : t -> snapshot
-(** Cumulative counters since [create]. *)
+(** The view's counters: an engine's since [create]; a shard's since
+    its last {!merge} or {!discard_shards}. *)
 
 (** {1 Cache persistence}
 

@@ -19,9 +19,6 @@ let pschema_cost ?params ?workload_indexes ?updates ~workload schema =
 (* parallel neighbor costing                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [~jobs:0] means "one per core" *)
-let resolve_jobs jobs = if jobs <= 0 then Par.default_jobs () else jobs
-
 (* split [l] into at most [n] contiguous chunks of near-equal length,
    preserving order — the chunking is a pure function of (n, l), which
    is what makes the parallel counters scheduling-independent *)
@@ -65,7 +62,7 @@ let chunk_list n l =
    concurrent searches would interleave their timings, which the bench
    — one search at a time — never does. *)
 type seam_stats = {
-  s_fanouts : int;  (** parallel fan-outs (costing + prepare passes) *)
+  s_fanouts : int;  (** fan-outs (costing + prepare passes) *)
   s_t_fanout : float;  (** seconds inside [Par.run_tasks] *)
   s_t_merge : float;  (** seconds publishing shard deltas at barriers *)
   s_t_barrier_idle : float;
@@ -97,19 +94,19 @@ let seam_add ~fanout ~merge ~idle =
    pure function of [(jobs, list)]. *)
 let chunk_factor = 8
 
-(* Run one pass over the candidates, returning its results in input
-   order: [seq c] on the engine itself, or with [jobs > 1] [par shard c]
-   on the engine's persistent worker shards.  The engine is frozen into
-   a read-only memo view, the candidates are split into fine-grained
-   chunks (chunk_factor per worker) self-scheduled onto the persistent
-   worker pool, and every worker slot runs its chunks on the shard for
-   that slot — probing the frozen cache, recording new entries and
-   counters privately.  At the barrier the shards publish back in
-   worker-slot order.  Costs are pure memoization, results are keyed
-   by chunk index, and the merged cache contents depend only on the
-   candidate list, so cost/schema/trace stay bit-identical to a
-   sequential run whatever the scheduling; only the hit/miss split
-   (and wall clock) varies.
+(* Run one pass over the candidates, returning [f shard c] for each in
+   input order, on the engine's persistent worker shards at every
+   [jobs].  The engine is frozen into a read-only memo view, the
+   candidates are split into fine-grained chunks (chunk_factor per
+   worker) self-scheduled onto the persistent worker pool (inline on
+   the calling domain at [jobs = 1] and on the sequential backend), and
+   every worker slot runs its chunks on the shard for that slot —
+   probing the frozen cache, recording new entries and counters
+   privately.  At the barrier the shards publish back in worker-slot
+   order.  Costs are pure memoization, results are keyed by chunk
+   index, and the merged cache contents depend only on the candidate
+   list, so cost/schema/trace are bit-identical whatever [jobs] and the
+   scheduling; only the hit/miss split (and wall clock) varies.
 
    If a candidate raises (the budget polls), the fan-out lets every
    in-flight chunk settle (they hit the same exhausted budget at their
@@ -117,43 +114,29 @@ let chunk_factor = 8
    wholesale, and re-raises the lowest-index failure — the pass is
    abandoned all-or-nothing and the engine is left bit-identical to
    its barrier state. *)
-let fan_out eng ~jobs ~seq ~par candidates =
-  if jobs <= 1 || not Par.available then List.map seq candidates
+let fan_out eng ~jobs f candidates =
+  let chunks = Array.of_list (chunk_list (jobs * chunk_factor) candidates) in
+  let nchunks = Array.length chunks in
+  if nchunks = 0 then []
   else begin
-    let chunks = Array.of_list (chunk_list (jobs * chunk_factor) candidates) in
-    let nchunks = Array.length chunks in
-    if nchunks = 0 then []
-    else begin
-      let results = Array.make nchunks [] in
-      let shards = Cost_engine.worker_shards eng jobs in
-      Cost_engine.freeze eng;
-      let t0 = Unix.gettimeofday () in
-      let idle =
-        try
-          Par.run_tasks ~jobs nchunks (fun ~worker ci ->
-              results.(ci) <- List.map (par shards.(worker)) chunks.(ci))
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          Cost_engine.discard_shards eng;
-          Printexc.raise_with_backtrace e bt
-      in
-      let t1 = Unix.gettimeofday () in
-      Cost_engine.merge eng (Array.to_list shards);
-      seam_add ~fanout:(t1 -. t0) ~merge:(Unix.gettimeofday () -. t1) ~idle;
-      List.concat (Array.to_list results)
-    end
+    let results = Array.make nchunks [] in
+    let shards = Cost_engine.worker_shards eng jobs in
+    Cost_engine.freeze eng;
+    let t0 = Unix.gettimeofday () in
+    let idle =
+      try
+        Par.run_tasks ~jobs nchunks (fun ~worker ci ->
+            results.(ci) <- List.map (f shards.(worker)) chunks.(ci))
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Cost_engine.discard_shards eng;
+        Printexc.raise_with_backtrace e bt
+    in
+    let t1 = Unix.gettimeofday () in
+    Cost_engine.merge eng (Array.to_list shards);
+    seam_add ~fanout:(t1 -. t0) ~merge:(Unix.gettimeofday () -. t1) ~idle;
+    List.concat (Array.to_list results)
   end
-
-(* Price every candidate, prepared from [parent]'s state, returning
-   [(candidate, priced-or-fault)] in input order.  [check]
-   (Budget.tick) runs before each candidate on every path. *)
-let par_price eng ~check ~jobs ?parent ~schema_of candidates =
-  fan_out eng ~jobs
-    ~seq:(fun c ->
-      (c, Cost_engine.price_schema ~check ?parent eng (schema_of c)))
-    ~par:(fun sh c ->
-      (c, Cost_engine.shard_price_schema ~check ?parent sh (schema_of c)))
-    candidates
 
 type stopped =
   [ `Converged | `Deadline | `Iterations | `Cost_budget | `Interrupted ]
@@ -200,7 +183,7 @@ type result = {
 }
 
 (* the failure records of one costing pass, in candidate order (which
-   par_price preserves for every [jobs] value) *)
+   fan_out preserves for every [jobs] value) *)
 let failures_of ~iteration ~step_of costed =
   List.filter_map
     (fun (c, r) ->
@@ -222,6 +205,65 @@ let table_count schema =
     (List.filter
        (fun ty -> not (Mapping.is_transparent schema ty))
        (Xschema.reachable schema))
+
+(* What a search runs with: [jobs] resolved ([~jobs:0] is one per
+   core), the budget, the engine, and the engine's counters before the
+   search, which its result and trace report the difference from, so
+   searches sharing an engine compose. *)
+type run = {
+  jobs : int;
+  ctl : Budget.t;
+  eng : Cost_engine.t;
+  start : Cost_engine.snapshot;
+}
+
+(* The worker pool is pre-spawned here, outside the costing loop; it is
+   global and persistent, so iterations and later searches reuse it. *)
+let setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
+    ~workload () =
+  let jobs = if jobs <= 0 then Par.default_jobs () else jobs in
+  Par.ensure_workers ~jobs;
+  let eng =
+    match engine with
+    | Some e -> e
+    | None ->
+        Cost_engine.create ?params ?workload_indexes ?updates ?memoize
+          ~workload ()
+  in
+  let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
+  { jobs; ctl; eng; start = Cost_engine.snapshot eng }
+
+(* The initial configuration, prepared and priced on the engine itself:
+   it is exempt from the budget (no ticket, no cancellation), so an
+   anytime search always has a result to return.  Returns its prepared
+   and priced states and the trace's iteration-0 entry. *)
+let initial run schema =
+  let p0 = Cost_engine.prepare run.eng schema in
+  match Cost_engine.price run.eng p0 with
+  | Error _ -> raise (Cost_error "initial configuration cannot be costed")
+  | Ok priced0 ->
+      let cost = Cost_engine.priced_cost priced0 in
+      ( p0,
+        priced0,
+        {
+          iteration = 0;
+          cost;
+          step = None;
+          tables = table_count schema;
+          engine = Cost_engine.diff (Cost_engine.snapshot run.eng) run.start;
+          failures = [];
+        } )
+
+(* a search's result; [trace] newest-first, [failures] reversed chunks *)
+let finish run ~schema ~cost ~trace ~failures stopped =
+  {
+    schema;
+    cost;
+    trace = List.rev trace;
+    engine = Cost_engine.diff (Cost_engine.snapshot run.eng) run.start;
+    stopped;
+    failures = List.concat (List.rev failures);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* checkpointing                                                       *)
@@ -272,26 +314,21 @@ let due ~checkpoint ~iteration =
    is the current configuration's priced state, which its neighbours
    are prepared from; a resumed search starts without it (neighbours
    are then derived afresh, to the same costs). *)
-let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
-    ~checkpoint ~start ~iteration0 ~schema0 ~cost0 ~priced0 ~trace0 ~failures0
-    =
-  let jobs = resolve_jobs jobs in
-  (* pre-spawn the worker pool outside the costing loop; it is global
-     and persistent, so iterations and later searches reuse it *)
-  if jobs > 1 && Par.available then Par.ensure_workers ~jobs;
-  let check () = Budget.tick ctl in
+let greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
+    ~iteration0 ~schema0 ~cost0 ~priced0 ~trace0 ~failures0 =
+  let check () = Budget.tick run.ctl in
   let rec descend iteration schema cost priced trace failures =
     (* barrier: no costing in flight, so the ticket counter is the
        deterministic per-completed-iteration value *)
-    let bar_evals = Budget.evaluations ctl in
+    let bar_evals = Budget.evaluations run.ctl in
     let snap () =
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng
+      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng:run.eng
         ~iteration ~evaluations:bar_evals ~trace ~failures
         (Checkpoint.Greedy
            { g_schema = schema; g_cost = cost; g_threshold = threshold })
     in
     if due ~checkpoint ~iteration then snap ();
-    match Budget.stop_at_iteration ctl iteration with
+    match Budget.stop_at_iteration run.ctl iteration with
     | Some r ->
         snap ();
         (schema, cost, trace, failures, (r :> stopped))
@@ -301,9 +338,14 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
           (schema, cost, trace, failures, `Iterations)
         end
         else
-          let before = Cost_engine.snapshot eng in
+          let before = Cost_engine.snapshot run.eng in
+          (* price every neighbour, prepared from the current
+             configuration's state; [check] (Budget.tick) runs before
+             each one *)
           match
-            par_price eng ~check ~jobs ?parent:priced ~schema_of:snd
+            fan_out run.eng ~jobs:run.jobs
+              (fun sh c ->
+                (c, Cost_engine.price_schema ~check ?parent:priced sh (snd c)))
               (Space.neighbors ~kinds schema)
           with
           | exception Budget.Exhausted r ->
@@ -345,7 +387,8 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
                       cost = cost';
                       step = Some step;
                       tables = table_count schema';
-                      engine = Cost_engine.diff (Cost_engine.snapshot eng) before;
+                      engine =
+                        Cost_engine.diff (Cost_engine.snapshot run.eng) before;
                       failures = iter_failures;
                     }
                   in
@@ -362,50 +405,19 @@ let greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
   let schema, cost, trace, failures, stopped =
     descend iteration0 schema0 cost0 priced0 trace0 failures0
   in
-  {
-    schema;
-    cost;
-    trace = List.rev trace;
-    engine = Cost_engine.diff (Cost_engine.snapshot eng) start;
-    stopped;
-    failures = List.concat (List.rev failures);
-  }
+  finish run ~schema ~cost ~trace ~failures stopped
 
 let greedy_from ~strategy ?params ?workload_indexes ?updates
     ?(kinds = Space.default_kinds) ?(threshold = 0.) ?(max_iterations = 200)
     ?(jobs = 1) ?memoize ?engine ?budget ?checkpoint ~workload schema =
-  let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
-  let eng =
-    match engine with
-    | Some e -> e
-    | None ->
-        Cost_engine.create ?params ?workload_indexes ?updates ?memoize
-          ~workload ()
+  let run =
+    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
+      ~workload ()
   in
-  let start = Cost_engine.snapshot eng in
-  (* the initial configuration is exempt from the budget (no ticket,
-     no cancellation): anytime search always has a result to return *)
-  let priced0 =
-    match Cost_engine.price_schema eng schema with
-    | Ok p -> p
-    | Error _ -> raise (Cost_error "initial configuration cannot be costed")
-  in
-  let initial_cost = Cost_engine.priced_cost priced0 in
-  let trace0 =
-    [
-      {
-        iteration = 0;
-        cost = initial_cost;
-        step = None;
-        tables = table_count schema;
-        engine = Cost_engine.diff (Cost_engine.snapshot eng) start;
-        failures = [];
-      };
-    ]
-  in
-  greedy_core ~strategy ~kinds ~threshold ~max_iterations ~jobs ~ctl ~eng
-    ~checkpoint ~start ~iteration0:0 ~schema0:schema ~cost0:initial_cost
-    ~priced0:(Some priced0) ~trace0 ~failures0:[]
+  let _, priced0, entry0 = initial run schema in
+  greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
+    ~iteration0:0 ~schema0:schema ~cost0:entry0.cost ~priced0:(Some priced0)
+    ~trace0:[ entry0 ] ~failures0:[]
 
 let greedy ?params ?workload_indexes ?updates ?kinds ?threshold ?max_iterations
     ?jobs ?memoize ?engine ?budget ?checkpoint ~workload schema =
@@ -453,12 +465,10 @@ end)
 
 (* the beam loop, shared by fresh and resumed searches just like
    [greedy_core] *)
-let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
-    ~eng ~checkpoint ~start ~iteration0 ~barren0 ~frontier0 ~best0 ~seen0
-    ~trace0 ~failures0 =
-  let jobs = resolve_jobs jobs in
-  if jobs > 1 && Par.available then Par.ensure_workers ~jobs;
-  let check () = Budget.tick ctl in
+let beam_core run ~strategy ~kinds ~width ~patience ~max_iterations
+    ~checkpoint ~iteration0 ~barren0 ~frontier0 ~best0 ~seen0 ~trace0
+    ~failures0 =
+  let check () = Budget.tick run.ctl in
   let seen = Seen.create 64 in
   List.iter (fun fp -> Seen.replace seen (fp, Hashtbl.hash fp) ()) seen0;
   let best = ref best0 in
@@ -469,7 +479,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
        level that exits without recursing (converged, exhausted) must
        snapshot the position *entering* it, or resume would double-run
        whatever the exiting level recorded *)
-    let bar_evals = Budget.evaluations ctl in
+    let bar_evals = Budget.evaluations run.ctl in
     let bar_trace = !trace in
     let bar_failures = !all_failures in
     let bar_best = !best in
@@ -478,7 +488,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
         List.sort String.compare
           (Seen.fold (fun (k, _) () acc -> k :: acc) seen [])
       in
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng
+      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng:run.eng
         ~iteration:i ~evaluations:bar_evals ~trace:bar_trace
         ~failures:bar_failures
         (Checkpoint.Beam
@@ -493,7 +503,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
            })
     in
     if due ~checkpoint ~iteration:i then snap ();
-    match Budget.stop_at_iteration ctl i with
+    match Budget.stop_at_iteration run.ctl i with
     | Some r ->
         snap ();
         (r :> stopped)
@@ -507,7 +517,7 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
           `Converged
         end
         else begin
-          let before = Cost_engine.snapshot eng in
+          let before = Cost_engine.snapshot run.eng in
           (* configurations reached by commuting step orders collide:
              dedupe within the level, but blacklist globally only what
              the beam actually keeps — otherwise a discarded sibling
@@ -517,13 +527,12 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
           (* preparing (map and fingerprint) and costing are the two
              expensive per-candidate passes; both fan out over [jobs]
              chunks, with the sequential dedupe (first occurrence wins,
-             in discovery order) in between so the level is
-             bit-identical to a sequential one.  Each candidate is
-             prepared once: the costing pass reuses the mapping and
-             fingerprints the dedupe pass made.  Both passes poll the
-             budget, so an exhausted budget abandons the level
-             wholesale and the result is the best-so-far over completed
-             levels. *)
+             in discovery order) in between so the level is the same
+             for every [jobs].  Each candidate is prepared once: the
+             costing pass reuses the mapping and fingerprints the
+             dedupe pass made.  Both passes poll the budget, so an
+             exhausted budget abandons the level wholesale and the
+             result is the best-so-far over completed levels. *)
           let raw =
             List.concat_map
               (fun (s, _, parent) ->
@@ -534,13 +543,10 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
           in
           match
             let prepared =
-              fan_out eng ~jobs
-                ~seq:(fun (step, s', parent) ->
-                  Budget.poll ctl;
-                  (step, s', Cost_engine.prepare ?parent eng s'))
-                ~par:(fun sh (step, s', parent) ->
-                  Budget.poll ctl;
-                  (step, s', Cost_engine.shard_prepare ?parent sh s'))
+              fan_out run.eng ~jobs:run.jobs
+                (fun sh (step, s', parent) ->
+                  Budget.poll run.ctl;
+                  (step, s', Cost_engine.prepare ?parent sh s'))
                 raw
             in
             let deduped =
@@ -556,10 +562,8 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
                   end)
                 prepared
             in
-            fan_out eng ~jobs
-              ~seq:(fun ((_, _, p) as c) -> (c, Cost_engine.price ~check eng p))
-              ~par:(fun sh ((_, _, p) as c) ->
-                (c, Cost_engine.shard_price ~check sh p))
+            fan_out run.eng ~jobs:run.jobs
+              (fun sh ((_, _, p) as c) -> (c, Cost_engine.price ~check sh p))
               deduped
           with
           | exception Budget.Exhausted r ->
@@ -615,7 +619,9 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
                         step = Some step;
                         tables = table_count s0;
                         engine =
-                          Cost_engine.diff (Cost_engine.snapshot eng) before;
+                          Cost_engine.diff
+                            (Cost_engine.snapshot run.eng)
+                            before;
                         failures = level_failures;
                       }
                       :: !trace
@@ -630,54 +636,22 @@ let beam_core ~strategy ~kinds ~width ~patience ~max_iterations ~jobs ~ctl
   in
   let stopped = level iteration0 barren0 frontier0 in
   let schema, cost = !best in
-  {
-    schema;
-    cost;
-    trace = List.rev !trace;
-    engine = Cost_engine.diff (Cost_engine.snapshot eng) start;
-    stopped;
-    failures = List.concat (List.rev !all_failures);
-  }
+  finish run ~schema ~cost ~trace:!trace ~failures:!all_failures stopped
 
 let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
     ?(width = 4) ?(patience = 3) ?(max_iterations = 200) ?(jobs = 1) ?memoize
     ?engine ?budget ?checkpoint ~workload schema =
-  let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
-  let eng =
-    match engine with
-    | Some e -> e
-    | None ->
-        Cost_engine.create ?params ?workload_indexes ?updates ?memoize
-          ~workload ()
+  let run =
+    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
+      ~workload ()
   in
-  let start = Cost_engine.snapshot eng in
-  (* the initial configuration is exempt from the budget (no ticket,
-     no cancellation): anytime search always has a result to return *)
-  let p0 = Cost_engine.prepare eng schema in
-  let priced0 =
-    match Cost_engine.price eng p0 with
-    | Ok pr -> pr
-    | Error _ -> raise (Cost_error "initial configuration cannot be costed")
-  in
-  let initial_cost = Cost_engine.priced_cost priced0 in
-  let trace0 =
-    [
-      {
-        iteration = 0;
-        cost = initial_cost;
-        step = None;
-        tables = table_count schema;
-        engine = Cost_engine.diff (Cost_engine.snapshot eng) start;
-        failures = [];
-      };
-    ]
-  in
-  beam_core ~strategy:"beam" ~kinds ~width ~patience ~max_iterations ~jobs
-    ~ctl ~eng ~checkpoint ~start ~iteration0:0 ~barren0:0
-    ~frontier0:[ (schema, initial_cost, Some priced0) ]
-    ~best0:(schema, initial_cost)
+  let p0, priced0, entry0 = initial run schema in
+  beam_core run ~strategy:"beam" ~kinds ~width ~patience ~max_iterations
+    ~checkpoint ~iteration0:0 ~barren0:0
+    ~frontier0:[ (schema, entry0.cost, Some priced0) ]
+    ~best0:(schema, entry0.cost)
     ~seen0:[ Cost_engine.fingerprint p0 ]
-    ~trace0 ~failures0:[]
+    ~trace0:[ entry0 ] ~failures0:[]
 
 (* ------------------------------------------------------------------ *)
 (* resume                                                              *)
@@ -686,22 +660,17 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
 let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
     ?budget ?checkpoint ?max_iterations ?(warm = true) ~workload path =
   let st = Checkpoint.load path in
-  let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
+  let run =
+    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
+      ~workload ()
+  in
   (* restore the cumulative ticket numbering: the tickets the previous
      process drew count against this budget's evaluation cap *)
-  Budget.charge ctl st.Checkpoint.evaluations;
-  let eng =
-    match engine with
-    | Some e -> e
-    | None ->
-        Cost_engine.create ?params ?workload_indexes ?updates ?memoize
-          ~workload ()
-  in
+  Budget.charge run.ctl st.Checkpoint.evaluations;
   (* warm resume seeds the memo table from the snapshot; a cold resume
      recomputes — bit-identical either way, the cache being pure
      memoization, so [warm] only trades disk bytes for optimizer time *)
-  if warm then Cost_engine.seed_cache eng st.Checkpoint.cache;
-  let start = Cost_engine.snapshot eng in
+  if warm then Cost_engine.seed_cache run.eng st.Checkpoint.cache;
   let max_iterations =
     match max_iterations with
     | Some m -> m
@@ -713,9 +682,9 @@ let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
   in
   match st.Checkpoint.point with
   | Checkpoint.Greedy { g_schema; g_cost; g_threshold } ->
-      greedy_core ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
-        ~threshold:g_threshold ~max_iterations ~jobs ~ctl ~eng ~checkpoint
-        ~start ~iteration0:st.Checkpoint.iteration ~schema0:g_schema
+      greedy_core run ~strategy:st.Checkpoint.strategy
+        ~kinds:st.Checkpoint.kinds ~threshold:g_threshold ~max_iterations
+        ~checkpoint ~iteration0:st.Checkpoint.iteration ~schema0:g_schema
         ~cost0:g_cost ~priced0:None ~trace0 ~failures0
   | Checkpoint.Beam
       {
@@ -727,9 +696,8 @@ let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
         b_width;
         b_patience;
       } ->
-      beam_core ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
-        ~width:b_width ~patience:b_patience ~max_iterations ~jobs ~ctl ~eng
-        ~checkpoint ~start ~iteration0:st.Checkpoint.iteration
-        ~barren0:b_barren
+      beam_core run ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
+        ~width:b_width ~patience:b_patience ~max_iterations ~checkpoint
+        ~iteration0:st.Checkpoint.iteration ~barren0:b_barren
         ~frontier0:(List.map (fun (s, c) -> (s, c, None)) b_frontier)
         ~best0:(b_best_schema, b_best_cost) ~seen0:b_seen ~trace0 ~failures0

@@ -12,15 +12,17 @@
     [engine] fields of {!trace_entry} and {!result} report how much
     work the cache saved.
 
-    Every strategy also accepts [~jobs]: with [jobs > 1] (and an OCaml
-    5 build — see {!Par}) the neighbors of an iteration are costed
-    concurrently on [jobs] per-chunk engine shards, merged back in
-    chunk order at the iteration barrier.  Candidates are always
-    reduced sequentially in [Space.neighbors] order with the first-wins
-    tie-break, so the selected schema, its cost, and the trace are
-    bit-identical for every [jobs] value; only wall-clock time and the
-    cache hit/miss counters vary (chunks cannot see each other's
-    in-flight entries, so [jobs > 1] may record more misses).
+    Every strategy also accepts [~jobs]: every pass over an iteration's
+    candidates runs on the engine's worker shards, one per job, merged
+    back in worker-slot order at the pass's barrier; with [jobs > 1]
+    (and an OCaml 5 build — see {!Par}) the shards run concurrently.
+    Candidates are always reduced sequentially in [Space.neighbors]
+    order with the first-wins tie-break, so the selected schema, its
+    cost, the trace and the engine's configuration and statement
+    counts are the same for every [jobs] value; only wall-clock time
+    and the cache hit/miss split vary (chunks cannot see each other's
+    in-flight entries, so [jobs > 1] may record more misses).  A pass
+    abandoned by the budget publishes nothing, whatever [jobs].
     [~jobs:0] auto-detects one job per core; the default is [1].
 
     Every strategy also accepts [?budget] (see {!Budget}), making it
@@ -72,13 +74,13 @@ val pschema_cost :
 
 (** {1 The parallel costing seam}
 
-    With [jobs > 1] each iteration's candidates are split by
+    At every [jobs] each pass's candidates are split by
     {!chunk_list} into fine-grained chunks (several per worker,
     decoupled from [jobs]), self-scheduled onto {!Par}'s persistent
     worker pool, and costed on the engine's persistent per-worker
     shards against a frozen read-only memo view (see
     {!Cost_engine.worker_shards}); the shards publish back in
-    worker-slot order at the iteration barrier.  The seam is
+    worker-slot order at the pass's barrier.  The seam is
     instrumented: {!seam_stats} reports where fan-out wall clock went
     since the last {!seam_reset}. *)
 
@@ -91,7 +93,7 @@ val chunk_list : int -> 'a list -> 'a list list
     yields one chunk; an empty [l] yields no chunks. *)
 
 type seam_stats = {
-  s_fanouts : int;  (** parallel fan-outs (costing + prepare passes) *)
+  s_fanouts : int;  (** fan-outs (costing + prepare passes) *)
   s_t_fanout : float;  (** seconds inside [Par.run_tasks] *)
   s_t_merge : float;  (** seconds publishing shard deltas at barriers *)
   s_t_barrier_idle : float;
@@ -101,8 +103,8 @@ type seam_stats = {
 }
 (** Cumulative parallel-seam timings.  Process-wide and written by the
     domain driving a search; meaningful when one search runs at a
-    time (the bench's situation).  Sequential runs ([jobs <= 1]) never
-    touch it. *)
+    time (the bench's situation).  Every pass counts, at every
+    [jobs]. *)
 
 val seam_reset : unit -> unit
 val seam_stats : unit -> seam_stats
@@ -183,9 +185,10 @@ val greedy :
     cost cache (reference mode for benchmarks; results are identical
     either way).
 
-    [?engine] reuses an existing {!Cost_engine.t} instead of creating a
-    fresh one, so successive searches (a re-run after a workload tweak,
-    a beam pass after a greedy pass) share one cache and hit on every
+    [?engine] reuses an existing engine ({!Cost_engine.create}'s, not
+    one of its worker shards) instead of creating a fresh one, so
+    successive searches (a re-run after a workload tweak, a beam pass
+    after a greedy pass) share one cache and hit on every
     configuration already costed.  The engine's own workload, updates
     and parameters apply; [?params], [?workload_indexes], [?updates]
     and [?memoize] are then ignored, and the caller must pass a

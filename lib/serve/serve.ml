@@ -227,18 +227,19 @@ let plans_for t (snap : snap) (tr, hit) =
   | None ->
       (* compile outside the lock: join ordering is the expensive part
          and must not serialize the whole batch; first writer wins, and
-         only it counts the miss *)
+         only it counts the miss — a worker that lost the race runs the
+         stored plans, a hit, so the counts do not depend on
+         scheduling *)
       let compiled = compile_blocks ~params:t.params snap.db tr.lq in
-      let p =
-        Serve_lock.with_lock t.lock (fun () ->
-            match Hashtbl.find_opt snap.plans tr.id with
-            | Some p -> p
-            | None ->
-                Hashtbl.replace snap.plans tr.id compiled;
-                t.misses <- t.misses + 1;
-                compiled)
-      in
-      (p, false)
+      Serve_lock.with_lock t.lock (fun () ->
+          match Hashtbl.find_opt snap.plans tr.id with
+          | Some p ->
+              t.hits <- t.hits + 1;
+              (p, true)
+          | None ->
+              Hashtbl.replace snap.plans tr.id compiled;
+              t.misses <- t.misses + 1;
+              (compiled, false))
 
 exception Timed_out
 

@@ -115,6 +115,9 @@ type reply = {
 type stats = {
   served : int;  (** requests answered (cache-bypassing ones included) *)
   cache_hits : int;
+      (** requests that ran plans from the plan cache, one whose worker
+          compiled them but another worker stored them first included:
+          the count does not depend on scheduling *)
   cache_misses : int;
       (** compilations performed: one per (snapshot, template) plus one
           per request over the template cap *)

@@ -9,7 +9,7 @@ let normalize schema =
       raise (Rewrite.Not_applicable "normalization did not converge")
     else
       match Pschema.check schema with
-      | Ok () -> schema
+      | Ok _ -> schema
       | Error (v :: _) -> (
           match Xtype.subterm (Xschema.find schema v.Pschema.tname) v.loc with
           | Some (Xtype.Elem _ | Xtype.Scalar _) ->

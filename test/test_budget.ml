@@ -16,8 +16,9 @@ let all_queries = [| 8; 9; 11; 12; 13; 15; 16; 17 |]
 let prefix n l = List.filteri (fun i _ -> i < n) l
 
 (* a random sub-workload, evaluation budget, and jobs value: the
-   budgeted greedy must be an exact prefix of the unbudgeted trace and
-   bit-identical whatever the jobs value *)
+   budgeted greedy must be an exact prefix of the unbudgeted trace,
+   bit-identical and with the same engine counts whatever the jobs
+   value *)
 let gen_budgeted =
   QCheck2.Gen.(
     triple
@@ -44,6 +45,12 @@ let run_prefix (picks, max_evals, jobs) =
   Test_par.same_trace b1.Search.trace (prefix n full.Search.trace)
   && Test_par.same_trace b1.Search.trace bj.Search.trace
   && b1.Search.stopped = bj.Search.stopped
+  (* an abandoned iteration publishes nothing at any [jobs], so the
+     engine counts the completed iterations' work alone *)
+  && b1.Search.engine.Cost_engine.evaluations
+     = bj.Search.engine.Cost_engine.evaluations
+  && b1.Search.engine.Cost_engine.hits + b1.Search.engine.Cost_engine.misses
+     = bj.Search.engine.Cost_engine.hits + bj.Search.engine.Cost_engine.misses
   && Float.equal b1.Search.cost bj.Search.cost
   && String.equal
        (Xschema.to_string b1.Search.schema)

@@ -227,7 +227,7 @@ let referrers_match_walk (outlined, seed, steps) =
       (Xschema.defs schema);
     match Pschema.check schema with
     | Error _ -> false
-    | Ok () ->
+    | Ok _ ->
         let m = mapping_of schema in
         List.iter
           (fun (t : Rschema.table) ->

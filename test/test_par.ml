@@ -73,15 +73,15 @@ let shard_fixture () =
   let base = Init.all_inlined (Lazy.force annotated_imdb) in
   let nbs = List.filteri (fun i _ -> i < 3) (Space.neighbors base) in
   let shards =
-    List.map
-      (fun (_, nb) ->
-        let sh = Cost_engine.shard eng in
+    List.map2
+      (fun (_, nb) sh ->
         (* the base schema first: every shard recomputes it privately
            (misses), then its neighbour hits on the unchanged tables *)
-        ignore (Cost_engine.shard_cost sh base);
-        ignore (Cost_engine.shard_cost sh nb);
+        ignore (Cost_engine.cost sh base);
+        ignore (Cost_engine.cost sh nb);
         sh)
       nbs
+      (Array.to_list (Cost_engine.worker_shards eng 3))
   in
   (eng, base, shards)
 
@@ -136,7 +136,7 @@ let suite =
         done);
     case "merged snapshot sums the shard counters exactly" (fun () ->
         let eng, _, shards = shard_fixture () in
-        let snaps = List.map Cost_engine.shard_snapshot shards in
+        let snaps = List.map Cost_engine.snapshot shards in
         check_bool "shards hit inside their chunk" true
           (List.for_all (fun s -> s.Cost_engine.hits > 0) snaps);
         Cost_engine.merge eng shards;
@@ -175,7 +175,7 @@ let suite =
         let workload = Imdb.Workloads.lookup in
         let a = Cost_engine.create ~workload () in
         let b = Cost_engine.create ~workload () in
-        match Cost_engine.merge a [ Cost_engine.shard b ] with
+        match Cost_engine.merge a [ (Cost_engine.worker_shards b 1).(0) ] with
         | () -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
     case "pschema_cost equals a one-shot engine" (fun () ->
@@ -272,18 +272,18 @@ let suite =
         check_bool "same shard objects on re-request" true
           (again.(0) == shards.(0) && again.(1) == shards.(1));
         let s = Init.all_inlined (Lazy.force annotated_imdb) in
-        ignore (Cost_engine.shard_cost shards.(0) s);
+        ignore (Cost_engine.cost shards.(0) s);
         Cost_engine.merge eng (Array.to_list shards);
-        let snap = Cost_engine.shard_snapshot shards.(0) in
+        let snap = Cost_engine.snapshot shards.(0) in
         check_int "merge resets the shard for reuse" 0
           snap.Cost_engine.evaluations;
         (* reused shard hits on the merged entry via the shared cache *)
-        ignore (Cost_engine.shard_cost shards.(0) s);
-        let snap = Cost_engine.shard_snapshot shards.(0) in
+        ignore (Cost_engine.cost shards.(0) s);
+        let snap = Cost_engine.snapshot shards.(0) in
         check_int "no recomputation on reuse" 0 snap.Cost_engine.misses;
         Cost_engine.discard_shards eng;
         check_int "discard zeroes private counters" 0
-          (Cost_engine.shard_snapshot shards.(0)).Cost_engine.evaluations);
+          (Cost_engine.snapshot shards.(0)).Cost_engine.evaluations);
     case "engine pool/shard reuse does not leak counters between runs"
       (fun () ->
         (* fresh-engine equality oracle: a search on a reused engine
@@ -313,30 +313,38 @@ let suite =
           (db.Cost_engine.hits + db.Cost_engine.misses));
     case "abandoned parallel iteration publishes nothing" (fun () ->
         (* a budget that trips mid-iteration abandons the fan-out
-           wholesale: the engine's memo table must be exactly the
-           barrier state — the table of a run stopped cleanly at the
-           completed-iteration count — with no partial shard deltas *)
+           wholesale, at one job as at four: the engine's memo table
+           must be exactly the barrier state — the table of a run
+           stopped cleanly at the completed-iteration count — with no
+           partial shard deltas *)
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
-        let eng = Cost_engine.create ~workload () in
-        let budget = Budget.create ~max_evaluations:40 () in
-        let r =
-          Search.greedy_si ~jobs:4 ~engine:eng ~budget ~workload schema
-        in
-        check_string "stopped by the evaluation budget" "cost_budget"
-          (Search.stopped_string r.Search.stopped);
-        let completed =
-          List.fold_left
-            (fun acc (e : Search.trace_entry) -> max acc e.Search.iteration)
-            0 r.Search.trace
-        in
-        let eng' = Cost_engine.create ~workload () in
-        let _ =
-          Search.greedy_si ~jobs:4 ~engine:eng' ~max_iterations:completed
-            ~workload schema
-        in
-        check_bool "memo table equals the barrier state" true
-          (Cost_engine.cache_entries eng = Cost_engine.cache_entries eng'));
+        List.iter
+          (fun jobs ->
+            let eng = Cost_engine.create ~workload () in
+            let budget = Budget.create ~max_evaluations:40 () in
+            let r =
+              Search.greedy_si ~jobs ~engine:eng ~budget ~workload schema
+            in
+            check_string "stopped by the evaluation budget" "cost_budget"
+              (Search.stopped_string r.Search.stopped);
+            let completed =
+              List.fold_left
+                (fun acc (e : Search.trace_entry) ->
+                  max acc e.Search.iteration)
+                0 r.Search.trace
+            in
+            let eng' = Cost_engine.create ~workload () in
+            let _ =
+              Search.greedy_si ~jobs ~engine:eng' ~max_iterations:completed
+                ~workload schema
+            in
+            check_bool
+              (Printf.sprintf "memo table equals the barrier state (-j %d)"
+                 jobs)
+              true
+              (Cost_engine.cache_entries eng = Cost_engine.cache_entries eng'))
+          [ 1; 4 ]);
     case "seam stats accumulate on parallel runs and reset" (fun () ->
         Search.seam_reset ();
         let workload = Imdb.Workloads.lookup in
@@ -344,13 +352,11 @@ let suite =
           (Search.greedy_si ~jobs:4 ~max_iterations:2 ~workload
              (Lazy.force annotated_imdb));
         let s = Search.seam_stats () in
-        if Par.available then begin
-          check_bool "fan-outs counted" true (s.Search.s_fanouts > 0);
-          check_bool "fan-out time sane" true
-            (s.Search.s_t_fanout >= 0. && s.Search.s_t_merge >= 0.
-           && s.Search.s_t_barrier_idle >= 0.)
-        end
-        else check_int "sequential backend never fans out" 0 s.Search.s_fanouts;
+        (* every pass fans out, on either backend *)
+        check_bool "fan-outs counted" true (s.Search.s_fanouts > 0);
+        check_bool "fan-out time sane" true
+          (s.Search.s_t_fanout >= 0. && s.Search.s_t_merge >= 0.
+         && s.Search.s_t_barrier_idle >= 0.);
         Search.seam_reset ();
         check_int "reset" 0 (Search.seam_stats ()).Search.s_fanouts);
     case "jobs:0 auto-detects and stays bit-identical" (fun () ->
@@ -377,14 +383,16 @@ let suite =
         let a = Cost_engine.create ~workload () in
         let b = Cost_engine.create ~workload () in
         let s = Init.all_inlined (Lazy.force annotated_imdb) in
-        let own = Cost_engine.shard a in
-        ignore (Cost_engine.shard_cost own s);
+        let own = (Cost_engine.worker_shards a 1).(0) in
+        ignore (Cost_engine.cost own s);
         check_bool "own shard has entries" true
-          ((Cost_engine.shard_snapshot own).Cost_engine.misses > 0);
+          ((Cost_engine.snapshot own).Cost_engine.misses > 0);
         Cost_engine.freeze a;
         let entries = Cost_engine.cache_entries a in
         let snap = Cost_engine.snapshot a in
-        (match Cost_engine.merge a [ own; Cost_engine.shard b ] with
+        (match
+           Cost_engine.merge a [ own; (Cost_engine.worker_shards b 1).(0) ]
+         with
         | () -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
         check_bool "cache unchanged" true

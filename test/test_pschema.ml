@@ -6,7 +6,7 @@ let suite =
     case "raw imdb schema is not a p-schema" (fun () ->
         match Pschema.check Imdb.Schema.schema with
         | Error vs -> check_bool "violations" true (List.length vs >= 3)
-        | Ok () -> Alcotest.fail "expected violations");
+        | Ok _ -> Alcotest.fail "expected violations");
     case "violations point at offending elements" (fun () ->
         match Pschema.check Imdb.Schema.schema with
         | Error vs ->
@@ -17,7 +17,7 @@ let suite =
                 | Some t -> Alcotest.failf "violation at non-element: %s" (Xtype.to_string t)
                 | None -> Alcotest.fail "dangling violation location")
               vs
-        | Ok () -> Alcotest.fail "expected violations");
+        | Ok _ -> Alcotest.fail "expected violations");
     case "normalized schema is a p-schema" (fun () ->
         check_bool "ps0" true (Pschema.is_pschema (Init.normalize Imdb.Schema.schema)));
     case "section2 schema is already a p-schema" (fun () ->
