@@ -1495,16 +1495,43 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
   (* the net-warm gate below judges the front door, itself timed
      best-of-rounds, against the fastest WAL-off round *)
   let warm_ref_best = float_of_int n_req /. fst (pick 0. fst ref_runs) in
+  (* four documents each about 5% of the smoke corpus (a sliver of the
+     full one), so the publish seals them into a segment of their own
+     in both modes *)
   let extra_docs =
     Array.init 4 (fun i ->
-        Imdb.Gen.generate { (Imdb.Gen.scaled 0.002) with Imdb.Gen.seed = 200 + i })
+        Imdb.Gen.generate { (Imdb.Gen.scaled 0.0001) with Imdb.Gen.seed = 200 + i })
   in
+  let written () = (Serve.stats dur).Serve.written_bytes in
+  let w0 = written () in
   let (), t_dur_append =
     time (fun () -> Array.iter (Serve.append dur) extra_docs)
   in
+  let w1 = written () in
   let (), t_dur_publish = time (fun () -> Serve.publish dur) in
-  Printf.printf "durable appends: %d in %.3fs (fsync each), publish %.3fs\n%!"
-    (Array.length extra_docs) t_dur_append t_dur_publish;
+  let wal_bytes = w1 - w0 and publish_bytes = written () - w1 in
+  let user_bytes =
+    Array.fold_left (fun n d -> n + String.length (Xml.to_string d)) 0 extra_docs
+  in
+  Printf.printf
+    "durable appends: %d in %.3fs (fsync each), publish %.3fs; written: \
+     %d log bytes, %d publish bytes, %.2f per appended byte\n%!"
+    (Array.length extra_docs) t_dur_append t_dur_publish wal_bytes publish_bytes
+    (float_of_int (wal_bytes + publish_bytes) /. float_of_int user_bytes);
+  (* The publish writes one segment holding the rows those four log
+     records hold, in the same row codec, plus a manifest of a few dozen
+     bytes: about 1x the log bytes.  2x leaves room for the segment's
+     and the manifest's headers; a publish that rewrote the whole store
+     would write over 20x in smoke mode and hundreds of times in the
+     full run.  Byte counts repeat exactly, so the gate holds on any
+     machine. *)
+  let publish_bytes_max = 2 in
+  if publish_bytes > publish_bytes_max * wal_bytes then
+    failwith
+      (Printf.sprintf
+         "serve_perf: the publish wrote %d bytes, over %dx the %d log bytes \
+          of the appends it covers"
+         publish_bytes publish_bytes_max wal_bytes);
   (* published answers, then two acked-but-unpublished appends, then
      the crash: the handle is abandoned with its log fsynced — exactly
      the disk a kill -9 leaves *)
@@ -1547,6 +1574,10 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
       ("initial_snapshot_s", Num t_attach);
       ("append_fsync_s", Num t_dur_append);
       ("durable_publish_s", Num t_dur_publish);
+      ("append_wal_bytes", Int wal_bytes);
+      ("publish_bytes", Int publish_bytes);
+      ( "written_per_appended_byte",
+        Num (float_of_int (wal_bytes + publish_bytes) /. float_of_int user_bytes) );
       ("recover_s", Num t_recover);
       ("snapshot_rows", Int rinfo.Serve.r_snapshot_rows);
       ("snapshot_seq", Int rinfo.Serve.r_snapshot_seq);

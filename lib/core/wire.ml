@@ -36,12 +36,14 @@ let tables =
   done;
   t
 
-let crc32_int s =
+(* [c] (the register, pre- and post-inverted by the callers) folded
+   over [s.[pos .. pos + len - 1]] *)
+let crc_update c s pos len =
   let t = tables in
-  let n = String.length s in
-  let c = ref 0xFFFFFFFF in
-  let i = ref 0 in
-  while !i + 8 <= n do
+  let stop = pos + len in
+  let c = ref c in
+  let i = ref pos in
+  while !i + 8 <= stop do
     let lo =
       !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF)
     and hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
@@ -56,13 +58,15 @@ let crc32_int s =
       lxor t.(hi lsr 24);
     i := !i + 8
   done;
-  while !i < n do
+  while !i < stop do
     c :=
       t.((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
       lxor (!c lsr 8);
     incr i
   done;
-  !c lxor 0xFFFFFFFF
+  !c
+
+let crc32_int s = crc_update 0xFFFFFFFF s 0 (String.length s) lxor 0xFFFFFFFF
 
 let crc32 s = Int32.of_int (crc32_int s)
 
@@ -224,8 +228,7 @@ let rec blit_decimal b stop n =
 
 (* "<lead> <crc-token> <len>\n" and then [body] (the payload, or
    nothing), written straight into one string *)
-let framed lead payload body =
-  let crc = crc32_int payload and len = String.length payload in
+let framed_crc lead ~crc ~len body =
   let ll = String.length lead and lw = decimal_width len in
   let header = ll + 1 + 8 + 1 + lw + 1 in
   let b = Bytes.create (header + String.length body) in
@@ -240,10 +243,14 @@ let framed lead payload body =
   Bytes.blit_string body 0 b header (String.length body);
   Bytes.unsafe_to_string b
 
+let framed lead payload body =
+  framed_crc lead ~crc:(crc32_int payload) ~len:(String.length payload) body
+
 let header_line lead payload = framed lead payload ""
+let frame_lead ~magic ~version = magic ^ " " ^ string_of_int version
 
 let frame ~magic ~version payload =
-  framed (magic ^ " " ^ string_of_int version) payload payload
+  framed (frame_lead ~magic ~version) payload payload
 
 let unframe ~magic ~version ~kind image =
   let header, body =
@@ -297,29 +304,89 @@ let write_all fd s =
 
 let real_fs = { write = write_all; fsync = Unix.fsync; rename = Sys.rename }
 
+(* The bytes a streamed payload is cut into: a producer's output is
+   handed to the file (or to the checksum) whenever this much has
+   accumulated, so no image is ever built as one string. *)
+let chunk_bytes = 1 lsl 16
+
+(* [produce] run over a buffer (holding [lead] to begin with) that is
+   handed to [consume] in chunks of about [chunk_bytes]; returns the
+   bytes consumed *)
+let drain ?(lead = "") produce consume =
+  let b = Buffer.create (chunk_bytes + 4096) in
+  Buffer.add_string b lead;
+  let total = ref 0 in
+  let emit () =
+    let s = Buffer.contents b in
+    Buffer.clear b;
+    total := !total + String.length s;
+    consume s
+  in
+  produce b (fun () -> if Buffer.length b >= chunk_bytes then emit ());
+  if Buffer.length b > 0 then emit ();
+  !total
+
+(* The header carries the payload's checksum and length, so it is known
+   only after the whole payload: the producer runs twice, once into the
+   checksum and once into the file.  Both runs must produce the same
+   bytes, which holds for the immutable data every caller streams. *)
+let write_frame ?(fs = real_fs) fd ~magic ~version produce =
+  let crc = ref 0xFFFFFFFF in
+  let len =
+    drain produce (fun s -> crc := crc_update !crc s 0 (String.length s))
+  in
+  let header =
+    framed_crc (frame_lead ~magic ~version) ~crc:(!crc lxor 0xFFFFFFFF) ~len ""
+  in
+  (* the header rides the first chunk: an image under one chunk is
+     still a single write *)
+  let written = drain ~lead:header produce (fs.write fd) in
+  if written <> String.length header + len then
+    invalid_arg "Wire.write_frame: the producer is not deterministic";
+  written
+
+let fsync_dir fs path =
+  let dfd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  match fs.fsync dfd with
+  | () -> Unix.close dfd
+  | exception e ->
+      (try Unix.close dfd with Unix.Unix_error _ -> ());
+      raise e
+
+(* open [path] fresh, let [write] fill it, fsync, close *)
+let write_synced fs ~path write =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  match
+    let r = write fd in
+    fs.fsync fd;
+    r
+  with
+  | r ->
+      Unix.close fd;
+      r
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
 (* tmp + fsync + rename + parent-directory fsync: the rename is what
    publishes the new bytes, so they must be on disk before it, and the
    rename itself lives in the directory, so the directory must be
    synced after it — otherwise a power cut can roll either back *)
-let write_atomic ?(fs = real_fs) ~path data =
+let replace_atomic ?(fs = real_fs) ~path write =
   let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  (match
-     fs.write fd data;
-     fs.fsync fd
-   with
-  | () -> Unix.close fd
-  | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e);
+  let r = write_synced fs ~path:tmp write in
   fs.rename tmp path;
-  let dir = Filename.dirname path in
-  let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-  (match fs.fsync dfd with
-  | () -> Unix.close dfd
-  | exception e ->
-      (try Unix.close dfd with Unix.Unix_error _ -> ());
-      raise e)
+  fsync_dir fs path;
+  r
+
+let write_atomic ?(fs = real_fs) ~path data =
+  replace_atomic ~fs ~path (fun fd -> fs.write fd data)
+
+let write_frame_atomic ?(fs = real_fs) ~path ~magic ~version produce =
+  replace_atomic ~fs ~path (fun fd -> write_frame ~fs fd ~magic ~version produce)
+
+let write_frame_synced ?(fs = real_fs) ~path ~magic ~version produce =
+  write_synced fs ~path (fun fd -> write_frame ~fs fd ~magic ~version produce)
 
 let read_file path =
   let ic = open_in_bin path in

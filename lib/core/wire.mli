@@ -14,8 +14,9 @@
 
     {2 Durability}
 
-    {!write_atomic} is the hardened atomic file write every snapshot
-    goes through: payload to a temp file, [fsync] the temp file {e
+    {!write_atomic} (and its streamed form {!write_frame_atomic}) is the
+    hardened atomic file write every snapshot and manifest goes
+    through: payload to a temp file, [fsync] the temp file {e
     before} the rename (so the rename never publishes a name whose
     bytes are still in the page cache), rename over the destination,
     then [fsync] the parent directory (so the rename itself survives
@@ -157,6 +158,43 @@ val write_atomic : ?fs:fs -> path:string -> string -> unit
     point leaves either the old file or the new one, never a mix, and a
     completed call survives power loss.  @raise Sys_error / [Unix_error]
     on I/O failure. *)
+
+(** {2 Streamed images}
+
+    A framed image whose payload a [produce] function generates: [produce
+    b spill] appends the payload to [b] and calls [spill ()] between
+    records; whenever 64 KiB have accumulated, [spill] hands them on and
+    clears [b].  So an image is never held as one string: the
+    largest buffer is about one chunk plus one record.  The header
+    carries the payload's checksum and length, so [produce] runs twice —
+    once into the checksum, once into the file — and must produce the
+    same bytes both times (the immutable rows, schemas and manifests
+    every caller streams do).  The bytes are exactly {!frame}'s. *)
+
+val write_frame_atomic :
+  ?fs:fs ->
+  path:string ->
+  magic:string ->
+  version:int ->
+  (Buffer.t -> (unit -> unit) -> unit) ->
+  int
+(** {!write_atomic} of the streamed image: header and payload chunk by
+    chunk (one [write] each, the header riding the first, so an image
+    under one chunk is a single [write]), fsync, rename, fsync of the
+    parent directory.  Returns the bytes written. *)
+
+val write_frame_synced :
+  ?fs:fs ->
+  path:string ->
+  magic:string ->
+  version:int ->
+  (Buffer.t -> (unit -> unit) -> unit) ->
+  int
+(** The streamed image written straight to [path] (created or
+    truncated) and fsynced, with no rename and no directory fsync: for
+    a new file that nothing names yet, whose directory entry a later
+    {!write_atomic} in the same directory makes durable.  Returns the
+    bytes written. *)
 
 val read_file : string -> string
 (** The whole file as a string.  @raise Sys_error *)

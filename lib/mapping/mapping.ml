@@ -474,6 +474,9 @@ let table_of_type ~order_columns schema referrers ty =
   in
   let parents = real_parents ~transparent referrers ty in
   let multi = List.length parents > 1 in
+  (* the document's root row has no parent, so a root type that
+     refers to itself keeps its foreign key NULL there *)
+  let orphan = multi || String.equal ty (Xschema.root schema) in
   let fk_columns =
     List.map
       (fun parent ->
@@ -481,7 +484,7 @@ let table_of_type ~order_columns schema referrers ty =
         {
           Rschema.cname = Naming.fk_col parent;
           ctype = Rtype.R_int;
-          nullable = multi;
+          nullable = orphan;
           stats =
             {
               Rschema.distinct = Float.max 1. (Float.min parent_card card);

@@ -133,6 +133,11 @@ let set_col st rpath o column text =
   match column_of st o column with
   | None -> fail rpath "internal: no column %s.%s" o.lay.ty column
   | Some (pos, ctype) ->
+      (* one row holds one value per column: a second one would
+         silently replace the first, and the document would not
+         publish back *)
+      if not (Rtype.is_null o.row.(pos)) then
+        fail rpath "a second value for column %s.%s" o.lay.ty column;
       o.row.(pos) <-
         (match ctype with
         | Rtype.R_int -> (
@@ -292,19 +297,10 @@ let rec fill st rpath (o : open_row) pn node =
     (Xml.children node);
   List.iter (fun (_, r) -> insert st r) !spliced
 
-let shred_into db m doc =
-  let st =
-    {
-      db;
-      m;
-      layouts = Hashtbl.create 16;
-      places = Hashtbl.create 16;
-      tick = Storage.total_rows db;
-    }
-  in
+let shred_document st doc =
   let root_tag = match Xml.tag doc with Some t -> t | None -> "" in
   let rpath = [ root_tag ] in
-  match List.map (resolve_found st) (Navigate.enter_root m root_tag) with
+  match List.map (resolve_found st) (Navigate.enter_root st.m root_tag) with
   | [] -> fail rpath "document root <%s> does not match the schema" root_tag
   | steps -> (
       match pick_candidate st rpath steps doc with
@@ -325,6 +321,24 @@ let shred_into db m doc =
           | None, _ -> fail rpath "empty storage chain for the root")
       | S_column _ | S_wild _ ->
           fail rpath "document root resolves to a scalar")
+
+(* The document's rows go in as one unit: the store checks their
+   foreign keys once every row is in (a child is inserted before its
+   parent) and takes them all back out when anything fails. *)
+let shred_into db m doc =
+  let st =
+    {
+      db;
+      m;
+      layouts = Hashtbl.create 16;
+      places = Hashtbl.create 16;
+      tick = Storage.total_rows db;
+    }
+  in
+  try Storage.atomically db (fun () -> shred_document st doc)
+  with Storage.Violation message ->
+    let root = match Xml.tag doc with Some t -> t | None -> "" in
+    raise (Shred_error { path = [ root ]; message })
 
 let shred m doc =
   let db = Storage.create m.Mapping.catalog in

@@ -222,6 +222,7 @@ let decode_response payload =
             wal_max_group;
             batches;
             max_batch;
+            written_bytes = 0;
           }
         in
         let ticks = i () in

@@ -75,18 +75,28 @@ type stats = {
   wal_max_group : int;
   batches : int;
   max_batch : int;
+  written_bytes : int;
 }
 
+(* A file of the data directory and the sealed segments whose rows it
+   holds: the snapshot image ([file = None]) holds every segment the
+   store had when it was written, a segment file exactly one.  [last]
+   is the last append the file covers. *)
+type on_disk = { segs : Storage.segment list; file : string option; last : int }
+
 (* durability state: the WAL every acknowledged append is fsynced to,
-   and the directory whose snapshot each publish rewrites.  After a WAL
-   I/O failure the server is fail-stop for writes ([broken]): the
-   failed append was never acknowledged, and acknowledging anything
-   after it would leave a hole for replay. *)
+   and the directory whose segments and manifest each publish writes.
+   After a WAL I/O failure the server is fail-stop for writes
+   ([broken]): the failed append was never acknowledged, and
+   acknowledging anything after it would leave a hole for replay. *)
 type durable = {
   dir : string;
   dfs : Wire.fs;
   wal : Wal.t;
   mutable broken : string option;
+  mutable files : on_disk list;  (* oldest first *)
+  mutable durable_seq : int;  (* the last append the files cover *)
+  mutable store_bytes : int;  (* images, segments and manifests written *)
 }
 
 type t = {
@@ -151,10 +161,14 @@ let make ?(jobs = 0) ?(params = Cost.default_params)
     dur = None;
   }
 
-let write_snapshot_of t ~fs ~dir ~last_seq frozen =
-  Wal.write_snapshot ~fs ~path:(Wal.snapshot_file dir)
-    ~schema:t.mapping.Mapping.schema ~ordered:t.mapping.Mapping.ordered
-    ~last_seq frozen
+(* the whole store as the directory's snapshot image, covering the
+   appends through [last_seq]; returns its file entry and its size *)
+let write_base t ~fs ~dir ~last_seq frozen =
+  let path = Wal.snapshot_file dir in
+  Wal.write_snapshot ~fs ~path ~schema:t.mapping.Mapping.schema
+    ~ordered:t.mapping.Mapping.ordered ~last_seq frozen;
+  ( { segs = Storage.segments frozen; file = None; last = last_seq },
+    (Unix.stat path).Unix.st_size )
 
 let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
   let t = make ?jobs ?params ?clock mapping db in
@@ -169,9 +183,19 @@ let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
              dir);
       (* the initial freeze is published state: snapshot it before the
          first append so recovery never has less than a create saw *)
-      write_snapshot_of t ~fs ~dir ~last_seq:0 (Atomic.get t.snap).db;
+      let base, bytes = write_base t ~fs ~dir ~last_seq:0 (Atomic.get t.snap).db in
       let wal = Wal.create ~fs ~next_seq:1 (Wal.wal_file dir) in
-      t.dur <- Some { dir; dfs = fs; wal; broken = None });
+      t.dur <-
+        Some
+          {
+            dir;
+            dfs = fs;
+            wal;
+            broken = None;
+            files = [ base ];
+            durable_seq = 0;
+            store_bytes = bytes;
+          });
   t
 
 let jobs t = t.jobs
@@ -392,18 +416,18 @@ let run_texts ?timeout_ms t texts =
   run_requests ?timeout_ms t (Array.length texts) (fun snap ?deadline i ->
       text_on t snap ?deadline texts.(i))
 
-(* run [f] (which inserts into the working store) and stage exactly
-   the rows it added in the WAL's open group, so the durable log
-   mirrors the in-memory store even when shredding fails partway (the
-   partial rows are staged too, and [f]'s failure is returned rather
-   than raised so the caller can flush the group first).  Nothing
-   touches the disk here: the caller must {!wal_flush} — the ack
-   barrier — before acknowledging anything staged.  Caller holds the
-   lock. *)
+(* run [f] (which shreds one document into the working store) and
+   stage exactly the rows it added in the WAL's open group, so the
+   durable log mirrors the in-memory store.  A document the shredder
+   rejects leaves no rows behind, so nothing is staged for it, and [f]'s
+   failure is returned rather than raised so the caller can flush the
+   group first.  Nothing touches the disk here: the caller must
+   {!wal_flush} — the ack barrier — before acknowledging anything
+   staged.  Caller holds the lock. *)
 let wal_stage t f =
   match t.dur with
   | None -> ( match f () with () -> Ok () | exception e -> Error e)
-  | Some d ->
+  | Some d -> (
       (match d.broken with
       | Some m ->
           failwith
@@ -417,21 +441,23 @@ let wal_stage t f =
             (tbl.Rschema.tname, Storage.row_count t.working tbl.Rschema.tname))
           cat.Rschema.tables
       in
-      let res = match f () with () -> Ok () | exception e -> Error e in
-      let added =
-        List.filter_map
-          (fun (tname, n0) ->
-            let n1 = Storage.row_count t.working tname in
-            if n1 > n0 then
-              Some
-                ( tname,
-                  List.init (n1 - n0) (fun i -> Storage.get t.working tname (n0 + i))
-                )
-            else None)
-          before
-      in
-      ignore (Wal.stage d.wal added);
-      res
+      match f () with
+      | exception e -> Error e
+      | () ->
+          let added =
+            List.filter_map
+              (fun (tname, n0) ->
+                let n1 = Storage.row_count t.working tname in
+                if n1 > n0 then
+                  Some
+                    ( tname,
+                      List.init (n1 - n0) (fun i ->
+                          Storage.get t.working tname (n0 + i)) )
+                else None)
+              before
+          in
+          ignore (Wal.stage d.wal added);
+          Ok ())
 
 (* commit the open group: one write + one fsync covering everything
    staged since the last flush.  Caller holds the lock. *)
@@ -466,9 +492,8 @@ let append_group t docs =
       (* stage every document, then flush once: the whole group rides
          one commit unit — one write, one fsync — and nothing is
          acknowledged until that fsync returns.  A document that fails
-         to shred poisons only its own slot (its partial rows are
-         staged, mirroring the store, exactly as {!append} logs them)
-         — never its neighbors. *)
+         to shred poisons only its own slot (it leaves no rows in the
+         store and no record in the log) — never its neighbors. *)
       let results =
         List.map
           (fun doc ->
@@ -484,22 +509,89 @@ let append_group t docs =
           | Error e -> Error (shred_error e))
         results)
 
+(* the files of [files] whose segments still open [segs], in order *)
+let rec kept files segs =
+  match files with
+  | f :: rest ->
+      let rec strip fsegs segs =
+        match (fsegs, segs) with
+        | [], segs -> Some segs
+        | a :: fsegs, b :: segs when a == b -> strip fsegs segs
+        | _ -> None
+      in
+      (match strip f.segs segs with
+      | Some segs -> f :: kept rest segs
+      | None -> [])
+  | [] -> []
+
+let manifest_of ~last files =
+  {
+    Wal.m_last_seq = last;
+    m_segments =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (prev, acc) f ->
+                ( f.last,
+                  match f.file with
+                  | Some file -> (file, prev + 1, f.last) :: acc
+                  | None -> acc ))
+              (0, []) files));
+  }
+
+(* Write what the publish of [frozen] changed.  The store's sealed
+   segments are those of the files kept (untouched by the seal and its
+   merges) and at most one new segment: its rows go to one new segment
+   file, unless a merge reached the snapshot image's segments, when the
+   whole store becomes the new image.  Then the manifest, then the log
+   truncation: a crash before the manifest's rename leaves the old
+   manifest and every record in the log, one after it leaves records
+   the manifest covers, which replay skips by sequence number — never a
+   window with neither.  Files no manifest names any more go last. *)
+let persist t d frozen =
+  let last = Wal.next_seq d.wal - 1 in
+  let segs = Storage.segments frozen in
+  let keep = kept d.files segs in
+  let covered = List.length (List.concat_map (fun f -> f.segs) keep) in
+  let fresh = List.filteri (fun i _ -> i >= covered) segs in
+  if fresh <> [] || last > d.durable_seq then begin
+    let fs = d.dfs and dir = d.dir in
+    let files =
+      match (List.rev keep, fresh) with
+      | _, [] -> keep
+      | prev :: _, [ s ] ->
+          let file, bytes =
+            Wal.write_segment ~fs ~dir ~first:(prev.last + 1) ~last frozen s
+          in
+          d.store_bytes <- d.store_bytes + bytes;
+          keep @ [ { segs = [ s ]; file = Some file; last } ]
+      | _ ->
+          let base, bytes = write_base t ~fs ~dir ~last_seq:last frozen in
+          d.store_bytes <- d.store_bytes + bytes;
+          [ base ]
+    in
+    d.store_bytes <-
+      d.store_bytes + Wal.write_manifest ~fs ~dir (manifest_of ~last files);
+    Wal.reset d.wal;
+    List.iter
+      (fun f ->
+        match f.file with
+        | Some file when not (List.memq f files) -> (
+            try Sys.remove (Filename.concat dir file) with Sys_error _ -> ())
+        | _ -> ())
+      d.files;
+    d.files <- files;
+    d.durable_seq <- last
+  end
+
 let publish t =
   Serve_lock.with_lock t.lock (fun () ->
       (* by construction nothing is staged between appends (both append
-         paths flush before returning), but the snapshot must never
-         outrun the log — flush defensively before freezing *)
+         paths flush before returning), but the published files must
+         never outrun the log — flush defensively before freezing *)
       wal_flush t;
       let frozen = Storage.freeze t.working in
-      (* snapshot first, then truncate the log: a crash between the two
-         leaves already-snapshotted records in the log, which replay
-         skips by sequence number — never a window with neither *)
-      (match t.dur with
-      | None -> ()
-      | Some d ->
-          write_snapshot_of t ~fs:d.dfs ~dir:d.dir
-            ~last_seq:(Wal.next_seq d.wal - 1) frozen;
-          Wal.reset d.wal);
+      Option.iter (fun d -> persist t d frozen) t.dur;
       Atomic.set t.snap (fresh_snap frozen);
       t.published <- t.published + 1;
       t.pending <- 0)
@@ -520,6 +612,7 @@ type recovery = {
 
 let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
   let snap = Wal.load_snapshot (Wal.snapshot_file dir) in
+  let manifest = Wal.load_manifest dir in
   let mapping =
     match mapping with
     | Some m -> m
@@ -536,12 +629,63 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
   in
   let db = Storage.create mapping.Mapping.catalog in
   snap.Wal.s_fill db;
+  Storage.seal db;
+  let base =
+    { segs = Storage.segments db; file = None; last = snap.Wal.s_last_seq }
+  in
+  (* then the manifest's segments, each sealed as it was published; a
+     segment the image already covers (a crash landed between a
+     compaction's image and its manifest) is skipped *)
+  let files =
+    List.fold_left
+      (fun files (file, first, last) ->
+        let prev = (List.hd files).last in
+        if last <= prev then files
+        else if first <> prev + 1 then
+          raise
+            (Wal.Corrupt
+               (Printf.sprintf
+                  "segment gap: the store covers up to record %d but %s \
+                   starts at %d"
+                  prev file first))
+        else begin
+          let g = Wal.load_segment (Filename.concat dir file) in
+          if g.Wal.g_first <> first || g.Wal.g_last <> last then
+            raise
+              (Wal.Corrupt
+                 (Printf.sprintf
+                    "segment %s holds records %d-%d, the manifest says %d-%d"
+                    file g.Wal.g_first g.Wal.g_last first last));
+          let before = List.length (Storage.segments db) in
+          g.Wal.g_fill db;
+          Storage.seal db;
+          let segs = List.filteri (fun i _ -> i >= before) (Storage.segments db) in
+          { segs; file = Some file; last } :: files
+        end)
+      [ base ]
+      (match manifest with Some m -> m.Wal.m_segments | None -> [])
+    |> List.rev
+  in
+  (* a segment file no manifest names was written by a publish that
+     crashed before its manifest: its records are still in the log *)
+  Array.iter
+    (fun name ->
+      if
+        Wal.is_segment_file name
+        && not (List.exists (fun f -> f.file = Some name) files)
+      then Sys.remove (Filename.concat dir name))
+    (Sys.readdir dir);
   let snapshot_rows = Storage.total_rows db in
+  let last =
+    List.fold_left
+      (fun l f -> max l f.last)
+      (match manifest with Some m -> m.Wal.m_last_seq | None -> 0)
+      files
+  in
   let rep = Wal.replay_file (Wal.wal_file dir) in
-  let last = snap.Wal.s_last_seq in
-  (* records the snapshot already covers (a crash landed between the
-     snapshot rename and the log truncation) are skipped; the rest must
-     continue exactly where the snapshot ends *)
+  (* records the published files already cover (a crash landed between
+     the manifest's rename, or the image's, and the log truncation) are
+     skipped; the rest must continue exactly where the files end *)
   let skipped, applied =
     List.partition (fun (r : Wal.record) -> r.Wal.seq <= last) rep.Wal.records
   in
@@ -557,15 +701,24 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
   let recovered_seq =
     List.fold_left (fun _ (r : Wal.record) -> r.Wal.seq) last applied
   in
-  (* the snapshot is the published state: freeze it for serving before
-     replay, so replayed appends are pending (unpublished) — exactly
-     what a never-crashed server shows, where unacked publishes don't
-     exist and unpublished appends are invisible to readers *)
+  (* the published files are the published state: freeze them for
+     serving before replay, so replayed appends are pending
+     (unpublished) — exactly what a never-crashed server shows, where
+     unacked publishes don't exist and unpublished appends are
+     invisible to readers *)
   let t = make ?jobs ?params ?clock mapping db in
   List.iter
     (fun (r : Wal.record) ->
       List.iter
-        (fun (tname, rows) -> List.iter (Storage.insert t.working tname) rows)
+        (fun (tname, rows) ->
+          List.iter
+            (fun row ->
+              try Storage.insert t.working tname row
+              with Storage.Violation m ->
+                raise
+                  (Wal.Corrupt
+                     (Printf.sprintf "WAL record %d: %s" r.Wal.seq m)))
+            rows)
         r.Wal.rows)
     applied;
   t.pending <- List.length applied;
@@ -581,7 +734,17 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
          the state *)
       Wal.create ~fs ~next_seq:(recovered_seq + 1) wal_path
   in
-  t.dur <- Some { dir; dfs = fs; wal; broken = None };
+  t.dur <-
+    Some
+      {
+        dir;
+        dfs = fs;
+        wal;
+        broken = None;
+        files;
+        durable_seq = last;
+        store_bytes = 0;
+      };
   ( t,
     {
       r_snapshot_rows = snapshot_rows;
@@ -610,7 +773,8 @@ let stats t =
   Serve_lock.with_lock t.lock (fun () ->
       let w =
         match t.dur with
-        | None -> { Wal.appends = 0; fsyncs = 0; groups = 0; max_group = 0 }
+        | None ->
+            { Wal.appends = 0; fsyncs = 0; groups = 0; max_group = 0; bytes = 0 }
         | Some d -> Wal.stats d.wal
       in
       {
@@ -626,6 +790,10 @@ let stats t =
         wal_max_group = w.Wal.max_group;
         batches = t.batches;
         max_batch = t.max_batch;
+        written_bytes =
+          (match t.dur with
+          | None -> 0
+          | Some d -> d.store_bytes + w.Wal.bytes);
       })
 
 (* ------------------------------------------------------------------ *)

@@ -10,14 +10,16 @@
     - a mutable {e working} store that {!append}-ed documents are
       shredded into, and
     - an immutable {e serving snapshot} ({!Legodb_relational.Storage.freeze}
-      of the working store): alias-free, statistics matching its
-      contents, and rejecting writes — which is what makes it safe to
-      read from any number of domains with no locking at all.
+      of the working store): it shares the working store's sealed
+      segments (immutable, so nothing is copied), its statistics match
+      its contents, and it rejects writes — which is what makes it safe
+      to read from any number of domains with no locking at all.
 
     Reads never block writes and vice versa: requests execute against
     the snapshot that was current when they (or their batch) started,
     while appends mutate only the working store.  {!publish} is the
-    batched-append barrier: it freezes the working store into a fresh
+    batched-append barrier: it seals what was appended since the last
+    publish into a new segment, freezes the working store into a fresh
     snapshot and atomically swaps it in; in-flight requests keep their
     old snapshot (it stays valid forever — nothing can mutate it),
     later requests see the new one.
@@ -85,18 +87,25 @@
 
     {2 Durability}
 
-    With a [?data_dir], the server is crash-safe ({!Wal}): every
+    With a [?data_dir], the server is crash-safe ({!Wal}): {!create}
+    writes the whole store as the directory's snapshot image, every
     {!append} is captured — the exact rows it shredded — in a
     checksummed write-ahead log record and fsynced before the append
-    returns, and every {!publish} atomically rewrites the directory's
-    storage snapshot and truncates the log.  {!recover} rebuilds a
-    server from the directory: latest valid snapshot, plus the log
-    suffix replayed as {e pending} appends — pending, because they were
-    never published, so the recovered server answers queries
-    bit-identically to one that never crashed.  A torn log tail (the
-    only artifact a crash can leave, since each record is one [write])
-    is truncated and reported; real corruption raises {!Wal.Corrupt}
-    and the CLI exits with code 8. *)
+    returns, and every {!publish} writes only what it sealed: one
+    segment file holding the rows appended since the last publish, and
+    a manifest naming the segments (written, fsynced, renamed, the
+    directory fsynced), then truncates the log.  When the merge rule
+    reaches the image's segments, the publish writes the whole store as
+    a new image instead.  Every file is streamed in bounded chunks.
+    {!recover} rebuilds a server from the directory: the image, the
+    manifest's segments, plus the log suffix replayed as {e pending}
+    appends — pending, because they were never published, so the
+    recovered server answers queries bit-identically to one that never
+    crashed.  A directory without a manifest (written before segments
+    existed) is an image and a log.  A torn log tail (the only artifact
+    a crash can leave, since each record is one [write]) is truncated
+    and reported; real corruption raises {!Wal.Corrupt} and the CLI
+    exits with code 8. *)
 
 open Legodb_relational
 open Legodb_xquery
@@ -131,8 +140,14 @@ type stats = {
   wal_max_group : int;  (** largest group one fsync acknowledged *)
   batches : int;  (** {!run_batch} and {!run_texts} calls *)
   max_batch : int;  (** largest batch one call fanned out *)
+  written_bytes : int;
+      (** bytes the durable store has written since {!create} or
+          {!recover}: the log, segment files, manifests and snapshot
+          images.  Not carried by the network's stats reply, where it
+          reads 0. *)
 }
-(** The four [wal_*] counters are all zero when durability is off. *)
+(** The four [wal_*] counters and [written_bytes] are all zero when
+    durability is off. *)
 
 val create :
   ?jobs:int ->
@@ -221,8 +236,9 @@ val append : t -> Legodb_xml.Xml.t -> unit
     staged and flushed as its own commit unit — one fsync — before
     returning (the PR 8 fsync-per-append discipline).
     @raise Legodb_mapping.Shred.Shred_error when the document does not
-    fit the configuration's schema (the working store may then hold a
-    partial document — as with {!Legodb_mapping.Shred.shred_into}). *)
+    fit the configuration's schema or breaks a constraint its catalog
+    declares; the working store and the log are then left as they
+    were. *)
 
 val append_group : t -> Legodb_xml.Xml.t list -> (unit, string) result list
 (** Shred a batch of documents as one {e group commit}: every
@@ -233,15 +249,17 @@ val append_group : t -> Legodb_xml.Xml.t list -> (unit, string) result list
     [Ok]) until that fsync returns; a crash mid-group loses the whole
     group, which is exactly what the callers were told.  Slot [i]
     answers document [i]: a document the shredder rejects yields
-    [Error message] (its partial rows are logged, same as {!append})
-    and never poisons its neighbors' slots.  [append_group t [d]] is
+    [Error message] (it leaves no rows in the store and no record in
+    the log) and never poisons its neighbors' slots.  [append_group t [d]] is
     {!append} with the error reified; [append_group t []] is a no-op
     ([[]], no fsync). *)
 
 val publish : t -> unit
-(** The batched-append barrier: freeze the working store (statistics
-    refreshed) into a fresh snapshot and swap it in for subsequent
-    requests.  Compiled plans belong to the snapshot, so they are
+(** The batched-append barrier: freeze the working store (sealing what
+    was appended since the last publish; statistics kept at insert)
+    into a fresh snapshot and swap it in for subsequent requests.  With
+    durability on, write that segment and the manifest first (nothing
+    at all when nothing was appended).  Compiled plans belong to the snapshot, so they are
     dropped with the old one: each template recompiles once, on its
     next request, under the new statistics (translations are kept). *)
 
@@ -250,14 +268,15 @@ val stats : t -> stats
 (** {1 Recovery} *)
 
 type recovery = {
-  r_snapshot_rows : int;  (** rows the snapshot alone restored *)
-  r_snapshot_seq : int;  (** last append the snapshot covers *)
+  r_snapshot_rows : int;
+      (** rows the snapshot image and the manifest's segments restored *)
+  r_snapshot_seq : int;  (** last append the image and segments cover *)
   r_replayed : int;  (** log records re-applied, as pending appends *)
   r_skipped : int;
-      (** log records the snapshot already covered (a crash between the
-          snapshot rename and the log truncation leaves them behind;
-          sequence numbers make the skip exact — nothing is ever
-          applied twice) *)
+      (** log records the published files already covered (a crash
+          between the manifest's rename and the log truncation leaves
+          them behind; sequence numbers make the skip exact — nothing
+          is ever applied twice) *)
   r_recovered_seq : int;  (** last append now recovered, durably *)
   r_torn : string option;
       (** why the log's tail was dropped, if it was: the signature of a
@@ -274,12 +293,14 @@ val recover :
   dir:string ->
   unit ->
   t * recovery
-(** Rebuild a server from a data directory: load the snapshot (the
-    p-schema it carries rebuilds the mapping and catalog; pass
+(** Rebuild a server from a data directory: load the snapshot image
+    and then the manifest's segments, each sealed as it was published
+    (the p-schema the image carries rebuilds the mapping and catalog; pass
     [?mapping] to override when the original catalog had extras — e.g.
     secondary indexes {!Legodb_mapping.Mapping.of_pschema} does not
-    derive), replay the log's suffix as pending appends, truncate any
-    torn tail, and reopen the log for appending.  The serving snapshot
+    derive), remove segment files no manifest names (a publish that
+    crashed before its manifest), replay the log's suffix as pending
+    appends, truncate any torn tail, and reopen the log for appending.  The serving snapshot
     is the {e published} state — replayed appends stay pending until
     the next {!publish} — so recovered answers are bit-identical to a
     never-crashed server's.

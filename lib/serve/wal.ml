@@ -9,6 +9,12 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let wrap_corrupt f x = try f x with Wire.Corrupt m -> raise (Corrupt m)
 let snapshot_file dir = Filename.concat dir "snapshot.legodb"
 let wal_file dir = Filename.concat dir "wal.legodb"
+let manifest_file dir = Filename.concat dir "manifest.legodb"
+let segment_file ~first ~last = Printf.sprintf "segment-%d-%d.legodb" first last
+
+let is_segment_file name =
+  String.starts_with ~prefix:"segment-" name
+  && Filename.check_suffix name ".legodb"
 
 (* ------------------------------------------------------------------ *)
 (* records                                                             *)
@@ -237,6 +243,7 @@ type t = {
   mutable s_fsyncs : int;
   mutable s_groups : int;
   mutable s_max_group : int;
+  mutable s_bytes : int;
 }
 
 let create ?(fs = Wire.real_fs) ~next_seq path =
@@ -252,6 +259,7 @@ let create ?(fs = Wire.real_fs) ~next_seq path =
     s_fsyncs = 0;
     s_groups = 0;
     s_max_group = 0;
+    s_bytes = header_bytes;
   }
 
 let reopen ?(fs = Wire.real_fs) ~valid_bytes ~next_seq path =
@@ -271,6 +279,7 @@ let reopen ?(fs = Wire.real_fs) ~valid_bytes ~next_seq path =
       s_fsyncs = 0;
       s_groups = 0;
       s_max_group = 0;
+      s_bytes = 0;
     }
   end
 
@@ -296,6 +305,7 @@ let flush t =
       t.s_appends <- t.s_appends + n;
       t.s_fsyncs <- t.s_fsyncs + 1;
       t.s_groups <- t.s_groups + 1;
+      t.s_bytes <- t.s_bytes + String.length image;
       if n > t.s_max_group then t.s_max_group <- n
 
 let staged t = List.length t.staged
@@ -305,7 +315,13 @@ let append t rows =
   flush t;
   seq
 
-type stats = { appends : int; fsyncs : int; groups : int; max_group : int }
+type stats = {
+  appends : int;
+  fsyncs : int;
+  groups : int;
+  max_group : int;
+  bytes : int;
+}
 
 let stats t =
   {
@@ -313,6 +329,7 @@ let stats t =
     fsyncs = t.s_fsyncs;
     groups = t.s_groups;
     max_group = t.s_max_group;
+    bytes = t.s_bytes;
   }
 
 let reset t =
@@ -331,13 +348,14 @@ let snap_magic = "LEGODB-SNAP"
 let snap_version = 1
 
 let write_snapshot ?fs ~path ~schema ~ordered ~last_seq db =
-  let b = Buffer.create 4096 in
-  Wire.w_int b last_seq;
-  Wire.w_line b (if ordered then "o" else "-");
-  Checkpoint.write_schema b schema;
-  Storage.write_rows b db;
-  Wire.write_atomic ?fs ~path
-    (Wire.frame ~magic:snap_magic ~version:snap_version (Buffer.contents b))
+  ignore
+    (Wire.write_frame_atomic ?fs ~path ~magic:snap_magic ~version:snap_version
+       (fun b spill ->
+         Wire.w_int b last_seq;
+         Wire.w_line b (if ordered then "o" else "-");
+         Checkpoint.write_schema b schema;
+         Storage.write_rows ~spill b db)
+      : int)
 
 type snapshot = {
   s_schema : Legodb_xtype.Xschema.t;
@@ -374,3 +392,108 @@ let load_snapshot path =
       in
       { s_schema; s_ordered; s_last_seq; s_fill })
     path
+
+(* ------------------------------------------------------------------ *)
+(* segments and the manifest                                           *)
+(* ------------------------------------------------------------------ *)
+
+let seg_magic = "LEGODB-SEG"
+let seg_version = 1
+let manifest_magic = "LEGODB-MANIFEST"
+let manifest_version = 1
+
+let write_segment ?fs ~dir ~first ~last db seg =
+  let file = segment_file ~first ~last in
+  let bytes =
+    Wire.write_frame_synced ?fs ~path:(Filename.concat dir file)
+      ~magic:seg_magic ~version:seg_version (fun b spill ->
+        Wire.w_int b first;
+        Wire.w_int b last;
+        Storage.write_segment ~spill b db seg)
+  in
+  (file, bytes)
+
+type segment = { g_first : int; g_last : int; g_fill : Storage.t -> unit }
+
+let load_segment path =
+  if not (Sys.file_exists path) then
+    corrupt "the manifest names a missing segment %s" (Filename.basename path);
+  wrap_corrupt
+    (fun path ->
+      let cur =
+        Wire.cursor
+          (Wire.unframe ~magic:seg_magic ~version:seg_version
+             ~kind:"storage segment" (Wire.read_file path))
+      in
+      let g_first = Wire.r_int cur in
+      let g_last = Wire.r_int cur in
+      let g_fill db =
+        wrap_corrupt
+          (fun db ->
+            Storage.read_rows cur db;
+            if not (Wire.at_end cur) then
+              Wire.corrupt
+                "malformed payload: %d trailing bytes in storage segment"
+                (String.length cur.Wire.buf - cur.Wire.pos))
+          db
+      in
+      { g_first; g_last; g_fill })
+    path
+
+type manifest = {
+  m_last_seq : int;
+  m_segments : (string * int * int) list;
+}
+
+let write_manifest ?fs ~dir m =
+  Wire.write_frame_atomic ?fs ~path:(manifest_file dir) ~magic:manifest_magic
+    ~version:manifest_version (fun b _ ->
+      Wire.w_int b m.m_last_seq;
+      Wire.w_list b
+        (fun b (file, first, last) ->
+          Wire.w_str b file;
+          Wire.w_int b first;
+          Wire.w_int b last)
+        m.m_segments)
+
+let load_manifest dir =
+  let path = manifest_file dir in
+  if not (Sys.file_exists path) then None
+  else
+    wrap_corrupt
+      (fun path ->
+        let cur =
+          Wire.cursor
+            (Wire.unframe ~magic:manifest_magic ~version:manifest_version
+               ~kind:"storage manifest" (Wire.read_file path))
+        in
+        let m_last_seq = Wire.r_int cur in
+        let m_segments =
+          Wire.r_list cur (fun cur ->
+              let file = Wire.r_str cur in
+              let first = Wire.r_int cur in
+              let last = Wire.r_int cur in
+              if not (String.equal file (segment_file ~first ~last)) then
+                Wire.corrupt "malformed manifest: segment %S for records %d-%d"
+                  file first last;
+              (file, first, last))
+        in
+        if not (Wire.at_end cur) then
+          Wire.corrupt "malformed payload: trailing bytes in storage manifest";
+        ignore
+          (List.fold_left
+             (fun prev (_, first, last) ->
+               (match prev with
+               | Some p when first <> p + 1 ->
+                   Wire.corrupt
+                     "malformed manifest: segment from record %d follows one \
+                      through %d"
+                     first p
+               | _ -> ());
+               if last < first || last > m_last_seq then
+                 Wire.corrupt "malformed manifest: segment for records %d-%d"
+                   first last;
+               Some last)
+             None m_segments);
+        Some { m_last_seq; m_segments })
+      path

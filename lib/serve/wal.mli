@@ -1,19 +1,29 @@
 (** The query server's durability substrate: a write-ahead log of
-    appends plus atomic storage snapshots, in the shared
-    {!Legodb_wire.Wire} format (PR 4's checkpoint codec primitives).
+    appends, storage snapshots, segment files and the manifest that
+    names them, in the shared {!Legodb_wire.Wire} format (the
+    checkpoint codec's primitives).
 
     {2 On-disk layout}
 
-    A server's data directory holds two files:
+    A server's data directory holds:
 
     - [snapshot.legodb] — a framed image ([LEGODB-SNAP] header with
-      version, CRC-32, and payload length) of the {e published} store:
+      version, CRC-32, and payload length) of a whole published store:
       the p-schema the mapping derives from, the sequence number of the
       last append it covers, and every table's rows
       ({!Legodb_relational.Storage.write_rows}).  Written atomically
-      and durably ({!Legodb_wire.Wire.write_atomic}) at every
-      {!Serve.publish} barrier, so the file is always a complete,
-      checksummed image of some published state.
+      and durably at {!Serve.create}, and again only when a publish's
+      merge reaches the segments it holds (a compaction), so the file
+      is always a complete, checksummed image of some published state.
+    - [segment-<first>-<last>.legodb] — a framed [LEGODB-SEG] image of
+      one sealed segment: the rows of appends [first] to [last], in
+      {!Legodb_relational.Storage.write_rows}'s format.  Each publish
+      writes one, holding what it sealed.
+    - [manifest.legodb] — a framed [LEGODB-MANIFEST] image naming the
+      segments that follow the snapshot, in order, and the last append
+      the snapshot and segments cover.  Replaced atomically by every
+      publish after its segment is on disk; absent until the first
+      publish (and in a directory written before segments existed).
     - [wal.legodb] — a header line [LEGODB-WAL 1] followed by one
       {e commit unit} per {!flush}: a single append commits as a
       [R <crc32> <len>] record (the record's sequence number and the
@@ -25,14 +35,24 @@
       [fsync] before any of its appends is acknowledged — group
       commit amortizes the device's sync latency over the whole
       group.  The log is truncated back to its header after each
-      successful snapshot.
+      publish's manifest is durable.
+
+    Every image is streamed in bounded chunks
+    ({!Legodb_wire.Wire.write_frame_atomic}), never built as one
+    string.
 
     {2 Failure semantics}
 
-    Sequence numbers tie the two files together: replay applies
-    exactly the records newer than the snapshot, so a crash {e
-    between} the snapshot rename and the log truncation (when the log
-    still holds already-snapshotted records) never double-applies.
+    Sequence numbers tie the files together: the state is the
+    snapshot, then the manifest's segments, then the log records past
+    the last append they cover.  Replay applies exactly the records
+    newer than the published files, so a crash {e between} the
+    manifest's rename and the log truncation (when the log still holds
+    already-published records) never double-applies, and a crash
+    before the rename leaves the old manifest and every record in the
+    log (the unnamed segment file is removed at recovery).  A crash
+    between a compaction's snapshot and its manifest leaves segments
+    the snapshot already covers, which recovery skips.
 
     A commit unit that simply stops early — torn header line, payload
     shorter than its declared length, missing terminator — is the
@@ -159,6 +179,7 @@ type stats = {
   fsyncs : int;  (** append-path fsyncs: one per non-empty {!flush} *)
   groups : int;  (** non-empty flushes — commit units written *)
   max_group : int;  (** largest group committed by one flush *)
+  bytes : int;  (** bytes written to the log: its header and every commit unit *)
 }
 (** What group commit saves is fsyncs per append:
     [fsyncs /. appends] is 1.0 under fsync-per-append and [1/k] for
@@ -168,6 +189,9 @@ type stats = {
 val stats : t -> stats
 
 (** {1 Snapshots} *)
+
+val manifest_file : string -> string
+(** [manifest_file dir] — the manifest's path under a data directory. *)
 
 val write_snapshot :
   ?fs:Legodb_wire.Wire.fs ->
@@ -179,7 +203,9 @@ val write_snapshot :
   unit
 (** Dump a (frozen) store durably and atomically: schema, mapping
     order-columns flag, the last append sequence the dump covers, and
-    every table's rows. *)
+    every table's rows — streamed in 64 KiB chunks
+    ({!Legodb_wire.Wire.write_frame_atomic}), never built as one
+    string. *)
 
 type snapshot = {
   s_schema : Xschema.t;  (** the p-schema the catalog derives from *)
@@ -194,3 +220,60 @@ val load_snapshot : string -> snapshot
 (** Validate (magic, version, length, CRC — before any decoding) and
     decode the header fields; rows are decoded lazily by [s_fill].
     @raise Corrupt *)
+
+(** {1 Segments and the manifest}
+
+    A durable publish writes only what it sealed: one {e segment} file
+    holding the rows of the appends since the previous publish (or the
+    merge of that with the newest segments, under
+    {!Legodb_relational.Storage}'s merge rule), then the manifest that
+    names it.  The directory's state is the snapshot image, then the
+    manifest's segments in order, then the log's records past the
+    manifest's [m_last_seq]. *)
+
+val write_segment :
+  ?fs:Legodb_wire.Wire.fs ->
+  dir:string ->
+  first:int ->
+  last:int ->
+  Storage.t ->
+  Storage.segment ->
+  string * int
+(** Write the segment (of the store's catalog) that holds the rows of
+    appends [first] to [last] as [segment-<first>-<last>.legodb]: a
+    framed [LEGODB-SEG] image, streamed, fsynced, not renamed — no
+    manifest names it yet, and the manifest's directory fsync makes its
+    entry durable.  Returns the file name and the bytes written. *)
+
+type segment = {
+  g_first : int;  (** the first append the segment holds *)
+  g_last : int;  (** the last *)
+  g_fill : Storage.t -> unit;
+      (** insert its rows into the store; raises {!Corrupt} on any
+          mismatch with the catalog *)
+}
+
+val load_segment : string -> segment
+(** Validate (magic, version, length, CRC) and decode a segment file.
+    @raise Corrupt, also when the file is missing. *)
+
+type manifest = {
+  m_last_seq : int;
+      (** the last append the snapshot and the segments cover *)
+  m_segments : (string * int * int) list;
+      (** file, first and last append of each segment, in order *)
+}
+
+val write_manifest : ?fs:Legodb_wire.Wire.fs -> dir:string -> manifest -> int
+(** Replace the manifest durably and atomically (write, fsync, rename,
+    directory fsync).  Returns the bytes written. *)
+
+val load_manifest : string -> manifest option
+(** The manifest of a data directory; [None] when there is none (a
+    directory no publish has written one into, or one written before
+    segments existed: the snapshot and the log are then the whole
+    state).  @raise Corrupt on a damaged manifest, or one whose segments
+    are not contiguous or not named for their records. *)
+
+val is_segment_file : string -> bool
+(** Whether a directory entry's name is a segment file's. *)

@@ -119,7 +119,19 @@ let variants plan =
    stay small *)
 let fill (cat : Rschema.t) seed =
   let rng = Random.State.make [| seed |] in
-  let db = Storage.create cat in
+  (* any data column may take a NULL below, and the store refuses a
+     NULL in a column its catalog declares NOT NULL *)
+  let nullable (t : Rschema.table) =
+    {
+      t with
+      Rschema.columns =
+        List.map
+          (fun (c : Rschema.column) ->
+            { c with Rschema.nullable = c.Rschema.nullable || c.Rschema.cname <> t.Rschema.key })
+          t.Rschema.columns;
+    }
+  in
+  let db = Storage.create { Rschema.tables = List.map nullable cat.Rschema.tables } in
   List.iter
     (fun (t : Rschema.table) ->
       for i = 0 to Random.State.int rng 6 - 1 do

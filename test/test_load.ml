@@ -252,6 +252,9 @@ let collector_cases =
 type shredded =
   | Rows of string
   | Rejected of string list * string * string
+  | Violated of string * string
+      (* the store refused a row the reference shredder inserted: the
+         message and what the reference had stored before it *)
   | Raised of string
 
 let dump db =
@@ -274,7 +277,58 @@ let shred_old m docs =
   | () -> Rows (dump db)
   | exception Shred_reference.Shred_error { path; message } ->
       Rejected (path, message, dump db)
+  | exception Storage.Violation message -> Violated (message, dump db)
   | exception e -> Raised (Printexc.to_string e)
+
+(* Every foreign key of [db]'s rows names a row of its parent table. *)
+let foreign_keys_hold db =
+  let cat = Storage.catalog db in
+  List.for_all
+    (fun (t : Rschema.table) ->
+      List.for_all
+        (fun (col, parent) ->
+          let p = Rschema.table cat parent in
+          let keys = Hashtbl.create 64 in
+          let kpos = Storage.column_position db ~table:parent ~column:p.key in
+          Seq.iter
+            (fun (r : Storage.row) -> Hashtbl.replace keys r.(kpos) ())
+            (Storage.scan db parent);
+          let pos = Storage.column_position db ~table:t.tname ~column:col in
+          Seq.for_all
+            (fun (r : Storage.row) ->
+              Rtype.is_null r.(pos) || Hashtbl.mem keys r.(pos))
+            (Storage.scan db t.tname))
+        t.fks)
+    cat.tables
+
+(* The reference's rows for [doc] alone publish back to [doc]. *)
+let reference_round_trips m doc =
+  match Shred_reference.shred m doc with
+  | db -> ( try Xml.equal doc (Publish.document db m) with _ -> false)
+  | exception _ -> false
+
+let double_write message = contains message "a second value for column"
+
+(* [now] (shredding [prefix_doc] then [doc]) against the reference's
+   [old], where the shredder is meant to differ: it refuses a second
+   value for one row's column, which the reference silently overwrote,
+   and the store refuses rows that break the catalog's constraints.
+   Either way a rejected document leaves nothing behind: the store
+   holds exactly [prefix], the rows of the documents before it. *)
+let agree_on_rejection m doc ~prefix now old =
+  now = old
+  ||
+  match (now, old) with
+  | Rejected (p, msg, d), Rejected (p', msg', _) when p = p' && msg = msg' ->
+      d = prefix
+  | Rejected (_, msg, d), Violated (msg', _) when msg = msg' -> d = prefix
+  | Rejected (_, msg, d), Rows _
+    when contains msg "foreign key"
+         && not (foreign_keys_hold (Shred_reference.shred m doc)) ->
+      d = prefix
+  | Rejected (_, msg, d), _ when double_write msg ->
+      d = prefix && not (reference_round_trips m doc)
+  | _ -> false
 
 (* the all-inlined and normalized IMDB configurations and every
    one-step neighbour of each, with and without order columns *)
@@ -439,7 +493,12 @@ let shredder_cases =
       (fun (k, (_, f), mi) ->
         let m = List.nth (Lazy.force imdb_mappings) mi in
         let doc = at_element k f (small_doc 2) in
-        shred_new m [ small_doc 0; doc ] = shred_old m [ small_doc 0; doc ]);
+        let prefix =
+          match shred_old m [ small_doc 0 ] with Rows d -> d | _ -> ""
+        in
+        agree_on_rejection m doc ~prefix
+          (shred_new m [ small_doc 0; doc ])
+          (shred_old m [ small_doc 0; doc ]));
   ]
 
 let suite = parser_cases @ collector_cases @ shredder_cases

@@ -29,7 +29,7 @@ let () =
       ("serve", Test_serve.suite);
       ("serve-properties", Test_serve.props);
       ("templates", Test_templates.props);
-      ("wal", Test_wal.suite);
+      ("wal", Test_wal.suite @ Test_wal.segment_cases);
       ("wal-properties", Test_wal.props);
       ("iobuf", Test_iobuf.suite);
       ("net", Test_net.suite);
@@ -44,4 +44,5 @@ let () =
       ("executor", Test_executor.suite);
       ("wire", Test_wire.suite);
       ("derive", Test_derive.suite);
+      ("storage", Test_storage.suite);
     ]

@@ -866,6 +866,7 @@ let gen_response =
                         wal_max_group = j;
                         batches = k;
                         max_batch = l;
+                        written_bytes = 0;
                       };
                     net =
                       {

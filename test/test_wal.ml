@@ -361,9 +361,10 @@ let suite =
         let doc, m = setup () in
         let dir = tmp_dir () in
         (* creation does 2 log ops (header write+fsync) after the
-           snapshot's 4: append k's write is op 4+2+2k-1.  Tear the
-           second append's write halfway. *)
-        let _, fs = faulty_fs ~short_write_at:9 () in
+           snapshot's 5 (its image streams as two chunk writes, then
+           fsync, rename, directory fsync): append k's write is op
+           5+2+2k-1.  Tear the second append's write halfway. *)
+        let _, fs = faulty_fs ~short_write_at:10 () in
         let server =
           Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
         in
@@ -536,16 +537,17 @@ let suite =
             check_bool "names shredding" true (contains e "shredding")
         | _ -> Alcotest.fail "expected ok, error, ok");
         check_int "two pending" 2 (Serve.stats server).Serve.pending_appends;
-        (* the whole group — the rejected document logged its partial
-           rows, as single appends do — replays without error *)
+        (* the rejected document left no rows in the store and no
+           record in the log: the two accepted ones replay *)
         let _, r = Serve.recover ~jobs:1 ~dir () in
-        check_int "three records" 3 r.Serve.r_replayed;
+        check_int "two records" 2 r.Serve.r_replayed;
         rm_rf dir);
     case "group crash matrix: before write, torn write, at fsync, committed"
       (fun () ->
-        (* op numbering after creation's 6 (snapshot write_atomic 4 +
-           log header write/fsync): the acked single append is ops 7–8,
-           the group's write is op 9 and its fsync op 10 *)
+        (* op numbering after creation's 7 (the snapshot's two chunk
+           writes, fsync, rename and directory fsync, then the log
+           header's write and fsync): the acked single append is ops
+           8–9, the group's write is op 10 and its fsync op 11 *)
         let scenario ~name ~crash_at ~short_write_at ~expect_seq ~expect_torn
             () =
           let doc, m = setup () in
@@ -592,16 +594,16 @@ let suite =
         in
         (* the group never reached the disk: only the acked single
            append survives, and the log is clean (no torn tail) *)
-        scenario ~name:"before write" ~crash_at:9 ~short_write_at:0
+        scenario ~name:"before write" ~crash_at:10 ~short_write_at:0
           ~expect_seq:1 ~expect_torn:false ();
         (* the group tore mid-write: truncated as a unit — no member
            of the unacknowledged group ever replays *)
-        scenario ~name:"torn write" ~crash_at:max_int ~short_write_at:9
+        scenario ~name:"torn write" ~crash_at:max_int ~short_write_at:10
           ~expect_seq:1 ~expect_torn:true ();
         (* the write completed, the fsync crashed: the group was never
            acked, but it is intact on disk — replaying it is allowed
            (the invariant is acked ⇒ durable, not its converse) *)
-        scenario ~name:"at fsync" ~crash_at:10 ~short_write_at:0
+        scenario ~name:"at fsync" ~crash_at:11 ~short_write_at:0
           ~expect_seq:4 ~expect_torn:false ();
         (* no fault: the whole group is acked and survives *)
         scenario ~name:"committed" ~crash_at:max_int ~short_write_at:0
@@ -666,6 +668,238 @@ let suite =
             ("7-digit CRC", String.sub crc 1 7, "5");
             ("0x-prefixed CRC", "0x" ^ crc, "5");
           ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* segments: what a publish writes, and where it can crash            *)
+(* ------------------------------------------------------------------ *)
+
+(* a document far smaller than the standing store, so a publish seals
+   it into a segment of its own instead of merging into the image *)
+let tiny_doc =
+  lazy
+    (Imdb.Gen.generate
+       { Imdb.Gen.default with seed = 5; shows = 2; directors = 1; actors = 2 })
+
+(* every segment file in [dir] is one the manifest names *)
+let no_stray_segments dir =
+  let named =
+    match Wal.load_manifest dir with
+    | Some m -> List.map (fun (f, _, _) -> f) m.Wal.m_segments
+    | None -> []
+  in
+  Array.for_all
+    (fun f -> (not (Wal.is_segment_file f)) || List.mem f named)
+    (Sys.readdir dir)
+
+(* two acked appends of the tiny document, then a publish that crashes
+   at op [crash_at] (or tears its write [short_write_at]); recovery
+   must show the publish either not at all ([published = false]: both
+   appends replay as pending) or whole, with answers bit-identical to
+   a server that never crashed *)
+let publish_crash_case ~name ~crash_at ~short_write_at ~published ~skipped () =
+  let doc, m = setup () in
+  let tiny = Lazy.force tiny_doc in
+  let dir = tmp_dir () in
+  let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
+  let _, fs = faulty_fs ~crash_at ~short_write_at () in
+  let server = Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc) in
+  List.iter
+    (fun s ->
+      Serve.append s tiny;
+      Serve.append s tiny)
+    [ oracle; server ];
+  let crashed =
+    match Serve.publish server with () -> false | exception Crash -> true
+  in
+  check_bool
+    (name ^ ": crashed iff a fault was injected")
+    (crash_at <> max_int || short_write_at <> 0)
+    crashed;
+  let recovered, r = Serve.recover ~jobs:1 ~dir () in
+  check_int (name ^ ": recovered_seq") 2 r.Serve.r_recovered_seq;
+  check_int (name ^ ": snapshot_seq") (if published then 2 else 0)
+    r.Serve.r_snapshot_seq;
+  check_int (name ^ ": replayed") (if published then 0 else 2)
+    r.Serve.r_replayed;
+  check_int (name ^ ": skipped") skipped r.Serve.r_skipped;
+  check_bool (name ^ ": no stray segment") true (no_stray_segments dir);
+  if published then Serve.publish oracle;
+  check_bool (name ^ ": answers equal") true (answers oracle = answers recovered);
+  if not published then Serve.publish oracle;
+  Serve.publish recovered;
+  check_bool (name ^ ": answers equal after publish") true
+    (answers oracle = answers recovered);
+  check_int (name ^ ": row totals")
+    (Storage.total_rows (Serve.snapshot oracle))
+    (Storage.total_rows (Serve.snapshot recovered));
+  (* the recovered server is live: it takes appends and publishes *)
+  Serve.append recovered tiny;
+  Serve.publish recovered;
+  rm_rf dir
+
+let segment_cases =
+  [
+    case "publish writes one segment and a manifest, then truncates the log"
+      (fun () ->
+        let doc, m = setup () in
+        let dir = tmp_dir () in
+        let log, fs = faulty_fs () in
+        let server =
+          Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
+        in
+        let image = Wire.read_file (Wal.snapshot_file dir) in
+        let tiny = Lazy.force tiny_doc in
+        Serve.append server tiny;
+        Serve.append server tiny;
+        let before = (Serve.stats server).Serve.written_bytes in
+        let ops0 = List.length log.ops in
+        Serve.publish server;
+        check_bool "segment write and fsync, manifest write, fsync, rename, \
+                    directory fsync, log truncation" true
+          (List.filteri (fun i _ -> i >= ops0) (List.rev_map fst log.ops)
+          = [ "write"; "fsync"; "write"; "fsync"; "rename"; "fsync"; "fsync" ]);
+        check_string "the image is untouched" image
+          (Wire.read_file (Wal.snapshot_file dir));
+        let written = (Serve.stats server).Serve.written_bytes - before in
+        let files =
+          List.map
+            (fun f -> (Unix.stat (Filename.concat dir f)).Unix.st_size)
+            [ "segment-1-2.legodb"; "manifest.legodb" ]
+        in
+        check_int "written bytes are the segment's and the manifest's"
+          (List.fold_left ( + ) 0 files) written;
+        (match Wal.load_manifest dir with
+        | Some { Wal.m_last_seq = 2; m_segments = [ ("segment-1-2.legodb", 1, 2) ] } -> ()
+        | _ -> Alcotest.fail "the manifest must name segment 1-2");
+        (* a publish with nothing new writes nothing *)
+        let ops1 = List.length log.ops in
+        Serve.publish server;
+        check_int "an empty publish is free" ops1 (List.length log.ops);
+        rm_rf dir);
+    case "publish crash matrix: segment, manifest, rename, directory, log"
+      (fun () ->
+        (* op numbering: creation's 7 (the image's two chunk writes,
+           fsync, rename, directory fsync; the log header's write and
+           fsync), the two appends' write+fsync (8–11), then the
+           publish: segment write 12, segment fsync 13, manifest write
+           14, manifest fsync 15, rename 16, directory fsync 17, log
+           truncation's fsync 18 *)
+        List.iter
+          (fun (name, crash_at, short_write_at, published, skipped) ->
+            publish_crash_case ~name ~crash_at ~short_write_at ~published
+              ~skipped ())
+          [
+            ("segment write", 12, 0, false, 0);
+            ("torn segment", max_int, 12, false, 0);
+            ("segment fsync", 13, 0, false, 0);
+            ("manifest write", 14, 0, false, 0);
+            ("manifest fsync", 15, 0, false, 0);
+            ("rename", 16, 0, false, 0);
+            (* the rename happened: the manifest covers both records,
+               which the log still holds *)
+            ("directory fsync", 17, 0, true, 2);
+            (* the truncation happened, its fsync did not *)
+            ("log truncation", 18, 0, true, 0);
+            ("committed", max_int, 0, true, 0);
+          ]);
+    case "compaction: a crash between the new image and its manifest"
+      (fun () ->
+        (* a segment, then an append as large as the whole store: the
+           merge reaches the image, and the publish rewrites the store
+           as one image before its manifest *)
+        let doc, m = setup () in
+        let tiny = Lazy.force tiny_doc in
+        let run ?crash_at dir =
+          let log, fs = faulty_fs ?crash_at () in
+          let server =
+            Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
+          in
+          Serve.append server tiny;
+          Serve.publish server;
+          Serve.append server doc;
+          (match Serve.publish server with () -> () | exception Crash -> ());
+          List.length log.ops
+        in
+        let dry = tmp_dir () in
+        let total = run dry in
+        check_bool "the segment is gone" false
+          (Sys.file_exists (Filename.concat dry "segment-1-1.legodb"));
+        rm_rf dry;
+        (* from the end: log fsync, directory fsync, rename, manifest
+           fsync, manifest write *)
+        let dir = tmp_dir () in
+        ignore (run ~crash_at:(total - 4) dir);
+        let recovered, r = Serve.recover ~jobs:1 ~dir () in
+        check_int "the image covers both appends" 2 r.Serve.r_snapshot_seq;
+        check_int "the log's record is skipped" 1 r.Serve.r_skipped;
+        check_int "nothing replayed" 0 r.Serve.r_replayed;
+        let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        Serve.append oracle tiny;
+        Serve.append oracle doc;
+        Serve.publish oracle;
+        check_bool "answers equal" true (answers oracle = answers recovered);
+        rm_rf dir);
+    case "a directory with a full snapshot and a log, no manifest, recovers"
+      (fun () ->
+        (* the layout every publish wrote before segments: the whole
+           store as the image, and a log whose first record the image
+           already holds *)
+        let doc, m = setup () in
+        let tiny = Lazy.force tiny_doc in
+        let dir = tmp_dir () and other = tmp_dir () in
+        let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        Serve.append oracle tiny;
+        Serve.publish oracle;
+        Wal.write_snapshot ~path:(Wal.snapshot_file dir)
+          ~schema:m.Mapping.schema ~ordered:m.Mapping.ordered ~last_seq:1
+          (Serve.snapshot oracle);
+        let logger =
+          Serve.create ~jobs:1 ~data_dir:other m (Shred.shred m doc)
+        in
+        Serve.append logger tiny;
+        Serve.append logger tiny;
+        Wire.write_atomic ~path:(Wal.wal_file dir)
+          (Wire.read_file (Wal.wal_file other));
+        Serve.append oracle tiny;
+        let recovered, r = Serve.recover ~jobs:1 ~dir () in
+        check_int "image through record 1" 1 r.Serve.r_snapshot_seq;
+        check_int "record 1 skipped" 1 r.Serve.r_skipped;
+        check_int "record 2 replayed" 1 r.Serve.r_replayed;
+        check_bool "answers equal" true (answers oracle = answers recovered);
+        Serve.publish oracle;
+        Serve.publish recovered;
+        check_bool "answers equal after publish" true
+          (answers oracle = answers recovered);
+        rm_rf dir;
+        rm_rf other);
+    case "a damaged or missing segment refuses recovery" (fun () ->
+        let doc, m = setup () in
+        let tiny = Lazy.force tiny_doc in
+        let dir = tmp_dir () in
+        let server = Serve.create ~jobs:1 ~data_dir:dir m (Shred.shred m doc) in
+        Serve.append server tiny;
+        Serve.publish server;
+        let seg = Filename.concat dir "segment-1-1.legodb" in
+        let img = Wire.read_file seg in
+        let put img = Wire.write_atomic ~path:seg img in
+        check_bool "bit flip" true
+          (put (flip_bit img (String.length img - 5) 2);
+           corrupts ~expect:"checksum" (fun () -> Serve.recover ~jobs:1 ~dir ()));
+        check_bool "truncation" true
+          (put (String.sub img 0 (String.length img / 2));
+           corrupts ~expect:"truncated" (fun () -> Serve.recover ~jobs:1 ~dir ()));
+        Sys.remove seg;
+        check_bool "missing" true
+          (corrupts ~expect:"missing segment" (fun () ->
+               Serve.recover ~jobs:1 ~dir ()));
+        put img;
+        let manifest = Wire.read_file (Wal.manifest_file dir) in
+        Wire.write_atomic ~path:(Wal.manifest_file dir)
+          (flip_bit manifest (String.length manifest - 3) 1);
+        check_bool "manifest bit flip" true
+          (corrupts ~expect:"checksum" (fun () -> Serve.recover ~jobs:1 ~dir ()));
+        rm_rf dir);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -742,5 +976,85 @@ let prop_group_bit_flip =
                   (fun i _ -> i < List.length rep.Wal.records)
                   originals))
 
+(* Random appends (small documents, or the whole standing document
+   again, which makes the next publish's merge reach the image: a
+   compaction), publishes and crash-recoveries against a server that
+   never crashed: the same answers at every step and after a final
+   publish, every acked append recovered, no stray segment file. *)
+type durable_op = Small of int | Whole | Publish | Crash
+
+let small_docs = Hashtbl.create 8
+
+let small_doc seed =
+  match Hashtbl.find_opt small_docs seed with
+  | Some d -> d
+  | None ->
+      let d =
+        Imdb.Gen.generate
+          { Imdb.Gen.default with seed; shows = 2; directors = 1; actors = 2 }
+      in
+      Hashtbl.add small_docs seed d;
+      d
+
+let prop_durable =
+  prop "publishes, compactions and recoveries answer as a server that never \
+        crashed"
+    ~count:12
+    QCheck2.Gen.(
+      list_size (int_range 1 10)
+        (frequency
+           [
+             (4, map (fun k -> Small k) (int_range 1 4));
+             (1, return Whole);
+             (3, return Publish);
+             (2, return Crash);
+           ]))
+    (fun ops ->
+      let doc, m = setup () in
+      let dir = tmp_dir () in
+      let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
+      let server = ref (Serve.create ~jobs:1 ~data_dir:dir m (Shred.shred m doc)) in
+      let acked = ref 0 in
+      let ok =
+        List.for_all
+          (fun op ->
+            (match op with
+            | Small k ->
+                incr acked;
+                Serve.append oracle (small_doc k);
+                Serve.append !server (small_doc k)
+            | Whole ->
+                incr acked;
+                Serve.append oracle doc;
+                Serve.append !server doc
+            | Publish ->
+                Serve.publish oracle;
+                Serve.publish !server
+            | Crash ->
+                let s, r = Serve.recover ~jobs:1 ~dir () in
+                server := s;
+                if r.Serve.r_recovered_seq <> !acked then
+                  Alcotest.failf "recovered through %d of %d acked appends"
+                    r.Serve.r_recovered_seq !acked);
+            answers oracle = answers !server && no_stray_segments dir)
+          ops
+      in
+      Serve.publish oracle;
+      Serve.publish !server;
+      let ok =
+        ok
+        && answers oracle = answers !server
+        && Storage.total_rows (Serve.snapshot oracle)
+           = Storage.total_rows (Serve.snapshot !server)
+      in
+      rm_rf dir;
+      ok)
+
 let props =
-  [ prop_roundtrip; prop_bit_flip; prop_group_roundtrip; prop_group_bit_flip ]
+  [
+    prop_roundtrip;
+    prop_bit_flip;
+    prop_group_roundtrip;
+    prop_group_bit_flip;
+    prop_durable;
+  ]

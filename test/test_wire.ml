@@ -459,6 +459,67 @@ let golden_images () =
   check_string "checkpoint re-encodes" golden_checkpoint
     (Checkpoint.encode (Checkpoint.decode golden_checkpoint))
 
+
+(* A segment file and a manifest as this format's first writer wrote
+   them: the books store's one sealed segment, holding appends 4 to 7,
+   and a manifest naming it and a second segment. *)
+let golden_segment =
+  String.concat ""
+  [
+    "LEGODB-SEG 1 c1021a47 251\n4\n7\n3\n5\nStore\n1\n1\ni\n1\n";
+    "4\nBook\n6\n2\ni\n1\ns\n3\n111\ns\n31\n";
+    "Types and Programming Languages\ni\n90\ns\n12\n";
+    "the red book\ni\n1\ni\n2\ns\n3\n222\ns\n16\n";
+    "Database Systems\ni\n120\nn\ni\n1\n6\nAuthor\n3\n4\ni\n1\n";
+    "s\n6\nPierce\ni\n1\ni\n2\ns\n13\nGarcia-Molina\ni\n2\ni\n3\n";
+    "s\n6\nUllman\ni\n2\ni\n4\ns\n5\nWidom\ni\n2\n";
+  ]
+
+let golden_manifest =
+  String.concat ""
+  [
+    "LEGODB-MANIFEST 1 be27c673 56\n9\n2\n18\n";
+    "segment-4-7.legodb\n4\n7\n18\nsegment-8-9.legodb\n8\n9\n";
+  ]
+
+let golden_segment_images () =
+  let m, db, _, _ = golden_inputs () in
+  let dir = tmp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let seg =
+    match Storage.segments db with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "the frozen books store is one segment"
+  in
+  let file, bytes = Wal.write_segment ~dir ~first:4 ~last:7 db seg in
+  check_string "segment file name" "segment-4-7.legodb" file;
+  check_string "segment bytes" golden_segment
+    (Wire.read_file (Filename.concat dir file));
+  check_int "segment size" (String.length golden_segment) bytes;
+  let manifest =
+    {
+      Wal.m_last_seq = 9;
+      m_segments = [ (file, 4, 7); ("segment-8-9.legodb", 8, 9) ];
+    }
+  in
+  check_int "manifest size" (String.length golden_manifest)
+    (Wal.write_manifest ~dir manifest);
+  check_string "manifest bytes" golden_manifest
+    (Wire.read_file (Wal.manifest_file dir));
+  (* and the images load *)
+  check_bool "manifest loads" true (Wal.load_manifest dir = Some manifest);
+  let g = Wal.load_segment (Filename.concat dir file) in
+  check_int "first" 4 g.Wal.g_first;
+  check_int "last" 7 g.Wal.g_last;
+  let fresh = Storage.create m.Mapping.catalog in
+  g.Wal.g_fill fresh;
+  List.iter
+    (fun (t : Rschema.table) ->
+      check_bool (t.tname ^ " rows") true
+        (List.of_seq (Storage.scan fresh t.tname)
+        = List.of_seq (Storage.scan db t.tname)))
+    (Storage.catalog db).Rschema.tables
+
 let suite =
   [
     case "crc32: check value and every length residue" crc_known;
@@ -472,4 +533,5 @@ let suite =
     prop_extract;
     case "images written by the byte-at-a-time code load and re-encode"
       golden_images;
+    case "segment and manifest images load and re-encode" golden_segment_images;
   ]
