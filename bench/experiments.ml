@@ -1519,9 +1519,11 @@ let serve_perf ?(jobs = 1) ?(smoke = false) () =
     (Array.length extra_docs) t_dur_append t_dur_publish wal_bytes publish_bytes
     (float_of_int (wal_bytes + publish_bytes) /. float_of_int user_bytes);
   (* The publish writes one segment holding the rows those four log
-     records hold, in the same row codec, plus a manifest of a few dozen
-     bytes: about 1x the log bytes.  2x leaves room for the segment's
-     and the manifest's headers; a publish that rewrote the whole store
+     records hold, in the same row codec, plus a manifest that carries
+     the p-schema (about 1.9 KB here) beside the segment list: about 1x
+     the log bytes (smoke mode reads 26,053 publish bytes against 24,451
+     log bytes).  2x leaves room for the segment's and the manifest's
+     headers and the p-schema; a publish that rewrote the whole store
      would write over 20x in smoke mode and hundreds of times in the
      full run.  Byte counts repeat exactly, so the gate holds on any
      machine. *)

@@ -25,7 +25,7 @@ let micro () =
     | Ok m -> m
     | Error es -> failwith (String.concat "; " es)
   in
-  let db = Storage.refresh_stats (Shred.shred m doc) in
+  let db = Storage.freeze (Shred.shred m doc) in
   let q16 = Xq_translate.translate m (Imdb.Queries.q 16) in
   let cat = Storage.catalog db in
   let q16_plans =

@@ -326,10 +326,12 @@ let serve_cmd =
   let data_dir =
     let doc =
       "Serve durably out of $(docv): appends are write-ahead logged and \
-       fsynced before they are acknowledged, publishes snapshot the store \
-       atomically.  If the directory already holds a snapshot the server is \
-       $(i,recovered) from it (snapshot + log replay; a torn log tail is \
-       truncated and reported, real corruption exits with code 8) and the \
+       fsynced before they are acknowledged, and each publish writes the \
+       segment it sealed and then atomically replaces the manifest that \
+       names the store's segments.  If the directory already holds a \
+       manifest the server is $(i,recovered) from it (segments + log \
+       replay; a torn log tail is truncated and reported, real corruption \
+       or a directory of an older store format exits with code 8) and the \
        corpus/schema flags are ignored."
     in
     Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"DIR" ~doc)
@@ -404,7 +406,11 @@ let serve_cmd =
       group_commit_ms max_group idle_timeout_ms max_conns =
     let server =
       match data_dir with
-      | Some dir when Sys.file_exists (Wal.snapshot_file dir) ->
+      | Some dir
+        when Sys.file_exists (Wal.manifest_file dir)
+             || Sys.file_exists (Wal.snapshot_file dir) ->
+          (* recovery also refuses a store format 1 directory, marked by
+             its whole-store snapshot *)
           let server, r = Serve.recover ~jobs ~dir () in
           Format.printf "recovered %s: %a@." dir Serve.pp_recovery r;
           Ok server
@@ -951,9 +957,10 @@ let transforms_cmd =
      6  shredding failure
      7  corrupt checkpoint snapshot (--resume refuses it; never a
         silent restart)
-     8  corrupt store (serve --data-dir found a snapshot or WAL that is
-        bit-flipped, truncated mid-file, wrong-version, or
-        wrong-magic; recovery refuses to serve rather than guess)
+     8  corrupt store (serve --data-dir found a manifest, segment or
+        WAL that is bit-flipped, truncated mid-file, wrong-version, or
+        wrong-magic, or a directory of store format 1; recovery
+        refuses to serve rather than guess)
      9  network/system failure (port already bound, connection refused,
         peer broke the frame protocol)
    130  interrupted (SIGINT; the best-so-far design is still printed,

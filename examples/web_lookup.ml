@@ -41,13 +41,13 @@ let () =
     (100. *. tuned.cost /. inlined_cost);
 
   (* check the estimate ordering against real execution *)
-  let db_tuned = Storage.refresh_stats (Shred.shred tuned.mapping doc) in
+  let db_tuned = Storage.freeze (Shred.shred tuned.mapping doc) in
   let m_inlined =
     match Mapping.of_pschema inlined with
     | Ok m -> m
     | Error es -> failwith (String.concat "; " es)
   in
-  let db_inlined = Storage.refresh_stats (Shred.shred m_inlined doc) in
+  let db_inlined = Storage.freeze (Shred.shred m_inlined doc) in
 
   Printf.printf "\nactual bytes read per query (executor):\n";
   Printf.printf "  %-6s %14s %14s\n" "query" "all-inlined" "tuned";

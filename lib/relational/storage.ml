@@ -681,57 +681,44 @@ let table_stats td =
   in
   { td.schema with Rschema.columns; card = float_of_int n }
 
-(* a store over [db]'s sealed segments with the statistics [db] kept:
-   frozen (no tail, no accumulators), or mutable with copies of them *)
-let share db ~frozen =
-  let order =
-    Array.map
-      (fun td ->
-        {
-          td with
-          schema = table_stats td;
-          segs = td.segs;
-          tail = Vec.create ();
-          tail_idx = fresh_indexes (Array.length td.tail_idx);
-          accs =
-            (if frozen then [||]
-             else
-               Array.map
-                 (fun a ->
-                   let counts = Values.create (Values.length a.counts) in
-                   Values.iter (fun v r -> Values.add counts v (ref !r)) a.counts;
-                   { a with counts })
-                 td.accs);
-        })
-      db.order
-  in
-  let tables = Hashtbl.create (Array.length order) in
-  Array.iter (fun td -> Hashtbl.replace tables td.schema.tname td) order;
-  Array.iter
-    (fun td ->
-      td.fks <-
-        List.map (fun (pos, p) -> (pos, Hashtbl.find tables p.schema.tname)) td.fks)
-    order;
-  {
-    cat = { Rschema.tables = Array.to_list (Array.map (fun td -> td.schema) order) };
-    tables;
-    order;
-    frozen;
-    sealed = db.sealed;
-  }
-
-let refresh_stats db =
-  if db.frozen then db
-  else begin
-    seal db;
-    share db ~frozen:false
-  end
-
 let freeze db =
   if db.frozen then db
   else begin
     seal db;
-    share db ~frozen:true
+    (* a store over [db]'s sealed segments with the statistics [db]
+       kept: no tail, no accumulators *)
+    let order =
+      Array.map
+        (fun td ->
+          {
+            td with
+            schema = table_stats td;
+            tail = Vec.create ();
+            tail_idx = fresh_indexes (Array.length td.tail_idx);
+            accs = [||];
+          })
+        db.order
+    in
+    let tables = Hashtbl.create (Array.length order) in
+    Array.iter (fun td -> Hashtbl.replace tables td.schema.tname td) order;
+    Array.iter
+      (fun td ->
+        td.fks <-
+          List.map
+            (fun (pos, p) -> (pos, Hashtbl.find tables p.schema.tname))
+            td.fks)
+      order;
+    {
+      cat =
+        {
+          Rschema.tables =
+            Array.to_list (Array.map (fun td -> td.schema) order);
+        };
+      tables;
+      order;
+      frozen = true;
+      sealed = db.sealed;
+    }
   end
 
 let segments db = List.rev db.sealed

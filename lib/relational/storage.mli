@@ -123,15 +123,6 @@ val seal : t -> unit
     Invisible to readers: positions, scans and lookups are unchanged.
     @raise Invalid_argument on a frozen snapshot. *)
 
-val refresh_stats : t -> t
-(** A store whose catalog carries the statistics kept for [db]'s rows
-    (cardinalities, distinct counts, null fractions, widths, min/max).
-    For a working store it seals [db] and returns a new working store
-    that shares the sealed segments and holds its own copy of the kept
-    statistics, so inserts through either handle are invisible to the
-    other.  A frozen snapshot is returned as it is: its catalog already
-    matches its rows. *)
-
 val freeze : t -> t
 (** Seal, then a snapshot that shares every sealed segment with [db]
     (nothing is copied: segments are immutable) and whose catalog

@@ -74,8 +74,6 @@ type shared = {
   memoize : bool;
   oracle : bool;
   inject : (string -> bool) option;
-  per_query_timeout_ms : float option;
-  clock : unit -> float;
   cache : float Memo.t;
   (* [frozen] marks a fan-out in flight: the shared table is then
      read-only (the shards probe it, nothing writes it) and costing
@@ -93,8 +91,7 @@ type shared = {
 and t = { env : shared; delta : float Memo.t; mutable snap : snapshot }
 
 let create ?params ?(workload_indexes = false) ?(updates = [])
-    ?(memoize = true) ?(oracle = false) ?inject ?per_query_timeout_ms
-    ?(clock = Unix.gettimeofday) ~workload () =
+    ?(memoize = true) ?(oracle = false) ?inject ~workload () =
   let env =
     {
       params;
@@ -104,8 +101,6 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
       memoize;
       oracle;
       inject;
-      per_query_timeout_ms;
-      clock;
       cache = Memo.create 256;
       frozen = false;
       pool = [||];
@@ -196,6 +191,9 @@ let check_mapped schema (m, fps) =
         <> Mapping.table_fingerprints m0.Mapping.catalog
       then diverged "fingerprints"
 
+(* the per-phase timers' clock *)
+let now = Unix.gettimeofday
+
 (* Map the candidate, fingerprint its tables and derive the catalog
    fingerprint, charged to the view's [t_mapping]; from [parent]'s
    state when given.  An unmappable schema's fingerprint is its text
@@ -204,7 +202,7 @@ let check_mapped schema (m, fps) =
    entry points never read it, and prepare with [~catalog:false]. *)
 let prepare_into ?(catalog = true) ?parent v schema =
   let t = v.env in
-  let t0 = t.clock () in
+  let t0 = now () in
   let mapping =
     match parent with
     | Some p -> Mapping.derive ~parent:p.p_mapping schema
@@ -225,7 +223,7 @@ let prepare_into ?(catalog = true) ?parent v schema =
             Mapping.catalog_fingerprint (Mapping.fingerprint_list fps)
           else "" )
   in
-  v.snap <- { v.snap with t_mapping = v.snap.t_mapping +. (t.clock () -. t0) };
+  v.snap <- { v.snap with t_mapping = v.snap.t_mapping +. (now () -. t0) };
   (match (t.oracle, parent, mapped) with
   | true, Some _, Ok mf -> check_mapped schema mf
   | true, Some _, Error _ -> (
@@ -268,7 +266,6 @@ let cost_into ?(check = ignore) v p =
              message = "injected fault";
            })
   | _ -> ());
-  let now = t.clock in
   let m, table_fps =
     match p.mapped with
     | Error es ->
@@ -377,24 +374,6 @@ let cost_into ?(check = ignore) v p =
       let x = fresh () in
       let dt = now () -. t2 in
       v.snap <- { v.snap with t_optimize = v.snap.t_optimize +. dt };
-      (* a statement that overran the per-query bound poisons the whole
-         configuration: costing it to completion was unavoidable (the
-         optimizer is not preemptible between [?check] polls), but the
-         remaining statements are abandoned and the candidate is
-         accounted as a structured fault instead of eating the budget *)
-      (match t.per_query_timeout_ms with
-      | Some limit when dt *. 1000. > limit ->
-          raise
-            (Fault
-               {
-                 stage = "optimize";
-                 exn_class = "Cost_timeout";
-                 message =
-                   Printf.sprintf
-                     "statement %c%d took %.1f ms (per-query timeout %.1f ms)"
-                     kind index (dt *. 1000.) limit;
-               })
-      | _ -> ());
       x
     in
     match key with
@@ -495,9 +474,6 @@ let cost ?check v schema =
   match cost_result ?check v schema with
   | Ok c -> c
   | Error f -> raise (Cost_error (Printf.sprintf "%s: %s" f.stage f.message))
-
-let cost_opt ?check v schema =
-  match cost_result ?check v schema with Ok c -> Some c | Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* worker shards                                                       *)

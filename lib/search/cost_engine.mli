@@ -35,12 +35,11 @@ exception Cost_error of string
 
 type fault = {
   stage : string;
-      (** pipeline stage that failed: ["mapping"], ["translate"],
-          ["optimize"], or ["inject"] *)
+      (** pipeline stage that failed: ["mapping"], ["translate"] or
+          ["inject"] *)
   exn_class : string;
-      (** exception class: ["Mapping_error"], ["Untranslatable"],
-          ["Cost_timeout"], or ["Injected"] — a stable name for fault
-          accounting *)
+      (** exception class: ["Mapping_error"], ["Untranslatable"] or
+          ["Injected"] — a stable name for fault accounting *)
   message : string;  (** the underlying error message *)
 }
 (** One candidate configuration the pipeline could not cost.
@@ -75,8 +74,6 @@ val create :
   ?memoize:bool ->
   ?oracle:bool ->
   ?inject:(string -> bool) ->
-  ?per_query_timeout_ms:float ->
-  ?clock:(unit -> float) ->
   workload:Legodb_xquery.Workload.t ->
   unit ->
   t
@@ -95,22 +92,7 @@ val create :
     function of the configuration, an injected fault fires identically
     for every [~jobs] value and on every revisit — a search with
     injected faults must select exactly what a search with those
-    candidates filtered out would.
-
-    [?per_query_timeout_ms] bounds each {e statement} costing (the
-    ROADMAP's per-query cost timeout).  The optimizer is not
-    preemptible between [?check] polls, so the bound is enforced
-    cooperatively: a statement whose costing overruns it makes the
-    whole configuration fail with a fault of stage ["optimize"] and
-    class ["Cost_timeout"], abandoning its remaining statements — a
-    pathological query charges the budget one overrun, not the rest of
-    the wall clock.  Unset (the default) means unbounded, preserving
-    the bit-identical determinism guarantees; with a timeout set,
-    which candidates fault can depend on machine speed.
-
-    [?clock] (default [Unix.gettimeofday]) is the time source for the
-    per-phase timers and the per-query timeout — injectable so tests
-    drive the timeout deterministically with a fake clock. *)
+    candidates filtered out would. *)
 
 (** Every costing entry point takes an optional [?check] hook, called
     once at entry before any work ({!price}: before any work
@@ -135,10 +117,6 @@ val cost_result :
 (** [cost] with failures as structured {!fault} records instead of a
     raised {!Cost_error}; the view's fault counter is bumped either
     way. *)
-
-val cost_opt :
-  ?check:(unit -> unit) -> t -> Legodb_xtype.Xschema.t -> float option
-(** [cost] with {!Cost_error} mapped to [None]. *)
 
 (** {1 Prepared candidates}
 

@@ -524,19 +524,21 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
          answered by one shared run_texts *)
       let queries = ref [] in
       (* front-door replay cache: query text -> the finished response
-         frame, valid for one published-snapshot generation.  Queries
-         run against the frozen snapshot, so pending appends invalidate
-         nothing — only a publish does.  The stored frame says
-         cached=true, which is exactly what the plan cache would report
-         on the repeat execution the replay stands in for, so replayed
-         bytes are identical to what the slow path would send. *)
+         frame, valid for one published snapshot.  Queries run against
+         the frozen snapshot, so pending appends invalidate nothing —
+         only a publish does, and every publish swaps in a fresh frozen
+         store, so the cache notices one by the snapshot's identity (a
+         lock-free read).  The stored frame says cached=true, which is
+         exactly what the plan cache would report on the repeat
+         execution the replay stands in for, so replayed bytes are
+         identical to what the slow path would send. *)
       let replay_cap = 4096 in
       let replay = Hashtbl.create 256 in
-      let replay_gen = ref (Serve.stats t).Serve.snapshots_published in
-      let check_generation () =
-        let gen = (Serve.stats t).Serve.snapshots_published in
-        if gen <> !replay_gen then begin
-          replay_gen := gen;
+      let replay_snap = ref (Serve.snapshot t) in
+      let check_snapshot () =
+        let snap = Serve.snapshot t in
+        if snap != !replay_snap then begin
+          replay_snap := snap;
           Hashtbl.reset replay
         end
       in
@@ -629,7 +631,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             flush_appends ();
             match Serve.publish t with
             | () ->
-                check_generation ();
+                check_snapshot ();
                 cell := Some (Resp Published)
             | exception e ->
                 cell := Some (Resp (Error_reply (Printexc.to_string e))))
@@ -798,7 +800,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         end;
         (* an out-of-band publish (another thread sharing [t]) must not
            leave stale frames replayable *)
-        check_generation ();
+        check_snapshot ();
         List.iter
           (fun c -> if List.memq c.fd rs then read_conn ~now:t1 c)
           readable;

@@ -78,17 +78,17 @@ type stats = {
   written_bytes : int;
 }
 
-(* A file of the data directory and the sealed segments whose rows it
-   holds: the snapshot image ([file = None]) holds every segment the
-   store had when it was written, a segment file exactly one.  [last]
-   is the last append the file covers. *)
-type on_disk = { segs : Storage.segment list; file : string option; last : int }
+(* A segment file of the data directory: the sealed segment it holds
+   and the appends it covers. *)
+type on_disk = { seg : Storage.segment; file : string; first : int; last : int }
 
 (* durability state: the WAL every acknowledged append is fsynced to,
    and the directory whose segments and manifest each publish writes.
-   After a WAL I/O failure the server is fail-stop for writes
-   ([broken]): the failed append was never acknowledged, and
-   acknowledging anything after it would leave a hole for replay. *)
+   After a write failure — of the log or of a publish — the server is
+   fail-stop for writes ([broken]): the failed append was never
+   acknowledged, and acknowledging anything after it would leave a hole
+   for replay; a failed publish leaves the files no longer matching the
+   store's segments. *)
 type durable = {
   dir : string;
   dfs : Wire.fs;
@@ -96,7 +96,7 @@ type durable = {
   mutable broken : string option;
   mutable files : on_disk list;  (* oldest first *)
   mutable durable_seq : int;  (* the last append the files cover *)
-  mutable store_bytes : int;  (* images, segments and manifests written *)
+  mutable store_bytes : int;  (* segments and manifests written *)
 }
 
 type t = {
@@ -161,14 +161,61 @@ let make ?(jobs = 0) ?(params = Cost.default_params)
     dur = None;
   }
 
-(* the whole store as the directory's snapshot image, covering the
-   appends through [last_seq]; returns its file entry and its size *)
-let write_base t ~fs ~dir ~last_seq frozen =
-  let path = Wal.snapshot_file dir in
-  Wal.write_snapshot ~fs ~path ~schema:t.mapping.Mapping.schema
-    ~ordered:t.mapping.Mapping.ordered ~last_seq frozen;
-  ( { segs = Storage.segments frozen; file = None; last = last_seq },
-    (Unix.stat path).Unix.st_size )
+(* Caller holds the lock. *)
+let check_writable who d =
+  match d.broken with
+  | Some m ->
+      failwith (Printf.sprintf "%s: fail-stop after a write failure (%s)" who m)
+  | None -> ()
+
+(* Write what the publish of [frozen] changed.  A seal adds one segment
+   and merges only the newest ones, so the files whose segment survived
+   are a prefix of the store's segments, and at most one segment is
+   new: its rows go to one new segment file, named for the appends
+   after the last kept file's (from append 0 when the merge reached the
+   oldest).  Then the manifest, then the log truncation: a crash before
+   the manifest's rename leaves the old manifest and every record in
+   the log, one after it leaves records the manifest covers, which
+   replay skips by sequence number — never a window with neither.
+   Files no manifest names any more go last. *)
+let persist t d frozen =
+  let last = Wal.next_seq d.wal - 1 in
+  let segs = Storage.segments frozen in
+  let keep = List.filter (fun f -> List.memq f.seg segs) d.files in
+  let fresh = List.filteri (fun i _ -> i >= List.length keep) segs in
+  if fresh <> [] || last > d.durable_seq then
+    try
+      let fs = d.dfs and dir = d.dir in
+      let files =
+        match fresh with
+        | [] -> keep
+        | [ seg ] ->
+            let first =
+              match List.rev keep with f :: _ -> f.last + 1 | [] -> 0
+            in
+            let file, bytes =
+              Wal.write_segment ~fs ~dir ~first ~last frozen seg
+            in
+            d.store_bytes <- d.store_bytes + bytes;
+            keep @ [ { seg; file; first; last } ]
+        | _ -> invalid_arg "Serve.publish: a seal made more than one segment"
+      in
+      let m =
+        {
+          Wal.m_schema = t.mapping.Mapping.schema;
+          m_ordered = t.mapping.Mapping.ordered;
+          m_last_seq = last;
+          m_segments = List.map (fun f -> (f.file, f.first, f.last)) files;
+        }
+      in
+      d.store_bytes <- d.store_bytes + Wal.write_manifest ~fs ~dir m;
+      Wal.reset d.wal;
+      Wal.remove_unnamed ~dir m;
+      d.files <- files;
+      d.durable_seq <- last
+    with e ->
+      d.broken <- Some (Printexc.to_string e);
+      raise e
 
 let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
   let t = make ?jobs ?params ?clock mapping db in
@@ -176,26 +223,26 @@ let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
   | None -> ()
   | Some dir ->
       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      if Sys.file_exists (Wal.snapshot_file dir) then
+      Wal.check_format dir;
+      if Sys.file_exists (Wal.manifest_file dir) then
         invalid_arg
           (Printf.sprintf
-             "Serve.create: %s already holds a snapshot (recover it instead)"
-             dir);
-      (* the initial freeze is published state: snapshot it before the
+             "Serve.create: %s already holds a store (recover it instead)" dir);
+      let d =
+        {
+          dir;
+          dfs = fs;
+          wal = Wal.create ~fs ~next_seq:1 (Wal.wal_file dir);
+          broken = None;
+          files = [];
+          durable_seq = -1;
+          store_bytes = 0;
+        }
+      in
+      (* the initial freeze is published state: persist it before the
          first append so recovery never has less than a create saw *)
-      let base, bytes = write_base t ~fs ~dir ~last_seq:0 (Atomic.get t.snap).db in
-      let wal = Wal.create ~fs ~next_seq:1 (Wal.wal_file dir) in
-      t.dur <-
-        Some
-          {
-            dir;
-            dfs = fs;
-            wal;
-            broken = None;
-            files = [ base ];
-            durable_seq = 0;
-            store_bytes = bytes;
-          });
+      persist t d (Atomic.get t.snap).db;
+      t.dur <- Some d);
   t
 
 let jobs t = t.jobs
@@ -428,12 +475,7 @@ let wal_stage t f =
   match t.dur with
   | None -> ( match f () with () -> Ok () | exception e -> Error e)
   | Some d -> (
-      (match d.broken with
-      | Some m ->
-          failwith
-            (Printf.sprintf
-               "Serve.append: fail-stop after a WAL write failure (%s)" m)
-      | None -> ());
+      check_writable "Serve.append" d;
       let cat = Storage.catalog t.working in
       let before =
         List.map
@@ -509,83 +551,9 @@ let append_group t docs =
           | Error e -> Error (shred_error e))
         results)
 
-(* the files of [files] whose segments still open [segs], in order *)
-let rec kept files segs =
-  match files with
-  | f :: rest ->
-      let rec strip fsegs segs =
-        match (fsegs, segs) with
-        | [], segs -> Some segs
-        | a :: fsegs, b :: segs when a == b -> strip fsegs segs
-        | _ -> None
-      in
-      (match strip f.segs segs with
-      | Some segs -> f :: kept rest segs
-      | None -> [])
-  | [] -> []
-
-let manifest_of ~last files =
-  {
-    Wal.m_last_seq = last;
-    m_segments =
-      List.rev
-        (snd
-           (List.fold_left
-              (fun (prev, acc) f ->
-                ( f.last,
-                  match f.file with
-                  | Some file -> (file, prev + 1, f.last) :: acc
-                  | None -> acc ))
-              (0, []) files));
-  }
-
-(* Write what the publish of [frozen] changed.  The store's sealed
-   segments are those of the files kept (untouched by the seal and its
-   merges) and at most one new segment: its rows go to one new segment
-   file, unless a merge reached the snapshot image's segments, when the
-   whole store becomes the new image.  Then the manifest, then the log
-   truncation: a crash before the manifest's rename leaves the old
-   manifest and every record in the log, one after it leaves records
-   the manifest covers, which replay skips by sequence number — never a
-   window with neither.  Files no manifest names any more go last. *)
-let persist t d frozen =
-  let last = Wal.next_seq d.wal - 1 in
-  let segs = Storage.segments frozen in
-  let keep = kept d.files segs in
-  let covered = List.length (List.concat_map (fun f -> f.segs) keep) in
-  let fresh = List.filteri (fun i _ -> i >= covered) segs in
-  if fresh <> [] || last > d.durable_seq then begin
-    let fs = d.dfs and dir = d.dir in
-    let files =
-      match (List.rev keep, fresh) with
-      | _, [] -> keep
-      | prev :: _, [ s ] ->
-          let file, bytes =
-            Wal.write_segment ~fs ~dir ~first:(prev.last + 1) ~last frozen s
-          in
-          d.store_bytes <- d.store_bytes + bytes;
-          keep @ [ { segs = [ s ]; file = Some file; last } ]
-      | _ ->
-          let base, bytes = write_base t ~fs ~dir ~last_seq:last frozen in
-          d.store_bytes <- d.store_bytes + bytes;
-          [ base ]
-    in
-    d.store_bytes <-
-      d.store_bytes + Wal.write_manifest ~fs ~dir (manifest_of ~last files);
-    Wal.reset d.wal;
-    List.iter
-      (fun f ->
-        match f.file with
-        | Some file when not (List.memq f files) -> (
-            try Sys.remove (Filename.concat dir file) with Sys_error _ -> ())
-        | _ -> ())
-      d.files;
-    d.files <- files;
-    d.durable_seq <- last
-  end
-
 let publish t =
   Serve_lock.with_lock t.lock (fun () ->
+      Option.iter (check_writable "Serve.publish") t.dur;
       (* by construction nothing is staged between appends (both append
          paths flush before returning), but the published files must
          never outrun the log — flush defensively before freezing *)
@@ -611,81 +579,55 @@ type recovery = {
 }
 
 let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
-  let snap = Wal.load_snapshot (Wal.snapshot_file dir) in
-  let manifest = Wal.load_manifest dir in
+  Wal.check_format dir;
+  let m = Wal.load_manifest dir in
   let mapping =
     match mapping with
     | Some m -> m
     | None -> (
         match
-          Mapping.of_pschema ~order_columns:snap.Wal.s_ordered snap.Wal.s_schema
+          Mapping.of_pschema ~order_columns:m.Wal.m_ordered m.Wal.m_schema
         with
         | Ok m -> m
         | Error errs ->
             raise
               (Wal.Corrupt
-                 (Printf.sprintf "snapshot schema does not map: %s"
+                 (Printf.sprintf "manifest schema does not map: %s"
                     (String.concat "; " errs))))
   in
+  (* the manifest's segments, each sealed as it was published: their
+     sizes halve from oldest to newest, so no reload merges *)
   let db = Storage.create mapping.Mapping.catalog in
-  snap.Wal.s_fill db;
-  Storage.seal db;
-  let base =
-    { segs = Storage.segments db; file = None; last = snap.Wal.s_last_seq }
-  in
-  (* then the manifest's segments, each sealed as it was published; a
-     segment the image already covers (a crash landed between a
-     compaction's image and its manifest) is skipped *)
   let files =
-    List.fold_left
-      (fun files (file, first, last) ->
-        let prev = (List.hd files).last in
-        if last <= prev then files
-        else if first <> prev + 1 then
+    List.mapi
+      (fun i (file, first, last) ->
+        let g = Wal.load_segment (Filename.concat dir file) in
+        if g.Wal.g_first <> first || g.Wal.g_last <> last then
           raise
             (Wal.Corrupt
                (Printf.sprintf
-                  "segment gap: the store covers up to record %d but %s \
-                   starts at %d"
-                  prev file first))
-        else begin
-          let g = Wal.load_segment (Filename.concat dir file) in
-          if g.Wal.g_first <> first || g.Wal.g_last <> last then
+                  "segment %s holds records %d-%d, the manifest says %d-%d"
+                  file g.Wal.g_first g.Wal.g_last first last));
+        g.Wal.g_fill db;
+        Storage.seal db;
+        match List.rev (Storage.segments db) with
+        | seg :: older when List.length older = i -> { seg; file; first; last }
+        | _ ->
             raise
               (Wal.Corrupt
                  (Printf.sprintf
-                    "segment %s holds records %d-%d, the manifest says %d-%d"
-                    file g.Wal.g_first g.Wal.g_last first last));
-          let before = List.length (Storage.segments db) in
-          g.Wal.g_fill db;
-          Storage.seal db;
-          let segs = List.filteri (fun i _ -> i >= before) (Storage.segments db) in
-          { segs; file = Some file; last } :: files
-        end)
-      [ base ]
-      (match manifest with Some m -> m.Wal.m_segments | None -> [])
-    |> List.rev
+                    "segment %s merged into the one before it: the manifest's \
+                     segments are not as published"
+                    file)))
+      m.Wal.m_segments
   in
-  (* a segment file no manifest names was written by a publish that
-     crashed before its manifest: its records are still in the log *)
-  Array.iter
-    (fun name ->
-      if
-        Wal.is_segment_file name
-        && not (List.exists (fun f -> f.file = Some name) files)
-      then Sys.remove (Filename.concat dir name))
-    (Sys.readdir dir);
+  Wal.remove_unnamed ~dir m;
   let snapshot_rows = Storage.total_rows db in
-  let last =
-    List.fold_left
-      (fun l f -> max l f.last)
-      (match manifest with Some m -> m.Wal.m_last_seq | None -> 0)
-      files
-  in
+  let last = m.Wal.m_last_seq in
   let rep = Wal.replay_file (Wal.wal_file dir) in
-  (* records the published files already cover (a crash landed between
-     the manifest's rename, or the image's, and the log truncation) are
-     skipped; the rest must continue exactly where the files end *)
+  (* records the manifest already covers (a crash landed between its
+     rename and the log truncation) are skipped; the rest must continue
+     exactly where the segments end *)
   let skipped, applied =
     List.partition (fun (r : Wal.record) -> r.Wal.seq <= last) rep.Wal.records
   in
@@ -694,14 +636,14 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
       raise
         (Wal.Corrupt
            (Printf.sprintf
-              "WAL gap: snapshot covers up to record %d but replay continues \
-               at %d"
+              "WAL gap: the manifest covers up to record %d but replay \
+               continues at %d"
               last first.Wal.seq))
   | _ -> ());
   let recovered_seq =
     List.fold_left (fun _ (r : Wal.record) -> r.Wal.seq) last applied
   in
-  (* the published files are the published state: freeze them for
+  (* the segments are the published state: freeze them for
      serving before replay, so replayed appends are pending
      (unpublished) — exactly what a never-crashed server shows, where
      unacked publishes don't exist and unpublished appends are
@@ -730,8 +672,7 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
         ~valid_bytes:(size - rep.Wal.dropped_bytes)
         ~next_seq:(recovered_seq + 1) wal_path
     else
-      (* the crash predated the log's creation: the snapshot alone is
-         the state *)
+      (* the log was removed: the segments alone are the state *)
       Wal.create ~fs ~next_seq:(recovered_seq + 1) wal_path
   in
   t.dur <-

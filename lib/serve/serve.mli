@@ -87,25 +87,28 @@
 
     {2 Durability}
 
-    With a [?data_dir], the server is crash-safe ({!Wal}): {!create}
-    writes the whole store as the directory's snapshot image, every
-    {!append} is captured — the exact rows it shredded — in a
-    checksummed write-ahead log record and fsynced before the append
-    returns, and every {!publish} writes only what it sealed: one
-    segment file holding the rows appended since the last publish, and
-    a manifest naming the segments (written, fsynced, renamed, the
-    directory fsynced), then truncates the log.  When the merge rule
-    reaches the image's segments, the publish writes the whole store as
-    a new image instead.  Every file is streamed in bounded chunks.
-    {!recover} rebuilds a server from the directory: the image, the
-    manifest's segments, plus the log suffix replayed as {e pending}
-    appends — pending, because they were never published, so the
-    recovered server answers queries bit-identically to one that never
-    crashed.  A directory without a manifest (written before segments
-    existed) is an image and a log.  A torn log tail (the only artifact
-    a crash can leave, since each record is one [write]) is truncated
-    and reported; real corruption raises {!Wal.Corrupt} and the CLI
-    exits with code 8. *)
+    With a [?data_dir], the server is crash-safe ({!Wal}, store format
+    2): every {!append} is captured — the exact rows it shredded — in a
+    checksummed write-ahead log unit and fsynced before the append
+    returns, and {!create} and every {!publish} write only what they
+    sealed: one segment file (the rows the server was created over, or
+    those appended since the last publish, merged with the newest
+    segments under the store's merge rule), then the manifest naming
+    every segment of the published store and carrying the p-schema
+    (written, fsynced, renamed, the directory fsynced), then truncate
+    the log and remove the files the manifest no longer names.  So the
+    directory always holds one segment file per sealed segment of the
+    published snapshot.  Every file is streamed in bounded chunks.
+    {!recover} rebuilds a server from the directory: the manifest's
+    segments, plus the log suffix replayed as {e pending} appends —
+    pending, because they were never published, so the recovered
+    server answers queries bit-identically to one that never crashed.
+    A torn log tail (the only artifact a crash can leave, since each
+    commit unit is one [write]) is truncated and reported; real
+    corruption, or a directory of store format 1, raises {!Wal.Corrupt}
+    and the CLI exits with code 8.  After a failed log or publish write
+    the server is fail-stop for writes: appends and publishes raise
+    [Failure], queries are still answered. *)
 
 open Legodb_relational
 open Legodb_xquery
@@ -142,9 +145,8 @@ type stats = {
   max_batch : int;  (** largest batch one call fanned out *)
   written_bytes : int;
       (** bytes the durable store has written since {!create} or
-          {!recover}: the log, segment files, manifests and snapshot
-          images.  Not carried by the network's stats reply, where it
-          reads 0. *)
+          {!recover}: the log, segment files and manifests.  Not
+          carried by the network's stats reply, where it reads 0. *)
 }
 (** The four [wal_*] counters and [written_bytes] are all zero when
     durability is off. *)
@@ -171,12 +173,15 @@ val create :
     probes rather than scans.  [?clock] (default [Unix.gettimeofday])
     times requests and drives {!run_batch}'s deadlines — injectable so
     timeout tests are deterministic.  [?data_dir] turns durability on:
-    the directory is created if missing, seeded with an initial
-    snapshot of the store, and a fresh write-ahead log is opened
+    the directory is created if missing, a fresh write-ahead log is
+    opened, and the store's rows are published as [segment-0-0] and
+    the first manifest — through the same path as every {!publish}
     ([?fs] is the injectable I/O layer the fault tests crash).
     @raise Invalid_argument if the store is itself a frozen snapshot,
-    or if [data_dir] already holds a snapshot (that store wants
-    {!recover}, not a fresh server clobbering it). *)
+    or if [data_dir] already holds a manifest (that store wants
+    {!recover}, not a fresh server clobbering it).
+    @raise Wal.Corrupt if [data_dir] is a store format 1 directory
+    (it holds [snapshot.legodb]); nothing is written to it. *)
 
 val jobs : t -> int
 
@@ -233,8 +238,8 @@ val run_texts :
 val append : t -> Legodb_xml.Xml.t -> unit
 (** Shred one document into the working store.  Invisible to readers
     until the next {!publish}.  With durability on, the append is
-    staged and flushed as its own commit unit — one fsync — before
-    returning (the PR 8 fsync-per-append discipline).
+    staged and flushed as its own commit unit, a group of one — one
+    fsync — before returning.
     @raise Legodb_mapping.Shred.Shred_error when the document does not
     fit the configuration's schema or breaks a constraint its catalog
     declares; the working store and the log are then left as they
@@ -259,24 +264,25 @@ val publish : t -> unit
     was appended since the last publish; statistics kept at insert)
     into a fresh snapshot and swap it in for subsequent requests.  With
     durability on, write that segment and the manifest first (nothing
-    at all when nothing was appended).  Compiled plans belong to the snapshot, so they are
-    dropped with the old one: each template recompiles once, on its
-    next request, under the new statistics (translations are kept). *)
+    at all when nothing was appended); after a failed write the server
+    is fail-stop and this raises [Failure].  Compiled plans belong to
+    the snapshot, so they are dropped with the old one: each template
+    recompiles once, on its next request, under the new statistics
+    (translations are kept). *)
 
 val stats : t -> stats
 
 (** {1 Recovery} *)
 
 type recovery = {
-  r_snapshot_rows : int;
-      (** rows the snapshot image and the manifest's segments restored *)
-  r_snapshot_seq : int;  (** last append the image and segments cover *)
+  r_snapshot_rows : int;  (** rows the manifest's segments restored *)
+  r_snapshot_seq : int;  (** last append the manifest covers *)
   r_replayed : int;  (** log records re-applied, as pending appends *)
   r_skipped : int;
-      (** log records the published files already covered (a crash
-          between the manifest's rename and the log truncation leaves
-          them behind; sequence numbers make the skip exact — nothing
-          is ever applied twice) *)
+      (** log records the manifest already covered (a crash between
+          its rename and the log truncation leaves them behind;
+          sequence numbers make the skip exact — nothing is ever
+          applied twice) *)
   r_recovered_seq : int;  (** last append now recovered, durably *)
   r_torn : string option;
       (** why the log's tail was dropped, if it was: the signature of a
@@ -293,19 +299,21 @@ val recover :
   dir:string ->
   unit ->
   t * recovery
-(** Rebuild a server from a data directory: load the snapshot image
-    and then the manifest's segments, each sealed as it was published
-    (the p-schema the image carries rebuilds the mapping and catalog; pass
-    [?mapping] to override when the original catalog had extras — e.g.
-    secondary indexes {!Legodb_mapping.Mapping.of_pschema} does not
-    derive), remove segment files no manifest names (a publish that
-    crashed before its manifest), replay the log's suffix as pending
-    appends, truncate any torn tail, and reopen the log for appending.  The serving snapshot
+(** Rebuild a server from a data directory: load the manifest's
+    segments, each sealed as it was published (the p-schema the
+    manifest carries rebuilds the mapping and catalog; pass [?mapping]
+    to override when the original catalog had extras — e.g. secondary
+    indexes {!Legodb_mapping.Mapping.of_pschema} does not derive),
+    remove the files the manifest does not name (a publish that crashed
+    before its manifest, or before removing the segments a merge
+    replaced), replay the log's suffix as pending appends, truncate any
+    torn tail, and reopen the log for appending.  The serving snapshot
     is the {e published} state — replayed appends stay pending until
     the next {!publish} — so recovered answers are bit-identical to a
     never-crashed server's.
-    @raise Wal.Corrupt on a corrupted snapshot or log (CLI exit 8)
-    @raise Sys_error when the directory or snapshot is missing. *)
+    @raise Wal.Corrupt on a corrupted manifest, segment or log, or a
+    store format 1 directory (CLI exit 8); nothing is written to it
+    @raise Sys_error when the directory or its manifest is missing. *)
 
 val data_dir : t -> string option
 (** The directory this server persists to, if durability is on. *)

@@ -9,7 +9,8 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let wrap_corrupt f x = try f x with Wire.Corrupt m -> raise (Corrupt m)
 let snapshot_file dir = Filename.concat dir "snapshot.legodb"
 let wal_file dir = Filename.concat dir "wal.legodb"
-let manifest_file dir = Filename.concat dir "manifest.legodb"
+let manifest_name = "manifest.legodb"
+let manifest_file dir = Filename.concat dir manifest_name
 let segment_file ~first ~last = Printf.sprintf "segment-%d-%d.legodb" first last
 
 let is_segment_file name =
@@ -22,10 +23,7 @@ let is_segment_file name =
 
 type record = { seq : int; rows : (string * Storage.row list) list }
 
-(* The payload carries the sequence number, so any bit flip in it —
-   seq included — is a checksum mismatch, never a silently re-sequenced
-   record.  Per table: name, arity (so the reader needs no catalog),
-   rows. *)
+(* Per table: name, arity (so the reader needs no catalog), rows. *)
 let w_table b ((tname : string), (rows : Storage.row list)) =
   Wire.w_str b tname;
   Wire.w_int b (match rows with [] -> 0 | r :: _ -> Array.length r);
@@ -38,39 +36,16 @@ let r_table cur =
   let rows = Wire.r_list cur (fun cur -> Storage.read_row cur ~arity) in
   (tname, rows)
 
-let encode_payload r =
-  let b = Buffer.create 256 in
-  Wire.w_int b r.seq;
-  Wire.w_list b w_table r.rows;
-  Buffer.contents b
-
-let decode_payload payload =
-  wrap_corrupt
-    (fun payload ->
-      let cur = Wire.cursor payload in
-      let seq = Wire.r_int cur in
-      let rows = Wire.r_list cur r_table in
-      if not (Wire.at_end cur) then
-        Wire.corrupt "malformed payload: %d trailing bytes in WAL record"
-          (String.length payload - cur.Wire.pos);
-      { seq; rows })
-    payload
-
-(* One record on disk: a [R <crc32> <len>] line, [<len>] payload bytes,
-   a ['\n'] terminator.  The whole thing goes to the kernel in a single
-   [write], so the only artifact a crash (or short write) can leave is
-   a strict prefix — exactly what replay classifies as a torn tail. *)
-let encode_unit tag payload = Wire.header_line tag payload ^ payload ^ "\n"
-let encode_record r = encode_unit "R" (encode_payload r)
-
-(* A group commit unit: [G <crc32> <len>], then a payload carrying the
-   first member's sequence number, the member count, and each member's
-   tables — all under one CRC.  The members share the unit, so a torn
-   write truncates the *whole* group: no prefix of an unacknowledged
-   group can ever replay as if it had committed.  Singleton groups
-   encode as plain [R] records, byte-identical to the
-   fsync-per-append format. *)
-let encode_group_payload = function
+(* One commit unit on disk: a [G <crc32> <len>] line, [<len>] payload
+   bytes, a ['\n'] terminator.  The payload carries the first member's
+   sequence number, the member count and each member's tables, all
+   under one CRC, so a bit flip anywhere — a sequence number included —
+   is a checksum mismatch, never a silently re-sequenced record.  The
+   whole unit goes to the kernel in a single [write], so the only
+   artifact a crash (or short write) can leave is a strict prefix of
+   it: the members share the unit, and no prefix of an unacknowledged
+   group can ever replay as if it had committed. *)
+let encode_group = function
   | [] -> invalid_arg "Wal.encode_group: empty group"
   | first :: _ as members ->
       let b = Buffer.create 512 in
@@ -82,19 +57,16 @@ let encode_group_payload = function
             invalid_arg "Wal.encode_group: non-contiguous sequence numbers";
           Wire.w_list b w_table r.rows)
         members;
-      Buffer.contents b
+      let payload = Buffer.contents b in
+      Wire.header_line "G" payload ^ payload ^ "\n"
 
-let encode_group = function
-  | [ r ] -> encode_record r
-  | members -> encode_unit "G" (encode_group_payload members)
-
-let decode_group_payload payload =
+let decode_group payload =
   wrap_corrupt
     (fun payload ->
       let cur = Wire.cursor payload in
       let first = Wire.r_int cur in
       let count = Wire.r_int cur in
-      if count < 2 then
+      if count < 1 then
         Wire.corrupt "malformed payload: WAL group of %d records" count;
       let members =
         List.init count (fun i ->
@@ -132,7 +104,7 @@ let record_equal a b =
 (* ------------------------------------------------------------------ *)
 
 let wal_magic = "LEGODB-WAL"
-let wal_version = 1
+let wal_version = 2
 let wal_header = Printf.sprintf "%s %d\n" wal_magic wal_version
 let header_bytes = String.length wal_header
 
@@ -189,7 +161,7 @@ let replay_string s =
                   survives by parsing to the same values (hex case,
                   leading zeros) *)
                match String.split_on_char ' ' line with
-               | [ (("R" | "G") as tag); crc; len_s ] ->
+               | [ "G"; crc; len_s ] ->
                    let plen =
                      match Wire.len_of_token len_s with
                      | Some n -> n
@@ -204,10 +176,7 @@ let replay_string s =
                           payload";
                      Option.iter (corrupt "WAL record %s")
                        (Wire.checksum_error crc payload);
-                     let members =
-                       if String.equal tag "R" then [ decode_payload payload ]
-                       else decode_group_payload payload
-                     in
+                     let members = decode_group payload in
                      (* the first member of a commit unit must extend the
                         log contiguously; members within a unit are
                         contiguous by construction (decode derives their
@@ -310,11 +279,6 @@ let flush t =
 
 let staged t = List.length t.staged
 
-let append t rows =
-  let seq = stage t rows in
-  flush t;
-  seq
-
 type stats = {
   appends : int;
   fsyncs : int;
@@ -341,8 +305,15 @@ let next_seq t = t.next
 let close t = Unix.close t.fd
 
 (* ------------------------------------------------------------------ *)
-(* snapshots                                                           *)
+(* the store: segments, the manifest, and the whole-store image       *)
 (* ------------------------------------------------------------------ *)
+
+(* what the manifest and the whole-store image both open with: the last
+   append covered, the mapping's order flag, the p-schema *)
+let w_store_header b ~last_seq ~ordered ~schema =
+  Wire.w_int b last_seq;
+  Wire.w_line b (if ordered then "o" else "-");
+  Checkpoint.write_schema b schema
 
 let snap_magic = "LEGODB-SNAP"
 let snap_version = 1
@@ -351,56 +322,14 @@ let write_snapshot ?fs ~path ~schema ~ordered ~last_seq db =
   ignore
     (Wire.write_frame_atomic ?fs ~path ~magic:snap_magic ~version:snap_version
        (fun b spill ->
-         Wire.w_int b last_seq;
-         Wire.w_line b (if ordered then "o" else "-");
-         Checkpoint.write_schema b schema;
+         w_store_header b ~last_seq ~ordered ~schema;
          Storage.write_rows ~spill b db)
       : int)
-
-type snapshot = {
-  s_schema : Legodb_xtype.Xschema.t;
-  s_ordered : bool;
-  s_last_seq : int;
-  s_fill : Storage.t -> unit;
-}
-
-let load_snapshot path =
-  wrap_corrupt
-    (fun path ->
-      let body =
-        Wire.unframe ~magic:snap_magic ~version:snap_version
-          ~kind:"storage snapshot" (Wire.read_file path)
-      in
-      let cur = Wire.cursor body in
-      let s_last_seq = Wire.r_int cur in
-      let s_ordered =
-        match Wire.r_line cur with
-        | "o" -> true
-        | "-" -> false
-        | s -> Wire.corrupt "malformed payload: unknown order flag %S" s
-      in
-      let s_schema = Checkpoint.read_schema cur in
-      let s_fill db =
-        wrap_corrupt
-          (fun db ->
-            Storage.read_rows cur db;
-            if not (Wire.at_end cur) then
-              Wire.corrupt
-                "malformed payload: %d trailing bytes in storage snapshot"
-                (String.length cur.Wire.buf - cur.Wire.pos))
-          db
-      in
-      { s_schema; s_ordered; s_last_seq; s_fill })
-    path
-
-(* ------------------------------------------------------------------ *)
-(* segments and the manifest                                           *)
-(* ------------------------------------------------------------------ *)
 
 let seg_magic = "LEGODB-SEG"
 let seg_version = 1
 let manifest_magic = "LEGODB-MANIFEST"
-let manifest_version = 1
+let manifest_version = 2
 
 let write_segment ?fs ~dir ~first ~last db seg =
   let file = segment_file ~first ~last in
@@ -441,6 +370,8 @@ let load_segment path =
     path
 
 type manifest = {
+  m_schema : Legodb_xtype.Xschema.t;
+  m_ordered : bool;
   m_last_seq : int;
   m_segments : (string * int * int) list;
 }
@@ -448,7 +379,8 @@ type manifest = {
 let write_manifest ?fs ~dir m =
   Wire.write_frame_atomic ?fs ~path:(manifest_file dir) ~magic:manifest_magic
     ~version:manifest_version (fun b _ ->
-      Wire.w_int b m.m_last_seq;
+      w_store_header b ~last_seq:m.m_last_seq ~ordered:m.m_ordered
+        ~schema:m.m_schema;
       Wire.w_list b
         (fun b (file, first, last) ->
           Wire.w_str b file;
@@ -457,43 +389,65 @@ let write_manifest ?fs ~dir m =
         m.m_segments)
 
 let load_manifest dir =
-  let path = manifest_file dir in
-  if not (Sys.file_exists path) then None
-  else
-    wrap_corrupt
-      (fun path ->
-        let cur =
-          Wire.cursor
-            (Wire.unframe ~magic:manifest_magic ~version:manifest_version
-               ~kind:"storage manifest" (Wire.read_file path))
-        in
-        let m_last_seq = Wire.r_int cur in
-        let m_segments =
-          Wire.r_list cur (fun cur ->
-              let file = Wire.r_str cur in
-              let first = Wire.r_int cur in
-              let last = Wire.r_int cur in
-              if not (String.equal file (segment_file ~first ~last)) then
-                Wire.corrupt "malformed manifest: segment %S for records %d-%d"
-                  file first last;
-              (file, first, last))
-        in
-        if not (Wire.at_end cur) then
-          Wire.corrupt "malformed payload: trailing bytes in storage manifest";
-        ignore
-          (List.fold_left
-             (fun prev (_, first, last) ->
-               (match prev with
-               | Some p when first <> p + 1 ->
-                   Wire.corrupt
-                     "malformed manifest: segment from record %d follows one \
-                      through %d"
-                     first p
-               | _ -> ());
-               if last < first || last > m_last_seq then
-                 Wire.corrupt "malformed manifest: segment for records %d-%d"
-                   first last;
-               Some last)
-             None m_segments);
-        Some { m_last_seq; m_segments })
-      path
+  wrap_corrupt
+    (fun path ->
+      let cur =
+        Wire.cursor
+          (Wire.unframe ~magic:manifest_magic ~version:manifest_version
+             ~kind:"storage manifest" (Wire.read_file path))
+      in
+      let m_last_seq = Wire.r_int cur in
+      let m_ordered =
+        match Wire.r_line cur with
+        | "o" -> true
+        | "-" -> false
+        | s -> Wire.corrupt "malformed payload: unknown order flag %S" s
+      in
+      let m_schema = Checkpoint.read_schema cur in
+      let m_segments =
+        Wire.r_list cur (fun cur ->
+            let file = Wire.r_str cur in
+            let first = Wire.r_int cur in
+            let last = Wire.r_int cur in
+            if not (String.equal file (segment_file ~first ~last)) then
+              Wire.corrupt "malformed manifest: segment %S for records %d-%d"
+                file first last;
+            (file, first, last))
+      in
+      if not (Wire.at_end cur) then
+        Wire.corrupt "malformed payload: trailing bytes in storage manifest";
+      (* the segments cover the appends from 0 (the rows the store was
+         created over) on, contiguously *)
+      ignore
+        (List.fold_left
+           (fun next (_, first, last) ->
+             if first <> next then
+               Wire.corrupt
+                 "malformed manifest: a segment from record %d where record %d \
+                  is next"
+                 first next;
+             if last < first || last > m_last_seq then
+               Wire.corrupt "malformed manifest: segment for records %d-%d"
+                 first last;
+             last + 1)
+           0 m_segments
+          : int);
+      { m_schema; m_ordered; m_last_seq; m_segments })
+    (manifest_file dir)
+
+let check_format dir =
+  if Sys.file_exists (snapshot_file dir) then
+    corrupt
+      "%s is a store format 1 directory (it holds snapshot.legodb); this \
+       build reads format 2"
+      dir
+
+let remove_unnamed ~dir m =
+  let named name = List.exists (fun (f, _, _) -> String.equal f name) in
+  Array.iter
+    (fun name ->
+      if
+        (is_segment_file name && not (named name m.m_segments))
+        || String.equal name (manifest_name ^ ".tmp")
+      then try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (Sys.readdir dir)

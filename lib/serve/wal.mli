@@ -1,58 +1,56 @@
 (** The query server's durability substrate: a write-ahead log of
-    appends, storage snapshots, segment files and the manifest that
-    names them, in the shared {!Legodb_wire.Wire} format (the
+    appends, segment files and the manifest that names them — store
+    format 2 — in the shared {!Legodb_wire.Wire} format (the
     checkpoint codec's primitives).
 
     {2 On-disk layout}
 
-    A server's data directory holds:
+    A server's data directory holds exactly:
 
-    - [snapshot.legodb] — a framed image ([LEGODB-SNAP] header with
-      version, CRC-32, and payload length) of a whole published store:
-      the p-schema the mapping derives from, the sequence number of the
-      last append it covers, and every table's rows
-      ({!Legodb_relational.Storage.write_rows}).  Written atomically
-      and durably at {!Serve.create}, and again only when a publish's
-      merge reaches the segments it holds (a compaction), so the file
-      is always a complete, checksummed image of some published state.
-    - [segment-<first>-<last>.legodb] — a framed [LEGODB-SEG] image of
-      one sealed segment: the rows of appends [first] to [last], in
-      {!Legodb_relational.Storage.write_rows}'s format.  Each publish
-      writes one, holding what it sealed.
-    - [manifest.legodb] — a framed [LEGODB-MANIFEST] image naming the
-      segments that follow the snapshot, in order, and the last append
-      the snapshot and segments cover.  Replaced atomically by every
-      publish after its segment is on disk; absent until the first
-      publish (and in a directory written before segments existed).
-    - [wal.legodb] — a header line [LEGODB-WAL 1] followed by one
-      {e commit unit} per {!flush}: a single append commits as a
-      [R <crc32> <len>] record (the record's sequence number and the
-      shredded rows per table, inside the checksum), and a {e group}
-      of [k >= 2] staged appends commits as one [G <crc32> <len>]
-      record whose payload carries the first sequence number, the
-      member count, and every member's rows under a single CRC.
-      Either way a commit unit is written with one [write] and one
-      [fsync] before any of its appends is acknowledged — group
-      commit amortizes the device's sync latency over the whole
-      group.  The log is truncated back to its header after each
-      publish's manifest is durable.
+    - [manifest.legodb] — the root: a framed [LEGODB-MANIFEST 2] image
+      (header with version, CRC-32 and payload length) of the p-schema
+      the mapping derives from, the mapping's order flag, the segments
+      of the published store in order, and the last append they cover.
+      Replaced atomically (write, fsync, rename, directory fsync) by
+      {!Serve.create} and by every publish, after its segment is on
+      disk.
+    - [segment-<first>-<last>.legodb] — one per sealed segment of the
+      published store: a framed [LEGODB-SEG] image of the rows of
+      appends [first] to [last], in
+      {!Legodb_relational.Storage.write_rows}'s format.  The rows the
+      server was created over are append 0, so they are
+      [segment-0-0], and a merge that reaches them writes
+      [segment-0-<last>].  A publish writes one segment file, holding
+      what it sealed (merged with the newest segments, under
+      {!Legodb_relational.Storage}'s merge rule).
+    - [wal.legodb] — a header line [LEGODB-WAL 2] followed by one
+      {e commit unit} per {!flush}: a [G <crc32> <len>] line whose
+      payload carries the first sequence number, the member count and
+      every member's shredded rows per table under a single CRC (a lone
+      append is a group of one).  A unit is written with one [write]
+      and one [fsync] before any of its appends is acknowledged — group
+      commit amortizes the device's sync latency over the whole group.
+      The log is truncated back to its header after each publish's
+      manifest is durable.
 
     Every image is streamed in bounded chunks
     ({!Legodb_wire.Wire.write_frame_atomic}), never built as one
-    string.
+    string.  A directory holding a [snapshot.legodb] image, or a
+    version-1 manifest, was written in store format 1; recovery
+    refuses it with {!Corrupt} and nothing writes to it.
 
     {2 Failure semantics}
 
     Sequence numbers tie the files together: the state is the
-    snapshot, then the manifest's segments, then the log records past
-    the last append they cover.  Replay applies exactly the records
-    newer than the published files, so a crash {e between} the
-    manifest's rename and the log truncation (when the log still holds
-    already-published records) never double-applies, and a crash
-    before the rename leaves the old manifest and every record in the
-    log (the unnamed segment file is removed at recovery).  A crash
-    between a compaction's snapshot and its manifest leaves segments
-    the snapshot already covers, which recovery skips.
+    manifest's segments, then the log records past the last append the
+    manifest covers.  Replay applies exactly the records newer than the
+    manifest, so a crash {e between} the manifest's rename and the log
+    truncation (when the log still holds already-published records)
+    never double-applies, and a crash before the rename leaves the old
+    manifest, every segment it names and every record in the log (the
+    unnamed segment file and manifest temporary are removed at
+    recovery).  A segment a merge replaced is removed only after the
+    manifest that drops it is durable.
 
     A commit unit that simply stops early — torn header line, payload
     shorter than its declared length, missing terminator — is the
@@ -73,17 +71,17 @@ open Legodb_xtype
 open Legodb_relational
 
 exception Corrupt of string
-(** The snapshot or WAL is not usable: truncated (where truncation is
-    not a legal crash artifact), bit-flipped (checksum mismatch), wrong
-    version, or wrong magic — each reported distinctly, one line.  The
-    CLI maps this to exit code 8 (the checkpoint's exit-7 convention,
-    one code later). *)
-
-val snapshot_file : string -> string
-(** [snapshot_file dir] — the snapshot's path under a data directory. *)
+(** The store is not usable: a manifest, segment or log truncated
+    (where truncation is not a legal crash artifact), bit-flipped
+    (checksum mismatch), of the wrong version, or with the wrong magic —
+    each reported distinctly, one line.  The CLI maps this to exit code
+    8 (the checkpoint's exit-7 convention, one code later). *)
 
 val wal_file : string -> string
 (** [wal_file dir] — the log's path under a data directory. *)
+
+val manifest_file : string -> string
+(** [manifest_file dir] — the manifest's path under a data directory. *)
 
 (** {1 Records} *)
 
@@ -94,15 +92,10 @@ type record = {
           append left untouched are absent), in insertion order *)
 }
 
-val encode_record : record -> string
-(** The record's full on-disk bytes: header line + checksummed
-    payload + terminator. *)
-
 val encode_group : record list -> string
-(** The on-disk bytes of one commit unit: a singleton encodes as a
-    plain [R] record (byte-identical to the fsync-per-append format),
-    two or more as one [G] record under a single CRC.  Sequence
-    numbers must be contiguous.
+(** The on-disk bytes of one commit unit (header line, checksummed
+    payload, terminator) holding the records, one or more, under a
+    single CRC.  Sequence numbers must be contiguous.
     @raise Invalid_argument on an empty or non-contiguous group. *)
 
 val record_equal : record -> record -> bool
@@ -130,7 +123,7 @@ type t
 
 val create : ?fs:Legodb_wire.Wire.fs -> next_seq:int -> string -> t
 (** Create (or truncate) the log at a path: write the header, fsync.
-    The next {!append} gets sequence number [next_seq]. *)
+    The next {!stage}d append gets sequence number [next_seq]. *)
 
 val reopen :
   ?fs:Legodb_wire.Wire.fs -> valid_bytes:int -> next_seq:int -> string -> t
@@ -157,17 +150,10 @@ val flush : t -> unit
 val staged : t -> int
 (** Appends in the open group (staged since the last {!flush}). *)
 
-val append : t -> (string * Storage.row list) list -> int
-(** [stage] + [flush] — the PR 8 fsync-per-append discipline, one
-    record and one fsync per append; returns the record's sequence
-    number.  If the write or fsync raises, the record may be torn on
-    disk — the caller must treat the append as failed (it is exactly
-    what replay truncates). *)
-
 val reset : t -> unit
-(** Truncate back to the header and fsync — the post-snapshot log
+(** Truncate back to the header and fsync — the post-publish log
     reset.  Sequence numbers are {e not} reset; they stay monotone so
-    replay can tell pre- from post-snapshot records. *)
+    replay can tell published records from newer ones. *)
 
 val next_seq : t -> int
 val close : t -> unit
@@ -188,48 +174,15 @@ type stats = {
 
 val stats : t -> stats
 
-(** {1 Snapshots} *)
-
-val manifest_file : string -> string
-(** [manifest_file dir] — the manifest's path under a data directory. *)
-
-val write_snapshot :
-  ?fs:Legodb_wire.Wire.fs ->
-  path:string ->
-  schema:Xschema.t ->
-  ordered:bool ->
-  last_seq:int ->
-  Storage.t ->
-  unit
-(** Dump a (frozen) store durably and atomically: schema, mapping
-    order-columns flag, the last append sequence the dump covers, and
-    every table's rows — streamed in 64 KiB chunks
-    ({!Legodb_wire.Wire.write_frame_atomic}), never built as one
-    string. *)
-
-type snapshot = {
-  s_schema : Xschema.t;  (** the p-schema the catalog derives from *)
-  s_ordered : bool;  (** the mapping's [order_columns] flag *)
-  s_last_seq : int;  (** WAL records [<= s_last_seq] are already in *)
-  s_fill : Storage.t -> unit;
-      (** insert the dump's rows into a fresh store for the same
-          catalog; raises {!Corrupt} on any mismatch *)
-}
-
-val load_snapshot : string -> snapshot
-(** Validate (magic, version, length, CRC — before any decoding) and
-    decode the header fields; rows are decoded lazily by [s_fill].
-    @raise Corrupt *)
-
-(** {1 Segments and the manifest}
+(** {1 The store}
 
     A durable publish writes only what it sealed: one {e segment} file
     holding the rows of the appends since the previous publish (or the
     merge of that with the newest segments, under
     {!Legodb_relational.Storage}'s merge rule), then the manifest that
-    names it.  The directory's state is the snapshot image, then the
-    manifest's segments in order, then the log's records past the
-    manifest's [m_last_seq]. *)
+    names every segment of the published store.  The directory's state
+    is the manifest's segments in order, then the log's records past
+    the manifest's [m_last_seq]. *)
 
 val write_segment :
   ?fs:Legodb_wire.Wire.fs ->
@@ -258,22 +211,53 @@ val load_segment : string -> segment
     @raise Corrupt, also when the file is missing. *)
 
 type manifest = {
-  m_last_seq : int;
-      (** the last append the snapshot and the segments cover *)
+  m_schema : Xschema.t;  (** the p-schema the catalog derives from *)
+  m_ordered : bool;  (** the mapping's [order_columns] flag *)
+  m_last_seq : int;  (** the last append the segments cover *)
   m_segments : (string * int * int) list;
-      (** file, first and last append of each segment, in order *)
+      (** file, first and last append of each segment, in order, from
+          append 0 on *)
 }
 
 val write_manifest : ?fs:Legodb_wire.Wire.fs -> dir:string -> manifest -> int
 (** Replace the manifest durably and atomically (write, fsync, rename,
     directory fsync).  Returns the bytes written. *)
 
-val load_manifest : string -> manifest option
-(** The manifest of a data directory; [None] when there is none (a
-    directory no publish has written one into, or one written before
-    segments existed: the snapshot and the log are then the whole
-    state).  @raise Corrupt on a damaged manifest, or one whose segments
-    are not contiguous or not named for their records. *)
+val load_manifest : string -> manifest
+(** The manifest of a data directory.
+    @raise Corrupt on a damaged manifest, one of another version (a
+    store format 1 directory's), or one whose segments are not
+    contiguous from append 0 or not named for their records.
+    @raise Sys_error when there is none. *)
 
-val is_segment_file : string -> bool
-(** Whether a directory entry's name is a segment file's. *)
+val check_format : string -> unit
+(** @raise Corrupt when the directory is a store format 1 one: it holds
+    a whole-store [snapshot.legodb] ({!load_manifest} refuses a
+    version-1 manifest).  Nothing in it is read or written. *)
+
+val remove_unnamed : dir:string -> manifest -> unit
+(** Remove the files of [dir] the manifest does not name: segment files
+    a merge replaced or a publish that crashed before its manifest
+    wrote, and a manifest temporary never renamed. *)
+
+(** {1 The whole-store image} *)
+
+val snapshot_file : string -> string
+(** [snapshot_file dir] — [snapshot.legodb] under a directory: the
+    whole-store image of store format 1.  A data directory holding one
+    is refused. *)
+
+val write_snapshot :
+  ?fs:Legodb_wire.Wire.fs ->
+  path:string ->
+  schema:Xschema.t ->
+  ordered:bool ->
+  last_seq:int ->
+  Storage.t ->
+  unit
+(** Dump a (frozen) store durably and atomically as one framed
+    [LEGODB-SNAP] image: schema, mapping order-columns flag, the last
+    append sequence the dump covers, and every table's rows — streamed
+    in 64 KiB chunks ({!Legodb_wire.Wire.write_frame_atomic}), never
+    built as one string.  The server never writes one: perfbench's
+    traced replay times it. *)

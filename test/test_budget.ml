@@ -192,9 +192,9 @@ let suite =
             let best =
               List.fold_left
                 (fun best (_, s') ->
-                  match Cost_engine.cost_opt eng s' with
-                  | None -> best
-                  | Some c' -> (
+                  match Cost_engine.cost_result eng s' with
+                  | Error _ -> best
+                  | Ok c' -> (
                       match best with
                       | Some (_, bc) when bc <= c' -> best
                       | _ -> Some (s', c')))

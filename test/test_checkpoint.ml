@@ -403,9 +403,9 @@ let suite =
             let best =
               List.fold_left
                 (fun best (_, s') ->
-                  match Cost_engine.cost_opt eng s' with
-                  | None -> best
-                  | Some c' -> (
+                  match Cost_engine.cost_result eng s' with
+                  | Error _ -> best
+                  | Ok c' -> (
                       match best with
                       | Some (_, bc) when bc <= c' -> best
                       | _ -> Some (s', c')))
@@ -453,74 +453,6 @@ let suite =
         && Test_par.same_trace full.Search.trace resumed.Search.trace
         && full.Search.stopped = resumed.Search.stopped
         && same_failures full.Search.failures resumed.Search.failures);
-    (* ---------------- per-query cost timeout ---------------- *)
-    case "per-query timeout faults the configuration as optimize" (fun () ->
-        let workload = Imdb.Workloads.lookup in
-        let schema = Init.all_inlined (Lazy.force annotated_imdb) in
-        (* fake clock: 0.5 ms per reading, so every statement "takes"
-           0.5 ms — over a 0.1 ms limit, under a 1 s one *)
-        let mk limit =
-          let t = ref 0. in
-          Cost_engine.create ~workload ?per_query_timeout_ms:limit
-            ~clock:(fun () ->
-              t := !t +. 0.0005;
-              !t)
-            ()
-        in
-        (match Cost_engine.cost_result (mk (Some 1000.)) schema with
-        | Ok _ -> ()
-        | Error f -> Alcotest.failf "unexpected fault: %s" f.Cost_engine.message);
-        (match Cost_engine.cost_result (mk None) schema with
-        | Ok _ -> ()
-        | Error _ -> Alcotest.fail "no timeout set, nothing may fault");
-        let slow = mk (Some 0.1) in
-        (match Cost_engine.cost_result slow schema with
-        | Ok _ -> Alcotest.fail "expected a Cost_timeout fault"
-        | Error f ->
-            check_string "stage" "optimize" f.Cost_engine.stage;
-            check_string "class" "Cost_timeout" f.Cost_engine.exn_class;
-            check_bool "message names the overrun" true
-              (contains f.Cost_engine.message "timeout"));
-        check_int "fault counted" 1
-          (Cost_engine.snapshot slow).Cost_engine.faults);
-    case "a pathological query charges one fault, not the whole budget"
-      (fun () ->
-        let workload = Imdb.Workloads.lookup in
-        let schema = Lazy.force annotated_imdb in
-        let inlined = Init.all_inlined schema in
-        (* the clock is tame while the initial configuration is costed,
-           then every statement costing overruns the 5 ms limit *)
-        let t = ref 0. in
-        let armed = ref false in
-        let eng =
-          Cost_engine.create ~workload ~per_query_timeout_ms:5.
-            ~clock:(fun () ->
-              t := !t +. (if !armed then 0.02 else 1e-9);
-              !t)
-            ()
-        in
-        ignore (Cost_engine.cost eng inlined);
-        armed := true;
-        let b = Budget.create ~max_evaluations:1000 () in
-        let r = Search.greedy_si ~budget:b ~engine:eng ~workload schema in
-        (* every neighbor faults on its first fresh statement, so the
-           search converges on the initial configuration immediately
-           instead of burning wall-clock between ?check polls *)
-        check_string "reason" "converged"
-          (Search.stopped_string r.Search.stopped);
-        check_string "initial configuration kept"
-          (Xschema.to_string inlined)
-          (Xschema.to_string r.Search.schema);
-        check_bool "failures recorded" true (r.Search.failures <> []);
-        List.iter
-          (fun (f : Search.failure) ->
-            check_string "stage" "optimize" f.Search.f_stage;
-            check_string "class" "Cost_timeout" f.Search.f_class)
-          r.Search.failures;
-        check_int "faults counted in the snapshot"
-          (List.length r.Search.failures)
-          r.Search.engine.Cost_engine.faults;
-        check_bool "budget barely touched" true (Budget.evaluations b < 100));
     case "version-1 images are refused" (fun () ->
         (* version 1 persisted text fingerprints (beam's blacklist, the
            memo keys) that never match the byte ones: resuming one would

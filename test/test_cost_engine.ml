@@ -39,8 +39,8 @@ let run_trajectory (picks, seed, with_updates) =
       | c -> Some c
       | exception Search.Cost_error _ -> None
     in
-    let cached = Cost_engine.cost_opt eng schema in
-    let again = Cost_engine.cost_opt eng schema in
+    let cached = Result.to_option (Cost_engine.cost_result eng schema) in
+    let again = Result.to_option (Cost_engine.cost_result eng schema) in
     match (reference, cached, again) with
     | Some r, Some c, Some c' ->
         if not (Float.equal r c && Float.equal c c') then

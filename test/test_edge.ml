@@ -125,7 +125,7 @@ let suite =
         | Error e -> Alcotest.failf "invalid: %s" (Format.asprintf "%a" Validate.pp_error e));
         let annotated = Annotate.schema (Collector.collect doc) Imdb.Schema.section2 in
         let m = mapping_of (Init.all_inlined annotated) in
-        let db = Storage.refresh_stats (Shred.shred m doc) in
+        let db = Storage.freeze (Shred.shred m doc) in
         check_bool "round trip" true (Xml.equal doc (Publish.document db m));
         let q =
           Xq_parse.parse ~name:"bytype"

@@ -66,7 +66,7 @@ let suite =
         List.iter
           (fun (cname, schema) ->
             let m = mapping_of schema in
-            let db = Storage.refresh_stats (Shred.shred m d) in
+            let db = Storage.freeze (Shred.shred m d) in
             List.iteri
               (fun i text ->
                 let q = Xq_parse.parse ~name:(Printf.sprintf "cmp%d" i) text in
@@ -83,7 +83,7 @@ let suite =
           List.map
             (fun (cname, schema) ->
               let m = mapping_of schema in
-              let db = Storage.refresh_stats (Shred.shred m d) in
+              let db = Storage.freeze (Shred.shred m d) in
               let q = Imdb.Queries.q 12 in
               let rows, _ = run_query m db q in
               (cname, List.length rows))
@@ -105,7 +105,7 @@ let suite =
         let d = Lazy.force doc in
         let _, schema = List.hd (Lazy.force configurations) in
         let m = mapping_of schema in
-        let db = Storage.refresh_stats (Shred.shred m d) in
+        let db = Storage.freeze (Shred.shred m d) in
         let cat = Storage.catalog db in
         (* publish-all vs a selective lookup: estimates and actual bytes
            read must order the same way *)
@@ -131,7 +131,7 @@ let suite =
         let d = Lazy.force doc in
         let _, schema = List.hd (Lazy.force configurations) in
         let m = mapping_of schema in
-        let db = Storage.refresh_stats (Shred.shred m d) in
+        let db = Storage.freeze (Shred.shred m d) in
         let rows, _ = run_query m db (Imdb.Queries.q 15) in
         (* actors + played + awards rows (per-table blocks) *)
         let expected =
@@ -144,7 +144,7 @@ let suite =
         let d = Lazy.force doc in
         let _, schema = List.hd (Lazy.force configurations) in
         let m = mapping_of schema in
-        let db = Storage.refresh_stats (Shred.shred m d) in
+        let db = Storage.freeze (Shred.shred m d) in
         let q =
           Xq_parse.parse ~name:"nyt"
             "FOR $v in imdb/show RETURN $v/title, $v/reviews/nyt"
@@ -170,7 +170,7 @@ let calibration_suite =
           List.concat_map
             (fun (cname, schema) ->
               let m = mapping_of schema in
-              let db = Storage.refresh_stats (Shred.shred m d) in
+              let db = Storage.freeze (Shred.shred m d) in
               let cat = Storage.catalog db in
               List.map
                 (fun qn ->
@@ -212,7 +212,7 @@ let all_queries_suite =
         List.iter
           (fun (cname, schema) ->
             let m = mapping_of schema in
-            let db = Storage.refresh_stats (Shred.shred m d) in
+            let db = Storage.freeze (Shred.shred m d) in
             List.iteri
               (fun i q ->
                 match run_query m db q with
@@ -232,7 +232,7 @@ let all_queries_suite =
           List.map
             (fun (cname, schema) ->
               let m = mapping_of schema in
-              let db = Storage.refresh_stats (Shred.shred m d) in
+              let db = Storage.freeze (Shred.shred m d) in
               ( cname,
                 List.map
                   (fun q -> List.length (fst (run_query m db q)))

@@ -796,6 +796,35 @@ let suite =
         check_int "one compile, at the warm-up" 1 misses;
         check_int "as the parse path" 1
           (Serve.stats reference).Serve.cache_misses);
+    case "a publish outside the loop makes the next replayed text fresh"
+      (fun () ->
+        (* the replay cache holds q's empty answer; an append and a
+           publish made in-process, not over the wire, add the actor q
+           names, and the next network answer to q must see it *)
+        let name = "Zed Outside" in
+        let q =
+          Printf.sprintf
+            "FOR $a IN document(\"imdb\")/imdb/actor WHERE $a/name = \"%s\" \
+             RETURN $a/name"
+            name
+        in
+        let doc, m = setup () in
+        let server = Serve.create ~jobs:1 m (Shred.shred m doc) in
+        run_server server (fun port ->
+            with_client port (fun c ->
+                let ask () = expect_rows "q" (Net.rpc c (Net.Query q)) in
+                check_int "before" 0 (List.length (ask ()));
+                check_int "replayed before" 0 (List.length (ask ()));
+                let replayed () =
+                  (expect_net_stats "stats" (Net.rpc c Net.Stats)).Net.replayed
+                in
+                check_int "the repeat was replayed" 1 (replayed ());
+                Serve.append server
+                  (Xml.elem "imdb"
+                     [ Xml.elem "actor" [ Xml.leaf "name" name ] ]);
+                Serve.publish server;
+                check_int "after the publish" 1 (List.length (ask ()));
+                check_int "answered fresh, not replayed" 1 (replayed ()))));
   ]
 
 (* ------------------------------------------------------------------ *)

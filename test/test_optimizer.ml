@@ -295,7 +295,7 @@ let suite =
         check_int "no scan" 0 m.Executor.tuples_scanned);
     case "optimized plan executes and matches naive count" (fun () ->
         let db = Test_relational.fill_db () in
-        let db = Storage.refresh_stats db in
+        let db = Storage.freeze db in
         let b =
           block
             [ rel "p" "People"; rel "t" "Pets" ]

@@ -134,7 +134,7 @@ let suite =
         let stats = Collector.collect doc in
         let annotated = Annotate.schema stats Imdb.Schema.schema in
         let m = mapping_of (Init.all_inlined annotated) in
-        let db = Storage.refresh_stats (Shred.shred m doc) in
+        let db = Storage.freeze (Shred.shred m doc) in
         List.iter
           (fun (t : Rschema.table) ->
             let actual = Rschema.table (Storage.catalog db) t.Rschema.tname in

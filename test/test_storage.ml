@@ -1,8 +1,8 @@
 (* The segmented row store against the one it replaced
    (test/reference/storage_reference.ml: one row vector per table,
    statistics recomputed by a full pass, a deep-copying freeze).  Over
-   random sequences of inserts, document-sized batches, seals, freezes
-   and statistics refreshes, the two must hold the same rows at the
+   random sequences of inserts, document-sized batches, seals and
+   freezes, the two must hold the same rows at the
    same positions, scan them in the same order, answer every lookup
    with the same rows in the same order — probes staged on a working
    store included, across the seals that follow — and a frozen
@@ -11,8 +11,8 @@
    catalog forbids (a NULL in a NOT NULL column, a duplicate key, a
    batch whose foreign key names no row) and the reference is then not
    given the rows at all.  Every frozen snapshot is also written out
-   segment by segment and as one image, and reloaded, as a durable
-   publish, a compaction and a recovery would. *)
+   segment by segment, as a durable publish writes it, and as one
+   whole-store image, and reloaded as a recovery would. *)
 
 open Legodb
 open Test_util
@@ -78,7 +78,6 @@ type op =
       (* children then parents, as a loader inserts them *)
   | Seal
   | Freeze
-  | Refresh
 
 let gen_draw =
   QCheck2.Gen.(
@@ -106,7 +105,6 @@ let gen_op =
             (list_size (int_range 0 2) (gen_row 2)) );
         (2, return Seal);
         (2, return Freeze);
-        (1, return Refresh);
       ])
 
 let print_op = function
@@ -114,13 +112,12 @@ let print_op = function
   | Batch (cs, ps) -> Printf.sprintf "batch %d+%d" (List.length cs) (List.length ps)
   | Seal -> "seal"
   | Freeze -> "freeze"
-  | Refresh -> "refresh"
 
 (* ------------------------------------------------------------------ *)
 (* the two stores, side by side                                        *)
 (* ------------------------------------------------------------------ *)
 
-type pair = { mutable now : Storage.t; mutable old : Storage_reference.t }
+type pair = { now : Storage.t; old : Storage_reference.t }
 
 (* a column's value from a draw, typed by the column: a string draw in
    an integer column takes its length, and the other way round *)
@@ -220,9 +217,6 @@ let apply (st : pair) op =
         List.iter (fun (tname, row) -> Storage_reference.insert st.old tname row) rows
   | Seal -> Storage.seal st.now
   | Freeze -> ()
-  | Refresh ->
-      st.now <- Storage.refresh_stats st.now;
-      st.old <- Storage_reference.refresh_stats st.old
 
 (* every value a probe can ask for: the draws' domain, both kinds *)
 let probe_values =
@@ -286,8 +280,9 @@ let same_catalog (now : Rschema.t) (old : Rschema.t) =
     now.tables old.tables
 
 (* a frozen snapshot written out as a durable publish writes it (one
-   image per sealed segment) and as a compaction does (one image of
-   the whole store), then reloaded the way recovery reads them *)
+   image per sealed segment) and as one image of the whole store
+   ([Wal.write_snapshot]'s payload), then reloaded the way recovery
+   reads them *)
 let reloads frozen old =
   let image write =
     let b = Buffer.create 256 in
@@ -334,15 +329,12 @@ let run ops =
   let st =
     { now = Storage.create catalog; old = Storage_reference.create catalog }
   in
-  let staged = ref (stage st.now) in
+  let staged = stage st.now in
   List.iter
     (fun op ->
       apply st op;
-      (match op with
-      | Refresh -> staged := stage st.now
-      | Freeze -> check_frozen st
-      | _ -> ());
-      same_rows ~staged:!staged st.now st.old)
+      if op = Freeze then check_frozen st;
+      same_rows ~staged st.now st.old)
     ops;
   check_frozen st;
   true

@@ -1,20 +1,22 @@
 (* Crash-safe serving.  Three families of contracts:
 
-   - the WAL codec: records round-trip bit-exactly, and any single bit
-     flip of a log image is either [Wal.Corrupt] or a reported torn
+   - the WAL codec: commit units round-trip bit-exactly, and any single
+     bit flip of a log image is either [Wal.Corrupt] or a reported torn
      tail — never a silently different (or silently complete) replay;
 
    - failure classification: a tail that simply stops early (the only
-     artifact a crash can leave, since each record is one write) is
+     artifact a crash can leave, since each commit unit is one write) is
      truncated and reported, while bit flips, wrong magic, wrong
-     version, and sequence gaps refuse recovery with [Wal.Corrupt];
+     version, sequence gaps and a store format 1 directory refuse
+     recovery with [Wal.Corrupt];
 
    - crash–recover differential: killing the server after any k acked
-     appends, at any snapshot cadence, for jobs 1 and 2 — including a
-     crash between the snapshot rename and the log truncation, and a
-     torn half-written record — recovers a server whose answers are
-     bit-identical to one that never crashed, with exact loss
-     accounting (acked appends survive, the unacked tail is counted). *)
+     appends, at any publish cadence, for jobs 1 and 2 — including a
+     crash at each write a publish makes, between the manifest's rename
+     and the log truncation among them, and a torn half-written commit
+     unit — recovers a server whose answers are bit-identical to one
+     that never crashed, with exact loss accounting (acked appends
+     survive, the unacked tail is counted). *)
 
 open Legodb
 open Test_util
@@ -137,6 +139,8 @@ let gen_record =
          (bind (int_range 1 4) (fun arity ->
               list_size (int_range 0 5) (list_repeat arity gen_value)))))
 
+let header = "LEGODB-WAL 2\n"
+
 (* a deterministic 2-record image for the damage tests *)
 let wal_image ~seq0 =
   let r1 =
@@ -151,7 +155,7 @@ let wal_image ~seq0 =
       rows = [ ("T", [ [| Rtype.V_null; Rtype.V_string "z" |] ]) ];
     }
   in
-  ( "LEGODB-WAL 1\n" ^ Wal.encode_record r1 ^ Wal.encode_record r2,
+  ( header ^ Wal.encode_group [ r1 ] ^ Wal.encode_group [ r2 ],
     [ r1; r2 ] )
 
 let flip_bit s pos bit =
@@ -257,10 +261,10 @@ let suite =
           (fun garbage ->
             crash_recover_case ~jobs:1 ~publish_every:2 ~appends:3
               ~tear:garbage ())
-          [ "R 12"; "R 00000000 500\n"; "R 00000000 500\nhalf of it" ]);
+          [ "G 12"; "G 00000000 500\n"; "G 00000000 500\nhalf of it" ]);
     case "crash between snapshot rename and log truncation" (fun () ->
-        (* publish writes the snapshot, then truncates the log; dying
-           between the two leaves already-snapshotted records behind.
+        (* publish writes the manifest, then truncates the log; dying
+           between the two leaves already-published records behind.
            Simulate by saving the log before the publish and putting it
            back after — exactly the disk a crash there leaves. *)
         let doc, m = setup () in
@@ -278,7 +282,7 @@ let suite =
         output_string oc saved;
         close_out oc;
         let recovered, r = Serve.recover ~jobs:1 ~dir () in
-        (* all three records predate the snapshot: skipped, not
+        (* all three records predate the manifest: skipped, not
            double-applied *)
         check_int "skipped" 3 r.Serve.r_skipped;
         check_int "replayed" 0 r.Serve.r_replayed;
@@ -316,11 +320,11 @@ let suite =
                Wal.replay_string (flip_bit img (String.length img - 3) 0)));
         check_bool "malformed record header" true
           (corrupts ~expect:"header" (fun () ->
-               Wal.replay_string "LEGODB-WAL 1\nX 0 0\n"));
+               Wal.replay_string (header ^ "X 0 0\n")));
         (* a sequence gap is corruption, not a tail to shrug off *)
         let gapped, _ = wal_image ~seq0:1 in
         let r3 =
-          Wal.encode_record { Wal.seq = 5; rows = [ ("T", []) ] }
+          Wal.encode_group [ { Wal.seq = 5; rows = [ ("T", []) ] } ]
         in
         check_bool "sequence gap" true
           (corrupts ~expect:"contiguous" (fun () ->
@@ -330,10 +334,11 @@ let suite =
         check_bool "torn header" true (rep.Wal.torn <> None);
         check_int "no records" 0 (List.length rep.Wal.records));
     case "snapshot damage classes get distinct one-line errors" (fun () ->
+        (* the published snapshot's rows: the segment create wrote *)
         let doc, m = setup () in
         let dir = tmp_dir () in
         let _ = Serve.create ~jobs:1 ~data_dir:dir m (Shred.shred m doc) in
-        let path = Wal.snapshot_file dir in
+        let path = Filename.concat dir "segment-0-0.legodb" in
         let img = Wire.read_file path in
         let try_load img =
           let oc = open_out_bin path in
@@ -360,11 +365,12 @@ let suite =
       (fun () ->
         let doc, m = setup () in
         let dir = tmp_dir () in
-        (* creation does 2 log ops (header write+fsync) after the
-           snapshot's 5 (its image streams as two chunk writes, then
-           fsync, rename, directory fsync): append k's write is op
-           5+2+2k-1.  Tear the second append's write halfway. *)
-        let _, fs = faulty_fs ~short_write_at:10 () in
+        (* creation takes 10 ops (the log header's write and fsync,
+           segment-0-0's two chunk writes and fsync, the manifest's
+           write, fsync, rename and directory fsync, the log
+           truncation's fsync): append k's write is op 10+2k-1.  Tear
+           the second append's write halfway. *)
+        let _, fs = faulty_fs ~short_write_at:13 () in
         let server =
           Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
         in
@@ -423,9 +429,10 @@ let suite =
         check_int "fsyncs" 1 st.Wal.fsyncs;
         check_int "groups" 1 st.Wal.groups;
         check_int "max group" 2 st.Wal.max_group;
-        (* singleton appends stay in the fsync-per-append byte format,
-           and the grouped log replays with them seamlessly *)
-        let _ = Wal.append w rows1 in
+        (* a lone append is a group of one, and the log replays it
+           with the larger group seamlessly *)
+        ignore (Wal.stage w rows1);
+        Wal.flush w;
         Wal.close w;
         let rep = Wal.replay_file path in
         check_bool "no tear" true (rep.Wal.torn = None);
@@ -435,7 +442,8 @@ let suite =
       (fun () ->
         let r1 = { Wal.seq = 1; rows = [ ("T", [ [| Rtype.V_int 7 |] ]) ] } in
         let r2 = { Wal.seq = 2; rows = [] } in
-        check_string "singleton is an R record" (Wal.encode_record r1)
+        check_string "a singleton is a group of one"
+          "G e661126f 18\n1\n1\n1\n1\nT\n1\n1\ni\n7\n\n"
           (Wal.encode_group [ r1 ]);
         (match Wal.encode_group [] with
         | _ -> Alcotest.fail "empty group must be rejected"
@@ -443,7 +451,7 @@ let suite =
         (match Wal.encode_group [ r1; { r2 with Wal.seq = 5 } ] with
         | _ -> Alcotest.fail "a gap inside a group must be rejected"
         | exception Invalid_argument _ -> ());
-        let img = "LEGODB-WAL 1\n" ^ Wal.encode_group [ r1; r2 ] in
+        let img = header ^ Wal.encode_group [ r1; r2 ] in
         let rep = Wal.replay_string img in
         check_bool "no tear" true (rep.Wal.torn = None);
         check_int "two members" 2 (List.length rep.Wal.records);
@@ -456,33 +464,30 @@ let suite =
         let g =
           [ { Wal.seq = 2; rows = [ ("T", []) ] }; { Wal.seq = 3; rows = [] } ]
         in
-        let img =
-          "LEGODB-WAL 1\n" ^ Wal.encode_record r1 ^ Wal.encode_group g
-        in
+        let img = header ^ Wal.encode_group [ r1 ] ^ Wal.encode_group g in
         check_bool "bit flip in the group" true
           (corrupts ~expect:"checksum" (fun () ->
                Wal.replay_string (flip_bit img (String.length img - 3) 0)));
-        (* a unit declaring fewer than two members is malformed, not a
-           clever singleton *)
+        (* a unit declaring no member is malformed, not an empty
+           commit *)
         let forged count =
           let b = Buffer.create 16 in
           Wire.w_int b 2;
           Wire.w_int b count;
           let p = Buffer.contents b in
-          "LEGODB-WAL 1\n" ^ Wal.encode_record r1
+          header ^ Wal.encode_group [ r1 ]
           ^ Printf.sprintf "G %08lx %d\n%s\n" (Wire.crc32 p) (String.length p)
               p
         in
         check_bool "undersized group" true
-          (corrupts ~expect:"group" (fun () -> Wal.replay_string (forged 1)));
+          (corrupts ~expect:"group" (fun () -> Wal.replay_string (forged 0)));
         (* a group that does not extend the log contiguously is
-           corruption, exactly like a gapped R record *)
+           corruption, exactly like a gapped lone append *)
         let gap = [ { Wal.seq = 7; rows = [] }; { Wal.seq = 8; rows = [] } ] in
         check_bool "gap before the group" true
           (corrupts ~expect:"contiguous" (fun () ->
                Wal.replay_string
-                 ("LEGODB-WAL 1\n" ^ Wal.encode_record r1
-                ^ Wal.encode_group gap)));
+                 (header ^ Wal.encode_group [ r1 ] ^ Wal.encode_group gap)));
         (* a torn group truncates as a unit: the acked prefix survives,
            no member of the unit leaks through *)
         let rep = Wal.replay_string (String.sub img 0 (String.length img - 4)) in
@@ -544,10 +549,11 @@ let suite =
         rm_rf dir);
     case "group crash matrix: before write, torn write, at fsync, committed"
       (fun () ->
-        (* op numbering after creation's 7 (the snapshot's two chunk
-           writes, fsync, rename and directory fsync, then the log
-           header's write and fsync): the acked single append is ops
-           8–9, the group's write is op 10 and its fsync op 11 *)
+        (* op numbering after creation's 10 (the log header's write and
+           fsync, segment-0-0's two chunk writes and fsync, the
+           manifest's write, fsync, rename and directory fsync, the log
+           truncation's fsync): the acked single append is ops 11–12,
+           the group's write is op 13 and its fsync op 14 *)
         let scenario ~name ~crash_at ~short_write_at ~expect_seq ~expect_torn
             () =
           let doc, m = setup () in
@@ -594,28 +600,29 @@ let suite =
         in
         (* the group never reached the disk: only the acked single
            append survives, and the log is clean (no torn tail) *)
-        scenario ~name:"before write" ~crash_at:10 ~short_write_at:0
+        scenario ~name:"before write" ~crash_at:13 ~short_write_at:0
           ~expect_seq:1 ~expect_torn:false ();
         (* the group tore mid-write: truncated as a unit — no member
            of the unacknowledged group ever replays *)
-        scenario ~name:"torn write" ~crash_at:max_int ~short_write_at:10
+        scenario ~name:"torn write" ~crash_at:max_int ~short_write_at:13
           ~expect_seq:1 ~expect_torn:true ();
         (* the write completed, the fsync crashed: the group was never
            acked, but it is intact on disk — replaying it is allowed
            (the invariant is acked ⇒ durable, not its converse) *)
-        scenario ~name:"at fsync" ~crash_at:11 ~short_write_at:0
+        scenario ~name:"at fsync" ~crash_at:14 ~short_write_at:0
           ~expect_seq:4 ~expect_torn:false ();
         (* no fault: the whole group is acked and survives *)
         scenario ~name:"committed" ~crash_at:max_int ~short_write_at:0
           ~expect_seq:4 ~expect_torn:false ());
     case "non-canonical header tokens are rejected by all three parsers"
       (fun () ->
-        (* a 5-byte WAL record payload (a seq, zero tables) whose
-           checksum has a leading zero and a hex letter, so the 7-digit
-           and the uppercase spellings below name the very same CRC
-           value — the aliasing a numeric comparison would let through *)
+        (* a 7-byte WAL group payload (a seq, one member, zero tables)
+           whose checksum has a leading zero and a hex letter, so the
+           7-digit and the uppercase spellings below name the very same
+           CRC value — the aliasing a numeric comparison would let
+           through *)
         let payload, crc =
-          List.init 90 (fun i -> Printf.sprintf "%d\n0\n" (i + 10))
+          List.init 90 (fun i -> Printf.sprintf "%d\n1\n0\n" (i + 10))
           |> List.map (fun p -> (p, Printf.sprintf "%08lx" (Wire.crc32 p)))
           |> List.find (fun (_, c) ->
                  c.[0] = '0' && String.exists (fun ch -> ch >= 'a') c)
@@ -643,7 +650,7 @@ let suite =
             ( "Wal.replay_string",
               match
                 Wal.replay_string
-                  (Printf.sprintf "LEGODB-WAL 1\nR %s %s\n%s\n" crc len payload)
+                  (Printf.sprintf "%sG %s %s\n%s\n" header crc len payload)
               with
               | { Wal.torn = None; records = [ _ ]; _ } -> "parsed"
               | _ -> "torn"
@@ -652,7 +659,7 @@ let suite =
         in
         List.iter
           (fun (who, v) -> check_string (who ^ ", canonical header") "parsed" v)
-          (verdicts ~crc ~len:"5");
+          (verdicts ~crc ~len:"7");
         List.iter
           (fun (what, crc, len) ->
             List.iter
@@ -660,13 +667,13 @@ let suite =
                 check_string (Printf.sprintf "%s, %s" who what) "rejected" v)
               (verdicts ~crc ~len))
           [
-            ("length +5", crc, "+5");
-            ("length 05", crc, "05");
-            ("length 0x5", crc, "0x5");
-            ("length 5_", crc, "5_");
-            ("uppercase CRC", String.uppercase_ascii crc, "5");
-            ("7-digit CRC", String.sub crc 1 7, "5");
-            ("0x-prefixed CRC", "0x" ^ crc, "5");
+            ("length +7", crc, "+7");
+            ("length 07", crc, "07");
+            ("length 0x7", crc, "0x7");
+            ("length 7_", crc, "7_");
+            ("uppercase CRC", String.uppercase_ascii crc, "7");
+            ("7-digit CRC", String.sub crc 1 7, "7");
+            ("0x-prefixed CRC", "0x" ^ crc, "7");
           ]);
   ]
 
@@ -681,34 +688,37 @@ let tiny_doc =
     (Imdb.Gen.generate
        { Imdb.Gen.default with seed = 5; shows = 2; directors = 1; actors = 2 })
 
-(* every segment file in [dir] is one the manifest names *)
-let no_stray_segments dir =
+(* the directory holds exactly the manifest, the log, and one segment
+   file per sealed segment of [server]'s published snapshot: the files
+   the manifest names *)
+let store_files dir server =
   let named =
-    match Wal.load_manifest dir with
-    | Some m -> List.map (fun (f, _, _) -> f) m.Wal.m_segments
-    | None -> []
+    List.map (fun (f, _, _) -> f) (Wal.load_manifest dir).Wal.m_segments
   in
-  Array.for_all
-    (fun f -> (not (Wal.is_segment_file f)) || List.mem f named)
-    (Sys.readdir dir)
+  List.sort compare (Array.to_list (Sys.readdir dir))
+  = List.sort compare ("manifest.legodb" :: "wal.legodb" :: named)
+  && List.length named = List.length (Storage.segments (Serve.snapshot server))
 
-(* two acked appends of the tiny document, then a publish that crashes
-   at op [crash_at] (or tears its write [short_write_at]); recovery
-   must show the publish either not at all ([published = false]: both
-   appends replay as pending) or whole, with answers bit-identical to
-   a server that never crashed *)
-let publish_crash_case ~name ~crash_at ~short_write_at ~published ~skipped () =
+let segment_sizes server =
+  List.map Storage.segment_rows (Storage.segments (Serve.snapshot server))
+
+(* [before doc] on a durable server and on one that never crashes (of
+   [acked] appends, the first [base] published), then a publish of the
+   durable one that crashes at op [crash_at] (or tears its write
+   [short_write_at]); recovery must show the publish either not at all
+   ([published = false]: the appends since the last publish replay as
+   pending) or whole, with answers, row totals and segment sizes
+   bit-identical to the server that never crashed, and exactly the
+   store's files in the directory *)
+let publish_crash_case ~before ~acked ~base ~name ~crash_at ~short_write_at
+    ~published ~skipped () =
   let doc, m = setup () in
   let tiny = Lazy.force tiny_doc in
   let dir = tmp_dir () in
   let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
   let _, fs = faulty_fs ~crash_at ~short_write_at () in
   let server = Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc) in
-  List.iter
-    (fun s ->
-      Serve.append s tiny;
-      Serve.append s tiny)
-    [ oracle; server ];
+  List.iter (before doc) [ oracle; server ];
   let crashed =
     match Serve.publish server with () -> false | exception Crash -> true
   in
@@ -716,16 +726,33 @@ let publish_crash_case ~name ~crash_at ~short_write_at ~published ~skipped () =
     (name ^ ": crashed iff a fault was injected")
     (crash_at <> max_int || short_write_at <> 0)
     crashed;
+  (* a failed publish leaves files that no longer match the store: the
+     server refuses every later write *)
+  if crashed then
+    List.iter
+      (fun (what, write) ->
+        match write () with
+        | () -> Alcotest.failf "%s: fail-stop must refuse %s" name what
+        | exception Failure m ->
+            check_bool (name ^ ": names fail-stop") true
+              (contains m "fail-stop"))
+      [
+        ("a publish", fun () -> Serve.publish server);
+        ("an append", fun () -> Serve.append server tiny);
+      ];
   let recovered, r = Serve.recover ~jobs:1 ~dir () in
-  check_int (name ^ ": recovered_seq") 2 r.Serve.r_recovered_seq;
-  check_int (name ^ ": snapshot_seq") (if published then 2 else 0)
+  check_int (name ^ ": recovered_seq") acked r.Serve.r_recovered_seq;
+  check_int (name ^ ": snapshot_seq") (if published then acked else base)
     r.Serve.r_snapshot_seq;
-  check_int (name ^ ": replayed") (if published then 0 else 2)
+  check_int (name ^ ": replayed") (if published then 0 else acked - base)
     r.Serve.r_replayed;
   check_int (name ^ ": skipped") skipped r.Serve.r_skipped;
-  check_bool (name ^ ": no stray segment") true (no_stray_segments dir);
+  check_bool (name ^ ": exactly the store's files") true
+    (store_files dir recovered);
   if published then Serve.publish oracle;
   check_bool (name ^ ": answers equal") true (answers oracle = answers recovered);
+  check_bool (name ^ ": segment sizes equal") true
+    (segment_sizes oracle = segment_sizes recovered);
   if not published then Serve.publish oracle;
   Serve.publish recovered;
   check_bool (name ^ ": answers equal after publish") true
@@ -733,9 +760,38 @@ let publish_crash_case ~name ~crash_at ~short_write_at ~published ~skipped () =
   check_int (name ^ ": row totals")
     (Storage.total_rows (Serve.snapshot oracle))
     (Storage.total_rows (Serve.snapshot recovered));
+  check_bool (name ^ ": segment sizes equal after publish") true
+    (segment_sizes oracle = segment_sizes recovered);
   (* the recovered server is live: it takes appends and publishes *)
   Serve.append recovered tiny;
   Serve.publish recovered;
+  check_bool (name ^ ": exactly the store's files after a publish") true
+    (store_files dir recovered);
+  rm_rf dir
+
+(* a directory store format 1 wrote, and one whose manifest is version
+   1: recovery raises [Wal.Corrupt], create refuses it, and neither
+   changes a byte of it *)
+let refuses_format_1 ~what ~expect files =
+  let doc, m = setup () in
+  let dir = tmp_dir () in
+  List.iter
+    (fun (name, bytes) ->
+      Wire.write_atomic ~path:(Filename.concat dir name) bytes)
+    files;
+  let contents () =
+    List.sort compare
+      (List.map
+         (fun f -> (f, Wire.read_file (Filename.concat dir f)))
+         (Array.to_list (Sys.readdir dir)))
+  in
+  let before = contents () in
+  check_bool (what ^ ": recovery refuses it") true
+    (corrupts ~expect (fun () -> Serve.recover ~jobs:1 ~dir ()));
+  (match Serve.create ~jobs:1 ~data_dir:dir m (Shred.shred m doc) with
+  | _ -> Alcotest.failf "%s: create must refuse it" what
+  | exception (Wal.Corrupt _ | Invalid_argument _) -> ());
+  check_bool (what ^ ": every file byte-identical") true (before = contents ());
   rm_rf dir
 
 let segment_cases =
@@ -748,7 +804,8 @@ let segment_cases =
         let server =
           Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
         in
-        let image = Wire.read_file (Wal.snapshot_file dir) in
+        let seg0 = Filename.concat dir "segment-0-0.legodb" in
+        let image = Wire.read_file seg0 in
         let tiny = Lazy.force tiny_doc in
         Serve.append server tiny;
         Serve.append server tiny;
@@ -759,8 +816,7 @@ let segment_cases =
                     directory fsync, log truncation" true
           (List.filteri (fun i _ -> i >= ops0) (List.rev_map fst log.ops)
           = [ "write"; "fsync"; "write"; "fsync"; "rename"; "fsync"; "fsync" ]);
-        check_string "the image is untouched" image
-          (Wire.read_file (Wal.snapshot_file dir));
+        check_string "segment-0-0 is untouched" image (Wire.read_file seg0);
         let written = (Serve.stats server).Serve.written_bytes - before in
         let files =
           List.map
@@ -770,8 +826,14 @@ let segment_cases =
         check_int "written bytes are the segment's and the manifest's"
           (List.fold_left ( + ) 0 files) written;
         (match Wal.load_manifest dir with
-        | Some { Wal.m_last_seq = 2; m_segments = [ ("segment-1-2.legodb", 1, 2) ] } -> ()
-        | _ -> Alcotest.fail "the manifest must name segment 1-2");
+        | {
+         Wal.m_last_seq = 2;
+         m_segments =
+           [ ("segment-0-0.legodb", 0, 0); ("segment-1-2.legodb", 1, 2) ];
+         _;
+        } ->
+            ()
+        | _ -> Alcotest.fail "the manifest must name segments 0-0 and 1-2");
         (* a publish with nothing new writes nothing *)
         let ops1 = List.length log.ops in
         Serve.publish server;
@@ -779,100 +841,86 @@ let segment_cases =
         rm_rf dir);
     case "publish crash matrix: segment, manifest, rename, directory, log"
       (fun () ->
-        (* op numbering: creation's 7 (the image's two chunk writes,
-           fsync, rename, directory fsync; the log header's write and
-           fsync), the two appends' write+fsync (8–11), then the
-           publish: segment write 12, segment fsync 13, manifest write
-           14, manifest fsync 15, rename 16, directory fsync 17, log
-           truncation's fsync 18 *)
+        (* op numbering: creation's 10 (the log header's write and
+           fsync, segment-0-0's two chunk writes and fsync, the
+           manifest's write, fsync, rename and directory fsync, the log
+           truncation's fsync), the two appends' write+fsync (11–14),
+           then the publish: segment write 15, segment fsync 16,
+           manifest write 17, manifest fsync 18, rename 19, directory
+           fsync 20, log truncation's fsync 21 *)
+        let tiny = Lazy.force tiny_doc in
+        let before _ s =
+          Serve.append s tiny;
+          Serve.append s tiny
+        in
         List.iter
           (fun (name, crash_at, short_write_at, published, skipped) ->
-            publish_crash_case ~name ~crash_at ~short_write_at ~published
-              ~skipped ())
+            publish_crash_case ~before ~acked:2 ~base:0 ~name ~crash_at
+              ~short_write_at ~published ~skipped ())
           [
-            ("segment write", 12, 0, false, 0);
-            ("torn segment", max_int, 12, false, 0);
-            ("segment fsync", 13, 0, false, 0);
-            ("manifest write", 14, 0, false, 0);
-            ("manifest fsync", 15, 0, false, 0);
-            ("rename", 16, 0, false, 0);
+            ("segment write", 15, 0, false, 0);
+            ("torn segment", max_int, 15, false, 0);
+            ("segment fsync", 16, 0, false, 0);
+            ("manifest write", 17, 0, false, 0);
+            ("manifest fsync", 18, 0, false, 0);
+            ("rename", 19, 0, false, 0);
             (* the rename happened: the manifest covers both records,
                which the log still holds *)
-            ("directory fsync", 17, 0, true, 2);
+            ("directory fsync", 20, 0, true, 2);
             (* the truncation happened, its fsync did not *)
-            ("log truncation", 18, 0, true, 0);
+            ("log truncation", 21, 0, true, 0);
             ("committed", max_int, 0, true, 0);
           ]);
-    case "compaction: a crash between the new image and its manifest"
+    case "merge crash matrix: a publish whose merge reaches segment-0-0"
       (fun () ->
-        (* a segment, then an append as large as the whole store: the
-           merge reaches the image, and the publish rewrites the store
-           as one image before its manifest *)
-        let doc, m = setup () in
+        (* a published segment, then an append as large as the whole
+           store: the publish's merge reaches segment-0-0, and it
+           writes segment-0-2 in its place.  Op numbering: creation's
+           10, the tiny append 11–12, its publish 13–19, the large
+           append 20–21, then segment-0-2's four chunk writes 22–25 and
+           fsync 26, manifest write 27, fsync 28, rename 29, directory
+           fsync 30, log truncation's fsync 31 *)
         let tiny = Lazy.force tiny_doc in
-        let run ?crash_at dir =
-          let log, fs = faulty_fs ?crash_at () in
-          let server =
-            Serve.create ~jobs:1 ~data_dir:dir ~fs m (Shred.shred m doc)
-          in
-          Serve.append server tiny;
-          Serve.publish server;
-          Serve.append server doc;
-          (match Serve.publish server with () -> () | exception Crash -> ());
-          List.length log.ops
+        let before doc s =
+          Serve.append s tiny;
+          Serve.publish s;
+          Serve.append s doc
         in
-        let dry = tmp_dir () in
-        let total = run dry in
-        check_bool "the segment is gone" false
-          (Sys.file_exists (Filename.concat dry "segment-1-1.legodb"));
-        rm_rf dry;
-        (* from the end: log fsync, directory fsync, rename, manifest
-           fsync, manifest write *)
+        List.iter
+          (fun (name, crash_at, short_write_at, published, skipped) ->
+            publish_crash_case ~before ~acked:2 ~base:1 ~name ~crash_at
+              ~short_write_at ~published ~skipped ())
+          [
+            ("segment write", 22, 0, false, 0);
+            ("torn segment", max_int, 22, false, 0);
+            ("second segment chunk", 23, 0, false, 0);
+            ("third segment chunk", 24, 0, false, 0);
+            ("last segment chunk", 25, 0, false, 0);
+            ("segment fsync", 26, 0, false, 0);
+            ("manifest write", 27, 0, false, 0);
+            ("manifest fsync", 28, 0, false, 0);
+            ("rename", 29, 0, false, 0);
+            (* the rename happened: segment-0-0 and segment-1-1 are
+               still on disk until recovery removes them, and the log
+               still holds the large append *)
+            ("directory fsync", 30, 0, true, 1);
+            ("log truncation", 31, 0, true, 0);
+            ("committed", max_int, 0, true, 0);
+          ]);
+    case "a directory with a full snapshot and a log, no manifest, is refused"
+      (fun () ->
+        (* the layout every publish wrote before segments, store format 1:
+           the whole store as the image beside the log *)
+        let doc, m = setup () in
+        let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
         let dir = tmp_dir () in
-        ignore (run ~crash_at:(total - 4) dir);
-        let recovered, r = Serve.recover ~jobs:1 ~dir () in
-        check_int "the image covers both appends" 2 r.Serve.r_snapshot_seq;
-        check_int "the log's record is skipped" 1 r.Serve.r_skipped;
-        check_int "nothing replayed" 0 r.Serve.r_replayed;
-        let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
-        Serve.append oracle tiny;
-        Serve.append oracle doc;
-        Serve.publish oracle;
-        check_bool "answers equal" true (answers oracle = answers recovered);
-        rm_rf dir);
-    case "a directory with a full snapshot and a log, no manifest, recovers"
-      (fun () ->
-        (* the layout every publish wrote before segments: the whole
-           store as the image, and a log whose first record the image
-           already holds *)
-        let doc, m = setup () in
-        let tiny = Lazy.force tiny_doc in
-        let dir = tmp_dir () and other = tmp_dir () in
-        let oracle = Serve.create ~jobs:1 m (Shred.shred m doc) in
-        Serve.append oracle tiny;
-        Serve.publish oracle;
         Wal.write_snapshot ~path:(Wal.snapshot_file dir)
-          ~schema:m.Mapping.schema ~ordered:m.Mapping.ordered ~last_seq:1
+          ~schema:m.Mapping.schema ~ordered:m.Mapping.ordered ~last_seq:0
           (Serve.snapshot oracle);
-        let logger =
-          Serve.create ~jobs:1 ~data_dir:other m (Shred.shred m doc)
-        in
-        Serve.append logger tiny;
-        Serve.append logger tiny;
-        Wire.write_atomic ~path:(Wal.wal_file dir)
-          (Wire.read_file (Wal.wal_file other));
-        Serve.append oracle tiny;
-        let recovered, r = Serve.recover ~jobs:1 ~dir () in
-        check_int "image through record 1" 1 r.Serve.r_snapshot_seq;
-        check_int "record 1 skipped" 1 r.Serve.r_skipped;
-        check_int "record 2 replayed" 1 r.Serve.r_replayed;
-        check_bool "answers equal" true (answers oracle = answers recovered);
-        Serve.publish oracle;
-        Serve.publish recovered;
-        check_bool "answers equal after publish" true
-          (answers oracle = answers recovered);
+        let image = Wire.read_file (Wal.snapshot_file dir) in
         rm_rf dir;
-        rm_rf other);
+        refuses_format_1 ~what:"snapshot.legodb" ~expect:"format 1"
+          [ ("snapshot.legodb", image); ("wal.legodb", "LEGODB-WAL 1\n") ]);
     case "a damaged or missing segment refuses recovery" (fun () ->
         let doc, m = setup () in
         let tiny = Lazy.force tiny_doc in
@@ -900,6 +948,16 @@ let segment_cases =
         check_bool "manifest bit flip" true
           (corrupts ~expect:"checksum" (fun () -> Serve.recover ~jobs:1 ~dir ()));
         rm_rf dir);
+    case "a version-1 manifest is refused" (fun () ->
+        (* the manifest and segment a store format 1 publish wrote *)
+        refuses_format_1 ~what:"version-1 manifest" ~expect:"version 1"
+          [
+            ( "manifest.legodb",
+              "LEGODB-MANIFEST 1 d899de3a 30\n1\n1\n18\n\
+               segment-1-1.legodb\n1\n1\n" );
+            ("segment-1-1.legodb", "LEGODB-SEG 1 00000000 0\n");
+            ("wal.legodb", "LEGODB-WAL 1\n");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -909,7 +967,7 @@ let segment_cases =
 let prop_roundtrip =
   prop "WAL record codec round-trips arbitrary rows bit-exactly" ~count:50
     gen_record (fun r ->
-      let rep = Wal.replay_string ("LEGODB-WAL 1\n" ^ Wal.encode_record r) in
+      let rep = Wal.replay_string (header ^ Wal.encode_group [ r ]) in
       rep.Wal.torn = None
       && List.length rep.Wal.records = 1
       && Wal.record_equal r (List.hd rep.Wal.records))
@@ -936,12 +994,10 @@ let prop_bit_flip =
 let prop_group_roundtrip =
   prop "group commit units round-trip arbitrary members bit-exactly"
     ~count:50
-    QCheck2.Gen.(list_size (int_range 2 5) gen_record)
+    QCheck2.Gen.(list_size (int_range 1 5) gen_record)
     (fun rs ->
       let group = List.mapi (fun i r -> { r with Wal.seq = 1 + i }) rs in
-      let rep =
-        Wal.replay_string ("LEGODB-WAL 1\n" ^ Wal.encode_group group)
-      in
+      let rep = Wal.replay_string (header ^ Wal.encode_group group) in
       rep.Wal.torn = None
       && List.length rep.Wal.records = List.length group
       && List.for_all2 Wal.record_equal group rep.Wal.records)
@@ -959,9 +1015,7 @@ let prop_group_bit_flip =
         ]
       in
       let originals = r1 :: group in
-      let img =
-        "LEGODB-WAL 1\n" ^ Wal.encode_record r1 ^ Wal.encode_group group
-      in
+      let img = header ^ Wal.encode_group [ r1 ] ^ Wal.encode_group group in
       let flipped = flip_bit img (pos mod String.length img) bit in
       match Wal.replay_string flipped with
       | exception Wal.Corrupt m -> not (String.contains m '\n')
@@ -977,10 +1031,12 @@ let prop_group_bit_flip =
                   originals))
 
 (* Random appends (small documents, or the whole standing document
-   again, which makes the next publish's merge reach the image: a
+   again, which makes the next publish's merge reach segment-0-0: a
    compaction), publishes and crash-recoveries against a server that
-   never crashed: the same answers at every step and after a final
-   publish, every acked append recovered, no stray segment file. *)
+   never crashed: the same answers and segment sizes at every step and
+   after a final publish, every acked append recovered, and after every
+   step exactly the manifest, the log and one segment file per sealed
+   segment of the published snapshot in the directory. *)
 type durable_op = Small of int | Whole | Publish | Crash
 
 let small_docs = Hashtbl.create 8
@@ -1036,7 +1092,9 @@ let prop_durable =
                 if r.Serve.r_recovered_seq <> !acked then
                   Alcotest.failf "recovered through %d of %d acked appends"
                     r.Serve.r_recovered_seq !acked);
-            answers oracle = answers !server && no_stray_segments dir)
+            answers oracle = answers !server
+            && segment_sizes oracle = segment_sizes !server
+            && store_files dir !server)
           ops
       in
       Serve.publish oracle;

@@ -297,10 +297,12 @@ let prop_extract =
 (* images written before the rewrite                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A storage snapshot, a WAL (a plain record, then a group of three)
-   and a checkpoint, as the table-driven CRC and the [Printf] framer
-   wrote them for the inputs [golden_inputs] rebuilds: the bookstore
-   corpus, its rows, an edge-valued row, and a small search state. *)
+(* A whole-store snapshot and a checkpoint, as the table-driven CRC and
+   the [Printf] framer wrote them, and a WAL of store format 2 (a group
+   of one, then a group of three), for the inputs [golden_inputs]
+   rebuilds: the bookstore corpus, its rows, an edge-valued row, and a
+   small search state.  [Wal.write_snapshot] is kept only for
+   perfbench, which times a whole-store write: its bytes stay pinned. *)
 
 let golden_snapshot =
   String.concat ""
@@ -324,15 +326,15 @@ let golden_snapshot =
 let golden_wal =
   String.concat ""
     [
-      "LEGODB-WAL 1\nR fe3d4ebf 20\n4\n1\n5\nStore\n1\n1\ni\n1\n\n";
-      "G 780444a2 335\n5\n3\n1\n4\nBook\n6\n2\ni\n1\ns\n3\n111\ns\n31";
-      "\nTypes and Programming Languages\ni\n90\ns\n12\nthe r";
-      "ed book\ni\n1\ni\n2\ns\n3\n222\ns\n16\nDatabase Systems\ni\n";
-      "120\nn\ni\n1\n1\n4\nBook\n6\n1\ni\n-4611686018427387904\ns\n";
-      "5\na\nb c\nn\ni\n4611686018427387903\ni\n-7\ni\n-46116860";
-      "18427387904\n1\n6\nAuthor\n3\n4\ni\n1\ns\n6\nPierce\ni\n1\ni\n";
-      "2\ns\n13\nGarcia-Molina\ni\n2\ni\n3\ns\n6\nUllman\ni\n2\ni\n4\n";
-      "s\n5\nWidom\ni\n2\n\n";
+      "LEGODB-WAL 2\nG ceb4f744 22\n4\n1\n1\n5\nStore\n1\n1\ni";
+      "\n1\n\nG 780444a2 335\n5\n3\n1\n4\nBook\n6\n2\ni\n1\ns\n3\n11";
+      "1\ns\n31\nTypes and Programming Languages\ni\n90\ns\n";
+      "12\nthe red book\ni\n1\ni\n2\ns\n3\n222\ns\n16\nDatabase ";
+      "Systems\ni\n120\nn\ni\n1\n1\n4\nBook\n6\n1\ni\n-4611686018";
+      "427387904\ns\n5\na\nb c\nn\ni\n4611686018427387903\ni\n";
+      "-7\ni\n-4611686018427387904\n1\n6\nAuthor\n3\n4\ni\n1\ns";
+      "\n6\nPierce\ni\n1\ni\n2\ns\n13\nGarcia-Molina\ni\n2\ni\n3\ns";
+      "\n6\nUllman\ni\n2\ni\n4\ns\n5\nWidom\ni\n2\n\n";
     ]
 
 let golden_checkpoint =
@@ -428,25 +430,15 @@ let golden_images () =
   let wal = Wal.create ~next_seq:4 (Wal.wal_file dir) in
   (match appends with
   | first :: group ->
-      ignore (Wal.append wal first);
+      ignore (Wal.stage wal first);
+      Wal.flush wal;
       List.iter (fun a -> ignore (Wal.stage wal a)) group;
       Wal.flush wal
   | [] -> assert false);
   Wal.close wal;
   check_string "WAL bytes" golden_wal (Wire.read_file (Wal.wal_file dir));
   check_string "checkpoint bytes" golden_checkpoint (Checkpoint.encode state);
-  (* and the old images load *)
-  Wire.write_atomic ~path:(Wal.snapshot_file dir) golden_snapshot;
-  let snap = Wal.load_snapshot (Wal.snapshot_file dir) in
-  check_int "snapshot sequence" 3 snap.Wal.s_last_seq;
-  let fresh = Storage.create m.Mapping.catalog in
-  snap.Wal.s_fill fresh;
-  List.iter
-    (fun (t : Rschema.table) ->
-      check_bool (t.tname ^ " rows") true
-        (List.of_seq (Storage.scan fresh t.tname)
-        = List.of_seq (Storage.scan db t.tname)))
-    (Storage.catalog db).Rschema.tables;
+  (* and the images load *)
   let rep = Wal.replay_string golden_wal in
   check_bool "no torn tail" true (rep.Wal.torn = None);
   check_bool "the four records" true
@@ -460,9 +452,10 @@ let golden_images () =
     (Checkpoint.encode (Checkpoint.decode golden_checkpoint))
 
 
-(* A segment file and a manifest as this format's first writer wrote
-   them: the books store's one sealed segment, holding appends 4 to 7,
-   and a manifest naming it and a second segment. *)
+(* A segment file as this format's first writer wrote it, and a store
+   format 2 manifest: the books store's one sealed segment, holding
+   appends 4 to 7, and a manifest carrying the p-schema and naming the
+   segments before and after it. *)
 let golden_segment =
   String.concat ""
   [
@@ -478,8 +471,17 @@ let golden_segment =
 let golden_manifest =
   String.concat ""
   [
-    "LEGODB-MANIFEST 1 be27c673 56\n9\n2\n18\n";
-    "segment-4-7.legodb\n4\n7\n18\nsegment-8-9.legodb\n8\n9\n";
+    "LEGODB-MANIFEST 2 d5670d70 436\n9\n-\n5\nStore\n3\n5";
+    "\nStore\nl\nn\n5\nstore\n+\n0x1p+0\n0\nr\n0\n*\nf\n4\nBook\n4";
+    "\nBook\nl\nn\n4\nbook\n+\n0x1p+1\n0\nq\n5\na\n4\nisbn\ns\nstr";
+    "\n+\n3\n+\n111\n+\n222\n+\n2\nl\nn\n5\ntitle\n+\n0x1p+1\n0\ns\n";
+    "str\n+\n23\n-\n-\n+\n2\nl\nn\n5\nprice\n+\n0x1p+1\n0\ns\nint\n";
+    "+\n2\n+\n90\n+\n120\n+\n2\nr\n1\n*\nf\n6\nAuthor\nr\n0\n1\nl\nn\n";
+    "5\nblurb\n+\n0x1p+0\n0\ns\nstr\n+\n12\n-\n-\n+\n1\n6\nAuthor";
+    "\nl\nn\n6\nauthor\n+\n0x1p+2\n0\nl\nn\n4\nname\n+\n0x1p+2\n0";
+    "\ns\nstr\n+\n7\n-\n-\n+\n4\n3\n18\nsegment-0-3.legodb\n0\n3";
+    "\n18\nsegment-4-7.legodb\n4\n7\n18\nsegment-8-9.lego";
+    "db\n8\n9\n";
   ]
 
 let golden_segment_images () =
@@ -498,8 +500,15 @@ let golden_segment_images () =
   check_int "segment size" (String.length golden_segment) bytes;
   let manifest =
     {
-      Wal.m_last_seq = 9;
-      m_segments = [ (file, 4, 7); ("segment-8-9.legodb", 8, 9) ];
+      Wal.m_schema = m.Mapping.schema;
+      m_ordered = m.Mapping.ordered;
+      m_last_seq = 9;
+      m_segments =
+        [
+          ("segment-0-3.legodb", 0, 3);
+          (file, 4, 7);
+          ("segment-8-9.legodb", 8, 9);
+        ];
     }
   in
   check_int "manifest size" (String.length golden_manifest)
@@ -507,7 +516,7 @@ let golden_segment_images () =
   check_string "manifest bytes" golden_manifest
     (Wire.read_file (Wal.manifest_file dir));
   (* and the images load *)
-  check_bool "manifest loads" true (Wal.load_manifest dir = Some manifest);
+  check_bool "manifest loads" true (Wal.load_manifest dir = manifest);
   let g = Wal.load_segment (Filename.concat dir file) in
   check_int "first" 4 g.Wal.g_first;
   check_int "last" 7 g.Wal.g_last;
