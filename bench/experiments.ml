@@ -612,10 +612,11 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
   let rows = ref [] in
   let emit row = rows := row :: !rows in
   let row ~strategy ~wname ~(workload : Workload.t) run =
-    let cold, t_cold = time (fun () -> run ~engine:None ~memoize:(Some false)) in
+    let uncached = Cost_engine.create ~params ~memoize:false ~workload () in
+    let cold, t_cold = time (fun () -> run uncached) in
     let eng = Cost_engine.create ~params ~workload () in
-    let first, t_first = time (fun () -> run ~engine:(Some eng) ~memoize:None) in
-    let rerun, t_rerun = time (fun () -> run ~engine:(Some eng) ~memoize:None) in
+    let first, t_first = time (fun () -> run eng) in
+    let rerun, t_rerun = time (fun () -> run eng) in
     if
       not
         (Float.equal cold.Search.cost first.Search.cost
@@ -658,11 +659,10 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
   if not smoke then
     List.iter
       (fun (wname, workload) ->
-        row ~strategy:"greedy_si" ~wname ~workload (fun ~engine ~memoize ->
-            Search.greedy_si ~params ?memoize ?engine ~workload schema);
-        row ~strategy:"beam" ~wname ~workload (fun ~engine ~memoize ->
-            Search.beam ~params ?memoize ?engine ~workload
-              (Init.all_inlined schema)))
+        row ~strategy:"greedy_si" ~wname ~workload (fun engine ->
+            Search.greedy_si ~engine ~workload schema);
+        row ~strategy:"beam" ~wname ~workload (fun engine ->
+            Search.beam ~engine ~workload (Init.all_inlined schema)))
       [
         ("lookup", Imdb.Workloads.lookup);
         ("publish", Imdb.Workloads.publish);
@@ -1122,8 +1122,9 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
    from that file by a *fresh* engine and budget (everything a crash
    would lose), returns the same design bit for bit — cost, schema,
    trace, stop reason — as a run that was never interrupted, at every
-   jobs value.  Each row also records how much costing work the warm
-   snapshot saved the resumed process. *)
+   jobs value.  Each row also records the snapshot's size and the
+   resumed run's statement costings, which start from an empty memo
+   table: a snapshot holds search state only. *)
 let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
   header "Durable checkpoints: kill-and-resume matches the uninterrupted run";
   let schema = annotated Imdb.Stats.full in
@@ -1133,13 +1134,14 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
   Printf.printf "uninterrupted: cost %.1f, %d iterations, %d configs costed\n%!"
     full.Search.cost total_iters full.Search.engine.Cost_engine.evaluations;
   let rows = ref [] in
-  let check ~label ~budget_of ~warm j =
+  let check ~label ~budget_of j =
     let path = Filename.temp_file "legodb_bench" ".ckpt" in
     let stopped =
       Search.greedy_si ~params ~jobs:j ~budget:(budget_of ())
         ~checkpoint:(path, 1) ~workload schema
     in
-    let resumed = Search.resume ~params ~jobs:j ~warm ~workload path in
+    let bytes = (Unix.stat path).Unix.st_size in
+    let resumed = Search.resume ~params ~jobs:j ~workload path in
     Sys.remove path;
     let fail fmt =
       Printf.ksprintf
@@ -1161,25 +1163,28 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
         (Search.stopped_string resumed.Search.stopped)
         (Search.stopped_string full.Search.stopped);
     let stopped_iters = List.length stopped.Search.trace - 1 in
-    let resumed_evals = resumed.Search.engine.Cost_engine.evaluations in
+    let e = resumed.Search.engine in
+    let costings = e.Cost_engine.hits + e.Cost_engine.misses in
     let full_evals = full.Search.engine.Cost_engine.evaluations in
     Printf.printf
-      "%-12s -j %-3d %s  stopped after %d iters, resumed to cost %12.1f \
-       (costed %d of %d configs)\n\
+      "%-12s -j %-3d stopped after %d iters (snapshot %d bytes), resumed to \
+       cost %12.1f (costed %d of %d configs; %d of %d statement costings \
+       cached)\n\
        %!"
-      label j
-      (if warm then "warm" else "cold")
-      stopped_iters resumed.Search.cost resumed_evals full_evals;
+      label j stopped_iters bytes resumed.Search.cost e.Cost_engine.evaluations
+      full_evals e.Cost_engine.hits costings;
     rows :=
       [
         ("kind", Str "checkpoint_resume");
         ("stop", Str label);
         ("jobs", Int j);
-        ("warm", Bool warm);
         ("stopped_iters", Int stopped_iters);
+        ("snapshot_bytes", Int bytes);
         ("resumed_cost", Num resumed.Search.cost);
-        ("resumed_evals", Int resumed_evals);
+        ("resumed_evals", Int e.Cost_engine.evaluations);
         ("full_evals", Int full_evals);
+        ("resumed_cached", Int e.Cost_engine.hits);
+        ("resumed_costings", Int costings);
       ]
       :: !rows
   in
@@ -1188,15 +1193,9 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
       (* stop at an iteration barrier, and mid-iteration on a ticket
          budget — the snapshot must hold barrier state only *)
       check ~label:"iters<=1"
-        ~budget_of:(fun () -> Budget.create ~max_iterations:1 ())
-        ~warm:true j;
+        ~budget_of:(fun () -> Budget.create ~max_iterations:1 ()) j;
       check ~label:"evals<=20"
-        ~budget_of:(fun () -> Budget.create ~max_evaluations:20 ())
-        ~warm:true j;
-      if not smoke then
-        check ~label:"evals<=20"
-          ~budget_of:(fun () -> Budget.create ~max_evaluations:20 ())
-          ~warm:false j)
+        ~budget_of:(fun () -> Budget.create ~max_evaluations:20 ()) j)
     (jobs_sweep ~smoke ~full:[ 1; 2 ] jobs);
   record ~smoke ~jobs "checkpoint_resume" (List.rev !rows)
 

@@ -75,6 +75,17 @@ let int_at_least lo =
 
 let positive = int_at_least 1
 let non_negative = int_at_least 0
+
+(* floats inside bounds, refused the same way *)
+let float_where ~bounds ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (ok x) ->
+        Error (`Msg (Printf.sprintf "must be %s (got %s)" bounds s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let fail fmt = Printf.ksprintf (fun m -> `Error (false, m)) fmt
 
 (* a statement the server answered with an error, and the exit code of
@@ -162,8 +173,14 @@ let design_cmd =
     Arg.(value & opt string "si" & info [ "strategy" ] ~doc)
   in
   let threshold =
-    let doc = "Stop when the relative improvement falls below T." in
-    Arg.(value & opt float 0. & info [ "threshold" ] ~docv:"T" ~doc)
+    let doc =
+      "Stop when the relative improvement falls below $(docv), a fraction \
+       in [0, 1)."
+    in
+    let fraction =
+      float_where ~bounds:"in [0, 1)" (fun t -> t >= 0. && t < 1.)
+    in
+    Arg.(value & opt fraction 0. & info [ "threshold" ] ~docv:"T" ~doc)
   in
   let indexes =
     let doc = "Assume indexes on workload equality columns." in
@@ -175,24 +192,31 @@ let design_cmd =
        cores (0 = one per core).  The selected design is bit-identical for \
        every value; requires an OCaml 5 build for actual parallelism."
     in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let budget_ms =
     let doc =
       "Stop the search after $(docv) milliseconds of wall-clock time and \
        report the best design found so far (anytime mode)."
     in
-    Arg.(value & opt (some float) None & info [ "budget-ms" ] ~docv:"MS" ~doc)
+    let ms = float_where ~bounds:">= 0" (fun ms -> ms >= 0.) in
+    Arg.(value & opt (some ms) None & info [ "budget-ms" ] ~docv:"MS" ~doc)
   in
   let max_iters =
     let doc = "Stop the search after $(docv) completed iterations." in
-    Arg.(value & opt (some int) None & info [ "max-iters" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some non_negative) None
+      & info [ "max-iters" ] ~docv:"N" ~doc)
   in
   let max_evals =
     let doc =
       "Stop the search after costing $(docv) candidate configurations."
     in
-    Arg.(value & opt (some int) None & info [ "max-evals" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some non_negative) None
+      & info [ "max-evals" ] ~docv:"N" ~doc)
   in
   let checkpoint =
     let doc =
@@ -204,8 +228,12 @@ let design_cmd =
       value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
   let checkpoint_every =
-    let doc = "Snapshot every $(docv) completed iterations." in
-    Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+    let doc =
+      "Snapshot every $(docv) completed iterations (0 = only when the search \
+       stops)."
+    in
+    Arg.(
+      value & opt non_negative 1 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
   in
   let resume =
     let doc =

@@ -61,7 +61,6 @@ type state = {
   trace : trace_entry list;
   failures : failure list;
   point : point;
-  cache : (string * float) list;
 }
 
 let crc32 = Wire.crc32
@@ -255,12 +254,7 @@ let w_state b st =
   w_int b st.evaluations;
   w_list b w_entry st.trace;
   w_list b w_failure st.failures;
-  w_point b st.point;
-  w_list b
-    (fun b (k, v) ->
-      w_str b k;
-      w_float b v)
-    st.cache
+  w_point b st.point
 
 (* ------------------------------------------------------------------ *)
 (* payload readers (generic layer from Wire)                           *)
@@ -406,6 +400,11 @@ let r_point cur =
       let g_schema = r_schema cur in
       let g_cost = r_float cur in
       let g_threshold = r_float cur in
+      (* the bound {!Search.greedy} enforces: outside it the descent
+         would accept neighbours that cost more *)
+      if not (g_threshold >= 0. && g_threshold < 1.) then
+        corrupt "malformed payload: threshold %h is outside [0, 1)"
+          g_threshold;
       Greedy { g_schema; g_cost; g_threshold }
   | "beam" ->
       let b_frontier =
@@ -441,12 +440,6 @@ let r_state cur =
   let trace = r_list cur r_entry in
   let failures = r_list cur r_failure in
   let point = r_point cur in
-  let cache =
-    r_list cur (fun cur ->
-        let k = r_str cur in
-        let v = r_float cur in
-        (k, v))
-  in
   if cur.Wire.pos <> String.length cur.Wire.buf then
     corrupt "malformed payload: %d trailing bytes"
       (String.length cur.Wire.buf - cur.Wire.pos);
@@ -459,7 +452,6 @@ let r_state cur =
     trace;
     failures;
     point;
-    cache;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -467,7 +459,7 @@ let r_state cur =
 (* ------------------------------------------------------------------ *)
 
 let magic = "LEGODB-CKPT"
-let version = 2
+let version = 3
 
 (* the search-term writers/readers above raise Wire.Corrupt; the public
    boundary rewraps it so callers keep matching Checkpoint.Corrupt *)
@@ -558,6 +550,3 @@ let equal a b =
   && List.equal entry_equal a.trace b.trace
   && List.equal failure_equal a.failures b.failures
   && point_equal a.point b.point
-  && List.equal
-       (fun (k, v) (k', v') -> String.equal k k' && Float.equal v v')
-       a.cache b.cache

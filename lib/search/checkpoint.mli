@@ -1,9 +1,8 @@
 (** Durable snapshots of the anytime search (ROADMAP's checkpoint/resume
-    item): the frontier, the best-so-far configuration, the trace, the
-    budget's ticket count, and (optionally) the {!Cost_engine} memo
-    table, serialized so an interrupted ([stopped <> `Converged]) search
-    can continue in a later {e process} instead of restarting from the
-    initial configuration.
+    item): the frontier, the best-so-far configuration, the trace and
+    the budget's ticket count, serialized so an interrupted
+    ([stopped <> `Converged]) search can continue in a later
+    {e process} instead of restarting from the initial configuration.
 
     {b What a snapshot captures.}  Search state is stored as data, never
     as closures: configurations are p-schema terms (an exact structural
@@ -13,20 +12,24 @@
     {e not} used), steps are {!Space.step} terms, and counters are ints.
     What is {e not} captured: the workload, the cost-model parameters,
     and the budget limits — the caller supplies those again on resume
-    (they are inputs of the search, not state of it), and
-    {!Search.resume} continues through the same iteration barrier the
-    snapshot was taken at.
+    (they are inputs of the search, not state of it) — and the
+    {!Cost_engine} memo table, which only saves optimizer calls and
+    stays private to its engine: a resumed search starts with an empty
+    memo (or its caller's engine), and {!Search.resume} continues
+    through the same iteration barrier the snapshot was taken at.
 
     {b Wire format.}  A snapshot file is one header line
 
     {v LEGODB-CKPT <version> <crc32-hex> <payload-bytes> v}
 
     followed by exactly [<payload-bytes>] of payload.  This build
-    writes and reads version 2: version 1 persisted beam's seen set and
-    the memo keys as text fingerprints, which never equal today's byte
-    fingerprints, so a version-1 file is refused rather than resumed
-    into a search that would re-keep configurations it had
-    blacklisted.  The payload is a
+    writes and reads version 3, which holds search state only.  Older
+    versions are refused with the version error, never resumed:
+    version 1 persisted beam's seen set as text fingerprints, which
+    never equal today's byte fingerprints, so a resumed beam would
+    re-keep configurations it had blacklisted; version 2 carried the
+    memo table, whose keys would tie the file format to the engine's
+    key format.  The payload is a
     portable line/length-prefixed text encoding (floats travel as [%h]
     hex literals, so costs and statistics round-trip bit-exactly); the
     CRC-32 (IEEE) of the payload guards against torn or corrupted
@@ -94,10 +97,6 @@ type state = {
   trace : trace_entry list;  (** iteration 0 first *)
   failures : failure list;  (** iteration then candidate order *)
   point : point;
-  cache : (string * float) list;
-      (** {!Cost_engine} memo entries for a warm resume; [[]] means a
-          cold resume recomputes them (bit-identical either way — the
-          cache is pure memoization) *)
 }
 
 val save : path:string -> state -> unit

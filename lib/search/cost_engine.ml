@@ -36,8 +36,8 @@ let empty_snapshot =
     t_optimize = 0.;
   }
 
-(* one field-wise operation over two snapshots: [merge] sums a shard's
-   counters into the engine's, [diff] subtracts *)
+(* one field-wise operation over two snapshots: [with_shards] sums a
+   shard's counters into the engine's, [diff] subtracts *)
 let combine fi ff (a : snapshot) (b : snapshot) : snapshot =
   {
     evaluations = fi a.evaluations b.evaluations;
@@ -63,8 +63,6 @@ module Memo = Hashtbl.Make (struct
   let hash k = k.hash
 end)
 
-let key_of_bytes bytes = { bytes; hash = Hashtbl.hash bytes }
-
 (* what every view of one engine shares *)
 type shared = {
   params : Cost.params option;
@@ -75,19 +73,18 @@ type shared = {
   oracle : bool;
   inject : (string -> bool) option;
   cache : float Memo.t;
-  (* [frozen] marks a fan-out in flight: the shared table is then
+  (* [frozen] marks a pass in flight: the shared table is then
      read-only (the shards probe it, nothing writes it) and costing
      through the engine's own view is a caller bug.  [pool] is the
      persistent worker shards, one per worker slot, reused across
-     fan-outs, strategies and searches — [merge] resets a shard instead
-     of consuming it. *)
+     passes, strategies and searches. *)
   mutable frozen : bool;
   mutable pool : t array;
 }
 
 (* A view of the engine: its new memo entries go to [delta], its
    counters to [snap].  The engine's own view has the shared table as
-   its delta; a worker shard's delta is private until [merge]. *)
+   its delta; a worker shard's delta is private until its pass ends. *)
 and t = { env : shared; delta : float Memo.t; mutable snap : snapshot }
 
 let create ?params ?(workload_indexes = false) ?(updates = [])
@@ -130,9 +127,11 @@ let key ~kind ~index fps tables =
   let fp t =
     match Mapping.find_fingerprint fps t with Some f -> f | None -> "?" ^ t
   in
-  key_of_bytes
-    (Mapping.frame_string kind ~index
-       (List.sort String.compare (List.map fp tables)))
+  let bytes =
+    Mapping.frame_string kind ~index
+      (List.sort String.compare (List.map fp tables))
+  in
+  { bytes; hash = Hashtbl.hash bytes }
 
 (* A costed candidate's derived state: its mapping, the fingerprints
    of its catalog and of the catalog the optimizer saw (the same
@@ -479,62 +478,50 @@ let cost ?check v schema =
 (* worker shards                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* persistent per-worker shards: grown on demand, never shrunk, reused
-   across fan-outs (merge resets a shard rather than consuming it) *)
-let worker_shards v n =
+let reset sh =
+  Memo.reset sh.delta;
+  sh.snap <- empty_snapshot
+
+(* One pass on the persistent worker shards, grown on demand and never
+   shrunk.  The engine is frozen while [body] runs.  A pass that
+   returns publishes each shard's new entries (first-wins on a key an
+   earlier shard added) and counters in slot order; a pass that raises
+   publishes nothing, so the engine keeps its barrier state.  Either
+   way every shard is reset for the next pass and the engine thawed. *)
+let with_shards v ~jobs body =
   let e = v.env in
-  let n = max n 1 in
+  if (not (owns v)) || e.frozen then
+    invalid_arg "Cost_engine.with_shards: not an engine between passes";
+  let n = max jobs 1 in
   let have = Array.length e.pool in
   if have < n then
     e.pool <-
       Array.init n (fun i ->
           if i < have then e.pool.(i)
           else { env = e; delta = Memo.create 64; snap = empty_snapshot });
-  if Array.length e.pool = n then e.pool else Array.sub e.pool 0 n
-
-let freeze v =
-  if v.env.frozen then invalid_arg "Cost_engine: already frozen";
-  v.env.frozen <- true
-
-let reset sh =
-  Memo.reset sh.delta;
-  sh.snap <- empty_snapshot
-
-(* abandon a fan-out wholesale: nothing a worker computed — cache
-   entries or counters — reaches the engine, exactly as if the shards
-   had been dropped on the floor (but reusable) *)
-let discard_shards v =
-  Array.iter reset v.env.pool;
-  v.env.frozen <- false
-
-let merge v shards =
-  (* every view is checked before anything is touched, so a rejected
-     merge leaves the engine — cache, counters, frozen state — as it
-     was *)
-  if (not (owns v)) || List.exists (fun sh -> sh.env != v.env || owns sh) shards
-  then invalid_arg "Cost_engine.merge: not this engine's worker shards";
-  v.env.frozen <- false;
-  List.iter
-    (fun sh ->
-      Memo.iter
-        (fun k x -> if not (Memo.mem v.delta k) then Memo.add v.delta k x)
-        sh.delta;
-      v.snap <- combine ( + ) ( +. ) v.snap sh.snap;
-      (* a merged shard must not contribute twice; resetting (not
-         consuming) it is what lets the persistent pool shards be
-         reused by the next fan-out *)
-      reset sh)
-    shards
-
-(* sorted so a snapshot of the cache is deterministic: the on-disk
-   checkpoint of a given search state is byte-identical regardless of
-   hash-table iteration order *)
-let cache_entries v =
-  Memo.fold (fun k x acc -> (k.bytes, x) :: acc) v.env.cache []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let seed_cache v entries =
-  List.iter (fun (k, x) -> Memo.replace v.env.cache (key_of_bytes k) x) entries
+  let shards = Array.sub e.pool 0 n in
+  let finish ~publish =
+    Array.iter
+      (fun sh ->
+        if publish then begin
+          Memo.iter
+            (fun k x -> if not (Memo.mem e.cache k) then Memo.add e.cache k x)
+            sh.delta;
+          v.snap <- combine ( + ) ( +. ) v.snap sh.snap
+        end;
+        reset sh)
+      shards;
+    e.frozen <- false
+  in
+  e.frozen <- true;
+  match body shards with
+  | r ->
+      finish ~publish:true;
+      r
+  | exception ex ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish ~publish:false;
+      Printexc.raise_with_backtrace ex bt
 
 let snapshot v = v.snap
 

@@ -62,10 +62,11 @@ type snapshot = {
 val empty_snapshot : snapshot
 
 type t
-(** An engine, or a worker shard of one ({!worker_shards}): views that
+(** An engine, or a worker shard of one ({!with_shards}): views that
     share the workload, the parameters and the memo table, each with
-    its own new memo entries and counters.  Every entry point below
-    takes either. *)
+    its own new memo entries and counters.  The memo table is the
+    engine's own: nothing reads or writes it from outside.  Every
+    costing entry point below takes either. *)
 
 val create :
   ?params:Legodb_optimizer.Cost.params ->
@@ -182,73 +183,36 @@ val price_schema :
     {!Search.beam}'s prepare and price passes) runs on worker shards,
     at every [~jobs], one included.  A shard probes its own new entries
     and then the engine's memo table, and records what it computes and
-    counts privately.  During a pass the engine is {!freeze}-frozen:
-    the memo table is read-only shared state that every worker probes
-    lock-free, and costing through the engine itself raises.  At the
-    pass's barrier {!merge} publishes the shards in worker-slot order
-    (a deterministic order; first-wins on duplicate keys).  A pass
-    that raises (an exhausted budget) ends in {!discard_shards}
-    instead: it publishes nothing, so an abandoned pass leaves the
-    engine at its barrier state whatever [~jobs].
+    counts privately.  During a pass the engine is frozen: the memo
+    table is read-only shared state that every worker probes
+    lock-free, and costing through the engine itself raises.
 
     Determinism: because the cache is pure memoization, a probed key's
     value — and therefore every candidate's cost — is the same whatever
-    the scheduling, and the post-merge memo {e key set} is exactly the
-    keys the candidate list probes, so the merged cache contents are
+    the scheduling, and after a pass the memo {e key set} is exactly
+    the keys the candidate list probed, so the memo contents are
     scheduling-independent too.  Only the hit/miss {e split} (and the
     wall-clock timers, as always) depends on which worker happened to
     cost which chunk; with one worker it is the split of pricing the
     candidates in order on the engine itself. *)
 
-val worker_shards : t -> int -> t array
-(** [worker_shards t n] — the engine's persistent worker shards,
-    [max n 1] of them (slot-indexed, for {!Par.run_tasks}'s [~worker]
-    argument).  Grown on demand, never shrunk; the same shard objects
-    are returned on every call, so state {e not} yet published must be
-    {!merge}d or {!discard_shards}-discarded before the next pass
-    starts. *)
-
-val freeze : t -> unit
-(** Mark a pass in flight: until {!merge} or {!discard_shards}, the
-    engine's own entry points raise [Invalid_argument] — costing must
-    go through the shards.  @raise Invalid_argument if already
-    frozen. *)
-
-val discard_shards : t -> unit
-(** Abandon a pass wholesale: reset every pool shard (cache deltas
-    {e and} counters are dropped, nothing reaches the engine) and
-    un-freeze. *)
-
-val merge : t -> t list -> unit
-(** Publish the shards' new cache entries and counters into the
-    engine, in list order: entries already present (seeded by an
-    earlier shard in the list) keep their first value — the floats are
-    identical anyway — and counters are summed left to right.  Resets
-    each merged shard, so a double [merge] cannot double-count and pool
-    shards are ready for the next pass; un-freezes the engine.
-    @raise Invalid_argument unless the first argument is an engine and
-    every shard is one of its worker shards, before anything is merged:
-    the engine's cache, counters and frozen state are left as they
-    were. *)
+val with_shards : t -> jobs:int -> (t array -> 'a) -> 'a
+(** [with_shards t ~jobs body] runs one pass: it freezes the engine and
+    calls [body] on its [max jobs 1] persistent worker shards
+    (slot-indexed, for {!Par.run_tasks}'s [~worker] argument).  When
+    [body] returns, the shards' new memo entries and counters are
+    published into the engine in slot order (an entry already present
+    keeps its first value — the floats are identical anyway — and
+    counters are summed left to right).  When [body] raises, nothing is
+    published, so an abandoned pass leaves the engine at its barrier
+    state whatever [~jobs], and the exception is re-raised.  Either
+    way the shards are reset and the engine thawed.
+    @raise Invalid_argument on a worker shard, or on an engine whose
+    pass is in flight. *)
 
 val snapshot : t -> snapshot
 (** The view's counters: an engine's since [create]; a shard's since
-    its last {!merge} or {!discard_shards}. *)
-
-(** {1 Cache persistence}
-
-    A checkpoint can carry the memo table so a resumed search starts
-    warm; because the cache is pure memoization, a warm and a cold
-    resume return bit-identical results — only the hit/miss counters
-    and timers differ. *)
-
-val cache_entries : t -> (string * float) list
-(** The memo table as (key, cost) pairs, sorted by key so the same
-    engine state always serializes to the same bytes. *)
-
-val seed_cache : t -> (string * float) list -> unit
-(** Preload memo entries (e.g. from {!Checkpoint.state.cache}) into a
-    fresh engine before resuming. *)
+    its pass began. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] — per-phase deltas, e.g. one iteration's. *)

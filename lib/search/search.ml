@@ -95,45 +95,39 @@ let seam_add ~fanout ~merge ~idle =
 let chunk_factor = 8
 
 (* Run one pass over the candidates, returning [f shard c] for each in
-   input order, on the engine's persistent worker shards at every
-   [jobs].  The engine is frozen into a read-only memo view, the
-   candidates are split into fine-grained chunks (chunk_factor per
-   worker) self-scheduled onto the persistent worker pool (inline on
-   the calling domain at [jobs = 1] and on the sequential backend), and
-   every worker slot runs its chunks on the shard for that slot —
-   probing the frozen cache, recording new entries and counters
-   privately.  At the barrier the shards publish back in worker-slot
-   order.  Costs are pure memoization, results are keyed by chunk
-   index, and the merged cache contents depend only on the candidate
-   list, so cost/schema/trace are bit-identical whatever [jobs] and the
+   input order, on the engine's worker shards at every [jobs]
+   ({!Cost_engine.with_shards}).  The candidates are split into
+   fine-grained chunks (chunk_factor per worker) self-scheduled onto
+   the persistent worker pool (inline on the calling domain at
+   [jobs = 1] and on the sequential backend), and every worker slot
+   runs its chunks on the shard for that slot.  Costs are pure
+   memoization, results are keyed by chunk index, and the published
+   cache contents depend only on the candidate list, so
+   cost/schema/trace are bit-identical whatever [jobs] and the
    scheduling; only the hit/miss split (and wall clock) varies.
 
-   If a candidate raises (the budget polls), the fan-out lets every
-   in-flight chunk settle (they hit the same exhausted budget at their
-   next candidate, so work stops promptly), discards the shards
-   wholesale, and re-raises the lowest-index failure — the pass is
+   If a candidate raises (the budget polls), every in-flight chunk
+   settles (they hit the same exhausted budget at their next
+   candidate, so work stops promptly) and the lowest-index failure
+   leaves [with_shards], which publishes nothing: the pass is
    abandoned all-or-nothing and the engine is left bit-identical to
-   its barrier state. *)
+   its barrier state.  The merge time is what [with_shards] spends
+   publishing after the workers return. *)
 let fan_out eng ~jobs f candidates =
   let chunks = Array.of_list (chunk_list (jobs * chunk_factor) candidates) in
   let nchunks = Array.length chunks in
   if nchunks = 0 then []
   else begin
     let results = Array.make nchunks [] in
-    let shards = Cost_engine.worker_shards eng jobs in
-    Cost_engine.freeze eng;
-    let t0 = Unix.gettimeofday () in
-    let idle =
-      try
-        Par.run_tasks ~jobs nchunks (fun ~worker ci ->
-            results.(ci) <- List.map (f shards.(worker)) chunks.(ci))
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Cost_engine.discard_shards eng;
-        Printexc.raise_with_backtrace e bt
+    let t0, t1, idle =
+      Cost_engine.with_shards eng ~jobs (fun shards ->
+          let t0 = Unix.gettimeofday () in
+          let idle =
+            Par.run_tasks ~jobs nchunks (fun ~worker ci ->
+                results.(ci) <- List.map (f shards.(worker)) chunks.(ci))
+          in
+          (t0, Unix.gettimeofday (), idle))
     in
-    let t1 = Unix.gettimeofday () in
-    Cost_engine.merge eng (Array.to_list shards);
     seam_add ~fanout:(t1 -. t0) ~merge:(Unix.gettimeofday () -. t1) ~idle;
     List.concat (Array.to_list results)
   end
@@ -219,16 +213,15 @@ type run = {
 
 (* The worker pool is pre-spawned here, outside the costing loop; it is
    global and persistent, so iterations and later searches reuse it. *)
-let setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
-    ~workload () =
+let setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload
+    () =
   let jobs = if jobs <= 0 then Par.default_jobs () else jobs in
   Par.ensure_workers ~jobs;
   let eng =
     match engine with
     | Some e -> e
     | None ->
-        Cost_engine.create ?params ?workload_indexes ?updates ?memoize
-          ~workload ()
+        Cost_engine.create ?params ?workload_indexes ?updates ~workload ()
   in
   let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
   { jobs; ctl; eng; start = Cost_engine.snapshot eng }
@@ -276,8 +269,8 @@ let finish run ~schema ~cost ~trace ~failures stopped =
    bit-identical).  [trace] arrives newest-first and [failures] as
    reversed per-iteration chunks — the loops' internal accumulators —
    and is flattened here into the wire order. *)
-let save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng
-    ~iteration ~evaluations ~trace ~failures point =
+let save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~iteration
+    ~evaluations ~trace ~failures point =
   match checkpoint with
   | None -> ()
   | Some (path, _) ->
@@ -291,7 +284,6 @@ let save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng
           trace = List.rev trace;
           failures = List.concat (List.rev failures);
           point;
-          cache = Cost_engine.cache_entries eng;
         }
 
 (* periodic snapshots fire at the barrier entering iteration
@@ -322,8 +314,8 @@ let greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
        deterministic per-completed-iteration value *)
     let bar_evals = Budget.evaluations run.ctl in
     let snap () =
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng:run.eng
-        ~iteration ~evaluations:bar_evals ~trace ~failures
+      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~iteration
+        ~evaluations:bar_evals ~trace ~failures
         (Checkpoint.Greedy
            { g_schema = schema; g_cost = cost; g_threshold = threshold })
     in
@@ -407,12 +399,17 @@ let greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
   in
   finish run ~schema ~cost ~trace ~failures stopped
 
+(* a threshold outside [0, 1) would accept a neighbour that costs more
+   than the current configuration (a negative one) or none at all *)
 let greedy_from ~strategy ?params ?workload_indexes ?updates
     ?(kinds = Space.default_kinds) ?(threshold = 0.) ?(max_iterations = 200)
-    ?(jobs = 1) ?memoize ?engine ?budget ?checkpoint ~workload schema =
+    ?(jobs = 1) ?engine ?budget ?checkpoint ~workload schema =
+  if not (threshold >= 0. && threshold < 1.) then
+    invalid_arg
+      (Printf.sprintf "Search.%s: threshold %g is outside [0, 1)" strategy
+         threshold);
   let run =
-    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
-      ~workload ()
+    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
   in
   let _, priced0, entry0 = initial run schema in
   greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
@@ -420,24 +417,24 @@ let greedy_from ~strategy ?params ?workload_indexes ?updates
     ~trace0:[ entry0 ] ~failures0:[]
 
 let greedy ?params ?workload_indexes ?updates ?kinds ?threshold ?max_iterations
-    ?jobs ?memoize ?engine ?budget ?checkpoint ~workload schema =
+    ?jobs ?engine ?budget ?checkpoint ~workload schema =
   greedy_from ~strategy:"greedy" ?params ?workload_indexes ?updates ?kinds
-    ?threshold ?max_iterations ?jobs ?memoize ?engine ?budget ?checkpoint
-    ~workload schema
+    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
+    schema
 
 let greedy_so ?params ?workload_indexes ?updates ?(kinds = [ Space.K_inline ])
-    ?threshold ?max_iterations ?jobs ?memoize ?engine ?budget ?checkpoint
-    ~workload schema =
+    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
+    schema =
   greedy_from ~strategy:"greedy_so" ?params ?workload_indexes ?updates ~kinds
-    ?threshold ?max_iterations ?jobs ?memoize ?engine ?budget ?checkpoint
-    ~workload (Init.all_outlined schema)
+    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
+    (Init.all_outlined schema)
 
 let greedy_si ?params ?workload_indexes ?updates ?(kinds = [ Space.K_outline ])
-    ?threshold ?max_iterations ?jobs ?memoize ?engine ?budget ?checkpoint
-    ~workload schema =
+    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
+    schema =
   greedy_from ~strategy:"greedy_si" ?params ?workload_indexes ?updates ~kinds
-    ?threshold ?max_iterations ?jobs ?memoize ?engine ?budget ?checkpoint
-    ~workload (Init.all_inlined schema)
+    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
+    (Init.all_inlined schema)
 
 let pp_trace fmt trace =
   List.iter
@@ -488,7 +485,7 @@ let beam_core run ~strategy ~kinds ~width ~patience ~max_iterations
         List.sort String.compare
           (Seen.fold (fun (k, _) () acc -> k :: acc) seen [])
       in
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~eng:run.eng
+      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations
         ~iteration:i ~evaluations:bar_evals ~trace:bar_trace
         ~failures:bar_failures
         (Checkpoint.Beam
@@ -639,11 +636,10 @@ let beam_core run ~strategy ~kinds ~width ~patience ~max_iterations
   finish run ~schema ~cost ~trace:!trace ~failures:!all_failures stopped
 
 let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
-    ?(width = 4) ?(patience = 3) ?(max_iterations = 200) ?(jobs = 1) ?memoize
-    ?engine ?budget ?checkpoint ~workload schema =
+    ?(width = 4) ?(patience = 3) ?(max_iterations = 200) ?(jobs = 1) ?engine
+    ?budget ?checkpoint ~workload schema =
   let run =
-    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
-      ~workload ()
+    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
   in
   let p0, priced0, entry0 = initial run schema in
   beam_core run ~strategy:"beam" ~kinds ~width ~patience ~max_iterations
@@ -657,20 +653,15 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
 (* resume                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?memoize ?engine
-    ?budget ?checkpoint ?max_iterations ?(warm = true) ~workload path =
+let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?engine ?budget
+    ?checkpoint ?max_iterations ~workload path =
   let st = Checkpoint.load path in
   let run =
-    setup ?params ?workload_indexes ?updates ?memoize ?engine ?budget ~jobs
-      ~workload ()
+    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
   in
   (* restore the cumulative ticket numbering: the tickets the previous
      process drew count against this budget's evaluation cap *)
   Budget.charge run.ctl st.Checkpoint.evaluations;
-  (* warm resume seeds the memo table from the snapshot; a cold resume
-     recomputes — bit-identical either way, the cache being pure
-     memoization, so [warm] only trades disk bytes for optimizer time *)
-  if warm then Cost_engine.seed_cache run.eng st.Checkpoint.cache;
   let max_iterations =
     match max_iterations with
     | Some m -> m

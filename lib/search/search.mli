@@ -13,8 +13,9 @@
     work the cache saved.
 
     Every strategy also accepts [~jobs]: every pass over an iteration's
-    candidates runs on the engine's worker shards, one per job, merged
-    back in worker-slot order at the pass's barrier; with [jobs > 1]
+    candidates runs on the engine's worker shards, one per job,
+    published in worker-slot order at the pass's barrier
+    ({!Cost_engine.with_shards}); with [jobs > 1]
     (and an OCaml 5 build — see {!Par}) the shards run concurrently.
     Candidates are always reduced sequentially in [Space.neighbors]
     order with the first-wins tie-break, so the selected schema, its
@@ -77,12 +78,12 @@ val pschema_cost :
     At every [jobs] each pass's candidates are split by
     {!chunk_list} into fine-grained chunks (several per worker,
     decoupled from [jobs]), self-scheduled onto {!Par}'s persistent
-    worker pool, and costed on the engine's persistent per-worker
-    shards against a frozen read-only memo view (see
-    {!Cost_engine.worker_shards}); the shards publish back in
-    worker-slot order at the pass's barrier.  The seam is
-    instrumented: {!seam_stats} reports where fan-out wall clock went
-    since the last {!seam_reset}. *)
+    worker pool, and costed in one {!Cost_engine.with_shards} call on
+    the engine's persistent per-worker shards against a frozen
+    read-only memo view; the shards publish back in worker-slot order
+    at the pass's barrier.  The seam is instrumented: {!seam_stats}
+    reports where fan-out wall clock went since the last
+    {!seam_reset}. *)
 
 val chunk_list : int -> 'a list -> 'a list list
 (** [chunk_list n l] splits [l] into at most [n] contiguous chunks of
@@ -95,7 +96,9 @@ val chunk_list : int -> 'a list -> 'a list list
 type seam_stats = {
   s_fanouts : int;  (** fan-outs (costing + prepare passes) *)
   s_t_fanout : float;  (** seconds inside [Par.run_tasks] *)
-  s_t_merge : float;  (** seconds publishing shard deltas at barriers *)
+  s_t_merge : float;
+      (** seconds publishing shard deltas at barriers: from the workers'
+          return to {!Cost_engine.with_shards}'s *)
   s_t_barrier_idle : float;
       (** seconds the fan-out caller idled at barriers behind
           stragglers — the skew the self-scheduling is there to keep
@@ -171,7 +174,6 @@ val greedy :
   ?threshold:float ->
   ?max_iterations:int ->
   ?jobs:int ->
-  ?memoize:bool ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
@@ -181,28 +183,34 @@ val greedy :
 (** Greedy descent from the given p-schema.  [kinds] defaults to
     {!Space.default_kinds} (inline/outline); [threshold] (default [0.])
     stops early when the relative improvement drops below it;
-    [max_iterations] defaults to 200.  [~memoize:false] disables the
-    cost cache (reference mode for benchmarks; results are identical
-    either way).
+    [max_iterations] defaults to 200.  Without [?engine] a search
+    creates a fresh memoizing engine; an uncached search (the reference
+    mode benchmarks compare against; results are identical either way)
+    passes [~engine:(Cost_engine.create ~memoize:false ~workload ())].
 
     [?engine] reuses an existing engine ({!Cost_engine.create}'s, not
     one of its worker shards) instead of creating a fresh one, so
     successive searches (a re-run after a workload tweak, a beam pass
     after a greedy pass) share one cache and hit on every
     configuration already costed.  The engine's own workload, updates
-    and parameters apply; [?params], [?workload_indexes], [?updates]
-    and [?memoize] are then ignored, and the caller must pass a
+    and parameters apply; [?params], [?workload_indexes] and
+    [?updates] are then ignored, and the caller must pass a
     [~workload] consistent with the engine's.  The [engine] fields of
     the result and trace report the {e delta} incurred by this search,
     so they compose with a shared engine.
 
     [?checkpoint:(path, every)] makes the search durable: a
     {!Checkpoint} snapshot of the barrier state is written atomically
-    to [path] every [every] completed iterations and on {e every} stop
+    to [path] every [every] completed iterations (never, at
+    [every = 0]) and on {e every} stop
     — converged, budget exhausted, or interrupted — so a process
     killed mid-search (or stopped by [SIGINT], which the CLI turns
     into {!Budget.interrupt}) leaves a snapshot {!resume} can continue
-    from. *)
+    from.
+
+    @raise Invalid_argument when [threshold] is outside \[0, 1) (a
+    negative one would accept neighbours that cost more), before any
+    costing. *)
 
 val greedy_so :
   ?params:Legodb_optimizer.Cost.params ->
@@ -212,7 +220,6 @@ val greedy_so :
   ?threshold:float ->
   ?max_iterations:int ->
   ?jobs:int ->
-  ?memoize:bool ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
@@ -221,7 +228,8 @@ val greedy_so :
   result
 (** The paper's [greedy-so]: start from the all-outlined configuration
     and explore inlining steps ([kinds] defaults to [[K_inline]]).
-    All optional arguments are forwarded to {!greedy}. *)
+    All optional arguments are forwarded to {!greedy}.
+    @raise Invalid_argument as {!greedy} does. *)
 
 val greedy_si :
   ?params:Legodb_optimizer.Cost.params ->
@@ -231,7 +239,6 @@ val greedy_si :
   ?threshold:float ->
   ?max_iterations:int ->
   ?jobs:int ->
-  ?memoize:bool ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
@@ -240,7 +247,8 @@ val greedy_si :
   result
 (** The paper's [greedy-si]: start from the all-inlined configuration
     and explore outlining steps ([kinds] defaults to [[K_outline]]).
-    All optional arguments are forwarded to {!greedy}. *)
+    All optional arguments are forwarded to {!greedy}.
+    @raise Invalid_argument as {!greedy} does. *)
 
 val pp_trace : Format.formatter -> trace_entry list -> unit
 
@@ -253,7 +261,6 @@ val beam :
   ?patience:int ->
   ?max_iterations:int ->
   ?jobs:int ->
-  ?memoize:bool ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
@@ -282,12 +289,10 @@ val resume :
   ?workload_indexes:bool ->
   ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?jobs:int ->
-  ?memoize:bool ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
   ?max_iterations:int ->
-  ?warm:bool ->
   workload:Legodb_xquery.Workload.t ->
   string ->
   result
@@ -304,9 +309,10 @@ val resume :
     resuming yields bit-identical cost, schema, trace, and failures to
     the uninterrupted run, for every strategy and every [~jobs] value.
 
-    [~warm] (default [true]) seeds the engine's memo table from the
-    snapshot; [~warm:false] starts cold — results are bit-identical
-    either way, only the hit/miss counters and wall time differ.
+    A snapshot carries no memo table: the resumed search starts with
+    an empty one, or with [?engine]'s.  The memo table is pure
+    memoization, so this changes only the hit/miss counters and wall
+    time, never the result.
     [?max_iterations] overrides the snapshot's cap (e.g. to let a run
     stopped by [`Iterations] continue); [?checkpoint] keeps the resumed
     run checkpointing, typically to the same path.

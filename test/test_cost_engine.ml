@@ -86,8 +86,9 @@ let suite =
             (Lazy.force annotated_imdb)
         in
         let r_ref =
-          Search.greedy_si ~memoize:false ~workload
-            (Lazy.force annotated_imdb)
+          Search.greedy_si
+            ~engine:(Cost_engine.create ~memoize:false ~workload ())
+            ~workload (Lazy.force annotated_imdb)
         in
         check_bool "same cost as the uncached search" true
           (Float.equal r.Search.cost r_ref.Search.cost);
@@ -110,7 +111,9 @@ let suite =
     case "memoize:false still reports engine totals" (fun () ->
         let workload = Imdb.Workloads.publish in
         let r =
-          Search.greedy_si ~memoize:false ~workload (Lazy.force annotated_imdb)
+          Search.greedy_si
+            ~engine:(Cost_engine.create ~memoize:false ~workload ())
+            ~workload (Lazy.force annotated_imdb)
         in
         let s = r.Search.engine in
         check_bool "no cache traffic" true (s.Cost_engine.hits = 0 && s.Cost_engine.misses = 0);

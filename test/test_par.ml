@@ -66,24 +66,33 @@ let run_determinism (picks, use_beam) =
        (Xschema.to_string r4.Search.schema)
   && same_trace r1.Search.trace r4.Search.trace
 
-(* chunk the inlined IMDB neighbours three ways for the shard tests *)
+(* chunk the inlined IMDB neighbours three ways for the shard tests:
+   one pass on three shards, returning each shard's counters as the
+   pass left them, before they are published *)
 let shard_fixture () =
   let workload = Imdb.Workloads.lookup in
   let eng = Cost_engine.create ~workload () in
   let base = Init.all_inlined (Lazy.force annotated_imdb) in
   let nbs = List.filteri (fun i _ -> i < 3) (Space.neighbors base) in
-  let shards =
-    List.map2
-      (fun (_, nb) sh ->
-        (* the base schema first: every shard recomputes it privately
-           (misses), then its neighbour hits on the unchanged tables *)
-        ignore (Cost_engine.cost sh base);
-        ignore (Cost_engine.cost sh nb);
-        sh)
-      nbs
-      (Array.to_list (Cost_engine.worker_shards eng 3))
+  let snaps =
+    Cost_engine.with_shards eng ~jobs:3 (fun shards ->
+        List.map2
+          (fun (_, nb) sh ->
+            (* the base schema first: every shard recomputes it
+               privately (misses), then its neighbour hits on the
+               unchanged tables *)
+            ignore (Cost_engine.cost sh base);
+            ignore (Cost_engine.cost sh nb);
+            Cost_engine.snapshot sh)
+          nbs (Array.to_list shards))
   in
-  (eng, base, shards)
+  (eng, base, snaps)
+
+(* [f ()] must raise [Invalid_argument] *)
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.fail ("expected Invalid_argument: " ^ what)
+  | exception Invalid_argument _ -> ()
 
 let suite =
   [
@@ -135,11 +144,9 @@ let suite =
             (Par.run_list (List.init 20 (fun i () -> i * i)) = expected)
         done);
     case "merged snapshot sums the shard counters exactly" (fun () ->
-        let eng, _, shards = shard_fixture () in
-        let snaps = List.map Cost_engine.snapshot shards in
+        let eng, _, snaps = shard_fixture () in
         check_bool "shards hit inside their chunk" true
           (List.for_all (fun s -> s.Cost_engine.hits > 0) snaps);
-        Cost_engine.merge eng shards;
         let s = Cost_engine.snapshot eng in
         let sum f = List.fold_left (fun a x -> a + f x) 0 snaps in
         let fsum f = List.fold_left (fun a x -> a +. f x) 0. snaps in
@@ -156,14 +163,13 @@ let suite =
         check_bool "optimize time" true
           (Float.equal s.Cost_engine.t_optimize
              (fsum (fun s -> s.Cost_engine.t_optimize)));
-        (* merge consumes the shards: merging again must not double-count *)
-        Cost_engine.merge eng shards;
-        let s' = Cost_engine.snapshot eng in
-        check_int "double merge is a no-op" s.Cost_engine.evaluations
-          s'.Cost_engine.evaluations);
+        (* publishing resets the shards: a pass that costs nothing
+           must not count them again *)
+        Cost_engine.with_shards eng ~jobs:3 ignore;
+        check_bool "an empty pass adds nothing" true
+          (Cost_engine.snapshot eng = s));
     case "merged entries serve later costs from the cache" (fun () ->
-        let eng, base, shards = shard_fixture () in
-        Cost_engine.merge eng shards;
+        let eng, base, _ = shard_fixture () in
         let before = Cost_engine.snapshot eng in
         ignore (Cost_engine.cost eng base);
         let after = Cost_engine.snapshot eng in
@@ -171,13 +177,6 @@ let suite =
           after.Cost_engine.misses;
         check_bool "only hits" true
           (after.Cost_engine.hits > before.Cost_engine.hits));
-    case "shards of a foreign engine are rejected" (fun () ->
-        let workload = Imdb.Workloads.lookup in
-        let a = Cost_engine.create ~workload () in
-        let b = Cost_engine.create ~workload () in
-        match Cost_engine.merge a [ (Cost_engine.worker_shards b 1).(0) ] with
-        | () -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
     case "pschema_cost equals a one-shot engine" (fun () ->
         let workload = Imdb.Workloads.lookup in
         let s = Init.all_inlined (Lazy.force annotated_imdb) in
@@ -254,36 +253,52 @@ let suite =
         let workload = Imdb.Workloads.lookup in
         let eng = Cost_engine.create ~workload () in
         let s = Init.all_inlined (Lazy.force annotated_imdb) in
-        Cost_engine.freeze eng;
-        (match Cost_engine.cost eng s with
-        | _ -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
-        (match Cost_engine.freeze eng with
-        | _ -> Alcotest.fail "expected Invalid_argument on double freeze"
-        | exception Invalid_argument _ -> ());
-        Cost_engine.discard_shards eng;
+        (match
+           Cost_engine.with_shards eng ~jobs:2 (fun shards ->
+               rejects "costing on the frozen engine" (fun () ->
+                   Cost_engine.cost eng s);
+               rejects "a nested pass" (fun () ->
+                   Cost_engine.with_shards eng ~jobs:1 ignore);
+               rejects "a pass on a shard" (fun () ->
+                   Cost_engine.with_shards shards.(0) ~jobs:1 ignore);
+               raise Exit)
+         with
+        | () -> Alcotest.fail "expected Exit"
+        | exception Exit -> ());
+        (* the raising pass thawed the engine *)
         ignore (Cost_engine.cost eng s));
     case "worker shards are persistent and reusable after merge" (fun () ->
         let workload = Imdb.Workloads.lookup in
         let eng = Cost_engine.create ~workload () in
-        let shards = Cost_engine.worker_shards eng 3 in
-        check_int "requested width" 3 (Array.length shards);
-        let again = Cost_engine.worker_shards eng 2 in
-        check_bool "same shard objects on re-request" true
-          (again.(0) == shards.(0) && again.(1) == shards.(1));
         let s = Init.all_inlined (Lazy.force annotated_imdb) in
-        ignore (Cost_engine.cost shards.(0) s);
-        Cost_engine.merge eng (Array.to_list shards);
-        let snap = Cost_engine.snapshot shards.(0) in
-        check_int "merge resets the shard for reuse" 0
-          snap.Cost_engine.evaluations;
-        (* reused shard hits on the merged entry via the shared cache *)
-        ignore (Cost_engine.cost shards.(0) s);
-        let snap = Cost_engine.snapshot shards.(0) in
-        check_int "no recomputation on reuse" 0 snap.Cost_engine.misses;
-        Cost_engine.discard_shards eng;
-        check_int "discard zeroes private counters" 0
-          (Cost_engine.snapshot shards.(0)).Cost_engine.evaluations);
+        let first =
+          Cost_engine.with_shards eng ~jobs:3 (fun shards ->
+              check_int "requested width" 3 (Array.length shards);
+              ignore (Cost_engine.cost shards.(0) s);
+              shards)
+        in
+        check_int "publishing resets the shard for reuse" 0
+          (Cost_engine.snapshot first.(0)).Cost_engine.evaluations;
+        Cost_engine.with_shards eng ~jobs:2 (fun again ->
+            check_bool "same shard objects on the next pass" true
+              (again.(0) == first.(0) && again.(1) == first.(1));
+            (* a reused shard hits on the published entry via the
+               shared cache *)
+            ignore (Cost_engine.cost again.(0) s);
+            check_int "no recomputation on reuse" 0
+              (Cost_engine.snapshot again.(0)).Cost_engine.misses);
+        let before = Cost_engine.snapshot eng in
+        (match
+           Cost_engine.with_shards eng ~jobs:1 (fun shards ->
+               ignore (Cost_engine.cost shards.(0) s);
+               raise Exit)
+         with
+        | () -> Alcotest.fail "expected Exit"
+        | exception Exit -> ());
+        check_int "an abandoned pass zeroes private counters" 0
+          (Cost_engine.snapshot first.(0)).Cost_engine.evaluations;
+        check_bool "an abandoned pass publishes no counters" true
+          (Cost_engine.snapshot eng = before));
     case "engine pool/shard reuse does not leak counters between runs"
       (fun () ->
         (* fresh-engine equality oracle: a search on a reused engine
@@ -316,7 +331,10 @@ let suite =
            wholesale, at one job as at four: the engine's memo table
            must be exactly the barrier state — the table of a run
            stopped cleanly at the completed-iteration count — with no
-           partial shard deltas *)
+           partial shard deltas.  The tables are compared through an
+           unbudgeted -j 1 re-run on each engine, whose misses are the
+           keys its table lacks: an entry leaked from the abandoned
+           pass would turn one of them into a hit. *)
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
         List.iter
@@ -339,11 +357,16 @@ let suite =
               Search.greedy_si ~jobs ~engine:eng' ~max_iterations:completed
                 ~workload schema
             in
-            check_bool
-              (Printf.sprintf "memo table equals the barrier state (-j %d)"
-                 jobs)
-              true
-              (Cost_engine.cache_entries eng = Cost_engine.cache_entries eng'))
+            let rerun e =
+              (Search.greedy_si ~engine:e ~workload schema).Search.engine
+            in
+            let a = rerun eng and b = rerun eng' in
+            let what =
+              Printf.sprintf "memo table equals the barrier state (-j %d)" jobs
+            in
+            check_int (what ^ ": misses") b.Cost_engine.misses
+              a.Cost_engine.misses;
+            check_int (what ^ ": hits") b.Cost_engine.hits a.Cost_engine.hits)
           [ 1; 4 ]);
     case "seam stats accumulate on parallel runs and reset" (fun () ->
         Search.seam_reset ();
@@ -376,29 +399,4 @@ let suite =
         check_bit_identical "j4" r1 (run ~jobs:4));
     prop "greedy/beam are bit-identical for jobs=1 and jobs=4" ~count:6
       gen_workload run_determinism;
-    case "a rejected merge publishes nothing" (fun () ->
-        (* the foreign shard sits behind one that would publish cache
-           entries and counters: the owner check must come first *)
-        let workload = Imdb.Workloads.lookup in
-        let a = Cost_engine.create ~workload () in
-        let b = Cost_engine.create ~workload () in
-        let s = Init.all_inlined (Lazy.force annotated_imdb) in
-        let own = (Cost_engine.worker_shards a 1).(0) in
-        ignore (Cost_engine.cost own s);
-        check_bool "own shard has entries" true
-          ((Cost_engine.snapshot own).Cost_engine.misses > 0);
-        Cost_engine.freeze a;
-        let entries = Cost_engine.cache_entries a in
-        let snap = Cost_engine.snapshot a in
-        (match
-           Cost_engine.merge a [ own; (Cost_engine.worker_shards b 1).(0) ]
-         with
-        | () -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
-        check_bool "cache unchanged" true
-          (Cost_engine.cache_entries a = entries);
-        check_bool "counters unchanged" true (Cost_engine.snapshot a = snap);
-        match Cost_engine.cost a s with
-        | _ -> Alcotest.fail "the engine must still be frozen"
-        | exception Invalid_argument _ -> ());
   ]

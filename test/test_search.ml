@@ -81,6 +81,41 @@ let suite =
         (* the report renders *)
         let s = Format.asprintf "%a" Legodb.report d in
         check_bool "report mentions tables" true (contains s "TABLE"));
+    case "a threshold outside [0, 1) is refused before any costing"
+      (fun () ->
+        (* the descent accepts a neighbour when it costs less than
+           [cost *. (1. -. threshold)]: a negative threshold would climb *)
+        let schema = Lazy.force annotated_imdb in
+        let searches =
+          [
+            ( "greedy",
+              fun ~engine ~threshold ->
+                Search.greedy ~engine ~threshold ~workload:tiny_lookup
+                  (Init.all_inlined schema) );
+            ( "greedy_so",
+              fun ~engine ~threshold ->
+                Search.greedy_so ~engine ~threshold ~workload:tiny_lookup schema
+            );
+            ( "greedy_si",
+              fun ~engine ~threshold ->
+                Search.greedy_si ~engine ~threshold ~workload:tiny_lookup schema
+            );
+          ]
+        in
+        List.iter
+          (fun (name, search) ->
+            List.iter
+              (fun threshold ->
+                let engine = Cost_engine.create ~workload:tiny_lookup () in
+                (match search ~engine ~threshold with
+                | (_ : Search.result) ->
+                    Alcotest.failf "%s accepted threshold %g" name threshold
+                | exception Invalid_argument _ -> ());
+                check_int
+                  (Printf.sprintf "%s costed nothing at %g" name threshold)
+                  0 (Cost_engine.snapshot engine).Cost_engine.evaluations)
+              [ -1.; -0.5; 1.; 1.5; Float.nan ])
+          searches);
   ]
 
 (* beam search *)
