@@ -111,17 +111,30 @@ let prefer_named founds =
   in
   if named <> [] then named else founds
 
+(* Each answer once, at its first occurrence: the branches of a union
+   that share a position or a table (union factoring after distribution)
+   reach it once per branch, and a query must read it once. *)
+let distinct answers =
+  List.rev
+    (List.fold_left
+       (fun seen a -> if List.mem a seen then seen else a :: seen)
+       [] answers)
+
 let step_from (m : Mapping.t) place step =
   prefer_named
-    (List.concat_map
-       (fun content ->
-         List.rev
-           (find_in m ~visited:[] ~hops:[] ~ty:place.ty ~prefix:place.prefix
-              step content []))
-       (content_at m place.ty place.prefix))
+    (distinct
+       (List.concat_map
+          (fun content ->
+            List.rev
+              (find_in m ~visited:[] ~hops:[] ~ty:place.ty
+                 ~prefix:place.prefix step content []))
+          (content_at m place.ty place.prefix)))
 
 let root_step (m : Mapping.t) step =
-  prefer_named (List.rev (enter m ~visited:[] ~hops:[] step (Xschema.root m.schema) []))
+  prefer_named
+    (distinct
+       (List.rev
+          (enter m ~visited:[] ~hops:[] step (Xschema.root m.schema) [])))
 
 let descendants (m : Mapping.t) place =
   let out = ref [] in
@@ -151,7 +164,7 @@ let descendants (m : Mapping.t) place =
   List.iter
     (fun content -> from_content [] [] content)
     (content_at m place.ty place.prefix);
-  List.rev !out
+  distinct (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* navigations as reads                                                 *)
@@ -190,17 +203,18 @@ let descendant_tables m place =
 let navigate_path m founds path =
   List.fold_left
     (fun frontier step ->
-      List.concat_map
-        (function
-          | F_elem { hops; place } ->
-              List.map
-                (function
-                  | F_elem f -> F_elem { f with hops = hops @ f.hops }
-                  | F_column f -> F_column { f with hops = hops @ f.hops }
-                  | F_wild f -> F_wild { f with hops = hops @ f.hops })
-                (navigate m place step)
-          | F_column _ | F_wild _ -> [])
-        frontier)
+      distinct
+        (List.concat_map
+           (function
+             | F_elem { hops; place } ->
+                 List.map
+                   (function
+                     | F_elem f -> F_elem { f with hops = hops @ f.hops }
+                     | F_column f -> F_column { f with hops = hops @ f.hops }
+                     | F_wild f -> F_wild { f with hops = hops @ f.hops })
+                   (navigate m place step)
+             | F_column _ | F_wild _ -> [])
+           frontier))
     founds path
 
 let recheck m reads =

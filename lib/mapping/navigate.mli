@@ -10,7 +10,11 @@
 
     This is what both the XQuery translator and the shredder use, so
     query translation and data placement can never disagree.  Every
-    column it answers is {!Mapping.column}'s for the position. *)
+    column it answers is {!Mapping.column}'s for the position.  Each
+    answer is given once, at its first occurrence: the branches of a
+    union that share a position or a table (union factoring after
+    distribution) reach it once per branch, but it is one place to
+    read, so storages with equal catalogs navigate alike. *)
 
 type place = { ty : string; prefix : string list }
 (** "At an element": inside table [ty]'s type, at inline element path
@@ -39,12 +43,14 @@ val navigate : Mapping.t -> place -> string -> found list
 val navigate_path : Mapping.t -> found list -> string list -> found list
 (** Multi-step resolution from the given answers (from a place [p]:
     [[F_elem { hops = []; place = p }]]); intermediate steps must land
-    on elements, and hops accumulate. *)
+    on elements, hops accumulate, and each step's answers are
+    distinct. *)
 
 val descendant_tables : Mapping.t -> place -> string list list
 (** Join chains (as in [found.hops], always non-empty) to every
-    descendant table below a place, depth-first; recursive types are
-    expanded one level.  Used to decompose publishing queries. *)
+    descendant table below a place, depth-first, each once; recursive
+    types are expanded one level.  Used to decompose publishing
+    queries. *)
 
 val recheck : Mapping.t -> Mapping.reads -> Mapping.reads option
 (** {!Mapping.unchanged}, extended to the navigations logged in the

@@ -32,10 +32,28 @@ let order_value st ty row =
     | _ -> key_value st ty row
   else key_value st ty row
 
+(* What the element being built has expanded.  The branches of a union
+   may share a position or a referenced type (union factoring after
+   distribution); the element holds each once. *)
+type visit = Position of Mapping.position | Type of string
+
+let first_visit seen v =
+  if List.mem v !seen then false
+  else begin
+    seen := v :: !seen;
+    true
+  end
+
+(* the text at [position] of [ty]'s row, unless the element already
+   holds it *)
+let text_once st seen ty row position =
+  if first_visit seen (Position position) then text st ty row position
+  else None
+
 (* children of (parent_ty, parent_row) stored under type [n] *)
-let rec expand st (parent_ty, parent_row) n : (string * string) list * Xml.t list
-    =
-  let attrs, pairs = expand_pairs st (parent_ty, parent_row) n in
+let rec expand st seen (parent_ty, parent_row) n :
+    (string * string) list * Xml.t list =
+  let attrs, pairs = expand_pairs st seen (parent_ty, parent_row) n in
   let pairs =
     (* a transparent union (horizontal partitioning) interleaves rows of
        several tables: merge by document order when it is stored *)
@@ -45,7 +63,7 @@ let rec expand st (parent_ty, parent_row) n : (string * string) list * Xml.t lis
   in
   (attrs, List.map snd pairs)
 
-and expand_pairs st (parent_ty, parent_row) n :
+and expand_pairs st seen (parent_ty, parent_row) n :
     (string * string) list * (int * Xml.t) list =
   match Xschema.find_opt st.m.Mapping.schema n with
   | None -> ([], [])
@@ -53,8 +71,10 @@ and expand_pairs st (parent_ty, parent_row) n :
       if Mapping.is_transparent st.m.Mapping.schema n then
         List.fold_left
           (fun (attrs, pairs) r ->
-            let a, k = expand_pairs st (parent_ty, parent_row) r in
-            (attrs @ a, pairs @ k))
+            if first_visit seen (Type r) then
+              let a, k = expand_pairs st seen (parent_ty, parent_row) r in
+              (attrs @ a, pairs @ k)
+            else (attrs, pairs))
           ([], []) (Xtype.refs body)
       else
         let parent_id = key_value st parent_ty parent_row in
@@ -72,29 +92,30 @@ and expand_pairs st (parent_ty, parent_row) n :
             | Xtype.Elem e -> (attrs, pairs @ [ (o, build_elem st (n, row) e) ])
             | body ->
                 (* spliced type: its content belongs to the parent element *)
-                let a, k = process st (n, row) ~prefix:[] body in
+                let a, k = process st (ref []) (n, row) ~prefix:[] body in
                 (attrs @ a, pairs @ List.map (fun node -> (o, node)) k))
           ([], []) rows
 
-and process ?(optional = false) st (ty, row) ~prefix t :
+(* the content [t] of the element being built, which holds [seen] *)
+and process ?(optional = false) st seen (ty, row) ~prefix t :
     (string * string) list * Xml.t list =
   match t with
   | Xtype.Empty | Xtype.Scalar _ -> ([], [])
   | Xtype.Choice _ when Mapping.scalar_content t -> ([], [])
   | Xtype.Attr (n, _) -> (
-      match text st ty row (Scalar (prefix @ [ n ])) with
+      match text_once st seen ty row (Scalar (prefix @ [ n ])) with
       | Some v -> ([ (n, v) ], [])
       | None -> ([], []))
   | Xtype.Elem e -> (
       match e.label with
       | Label.Name n ->
           if Mapping.scalar_content e.content then (
-            match text st ty row (Scalar (prefix @ [ n ])) with
+            match text_once st seen ty row (Scalar (prefix @ [ n ])) with
             | Some v -> ([], [ Xml.leaf n v ])
             | None -> ([], []))
           else
             let attrs, kids =
-              process st (ty, row) ~prefix:(prefix @ [ n ]) e.content
+              process st (ref []) (ty, row) ~prefix:(prefix @ [ n ]) e.content
             in
             (* an optional element whose content is entirely NULL was
                absent from the original document *)
@@ -102,19 +123,21 @@ and process ?(optional = false) st (ty, row) ~prefix t :
             else ([], [ Xml.Element (n, attrs, kids) ])
       | Label.Any | Label.Any_except _ -> (
           let path = prefix @ [ "tilde" ] in
-          match text st ty row (Tag path) with
+          match text_once st seen ty row (Tag path) with
           | None -> ([], [])
           | Some tag -> ([], [ element_at st (ty, row) path tag e ])))
   | Xtype.Seq ts | Xtype.Choice ts ->
       List.fold_left
         (fun (attrs, nodes) u ->
-          let a, k = process ~optional st (ty, row) ~prefix u in
+          let a, k = process ~optional st seen (ty, row) ~prefix u in
           (attrs @ a, nodes @ k))
         ([], []) ts
   | Xtype.Rep (u, o) ->
       let optional = optional || o.Xtype.lo = 0 in
-      process ~optional st (ty, row) ~prefix u
-  | Xtype.Ref n -> expand st (ty, row) n
+      process ~optional st seen (ty, row) ~prefix u
+  | Xtype.Ref n ->
+      if first_visit seen (Type n) then expand st seen (ty, row) n
+      else ([], [])
 
 (* the element [e] at [path] of [ty]'s row, under its concrete tag *)
 and element_at st (ty, row) path tag (e : Xtype.elem) =
@@ -127,7 +150,7 @@ and element_at st (ty, row) path tag (e : Xtype.elem) =
     Xml.Element
       (tag, [], match value with Some v -> [ Xml.Text v ] | None -> [])
   else
-    let attrs, kids = process st (ty, row) ~prefix:path e.content in
+    let attrs, kids = process st (ref []) (ty, row) ~prefix:path e.content in
     Xml.Element (tag, attrs, kids)
 
 and build_elem st (ty, row) (e : Xtype.elem) =

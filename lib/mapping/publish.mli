@@ -3,7 +3,10 @@
 
     Children are emitted in schema order (the order the sequence type
     prescribes) and, within a repetition, in key order — which equals
-    document order for documents loaded by {!Shred}. *)
+    document order for documents loaded by {!Shred}.  An element
+    expands each of its stored positions (scalar, tag and wildcard
+    value) and each referenced type at most once, however many union
+    branches reach it. *)
 
 val element :
   Legodb_relational.Storage.t -> Mapping.t -> ty:string -> id:int ->

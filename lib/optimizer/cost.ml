@@ -51,7 +51,3 @@ let total p c =
   +. (p.read_weight *. c.pages_read)
   +. (p.write_weight *. c.pages_written)
   +. (p.cpu_weight *. c.cpu)
-
-let pp fmt c =
-  Format.fprintf fmt "{seeks=%.1f; read=%.1f; written=%.1f; cpu=%.0f}" c.seeks
-    c.pages_read c.pages_written c.cpu

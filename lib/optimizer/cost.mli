@@ -37,5 +37,3 @@ val pages : params -> float -> float
 
 val total : params -> t -> float
 (** Collapse to a scalar. *)
-
-val pp : Format.formatter -> t -> unit

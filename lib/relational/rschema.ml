@@ -24,8 +24,6 @@ type table = {
 
 type t = { tables : table list }
 
-let empty = { tables = [] }
-
 let find_table cat name =
   List.find_opt (fun t -> String.equal t.tname name) cat.tables
 

@@ -27,7 +27,6 @@ type table = {
 
 type t = { tables : table list }
 
-val empty : t
 val find_table : t -> string -> table option
 
 val table : t -> string -> table

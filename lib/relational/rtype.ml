@@ -2,12 +2,6 @@ type t = R_int | R_string of int option
 
 let default_string_width = 32
 
-let equal a b =
-  match (a, b) with
-  | R_int, R_int -> true
-  | R_string x, R_string y -> x = y
-  | (R_int | R_string _), _ -> false
-
 let width = function
   | R_int -> 4
   | R_string (Some n) -> n

@@ -4,8 +4,6 @@ type t =
   | R_int  (** INTEGER *)
   | R_string of int option  (** CHAR(n) when sized, STRING otherwise *)
 
-val equal : t -> t -> bool
-
 val width : t -> int
 (** Storage width in bytes: 4 for integers, the declared size for
     sized strings, a default for unsized strings. *)

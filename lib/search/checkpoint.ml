@@ -63,8 +63,6 @@ type state = {
   point : point;
 }
 
-let crc32 = Wire.crc32
-
 (* ------------------------------------------------------------------ *)
 (* payload writers (generic layer from Wire)                           *)
 (* ------------------------------------------------------------------ *)
@@ -485,68 +483,3 @@ let read_schema = r_schema
 
 let save ~path st = Wire.write_atomic ~path (encode st)
 let load path = decode (Wire.read_file path)
-
-(* ------------------------------------------------------------------ *)
-(* equality (for the round-trip property tests)                        *)
-(* ------------------------------------------------------------------ *)
-
-let schema_equal a b =
-  String.equal (Xschema.root a) (Xschema.root b)
-  && List.length (Xschema.defs a) = List.length (Xschema.defs b)
-  && List.for_all2
-       (fun (da : Xschema.defn) (db : Xschema.defn) ->
-         String.equal da.Xschema.name db.Xschema.name
-         && Xtype.equal_strict da.Xschema.body db.Xschema.body)
-       (Xschema.defs a) (Xschema.defs b)
-
-let snapshot_equal (a : Cost_engine.snapshot) (b : Cost_engine.snapshot) =
-  a.Cost_engine.evaluations = b.Cost_engine.evaluations
-  && a.Cost_engine.hits = b.Cost_engine.hits
-  && a.Cost_engine.misses = b.Cost_engine.misses
-  && a.Cost_engine.faults = b.Cost_engine.faults
-  && Float.equal a.Cost_engine.t_mapping b.Cost_engine.t_mapping
-  && Float.equal a.Cost_engine.t_translate b.Cost_engine.t_translate
-  && Float.equal a.Cost_engine.t_optimize b.Cost_engine.t_optimize
-
-let failure_equal (a : failure) (b : failure) =
-  a.f_iteration = b.f_iteration
-  && a.f_step = b.f_step
-  && String.equal a.f_stage b.f_stage
-  && String.equal a.f_class b.f_class
-  && String.equal a.f_message b.f_message
-
-let entry_equal (a : trace_entry) (b : trace_entry) =
-  a.iteration = b.iteration
-  && Float.equal a.cost b.cost
-  && Option.equal ( = ) a.step b.step
-  && a.tables = b.tables
-  && snapshot_equal a.engine b.engine
-  && List.equal failure_equal a.failures b.failures
-
-let point_equal a b =
-  match (a, b) with
-  | Greedy x, Greedy y ->
-      schema_equal x.g_schema y.g_schema
-      && Float.equal x.g_cost y.g_cost
-      && Float.equal x.g_threshold y.g_threshold
-  | Beam x, Beam y ->
-      List.equal
-        (fun (s, c) (s', c') -> schema_equal s s' && Float.equal c c')
-        x.b_frontier y.b_frontier
-      && schema_equal x.b_best_schema y.b_best_schema
-      && Float.equal x.b_best_cost y.b_best_cost
-      && List.equal String.equal x.b_seen y.b_seen
-      && x.b_barren = y.b_barren
-      && x.b_width = y.b_width
-      && x.b_patience = y.b_patience
-  | _ -> false
-
-let equal a b =
-  String.equal a.strategy b.strategy
-  && a.kinds = b.kinds
-  && a.max_iterations = b.max_iterations
-  && a.iteration = b.iteration
-  && a.evaluations = b.evaluations
-  && List.equal entry_equal a.trace b.trace
-  && List.equal failure_equal a.failures b.failures
-  && point_equal a.point b.point

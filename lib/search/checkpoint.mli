@@ -114,18 +114,12 @@ val load : string -> state
 
 val encode : state -> string
 (** The full file image ({!save} without the I/O): header line plus
-    checksummed payload. *)
+    checksummed payload.  It writes every field, floats as [%h], so two
+    states are equal, bit patterns included, exactly when their images
+    are. *)
 
 val decode : string -> state
 (** Inverse of {!encode}.  @raise Corrupt *)
-
-val equal : state -> state -> bool
-(** Structural equality, statistics annotations and float bit-patterns
-    included — the property the codec round-trip tests assert. *)
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3) of a string; exposed so tests can forge headers
-    with valid checksums.  (Alias of {!Legodb_wire.Wire.crc32}.) *)
 
 (** {1 Schema codec}
 

@@ -18,25 +18,29 @@ type request =
    did ([Serve.stats]).  [batch_hist.(k)] counts select ticks whose
    shared query batch held [k] queries (the last bucket absorbs
    everything at or above it) — mass above index 1 is the proof that
-   cross-connection batching actually formed. *)
+   cross-connection batching actually formed.  The loop counts into
+   one record of its own; callers get copies. *)
 type net_stats = {
-  ticks : int;
-  batches : int;
-  batched_queries : int;
+  mutable ticks : int;
+  mutable batches : int;
+  mutable batched_queries : int;
   batch_hist : int array;
-  max_batch : int;
-  replayed : int;
-  bytes_in : int;
-  bytes_out : int;
-  select_s : float;
-  work_s : float;
-  accepted : int;
-  idle_reaped : int;
-  at_capacity : int;
+  mutable max_batch : int;
+  mutable replayed : int;
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+  mutable select_s : float;
+  mutable work_s : float;
+  mutable accepted : int;
+  mutable idle_reaped : int;
+  mutable at_capacity : int;
 }
 
 let hist_buckets = 17
 let hist_slot k = if k >= hist_buckets then hist_buckets - 1 else k
+
+(* a copy that shares nothing mutable with [s] *)
+let copy_stats s = { s with batch_hist = Array.copy s.batch_hist }
 
 let net_stats_zero =
   {
@@ -165,6 +169,7 @@ let write_response_payload b r =
           s.Serve.wal_max_group;
           s.Serve.batches;
           s.Serve.max_batch;
+          s.Serve.written_bytes;
         ];
       List.iter (Wire.w_int b)
         [ n.ticks; n.batches; n.batched_queries; n.max_batch; n.replayed ];
@@ -208,6 +213,7 @@ let decode_response payload =
         let wal_max_group = i () in
         let batches = i () in
         let max_batch = i () in
+        let written_bytes = i () in
         let serve =
           {
             Serve.served;
@@ -222,7 +228,7 @@ let decode_response payload =
             wal_max_group;
             batches;
             max_batch;
-            written_bytes = 0;
+            written_bytes;
           }
         in
         let ticks = i () in
@@ -436,41 +442,6 @@ type conn = {
   mutable last_active : float;  (* last byte read or written *)
 }
 
-(* the loop's own counters, materialized into an immutable [net_stats]
-   on request and at exit *)
-type loop_stats = {
-  mutable l_ticks : int;
-  mutable l_batches : int;
-  mutable l_batched_queries : int;
-  l_hist : int array;
-  mutable l_max_batch : int;
-  mutable l_replayed : int;
-  mutable l_bytes_in : int;
-  mutable l_bytes_out : int;
-  mutable l_select_s : float;
-  mutable l_work_s : float;
-  mutable l_accepted : int;
-  mutable l_idle_reaped : int;
-  mutable l_at_capacity : int;
-}
-
-let snapshot_stats st =
-  {
-    ticks = st.l_ticks;
-    batches = st.l_batches;
-    batched_queries = st.l_batched_queries;
-    batch_hist = Array.copy st.l_hist;
-    max_batch = st.l_max_batch;
-    replayed = st.l_replayed;
-    bytes_in = st.l_bytes_in;
-    bytes_out = st.l_bytes_out;
-    select_s = st.l_select_s;
-    work_s = st.l_work_s;
-    accepted = st.l_accepted;
-    idle_reaped = st.l_idle_reaped;
-    at_capacity = st.l_at_capacity;
-  }
-
 let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
     ?idle_timeout_ms ?max_conns ?timeout_ms ?max_write ?stop ?on_listen ~port
     t =
@@ -491,23 +462,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
   Fun.protect
     ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
     (fun () ->
-      let st =
-        {
-          l_ticks = 0;
-          l_batches = 0;
-          l_batched_queries = 0;
-          l_hist = Array.make hist_buckets 0;
-          l_max_batch = 0;
-          l_replayed = 0;
-          l_bytes_in = 0;
-          l_bytes_out = 0;
-          l_select_s = 0.;
-          l_work_s = 0.;
-          l_accepted = 0;
-          l_idle_reaped = 0;
-          l_at_capacity = 0;
-        }
-      in
+      let st = copy_stats net_stats_zero in
       let idle_s =
         Option.map (fun ms -> float_of_int ms /. 1000.) idle_timeout_ms
       in
@@ -586,10 +541,10 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             queries := [];
             let arr = Array.of_list (List.map snd qs) in
             let k = Array.length arr in
-            st.l_batches <- st.l_batches + 1;
-            st.l_batched_queries <- st.l_batched_queries + k;
-            st.l_max_batch <- max st.l_max_batch k;
-            st.l_hist.(hist_slot k) <- st.l_hist.(hist_slot k) + 1;
+            st.batches <- st.batches + 1;
+            st.batched_queries <- st.batched_queries + k;
+            st.max_batch <- max st.max_batch k;
+            st.batch_hist.(hist_slot k) <- st.batch_hist.(hist_slot k) + 1;
             let res = Serve.run_texts ?timeout_ms t arr in
             List.iteri
               (fun i (cell, text) ->
@@ -620,8 +575,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             cell :=
               Some
                 (Resp
-                   (Stats_reply
-                      { serve = Serve.stats t; net = snapshot_stats st }))
+                   (Stats_reply { serve = Serve.stats t; net = copy_stats st }))
         | Publish -> (
             (* the publish barrier orders everything before it: queries
                already queued are answered on the snapshot they were
@@ -638,7 +592,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         | Query text -> (
             match Hashtbl.find_opt replay text with
             | Some frame ->
-                st.l_replayed <- st.l_replayed + 1;
+                st.replayed <- st.replayed + 1;
                 cell := Some (Framed frame)
             | None -> queries := (cell, text) :: !queries)
         | Append text -> (
@@ -666,7 +620,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         match Iobuf.read_from c.inbuf c.fd with
         | 0 -> c.closing <- true
         | n ->
-            st.l_bytes_in <- st.l_bytes_in + n;
+            st.bytes_in <- st.bytes_in + n;
             c.last_active <- now;
             let continue = ref true in
             while !continue && not c.closing do
@@ -714,7 +668,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
       let write_conn ~now c =
         match Iobuf.write_to ?max:max_write c.outbuf c.fd with
         | n ->
-            st.l_bytes_out <- st.l_bytes_out + n;
+            st.bytes_out <- st.bytes_out + n;
             if n > 0 then c.last_active <- now
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
             ()
@@ -764,9 +718,9 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
         let t1 = Unix.gettimeofday () in
-        st.l_select_s <- st.l_select_s +. (t1 -. t0);
-        st.l_ticks <- st.l_ticks + 1;
-        if at_cap then st.l_at_capacity <- st.l_at_capacity + 1;
+        st.select_s <- st.select_s +. (t1 -. t0);
+        st.ticks <- st.ticks + 1;
+        if at_cap then st.at_capacity <- st.at_capacity + 1;
         if List.memq lfd rs then begin
           let accepting = ref true in
           while !accepting do
@@ -781,7 +735,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
                   Unix.set_nonblock fd;
                   (try Unix.setsockopt fd Unix.TCP_NODELAY true
                    with Unix.Unix_error _ -> ());
-                  st.l_accepted <- st.l_accepted + 1;
+                  st.accepted <- st.accepted + 1;
                   conns :=
                     {
                       fd;
@@ -840,19 +794,19 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
                   && now -. c.last_active >= idle
                 then begin
                   drop c;
-                  st.l_idle_reaped <- st.l_idle_reaped + 1
+                  st.idle_reaped <- st.idle_reaped + 1
                 end)
               !conns);
         if !dead <> [] then begin
           conns := List.filter (fun c -> not (List.memq c !dead)) !conns;
           dead := []
         end;
-        st.l_work_s <- st.l_work_s +. (Unix.gettimeofday () -. t1)
+        st.work_s <- st.work_s +. (Unix.gettimeofday () -. t1)
       done;
       List.iter
         (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
         !conns;
-      snapshot_stats st)
+      copy_stats st)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

@@ -69,27 +69,33 @@ type request =
     the last bucket absorbing everything at or above it; mass at index
     ≥ 2 proves cross-connection (or pipelined) batching actually
     formed.  [select_s]/[work_s] split
-    wall time into waiting-for-readiness vs processing. *)
+    wall time into waiting-for-readiness vs processing.  The loop
+    counts into one record of its own; a {!Stats_reply} and {!serve}'s
+    result are copies of it, [batch_hist] included, so nothing a caller
+    holds changes under it. *)
 type net_stats = {
-  ticks : int;
-  batches : int;
-  batched_queries : int;
+  mutable ticks : int;
+  mutable batches : int;
+  mutable batched_queries : int;
   batch_hist : int array;
-  max_batch : int;
-  replayed : int;
+  mutable max_batch : int;
+  mutable replayed : int;
       (** queries answered from the front-door replay cache — the
           finished frame of an identical earlier query against the same
           published snapshot, blitted straight into the output buffer *)
-  bytes_in : int;
-  bytes_out : int;
-  select_s : float;
-  work_s : float;
-  accepted : int;
-  idle_reaped : int;  (** connections reaped by [idle_timeout_ms] *)
-  at_capacity : int;  (** ticks the listener was parked by [max_conns] *)
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+  mutable select_s : float;
+  mutable work_s : float;
+  mutable accepted : int;
+  mutable idle_reaped : int;  (** connections reaped by [idle_timeout_ms] *)
+  mutable at_capacity : int;
+      (** ticks the listener was parked by [max_conns] *)
 }
 
 val net_stats_zero : net_stats
+(** Every counter zero.  The loop starts from a copy of it. *)
+
 val hist_buckets : int
 
 val shared_batches : net_stats -> int
@@ -106,7 +112,8 @@ type response =
   | Acked  (** the append's group fsync returned; it is durable *)
   | Published
   | Stats_reply of { serve : Serve.stats; net : net_stats }
-      (** engine counters plus the serving loop's own *)
+      (** engine counters plus the serving loop's own, every field of
+          both on the wire *)
   | Pong
   | Error_reply of string
       (** a structured failure: parse error, untranslatable query,

@@ -245,7 +245,6 @@ let create ?jobs ?params ?clock ?data_dir ?(fs = Wire.real_fs) mapping db =
       t.dur <- Some d);
   t
 
-let jobs t = t.jobs
 let snapshot t = (Atomic.get t.snap).db
 
 let compile_blocks ~params db (lq : Logical.query) : compiled =
@@ -696,8 +695,6 @@ let recover ?jobs ?params ?clock ?(fs = Wire.real_fs) ?mapping ~dir () =
       r_torn = rep.Wal.torn;
       r_dropped_bytes = rep.Wal.dropped_bytes;
     } )
-
-let data_dir t = Option.map (fun d -> d.dir) t.dur
 
 let pp_recovery fmt r =
   Format.fprintf fmt

@@ -145,8 +145,7 @@ type stats = {
   max_batch : int;  (** largest batch one call fanned out *)
   written_bytes : int;
       (** bytes the durable store has written since {!create} or
-          {!recover}: the log, segment files and manifests.  Not
-          carried by the network's stats reply, where it reads 0. *)
+          {!recover}: the log, segment files and manifests *)
 }
 (** The four [wal_*] counters and [written_bytes] are all zero when
     durability is off. *)
@@ -183,8 +182,6 @@ val create :
     @raise Wal.Corrupt if [data_dir] is a store format 1 directory
     (it holds [snapshot.legodb]); nothing is written to it. *)
 
-val jobs : t -> int
-
 val snapshot : t -> Storage.t
 (** The current serving snapshot (frozen; safe to hold and read
     concurrently — it never changes, later {!publish}es swap in fresh
@@ -201,9 +198,9 @@ val query : ?use_cache:bool -> t -> Xq_ast.t -> reply
 val run_batch :
   ?timeout_ms:int -> t -> Xq_ast.t array -> (reply, string) result array
 (** Answer a batch of requests, overlapped on the domain pool (at most
-    {!jobs} at a time), all against the {e same} snapshot — the one
-    current when the batch started; a concurrent {!publish} does not
-    tear a batch.  Result [i] answers request [i].  A request the
+    {!create}'s [?jobs] at a time), all against the {e same} snapshot —
+    the one current when the batch started; a concurrent {!publish}
+    does not tear a batch.  Result [i] answers request [i].  A request the
     parser or the translator rejects yields [Error message] for its
     slot ([Error "query parse error at offset N: ..."] or
     [Error "untranslatable: ..."]) — a bad request never takes the
@@ -314,9 +311,6 @@ val recover :
     @raise Wal.Corrupt on a corrupted manifest, segment or log, or a
     store format 1 directory (CLI exit 8); nothing is written to it
     @raise Sys_error when the directory or its manifest is missing. *)
-
-val data_dir : t -> string option
-(** The directory this server persists to, if durability is on. *)
 
 val pp_recovery : Format.formatter -> recovery -> unit
 

@@ -1,6 +1,5 @@
 module Wire = Legodb_wire.Wire
 module Storage = Legodb_relational.Storage
-module Rtype = Legodb_relational.Rtype
 module Checkpoint = Legodb_search.Checkpoint
 
 exception Corrupt of string
@@ -77,27 +76,6 @@ let decode_group payload =
           (String.length payload - cur.Wire.pos);
       members)
     payload
-
-let record_equal a b =
-  a.seq = b.seq
-  && List.length a.rows = List.length b.rows
-  && List.for_all2
-       (fun (ta, ra) (tb, rb) ->
-         String.equal ta tb
-         && List.length ra = List.length rb
-         && List.for_all2
-              (fun (x : Storage.row) (y : Storage.row) ->
-                Array.length x = Array.length y
-                && Array.for_all2
-                     (fun u v ->
-                       match (u, v) with
-                       | Rtype.V_null, Rtype.V_null -> true
-                       | Rtype.V_int m, Rtype.V_int n -> m = n
-                       | Rtype.V_string s, Rtype.V_string t -> String.equal s t
-                       | _ -> false)
-                     x y)
-              ra rb)
-       a.rows b.rows
 
 (* ------------------------------------------------------------------ *)
 (* replay                                                              *)
@@ -203,33 +181,36 @@ let replay_file path =
 (* the log handle                                                      *)
 (* ------------------------------------------------------------------ *)
 
+type stats = {
+  mutable appends : int;
+  mutable fsyncs : int;
+  mutable groups : int;
+  mutable max_group : int;
+  mutable bytes : int;
+}
+
 type t = {
   fd : Unix.file_descr;
   fs : Wire.fs;
   mutable next : int;  (* sequence number of the next append *)
   mutable staged : record list;  (* the open group, newest first *)
-  mutable s_appends : int;
-  mutable s_fsyncs : int;
-  mutable s_groups : int;
-  mutable s_max_group : int;
-  mutable s_bytes : int;
+  counts : stats;  (* since this handle opened *)
 }
 
-let create ?(fs = Wire.real_fs) ~next_seq path =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  fs.Wire.write fd wal_header;
-  fs.Wire.fsync fd;
+let handle ~fs ~next_seq ~bytes fd =
   {
     fd;
     fs;
     next = next_seq;
     staged = [];
-    s_appends = 0;
-    s_fsyncs = 0;
-    s_groups = 0;
-    s_max_group = 0;
-    s_bytes = header_bytes;
+    counts = { appends = 0; fsyncs = 0; groups = 0; max_group = 0; bytes };
   }
+
+let create ?(fs = Wire.real_fs) ~next_seq path =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  fs.Wire.write fd wal_header;
+  fs.Wire.fsync fd;
+  handle ~fs ~next_seq ~bytes:header_bytes fd
 
 let reopen ?(fs = Wire.real_fs) ~valid_bytes ~next_seq path =
   (* a tail so torn even the header is incomplete is rewritten whole *)
@@ -239,17 +220,7 @@ let reopen ?(fs = Wire.real_fs) ~valid_bytes ~next_seq path =
     Unix.ftruncate fd valid_bytes;
     fs.Wire.fsync fd;
     ignore (Unix.lseek fd 0 Unix.SEEK_END);
-    {
-      fd;
-      fs;
-      next = next_seq;
-      staged = [];
-      s_appends = 0;
-      s_fsyncs = 0;
-      s_groups = 0;
-      s_max_group = 0;
-      s_bytes = 0;
-    }
+    handle ~fs ~next_seq ~bytes:0 fd
   end
 
 let stage t rows =
@@ -269,32 +240,16 @@ let flush t =
          place for the caller's fail-stop *)
       t.fs.Wire.write t.fd image;
       t.fs.Wire.fsync t.fd;
-      let n = List.length group in
+      let n = List.length group and c = t.counts in
       t.staged <- [];
-      t.s_appends <- t.s_appends + n;
-      t.s_fsyncs <- t.s_fsyncs + 1;
-      t.s_groups <- t.s_groups + 1;
-      t.s_bytes <- t.s_bytes + String.length image;
-      if n > t.s_max_group then t.s_max_group <- n
+      c.appends <- c.appends + n;
+      c.fsyncs <- c.fsyncs + 1;
+      c.groups <- c.groups + 1;
+      c.bytes <- c.bytes + String.length image;
+      if n > c.max_group then c.max_group <- n
 
 let staged t = List.length t.staged
-
-type stats = {
-  appends : int;
-  fsyncs : int;
-  groups : int;
-  max_group : int;
-  bytes : int;
-}
-
-let stats t =
-  {
-    appends = t.s_appends;
-    fsyncs = t.s_fsyncs;
-    groups = t.s_groups;
-    max_group = t.s_max_group;
-    bytes = t.s_bytes;
-  }
+let stats t = { t.counts with appends = t.counts.appends }
 
 let reset t =
   Unix.ftruncate t.fd header_bytes;

@@ -98,10 +98,6 @@ val encode_group : record list -> string
     single CRC.  Sequence numbers must be contiguous.
     @raise Invalid_argument on an empty or non-contiguous group. *)
 
-val record_equal : record -> record -> bool
-(** Structural equality, value bit-patterns included (the codec
-    round-trip property). *)
-
 type replay = {
   records : record list;  (** complete, checksummed records, in order *)
   dropped_bytes : int;  (** bytes of torn tail discarded, 0 if none *)
@@ -161,18 +157,21 @@ val close : t -> unit
 (** {1 Commit accounting} *)
 
 type stats = {
-  appends : int;  (** appends acknowledged (staged and then flushed) *)
-  fsyncs : int;  (** append-path fsyncs: one per non-empty {!flush} *)
-  groups : int;  (** non-empty flushes — commit units written *)
-  max_group : int;  (** largest group committed by one flush *)
-  bytes : int;  (** bytes written to the log: its header and every commit unit *)
+  mutable appends : int;  (** appends acknowledged (staged and then flushed) *)
+  mutable fsyncs : int;  (** append-path fsyncs: one per non-empty {!flush} *)
+  mutable groups : int;  (** non-empty flushes — commit units written *)
+  mutable max_group : int;  (** largest group committed by one flush *)
+  mutable bytes : int;
+      (** bytes written to the log: its header and every commit unit *)
 }
 (** What group commit saves is fsyncs per append:
     [fsyncs /. appends] is 1.0 under fsync-per-append and [1/k] for
     steady groups of [k].  {!reset}'s truncation fsync is not counted
-    — the ratio is strictly about the append path. *)
+    — the ratio is strictly about the append path.  A handle counts
+    into one record of its own, from when it was created or reopened. *)
 
 val stats : t -> stats
+(** A copy of the handle's counters: later appends do not change it. *)
 
 (** {1 The store}
 

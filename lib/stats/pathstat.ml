@@ -22,8 +22,6 @@ end)
 type t = entry PMap.t
 
 let empty = PMap.empty
-let is_empty = PMap.is_empty
-let cardinal = PMap.cardinal
 
 let add m path stat =
   let e = Option.value ~default:empty_entry (PMap.find_opt path m) in

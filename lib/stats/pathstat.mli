@@ -28,8 +28,6 @@ type t
 (** Immutable map from paths to entries. *)
 
 val empty : t
-val is_empty : t -> bool
-val cardinal : t -> int
 
 val add : t -> string list -> stat -> t
 (** Record one fact; later facts of the same kind overwrite. *)

@@ -154,25 +154,3 @@ let to_string doc =
   in
   go (normalize doc);
   Buffer.contents buf
-
-let rec pp fmt node =
-  match node with
-  | Text s -> Format.pp_print_string fmt s
-  | Element (t, attrs, c) ->
-      let pp_attr fmt (n, v) = Format.fprintf fmt " %s=%S" n v in
-      let only_text = List.for_all (function Text _ -> true | _ -> false) c in
-      if c = [] then
-        Format.fprintf fmt "<%s%a/>" t (Format.pp_print_list pp_attr) attrs
-      else if only_text then
-        Format.fprintf fmt "<%s%a>%s</%s>" t
-          (Format.pp_print_list pp_attr)
-          attrs
-          (text_content node)
-          t
-      else begin
-        Format.fprintf fmt "@[<v 2><%s%a>" t
-          (Format.pp_print_list pp_attr)
-          attrs;
-        List.iter (fun child -> Format.fprintf fmt "@,%a" pp child) c;
-        Format.fprintf fmt "@]@,</%s>" t
-      end

@@ -83,10 +83,6 @@ val equal : t -> t -> bool
 val normalize : t -> t
 (** Merge adjacent text children and drop empty text nodes, recursively. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-print with indentation (not round-trip safe for mixed
-    content; use {!to_string} for exchange). *)
-
 val to_string : t -> string
 (** Serialize compactly with correct escaping; round-trips through
     {!Xml_parse.parse_string}. *)

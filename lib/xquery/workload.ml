@@ -17,8 +17,3 @@ let mix k a b =
   @ List.map (fun (q, x) -> (q, (1. -. k) *. x)) b
 
 let queries w = List.map fst w
-
-let pp fmt w =
-  List.iter
-    (fun ((q : Xq_ast.t), x) -> Format.fprintf fmt "%s: %.3f@," q.name x)
-    w

@@ -18,4 +18,3 @@ val mix : float -> t -> t -> t
     first. *)
 
 val queries : t -> Xq_ast.t list
-val pp : Format.formatter -> t -> unit

@@ -173,31 +173,3 @@ let check_update u =
         }
   | U_set { body; target = v, path; name; _ } ->
       check { name; body = { body with return = [ R_path (v, path) ] } }
-
-let pp_update fmt = function
-  | U_insert { target; _ } ->
-      Format.fprintf fmt "INSERT %a" pp_path target
-  | U_delete { body; target; _ } ->
-      Format.fprintf fmt "@[<v>%a@]"
-        (fun fmt () ->
-          List.iteri
-            (fun i (v, src) ->
-              Format.fprintf fmt "%s $%s IN %a@,"
-                (if i = 0 then "FOR" else "   ")
-                v pp_source src)
-            body.bindings;
-          if body.where <> [] then Format.fprintf fmt "WHERE ...@,";
-          Format.fprintf fmt "DELETE $%s" target)
-        ()
-  | U_set { body; target = v, path; value; _ } ->
-      Format.fprintf fmt "@[<v>%a@]"
-        (fun fmt () ->
-          List.iteri
-            (fun i (w, src) ->
-              Format.fprintf fmt "%s $%s IN %a@,"
-                (if i = 0 then "FOR" else "   ")
-                w pp_source src)
-            body.bindings;
-          if body.where <> [] then Format.fprintf fmt "WHERE ...@,";
-          Format.fprintf fmt "SET $%s/%a = %a" v pp_path path pp_const value)
-        ()

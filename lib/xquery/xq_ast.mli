@@ -82,5 +82,3 @@ type update =
 
 val check_update : update -> (unit, string list) result
 (** Variable scoping, like {!check}. *)
-
-val pp_update : Format.formatter -> update -> unit

@@ -1,20 +1,10 @@
 type t = Name of string | Any | Any_except of string list
 
-let name tag = Name tag
-
 let matches label tag =
   match label with
   | Name n -> String.equal n tag
   | Any -> true
   | Any_except excl -> not (List.exists (String.equal tag) excl)
-
-let overlap a b =
-  match (a, b) with
-  | Name x, Name y -> String.equal x y
-  | Name x, Any_except excl | Any_except excl, Name x ->
-      not (List.exists (String.equal x) excl)
-  | Any, _ | _, Any -> true
-  | Any_except _, Any_except _ -> true
 
 let remove label tag =
   match label with
@@ -31,14 +21,6 @@ let equal a b =
   | Any_except x, Any_except y ->
       List.sort String.compare x = List.sort String.compare y
   | (Name _ | Any | Any_except _), _ -> false
-
-let compare a b =
-  let rank = function Name _ -> 0 | Any -> 1 | Any_except _ -> 2 in
-  match (a, b) with
-  | Name x, Name y -> String.compare x y
-  | Any_except x, Any_except y ->
-      compare (List.sort String.compare x) (List.sort String.compare y)
-  | _ -> Int.compare (rank a) (rank b)
 
 let to_string = function
   | Name n -> n

@@ -8,15 +8,8 @@ type t =
   | Any  (** [~]: any tag *)
   | Any_except of string list  (** [~!a]: any tag not listed *)
 
-val name : string -> t
-(** [name tag] is [Name tag]. *)
-
 val matches : t -> string -> bool
 (** Does a concrete document tag satisfy the label? *)
-
-val overlap : t -> t -> bool
-(** Could some concrete tag satisfy both labels?  ([Any_except] vs
-    [Any_except] always overlaps: the excluded sets are finite.) *)
 
 val remove : t -> string -> t option
 (** [remove l tag] is the label matching everything [l] matches except
@@ -24,7 +17,6 @@ val remove : t -> string -> t option
     materialization rewriting: [~ = nyt | ~!nyt]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Paper notation: a bare name, [~], or [~!a,b]. *)

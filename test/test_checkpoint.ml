@@ -178,11 +178,10 @@ let rejects ?expect img =
 let suite =
   [
     prop "codec round-trips arbitrary states bit-exactly" gen_state (fun st ->
-        let st' = Checkpoint.decode (Checkpoint.encode st) in
-        Checkpoint.equal st st'
-        (* and the bytes are deterministic: re-encoding the decoded
-           state reproduces the image *)
-        && String.equal (Checkpoint.encode st) (Checkpoint.encode st'));
+        (* the image writes every field, floats as %h: the decoded
+           state re-encodes to the same bytes only if it is the state *)
+        let img = Checkpoint.encode st in
+        String.equal img (Checkpoint.encode (Checkpoint.decode img)));
     prop "any single bit flip is rejected as Corrupt" ~count:60
       QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 7))
       (fun (pos, bit) ->
@@ -204,7 +203,7 @@ let suite =
            one check: magic, then version, then length, then checksum *)
         let forge magic version =
           Printf.sprintf "%s %d %08lx %d\n%s" magic version
-            (Checkpoint.crc32 payload) (String.length payload) payload
+            (Wire.crc32 payload) (String.length payload) payload
         in
         check_bool "wrong magic" true
           (rejects ~expect:"magic" (forge "NOTADB-CKPT" 1));
@@ -234,13 +233,14 @@ let suite =
         let path = tmp_ckpt () in
         Checkpoint.save ~path st;
         check_bool "no tmp file left" false (Sys.file_exists (path ^ ".tmp"));
-        check_bool "loads equal" true (Checkpoint.equal st (Checkpoint.load path));
+        check_string "loads equal" (Checkpoint.encode st)
+          (Checkpoint.encode (Checkpoint.load path));
         (* overwriting an existing snapshot also goes through the
            tmp+rename path *)
         let st2 = state_of (43, [ 2.5 ], [ "j" ]) in
         Checkpoint.save ~path st2;
-        check_bool "overwrite loads the new state" true
-          (Checkpoint.equal st2 (Checkpoint.load path));
+        check_string "overwrite loads the new state" (Checkpoint.encode st2)
+          (Checkpoint.encode (Checkpoint.load path));
         Sys.remove path);
     (* ---------------- crash–resume differential ---------------- *)
     case "greedy stop-at-k then resume is bit-identical (jobs 1 and 2)"
@@ -462,7 +462,7 @@ let suite =
               true
               (rejects ~expect:"this build reads 3"
                  (Printf.sprintf "LEGODB-CKPT %d %08lx %d\n%s" v
-                    (Checkpoint.crc32 payload) (String.length payload)
+                    (Wire.crc32 payload) (String.length payload)
                     payload)))
           [ 1; 2 ]);
   ]

@@ -280,6 +280,44 @@ let run_walk (s, start, order_columns, workload_indexes, seed, steps) =
       walk 0 (node ~workload ~updates start_schema m) p0;
       true
 
+(* Union factoring after distribution: from all-outlined IMDB, A
+   inlines Info into Directed, and B distributes A's show union and
+   factors it back.  B stores what A stores, so each of its statements
+   must translate, price, execute and publish as on A. *)
+let step_named schema name =
+  match
+    List.find_opt
+      (fun (step, _) ->
+        String.equal
+          (String.trim (Format.asprintf "%a" Space.pp_step step))
+          name)
+      (Space.neighbors ~kinds:Space.all_kinds schema)
+  with
+  | Some (_, child) -> child
+  | None -> Alcotest.failf "no step %S" name
+
+(* all-outlined, A, the distributed step and B, on [stats] *)
+let factoring_walk stats =
+  let outlined = Init.all_outlined (Annotate.schema stats Imdb.Schema.schema) in
+  let a = step_named outlined "inline Info into Directed" in
+  let dist = step_named a "distribute union in Show at 0.5" in
+  (outlined, a, dist, step_named dist "factor union in Show at")
+
+let catalog_fingerprint m =
+  Mapping.catalog_fingerprint
+    (Mapping.fingerprint_list (Mapping.fingerprints m.Mapping.catalog))
+
+(* A's and B's mappings, on the statistics of [doc] when given *)
+let factored ?doc () =
+  let stats =
+    match doc with Some d -> Collector.collect d | None -> Imdb.Stats.full
+  in
+  let _, a, _, b = factoring_walk stats in
+  let ma = mapping_of a and mb = mapping_of b in
+  check_string "B stores what A stores" (catalog_fingerprint ma)
+    (catalog_fingerprint mb);
+  (ma, mb)
+
 let suite =
   [
     prop "derived from the parent equals derived from scratch" ~count:200
@@ -397,4 +435,72 @@ let suite =
         check_bool "the fresh catalog" true
           (compare m'.Mapping.catalog (mapping_of grandchild).Mapping.catalog
           = 0));
+    case "union factoring after distribution translates as before" (fun () ->
+        let ma, mb = factored () in
+        (* the three workloads draw their statements from Appendix C *)
+        List.iter
+          (fun (q : Xq_ast.t) ->
+            check_bool q.Xq_ast.name true
+              (compare (Xq_translate.translate ma q)
+                 (Xq_translate.translate mb q)
+              = 0))
+          Imdb.Queries.all;
+        List.iteri
+          (fun i (u, _) ->
+            check_bool (Printf.sprintf "update %d" i) true
+              (compare
+                 (Xq_translate.translate_update ma u)
+                 (Xq_translate.translate_update mb u)
+              = 0))
+          imdb_updates);
+    case "one oracle engine prices a union factored after distribution"
+      (fun () ->
+        (* one engine across the walk: a memo hit on B recomputes
+           against B's own translation *)
+        let workload = Imdb.Workloads.mixed 0.5 in
+        let oracle =
+          Cost_engine.create ~oracle:true ~updates:imdb_updates ~workload ()
+        in
+        let uncached =
+          Cost_engine.create ~memoize:false ~updates:imdb_updates ~workload ()
+        in
+        let outlined, a, dist, b = factoring_walk Imdb.Stats.full in
+        ignore
+          (List.fold_left
+             (fun parent (what, s) ->
+               match Cost_engine.price_schema ?parent oracle s with
+               | Error _ -> Alcotest.failf "%s: not priced" what
+               | Ok p ->
+                   check_bool what true
+                     (bits (Cost_engine.priced_cost p)
+                     = bits (Cost_engine.cost uncached s));
+                   Some p)
+             None
+             [
+               ("all-outlined", outlined);
+               ("A", a);
+               ("distributed", dist);
+               ("B", b);
+             ]
+            : Cost_engine.priced option));
+    case "a union factored after distribution answers as before" (fun () ->
+        let doc = Lazy.force small_imdb_doc in
+        let ma, mb = factored ~doc () in
+        let db m = Storage.freeze (Shred.shred m doc) in
+        let rows m =
+          List.sort compare
+            (fst (Test_integration.run_query m (db m) (Imdb.Queries.q 16)))
+        in
+        let rows_a = rows ma in
+        check_bool "Q16 answers" true (rows_a <> []);
+        check_bool "Q16 answers A's rows" true (rows mb = rows_a));
+    case "a union factored after distribution publishes the document"
+      (fun () ->
+        let doc = Lazy.force small_imdb_doc in
+        let ma, mb = factored ~doc () in
+        let published m =
+          Publish.document (Storage.freeze (Shred.shred m doc)) m
+        in
+        check_bool "A round-trips" true (Xml.equal doc (published ma));
+        check_bool "B round-trips" true (Xml.equal doc (published mb)));
   ]

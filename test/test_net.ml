@@ -825,6 +825,27 @@ let suite =
                 Serve.publish server;
                 check_int "after the publish" 1 (List.length (ask ()));
                 check_int "answered fresh, not replayed" 1 (replayed ()))));
+    case "a durable server's stats reply carries its written bytes"
+      (fun () ->
+        let doc, m = setup () in
+        let dir = tmp_dir () in
+        let server =
+          Serve.create ~jobs:1 ~data_dir:dir m (Shred.shred m doc)
+        in
+        run_server server (fun port ->
+            with_client port (fun c ->
+                (match Net.rpc c (Net.Append (Xml.to_string doc)) with
+                | Net.Acked -> ()
+                | _ -> Alcotest.fail "expected the append acked");
+                (match Net.rpc c Net.Publish with
+                | Net.Published -> ()
+                | _ -> Alcotest.fail "expected the publish");
+                let s = expect_stats "stats" (Net.rpc c Net.Stats) in
+                check_bool "bytes written" true (s.Serve.written_bytes > 0);
+                check_int "the in-process count"
+                  (Serve.stats server).Serve.written_bytes
+                  s.Serve.written_bytes));
+        rm_rf dir);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -866,7 +887,7 @@ let gen_response =
         map3
           (fun serve_ints net_ints (hist, (select_s, work_s)) ->
             match (serve_ints, net_ints) with
-            | ( [ a; b; c; d; e; f; g; h; i; j; k; l ],
+            | ( [ a; b; c; d; e; f; g; h; i; j; k; l; w ],
                 [
                   ticks;
                   batches;
@@ -895,7 +916,7 @@ let gen_response =
                         wal_max_group = j;
                         batches = k;
                         max_batch = l;
-                        written_bytes = 0;
+                        written_bytes = w;
                       };
                     net =
                       {
@@ -915,7 +936,7 @@ let gen_response =
                       };
                   }
             | _ -> assert false)
-          (list_repeat 12 (int_range 0 1_000_000))
+          (list_repeat 13 (int_range 0 1_000_000))
           (list_repeat 10 (int_range 0 1_000_000))
           (pair
              (list_repeat Net.hist_buckets (int_range 0 1_000_000))
