@@ -852,10 +852,12 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
    block.  The stage breakdown (t_mapping / t_translate / t_optimize)
    localizes where a candidate evaluation spends its time, and the
    minor words one costing allocates on each path (a count that repeats
-   exactly, unlike the timings) shows the mechanism.  Each path's time
-   is its best of 7 rounds, the two paths taking turns.  [--smoke] runs
-   one round and skips the JSON and the timing gate, keeping the
-   divergence check and the allocation gate for CI. *)
+   exactly, unlike the timings) shows the mechanism.  The same count
+   is taken of [query_scalar_cost] (the engine's entry, which builds no
+   plan) and of [query_cost] over the workload's queries.  Each path's
+   time is its best of 7 rounds, the two paths taking turns.  [--smoke]
+   runs one round and skips the JSON and the timing gate, keeping the
+   divergence check and both allocation gates for CI. *)
 let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
   header "Per-candidate optimizer: mask-indexed DP vs frozen reference";
   let schema = annotated Imdb.Stats.full in
@@ -946,6 +948,21 @@ let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
             | _ -> assert false
           in
           let w_fast = minor_words fast and w_ref = minor_words refr in
+          (* the engine's entry, which builds no plan, against the
+             plan-building one over the same queries *)
+          let w_scalar =
+            minor_words (fun () ->
+                List.iter
+                  (fun (q, _) ->
+                    ignore (Optimizer.query_scalar_cost ~params catalog q))
+                  queries)
+          and w_plans =
+            minor_words (fun () ->
+                List.iter
+                  (fun (q, _) ->
+                    ignore (Optimizer.query_cost ~params catalog q))
+                  queries)
+          in
           let fa, ra =
             Option.value ~default:(0., 0.) (Hashtbl.find_opt gate wname)
           in
@@ -953,9 +970,11 @@ let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
           Printf.printf
             "%-9s %-7s  %3d blocks (<= %d rels)  optimize %8.2f ms  reference \
              %8.2f ms  speedup %5.2fx  minor words %8.0f / %8.0f (%.2fx)\n\
+             %-17s  cost only %8.0f minor words, with plans %8.0f (%.2fx)\n\
              %!"
             cname wname blocks max_rels (1e3 *. t_fast) (1e3 *. t_ref)
-            (t_ref /. t_fast) w_fast w_ref (w_fast /. w_ref);
+            (t_ref /. t_fast) w_fast w_ref (w_fast /. w_ref) "" w_scalar
+            w_plans (w_scalar /. w_plans);
           (* the allocation claim: the join DP allocates only for each
              mask's winner.  Word counts repeat exactly, so this gate
              holds in --smoke too *)
@@ -966,6 +985,14 @@ let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
                  "optimizer_perf: %s/%s allocates %.0f minor words, > 0.25x \
                   the reference's %.0f"
                  cname wname w_fast w_ref);
+          (* the cost-only finish builds no plan, so it must allocate
+             less than [query_cost]; the counts repeat exactly *)
+          if (wname = "lookup" || wname = "mixed") && w_scalar >= w_plans then
+            failwith
+              (Printf.sprintf
+                 "optimizer_perf: %s/%s query_scalar_cost allocates %.0f minor \
+                  words, not fewer than query_cost's %.0f"
+                 cname wname w_scalar w_plans);
           rows :=
             [
               ("config", Str cname);
@@ -980,6 +1007,8 @@ let optimizer_perf ?(jobs = 1) ?(smoke = false) () =
               ("speedup", Num (t_ref /. t_fast));
               ("minor_words_fast", Int (int_of_float w_fast));
               ("minor_words_ref", Int (int_of_float w_ref));
+              ("minor_words_scalar", Int (int_of_float w_scalar));
+              ("minor_words_plans", Int (int_of_float w_plans));
             ]
             :: !rows)
         workloads)

@@ -89,14 +89,47 @@ let render rows =
   in
   "[\n  " ^ String.concat ",\n  " (List.map obj rows) ^ "\n]\n"
 
-(* the checkout's commit, as perfbench prints it: "unavailable"
-   outside a git checkout *)
-let commit () =
-  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-  let line = try input_line ic with End_of_file -> "" in
+(* the lines [cmd] prints, when it exits 0 *)
+let output_lines cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+  let rec read acc =
+    match input_line ic with
+    | line -> read (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = read [] in
   match Unix.close_process_in ic with
-  | Unix.WEXITED 0 when line <> "" -> line
+  | Unix.WEXITED 0 -> Some lines
+  | _ -> None
+
+(* a commit as the env row spells it: the hash, with "-dirty" when
+   tracked files differ from it, or "unavailable" without one *)
+let commit_spelling ~head ~dirty =
+  match head with
+  | Some h when h <> "" -> if dirty then h ^ "-dirty" else h
   | _ -> "unavailable"
+
+(* the checkout's commit, as perfbench prints it, marked "-dirty" when
+   the numbers were taken on uncommitted changes to tracked files:
+   "unavailable" outside a git checkout.  The records [record] writes
+   into the working directory do not count, so a run that rewrites one
+   record, or a later run, still names a clean tree clean. *)
+let commit () =
+  let head =
+    match output_lines "git rev-parse HEAD" with
+    | Some (h :: _) -> Some h
+    | Some [] | None -> None
+  in
+  let dirty =
+    match
+      output_lines
+        "git status --porcelain --untracked-files=no -- \
+         ':(exclude)BENCH_*.json'"
+    with
+    | Some (_ :: _) -> true
+    | Some [] | None -> false
+  in
+  commit_spelling ~head ~dirty
 
 (* where the numbers were taken: cores, compiler, parallel backend,
    the run's -j and the commit *)

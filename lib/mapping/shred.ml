@@ -335,9 +335,11 @@ let shred_into db m doc =
       tick = Storage.total_rows db;
     }
   in
+  (* read before shredding, so the handler does not keep the whole
+     document alive while its records are shredded *)
+  let root = match Xml.tag doc with Some t -> t | None -> "" in
   try Storage.atomically db (fun () -> shred_document st doc)
   with Storage.Violation message ->
-    let root = match Xml.tag doc with Some t -> t | None -> "" in
     raise (Shred_error { path = [ root ]; message })
 
 let shred m doc =

@@ -39,7 +39,6 @@ let alias_id env alias =
   | None -> invalid_arg (Printf.sprintf "Estimate: unknown alias %s" alias)
 
 let table_of env alias = env.tabs.(alias_id env alias)
-let table_at env i = env.tabs.(i)
 let column_of env (alias, cname) = Rschema.column (table_of env alias) cname
 
 let row_floor = 1.
@@ -52,31 +51,39 @@ let range_fraction stats const ~upper =
       if upper then f else 1. -. f
   | _ -> 1. /. 3.
 
-let pred_selectivity env (p : Logical.pred) =
-  let lhs = column_of env p.lhs in
-  let nn = 1. -. lhs.stats.null_frac in
+let selectivity (p : Logical.pred) (lhs : Rschema.col_stats) rhs =
+  let nn = 1. -. lhs.null_frac in
   match (p.cmp, p.rhs) with
   | Logical.C_eq, (Logical.O_const _ | Logical.O_param _) ->
-      nn /. Float.max 1. lhs.stats.distinct
+      nn /. Float.max 1. lhs.distinct
   | Logical.C_ne, (Logical.O_const _ | Logical.O_param _) ->
-      nn *. (1. -. (1. /. Float.max 1. lhs.stats.distinct))
+      nn *. (1. -. (1. /. Float.max 1. lhs.distinct))
   | Logical.C_lt, Logical.O_const c | Logical.C_le, Logical.O_const c ->
-      nn *. range_fraction lhs.stats c ~upper:true
+      nn *. range_fraction lhs c ~upper:true
   | Logical.C_gt, Logical.O_const c | Logical.C_ge, Logical.O_const c ->
-      nn *. range_fraction lhs.stats c ~upper:false
+      nn *. range_fraction lhs c ~upper:false
   | ( (Logical.C_lt | Logical.C_le | Logical.C_gt | Logical.C_ge),
       Logical.O_param _ ) ->
       (* the value is unknown when planning: [range_fraction]'s default *)
       nn *. (1. /. 3.)
-  | Logical.C_eq, Logical.O_col rc ->
-      let rhs = column_of env rc in
-      nn
-      *. (1. -. rhs.stats.null_frac)
-      /. Float.max 1. (Float.max lhs.stats.distinct rhs.stats.distinct)
+  | Logical.C_eq, Logical.O_col _ -> (
+      match rhs with
+      | Some (rhs : Rschema.col_stats) ->
+          nn
+          *. (1. -. rhs.null_frac)
+          /. Float.max 1. (Float.max lhs.distinct rhs.distinct)
+      | None -> invalid_arg "Estimate.selectivity: no right column")
   | Logical.C_ne, Logical.O_col _ -> 0.9
   | (Logical.C_lt | Logical.C_le | Logical.C_gt | Logical.C_ge), Logical.O_col _
     ->
       1. /. 3.
+
+let pred_selectivity env (p : Logical.pred) =
+  let lhs = (column_of env p.lhs).stats in
+  match (p.cmp, p.rhs) with
+  | Logical.C_eq, Logical.O_col rc ->
+      selectivity p lhs (Some (column_of env rc).stats)
+  | _ -> selectivity p lhs None
 
 let local_preds env alias = Logical.local_preds env.preds alias
 

@@ -1,4 +1,9 @@
-(** Cardinality and selectivity estimation over catalog statistics. *)
+(** Cardinality and selectivity estimation over catalog statistics.
+
+    The estimates below look aliases and columns up by name; the frozen
+    reference optimizer and the tests call them.  {!Optimizer} resolves
+    a block once and prices each predicate through {!selectivity},
+    with the same rules and float order. *)
 
 open Legodb_relational
 
@@ -11,14 +16,7 @@ type env
 val env : Rschema.t -> Logical.block -> env
 (** @raise Invalid_argument if an alias does not resolve. *)
 
-val alias_id : env -> string -> int
-(** The alias's position in the block's relation list.
-    @raise Invalid_argument on an unknown alias. *)
-
 val table_of : env -> string -> Rschema.table
-
-val table_at : env -> int -> Rschema.table
-(** [table_at env i = table_of env alias] when [alias] has id [i]. *)
 
 val row_floor : float
 (** Lower bound every row estimate is clamped to (1.0). *)
@@ -34,6 +32,15 @@ val pred_selectivity : env -> Logical.pred -> float
     ({!Logical.O_param}) is a constant whose value is unknown:
     (in)equality reads only [distinct], so it selects exactly what any
     constant would; a range against it takes the 1/3 default. *)
+
+val selectivity :
+  Logical.pred -> Rschema.col_stats -> Rschema.col_stats option -> float
+(** [selectivity p lhs rhs]: {!pred_selectivity} of [p] given the
+    statistics of its columns, resolved by the caller: [lhs] of its
+    left column, [rhs] of its right one when [p] compares two columns
+    ([None] otherwise).  The optimizer resolves a block once and
+    prices every predicate through this.
+    @raise Invalid_argument on a column equality without [rhs]. *)
 
 val base_rows : env -> string -> float
 (** Rows of an alias after its local predicates (never below a small

@@ -42,9 +42,10 @@ val pred_aliases : pred -> string list
 
 val local_preds : pred list -> string -> pred list
 (** Predicates local to one alias, in input order: every alias they
-    mention equals [alias].  The single shared definition of "local"
-    used by both the optimizer's access-path selection and the
-    estimator's {!Estimate.base_rows}. *)
+    mention equals [alias].  The estimator's {!Estimate.base_rows} reads
+    this; the optimizer, which resolves a block's aliases to ids once,
+    takes a predicate as local when its alias bitmask is the alias's
+    single bit, the same condition. *)
 
 val block_wellformed :
   Legodb_relational.Rschema.t -> block -> (unit, string list) result

@@ -4,16 +4,19 @@ type result = { plan : Physical.plan; rows : float; cost : Cost.t }
 
 let dp_limit = 10
 
-(* The join-ordering core below is the mask-indexed fast path: alias
-   sets are int bitmasks, per-split questions (connectivity, spanning
+(* The join-ordering core below is the mask-indexed fast path: a block
+   is resolved against the catalog once, into per-block arrays (each
+   alias's table, each predicate's columns, alias bitmask and
+   selectivity); per-split questions (connectivity, spanning
    predicates, index probes, subtree widths, subset cardinalities) are
-   answered from per-block precomputed arrays, and the DP walks masks
-   by a single ascending scan.  Each (mask, split) step compares the
-   join methods by cost alone and allocates nothing for a loser; a
-   mask's winner is one flat entry (its costs, method, right alias and
-   probe).  The block's [Physical.plan] is built once, for the chosen
-   tree, and only then are its sub-plans' signatures interned.  It must
-   stay bit-identical to the frozen pre-rewrite code in
+   answered from them, and the DP walks masks by a single ascending
+   scan.  Each (mask, split) step compares the join methods by cost
+   alone and allocates nothing for a loser; a mask's winner is one flat
+   entry (its costs, method, right alias and probe).  The chosen tree
+   is walked once: its sub-plans' signatures are interned for the
+   query's later blocks, and its [Physical.plan] is built only for a
+   caller that keeps plans — the cost engine's entries build none.  It
+   must stay bit-identical to the frozen pre-rewrite code in
    test/reference/optimizer_reference.ml — same best plan, same cost
    floats — which pins down every float association order: see the
    comments on [offer] and [optimize_dp].  The differential suite in
@@ -23,38 +26,6 @@ let dp_limit = 10
 (* ------------------------------------------------------------------ *)
 (* shared sub-plans                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Signature of a base-table access, for common-subexpression sharing
-   across the blocks of one query: a table read with identical local
-   predicates in a later block of the same query comes from the buffer
-   pool (the multi-query-optimizing Volcano of [16] shares such common
-   subexpressions), so it costs CPU but no I/O.  A parameter slot reads
-   [?k]: two template scans share only when they read the same slot. *)
-let access_signature (rel : Logical.relation) filters access =
-  let pred_sig (p : Logical.pred) =
-    let op =
-      match p.cmp with
-      | Logical.C_eq -> "="
-      | Logical.C_ne -> "<>"
-      | Logical.C_lt -> "<"
-      | Logical.C_le -> "<="
-      | Logical.C_gt -> ">"
-      | Logical.C_ge -> ">="
-    in
-    let operand = function
-      | Logical.O_const v -> Legodb_relational.Rtype.value_to_sql v
-      | Logical.O_col (_, c) -> "col:" ^ c
-      | Logical.O_param k -> "?" ^ string_of_int k
-    in
-    snd p.lhs ^ op ^ operand p.rhs
-  in
-  let access_sig =
-    match access with
-    | Physical.Seq_scan -> "scan"
-    | Physical.Index_probe { column } -> "probe:" ^ column
-  in
-  String.concat "|"
-    (rel.table :: access_sig :: List.sort String.compare (List.map pred_sig filters))
 
 (* A sub-plan's signature is an interned int, so identical subtrees
    across blocks (e.g. the actor⋈played⋈director⋈directed core repeated
@@ -125,15 +96,16 @@ type jpred = {
    block: an alias's id is its position in the relation list, each
    predicate carries the bitmask of the aliases it mentions and its
    memoized selectivity, each join predicate what the index-nested-
-   loops branch needs of its two columns, and each alias its clamped
-   cardinality, widths, the aliases a join predicate links it to and
-   its indexed join columns.  With these, connectivity, spanning
-   predicates and index probes are bit tests and array reads. *)
+   loops branch needs of its two columns, and each alias its catalog
+   table, clamped cardinality, widths, the aliases a join predicate
+   links it to and its indexed join columns.  With these, connectivity,
+   spanning predicates and index probes are bit tests and array
+   reads. *)
 type ctx = {
   c_params : Cost.params;
-  c_env : Estimate.env;
-  c_block : Logical.block;
-  c_tables : string array;  (* table name per alias *)
+  c_rels : Logical.relation array;  (* the block's relations, by alias id *)
+  c_tables : Rschema.table array;  (* catalog table per alias *)
+  c_preds : Logical.pred array;  (* block order *)
   c_pmask : int array;  (* alias bitmask of each pred, in block order *)
   c_psel : float array;  (* memoized selectivity of each pred *)
   c_joins : jpred array;  (* the join predicates, in block order *)
@@ -144,62 +116,103 @@ type ctx = {
   c_card : float array;  (* max(row_floor, card) per alias *)
   c_carry : float array;  (* per-alias carried width (see [entry_of]) *)
   c_rwidth : float array;  (* full row width per alias *)
+  c_owidth : float;  (* width of an output row *)
 }
 
-let context params env (block : Logical.block) =
-  let names =
-    Array.of_list
-      (List.map (fun (r : Logical.relation) -> r.alias) block.relations)
-  in
-  let tnames =
-    Array.of_list
-      (List.map (fun (r : Logical.relation) -> r.table) block.relations)
-  in
-  let n = Array.length names in
-  let preds = Array.of_list block.preds in
-  let pmask =
+exception Ill_formed
+
+(* the id of alias [a], searching the relations from [i] *)
+let rec alias_at (rels : Logical.relation array) a i =
+  if i = Array.length rels then raise Ill_formed
+  else if String.equal rels.(i).alias a then i
+  else alias_at rels a (i + 1)
+
+(* one column of a join predicate: [c] on alias [i], [col] resolved *)
+let side tables eq i (col : Rschema.column) c =
+  let tbl : Rschema.table = tables.(i) in
+  let probe = eq && Rschema.has_index tbl col.cname in
+  {
+    s_col = c;
+    s_alias = i;
+    s_probe = probe;
+    s_clustered = String.equal col.cname tbl.key;
+    s_fetch =
+      (if probe then tbl.card /. Float.max 1. col.stats.distinct else 0.);
+  }
+
+(* The block resolved in one pass: each alias to its catalog table and
+   id, each column reference to its catalog column, and from those
+   every per-block array of [ctx].  A name that does not resolve, or a
+   repeated alias, raises [Ill_formed]; [optimize_block]'s checks then
+   say why. *)
+let context params cat (block : Logical.block) =
+  let rels = Array.of_list block.relations in
+  let n = Array.length rels in
+  let tables =
     Array.map
-      (fun p ->
+      (fun (r : Logical.relation) ->
+        match Rschema.find_table cat r.table with
+        | Some tbl -> tbl
+        | None -> raise Ill_formed)
+      rels
+  in
+  for i = 1 to n - 1 do
+    for j = 0 to i - 1 do
+      if String.equal rels.(i).alias rels.(j).alias then raise Ill_formed
+    done
+  done;
+  let alias_id a = alias_at rels a 0 in
+  (* the columns each alias's block references, for [c_carry] *)
+  let needed = Array.make n [] in
+  let column i c =
+    match Rschema.find_column tables.(i) c with
+    | Some col ->
+        needed.(i) <- col :: needed.(i);
+        col
+    | None -> raise Ill_formed
+  in
+  let preds = Array.of_list block.preds in
+  let np = Array.length preds in
+  let pmask = Array.make np 0 and psel = Array.make np 0. in
+  let joins = ref [] in
+  for k = np - 1 downto 0 do
+    let p = preds.(k) in
+    let la = alias_id (fst p.lhs) in
+    let lcol = column la (snd p.lhs) in
+    match p.rhs with
+    | Logical.O_col ((ra, rc) as rcol_ref) ->
+        let rb = alias_id ra in
+        let rcol = column rb rc in
+        let pm = (1 lsl la) lor (1 lsl rb) in
+        pmask.(k) <- pm;
+        psel.(k) <- Estimate.selectivity p lcol.stats (Some rcol.stats);
+        if la <> rb then begin
+          let eq = p.cmp = Logical.C_eq in
+          joins :=
+            {
+              j_pred = p;
+              j_mask = pm;
+              j_eq = eq;
+              j_lhs = side tables eq la lcol p.lhs;
+              j_rhs = side tables eq rb rcol rcol_ref;
+              j_cond = -1;
+            }
+            :: !joins
+        end
+    | Logical.O_const _ | Logical.O_param _ ->
+        pmask.(k) <- 1 lsl la;
+        psel.(k) <- Estimate.selectivity p lcol.stats None
+  done;
+  let joins = Array.of_list !joins in
+  let rwidth = Array.map Rschema.row_width tables in
+  let owidth =
+    match block.out with
+    | [] -> Array.fold_left ( +. ) 0. rwidth
+    | cols ->
         List.fold_left
-          (fun m a -> m lor (1 lsl Estimate.alias_id env a))
-          0 (Logical.pred_aliases p))
-      preds
-  in
-  let psel = Array.map (Estimate.pred_selectivity env) preds in
-  let side eq ((a, c) as col) =
-    let id = Estimate.alias_id env a in
-    let tbl = Estimate.table_at env id in
-    let probe = eq && Rschema.has_index tbl c in
-    {
-      s_col = col;
-      s_alias = id;
-      s_probe = probe;
-      s_clustered = String.equal c tbl.key;
-      s_fetch =
-        (if probe then
-           tbl.card
-           /. Float.max 1. (Rschema.column tbl c).Rschema.stats.distinct
-         else 0.);
-    }
-  in
-  let joins =
-    Array.of_list
-      (List.filter_map
-         (fun ((p : Logical.pred), pm) ->
-           match p.rhs with
-           | Logical.O_col rc when popcount pm = 2 ->
-               let eq = p.cmp = Logical.C_eq in
-               Some
-                 {
-                   j_pred = p;
-                   j_mask = pm;
-                   j_eq = eq;
-                   j_lhs = side eq p.lhs;
-                   j_rhs = side eq rc;
-                   j_cond = -1;
-                 }
-           | _ -> None)
-         (List.combine block.preds (Array.to_list pmask)))
+          (fun w (a, c) ->
+            w +. (column (alias_id a) c).Rschema.stats.avg_width)
+          0. cols
   in
   let adj = Array.make n 0 and probes = Array.make n [] in
   Array.iteri
@@ -210,53 +223,39 @@ let context params env (block : Logical.block) =
       if j.j_lhs.s_probe then probes.(a) <- k :: probes.(a);
       if j.j_rhs.s_probe then probes.(b) <- k :: probes.(b))
     joins;
-  let card =
-    Array.init n (fun i ->
-        Float.max Estimate.row_floor (Estimate.table_at env i).Rschema.card)
-  in
   (* Width contributed by one alias to an intermediate result: plans
      project eagerly, so a tuple flowing above a join carries only the
      columns the block still needs (projection columns and predicate
-     columns). *)
+     columns), summed in column-name order. *)
   let carry =
-    Array.init n (fun i ->
-        let a = names.(i) in
-        let tbl = Estimate.table_at env i in
-        let needed =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (al, c) -> if String.equal al a then Some c else None)
-               block.out
-            @ List.concat_map
-                (fun (p : Logical.pred) ->
-                  (if String.equal (fst p.lhs) a then [ snd p.lhs ] else [])
-                  @
-                  match p.rhs with
-                  | Logical.O_col (ra, rc) when String.equal ra a -> [ rc ]
-                  | _ -> [])
-                block.preds)
-        in
+    Array.map
+      (fun cols ->
         List.fold_left
-          (fun acc c ->
-            match Rschema.find_column tbl c with
-            | Some col -> acc +. col.Rschema.stats.avg_width
-            | None -> acc)
-          0. needed)
+          (fun acc (col : Rschema.column) -> acc +. col.stats.avg_width)
+          0.
+          (List.sort_uniq
+             (fun (a : Rschema.column) (b : Rschema.column) ->
+               String.compare a.cname b.cname)
+             cols))
+      needed
   in
   {
     c_params = params;
-    c_env = env;
-    c_block = block;
-    c_tables = tnames;
+    c_rels = rels;
+    c_tables = tables;
+    c_preds = preds;
     c_pmask = pmask;
     c_psel = psel;
     c_joins = joins;
     c_adj = adj;
     c_probes = probes;
-    c_card = card;
+    c_card =
+      Array.map
+        (fun (t : Rschema.table) -> Float.max Estimate.row_floor t.card)
+        tables;
     c_carry = carry;
-    c_rwidth =
-      Array.init n (fun i -> Rschema.row_width (Estimate.table_at env i));
+    c_rwidth = rwidth;
+    c_owidth = owidth;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -266,7 +265,7 @@ let context params env (block : Logical.block) =
 type meth = Nl | Index_nl | Hash | Shared_hash
 
 (* A sub-plan as the DP compares it: its estimates, and for a join the
-   winning method, right alias and probe, from which [build] makes the
+   winning method, right alias and probe, from which [walk] makes the
    plan node once the block's tree is chosen. *)
 type entry = {
   e_rows : float;
@@ -277,92 +276,137 @@ type entry = {
   e_id : int;  (* interned signature if an earlier block read it, else -1 *)
   e_meth : meth;  (* a join's method *)
   e_right : int;  (* a join's right alias; a base access's own alias *)
-  e_probe : int;  (* [c_joins] index of an index-nested-loops probe *)
+  e_probe : int;
+      (* a join's index-nested-loops probe ([c_joins] index); a base
+         access's probed predicate ([c_preds] index); else -1 *)
 }
 
-(* The cheapest access path of relation [i], as its scan node and its
-   entry.  A path an earlier block read costs CPU but no I/O; while the
-   cache holds nothing, no path can have been read, so none is looked
-   up. *)
-let access_plan sh ctx i (rel : Logical.relation) =
-  let params = ctx.c_params and env = ctx.c_env in
-  let tbl = Estimate.table_at env i in
-  let filters = Logical.local_preds ctx.c_block.preds rel.alias in
-  let rows = Estimate.base_rows env rel.alias in
+(* the local predicates of alias [i], in block order *)
+let filters ctx i =
+  let bit = 1 lsl i in
+  let rec go k acc =
+    if k < 0 then acc
+    else
+      go (k - 1)
+        (if ctx.c_pmask.(k) = bit then ctx.c_preds.(k) :: acc else acc)
+  in
+  go (Array.length ctx.c_preds - 1) []
+
+(* Signature of a base-table access, for common-subexpression sharing
+   across the blocks of one query: a table read with identical local
+   predicates in a later block of the same query comes from the buffer
+   pool (the multi-query-optimizing Volcano of [16] shares such common
+   subexpressions), so it costs CPU but no I/O.  A parameter slot reads
+   [?k]: two template scans share only when they read the same slot.
+   [probe] is the probed predicate of an index probe, -1 for a
+   sequential scan. *)
+let access_signature ctx i probe =
+  let pred_sig (p : Logical.pred) =
+    let op =
+      match p.cmp with
+      | Logical.C_eq -> "="
+      | Logical.C_ne -> "<>"
+      | Logical.C_lt -> "<"
+      | Logical.C_le -> "<="
+      | Logical.C_gt -> ">"
+      | Logical.C_ge -> ">="
+    in
+    let operand = function
+      | Logical.O_const v -> Legodb_relational.Rtype.value_to_sql v
+      | Logical.O_col (_, c) -> "col:" ^ c
+      | Logical.O_param k -> "?" ^ string_of_int k
+    in
+    snd p.lhs ^ op ^ operand p.rhs
+  in
+  let access_sig =
+    if probe < 0 then "scan" else "probe:" ^ snd ctx.c_preds.(probe).lhs
+  in
+  String.concat "|"
+    (ctx.c_rels.(i).table :: access_sig
+    :: List.sort String.compare (List.map pred_sig (filters ctx i)))
+
+(* The entry of relation [i]'s cheapest access path.  A path an earlier
+   block read costs CPU but no I/O; while the cache holds nothing, no
+   path can have been read, so none is looked up.  Candidates are the
+   sequential scan, then an index probe per indexed local equality with
+   a constant, in block order; the first cheapest wins. *)
+let access_entry sh ctx i =
+  let params = ctx.c_params in
+  let tbl = ctx.c_tables.(i) in
+  let bit = 1 lsl i in
+  let np = Array.length ctx.c_preds in
+  let sel = ref 1. in
+  for k = 0 to np - 1 do
+    if ctx.c_pmask.(k) = bit then sel := !sel *. ctx.c_psel.(k)
+  done;
+  let rows = Float.max Estimate.row_floor (tbl.card *. !sel) in
   let width = ctx.c_rwidth.(i) in
   let tpages = Cost.pages params (tbl.card *. width) in
-  let path access cpu io =
-    let id =
-      match sh with
-      | Some sh when Hashtbl.length sh > 0 ->
-          lookup sh (Access (access_signature rel filters access))
-      | _ -> -1
-    in
-    let cost =
-      if id >= 0 then
-        { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
-      else io ()
-    in
-    (Physical.Scan { rel; access; filters }, cost, id)
+  let read probe =
+    match sh with
+    | Some sh when Hashtbl.length sh > 0 ->
+        lookup sh (Access (access_signature ctx i probe))
+    | _ -> -1
   in
-  let seq =
-    path Physical.Seq_scan tbl.card (fun () ->
-        {
-          Cost.seeks = 1.;
-          pages_read = tpages;
-          pages_written = 0.;
-          cpu = tbl.card;
-        })
+  let cached cpu =
+    { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu }
   in
-  let probes =
-    List.filter_map
-      (fun (p : Logical.pred) ->
-        match (p.cmp, p.rhs) with
-        | Logical.C_eq, (Logical.O_const _ | Logical.O_param _)
-          when Rschema.has_index tbl (snd p.lhs) ->
-            let matches =
-              Float.max 1. (tbl.card *. Estimate.pred_selectivity env p)
-            in
-            let clustered = String.equal (snd p.lhs) tbl.key in
-            Some
-              (path (Physical.Index_probe { column = snd p.lhs }) matches
-                 (fun () ->
-                   if clustered then
-                     {
-                       Cost.seeks = 3.;
-                       pages_read = Cost.pages params (matches *. width);
-                       pages_written = 0.;
-                       cpu = matches;
-                     }
-                   else
-                     {
-                       Cost.seeks = 3. +. Float.min matches tpages;
-                       pages_read = Float.min matches tpages;
-                       pages_written = 0.;
-                       cpu = matches;
-                     }))
-        | _ -> None)
-      filters
+  let id = read (-1) in
+  let best_cost =
+    ref
+      (if id >= 0 then cached tbl.card
+       else
+         {
+           Cost.seeks = 1.;
+           pages_read = tpages;
+           pages_written = 0.;
+           cpu = tbl.card;
+         })
   in
-  let plan, cost, id =
-    List.fold_left
-      (fun ((_, bc, _) as best) ((_, c, _) as cand) ->
-        if Cost.total params c < Cost.total params bc then cand else best)
-      seq probes
-  in
+  let best_id = ref id and best_probe = ref (-1) in
+  for k = 0 to np - 1 do
+    let p = ctx.c_preds.(k) in
+    match (p.cmp, p.rhs) with
+    | Logical.C_eq, (Logical.O_const _ | Logical.O_param _)
+      when ctx.c_pmask.(k) = bit && Rschema.has_index tbl (snd p.lhs) ->
+        let matches = Float.max 1. (tbl.card *. ctx.c_psel.(k)) in
+        let id = read k in
+        let c =
+          if id >= 0 then cached matches
+          else if String.equal (snd p.lhs) tbl.key then
+            {
+              Cost.seeks = 3.;
+              pages_read = Cost.pages params (matches *. width);
+              pages_written = 0.;
+              cpu = matches;
+            }
+          else
+            {
+              Cost.seeks = 3. +. Float.min matches tpages;
+              pages_read = Float.min matches tpages;
+              pages_written = 0.;
+              cpu = matches;
+            }
+        in
+        if Cost.total params c < Cost.total params !best_cost then begin
+          best_cost := c;
+          best_id := id;
+          best_probe := k
+        end
+    | _ -> ()
+  done;
   let e_width = 0. +. ctx.c_carry.(i) +. 8. in
-  ( plan,
-    {
-      e_rows = rows;
-      e_cost = cost;
-      e_mask = 1 lsl i;
-      e_width;
-      e_pages = Cost.pages params (rows *. e_width);
-      e_id = id;
-      e_meth = Nl;
-      e_right = i;
-      e_probe = -1;
-    } )
+  {
+    e_rows = rows;
+    e_cost = !best_cost;
+    e_mask = bit;
+    e_width;
+    e_pages = Cost.pages params (rows *. e_width);
+    e_id = !best_id;
+    e_meth = Nl;
+    e_right = i;
+    e_probe = !best_probe;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* join costing                                                        *)
@@ -451,7 +495,7 @@ let probe_on ctx i lmask =
    in string order), interned the first time it is needed *)
 let cond_id ctx sh j =
   if j.j_cond < 0 then begin
-    let at s = ctx.c_tables.(s.s_alias) ^ "." ^ snd s.s_col in
+    let at s = ctx.c_rels.(s.s_alias).table ^ "." ^ snd s.s_col in
     let text =
       if j.j_eq then
         let a = at j.j_lhs and b = at j.j_rhs in
@@ -558,58 +602,72 @@ let entry_of ctx sh b left right =
     e_probe = b.probe;
   }
 
-(* The plan of the chosen tree over [mask], built once per block, and
-   its signature id (-1 without a cache).  A single bit is a base
-   access; [at] gives the entry of a join's mask.  A join's conditions
-   are oriented left-first and, with its extras, listed in the reverse
-   block order of the reference's consing fold.  With a cache, every
-   sub-plan is registered bottom-up; one an earlier block read was
-   registered then, with all of its own. *)
-let rec build ctx sh scans base at mask =
+(* One walk of the chosen tree over [mask], bottom-up: with a cache,
+   every sub-plan's signature is registered (one an earlier block read
+   was registered then, with all of its own), and the tree's id is
+   returned (-1 without a cache); [scan] and [join] make each node,
+   given its children's.  A single bit is a base access; [at] gives the
+   entry of a join's mask. *)
+let rec walk ctx sh ~scan ~join base at mask =
   if mask land (mask - 1) = 0 then
     let i = top_bit mask in
     let e = base.(i) in
     let id =
-      match (sh, scans.(i)) with
-      | Some sh, Physical.Scan { rel; access; filters } when e.e_id < 0 ->
-          intern sh (Access (access_signature rel filters access))
+      match sh with
+      | Some sh when e.e_id < 0 ->
+          intern sh (Access (access_signature ctx i e.e_probe))
       | _ -> e.e_id
     in
-    (scans.(i), id)
+    (scan ctx e, id)
   else
     let e = at mask in
-    let i = e.e_right in
-    let rbit = 1 lsl i in
+    let rbit = 1 lsl e.e_right in
     let lmask = mask lxor rbit in
-    let left, lid = build ctx sh scans base at lmask in
-    let right, rid = build ctx sh scans base at rbit in
-    let conds = ref [] and extra = ref [] in
-    Array.iter
-      (fun j ->
-        if j.j_mask land rbit <> 0 && j.j_mask land lmask <> 0 then
-          if j.j_eq then
-            let l, r =
-              if j.j_lhs.s_alias = i then (j.j_rhs, j.j_lhs)
-              else (j.j_lhs, j.j_rhs)
-            in
-            conds := (l.s_col, r.s_col) :: !conds
-          else extra := j.j_pred :: !extra)
-      ctx.c_joins;
-    let jm =
-      match e.e_meth with
-      | Nl -> Physical.Nl_join
-      | Index_nl ->
-          Physical.Index_nl
-            { column = snd (side_on i ctx.c_joins.(e.e_probe)).s_col }
-      | Hash | Shared_hash -> Physical.Hash_join
-    in
+    let left, lid = walk ctx sh ~scan ~join base at lmask in
+    let right, rid = walk ctx sh ~scan ~join base at rbit in
     let id =
       match sh with
       | Some sh when e.e_id < 0 ->
           intern sh (join_part ctx sh lid rid lmask rbit)
       | _ -> e.e_id
     in
-    (Physical.Join { jm; left; right; conds = !conds; extra = !extra }, id)
+    (join ctx e lmask left right, id)
+
+(* The plan nodes [walk] makes for {!optimize_block}.  A join's
+   conditions are oriented left-first and, with its extras, listed in
+   the reverse block order of the reference's consing fold. *)
+let scan_node ctx e =
+  let i = e.e_right in
+  let access =
+    if e.e_probe < 0 then Physical.Seq_scan
+    else Physical.Index_probe { column = snd ctx.c_preds.(e.e_probe).lhs }
+  in
+  Physical.Scan { rel = ctx.c_rels.(i); access; filters = filters ctx i }
+
+let join_node ctx e lmask left right =
+  let i = e.e_right in
+  let rbit = 1 lsl i in
+  let conds = ref [] and extra = ref [] in
+  Array.iter
+    (fun j ->
+      if j.j_mask land rbit <> 0 && j.j_mask land lmask <> 0 then
+        if j.j_eq then
+          let l, r =
+            if j.j_lhs.s_alias = i then (j.j_rhs, j.j_lhs)
+            else (j.j_lhs, j.j_rhs)
+          in
+          conds := (l.s_col, r.s_col) :: !conds
+        else extra := j.j_pred :: !extra)
+    ctx.c_joins;
+  let jm =
+    match e.e_meth with
+    | Nl -> Physical.Nl_join
+    | Index_nl ->
+        Physical.Index_nl
+          { column = snd (side_on i ctx.c_joins.(e.e_probe)).s_col }
+    | Hash | Shared_hash -> Physical.Hash_join
+  in
+  Physical.Join { jm; left; right; conds = !conds; extra = !extra }
 
 (* ------------------------------------------------------------------ *)
 (* join ordering                                                       *)
@@ -672,14 +730,19 @@ let optimize_greedy sh ctx base =
      One chain of [offer]s over every (relation, method) keeps the first
      cheapest, as the reference's per-relation best-of followed by a
      strict comparison across relations does.
-     Cardinalities still go through the list-based
-     [Estimate.subset_rows]: the greedy accumulator's aliases are in
-     plan order, not block order, and the reference multiplies them in
-     that order.  Returns the entry of each mask the chain joined. *)
+     Cardinalities are [Estimate.subset_rows]'s, with the clamped cards
+     multiplied in plan order, not block order, as the reference
+     multiplies the greedy accumulator's aliases.  Returns the entry of
+     each mask the chain joined. *)
   let params = ctx.c_params in
-  let names =
-    Array.of_list
-      (List.map (fun (r : Logical.relation) -> r.alias) ctx.c_block.relations)
+  let subset_rows ids mask =
+    let cards = List.fold_left (fun acc i -> acc *. ctx.c_card.(i)) 1. ids in
+    let s = ref 1. in
+    for k = 0 to Array.length ctx.c_pmask - 1 do
+      let pm = ctx.c_pmask.(k) in
+      if pm land mask = pm then s := !s *. ctx.c_psel.(k)
+    done;
+    Float.max Estimate.row_floor (cards *. !s)
   in
   let by_cost =
     List.sort
@@ -688,7 +751,7 @@ let optimize_greedy sh ctx base =
       (Array.to_list base)
   in
   let b = new_best () in
-  let rec go chain acc_aliases remaining =
+  let rec go chain acc_ids remaining =
     match remaining with
     | [] -> chain
     | _ ->
@@ -697,8 +760,7 @@ let optimize_greedy sh ctx base =
           List.iter
             (fun r ->
               b.f.rows_out <-
-                Estimate.subset_rows ctx.c_env
-                  (acc_aliases @ [ names.(r.e_right) ]);
+                subset_rows (acc_ids @ [ r.e_right ]) (acc.e_mask lor r.e_mask);
               offer_split ctx sh b ~connected_only acc r.e_right r)
             remaining
         in
@@ -708,30 +770,35 @@ let optimize_greedy sh ctx base =
         let r = base.(b.right) in
         go
           (entry_of ctx sh b acc r :: chain)
-          (acc_aliases @ [ names.(b.right) ])
+          (acc_ids @ [ b.right ])
           (List.filter (fun x -> x != r) remaining)
   in
   let chain =
     match by_cost with
     | [] -> invalid_arg "optimize_greedy: empty block"
-    | first :: rest -> go [ first ] [ names.(first.e_right) ] rest
+    | first :: rest -> go [ first ] [ first.e_right ] rest
   in
   fun mask -> List.find (fun e -> e.e_mask = mask) chain
 
-let optimize_block ?(params = Cost.default_params) ?shared cat
-    (block : Logical.block) =
-  if block.relations = [] then invalid_arg "optimize_block: no relations";
+(* A block [context] could not resolve raises [Logical.block_wellformed]'s
+   errors, then [Estimate.env]'s unknown table, as the frozen reference
+   raises them. *)
+let ill_formed cat block =
   (match Logical.block_wellformed cat block with
   | Ok () -> ()
-  | Error es ->
-      invalid_arg ("optimize_block: " ^ String.concat "; " es));
-  let env = Estimate.env cat block in
-  let ctx = context params env block in
-  let aliases = List.map (fun (r : Logical.relation) -> r.alias) block.relations in
-  let scans, base =
-    Array.split
-      (Array.of_list (List.mapi (access_plan shared ctx) block.relations))
+  | Error es -> invalid_arg ("optimize_block: " ^ String.concat "; " es));
+  ignore (Estimate.env cat block : Estimate.env);
+  (* every failure of [context] is one of the two checks above *)
+  assert false
+
+(* The block's chosen tree: its context, base entries and the entry of
+   each joined mask, with its rows and cost, result output included. *)
+let choose params shared cat (block : Logical.block) =
+  if block.relations = [] then invalid_arg "optimize_block: no relations";
+  let ctx =
+    try context params cat block with Ill_formed -> ill_formed cat block
   in
+  let base = Array.init (Array.length ctx.c_rels) (access_entry shared ctx) in
   let n = Array.length base in
   let at =
     if n = 1 then fun _ -> base.(0)
@@ -739,18 +806,37 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
     else optimize_greedy shared ctx base
   in
   let joined = at ((1 lsl n) - 1) in
-  let plan, _ = build ctx shared scans base at joined.e_mask in
   (* result output: write the projected rows out *)
-  let out_width = Estimate.output_width env block.out aliases in
   let output_cost =
     {
       Cost.seeks = 0.;
       pages_read = 0.;
-      pages_written = Cost.pages params (joined.e_rows *. out_width);
+      pages_written = Cost.pages params (joined.e_rows *. ctx.c_owidth);
       cpu = joined.e_rows;
     }
   in
-  { plan; rows = joined.e_rows; cost = Cost.add joined.e_cost output_cost }
+  (ctx, base, at, joined, Cost.add joined.e_cost output_cost)
+
+let optimize_block ?(params = Cost.default_params) ?shared cat block =
+  let ctx, base, at, joined, cost = choose params shared cat block in
+  let plan, _ =
+    walk ctx shared ~scan:scan_node ~join:join_node base at joined.e_mask
+  in
+  { plan; rows = joined.e_rows; cost }
+
+(* The rows and cost of {!optimize_block}, with no plan built: with
+   [~register], the chosen tree's sub-plans are registered in [shared]
+   as {!optimize_block} registers them, for the blocks after it. *)
+let block_cost params shared ~register cat block =
+  let ctx, base, at, joined, cost = choose params (Some shared) cat block in
+  if register then
+    ignore
+      (walk ctx (Some shared)
+         ~scan:(fun _ _ -> ())
+         ~join:(fun _ _ _ () () -> ())
+         base at joined.e_mask
+        : unit * int);
+  (joined.e_rows, cost)
 
 let query_cost ?(params = Cost.default_params) cat (q : Logical.query) =
   (* the blocks of one query share base-table accesses (outer-union
@@ -762,7 +848,19 @@ let query_cost ?(params = Cost.default_params) cat (q : Logical.query) =
   in
   (results, total)
 
-let query_scalar_cost ?params cat q = snd (query_cost ?params cat q)
+(* [query_cost]'s total, its blocks costed in order; the last registers
+   nothing, as no block after it reads the cache *)
+let query_scalar_cost ?(params = Cost.default_params) cat (q : Logical.query) =
+  let shared = shared () in
+  let rec go total = function
+    | [] -> total
+    | block :: rest ->
+        let _, cost =
+          block_cost params shared ~register:(rest <> []) cat block
+        in
+        go (total +. Cost.total params cost) rest
+  in
+  go 0. q.blocks
 
 let workload_cost ?params cat workload =
   List.fold_left
@@ -775,37 +873,48 @@ let workload_cost ?params cat workload =
 
 let write_cost ?(params = Cost.default_params) cat (u : Logical.update) =
   let shared = shared () in
-  List.fold_left
-    (fun acc (w : Logical.write) ->
-      let tbl = Rschema.table cat w.Logical.w_table in
-      let rows, locate_cost =
-        match w.Logical.w_locate with
-        | Some block ->
-            let r = optimize_block ~params ~shared cat block in
-            (r.rows *. w.Logical.w_per_row, Cost.total params r.cost)
-        | None -> (w.Logical.w_per_row, 0.)
-      in
-      let width = Rschema.row_width tbl in
-      let indexes = float_of_int (List.length tbl.Rschema.indexed) in
-      let per_row =
-        match w.Logical.w_kind with
-        | Logical.W_insert | Logical.W_delete ->
-            (* the row's page plus maintenance of every index *)
-            {
-              Cost.seeks = 1. +. indexes;
-              pages_read = 0.;
-              pages_written = Float.max 1. (width /. params.Cost.page_size);
-              cpu = 1. +. indexes;
-            }
-        | Logical.W_update ->
-            (* rewrite the row in place; indexes on the changed column
-               only — approximated as one *)
-            {
-              Cost.seeks = 2.;
-              pages_read = 0.;
-              pages_written = 1.;
-              cpu = 2.;
-            }
-      in
-      acc +. locate_cost +. Cost.total params (Cost.scale rows per_row))
-    0. u.Logical.writes
+  let rec go acc = function
+    | [] -> acc
+    | (w : Logical.write) :: rest ->
+        let tbl = Rschema.table cat w.w_table in
+        let rows, locate_cost =
+          match w.w_locate with
+          | Some block ->
+              let rows, cost =
+                block_cost params shared
+                  ~register:
+                    (List.exists
+                       (fun (w : Logical.write) -> Option.is_some w.w_locate)
+                       rest)
+                  cat block
+              in
+              (rows *. w.w_per_row, Cost.total params cost)
+          | None -> (w.w_per_row, 0.)
+        in
+        let width = Rschema.row_width tbl in
+        let indexes = float_of_int (List.length tbl.Rschema.indexed) in
+        let per_row =
+          match w.w_kind with
+          | Logical.W_insert | Logical.W_delete ->
+              (* the row's page plus maintenance of every index *)
+              {
+                Cost.seeks = 1. +. indexes;
+                pages_read = 0.;
+                pages_written = Float.max 1. (width /. params.Cost.page_size);
+                cpu = 1. +. indexes;
+              }
+          | Logical.W_update ->
+              (* rewrite the row in place; indexes on the changed column
+                 only — approximated as one *)
+              {
+                Cost.seeks = 2.;
+                pages_read = 0.;
+                pages_written = 1.;
+                cpu = 2.;
+              }
+        in
+        go
+          (acc +. locate_cost +. Cost.total params (Cost.scale rows per_row))
+          rest
+  in
+  go 0. u.writes

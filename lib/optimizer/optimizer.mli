@@ -39,7 +39,11 @@ val shared : unit -> shared
 val optimize_block :
   ?params:Cost.params -> ?shared:shared -> Rschema.t -> Logical.block -> result
 (** @raise Invalid_argument on an ill-formed block (unknown tables or
-    columns, empty relation list).
+    columns, empty relation list): ["optimize_block: "] followed by
+    {!Logical.block_wellformed}'s errors joined by ["; "], or, for an
+    unknown table no column reference reaches, {!Estimate.env}'s
+    message.  The block is resolved against the catalog once, and
+    every estimate reads the resolved tables and columns.
 
     [?shared] is the common-subexpression cache used by {!query_cost}:
     a sub-plan whose signature is already in the cache is charged CPU
@@ -55,10 +59,13 @@ val query_cost :
 
 val query_scalar_cost :
   ?params:Cost.params -> Rschema.t -> Logical.query -> float
-(** The scalar of {!query_cost} without the plans — the per-query
-    costing entry point the incremental cost engine memoizes.  A
-    query's scalar cost is a pure function of the catalog entries of
-    the tables its blocks reference. *)
+(** The scalar of {!query_cost}, bit for bit, without the plans — the
+    per-query costing entry point the incremental cost engine
+    memoizes.  It builds no {!Physical.plan}: each block's chosen tree
+    is walked only to register its sub-plans in the query's shared
+    cache, as {!optimize_block} registers them, and the last block's
+    is not walked.  A query's scalar cost is a pure function of the
+    catalog entries of the tables its blocks reference. *)
 
 val workload_cost :
   ?params:Cost.params -> Rschema.t -> (Logical.query * float) list -> float
@@ -72,5 +79,6 @@ val write_cost :
     locating block (shared-access cache across the update's writes)
     plus, per affected row, one page write and the maintenance of every
     index on the table (a seek and a tuple of CPU each); updates in
-    place touch one index. *)
+    place touch one index.  Like {!query_scalar_cost}, it builds no
+    plan for a locating block. *)
 

@@ -49,20 +49,18 @@ let fresh_name s base =
   go base
 
 let reachable s =
-  let rec visit seen order name =
-    if SSet.mem name seen then (seen, order)
-    else
+  let seen = Hashtbl.create 64 and order = ref [] in
+  let rec visit name =
+    if not (Hashtbl.mem seen name) then
       match SMap.find_opt name s.index with
-      | None -> (seen, order)
+      | None -> ()
       | Some body ->
-          let seen = SSet.add name seen in
-          let order = name :: order in
-          List.fold_left
-            (fun (seen, order) n -> visit seen order n)
-            (seen, order) (Xtype.refs body)
+          Hashtbl.add seen name ();
+          order := name :: !order;
+          List.iter visit (Xtype.refs body)
   in
-  let _, order = visit SSet.empty [] s.root in
-  List.rev order
+  visit s.root;
+  List.rev !order
 
 let gc s =
   let live = SSet.of_list (reachable s) in

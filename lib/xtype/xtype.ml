@@ -134,10 +134,16 @@ let children = function
 
 let rec size t = 1 + List.fold_left (fun n c -> n + size c) 0 (children t)
 
-let rec refs t =
-  match t with
-  | Ref n -> [ n ]
-  | _ -> List.concat_map refs (children t)
+let refs t =
+  (* right to left onto an accumulator: no list per node *)
+  let rec go t acc =
+    match t with
+    | Ref n -> n :: acc
+    | Empty | Scalar _ -> acc
+    | Attr (_, u) | Elem { content = u; _ } | Rep (u, _) -> go u acc
+    | Seq ts | Choice ts -> List.fold_right go ts acc
+  in
+  go t []
 
 let rec elements t =
   match t with

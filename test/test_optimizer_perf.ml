@@ -412,6 +412,144 @@ let imdb_catalogs () =
         Imdb.Queries.all)
     configs
 
+(* ---------- the cost-only finish ---------- *)
+
+(* [query_scalar_cost] builds no plan: each block but the last
+   registers its chosen sub-plans for the blocks after it, as
+   [optimize_block] does, so the total must be [query_cost]'s *)
+let scalar_is_query_total (cat, blocks) =
+  let q = { Logical.qname = "q"; blocks } in
+  same_float "scalar cost"
+    (Optimizer.query_scalar_cost ~params cat q)
+    (snd (Optimizer.query_cost ~params cat q));
+  true
+
+let prop_scalar_shared =
+  QCheck2.Test.make ~name:"query_scalar_cost is query_cost's total"
+    ~count:150 ~print:print_shared_case gen_shared_case scalar_is_query_total
+
+let prop_scalar_text_shared =
+  QCheck2.Test.make
+    ~name:"query_scalar_cost is query_cost's total, string constants"
+    ~count:150 ~print:print_shared_case gen_text_shared_case
+    scalar_is_query_total
+
+let imdb_scalar_costs () =
+  let schema = Annotate.schema Imdb.Stats.full Imdb.Schema.schema in
+  let configs =
+    List.concat_map
+      (fun start -> start :: List.map snd (Space.neighbors start))
+      [ Init.all_inlined schema; Init.normalize schema ]
+  in
+  Alcotest.(check int) "configurations" 48 (List.length configs);
+  List.iteri
+    (fun ci config ->
+      match Mapping.of_pschema config with
+      | Error es -> Alcotest.failf "config %d: %s" ci (String.concat "; " es)
+      | Ok m ->
+          List.iteri
+            (fun qi xq ->
+              let cat = m.Mapping.catalog and q = Xq_translate.translate m xq in
+              same_float
+                (Printf.sprintf "config %d Q%d" ci (qi + 1))
+                (Optimizer.query_scalar_cost ~params cat q)
+                (snd (Optimizer.query_cost ~params cat q)))
+            Imdb.Queries.all)
+    configs
+
+(* An ill-formed block raises [Logical.block_wellformed]'s errors in
+   order, then [Estimate.env]'s unknown table, as the frozen reference
+   raises them, through every entry point. *)
+let ill_formed_messages () =
+  let column cname =
+    {
+      Rschema.cname;
+      ctype = Rtype.R_int;
+      nullable = false;
+      stats =
+        {
+          Rschema.distinct = 10.;
+          null_frac = 0.;
+          v_min = None;
+          v_max = None;
+          avg_width = 4.;
+        };
+    }
+  in
+  let table tname =
+    {
+      Rschema.tname;
+      key = "id";
+      columns = [ column "id"; column "a" ];
+      fks = [];
+      indexed = [ "id" ];
+      card = 10.;
+    }
+  in
+  let cat = { Rschema.tables = [ table "t0"; table "t1" ] } in
+  let rel alias table = { Logical.alias; table } in
+  let block ?(preds = []) ?(out = []) relations =
+    { Logical.relations; preds; out }
+  in
+  let message f =
+    match f () with _ -> None | exception Invalid_argument m -> Some m
+  in
+  let raises what expected b =
+    let check entry f =
+      Alcotest.(check (option string)) (what ^ ", " ^ entry) (Some expected)
+        (message f)
+    in
+    check "reference" (fun () ->
+        Optimizer_reference.optimize_block ~params cat b);
+    check "optimize_block" (fun () -> Optimizer.optimize_block ~params cat b);
+    check "query_cost" (fun () ->
+        Optimizer.query_cost ~params cat
+          { Logical.qname = "q"; blocks = [ b ] });
+    check "query_scalar_cost" (fun () ->
+        Optimizer.query_scalar_cost ~params cat
+          { Logical.qname = "q"; blocks = [ b ] });
+    check "write_cost" (fun () ->
+        Optimizer.write_cost ~params cat
+          {
+            Logical.uname = "u";
+            writes =
+              [
+                {
+                  Logical.w_table = "t0";
+                  w_kind = Logical.W_delete;
+                  w_locate = Some b;
+                  w_per_row = 1.;
+                };
+              ];
+          })
+  in
+  raises "no relations" "optimize_block: no relations" (block []);
+  raises "unknown alias" "optimize_block: unknown alias x"
+    (block ~out:[ ("x", "a") ] [ rel "r0" "t0" ]);
+  raises "unknown table, referenced" "optimize_block: unknown table nope"
+    (block ~out:[ ("r1", "a") ] [ rel "r0" "t0"; rel "r1" "nope" ]);
+  raises "unknown table, unreferenced" "Estimate.env: unknown table nope"
+    (block
+       ~out:[ ("r0", "a") ]
+       [ rel "r0" "t0"; rel "r1" "nope"; rel "r2" "gone" ]);
+  raises "unknown column" "optimize_block: no column t1.zz"
+    (block
+       ~preds:[ Logical.eq_col ("r0", "a") ("r1", "zz") ]
+       [ rel "r0" "t0"; rel "r1" "t1" ]);
+  raises "duplicate aliases" "optimize_block: duplicate aliases"
+    (block ~out:[ ("r0", "a") ] [ rel "r0" "t0"; rel "r0" "t1" ]);
+  raises "every error, in order"
+    "optimize_block: duplicate aliases; unknown alias x; no column t0.zz; \
+     unknown table nope"
+    (block
+       ~preds:
+         [
+           Logical.eq_const ("x", "a") (Rtype.V_int 1);
+           Logical.eq_col ("r0", "zz") ("r0", "a");
+         ]
+       ~out:[ ("r2", "a") ]
+       [ rel "r0" "t0"; rel "r0" "t1"; rel "r2" "nope" ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_block_identical;
@@ -423,4 +561,10 @@ let suite =
     Alcotest.test_case "greedy fallback beyond dp_limit" `Quick greedy_fallback;
     Alcotest.test_case "IMDB configurations and neighbours match reference"
       `Quick imdb_catalogs;
+    QCheck_alcotest.to_alcotest prop_scalar_shared;
+    QCheck_alcotest.to_alcotest prop_scalar_text_shared;
+    Alcotest.test_case "query_scalar_cost is query_cost's total on IMDB"
+      `Quick imdb_scalar_costs;
+    Alcotest.test_case "ill-formed blocks raise the same texts" `Quick
+      ill_formed_messages;
   ]
