@@ -128,8 +128,8 @@ let fig10 () =
   header "Figure 10 -- cost at each greedy iteration";
   let schema = annotated Imdb.Stats.full in
   let run name workload =
-    let si = Search.greedy_si ~params ~workload schema in
-    let so = Search.greedy_so ~params ~workload schema in
+    let si = Search.greedy_si ~workload schema in
+    let so = Search.greedy_so ~workload schema in
     Printf.printf "\n[%s workload]\n%-5s %-16s %-16s\n" name "iter" "greedy-si" "greedy-so";
     let costs trace = List.map (fun (e : Search.trace_entry) -> e.cost) trace in
     let csi = costs si.Search.trace and cso = costs so.Search.trace in
@@ -156,7 +156,7 @@ let fig11 ?(grid = 11) () =
   header "Figure 11 -- sensitivity to workload variations";
   let schema = annotated Imdb.Stats.full in
   let design k =
-    (Search.greedy_si ~params ~threshold:0.01
+    (Search.greedy_si ~threshold:0.01
        ~workload:(Imdb.Workloads.mixed k) schema)
       .Search.schema
   in
@@ -171,7 +171,7 @@ let fig11 ?(grid = 11) () =
       let w = Imdb.Workloads.mixed k in
       let cost s = workload_cost s w in
       let opt =
-        (Search.greedy_si ~params ~threshold:0.01 ~workload:w schema).Search.cost
+        (Search.greedy_si ~threshold:0.01 ~workload:w schema).Search.cost
       in
       Printf.printf "%-6.2f %-12.1f %-12.1f %-12.1f %-14.1f %-12.1f\n%!" k
         (cost c25) (cost c50) (cost c75) (cost inlined) opt)
@@ -353,10 +353,10 @@ let ablation () =
         Printf.sprintf "%.1f (%d)" r.Search.cost
           (List.nth r.Search.trace (List.length r.Search.trace - 1)).Search.tables
       in
-      let si = Search.greedy_si ~params ~workload:w schema in
-      let so = Search.greedy_so ~params ~workload:w schema in
+      let si = Search.greedy_si ~workload:w schema in
+      let so = Search.greedy_so ~workload:w schema in
       let b =
-        Search.beam ~params ~width:4 ~kinds:[ Legodb.Space.K_outline ]
+        Search.beam ~width:4 ~kinds:[ Legodb.Space.K_outline ]
           ~workload:w (Init.all_inlined schema)
       in
       Printf.printf "%-12s %-20s %-20s %-20s\n%!" name (final si) (final so) (final b))
@@ -437,9 +437,10 @@ let ablation () =
   List.iter
     (fun weight ->
       let r =
-        Search.greedy_si ~params ~workload:w
-          ~updates:(if weight = 0. then [] else [ (ins, weight) ])
-          schema
+        let updates = if weight = 0. then [] else [ (ins, weight) ] in
+        Search.greedy_si
+          ~engine:(Cost_engine.create ~updates ~workload:w ())
+          ~workload:w schema
       in
       let tables =
         (List.nth r.Search.trace (List.length r.Search.trace - 1)).Search.tables
@@ -734,14 +735,14 @@ let search_perf ?(jobs = 1) ?(smoke = false) () =
   let workload = Imdb.Workloads.mixed 0.5 in
   let strategies =
     ( "greedy_si",
-      fun j -> Search.greedy_si ~params ~jobs:j ~workload schema )
+      fun j -> Search.greedy_si ~jobs:j ~workload schema )
     ::
     (if smoke then []
      else
        [
          ( "beam",
            fun j ->
-             Search.beam ~params ~jobs:j ~workload (Init.all_inlined schema) );
+             Search.beam ~jobs:j ~workload (Init.all_inlined schema) );
        ])
   in
   (* the full sweep times one run per -j value *)
@@ -1045,7 +1046,7 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
   let schema = annotated Imdb.Stats.full in
   let workload = Imdb.Workloads.mixed 0.5 in
   let tickets = Budget.create () in
-  let full = Search.greedy_si ~params ~budget:tickets ~workload schema in
+  let full = Search.greedy_si ~budget:tickets ~workload schema in
   (match full.Search.stopped with
   | `Converged -> ()
   | s ->
@@ -1060,7 +1061,7 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
   let emit row = rows := row :: !rows in
   let check ~label ~budget_of ~expect j =
     let r =
-      Search.greedy_si ~params ~jobs:j ~budget:(budget_of ()) ~workload schema
+      Search.greedy_si ~jobs:j ~budget:(budget_of ()) ~workload schema
     in
     let n = List.length r.Search.trace in
     if not (same_trace r.Search.trace (prefix n full.Search.trace)) then
@@ -1122,7 +1123,7 @@ let budget_sweep ?(jobs = 1) ?(smoke = false) () =
   let init_s = Xschema.to_string (Init.all_inlined schema) in
   let inject s = (not (String.equal s init_s)) && Hashtbl.hash s mod 5 = 0 in
   let eng = Cost_engine.create ~params ~workload ~inject () in
-  let faulty = Search.greedy_si ~params ~engine:eng ~workload schema in
+  let faulty = Search.greedy_si ~engine:eng ~workload schema in
   Printf.printf
     "\nwith injected faults (1 in 5): cost %.1f (%s), %d candidates skipped\n%!"
     faulty.Search.cost
@@ -1158,7 +1159,7 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
   header "Durable checkpoints: kill-and-resume matches the uninterrupted run";
   let schema = annotated Imdb.Stats.full in
   let workload = Imdb.Workloads.mixed 0.5 in
-  let full = Search.greedy_si ~params ~workload schema in
+  let full = Search.greedy_si ~workload schema in
   let total_iters = List.length full.Search.trace - 1 in
   Printf.printf "uninterrupted: cost %.1f, %d iterations, %d configs costed\n%!"
     full.Search.cost total_iters full.Search.engine.Cost_engine.evaluations;
@@ -1166,11 +1167,11 @@ let checkpoint_resume ?(jobs = 1) ?(smoke = false) () =
   let check ~label ~budget_of j =
     let path = Filename.temp_file "legodb_bench" ".ckpt" in
     let stopped =
-      Search.greedy_si ~params ~jobs:j ~budget:(budget_of ())
+      Search.greedy_si ~jobs:j ~budget:(budget_of ())
         ~checkpoint:(path, 1) ~workload schema
     in
     let bytes = (Unix.stat path).Unix.st_size in
-    let resumed = Search.resume ~params ~jobs:j ~workload path in
+    let resumed = Search.resume ~jobs:j ~workload path in
     Sys.remove path;
     let fail fmt =
       Printf.ksprintf

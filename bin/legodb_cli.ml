@@ -271,23 +271,26 @@ let design_cmd =
               | Some p, _ | None, Some p -> Some (p, ckpt_every)
               | None, None -> None
             in
+            let engine =
+              Cost_engine.create ~workload_indexes:indexes ~workload:w ()
+            in
             let search =
               match resume_path with
               | Some path ->
                   Ok
                     (fun _initial ->
-                      Search.resume ~workload_indexes:indexes ~jobs ~budget
-                        ?checkpoint ~workload:w path)
+                      Search.resume ~jobs ~engine ~budget ?checkpoint
+                        ~workload:w path)
               | None -> (
                   match strategy with
                   | "si" ->
                       Ok
-                        (Search.greedy_si ~workload_indexes:indexes ~threshold
-                           ~jobs ~budget ?checkpoint ~workload:w)
+                        (Search.greedy_si ~threshold ~jobs ~engine ~budget
+                           ?checkpoint ~workload:w)
                   | "so" ->
                       Ok
-                        (Search.greedy_so ~workload_indexes:indexes ~threshold
-                           ~jobs ~budget ?checkpoint ~workload:w)
+                        (Search.greedy_so ~threshold ~jobs ~engine ~budget
+                           ?checkpoint ~workload:w)
                   | s -> Error (Printf.sprintf "unknown strategy %S" s))
             in
             match search with
@@ -302,19 +305,10 @@ let design_cmd =
                     ~finally:(fun () -> Sys.set_signal Sys.sigint previous)
                     (fun () -> search annotated)
                 in
-                match Mapping.of_pschema r.Search.schema with
+                match Legodb.of_result r with
                 | Error es -> fail "%s" (String.concat "; " es)
-                | Ok mapping ->
-                    Format.printf "%a@." Legodb.report
-                      {
-                        Legodb.schema = r.Search.schema;
-                        mapping;
-                        cost = r.Search.cost;
-                        trace = r.Search.trace;
-                        engine = r.Search.engine;
-                        stopped = r.Search.stopped;
-                        failures = r.Search.failures;
-                      };
+                | Ok d ->
+                    Format.printf "%a@." Legodb.report d;
                     if r.Search.stopped = `Interrupted then begin
                       prerr_endline "legodb: interrupted; best design so far shown above";
                       exit 130

@@ -25,7 +25,8 @@ let () =
   List.iter
     (fun weight ->
       let updates = if weight = 0. then [] else [ (insert, weight) ] in
-      let r = Search.greedy_si ~workload:reads ~updates schema in
+      let engine = Cost_engine.create ~updates ~workload:reads () in
+      let r = Search.greedy_si ~engine ~workload:reads schema in
       let final = List.nth r.Search.trace (List.length r.Search.trace - 1) in
       let outlined =
         List.filter_map

@@ -67,27 +67,30 @@ type design = {
 
 type strategy = Greedy_si | Greedy_so
 
-let design ?(strategy = Greedy_si) ?params ?threshold ?jobs ?budget ~schema
-    ~stats ~workload () =
-  let annotated = Annotate.schema stats schema in
-  let result =
-    match strategy with
-    | Greedy_si ->
-        Search.greedy_si ?params ?threshold ?jobs ?budget ~workload annotated
-    | Greedy_so ->
-        Search.greedy_so ?params ?threshold ?jobs ?budget ~workload annotated
-  in
-  match Mapping.of_pschema result.Search.schema with
-  | Ok mapping ->
+let of_result (r : Search.result) =
+  Result.map
+    (fun mapping ->
       {
-        schema = result.Search.schema;
+        schema = r.schema;
         mapping;
-        cost = result.Search.cost;
-        trace = result.Search.trace;
-        engine = result.Search.engine;
-        stopped = result.Search.stopped;
-        failures = result.Search.failures;
-      }
+        cost = r.cost;
+        trace = r.trace;
+        engine = r.engine;
+        stopped = r.stopped;
+        failures = r.failures;
+      })
+    (Mapping.of_pschema r.schema)
+
+let design ?(strategy = Greedy_si) ?threshold ?jobs ?budget ~schema ~stats
+    ~workload () =
+  let annotated = Annotate.schema stats schema in
+  let search =
+    match strategy with
+    | Greedy_si -> Search.greedy_si
+    | Greedy_so -> Search.greedy_so
+  in
+  match of_result (search ?threshold ?jobs ?budget ~workload annotated) with
+  | Ok d -> d
   | Error es ->
       invalid_arg
         ("Legodb.design: selected schema failed to map: "

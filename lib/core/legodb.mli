@@ -94,7 +94,6 @@ type strategy =
 
 val design :
   ?strategy:strategy ->
-  ?params:Cost.params ->
   ?threshold:float ->
   ?jobs:int ->
   ?budget:Budget.t ->
@@ -109,9 +108,17 @@ val design :
     ([0] = one per core; see {!Search.greedy}) — the selected design is
     bit-identical for every value.  [?budget] makes the search anytime:
     when it trips, the best design found so far is returned and
-    [design.stopped] names the reason (see {!Budget}).
+    [design.stopped] names the reason (see {!Budget}).  The search
+    prices as the paper does ({!Search.greedy}'s default engine); a
+    caller pricing otherwise runs the search on its own engine and
+    passes the result to {!of_result}.
     @raise Search.Cost_error if no configuration can be costed.
     @raise Invalid_argument on internal mapping failure. *)
+
+val of_result : Search.result -> (design, string list) result
+(** The design a search selected: the result with its schema's
+    relational configuration, or the mapping errors if that schema
+    does not map (which no search's result should do). *)
 
 val report : Format.formatter -> design -> unit
 (** Human-readable summary: cost, greedy trace, selected p-schema, and

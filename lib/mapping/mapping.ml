@@ -90,8 +90,9 @@ let is_transparent schema ty =
 module SSet = Set.Make (String)
 
 (* The nearest data-bearing ancestors of [ty], climbing through
-   transparent referrers, as a sorted set; [referrers] is
-   [Xschema.referrers schema] and [transparent] {!is_transparent}. *)
+   transparent referrers, as a sorted set; [referrers] indexes the
+   schema's reachable definitions and [transparent] is
+   {!is_transparent}. *)
 let real_parents ~transparent referrers ty =
   let rec up seen d acc =
     if SSet.mem d seen then acc
@@ -566,7 +567,9 @@ let build ~order_columns ?parent schema =
       let transparent, concrete =
         List.partition (is_transparent schema) reachable
       in
-      let referrers = Xschema.referrers schema in
+      (* an unreachable definition is no table's parent, so only the
+         reachable ones are indexed *)
+      let referrers = Xschema.referrers (Xschema.gc schema) in
       let fresh = table_of_type ~order_columns schema referrers in
       let items, delta =
         match parent with

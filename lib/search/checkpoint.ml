@@ -417,6 +417,12 @@ let r_point cur =
       let b_barren = r_int cur in
       let b_width = r_int cur in
       let b_patience = r_int cur in
+      (* the bounds {!Search.beam} enforces: below them the beam would
+         keep nothing or stop before its first level *)
+      if b_width < 1 then
+        corrupt "malformed payload: beam width %d is below 1" b_width;
+      if b_patience < 1 then
+        corrupt "malformed payload: beam patience %d is below 1" b_patience;
       Beam
         {
           b_frontier;

@@ -67,6 +67,7 @@ end)
 type shared = {
   params : Cost.params option;
   workload_indexes : bool;
+  workload : Legodb_xquery.Workload.t;
   queries : (Legodb_xquery.Xq_ast.t * float) array;
   updates : (Legodb_xquery.Xq_ast.update * float) array;
   memoize : bool;
@@ -93,6 +94,7 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
     {
       params;
       workload_indexes;
+      workload;
       queries = Array.of_list workload;
       updates = Array.of_list updates;
       memoize;
@@ -105,6 +107,7 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
   in
   { env; delta = env.cache; snap = empty_snapshot }
 
+let workload v = v.env.workload
 let owns v = v.delta == v.env.cache
 
 (* the view's delta, then (for a shard) the shared table *)

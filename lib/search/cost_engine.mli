@@ -58,6 +58,12 @@ type snapshot = {
   t_translate : float;  (** seconds translating the workload *)
   t_optimize : float;  (** seconds in the relational optimizer *)
 }
+(** The three timers are wall clock around their phase, so each also
+    holds the minor collections its phase's allocation triggers,
+    whichever phase allocated the words collected.  Cutting the
+    allocation of one phase can therefore move time from another
+    phase's timer: a claim on one timer measures where collection
+    work lands as well as the phase's own work. *)
 
 val empty_snapshot : snapshot
 
@@ -94,6 +100,10 @@ val create :
     for every [~jobs] value and on every revisit — a search with
     injected faults must select exactly what a search with those
     candidates filtered out would. *)
+
+val workload : t -> Legodb_xquery.Workload.t
+(** The workload the engine was created for (a worker shard's is its
+    engine's). *)
 
 (** Every costing entry point takes an optional [?check] hook, called
     once at entry before any work ({!price}: before any work

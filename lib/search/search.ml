@@ -200,31 +200,68 @@ let table_count schema =
        (fun ty -> not (Mapping.is_transparent schema ty))
        (Xschema.reachable schema))
 
-(* What a search runs with: [jobs] resolved ([~jobs:0] is one per
-   core), the budget, the engine, and the engine's counters before the
-   search, which its result and trace report the difference from, so
-   searches sharing an engine compose. *)
+(* The cap on completed iterations of a fresh search, which its
+   snapshots record: a backstop against a search that never
+   converges, far beyond what an IMDB design takes (a greedy lookup
+   design converges in 13).  A caller caps a search through its budget
+   ({!Budget.create}'s [~max_iterations]); a resumed search keeps its
+   snapshot's cap. *)
+let default_max_iterations = 200
+
+(* What a search runs with: its identity (strategy, kinds, iteration
+   cap and checkpoint target, which every snapshot records), [jobs]
+   resolved ([~jobs:0] is one per core), the budget, the engine, and
+   the engine's counters before the search, which its result and trace
+   report the difference from, so searches sharing an engine compose. *)
 type run = {
+  strategy : string;
+  kinds : Space.kind list;
+  max_iterations : int;
+  checkpoint : (string * int) option;
   jobs : int;
   ctl : Budget.t;
   eng : Cost_engine.t;
   start : Cost_engine.snapshot;
 }
 
-(* The worker pool is pre-spawned here, outside the costing loop; it is
-   global and persistent, so iterations and later searches reuse it. *)
-let setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload
-    () =
-  let jobs = if jobs <= 0 then Par.default_jobs () else jobs in
-  Par.ensure_workers ~jobs;
+(* A given engine must price [workload]: a search never reads
+   [workload] beside it.  The worker pool is pre-spawned here, outside
+   the costing loop; it is global and persistent, so iterations and
+   later searches reuse it. *)
+let setup ~strategy ~kinds ~max_iterations ?checkpoint ?engine ?budget ~jobs
+    ~workload () =
   let eng =
     match engine with
-    | Some e -> e
-    | None ->
-        Cost_engine.create ?params ?workload_indexes ?updates ~workload ()
+    | None -> Cost_engine.create ~workload ()
+    | Some e when Cost_engine.workload e = workload -> e
+    | Some _ ->
+        invalid_arg ("Search." ^ strategy ^ ": ~workload is not the engine's")
   in
+  let jobs = if jobs <= 0 then Par.default_jobs () else jobs in
+  Par.ensure_workers ~jobs;
   let ctl = match budget with Some b -> b | None -> Budget.unlimited () in
-  { jobs; ctl; eng; start = Cost_engine.snapshot eng }
+  {
+    strategy;
+    kinds;
+    max_iterations;
+    checkpoint;
+    jobs;
+    ctl;
+    eng;
+    start = Cost_engine.snapshot eng;
+  }
+
+(* The trace entry of iteration [iteration], which reached [schema] at
+   [cost] by [step]; its engine work is the engine's since [before]. *)
+let entry run ~before ~iteration ?step ?(failures = []) schema cost =
+  {
+    iteration;
+    cost;
+    step;
+    tables = table_count schema;
+    engine = Cost_engine.diff (Cost_engine.snapshot run.eng) before;
+    failures;
+  }
 
 (* The initial configuration, prepared and priced on the engine itself:
    it is exempt from the budget (no ticket, no cancellation), so an
@@ -236,16 +273,7 @@ let initial run schema =
   | Error _ -> raise (Cost_error "initial configuration cannot be costed")
   | Ok priced0 ->
       let cost = Cost_engine.priced_cost priced0 in
-      ( p0,
-        priced0,
-        {
-          iteration = 0;
-          cost;
-          step = None;
-          tables = table_count schema;
-          engine = Cost_engine.diff (Cost_engine.snapshot run.eng) run.start;
-          failures = [];
-        } )
+      (p0, priced0, entry run ~before:run.start ~iteration:0 schema cost)
 
 (* a search's result; [trace] newest-first, [failures] reversed chunks *)
 let finish run ~schema ~cost ~trace ~failures stopped =
@@ -259,41 +287,59 @@ let finish run ~schema ~cost ~trace ~failures stopped =
   }
 
 (* ------------------------------------------------------------------ *)
-(* checkpointing                                                       *)
+(* the iteration barrier                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Both strategies snapshot only {e barrier} state: the position after
-   the last completed iteration, with the ticket count read at that
-   barrier (in-flight iterations draw tickets nondeterministically and
-   record nothing else, so excluding them is what makes resume
-   bit-identical).  [trace] arrives newest-first and [failures] as
-   reversed per-iteration chunks — the loops' internal accumulators —
-   and is flattened here into the wire order. *)
-let save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~iteration
-    ~evaluations ~trace ~failures point =
-  match checkpoint with
-  | None -> ()
-  | Some (path, _) ->
-      Checkpoint.save ~path
-        {
-          Checkpoint.strategy;
-          kinds;
-          max_iterations;
-          iteration;
-          evaluations;
-          trace = List.rev trace;
-          failures = List.concat (List.rev failures);
-          point;
-        }
+(* Both loops pass this barrier before each iteration (beam level),
+   with [iteration] iterations complete.  No costing is in flight, so
+   the budget's ticket count is the deterministic value for the
+   completed iterations, and [trace] (newest-first), [failures]
+   (reversed per-iteration chunks) and the continuation [point ()] are
+   the state a snapshot holds: in-flight iterations draw tickets
+   nondeterministically and record nothing else, so excluding them is
+   what makes resume bit-identical.
 
-(* periodic snapshots fire at the barrier entering iteration
-   [iteration + 1], every [every] completed iterations *)
-let due ~checkpoint ~iteration =
-  match checkpoint with
+   The barrier writes a periodic snapshot every [every] completed
+   iterations, then stops the search when the budget or the iteration
+   cap says so, and otherwise runs [iterate]: [Ok] the next barrier's
+   state, or [Error] the loop's own stop.  An iteration the budget
+   exhausts is abandoned wholesale, so the result is the best-so-far
+   over completed iterations, a prefix of the unbudgeted trace.  Every
+   stop snapshots this barrier's state, which a resumed search
+   continues from by running the stopping iteration again: an
+   abandoned one from scratch, a converged one to the same
+   convergence and the same failure records. *)
+let barrier run ~iteration ~trace ~failures ~point iterate =
+  let evaluations = Budget.evaluations run.ctl in
+  let snap () =
+    match run.checkpoint with
+    | None -> ()
+    | Some (path, _) ->
+        Checkpoint.save ~path
+          {
+            Checkpoint.strategy = run.strategy;
+            kinds = run.kinds;
+            max_iterations = run.max_iterations;
+            iteration;
+            evaluations;
+            trace = List.rev trace;
+            failures = List.concat (List.rev failures);
+            point = point ();
+          }
+  in
+  (match run.checkpoint with
   | Some (_, every) when every > 0 && iteration > 0 && iteration mod every = 0
     ->
-      true
-  | _ -> false
+      snap ()
+  | _ -> ());
+  let outcome =
+    match Budget.stop_at_iteration run.ctl iteration with
+    | Some r -> Error (r :> stopped)
+    | None when iteration >= run.max_iterations -> Error `Iterations
+    | None -> ( try iterate () with Budget.Exhausted r -> Error (r :> stopped))
+  in
+  if Result.is_error outcome then snap ();
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* greedy descent (Algorithm 4.1)                                      *)
@@ -306,135 +352,94 @@ let due ~checkpoint ~iteration =
    is the current configuration's priced state, which its neighbours
    are prepared from; a resumed search starts without it (neighbours
    are then derived afresh, to the same costs). *)
-let greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
-    ~iteration0 ~schema0 ~cost0 ~priced0 ~trace0 ~failures0 =
+let greedy_core run ~threshold ~iteration0 ~schema0 ~cost0 ~priced0 ~trace0
+    ~failures0 =
   let check () = Budget.tick run.ctl in
-  let rec descend iteration schema cost priced trace failures =
-    (* barrier: no costing in flight, so the ticket counter is the
-       deterministic per-completed-iteration value *)
-    let bar_evals = Budget.evaluations run.ctl in
-    let snap () =
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations ~iteration
-        ~evaluations:bar_evals ~trace ~failures
-        (Checkpoint.Greedy
-           { g_schema = schema; g_cost = cost; g_threshold = threshold })
+  let trace = ref trace0 and failures = ref failures0 in
+  let rec descend iteration schema cost priced =
+    let point () =
+      Checkpoint.Greedy
+        { g_schema = schema; g_cost = cost; g_threshold = threshold }
     in
-    if due ~checkpoint ~iteration then snap ();
-    match Budget.stop_at_iteration run.ctl iteration with
-    | Some r ->
-        snap ();
-        (schema, cost, trace, failures, (r :> stopped))
-    | None -> (
-        if iteration >= max_iterations then begin
-          snap ();
-          (schema, cost, trace, failures, `Iterations)
-        end
-        else
+    match
+      barrier run ~iteration ~trace:!trace ~failures:!failures ~point
+        (fun () ->
           let before = Cost_engine.snapshot run.eng in
           (* price every neighbour, prepared from the current
              configuration's state; [check] (Budget.tick) runs before
              each one *)
-          match
+          let costed =
             fan_out run.eng ~jobs:run.jobs
               (fun sh c ->
                 (c, Cost_engine.price_schema ~check ?parent:priced sh (snd c)))
-              (Space.neighbors ~kinds schema)
-          with
-          | exception Budget.Exhausted r ->
-              (* the iteration is abandoned wholesale: the result is
-                 the best-so-far over *completed* iterations, i.e. a
-                 prefix of the unbudgeted trace — and the snapshot is
-                 that same barrier state, so resume re-runs the
-                 abandoned iteration from scratch *)
-              snap ();
-              (schema, cost, trace, failures, (r :> stopped))
-          | costed -> (
-              let iter_failures =
-                failures_of ~iteration:(iteration + 1) ~step_of:fst costed
-              in
-              let failures' =
-                match iter_failures with [] -> failures | l -> l :: failures
-              in
-              (* candidates are reduced sequentially in Space.neighbors
-                 order with the first-wins tie-break, whatever [jobs]
-                 costed them *)
-              let best =
-                List.fold_left
-                  (fun best ((step, schema'), costed) ->
-                    match costed with
-                    | Error _ -> best
-                    | Ok priced' -> (
-                        let cost' = Cost_engine.priced_cost priced' in
-                        match best with
-                        | Some (_, _, bc, _) when bc <= cost' -> best
-                        | _ -> Some (step, schema', cost', priced')))
-                  None costed
-              in
-              match best with
-              | Some (step, schema', cost', priced')
-                when cost' < cost *. (1. -. threshold) ->
-                  let entry =
-                    {
-                      iteration = iteration + 1;
-                      cost = cost';
-                      step = Some step;
-                      tables = table_count schema';
-                      engine =
-                        Cost_engine.diff (Cost_engine.snapshot run.eng) before;
-                      failures = iter_failures;
-                    }
-                  in
-                  descend (iteration + 1) schema' cost' (Some priced')
-                    (entry :: trace) failures'
-              | Some _ | None ->
-                  (* converged; the snapshot is still the barrier state
-                     (without this iteration's failures) — resuming it
-                     re-runs the final iteration and re-converges with
-                     the identical failure records *)
-                  snap ();
-                  (schema, cost, trace, failures', `Converged)))
+              (Space.neighbors ~kinds:run.kinds schema)
+          in
+          let iter_failures =
+            failures_of ~iteration:(iteration + 1) ~step_of:fst costed
+          in
+          if iter_failures <> [] then failures := iter_failures :: !failures;
+          (* candidates are reduced sequentially in Space.neighbors
+             order with the first-wins tie-break, whatever [jobs]
+             costed them *)
+          let best =
+            List.fold_left
+              (fun best ((step, schema'), costed) ->
+                match costed with
+                | Error _ -> best
+                | Ok priced' -> (
+                    let cost' = Cost_engine.priced_cost priced' in
+                    match best with
+                    | Some (_, _, bc, _) when bc <= cost' -> best
+                    | _ -> Some (step, schema', cost', priced')))
+              None costed
+          in
+          match best with
+          | Some (step, schema', cost', priced')
+            when cost' < cost *. (1. -. threshold) ->
+              trace :=
+                entry run ~before ~iteration:(iteration + 1) ~step
+                  ~failures:iter_failures schema' cost'
+                :: !trace;
+              Ok (schema', cost', priced')
+          | Some _ | None -> Error `Converged)
+    with
+    | Ok (schema', cost', priced') ->
+        descend (iteration + 1) schema' cost' (Some priced')
+    | Error stopped -> (schema, cost, stopped)
   in
-  let schema, cost, trace, failures, stopped =
-    descend iteration0 schema0 cost0 priced0 trace0 failures0
-  in
-  finish run ~schema ~cost ~trace ~failures stopped
+  let schema, cost, stopped = descend iteration0 schema0 cost0 priced0 in
+  finish run ~schema ~cost ~trace:!trace ~failures:!failures stopped
 
 (* a threshold outside [0, 1) would accept a neighbour that costs more
    than the current configuration (a negative one) or none at all *)
-let greedy_from ~strategy ?params ?workload_indexes ?updates
-    ?(kinds = Space.default_kinds) ?(threshold = 0.) ?(max_iterations = 200)
-    ?(jobs = 1) ?engine ?budget ?checkpoint ~workload schema =
+let greedy_from ~strategy ~kinds ?(threshold = 0.) ?(jobs = 1) ?engine
+    ?budget ?checkpoint ~workload schema =
   if not (threshold >= 0. && threshold < 1.) then
     invalid_arg
       (Printf.sprintf "Search.%s: threshold %g is outside [0, 1)" strategy
          threshold);
   let run =
-    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
+    setup ~strategy ~kinds ~max_iterations:default_max_iterations ?checkpoint
+      ?engine ?budget ~jobs ~workload ()
   in
   let _, priced0, entry0 = initial run schema in
-  greedy_core run ~strategy ~kinds ~threshold ~max_iterations ~checkpoint
-    ~iteration0:0 ~schema0:schema ~cost0:entry0.cost ~priced0:(Some priced0)
-    ~trace0:[ entry0 ] ~failures0:[]
+  greedy_core run ~threshold ~iteration0:0 ~schema0:schema ~cost0:entry0.cost
+    ~priced0:(Some priced0) ~trace0:[ entry0 ] ~failures0:[]
 
-let greedy ?params ?workload_indexes ?updates ?kinds ?threshold ?max_iterations
-    ?jobs ?engine ?budget ?checkpoint ~workload schema =
-  greedy_from ~strategy:"greedy" ?params ?workload_indexes ?updates ?kinds
-    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
-    schema
+let greedy ?(kinds = Space.default_kinds) ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload schema =
+  greedy_from ~strategy:"greedy" ~kinds ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload schema
 
-let greedy_so ?params ?workload_indexes ?updates ?(kinds = [ Space.K_inline ])
-    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
-    schema =
-  greedy_from ~strategy:"greedy_so" ?params ?workload_indexes ?updates ~kinds
-    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
-    (Init.all_outlined schema)
+let greedy_so ?(kinds = [ Space.K_inline ]) ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload schema =
+  greedy_from ~strategy:"greedy_so" ~kinds ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload (Init.all_outlined schema)
 
-let greedy_si ?params ?workload_indexes ?updates ?(kinds = [ Space.K_outline ])
-    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
-    schema =
-  greedy_from ~strategy:"greedy_si" ?params ?workload_indexes ?updates ~kinds
-    ?threshold ?max_iterations ?jobs ?engine ?budget ?checkpoint ~workload
-    (Init.all_inlined schema)
+let greedy_si ?(kinds = [ Space.K_outline ]) ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload schema =
+  greedy_from ~strategy:"greedy_si" ~kinds ?threshold ?jobs ?engine ?budget
+    ?checkpoint ~workload (Init.all_inlined schema)
 
 let pp_trace fmt trace =
   List.iter
@@ -462,83 +467,60 @@ end)
 
 (* the beam loop, shared by fresh and resumed searches just like
    [greedy_core] *)
-let beam_core run ~strategy ~kinds ~width ~patience ~max_iterations
-    ~checkpoint ~iteration0 ~barren0 ~frontier0 ~best0 ~seen0 ~trace0
-    ~failures0 =
+let beam_core run ~width ~patience ~iteration0 ~barren0 ~frontier0 ~best0
+    ~seen0 ~trace0 ~failures0 =
   let check () = Budget.tick run.ctl in
   let seen = Seen.create 64 in
   List.iter (fun fp -> Seen.replace seen (fp, Hashtbl.hash fp) ()) seen0;
   let best = ref best0 in
   let trace = ref trace0 in
-  let all_failures = ref failures0 in
+  let failures = ref failures0 in
   let rec level i barren frontier =
-    (* barrier state, captured before this level mutates anything: a
-       level that exits without recursing (converged, exhausted) must
-       snapshot the position *entering* it, or resume would double-run
-       whatever the exiting level recorded *)
-    let bar_evals = Budget.evaluations run.ctl in
-    let bar_trace = !trace in
-    let bar_failures = !all_failures in
-    let bar_best = !best in
-    let snap () =
-      let b_seen =
-        List.sort String.compare
-          (Seen.fold (fun (k, _) () acc -> k :: acc) seen [])
-      in
-      save_checkpoint ~checkpoint ~strategy ~kinds ~max_iterations
-        ~iteration:i ~evaluations:bar_evals ~trace:bar_trace
-        ~failures:bar_failures
-        (Checkpoint.Beam
-           {
-             b_frontier = List.map (fun (s, c, _) -> (s, c)) frontier;
-             b_best_schema = fst bar_best;
-             b_best_cost = snd bar_best;
-             b_seen;
-             b_barren = barren;
-             b_width = width;
-             b_patience = patience;
-           })
+    (* the position entering this level, read before the level mutates
+       anything: a level that stops (converged, exhausted) snapshots
+       it, or resume would double-run whatever the level recorded *)
+    let best_schema, best_cost = !best in
+    let point () =
+      Checkpoint.Beam
+        {
+          b_frontier = List.map (fun (s, c, _) -> (s, c)) frontier;
+          b_best_schema = best_schema;
+          b_best_cost = best_cost;
+          b_seen =
+            List.sort String.compare
+              (Seen.fold (fun (k, _) () acc -> k :: acc) seen []);
+          b_barren = barren;
+          b_width = width;
+          b_patience = patience;
+        }
     in
-    if due ~checkpoint ~iteration:i then snap ();
-    match Budget.stop_at_iteration run.ctl i with
-    | Some r ->
-        snap ();
-        (r :> stopped)
-    | None ->
-        if i >= max_iterations then begin
-          snap ();
-          `Iterations
-        end
-        else if barren >= patience || frontier = [] then begin
-          snap ();
-          `Converged
-        end
-        else begin
-          let before = Cost_engine.snapshot run.eng in
-          (* configurations reached by commuting step orders collide:
-             dedupe within the level, but blacklist globally only what
-             the beam actually keeps — otherwise a discarded sibling
-             blocks the path that needs the same configuration one
-             level later *)
-          let level_seen = Seen.create 32 in
-          (* preparing (map and fingerprint) and costing are the two
-             expensive per-candidate passes; both fan out over [jobs]
-             chunks, with the sequential dedupe (first occurrence wins,
-             in discovery order) in between so the level is the same
-             for every [jobs].  Each candidate is prepared once: the
-             costing pass reuses the mapping and fingerprints the
-             dedupe pass made.  Both passes poll the budget, so an
-             exhausted budget abandons the level wholesale and the
-             result is the best-so-far over completed levels. *)
-          let raw =
-            List.concat_map
-              (fun (s, _, parent) ->
-                List.map
-                  (fun (step, s') -> (step, s', parent))
-                  (Space.neighbors ~kinds s))
-              frontier
-          in
-          match
+    match
+      barrier run ~iteration:i ~trace:!trace ~failures:!failures ~point
+        (fun () ->
+          if barren >= patience || frontier = [] then Error `Converged
+          else
+            let before = Cost_engine.snapshot run.eng in
+            (* configurations reached by commuting step orders collide:
+               dedupe within the level, but blacklist globally only
+               what the beam actually keeps — otherwise a discarded
+               sibling blocks the path that needs the same
+               configuration one level later *)
+            let level_seen = Seen.create 32 in
+            (* preparing (map and fingerprint) and costing are the two
+               expensive per-candidate passes; both fan out over [jobs]
+               chunks, with the sequential dedupe (first occurrence
+               wins, in discovery order) in between so the level is the
+               same for every [jobs].  Each candidate is prepared once:
+               the costing pass reuses the mapping and fingerprints the
+               dedupe pass made.  Both passes poll the budget. *)
+            let raw =
+              List.concat_map
+                (fun (s, _, parent) ->
+                  List.map
+                    (fun (step, s') -> (step, s', parent))
+                    (Space.neighbors ~kinds:run.kinds s))
+                frontier
+            in
             let prepared =
               fan_out run.eng ~jobs:run.jobs
                 (fun sh (step, s', parent) ->
@@ -559,91 +541,83 @@ let beam_core run ~strategy ~kinds ~width ~patience ~max_iterations
                   end)
                 prepared
             in
-            fan_out run.eng ~jobs:run.jobs
-              (fun sh ((_, _, p) as c) -> (c, Cost_engine.price ~check sh p))
-              deduped
-          with
-          | exception Budget.Exhausted r ->
-              snap ();
-              (r :> stopped)
-          | costed -> (
-              let level_failures =
-                failures_of ~iteration:(i + 1)
-                  ~step_of:(fun (step, _, _) -> step)
-                  costed
-              in
-              if level_failures <> [] then
-                all_failures := level_failures :: !all_failures;
-              let candidates =
-                List.filter_map
-                  (fun ((step, s', p), costed) ->
-                    match costed with
-                    | Ok pr ->
-                        Some
-                          ( step,
-                            s',
-                            Cost_engine.priced_cost pr,
-                            ( Cost_engine.fingerprint p,
-                              Cost_engine.fingerprint_hash p ),
-                            pr )
-                    | Error _ -> None)
-                  costed
-              in
-              let sorted =
-                List.sort
-                  (fun (_, _, a, _, _) (_, _, b, _, _) -> Float.compare a b)
-                  candidates
-              in
-              let keep =
-                List.filteri (fun j _ -> j < width) sorted
-                |> List.map (fun (step, s, c, fp, pr) ->
-                       Seen.replace seen fp ();
-                       (step, s, c, pr))
-              in
-
-              match keep with
-              | [] ->
-                  snap ();
-                  `Converged
-              | (step, s0, c0, _) :: _ ->
-                  let improved = c0 < snd !best in
-                  if improved then begin
-                    best := (s0, c0);
-                    trace :=
-                      {
-                        iteration = i + 1;
-                        cost = c0;
-                        step = Some step;
-                        tables = table_count s0;
-                        engine =
-                          Cost_engine.diff
-                            (Cost_engine.snapshot run.eng)
-                            before;
-                        failures = level_failures;
-                      }
-                      :: !trace
-                  end;
-                  (* continue from every kept candidate, improving or
-                     not: the beam can cross small cost hills, but gives
-                     up after [patience] barren levels *)
-                  level (i + 1)
-                    (if improved then 0 else barren + 1)
-                    (List.map (fun (_, s, c, pr) -> (s, c, Some pr)) keep))
-        end
+            let costed =
+              fan_out run.eng ~jobs:run.jobs
+                (fun sh ((_, _, p) as c) -> (c, Cost_engine.price ~check sh p))
+                deduped
+            in
+            let level_failures =
+              failures_of ~iteration:(i + 1)
+                ~step_of:(fun (step, _, _) -> step)
+                costed
+            in
+            if level_failures <> [] then
+              failures := level_failures :: !failures;
+            let candidates =
+              List.filter_map
+                (fun ((step, s', p), costed) ->
+                  match costed with
+                  | Ok pr ->
+                      Some
+                        ( step,
+                          s',
+                          Cost_engine.priced_cost pr,
+                          ( Cost_engine.fingerprint p,
+                            Cost_engine.fingerprint_hash p ),
+                          pr )
+                  | Error _ -> None)
+                costed
+            in
+            let sorted =
+              List.sort
+                (fun (_, _, a, _, _) (_, _, b, _, _) -> Float.compare a b)
+                candidates
+            in
+            let keep =
+              List.filteri (fun j _ -> j < width) sorted
+              |> List.map (fun (step, s, c, fp, pr) ->
+                     Seen.replace seen fp ();
+                     (step, s, c, pr))
+            in
+            match keep with
+            | [] -> Error `Converged
+            | (step, s0, c0, _) :: _ ->
+                let improved = c0 < best_cost in
+                if improved then begin
+                  best := (s0, c0);
+                  trace :=
+                    entry run ~before ~iteration:(i + 1) ~step
+                      ~failures:level_failures s0 c0
+                    :: !trace
+                end;
+                (* continue from every kept candidate, improving or
+                   not: the beam can cross small cost hills, but gives
+                   up after [patience] barren levels *)
+                Ok
+                  ( (if improved then 0 else barren + 1),
+                    List.map (fun (_, s, c, pr) -> (s, c, Some pr)) keep ))
+    with
+    | Ok (barren', frontier') -> level (i + 1) barren' frontier'
+    | Error stopped -> stopped
   in
   let stopped = level iteration0 barren0 frontier0 in
   let schema, cost = !best in
-  finish run ~schema ~cost ~trace:!trace ~failures:!all_failures stopped
+  finish run ~schema ~cost ~trace:!trace ~failures:!failures stopped
 
-let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
-    ?(width = 4) ?(patience = 3) ?(max_iterations = 200) ?(jobs = 1) ?engine
-    ?budget ?checkpoint ~workload schema =
+(* a width or patience below 1 would keep nothing or stop before the
+   first level *)
+let beam ?(kinds = Space.default_kinds) ?(width = 4) ?(patience = 3)
+    ?(jobs = 1) ?engine ?budget ?checkpoint ~workload schema =
+  if width < 1 then
+    invalid_arg (Printf.sprintf "Search.beam: width %d is below 1" width);
+  if patience < 1 then
+    invalid_arg (Printf.sprintf "Search.beam: patience %d is below 1" patience);
   let run =
-    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
+    setup ~strategy:"beam" ~kinds ~max_iterations:default_max_iterations
+      ?checkpoint ?engine ?budget ~jobs ~workload ()
   in
   let p0, priced0, entry0 = initial run schema in
-  beam_core run ~strategy:"beam" ~kinds ~width ~patience ~max_iterations
-    ~checkpoint ~iteration0:0 ~barren0:0
+  beam_core run ~width ~patience ~iteration0:0 ~barren0:0
     ~frontier0:[ (schema, entry0.cost, Some priced0) ]
     ~best0:(schema, entry0.cost)
     ~seen0:[ Cost_engine.fingerprint p0 ]
@@ -653,30 +627,25 @@ let beam ?params ?workload_indexes ?updates ?(kinds = Space.default_kinds)
 (* resume                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?engine ?budget
-    ?checkpoint ?max_iterations ~workload path =
+let resume ?(jobs = 1) ?engine ?budget ?checkpoint ~workload path =
   let st = Checkpoint.load path in
   let run =
-    setup ?params ?workload_indexes ?updates ?engine ?budget ~jobs ~workload ()
+    setup ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
+      ~max_iterations:st.Checkpoint.max_iterations ?checkpoint ?engine ?budget
+      ~jobs ~workload ()
   in
   (* restore the cumulative ticket numbering: the tickets the previous
      process drew count against this budget's evaluation cap *)
   Budget.charge run.ctl st.Checkpoint.evaluations;
-  let max_iterations =
-    match max_iterations with
-    | Some m -> m
-    | None -> st.Checkpoint.max_iterations
-  in
   let trace0 = List.rev st.Checkpoint.trace in
   let failures0 =
     match st.Checkpoint.failures with [] -> [] | l -> [ l ]
   in
   match st.Checkpoint.point with
   | Checkpoint.Greedy { g_schema; g_cost; g_threshold } ->
-      greedy_core run ~strategy:st.Checkpoint.strategy
-        ~kinds:st.Checkpoint.kinds ~threshold:g_threshold ~max_iterations
-        ~checkpoint ~iteration0:st.Checkpoint.iteration ~schema0:g_schema
-        ~cost0:g_cost ~priced0:None ~trace0 ~failures0
+      greedy_core run ~threshold:g_threshold
+        ~iteration0:st.Checkpoint.iteration ~schema0:g_schema ~cost0:g_cost
+        ~priced0:None ~trace0 ~failures0
   | Checkpoint.Beam
       {
         b_frontier;
@@ -687,8 +656,7 @@ let resume ?params ?workload_indexes ?updates ?(jobs = 1) ?engine ?budget
         b_width;
         b_patience;
       } ->
-      beam_core run ~strategy:st.Checkpoint.strategy ~kinds:st.Checkpoint.kinds
-        ~width:b_width ~patience:b_patience ~max_iterations ~checkpoint
+      beam_core run ~width:b_width ~patience:b_patience
         ~iteration0:st.Checkpoint.iteration ~barren0:b_barren
         ~frontier0:(List.map (fun (s, c) -> (s, c, None)) b_frontier)
         ~best0:(b_best_schema, b_best_cost) ~seen0:b_seen ~trace0 ~failures0

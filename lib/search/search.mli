@@ -115,7 +115,9 @@ val seam_stats : unit -> seam_stats
 type stopped =
   [ `Converged  (** no neighbor improves: the algorithm's own stop *)
   | `Deadline  (** wall-clock budget expired *)
-  | `Iterations  (** iteration cap reached (budget or [max_iterations]) *)
+  | `Iterations
+    (** iteration cap reached: the budget's, or the 200-iteration
+        backstop *)
   | `Cost_budget  (** evaluation budget spent *)
   | `Interrupted  (** {!Budget.interrupt} tripped, e.g. by [SIGINT] *) ]
 (** Why the search returned: convergence, or the {!Budget.reason} that
@@ -167,12 +169,8 @@ type result = {
 }
 
 val greedy :
-  ?params:Legodb_optimizer.Cost.params ->
-  ?workload_indexes:bool ->
-  ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?kinds:Space.kind list ->
   ?threshold:float ->
-  ?max_iterations:int ->
   ?jobs:int ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
@@ -182,22 +180,30 @@ val greedy :
   result
 (** Greedy descent from the given p-schema.  [kinds] defaults to
     {!Space.default_kinds} (inline/outline); [threshold] (default [0.])
-    stops early when the relative improvement drops below it;
-    [max_iterations] defaults to 200.  Without [?engine] a search
-    creates a fresh memoizing engine; an uncached search (the reference
-    mode benchmarks compare against; results are identical either way)
-    passes [~engine:(Cost_engine.create ~memoize:false ~workload ())].
+    stops early when the relative improvement drops below it.
 
-    [?engine] reuses an existing engine ({!Cost_engine.create}'s, not
-    one of its worker shards) instead of creating a fresh one, so
+    A search prices its candidates on [?engine], and
+    {!Cost_engine.create}'s arguments are the one place a search's
+    pricing is set: the cost-model parameters, [~workload_indexes] and
+    [~updates].  Without [?engine] a search creates a fresh memoizing
+    engine, [Cost_engine.create ~workload ()], which prices as the
+    paper does.  An uncached search (the reference mode benchmarks
+    compare against; results are identical either way) passes
+    [~engine:(Cost_engine.create ~memoize:false ~workload ())].  With
+    an engine, [~workload] must equal the engine's
+    ({!Cost_engine.workload}).  An engine
+    ({!Cost_engine.create}'s, not one of its worker shards) may serve
     successive searches (a re-run after a workload tweak, a beam pass
-    after a greedy pass) share one cache and hit on every
-    configuration already costed.  The engine's own workload, updates
-    and parameters apply; [?params], [?workload_indexes] and
-    [?updates] are then ignored, and the caller must pass a
-    [~workload] consistent with the engine's.  The [engine] fields of
-    the result and trace report the {e delta} incurred by this search,
-    so they compose with a shared engine.
+    after a greedy pass), which then share one cache and hit on every
+    configuration already costed.  The [engine] fields of the result
+    and trace report the {e delta} incurred by this search, so they
+    compose with a shared engine.
+
+    [?budget] is the one place a caller limits a search: wall clock,
+    completed iterations, configurations costed (see {!Budget}).
+    Without a budget a search runs to convergence, backstopped at 200
+    completed iterations (a constant of this module, far beyond what
+    an IMDB design takes, recorded in the search's checkpoints).
 
     [?checkpoint:(path, every)] makes the search durable: a
     {!Checkpoint} snapshot of the barrier state is written atomically
@@ -209,16 +215,12 @@ val greedy :
     from.
 
     @raise Invalid_argument when [threshold] is outside \[0, 1) (a
-    negative one would accept neighbours that cost more), before any
-    costing. *)
+    negative one would accept neighbours that cost more), or when
+    [~workload] is not [?engine]'s, before any costing. *)
 
 val greedy_so :
-  ?params:Legodb_optimizer.Cost.params ->
-  ?workload_indexes:bool ->
-  ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?kinds:Space.kind list ->
   ?threshold:float ->
-  ?max_iterations:int ->
   ?jobs:int ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
@@ -232,12 +234,8 @@ val greedy_so :
     @raise Invalid_argument as {!greedy} does. *)
 
 val greedy_si :
-  ?params:Legodb_optimizer.Cost.params ->
-  ?workload_indexes:bool ->
-  ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?kinds:Space.kind list ->
   ?threshold:float ->
-  ?max_iterations:int ->
   ?jobs:int ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
@@ -253,13 +251,9 @@ val greedy_si :
 val pp_trace : Format.formatter -> trace_entry list -> unit
 
 val beam :
-  ?params:Legodb_optimizer.Cost.params ->
-  ?workload_indexes:bool ->
-  ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?kinds:Space.kind list ->
   ?width:int ->
   ?patience:int ->
-  ?max_iterations:int ->
   ?jobs:int ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
@@ -274,7 +268,8 @@ val beam :
     independent of the fresh type names a step order generates — and
     can therefore cross small cost hills the greedy descent cannot (it
     stops after [patience] levels without improvement, default 3).
-    Returns the best configuration seen.
+    Returns the best configuration seen.  Pricing, budget and
+    checkpoints are as for {!greedy}.
 
     Both strategies keep the priced state ({!Cost_engine.priced}) of
     the configurations they continue from — beam's frontier, greedy's
@@ -282,17 +277,17 @@ val beam :
     neighbour keeps each table, fingerprint, translation and memo key
     its rewriting left untouched.  A resumed search starts without it
     and derives its first neighbours afresh; the results are the same
-    either way. *)
+    either way.
+
+    @raise Invalid_argument when [width] or [patience] is below 1
+    (the beam would keep nothing, or stop before its first level), or
+    when [~workload] is not [?engine]'s, before any costing. *)
 
 val resume :
-  ?params:Legodb_optimizer.Cost.params ->
-  ?workload_indexes:bool ->
-  ?updates:(Legodb_xquery.Xq_ast.update * float) list ->
   ?jobs:int ->
   ?engine:Cost_engine.t ->
   ?budget:Budget.t ->
   ?checkpoint:string * int ->
-  ?max_iterations:int ->
   workload:Legodb_xquery.Workload.t ->
   string ->
   result
@@ -302,21 +297,25 @@ val resume :
     trace so far, and the budget ticket count ({!Budget.charge}d into
     the fresh budget so a cumulative evaluation cap trips at the same
     candidate) — while the caller re-supplies the {e inputs}: the
-    workload, updates, cost-model parameters, and fresh budget, which
-    must match the original run's for the bit-identity guarantee to
-    hold.  Because a snapshot always captures an iteration barrier and
-    abandoned iterations record nothing, stopping at any point and
-    resuming yields bit-identical cost, schema, trace, and failures to
-    the uninterrupted run, for every strategy and every [~jobs] value.
+    workload, the engine's pricing (updates, cost-model parameters,
+    workload indexes) and a fresh budget, which must match the
+    original run's for the bit-identity guarantee to hold.  Because a
+    snapshot always captures an iteration barrier and abandoned
+    iterations record nothing, stopping at any point and resuming
+    yields bit-identical cost, schema, trace, and failures to the
+    uninterrupted run, for every strategy and every [~jobs] value.
 
     A snapshot carries no memo table: the resumed search starts with
     an empty one, or with [?engine]'s.  The memo table is pure
     memoization, so this changes only the hit/miss counters and wall
-    time, never the result.
-    [?max_iterations] overrides the snapshot's cap (e.g. to let a run
-    stopped by [`Iterations] continue); [?checkpoint] keeps the resumed
+    time, never the result.  The snapshot records the 200-iteration
+    backstop, which the resumed search keeps.  A budget's iteration
+    cap counts every completed iteration, the snapshot's included, so
+    a run stopped by its budget's cap resumes to convergence unless
+    the resuming budget caps it too.  [?checkpoint] keeps the resumed
     run checkpointing, typically to the same path.
 
     @raise Checkpoint.Corrupt if the file fails validation (bad magic,
     version, length, checksum, or payload) — a corrupt snapshot is an
-    error, never a silent restart. *)
+    error, never a silent restart.
+    @raise Invalid_argument when [~workload] is not [?engine]'s. *)

@@ -33,10 +33,14 @@ let run_prefix (picks, max_evals, jobs) =
     |> Workload.of_queries
   in
   let schema = Lazy.force annotated_imdb in
-  let full = Search.greedy_si ~max_iterations:3 ~workload schema in
+  let full =
+    Search.greedy_si ~budget:(Budget.create ~max_iterations:3 ()) ~workload
+      schema
+  in
   let budgeted ~jobs =
-    Search.greedy_si ~max_iterations:3 ~jobs
-      ~budget:(Budget.create ~max_evaluations:max_evals ())
+    Search.greedy_si ~jobs
+      ~budget:
+        (Budget.create ~max_iterations:3 ~max_evaluations:max_evals ())
       ~workload schema
   in
   let b1 = budgeted ~jobs:1 in
@@ -155,17 +159,18 @@ let suite =
     case "budgeted beam returns a prefix with the reason" (fun () ->
         let workload = Imdb.Workloads.lookup in
         let start = Init.all_inlined (Lazy.force annotated_imdb) in
-        let run ?budget () =
-          Search.beam ~width:3 ~patience:1 ~max_iterations:3
-            ~kinds:[ Space.K_outline ] ?budget ~workload start
+        let run ?(max_iterations = 3) ?wall_ms () =
+          Search.beam ~width:3 ~patience:1
+            ~budget:(Budget.create ~max_iterations ?wall_ms ())
+            ~kinds:[ Space.K_outline ] ~workload start
         in
         let full = run () in
-        let r = run ~budget:(Budget.create ~max_iterations:1 ()) () in
+        let r = run ~max_iterations:1 () in
         check_string "reason" "iterations" (Search.stopped_string r.Search.stopped);
         let n = List.length r.Search.trace in
         check_bool "prefix" true
           (Test_par.same_trace r.Search.trace (prefix n full.Search.trace));
-        let z = run ~budget:(Budget.create ~wall_ms:0. ()) () in
+        let z = run ~wall_ms:0. () in
         check_string "deadline reason" "deadline"
           (Search.stopped_string z.Search.stopped);
         check_int "deadline trace" 1 (List.length z.Search.trace));
@@ -206,7 +211,8 @@ let suite =
         in
         let ref_schema, ref_cost = go 0 schema (Cost_engine.cost eng schema) in
         let run ~jobs =
-          Search.greedy ~kinds ~max_iterations ~jobs
+          Search.greedy ~kinds ~jobs
+            ~budget:(Budget.create ~max_iterations ())
             ~engine:(Cost_engine.create ~workload ~inject ())
             ~workload schema
         in

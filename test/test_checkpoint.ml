@@ -227,6 +227,22 @@ let suite =
         in
         check_bool "threshold outside [0, 1)" true
           (rejects ~expect:"threshold"
+             (Checkpoint.encode { st with Checkpoint.point }));
+        (* and a beam point whose width no search accepts *)
+        let point =
+          Checkpoint.Beam
+            {
+              b_frontier = [];
+              b_best_schema = (Lazy.force schema_pool).(0);
+              b_best_cost = 1.;
+              b_seen = [];
+              b_barren = 0;
+              b_width = 0;
+              b_patience = 3;
+            }
+        in
+        check_bool "beam width below 1" true
+          (rejects ~expect:"width"
              (Checkpoint.encode { st with Checkpoint.point })));
     case "save is atomic and loads back equal" (fun () ->
         let st = state_of (42, [ 1.5 ], [ "k" ]) in
@@ -247,14 +263,17 @@ let suite =
       (fun () ->
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
-        let full = Search.greedy_si ~max_iterations:3 ~workload schema in
+        let full =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:3 ())
+            ~workload schema
+        in
         List.iter
           (fun jobs ->
             List.iter
               (fun k ->
                 let path = tmp_ckpt () in
                 let stopped =
-                  Search.greedy_si ~max_iterations:3 ~jobs
+                  Search.greedy_si ~jobs
                     ~budget:(Budget.create ~max_iterations:k ())
                     ~checkpoint:(path, 1) ~workload schema
                 in
@@ -265,7 +284,11 @@ let suite =
                 check_bool "stopped run is a prefix" true
                   (Test_par.same_trace stopped.Search.trace
                      (prefix (k + 1) full.Search.trace));
-                let resumed = Search.resume ~jobs ~workload path in
+                let resumed =
+                  Search.resume ~jobs
+                    ~budget:(Budget.create ~max_iterations:3 ())
+                    ~workload path
+                in
                 check_resumed
                   (Printf.sprintf "greedy j%d k%d" jobs k)
                   full resumed;
@@ -279,18 +302,25 @@ let suite =
            resumed run re-runs that iteration from scratch *)
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
-        let full = Search.greedy_si ~max_iterations:3 ~workload schema in
+        let full =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:3 ())
+            ~workload schema
+        in
         List.iter
           (fun evals ->
             let path = tmp_ckpt () in
             let stopped =
-              Search.greedy_si ~max_iterations:3
-                ~budget:(Budget.create ~max_evaluations:evals ())
+              Search.greedy_si
+                ~budget:
+                  (Budget.create ~max_iterations:3 ~max_evaluations:evals ())
                 ~checkpoint:(path, 1) ~workload schema
             in
             check_string "stops on the evaluation budget" "cost_budget"
               (Search.stopped_string stopped.Search.stopped);
-            let resumed = Search.resume ~workload path in
+            let resumed =
+              Search.resume ~budget:(Budget.create ~max_iterations:3 ())
+                ~workload path
+            in
             check_resumed (Printf.sprintf "evals=%d" evals) full resumed;
             Sys.remove path)
           [ 7; 30 ]);
@@ -298,29 +328,27 @@ let suite =
       (fun () ->
         let workload = Imdb.Workloads.lookup in
         let start = Init.all_inlined (Lazy.force annotated_imdb) in
-        let run ?jobs ?budget ?checkpoint () =
-          Search.beam ?jobs ?budget ?checkpoint ~width:3 ~patience:1
-            ~max_iterations:3 ~kinds:[ Space.K_outline ] ~workload start
+        let run ?jobs ?(max_iterations = 3) ?max_evaluations ?checkpoint () =
+          Search.beam ?jobs
+            ~budget:(Budget.create ~max_iterations ?max_evaluations ())
+            ?checkpoint ~width:3 ~patience:1 ~kinds:[ Space.K_outline ]
+            ~workload start
         in
         let full = run () in
         List.iter
           (fun jobs ->
             let path = tmp_ckpt () in
-            let _ =
-              run ~jobs
-                ~budget:(Budget.create ~max_iterations:1 ())
-                ~checkpoint:(path, 1) ()
+            let _ = run ~jobs ~max_iterations:1 ~checkpoint:(path, 1) () in
+            let resumed =
+              Search.resume ~jobs ~budget:(Budget.create ~max_iterations:3 ())
+                ~workload path
             in
-            let resumed = Search.resume ~jobs ~workload path in
             check_resumed (Printf.sprintf "beam j%d" jobs) full resumed;
             (* and an evaluation-budget stop mid-level *)
-            let _ =
-              run ~jobs
-                ~budget:(Budget.create ~max_evaluations:9 ())
-                ~checkpoint:(path, 1) ()
-            in
+            let _ = run ~jobs ~max_evaluations:9 ~checkpoint:(path, 1) () in
             let resumed =
-              Search.resume ~jobs ~workload path
+              Search.resume ~jobs ~budget:(Budget.create ~max_iterations:3 ())
+                ~workload path
             in
             check_resumed (Printf.sprintf "beam j%d evals" jobs) full resumed;
             Sys.remove path)
@@ -328,10 +356,13 @@ let suite =
     case "double stop/resume equals one uninterrupted run" (fun () ->
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
-        let full = Search.greedy_si ~max_iterations:3 ~workload schema in
+        let full =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:3 ())
+            ~workload schema
+        in
         let path = tmp_ckpt () in
         let _ =
-          Search.greedy_si ~max_iterations:3
+          Search.greedy_si
             ~budget:(Budget.create ~max_iterations:1 ())
             ~checkpoint:(path, 1) ~workload schema
         in
@@ -346,7 +377,10 @@ let suite =
           (Search.stopped_string leg2.Search.stopped);
         check_int "second leg completed one more iteration" 3
           (List.length leg2.Search.trace);
-        let final = Search.resume ~workload path in
+        let final =
+          Search.resume ~budget:(Budget.create ~max_iterations:3 ())
+            ~workload path
+        in
         check_resumed "double resume" full final;
         Sys.remove path);
     case "pre-snapshot injected faults are not replayed on resume"
@@ -360,20 +394,25 @@ let suite =
         let kinds = [ Space.K_outline ] in
         let mk_eng () = Cost_engine.create ~workload ~inject () in
         let full =
-          Search.greedy ~kinds ~max_iterations:3 ~engine:(mk_eng ())
+          Search.greedy ~kinds ~engine:(mk_eng ())
+            ~budget:(Budget.create ~max_iterations:3 ())
             ~workload schema
         in
         check_bool "fixture injects faults" true (full.Search.failures <> []);
         let path = tmp_ckpt () in
         let stopped =
-          Search.greedy ~kinds ~max_iterations:3 ~engine:(mk_eng ())
+          Search.greedy ~kinds ~engine:(mk_eng ())
             ~budget:(Budget.create ~max_iterations:1 ())
             ~checkpoint:(path, 1) ~workload schema
         in
         (* the resumed engine re-injects deterministically; faults from
            completed iterations come from the snapshot and must appear
            exactly once *)
-        let resumed = Search.resume ~engine:(mk_eng ()) ~workload path in
+        let resumed =
+          Search.resume ~engine:(mk_eng ())
+            ~budget:(Budget.create ~max_iterations:3 ())
+            ~workload path
+        in
         check_resumed "inject" full resumed;
         check_int "no duplicated failure records"
           (List.length full.Search.failures)
@@ -422,23 +461,24 @@ let suite =
       (fun (use_beam, jobs, evals) ->
         let workload = Imdb.Workloads.lookup in
         let schema = Lazy.force annotated_imdb in
-        let run ?budget ?checkpoint ~jobs () =
+        let max_iterations = if use_beam then 2 else 3 in
+        let run ?max_evaluations ?checkpoint ~jobs () =
+          let budget = Budget.create ~max_iterations ?max_evaluations () in
           if use_beam then
-            Search.beam ~jobs ?budget ?checkpoint ~width:3 ~patience:1
-              ~max_iterations:2 ~kinds:[ Space.K_outline ] ~workload
+            Search.beam ~jobs ~budget ?checkpoint ~width:3 ~patience:1
+              ~kinds:[ Space.K_outline ] ~workload
               (Init.all_inlined schema)
-          else
-            Search.greedy_si ~jobs ?budget ?checkpoint ~max_iterations:3
-              ~workload schema
+          else Search.greedy_si ~jobs ~budget ?checkpoint ~workload schema
         in
         let full = run ~jobs:1 () in
         let path = tmp_ckpt () in
         let _ =
-          run ~jobs
-            ~budget:(Budget.create ~max_evaluations:evals ())
-            ~checkpoint:(path, 1) ()
+          run ~jobs ~max_evaluations:evals ~checkpoint:(path, 1) ()
         in
-        let resumed = Search.resume ~jobs ~workload path in
+        let resumed =
+          Search.resume ~jobs ~budget:(Budget.create ~max_iterations ())
+            ~workload path
+        in
         Sys.remove path;
         Float.equal full.Search.cost resumed.Search.cost
         && String.equal
@@ -465,4 +505,31 @@ let suite =
                     (Wire.crc32 payload) (String.length payload)
                     payload)))
           [ 1; 2 ]);
+    case "resume keeps the snapshot's iteration cap" (fun () ->
+        (* a fresh search records the 200-iteration backstop; a resumed
+           one stops at the cap its snapshot holds, here one iteration
+           past the barrier a budget stopped it at *)
+        let workload = Imdb.Workloads.lookup in
+        let schema = Lazy.force annotated_imdb in
+        let path = tmp_ckpt () in
+        let (_ : Search.result) =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:1 ())
+            ~checkpoint:(path, 1) ~workload schema
+        in
+        let st = Checkpoint.load path in
+        check_int "a fresh search records the backstop" 200
+          st.Checkpoint.max_iterations;
+        check_int "stopped after one iteration" 1 st.Checkpoint.iteration;
+        Checkpoint.save ~path { st with Checkpoint.max_iterations = 2 };
+        let resumed = Search.resume ~workload path in
+        check_string "stops on the snapshot's cap" "iterations"
+          (Search.stopped_string resumed.Search.stopped);
+        check_int "after exactly that many iterations" 3
+          (List.length resumed.Search.trace);
+        let capped =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:2 ())
+            ~workload schema
+        in
+        check_resumed "the snapshot's cap" capped resumed;
+        Sys.remove path);
   ]

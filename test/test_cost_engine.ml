@@ -121,7 +121,8 @@ let suite =
     case "greedy_si forwards max_iterations" (fun () ->
         let workload = Imdb.Workloads.mixed 0.5 in
         let r =
-          Search.greedy_si ~max_iterations:0 ~workload
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:0 ())
+            ~workload
             (Lazy.force annotated_imdb)
         in
         check_int "no iterations taken" 1 (List.length r.Search.trace));

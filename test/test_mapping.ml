@@ -661,4 +661,18 @@ let suite =
               [ "T_id"; "x_tilde"; "x"; "parent_R" ],
               "<r><t><x><u>V</u></x></t></r>" );
           ]);
+    case "an unreachable definition is no table's parent" (fun () ->
+        (* [U] references [B] but nothing reaches [U]: the table [B]
+           must not name it as a parent *)
+        let schema =
+          Xtype_parse.schema_of_string
+            "type R = r [ A*, B* ] type A = a [ String ] type B = b [ String ] \
+             type U = ( u [ String ] | B )"
+        in
+        check_bool "a p-schema" true (Pschema.is_pschema schema);
+        let catalog m = Format.asprintf "%a" Rschema.pp m.Mapping.catalog in
+        let live = mapping_of (Xschema.gc schema) in
+        check_int "tables" 3 (List.length live.Mapping.catalog.Rschema.tables);
+        check_string "the gc'd schema's catalog" (catalog live)
+          (catalog (mapping_of schema)));
   ]

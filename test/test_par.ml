@@ -53,10 +53,13 @@ let run_determinism (picks, use_beam) =
   in
   let run ~jobs =
     if use_beam then
-      Search.beam ~jobs ~width:3 ~patience:1 ~max_iterations:2 ~workload
+      Search.beam ~jobs ~width:3 ~patience:1
+        ~budget:(Budget.create ~max_iterations:2 ())
+        ~workload
         (Init.all_inlined (Lazy.force annotated_imdb))
     else
-      Search.greedy_si ~jobs ~max_iterations:3 ~workload
+      Search.greedy_si ~jobs ~budget:(Budget.create ~max_iterations:3 ())
+        ~workload
         (Lazy.force annotated_imdb)
   in
   let r1 = run ~jobs:1 and r4 = run ~jobs:4 in
@@ -310,7 +313,9 @@ let suite =
         let workload = Imdb.Workloads.mixed 0.5 in
         let schema = Lazy.force annotated_imdb in
         let run ?engine () =
-          Search.greedy_si ~jobs:4 ~max_iterations:3 ?engine ~workload schema
+          Search.greedy_si ~jobs:4
+            ~budget:(Budget.create ~max_iterations:3 ())
+            ?engine ~workload schema
         in
         let r1 = run () in
         let eng = Cost_engine.create ~workload () in
@@ -354,7 +359,8 @@ let suite =
             in
             let eng' = Cost_engine.create ~workload () in
             let _ =
-              Search.greedy_si ~jobs ~engine:eng' ~max_iterations:completed
+              Search.greedy_si ~jobs ~engine:eng'
+                ~budget:(Budget.create ~max_iterations:completed ())
                 ~workload schema
             in
             let rerun e =
@@ -372,7 +378,9 @@ let suite =
         Search.seam_reset ();
         let workload = Imdb.Workloads.lookup in
         ignore
-          (Search.greedy_si ~jobs:4 ~max_iterations:2 ~workload
+          (Search.greedy_si ~jobs:4
+             ~budget:(Budget.create ~max_iterations:2 ())
+             ~workload
              (Lazy.force annotated_imdb));
         let s = Search.seam_stats () in
         (* every pass fans out, on either backend *)
@@ -385,7 +393,8 @@ let suite =
     case "jobs:0 auto-detects and stays bit-identical" (fun () ->
         let workload = Imdb.Workloads.lookup in
         let run ~jobs =
-          Search.greedy_si ~jobs ~max_iterations:2 ~workload
+          Search.greedy_si ~jobs ~budget:(Budget.create ~max_iterations:2 ())
+            ~workload
             (Lazy.force annotated_imdb)
         in
         check_bit_identical "auto" (run ~jobs:1) (run ~jobs:0));

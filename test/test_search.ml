@@ -59,7 +59,8 @@ let suite =
           (List.length coarse.Search.trace <= List.length full.Search.trace));
     case "max_iterations bounds the descent" (fun () ->
         let r =
-          Search.greedy ~max_iterations:1 ~kinds:[ Space.K_outline ]
+          Search.greedy ~budget:(Budget.create ~max_iterations:1 ())
+            ~kinds:[ Space.K_outline ]
             ~workload:tiny_lookup
             (Init.all_inlined (Lazy.force annotated_imdb))
         in
@@ -116,6 +117,68 @@ let suite =
                   0 (Cost_engine.snapshot engine).Cost_engine.evaluations)
               [ -1.; -0.5; 1.; 1.5; Float.nan ])
           searches);
+    case "a beam width or patience below 1 is refused before any costing"
+      (fun () ->
+        (* a width of 0 keeps no candidate and a patience of 0 stops
+           before the first level: either would report convergence *)
+        let start = Init.all_inlined (Lazy.force annotated_imdb) in
+        List.iter
+          (fun (width, patience) ->
+            let engine = Cost_engine.create ~workload:tiny_lookup () in
+            let what = Printf.sprintf "width %d, patience %d" width patience in
+            (match
+               Search.beam ~engine ~width ~patience ~workload:tiny_lookup start
+             with
+            | (_ : Search.result) -> Alcotest.failf "beam accepted %s" what
+            | exception Invalid_argument _ -> ());
+            check_int (what ^ ": costed nothing") 0
+              (Cost_engine.snapshot engine).Cost_engine.evaluations)
+          [ (0, 3); (-1, 3); (4, 0); (4, -2); (0, 0) ]);
+    case "a search refuses an engine built for another workload" (fun () ->
+        (* a search prices on its engine and never reads [~workload]
+           beside it: a lookup engine searched under [~workload:publish]
+           returned the lookup design (8009.2 where publish reads
+           16160.4) *)
+        let schema = Lazy.force annotated_imdb in
+        let lookup = Imdb.Workloads.lookup
+        and publish = Imdb.Workloads.publish in
+        let path = Filename.temp_file "legodb_test" ".ckpt" in
+        let (_ : Search.result) =
+          Search.greedy_si ~budget:(Budget.create ~max_iterations:0 ())
+            ~checkpoint:(path, 1) ~workload:tiny_lookup schema
+        in
+        List.iter
+          (fun (what, search) ->
+            let engine = Cost_engine.create ~workload:lookup () in
+            (match search engine with
+            | (_ : Search.result) ->
+                Alcotest.failf "%s searched on another workload's engine" what
+            | exception Invalid_argument _ -> ());
+            check_int (what ^ ": costed nothing") 0
+              (Cost_engine.snapshot engine).Cost_engine.evaluations)
+          [
+            ( "greedy_si",
+              fun engine -> Search.greedy_si ~engine ~workload:publish schema );
+            ( "beam",
+              fun engine ->
+                Search.beam ~engine ~workload:publish (Init.all_inlined schema)
+            );
+            ( "resume",
+              fun engine -> Search.resume ~engine ~workload:publish path );
+          ];
+        Sys.remove path;
+        (* an equal workload built apart is the engine's *)
+        let apart =
+          Workload.of_queries [ Imdb.Queries.q 1; Imdb.Queries.q 8 ]
+        in
+        let r =
+          Search.greedy_si
+            ~engine:(Cost_engine.create ~workload:apart ())
+            ~workload:tiny_lookup schema
+        in
+        check_bool "an equal workload searches as its own" true
+          (Float.equal r.Search.cost
+             (Search.greedy_si ~workload:tiny_lookup schema).Search.cost));
   ]
 
 (* beam search *)
@@ -148,7 +211,8 @@ let beam_suite =
         let schema = Lazy.force annotated_imdb in
         let w = Workload.of_queries [ Imdb.Queries.q 4 ] in
         let b =
-          Search.beam ~width:2 ~patience:1 ~max_iterations:4
+          Search.beam ~width:2 ~patience:1
+            ~budget:(Budget.create ~max_iterations:4 ())
             ~kinds:Space.all_kinds ~workload:w (Init.normalize schema)
         in
         check_bool "p-schema" true (Pschema.is_pschema b.Search.schema);

@@ -103,9 +103,12 @@ let suite =
         let workload = Workload.of_queries [ Imdb.Queries.q 12 ] in
         let pure = Search.greedy_si ~workload schema in
         let heavy =
-          Search.greedy_si ~workload
-            ~updates:[ (Lazy.force ins_show, 50.) ]
-            schema
+          Search.greedy_si
+            ~engine:
+              (Cost_engine.create
+                 ~updates:[ (Lazy.force ins_show, 50.) ]
+                 ~workload ())
+            ~workload schema
         in
         let tables r =
           (List.nth r.Search.trace (List.length r.Search.trace - 1)).Search.tables
